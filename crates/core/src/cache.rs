@@ -1,11 +1,11 @@
-//! Cached compile-once / run-many inference for RRM decision loops.
+//! The engine lifecycle: compile-once artifacts and warm engines keyed
+//! by `(network name, OptLevel)`.
 //!
-//! RRM environments call their policy network every scheduling interval;
+//! Decision loops call their policy network every scheduling interval;
 //! recompiling the kernel program and re-staging every weight matrix per
 //! step would dwarf the simulated inference itself. [`EngineCache`]
-//! keeps warm [`Engine`]s per `(network name, OptLevel)` so each step
-//! pays only input patching, simulation, and a dirty-block memory
-//! restore.
+//! compiles each key once and keeps warm [`Engine`]s, so each step pays
+//! only input patching, simulation, and a dirty-block memory restore.
 //!
 //! The cache is **thread-safe** (`&self` everywhere): compiled artifacts
 //! live in a shared compile-once map, and engines are handed out through
@@ -15,40 +15,42 @@
 //! returns it. Two threads hammering the same `(network, level)` key can
 //! therefore never alias one simulator `Machine`: each holds its own
 //! engine, both warmed from the same compiled artifact, and both land
-//! back in the idle pool for later reuse. This is what lets one
-//! `EngineCache` back a multi-threaded server (`rnnasip_core::serve`)
-//! or several environment loops at once.
+//! back in the idle pool for later reuse.
+//!
+//! The serving pool ([`EnginePool`](crate::serve::EnginePool)) holds one
+//! cache too: its workers keep worker-local engines (no lock on the hot
+//! path) but create them from the cache's artifacts and drop them under
+//! the cache's one quarantine rule — an engine whose last run tripped an
+//! ABFT guard, or that a panic interrupted, never serves again.
 
-use rnnasip_core::{CompiledNetwork, CoreError, Engine, KernelBackend, NetworkRun, OptLevel};
+use crate::compile::CompiledNetwork;
+use crate::engine::Engine;
+use crate::error::CoreError;
+use crate::lock;
+use crate::optlevel::OptLevel;
+use crate::runner::{KernelBackend, NetworkRun};
 use rnnasip_fixed::Q3p12;
 use rnnasip_nn::Network;
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::Mutex;
 
-type Key = (String, OptLevel);
-
-/// Recovers the guard from a poisoned lock — a panicked borrower must
-/// not wedge every other thread's inference; the maps stay structurally
-/// consistent across a panic boundary (at worst one checked-out engine
-/// is never returned).
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+/// One cache key: a `(network name, OptLevel)` pair. The name stands in
+/// for the weights — one name, one fixed set of weights.
+pub(crate) type Key = (String, OptLevel);
 
 /// A thread-safe pool of warm [`Engine`]s keyed by
 /// `(network name, OptLevel)`.
 ///
 /// Networks are compiled on first use and reused afterwards; the cache
 /// assumes a name identifies one fixed set of weights (true for the
-/// [`suite`](crate::suite) and for any loop driving a single model).
+/// `rnnasip-rrm` suite and for any loop driving a single model).
 ///
 /// # Example
 ///
 /// ```
-/// use rnnasip_core::OptLevel;
-/// use rnnasip_rrm::EngineCache;
+/// use rnnasip_core::{EngineCache, OptLevel};
 ///
 /// let net = &rnnasip_rrm::suite()[3]; // eisen2019, a tiny MLP
 /// let cache = EngineCache::new();
@@ -71,14 +73,13 @@ pub struct EngineCache {
     /// prewarm tests use to prove a warmed cache serves without paying
     /// compile latency inside the measurement window.
     compiles: AtomicU64,
-    /// Whether engines handed out by this cache arm ABFT guards
-    /// ([`Engine::set_guards`]). Guarded engines that return a run with
-    /// a tripped guard are *quarantined* on check-in (dropped instead of
-    /// pooled), so latent silent corruption can never be served to the
-    /// next borrower — the compiled artifact stays clean, and the next
-    /// checkout instantiates a fresh engine from it.
+    /// Whether engines created by this cache arm ABFT guards
+    /// ([`Engine::set_guards`]).
     guards: bool,
-    /// Engines quarantined (dropped on check-in) after a guard trip.
+    /// Simulated cluster cores per artifact (0 = classic single-machine
+    /// artifacts; `n >= 1` compiles with [`KernelBackend::with_cores`]).
+    cores: usize,
+    /// Engines dropped under the quarantine rule.
     quarantined: AtomicU64,
 }
 
@@ -99,13 +100,21 @@ impl EngineCache {
         }
     }
 
+    /// This cache, compiling every artifact for a simulated
+    /// `cores`-core cluster (0 keeps single-machine artifacts).
+    pub(crate) fn with_cores(mut self, cores: usize) -> Self {
+        self.cores = cores;
+        self
+    }
+
     /// Whether this cache's engines arm ABFT guards.
     pub fn guards_enabled(&self) -> bool {
         self.guards
     }
 
-    /// Engines quarantined after a guard-tripped run over the cache's
-    /// lifetime (always 0 on unguarded caches).
+    /// Engines quarantined over the cache's lifetime: dropped because
+    /// their last run tripped an ABFT guard (guarded caches only) or a
+    /// panic interrupted them.
     pub fn quarantined(&self) -> u64 {
         self.quarantined.load(Ordering::Relaxed)
     }
@@ -136,8 +145,9 @@ impl EngineCache {
     /// compiles each missing artifact and checks in one idle engine per
     /// key, so later [`checkout`](Self::checkout)/[`run`](Self::run)
     /// calls pay neither compile nor engine-instantiation latency.
-    /// Returns the number of networks that were newly compiled
-    /// (idempotent: a second prewarm returns 0).
+    /// Returns the number of networks this call compiled (idempotent: a
+    /// second prewarm returns 0, and concurrent prewarms of one suite
+    /// sum to the suite size).
     ///
     /// # Errors
     ///
@@ -151,11 +161,8 @@ impl EngineCache {
         let mut fresh = 0;
         for net in nets {
             let key = (net.name().to_string(), level);
-            let before = self.compiles();
-            let compiled = self.compiled_for(net, level)?;
-            if self.compiles() > before {
-                fresh += 1;
-            }
+            let (compiled, compiled_now) = self.artifact(net, &key)?;
+            fresh += usize::from(compiled_now);
             let mut idle = lock(&self.idle);
             let engines = idle.entry(key).or_default();
             if engines.is_empty() {
@@ -173,23 +180,60 @@ impl EngineCache {
         engine
     }
 
-    /// The compiled artifact for `(net, level)`, compiling on first use.
+    /// The compiled artifact for `key` (`net` at `key.1`), compiling on
+    /// first use, and whether this call compiled it.
     ///
     /// # Errors
     ///
     /// Compilation errors ([`CoreError`]) on a cache miss.
-    fn compiled_for(&self, net: &Network, level: OptLevel) -> Result<CompiledNetwork, CoreError> {
-        let key = (net.name().to_string(), level);
+    fn artifact(&self, net: &Network, key: &Key) -> Result<(CompiledNetwork, bool), CoreError> {
         let mut cache = lock(&self.compiled);
-        if let Some(hit) = cache.get(&key) {
-            return Ok(hit.clone());
+        if let Some(hit) = cache.get(key) {
+            return Ok((hit.clone(), false));
         }
         // Compiling under the lock serializes concurrent first requests
         // so the artifact is built exactly once per key.
-        let compiled = KernelBackend::new(level).compile_network(net)?;
+        let mut backend = KernelBackend::new(key.1);
+        backend.cores = self.cores;
+        let compiled = backend.compile_network(net)?;
         self.compiles.fetch_add(1, Ordering::Relaxed);
-        cache.insert(key, compiled.clone());
-        Ok(compiled)
+        cache.insert(key.clone(), compiled.clone());
+        Ok((compiled, true))
+    }
+
+    /// A fresh engine for `key` (`net` at `key.1`) from the cached
+    /// artifact, compiling on first use — how pool workers seed their
+    /// worker-local engines.
+    ///
+    /// # Errors
+    ///
+    /// Compilation errors ([`CoreError`]) on a cache miss.
+    pub(crate) fn engine(&self, net: &Network, key: &Key) -> Result<Engine, CoreError> {
+        Ok(self.instantiate(self.artifact(net, key)?.0))
+    }
+
+    /// The one quarantine rule: an engine whose last run tripped an ABFT
+    /// guard may hold silent corruption a rewind cannot clear, and one a
+    /// panic interrupted may be mid-run — neither serves again. Returns
+    /// whether `engine` must be dropped (and counts it if so).
+    fn quarantines(&self, engine: &Engine, panicked: bool) -> bool {
+        let suspect = panicked || engine.last_guard_failed();
+        if suspect {
+            self.quarantined.fetch_add(1, Ordering::Relaxed);
+        }
+        suspect
+    }
+
+    /// Applies the quarantine rule to a worker-local engine after a
+    /// request: a suspect engine leaves `engines`, and the shard's next
+    /// request instantiates a fresh one from the clean artifact.
+    pub(crate) fn screen(&self, engines: &mut HashMap<Key, Engine>, key: &Key, panicked: bool) {
+        if engines
+            .get(key)
+            .is_some_and(|engine| self.quarantines(engine, panicked))
+        {
+            engines.remove(key);
+        }
     }
 
     /// Checks out a warm engine for `(net, level)`, compiling on first
@@ -204,7 +248,7 @@ impl EngineCache {
         let idle = lock(&self.idle).get_mut(&key).and_then(Vec::pop);
         let engine = match idle {
             Some(engine) => engine,
-            None => self.instantiate(self.compiled_for(net, level)?),
+            None => self.engine(net, &key)?,
         };
         Ok(CacheEngine {
             cache: self,
@@ -230,7 +274,7 @@ impl EngineCache {
 
     /// Like [`run`](Self::run) with the watchdog budget overridden for
     /// this call — for decision loops with a hard latency ceiling. The
-    /// cached default is `rnnasip_core::DEFAULT_WATCHDOG_CYCLES`.
+    /// cached default is [`DEFAULT_WATCHDOG_CYCLES`](crate::DEFAULT_WATCHDOG_CYCLES).
     ///
     /// # Errors
     ///
@@ -272,22 +316,19 @@ impl DerefMut for CacheEngine<'_> {
 }
 
 impl Drop for CacheEngine<'_> {
-    /// Checks the engine back into the idle pool — unless its last run
-    /// tripped an ABFT guard, in which case the engine's memory may hold
-    /// silent corruption a rewind cannot clear. Such an engine is
-    /// quarantined (dropped); the next checkout instantiates a fresh one
-    /// from the clean cached artifact, so the corruption is contained to
-    /// the borrower that observed it.
+    /// Checks the engine back into the idle pool — unless the quarantine
+    /// rule drops it (a guard trip on its last run, or a panic unwinding
+    /// through the borrower); the next checkout then instantiates a
+    /// fresh one from the clean cached artifact, so the damage is
+    /// contained to the borrower that observed it.
     fn drop(&mut self) {
         if let Some(engine) = self.engine.take() {
-            if engine.last_guard_failed() {
-                self.cache.quarantined.fetch_add(1, Ordering::Relaxed);
-                return;
+            if !self.cache.quarantines(&engine, std::thread::panicking()) {
+                lock(&self.cache.idle)
+                    .entry(self.key.clone())
+                    .or_default()
+                    .push(engine);
             }
-            lock(&self.cache.idle)
-                .entry(self.key.clone())
-                .or_default()
-                .push(engine);
         }
     }
 }
@@ -298,7 +339,7 @@ mod tests {
 
     #[test]
     fn cache_compiles_once_per_network_and_level() {
-        let suite = crate::suite();
+        let suite = rnnasip_rrm::suite();
         let net = &suite[3]; // eisen2019: smallest, fastest to compile
         let cache = EngineCache::new();
         let input = net.input();
@@ -321,7 +362,7 @@ mod tests {
 
     #[test]
     fn budgeted_runs_share_the_warm_engine() {
-        let suite = crate::suite();
+        let suite = rnnasip_rrm::suite();
         let net = &suite[3];
         let cache = EngineCache::new();
         let input = net.input();
@@ -345,7 +386,7 @@ mod tests {
 
     #[test]
     fn prewarmed_cache_serves_the_suite_with_zero_additional_compiles() {
-        let suite = crate::suite();
+        let suite = rnnasip_rrm::suite();
         let cache = EngineCache::new();
         let fresh = cache
             .prewarm(suite.iter().map(|b| &b.network), OptLevel::IfmTile)
@@ -386,9 +427,9 @@ mod tests {
     /// per-run rewind) to the next borrower.
     #[test]
     fn guard_tripped_engine_is_quarantined_not_checked_in() {
-        use rnnasip_core::{Fault, FaultPlan, FaultSite};
+        use crate::{Fault, FaultPlan, FaultSite};
 
-        let suite = crate::suite();
+        let suite = rnnasip_rrm::suite();
         let net = &suite[3]; // eisen2019
         let input = net.input();
         let cache = EngineCache::guarded();
@@ -431,7 +472,7 @@ mod tests {
 
     #[test]
     fn checkout_holds_a_private_engine() {
-        let suite = crate::suite();
+        let suite = rnnasip_rrm::suite();
         let net = &suite[3];
         let cache = EngineCache::new();
         let input = net.input();
@@ -452,5 +493,56 @@ mod tests {
         // The next checkout reuses a checked-in engine, not a third one.
         drop(cache.checkout(&net.network, OptLevel::IfmTile).unwrap());
         assert_eq!(cache.warm_engines(), 2);
+    }
+
+    /// Concurrent prewarms count only their own compiles: the artifact
+    /// lookup reports whether it compiled, so another thread's compile
+    /// never inflates this thread's count.
+    #[test]
+    fn concurrent_prewarms_sum_to_the_suite() {
+        use std::sync::Barrier;
+
+        let suite = rnnasip_rrm::suite();
+        let cache = EngineCache::new();
+        let start = Barrier::new(2);
+        let fresh: usize = std::thread::scope(|s| {
+            let prewarm = || {
+                start.wait();
+                cache
+                    .prewarm(suite.iter().map(|b| &b.network), OptLevel::IfmTile)
+                    .unwrap()
+            };
+            let a = s.spawn(prewarm);
+            let b = s.spawn(prewarm);
+            a.join().unwrap() + b.join().unwrap()
+        });
+        assert_eq!(fresh, 10);
+        assert_eq!(cache.compiles(), 10);
+        assert_eq!(cache.len(), 10);
+    }
+
+    /// A panic unwinding through a borrower quarantines its engine:
+    /// the machine may have stopped mid-run, so it never returns to the
+    /// idle pool.
+    #[test]
+    fn panic_interrupted_engine_is_quarantined() {
+        let suite = rnnasip_rrm::suite();
+        let net = &suite[3];
+        let input = net.input();
+        let cache = EngineCache::new();
+        let golden = cache.run(&net.network, OptLevel::IfmTile, &input).unwrap();
+        assert_eq!(cache.warm_engines(), 1);
+
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _engine = cache.checkout(&net.network, OptLevel::IfmTile).unwrap();
+            panic!("borrower panicked mid-request");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(cache.warm_engines(), 0, "interrupted engine checked in");
+        assert_eq!(cache.quarantined(), 1);
+
+        let healed = cache.run(&net.network, OptLevel::IfmTile, &input).unwrap();
+        assert_eq!(healed.outputs, golden.outputs);
+        assert_eq!(cache.compiles(), 1, "no recompilation was needed");
     }
 }

@@ -43,6 +43,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod cache;
 mod compile;
 mod engine;
 mod error;
@@ -55,6 +56,7 @@ mod resilience;
 mod runner;
 pub mod serve;
 
+pub use cache::{CacheEngine, EngineCache};
 pub use compile::{CompiledNetwork, InputDesc, OutputDesc};
 pub use engine::Engine;
 pub use error::CoreError;
@@ -79,3 +81,10 @@ pub use rnnasip_sim::{
     Fault, FaultEffect, FaultPlan, FaultRecord, FaultSite, GuardReport, GuardSpec, KernelRegion,
     ParseFaultError, RegionGuard, ShortcutPtr, SimError,
 };
+
+/// Locks `m`, recovering the guard from a poisoned lock: a panicked
+/// holder must not wedge every other thread, and the shared maps and
+/// queues stay structurally consistent across a panic boundary.
+pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -250,7 +250,6 @@ pub struct ResilientEngine {
     backend: KernelBackend,
     policy: RetryPolicy,
     engine: Engine,
-    guards_on: bool,
 }
 
 impl ResilientEngine {
@@ -280,7 +279,6 @@ impl ResilientEngine {
             backend,
             policy,
             engine,
-            guards_on: false,
         })
     }
 
@@ -289,7 +287,6 @@ impl ResilientEngine {
     /// [`restore_level`](Self::restore_level), all of which re-create
     /// the underlying machine.
     pub fn set_guards(&mut self, on: bool) {
-        self.guards_on = on;
         self.engine.set_guards(on);
     }
 
@@ -325,166 +322,157 @@ impl ResilientEngine {
     /// Compilation errors ([`CoreError`]).
     pub fn restore_level(&mut self) -> Result<(), CoreError> {
         if self.level() != self.backend.level() {
-            self.engine = self.backend.compile_network(&self.net)?.engine();
-            self.engine.set_guards(self.guards_on);
+            self.engine = recompile(&self.engine, &self.backend, &self.net)?;
         }
         Ok(())
-    }
-
-    /// Recompiles one [`OptLevel`] lower and swaps the engine. `None`
-    /// when degradation is off-policy or the level is already
-    /// `Baseline`; `Some(Err)` surfaces a compile failure.
-    fn degrade(&mut self, level: OptLevel) -> Option<Result<(), CoreError>> {
-        if !self.policy.degrade {
-            return None;
-        }
-        let lower = level.lower()?;
-        Some(
-            self.backend
-                .clone()
-                .with_level(lower)
-                .compile_network(&self.net)
-                .map(|compiled| {
-                    self.engine = compiled.engine();
-                    self.engine.set_guards(self.guards_on);
-                }),
-        )
     }
 
     /// Runs one inference, climbing the recovery ladder as needed.
     /// Never panics on simulation failures; the returned [`RunOutcome`]
     /// holds the final result and the attempt history.
     pub fn run(&mut self, sequence: &[Vec<Q3p12>]) -> RunOutcome {
-        let mut attempts = Vec::new();
-        let mut action = RecoveryAction::FirstTry;
-        let mut verifies_left = self.policy.max_verifies;
-        let mut rewinds_left = self.policy.max_rewinds;
-        let mut rebuild_left = self.policy.rebuild;
-        loop {
-            let level = self.level();
-            let result = if self.policy.reference {
-                self.engine.run_reference(sequence)
-            } else {
-                self.engine.run(sequence)
-            };
-            match result {
-                Ok(run) => {
-                    let guard_failed = run.report.guard_failed();
-                    // A verify re-run's own verdict: a clean repeat
-                    // means the rewind healed the corruption; another
-                    // trip means it lives in state rewinds cannot reach.
-                    let verdict = (action == RecoveryAction::Verify).then_some(if guard_failed {
-                        SdcVerdict::Sticky
-                    } else {
-                        SdcVerdict::Transient
-                    });
-                    attempts.push(Attempt {
-                        action,
-                        level,
-                        error: None,
-                        faulted_core: None,
-                        guard_failed,
-                        guard_region: run.report.guard().and_then(|g| g.first_failed_region()),
-                        verdict,
-                    });
-                    if !guard_failed {
-                        return RunOutcome {
-                            result: Ok(run),
-                            attempts,
-                            level,
-                        };
-                    }
-                    // The run completed but its outputs are suspect:
-                    // climb verify → rebuild → degrade. (Rewind adds
-                    // nothing here — every run already starts from a
-                    // rewound machine, so the verify re-run *is* the
-                    // rewind test.)
-                    if verifies_left > 0 {
-                        verifies_left -= 1;
-                        action = RecoveryAction::Verify;
-                    } else if rebuild_left {
-                        rebuild_left = false;
-                        self.engine.heal_rebuild();
-                        action = RecoveryAction::Rebuild;
-                    } else {
-                        match self.degrade(level) {
-                            Some(Ok(())) => action = RecoveryAction::Degrade,
-                            Some(Err(compile_err)) => {
-                                return RunOutcome {
-                                    result: Err(compile_err),
-                                    attempts,
-                                    level,
-                                };
-                            }
-                            // Ladder exhausted: surface the flagged run
-                            // — the caller sees both the outputs and the
-                            // standing detection in the attempt history.
-                            None => {
-                                return RunOutcome {
-                                    result: Ok(run),
-                                    attempts,
-                                    level,
-                                };
-                            }
-                        }
-                    }
-                }
-                Err(CoreError::Sim(e)) => {
-                    attempts.push(Attempt {
-                        action,
-                        level,
-                        error: Some(e.clone()),
-                        faulted_core: self.engine.last_faulted_core(),
-                        guard_failed: false,
-                        guard_region: None,
-                        verdict: None,
-                    });
-                    if rewinds_left > 0 {
-                        // The engine already rewound eagerly on failure;
-                        // the retry itself is the recovery.
-                        rewinds_left -= 1;
-                        action = RecoveryAction::Rewind;
-                    } else if rebuild_left {
-                        rebuild_left = false;
-                        self.engine.heal_rebuild();
-                        action = RecoveryAction::Rebuild;
-                    } else {
-                        match self.degrade(level) {
-                            Some(Ok(())) => action = RecoveryAction::Degrade,
-                            Some(Err(compile_err)) => {
-                                return RunOutcome {
-                                    result: Err(compile_err),
-                                    attempts,
-                                    level,
-                                };
-                            }
-                            None => {
-                                return RunOutcome {
-                                    result: Err(CoreError::Sim(e)),
-                                    attempts,
-                                    level,
-                                };
-                            }
-                        }
-                    }
-                }
-                Err(other) => {
-                    // Shape/layout/assembly errors are deterministic
-                    // properties of the request, not transient faults.
-                    attempts.push(Attempt {
-                        action,
-                        level,
-                        error: None,
-                        faulted_core: None,
-                        guard_failed: false,
-                        guard_region: None,
-                        verdict: None,
-                    });
+        let (net, backend) = (&self.net, &self.backend);
+        climb(&mut self.engine, self.policy, sequence, |engine, lower| {
+            *engine = recompile(engine, &backend.clone().with_level(lower), net)?;
+            Ok(())
+        })
+    }
+}
+
+/// A fresh engine for `net` compiled by `backend`, keeping `old`'s
+/// guard setting.
+fn recompile(old: &Engine, backend: &KernelBackend, net: &Network) -> Result<Engine, CoreError> {
+    let mut engine = backend.compile_network(net)?.engine();
+    engine.set_guards(old.guards_enabled());
+    Ok(engine)
+}
+
+/// The recovery ladder over one engine — the single implementation
+/// behind [`ResilientEngine::run`] and the serving pool's workers.
+///
+/// Runs `sequence`, climbing verify → rewind → rebuild → degrade under
+/// `policy`. The degrade rung (only when `policy.degrade` is set and a
+/// lower level exists) calls `degrade(engine, lower)`, which must swap
+/// `engine` for one compiled at `lower`; a compile error ends the
+/// ladder with that error. Never panics on simulation failures.
+pub(crate) fn climb(
+    engine: &mut Engine,
+    policy: RetryPolicy,
+    sequence: &[Vec<Q3p12>],
+    mut degrade: impl FnMut(&mut Engine, OptLevel) -> Result<(), CoreError>,
+) -> RunOutcome {
+    let mut attempts = Vec::new();
+    let mut action = RecoveryAction::FirstTry;
+    let mut verifies_left = policy.max_verifies;
+    let mut rewinds_left = policy.max_rewinds;
+    let mut rebuild_left = policy.rebuild;
+    loop {
+        let level = engine.compiled().level();
+        let result = if policy.reference {
+            engine.run_reference(sequence)
+        } else {
+            engine.run(sequence)
+        };
+        match &result {
+            Ok(run) => {
+                let guard_failed = run.report.guard_failed();
+                // A verify re-run's own verdict: a clean repeat means
+                // the rewind healed the corruption; another trip means
+                // it lives in state rewinds cannot reach.
+                let verdict = (action == RecoveryAction::Verify).then_some(if guard_failed {
+                    SdcVerdict::Sticky
+                } else {
+                    SdcVerdict::Transient
+                });
+                attempts.push(Attempt {
+                    action,
+                    level,
+                    error: None,
+                    faulted_core: None,
+                    guard_failed,
+                    guard_region: run.report.guard().and_then(|g| g.first_failed_region()),
+                    verdict,
+                });
+                if !guard_failed {
                     return RunOutcome {
-                        result: Err(other),
+                        result,
                         attempts,
                         level,
                     };
+                }
+                // The run completed but its outputs are suspect: climb
+                // verify → rebuild → degrade. (Rewind adds nothing here
+                // — every run already starts from a rewound machine, so
+                // the verify re-run *is* the rewind test.)
+                if verifies_left > 0 {
+                    verifies_left -= 1;
+                    action = RecoveryAction::Verify;
+                    continue;
+                }
+            }
+            Err(CoreError::Sim(e)) => {
+                attempts.push(Attempt {
+                    action,
+                    level,
+                    error: Some(e.clone()),
+                    faulted_core: engine.last_faulted_core(),
+                    guard_failed: false,
+                    guard_region: None,
+                    verdict: None,
+                });
+                if rewinds_left > 0 {
+                    // The engine already rewound eagerly on failure; the
+                    // retry itself is the recovery.
+                    rewinds_left -= 1;
+                    action = RecoveryAction::Rewind;
+                    continue;
+                }
+            }
+            Err(_) => {
+                // Shape/layout/assembly errors are deterministic
+                // properties of the request, not transient faults.
+                attempts.push(Attempt {
+                    action,
+                    level,
+                    error: None,
+                    faulted_core: None,
+                    guard_failed: false,
+                    guard_region: None,
+                    verdict: None,
+                });
+                return RunOutcome {
+                    result,
+                    attempts,
+                    level,
+                };
+            }
+        }
+        // The heavy rungs, shared by guard trips and simulation errors.
+        if rebuild_left {
+            rebuild_left = false;
+            engine.heal_rebuild();
+            action = RecoveryAction::Rebuild;
+            continue;
+        }
+        match level.lower().filter(|_| policy.degrade) {
+            Some(lower) => {
+                if let Err(compile_err) = degrade(engine, lower) {
+                    return RunOutcome {
+                        result: Err(compile_err),
+                        attempts,
+                        level,
+                    };
+                }
+                action = RecoveryAction::Degrade;
+            }
+            // Ladder exhausted: surface the last result. A flagged run
+            // keeps its outputs, and the detection stands in the
+            // attempt history.
+            None => {
+                return RunOutcome {
+                    result,
+                    attempts,
+                    level,
                 }
             }
         }

@@ -625,10 +625,7 @@ mod tests {
     fn sink_sees_bit_exact_runs() {
         let (net, seq) = policy_net();
         let golden = crate::KernelBackend::new(OptLevel::IfmTile)
-            .compile_network(&net)
-            .unwrap()
-            .engine()
-            .run(&seq)
+            .run_network(&net, &seq)
             .unwrap();
         let arrivals = (0..5u64)
             .map(|i| arrival(&net, &seq, i * 100, i * 100 + 100_000, 0))

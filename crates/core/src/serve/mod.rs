@@ -7,12 +7,14 @@
 //! and this module turns that warm-engine reuse into aggregate
 //! throughput:
 //!
-//! - [`EnginePool`] owns N `std::thread` workers. Each worker keeps its
-//!   own warm [`Engine`] per **shard** — a `(network name, OptLevel)`
-//!   pair — seeded from a pool-wide compile-once cache of
+//! - [`EnginePool`] owns N `std::thread` workers and one
+//!   [`EngineCache`](crate::EngineCache). Each worker keeps its own warm
+//!   [`Engine`] per **shard** — a `(network name, OptLevel)` pair —
+//!   created from the cache's compile-once
 //!   [`CompiledNetwork`](crate::CompiledNetwork) artifacts, so a network
 //!   is compiled exactly once per level no matter how many workers serve
-//!   it.
+//!   it, and dropped under the cache's quarantine rule (a guard trip on
+//!   its last run, or a panic mid-request).
 //! - [`BatchRequest`] carries a slab of input windows (each against any
 //!   network/level); [`BatchResponse`] returns per-request results in
 //!   **submission order** plus an order-independent aggregate
@@ -24,10 +26,11 @@
 //!   and a bulk input patch per request, no re-compile, no image clone,
 //!   no per-request buffer churn — without a hot shard ever serializing
 //!   the pool.
-//! - A worker whose run fails a simulation heals **in place** (the
-//!   rewind → rebuild ladder of the resilience module) and keeps
-//!   serving; the batch still completes, and the outcome records which
-//!   rung recovered it.
+//! - A worker whose run fails heals **in place** and keeps serving: it
+//!   climbs the same verify → rewind → rebuild ladder as
+//!   [`ResilientEngine`](crate::ResilientEngine) (one implementation,
+//!   degrade rung off); the batch still completes, and the outcome
+//!   records which rung recovered it.
 //! - [`Front`] puts a deadline-aware traffic front-end over the pool:
 //!   EDF-ordered admission from a bounded queue with shed/reject
 //!   backpressure, micro-batching under a virtual-time window, and

@@ -1,27 +1,29 @@
 //! The sharded engine pool: worker threads with warm per-shard engines.
 
-use crate::compile::CompiledNetwork;
+use crate::cache::{EngineCache, Key};
 use crate::engine::Engine;
 use crate::error::CoreError;
+use crate::lock;
 use crate::optlevel::OptLevel;
-use crate::resilience::RecoveryAction;
-use crate::runner::KernelBackend;
+use crate::resilience::{climb, RecoveryAction, RetryPolicy};
 use crate::serve::batch::{BatchItem, BatchRequest, BatchResponse, ItemOutcome};
 use crate::serve::scheduler::Scheduler;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-/// One engine shard: a `(network name, OptLevel)` pair. The name stands
-/// in for the weights — the same contract as `rnnasip-rrm`'s
-/// `EngineCache`: one name, one fixed set of weights.
-type ShardKey = (String, OptLevel);
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+/// The workers' recovery ladder: [`ResilientEngine`](crate::ResilientEngine)'s
+/// default budgets minus the degrade rung (a degraded engine would
+/// silently change the batch's cycle counts).
+const SERVE_POLICY: RetryPolicy = RetryPolicy {
+    max_verifies: 1,
+    max_rewinds: 1,
+    rebuild: true,
+    degrade: false,
+    reference: false,
+};
 
 /// FNV-1a over the shard key — a *deterministic* router (the std
 /// `HashMap` hasher is seeded per process, which would make placement,
@@ -98,18 +100,10 @@ impl BatchState {
 /// State shared between the pool handle and its workers.
 struct PoolShared {
     sched: Scheduler<Task>,
-    /// Compile-once cache: one [`CompiledNetwork`] per shard, cloned out
-    /// (cheaply — the image is `Arc`-shared) to seed per-worker engines.
-    /// Compilation happens under the lock, so concurrent first requests
-    /// for one shard compile exactly once.
-    compiled: Mutex<HashMap<ShardKey, CompiledNetwork>>,
-    /// Simulated cluster cores per engine (0 = classic single-machine
-    /// artifacts; `n >= 1` compiles every shard with
-    /// [`KernelBackend::with_cores`]).
-    cores: usize,
-    /// Whether worker engines arm ABFT guards
-    /// ([`Engine::set_guards`]) and climb the SDC containment ladder.
-    guards: bool,
+    /// Compile-once artifacts per shard (a `(network name, OptLevel)`
+    /// pair), the guard and cluster-core configuration, and the
+    /// quarantine rule workers apply to their engines.
+    cache: EngineCache,
     /// Test hook: pending worker panics to inject. Each claim panics one
     /// `serve_item` call mid-request, exercising the quarantine path.
     inject_panics: AtomicUsize,
@@ -179,10 +173,7 @@ impl BatchTicket {
 /// assert!(response.all_ok());
 ///
 /// // Bit-identical to the serial engine path, for every request.
-/// let serial = KernelBackend::new(OptLevel::IfmTile)
-///     .compile_network(&net)?
-///     .engine()
-///     .run(&input)?;
+/// let serial = KernelBackend::new(OptLevel::IfmTile).run_network(&net, &input)?;
 /// for outcome in response.outcomes() {
 ///     let run = outcome.result.as_ref().unwrap();
 ///     assert_eq!(run.outputs, serial.outputs);
@@ -211,12 +202,13 @@ impl EnginePool {
     }
 
     /// A pool whose engines execute on simulated `cores`-core clusters:
-    /// every shard is compiled with [`KernelBackend::with_cores`], so
+    /// every shard is compiled with
+    /// [`KernelBackend::with_cores`](crate::KernelBackend::with_cores), so
     /// each request's report carries per-core rows and a cluster
     /// latency. `cores == 0` (the [`with_workers`](Self::with_workers)
     /// default) keeps the classic single-machine artifacts.
     pub fn with_workers_and_cores(workers: usize, cores: usize) -> Self {
-        Self::build(workers, cores, false)
+        Self::build(workers, EngineCache::new().with_cores(cores))
     }
 
     /// A pool whose engines run with ABFT guards armed: every request's
@@ -225,16 +217,14 @@ impl EnginePool {
     /// answer ships. Clean-input results stay bit-identical to an
     /// unguarded pool.
     pub fn with_workers_guarded(workers: usize) -> Self {
-        Self::build(workers, 0, true)
+        Self::build(workers, EngineCache::guarded())
     }
 
-    fn build(workers: usize, cores: usize, guards: bool) -> Self {
+    fn build(workers: usize, cache: EngineCache) -> Self {
         let workers = workers.max(1);
         let shared = Arc::new(PoolShared {
             sched: Scheduler::new(workers),
-            compiled: Mutex::new(HashMap::new()),
-            cores,
-            guards,
+            cache,
             inject_panics: AtomicUsize::new(0),
             panics_caught: AtomicUsize::new(0),
         });
@@ -317,41 +307,10 @@ impl Drop for EnginePool {
 /// The worker body: pull tasks, serve them from this worker's warm
 /// engines, fill the batch slots.
 fn worker_loop(shared: &PoolShared, id: usize) {
-    let mut engines: HashMap<ShardKey, Engine> = HashMap::new();
+    let mut engines: HashMap<Key, Engine> = HashMap::new();
     while let Some(task) = shared.sched.next(id) {
         let outcome = serve_item(shared, &mut engines, &task.item);
         task.state.complete(task.index, outcome);
-    }
-}
-
-/// Looks up (or compiles + instantiates) the worker-local engine for the
-/// item's shard.
-fn warm_engine<'a>(
-    shared: &PoolShared,
-    engines: &'a mut HashMap<ShardKey, Engine>,
-    item: &BatchItem,
-) -> Result<&'a mut Engine, CoreError> {
-    let key = (item.net.name().to_string(), item.level);
-    match engines.entry(key) {
-        std::collections::hash_map::Entry::Occupied(entry) => Ok(entry.into_mut()),
-        std::collections::hash_map::Entry::Vacant(entry) => {
-            let mut cache = lock(&shared.compiled);
-            let compiled = match cache.entry(entry.key().clone()) {
-                std::collections::hash_map::Entry::Occupied(hit) => hit.get().clone(),
-                std::collections::hash_map::Entry::Vacant(miss) => {
-                    let mut backend = KernelBackend::new(item.level);
-                    if shared.cores >= 1 {
-                        backend = backend.with_cores(shared.cores);
-                    }
-                    let compiled = backend.compile_network(&item.net)?;
-                    miss.insert(compiled).clone()
-                }
-            };
-            drop(cache);
-            let mut engine = Engine::new(compiled);
-            engine.set_guards(shared.guards);
-            Ok(entry.insert(engine))
-        }
     }
 }
 
@@ -367,68 +326,72 @@ fn claim_injected_panic(shared: &PoolShared) -> bool {
 
 /// Panic-containment wrapper around [`serve_item_inner`]: a panicked
 /// serve call must not poison the pool. The worker thread survives
-/// (`catch_unwind`), the shard's engine — whose state the panic may have
-/// left mid-run — is quarantined and respawned from the compile cache,
-/// and the request retries once on the fresh engine. A second panic
-/// fails the single request with [`CoreError::WorkerPanic`]; the batch
-/// and the other workers keep flowing either way.
+/// (`catch_unwind`), the cache's quarantine rule drops the shard's
+/// engine — whose state the panic may have left mid-run — and the
+/// request retries once on a fresh engine from the compiled artifact. A
+/// second panic fails the single request with
+/// [`CoreError::WorkerPanic`]; the batch and the other workers keep
+/// flowing either way. After every request the same rule drops an
+/// engine whose last run still tripped a guard.
 fn serve_item(
     shared: &PoolShared,
-    engines: &mut HashMap<ShardKey, Engine>,
+    engines: &mut HashMap<Key, Engine>,
     item: &BatchItem,
 ) -> ItemOutcome {
-    let key: ShardKey = (item.net.name().to_string(), item.level);
-    match catch_unwind(AssertUnwindSafe(|| serve_item_inner(shared, engines, item))) {
-        Ok(outcome) => outcome,
-        Err(_) => {
+    let key = (item.net.name().to_string(), item.level);
+    let serve = |engines: &mut HashMap<Key, Engine>| {
+        let served = catch_unwind(AssertUnwindSafe(|| {
+            serve_item_inner(shared, engines, &key, item)
+        }));
+        let panicked = served.is_err();
+        if panicked {
             shared.panics_caught.fetch_add(1, Ordering::Relaxed);
-            engines.remove(&key); // quarantine: drop the suspect engine
-            match catch_unwind(AssertUnwindSafe(|| serve_item_inner(shared, engines, item))) {
-                Ok(mut outcome) => {
-                    // The retry ran on a respawned engine: surface the
-                    // heaviest rung so `recovered()` reports it.
-                    outcome.recovery = RecoveryAction::Rebuild;
-                    outcome
-                }
-                Err(_) => {
-                    shared.panics_caught.fetch_add(1, Ordering::Relaxed);
-                    engines.remove(&key);
-                    ItemOutcome {
-                        result: Err(CoreError::WorkerPanic),
-                        recovery: RecoveryAction::Rebuild,
-                        sdc_detected: false,
-                        sdc_healed: false,
-                    }
-                }
-            }
         }
+        shared.cache.screen(engines, &key, panicked);
+        served
+    };
+    match serve(engines) {
+        Ok(outcome) => outcome,
+        Err(_) => match serve(engines) {
+            Ok(mut outcome) => {
+                // The retry ran on a respawned engine: surface the
+                // heaviest rung so `recovered()` reports it.
+                outcome.recovery = RecoveryAction::Rebuild;
+                outcome
+            }
+            Err(_) => ItemOutcome {
+                result: Err(CoreError::WorkerPanic),
+                recovery: RecoveryAction::Rebuild,
+                sdc_detected: false,
+                sdc_healed: false,
+            },
+        },
     }
 }
 
-/// Runs one request on this worker, climbing the in-place recovery
-/// ladder on simulation failures: the engine's eager post-failure rewind
-/// makes the first retry free of special handling, and a second failure
-/// escalates to a full [`Engine::heal_rebuild`]. On a guarded pool, an
-/// ABFT guard trip on a *successful* run climbs the same ladder — verify
-/// re-run first (a transient flip rewinds away), then rebuild (sticky
-/// corruption needs the staged image). Recovery never touches the
-/// queue — other requests keep flowing on the remaining workers while
-/// this one heals.
+/// Runs one request on this worker's engine for `key` (instantiated
+/// from the cache on first use), through the shared recovery ladder
+/// under [`SERVE_POLICY`]. Recovery never touches the queue — other
+/// requests keep flowing on the remaining workers while this one heals.
 fn serve_item_inner(
     shared: &PoolShared,
-    engines: &mut HashMap<ShardKey, Engine>,
+    engines: &mut HashMap<Key, Engine>,
+    key: &Key,
     item: &BatchItem,
 ) -> ItemOutcome {
-    let engine = match warm_engine(shared, engines, item) {
-        Ok(engine) => engine,
-        Err(e) => {
-            return ItemOutcome {
-                result: Err(e),
-                recovery: RecoveryAction::FirstTry,
-                sdc_detected: false,
-                sdc_healed: false,
+    let engine = match engines.get_mut(key) {
+        Some(engine) => engine,
+        None => match shared.cache.engine(&item.net, key) {
+            Ok(engine) => engines.entry(key.clone()).or_insert(engine),
+            Err(e) => {
+                return ItemOutcome {
+                    result: Err(e),
+                    recovery: RecoveryAction::FirstTry,
+                    sdc_detected: false,
+                    sdc_healed: false,
+                }
             }
-        }
+        },
     };
     if claim_injected_panic(shared) {
         panic!("injected worker panic (serve-pool test hook)");
@@ -436,42 +399,16 @@ fn serve_item_inner(
     if let Some(plan) = &item.fault {
         engine.inject_faults(plan);
     }
-    let mut recovery = RecoveryAction::FirstTry;
-    let mut result = engine.run(&item.sequence);
-    if matches!(result, Err(CoreError::Sim(_))) {
-        // Rung 1: the failed run already healed eagerly (dirty-block
-        // rewind + fault disarm), so the retry itself is the recovery.
-        recovery = RecoveryAction::Rewind;
-        result = engine.run(&item.sequence);
-    }
-    if matches!(result, Err(CoreError::Sim(_))) {
-        // Rung 2: rebuild from the staged image — clears corruption the
-        // dirty-block bitmap cannot see.
-        engine.heal_rebuild();
-        recovery = RecoveryAction::Rebuild;
-        result = engine.run(&item.sequence);
-    }
-    let mut sdc_detected = false;
-    if result.is_ok() && engine.last_guard_failed() {
-        // Guard rung 0 (verify): every run starts from a rewound image,
-        // so the re-run doubles as the rewind test — a transient flip is
-        // gone, a sticky one trips again.
-        sdc_detected = true;
-        recovery = RecoveryAction::Verify;
-        result = engine.run(&item.sequence);
-    }
-    if result.is_ok() && sdc_detected && engine.last_guard_failed() {
-        // Sticky corruption: restore from the compile-time staged image.
-        engine.heal_rebuild();
-        recovery = RecoveryAction::Rebuild;
-        result = engine.run(&item.sequence);
-    }
-    let sdc_healed = sdc_detected && result.is_ok() && !engine.last_guard_failed();
+    // SERVE_POLICY has no degrade rung, so the callback never runs.
+    let outcome = climb(engine, SERVE_POLICY, &item.sequence, |_, _| Ok(()));
     ItemOutcome {
-        result,
-        recovery,
-        sdc_detected,
-        sdc_healed,
+        recovery: outcome
+            .attempts
+            .last()
+            .map_or(RecoveryAction::FirstTry, |a| a.action),
+        sdc_detected: outcome.sdc_detected(),
+        sdc_healed: outcome.sdc_healed(),
+        result: outcome.result,
     }
 }
 

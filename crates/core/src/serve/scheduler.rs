@@ -35,15 +35,9 @@
 //!
 //! [`EnginePool`]: crate::serve::EnginePool
 
+use crate::lock;
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex, MutexGuard};
-
-/// Recovers the guard from a poisoned lock: a panicking worker must not
-/// wedge the whole pool, and every queue/gate invariant here is a plain
-/// counter or deque that stays consistent across a panic boundary.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+use std::sync::{Condvar, Mutex};
 
 /// Pending-task count plus the shutdown latch, guarded together so a
 /// parked worker can atomically decide "nothing to do *and* not shutting

@@ -15,20 +15,19 @@
 //!
 //! The [`env`] module provides small deterministic RRM task simulators
 //! (downlink power control, multichannel spectrum access) that the
-//! examples use to drive the networks with realistic feature streams,
-//! and [`EngineCache`] gives their decision loops compile-once /
-//! run-many inference (one warm [`rnnasip_core::Engine`] per network
-//! and optimization level).
+//! examples use to drive the networks with realistic feature streams.
+//! Their decision loops get compile-once / run-many inference from
+//! [`EngineCache`] (one warm [`rnnasip_core::Engine`] per network and
+//! optimization level), the core crate's engine cache re-exported here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod env;
-mod infer;
 mod nets;
 pub mod traffic;
 mod weights;
 
-pub use infer::{CacheEngine, EngineCache};
 pub use nets::{suite, BenchmarkNet, NetKind};
+pub use rnnasip_core::{CacheEngine, EngineCache};
 pub use weights::{seeded_fc_layer, seeded_input, seeded_sequence};
