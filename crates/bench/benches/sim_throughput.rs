@@ -26,7 +26,7 @@
 
 use rnnasip_bench::json::{array, Obj};
 use rnnasip_bench::run_suite_split;
-use rnnasip_core::{KernelBackend, OptLevel};
+use rnnasip_core::{CompileStages, KernelBackend, OptLevel};
 use rnnasip_isa::MnemonicId;
 use rnnasip_sim::Stats;
 use std::collections::{BTreeMap, HashMap};
@@ -70,6 +70,9 @@ struct LevelRow {
     wall_mips: f64,
     wall_ms: f64,
     compile_ms: f64,
+    /// Serial per-stage compile time: each network's fastest of
+    /// [`SAMPLES`] compiles, summed over the suite.
+    stages: CompileStages,
 }
 
 impl LevelRow {
@@ -110,10 +113,17 @@ fn measure_level(level: OptLevel) -> LevelRow {
     let mut legacy_nanos = 0u64;
     let mut uop_nanos = 0u64;
     let mut shortcut_nanos = 0u64;
+    let mut stages = CompileStages::default();
     for net in rnnasip_rrm::suite() {
-        let compiled = KernelBackend::new(level)
-            .compile_network(&net.network)
-            .unwrap_or_else(|e| panic!("{} at {level:?}: {e}", net.id));
+        let compiled = (0..SAMPLES)
+            .map(|_| {
+                KernelBackend::new(level)
+                    .compile_network(&net.network)
+                    .unwrap_or_else(|e| panic!("{} at {level:?}: {e}", net.id))
+            })
+            .min_by_key(|c| c.compile_nanos())
+            .expect("SAMPLES is nonzero");
+        stages += compiled.stage_nanos();
         let mut sc_engine = compiled.engine();
         let mut uop_engine = compiled.without_shortcuts().engine();
         let input = net.input();
@@ -144,6 +154,7 @@ fn measure_level(level: OptLevel) -> LevelRow {
         wall_mips,
         wall_ms,
         compile_ms,
+        stages,
     }
 }
 
@@ -262,6 +273,27 @@ fn main() {
             row
         })
         .collect();
+
+    println!("\ncompile stages, ms (serial; each network's fastest of {SAMPLES} compiles, summed)");
+    println!(
+        "{:<10} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
+        "level", "codegen", "assemble", "snapshot", "guards", "lower", "verify", "total"
+    );
+    for row in &rows {
+        let s = row.stages;
+        let ms = |n: u64| n as f64 / 1e6;
+        println!(
+            "{:<10} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>9.2}",
+            row.tag,
+            ms(s.codegen),
+            ms(s.assemble),
+            ms(s.snapshot),
+            ms(s.guard_fold),
+            ms(s.lower),
+            ms(s.verify),
+            ms(s.total())
+        );
+    }
 
     for row in &rows {
         if row.tag == "d" || row.tag == "e" {

@@ -211,7 +211,7 @@ fn run_cell(net: &BenchmarkNet, net_idx: usize, level: OptLevel, cfg: &CampaignC
         .unwrap_or_else(|e| panic!("{} at {level:?} golden run: {e}", net.id));
     let golden_cycles = golden.report.cycles();
     let golden_instrs = golden.report.stats().instrs();
-    let span = data_span(compiled.image().as_bytes());
+    let span = data_span(compiled.image().populated());
     let prog_items: Vec<u32> = compiled.program().iter().map(|item| item.addr).collect();
     let budget = golden_cycles * 4;
 

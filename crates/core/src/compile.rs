@@ -29,6 +29,7 @@ use rnnasip_fixed::Q3p12;
 use rnnasip_nn::{Act, Conv2dLayer, FcLayer, LstmLayer, Matrix, Network, Stage};
 use rnnasip_sim::{ClusterProgram, GuardSpec, Machine, MemImage, Program, UopProgram};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// First data address in the TCDM (code addresses live below it; the
 /// simulator fetches from the decoded program image, so the split is a
@@ -89,6 +90,58 @@ impl OutputDesc {
     }
 }
 
+/// Host nanoseconds spent in each stage of one compile
+/// ([`CompiledNetwork::stage_nanos`]). The stages run in this order and
+/// together make up [`CompiledNetwork::compile_nanos`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CompileStages {
+    /// Layout, staging of weights, biases and tables, kernel emission.
+    pub codegen: u64,
+    /// Assembling the emitted kernels.
+    pub assemble: u64,
+    /// Snapshotting the staged TCDM image.
+    pub snapshot: u64,
+    /// Folding the ABFT guard checksums from the clean image.
+    pub guard_fold: u64,
+    /// Lowering to micro-ops (loop bodies, straight runs).
+    pub lower: u64,
+    /// Verifying and installing kernel-shortcut regions.
+    pub verify: u64,
+}
+
+impl std::ops::AddAssign for CompileStages {
+    fn add_assign(&mut self, o: Self) {
+        self.codegen += o.codegen;
+        self.assemble += o.assemble;
+        self.snapshot += o.snapshot;
+        self.guard_fold += o.guard_fold;
+        self.lower += o.lower;
+        self.verify += o.verify;
+    }
+}
+
+impl CompileStages {
+    /// Sum over all stages.
+    pub fn total(&self) -> u64 {
+        self.codegen + self.assemble + self.snapshot + self.guard_fold + self.lower + self.verify
+    }
+
+    /// Adds the micro-op translation of one program: its verification
+    /// time, and the rest of `translate_nanos` as lowering.
+    pub(crate) fn add_translation(&mut self, translate_nanos: u64, uops: &UopProgram) {
+        self.verify += uops.verify_nanos();
+        self.lower += translate_nanos.saturating_sub(uops.verify_nanos());
+    }
+}
+
+/// Nanoseconds since `*mark`, moving the mark to now.
+pub(crate) fn lap(mark: &mut Instant) -> u64 {
+    let now = Instant::now();
+    let nanos = now.duration_since(*mark).as_nanos() as u64;
+    *mark = now;
+    nanos
+}
+
 /// A network compiled for one `(OptLevel, max_tile)` configuration:
 /// assembled program, staged initial TCDM image, and input/output
 /// descriptors.
@@ -121,7 +174,7 @@ pub struct CompiledNetwork {
     pub(crate) max_tile: usize,
     pub(crate) max_cycles: u64,
     pub(crate) name: String,
-    pub(crate) compile_nanos: u64,
+    pub(crate) stages: CompileStages,
 }
 
 impl CompiledNetwork {
@@ -187,9 +240,14 @@ impl CompiledNetwork {
         &self.name
     }
 
-    /// Host nanoseconds spent compiling (layout + staging + assembly).
+    /// Host nanoseconds spent compiling, all stages together.
     pub fn compile_nanos(&self) -> u64 {
-        self.compile_nanos
+        self.stages.total()
+    }
+
+    /// Host nanoseconds spent compiling, per stage.
+    pub fn stage_nanos(&self) -> CompileStages {
+        self.stages
     }
 
     /// Convenience: a fresh [`Engine`](crate::engine::Engine) over a
@@ -252,7 +310,7 @@ pub(crate) fn compile_stages(
     name: &str,
     stages: &[Stage],
 ) -> Result<CompiledNetwork, CoreError> {
-    let started = std::time::Instant::now();
+    let mut mark = Instant::now();
     let mut s = Session::new(backend)?;
     let mut iter = stages.iter();
     let Some(first) = iter.next() else {
@@ -324,8 +382,14 @@ pub(crate) fn compile_stages(
         }
     }
     let regions = std::mem::take(&mut s.regions);
+    let mut timing = CompileStages {
+        codegen: lap(&mut mark),
+        ..CompileStages::default()
+    };
     let (program, machine) = s.into_program()?;
+    timing.assemble = lap(&mut mark);
     let image = machine.mem().image();
+    timing.snapshot = lap(&mut mark);
     // Fold the guard checksums from the *clean* staged weights, before
     // any input patching or fault injection can touch the image: this
     // is what makes the run-time check sensitive to later corruption.
@@ -335,7 +399,9 @@ pub(crate) fn compile_stages(
             .filter_map(|r| GuardSpec::from_region(machine.mem(), r))
             .collect::<Vec<_>>(),
     );
+    timing.guard_fold = lap(&mut mark);
     let uops = Arc::new(UopProgram::translate_with_shortcuts(&program, &regions));
+    timing.add_translation(lap(&mut mark), &uops);
     Ok(CompiledNetwork {
         program,
         uops,
@@ -351,7 +417,7 @@ pub(crate) fn compile_stages(
         max_tile: backend.max_tile,
         max_cycles: backend.max_cycles,
         name: name.to_string(),
-        compile_nanos: started.elapsed().as_nanos() as u64,
+        stages: timing,
     })
 }
 

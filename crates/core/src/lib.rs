@@ -57,7 +57,7 @@ mod runner;
 pub mod serve;
 
 pub use cache::{CacheEngine, EngineCache};
-pub use compile::{CompiledNetwork, InputDesc, OutputDesc};
+pub use compile::{CompileStages, CompiledNetwork, InputDesc, OutputDesc};
 pub use engine::Engine;
 pub use error::CoreError;
 pub use kernels::fc8::Int8Kernel;

@@ -26,7 +26,9 @@
 //! lockstep execution; the cluster's timing model layers conflict
 //! stalls, DMA and barrier costs on top without touching the data path.
 
-use crate::compile::{compile_stages, CompiledNetwork, InputDesc, OutputDesc, Session, StageInput};
+use crate::compile::{
+    compile_stages, lap, CompileStages, CompiledNetwork, InputDesc, OutputDesc, Session, StageInput,
+};
 use crate::error::CoreError;
 use crate::kernels::conv::{emit_gather_range, emit_pixel_loop_range};
 use crate::kernels::fc::emit_matvec;
@@ -37,7 +39,9 @@ use rnnasip_asm::Asm;
 use rnnasip_fixed::Q3p12;
 use rnnasip_nn::Stage;
 use rnnasip_sim::{ClusterKernel, ClusterPhase, ClusterProgram, DmaXfer, UopProgram};
+use std::cell::Cell;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// How one stage's parallel axis is split across cluster cores.
 #[derive(Clone, Debug)]
@@ -129,6 +133,7 @@ fn build_kernel<F>(
     level: OptLevel,
     luts: (u32, u32, u32, u32),
     max_tile: usize,
+    timing: &Cell<CompileStages>,
     emit: F,
 ) -> Result<ClusterKernel, CoreError>
 where
@@ -146,9 +151,14 @@ where
         };
         emit(&mut ctx)?;
     }
+    let mut mark = Instant::now();
+    let mut t = timing.get();
     asm.ecall();
     let program = asm.assemble()?;
+    t.assemble += lap(&mut mark);
     let uops = Arc::new(UopProgram::translate_with_shortcuts(&program, &regions));
+    t.add_translation(lap(&mut mark), &uops);
+    timing.set(t);
     Ok(ClusterKernel::new(Arc::new(program), uops))
 }
 
@@ -187,7 +197,8 @@ pub(crate) fn compile_clustered(
         return Ok(compiled);
     }
 
-    let started = std::time::Instant::now();
+    let mut mark = Instant::now();
+    let timing = Cell::new(CompileStages::default());
     let mut s = Session::new(backend)?;
     let plan = Partition::plan(stages, cores);
     // Per-core baseline spill scratch: one shared cell would be a
@@ -199,7 +210,7 @@ pub(crate) fn compile_clustered(
     let (level, luts, max_tile) = (s.level, s.luts, s.max_tile);
     let kernel =
         |emit: &mut dyn FnMut(&mut crate::kernels::KernelCtx<'_>) -> Result<(), CoreError>| {
-            build_kernel(level, luts, max_tile, |ctx| emit(ctx))
+            build_kernel(level, luts, max_tile, &timing, |ctx| emit(ctx))
         };
 
     let mut phases: Vec<ClusterPhase> = Vec::new();
@@ -276,7 +287,12 @@ pub(crate) fn compile_clustered(
         len: (2 * width * steps) as u32,
     }];
 
+    // Kernel assembly and translation ran interleaved with code
+    // generation; they were timed separately.
+    let mut timing = timing.get();
+    timing.codegen = lap(&mut mark).saturating_sub(timing.assemble + timing.lower + timing.verify);
     let image = s.machine.mem().image();
+    timing.snapshot = lap(&mut mark);
     // The flat single-machine program is empty for a clustered artifact;
     // the executable code lives in the per-phase kernels.
     let program = {
@@ -285,6 +301,7 @@ pub(crate) fn compile_clustered(
         asm.assemble()?
     };
     let uops = Arc::new(UopProgram::translate(&program));
+    timing.add_translation(lap(&mut mark), &uops);
     Ok(CompiledNetwork {
         program,
         uops,
@@ -306,7 +323,7 @@ pub(crate) fn compile_clustered(
         max_tile: backend.max_tile,
         max_cycles: backend.max_cycles,
         name: name.to_string(),
-        compile_nanos: started.elapsed().as_nanos() as u64,
+        stages: timing,
     })
 }
 

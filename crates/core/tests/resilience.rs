@@ -382,3 +382,51 @@ fn core_error_display_covers_every_variant() {
     let wrapped = CoreError::from(rnnasip_asm::AsmError::UnboundLabel { name: "L7".into() });
     assert_eq!(wrapped.to_string(), "assembly failed: unbound label `L7`");
 }
+
+/// The staged image stores only its populated prefix. A tracked flip far
+/// beyond it, at the top of the TCDM, is still undone by the next run's
+/// rewind: its block is dirty, and restoring a block past the prefix
+/// zero-fills it. The restored-byte count is the dirty footprint as
+/// before.
+#[test]
+fn mem_flip_beyond_the_staged_extent_is_undone_by_rewind() {
+    let (net, input) = policy_net();
+    let compiled = KernelBackend::new(OptLevel::IfmTile)
+        .compile_network(&net)
+        .unwrap();
+    let image = compiled.image();
+    assert!(
+        image.populated().len() < image.len() / 8,
+        "staged data is sparse"
+    );
+    let addr = image.len() as u32 - 3;
+
+    let mut engine = compiled.engine();
+    let golden = engine.run(&input).unwrap();
+    engine.run(&input).unwrap();
+    let clean = engine.last_restored_bytes();
+    engine.inject_faults(&FaultPlan::new().with_fault(Fault {
+        at_instret: 0,
+        site: FaultSite::MemBit {
+            addr,
+            bit: 5,
+            silent: false,
+        },
+    }));
+    let faulted = engine.run(&input).unwrap();
+    assert_eq!(
+        faulted.outputs, golden.outputs,
+        "nothing reads the flipped byte"
+    );
+    assert_eq!(engine.machine().mem().read_u8(addr).unwrap(), 1 << 5);
+
+    let healed = engine.run(&input).unwrap();
+    assert_eq!(engine.last_restored_bytes(), clean + 64);
+    assert_eq!(engine.machine().mem().read_u8(addr).unwrap(), 0);
+    assert_eq!(healed.outputs, golden.outputs);
+    assert_eq!(healed.report.cycles(), golden.report.cycles());
+    assert_eq!(
+        healed.report.stats().to_csv(),
+        golden.report.stats().to_csv()
+    );
+}

@@ -16,29 +16,39 @@ const BLOCK_SHIFT: u32 = 6;
 
 /// An immutable snapshot of a [`Memory`]'s contents.
 ///
-/// Snapshots share their bytes behind an [`Arc`], so cloning one (for
+/// A snapshot stores only its *populated prefix* — the bytes up to the
+/// last nonzero one — plus the full length; every byte beyond the prefix
+/// is zero. A 4 MiB TCDM holding a few KiB of staged network data
+/// therefore snapshots and loads in time proportional to those KiB.
+/// The prefix is always trimmed to its last nonzero byte, so
+/// two snapshots are equal (`==`) exactly when their contents are.
+///
+/// The bytes are shared behind an [`Arc`], so cloning a snapshot (for
 /// example when a compiled-network artifact is cloned per worker) costs
 /// a reference count, not a copy. Produce one with [`Memory::image`];
 /// restore with [`Memory::restore_image`] (dirty blocks only) or
-/// [`Memory::from_image`] / [`Memory::load_image`] (full copy).
-#[derive(Clone, Debug)]
+/// [`Memory::from_image`] / [`Memory::load_image`] (everything).
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MemImage {
     bytes: Arc<[u8]>,
+    len: usize,
 }
 
 impl MemImage {
-    /// Snapshot size in bytes.
+    /// Snapshot size in bytes (the size of the memory it was taken
+    /// from, populated or not).
     pub fn len(&self) -> usize {
-        self.bytes.len()
+        self.len
     }
 
     /// Whether the snapshot is empty.
     pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
+        self.len == 0
     }
 
-    /// The raw snapshot bytes.
-    pub fn as_bytes(&self) -> &[u8] {
+    /// The populated prefix: every byte at or beyond
+    /// `populated().len()` is zero.
+    pub fn populated(&self) -> &[u8] {
         &self.bytes
     }
 }
@@ -53,10 +63,15 @@ impl MemImage {
 /// incremental-restore logic exists exactly once. All offsets here are
 /// pre-validated `usize` indices — out-of-range access panics, which is
 /// why the type only crosses the crate boundary behind checked wrappers.
+///
+/// The store also tracks an *extent*: outside dirty blocks, every byte
+/// at or beyond it is zero. Snapshots and full loads use it (with the
+/// highest dirty block) to touch only the populated part of the store.
 #[derive(Clone, Debug)]
 pub struct TrackedMem {
     bytes: Vec<u8>,
-    dirty: Vec<u64>,
+    dirty: Box<[u64]>,
+    extent: usize,
 }
 
 fn dirty_words(size: usize) -> usize {
@@ -68,16 +83,21 @@ impl TrackedMem {
     pub fn new(size: usize) -> Self {
         Self {
             bytes: vec![0; size],
-            dirty: vec![0; dirty_words(size)],
+            dirty: vec![0; dirty_words(size)].into(),
+            extent: 0,
         }
     }
 
-    /// Creates a store whose contents are a full copy of `src`, with no
-    /// blocks marked dirty.
-    pub fn from_bytes(src: &[u8]) -> Self {
+    /// Creates a store holding `image`'s contents, with no blocks marked
+    /// dirty. Only the populated prefix is copied; the rest starts as
+    /// fresh zeroed memory.
+    pub fn from_image(image: &MemImage) -> Self {
+        let mut bytes = vec![0; image.len];
+        bytes[..image.bytes.len()].copy_from_slice(&image.bytes);
         Self {
-            bytes: src.to_vec(),
-            dirty: vec![0; dirty_words(src.len())],
+            bytes,
+            dirty: vec![0; dirty_words(image.len)].into(),
+            extent: image.bytes.len(),
         }
     }
 
@@ -94,6 +114,33 @@ impl TrackedMem {
     /// The raw contents.
     pub fn as_bytes(&self) -> &[u8] {
         &self.bytes
+    }
+
+    /// End of the highest dirty block (0 when nothing is dirty).
+    fn dirty_end(&self) -> usize {
+        self.dirty.iter().rposition(|&w| w != 0).map_or(0, |i| {
+            let block = (i << 6) + 63 - self.dirty[i].leading_zeros() as usize;
+            ((block + 1) << BLOCK_SHIFT).min(self.bytes.len())
+        })
+    }
+
+    /// Every byte at or beyond this offset is zero.
+    fn populated_end(&self) -> usize {
+        self.extent.max(self.dirty_end())
+    }
+
+    /// Takes an immutable snapshot of the contents, storing only the
+    /// populated prefix.
+    pub fn image(&self) -> MemImage {
+        let end = self.populated_end();
+        let used = self.bytes[..end]
+            .iter()
+            .rposition(|&b| b != 0)
+            .map_or(0, |p| p + 1);
+        MemImage {
+            bytes: Arc::from(&self.bytes[..used]),
+            len: self.bytes.len(),
+        }
     }
 
     /// Marks the block containing `addr` dirty.
@@ -122,27 +169,37 @@ impl TrackedMem {
         self.mark_dirty_range(addr, src.len());
     }
 
-    /// Replaces the whole contents with `src` and clears all dirty bits.
+    /// Replaces the whole contents with `image` and clears all dirty
+    /// bits. Copies the image's populated prefix and zeroes whatever the
+    /// store held beyond it.
     ///
     /// # Panics
     ///
-    /// Panics if `src` differs in size from the store.
-    pub fn load_from(&mut self, src: &[u8]) {
-        assert_eq!(src.len(), self.bytes.len(), "image size mismatch");
-        self.bytes.copy_from_slice(src);
+    /// Panics if the image size differs from the store size.
+    pub fn load_image(&mut self, image: &MemImage) {
+        assert_eq!(image.len, self.bytes.len(), "image size mismatch");
+        let src = &image.bytes;
+        let end = self.populated_end();
+        self.bytes[..src.len()].copy_from_slice(src);
+        if end > src.len() {
+            self.bytes[src.len()..end].fill(0);
+        }
         self.dirty.fill(0);
+        self.extent = src.len();
     }
 
     /// Copies back only the blocks written since the last snapshot
     /// load/restore, clearing the dirty bits. Returns the number of
-    /// bytes copied. Assumes `src` is the snapshot the store last
+    /// bytes copied (zero-filled blocks beyond the image's populated
+    /// prefix count too). Assumes `image` is the snapshot the store last
     /// started from (otherwise clean-but-divergent blocks stay stale).
     ///
     /// # Panics
     ///
-    /// Panics if `src` differs in size from the store.
-    pub fn restore_from(&mut self, src: &[u8]) -> usize {
-        assert_eq!(src.len(), self.bytes.len(), "image size mismatch");
+    /// Panics if the image size differs from the store size.
+    pub fn restore_image(&mut self, image: &MemImage) -> usize {
+        assert_eq!(image.len, self.bytes.len(), "image size mismatch");
+        let src = &image.bytes;
         let mut restored = 0;
         for (w, word) in self.dirty.iter_mut().enumerate() {
             let mut bits = *word;
@@ -154,16 +211,26 @@ impl TrackedMem {
                     continue;
                 }
                 let end = (start + BLOCK_BYTES).min(self.bytes.len());
-                self.bytes[start..end].copy_from_slice(&src[start..end]);
+                if end <= src.len() {
+                    self.bytes[start..end].copy_from_slice(&src[start..end]);
+                } else {
+                    // Past the populated prefix (or straddling its end).
+                    let copied = src.len().max(start);
+                    if copied > start {
+                        self.bytes[start..copied].copy_from_slice(&src[start..copied]);
+                    }
+                    self.bytes[copied..end].fill(0);
+                }
                 restored += end - start;
             }
             *word = 0;
         }
+        self.extent = self.extent.max(src.len());
         restored
     }
 
     /// Bytes covered by currently-dirty blocks (an upper bound on what
-    /// the next [`restore_from`](Self::restore_from) will copy).
+    /// the next [`restore_image`](Self::restore_image) will copy).
     pub fn dirty_bytes(&self) -> usize {
         let blocks: usize = self.dirty.iter().map(|w| w.count_ones() as usize).sum();
         (blocks * BLOCK_BYTES).min(self.bytes.len())
@@ -171,19 +238,24 @@ impl TrackedMem {
 
     /// Fills the store with zeros and marks everything dirty.
     pub fn fill_zero(&mut self) {
-        self.bytes.fill(0);
+        let end = self.populated_end();
+        self.bytes[..end].fill(0);
         self.dirty.fill(u64::MAX);
+        self.extent = 0;
     }
 
     /// Flips one bit of the byte at `addr`. Returns `false` (and changes
     /// nothing) when `addr` is out of bounds. A silent flip skips dirty
-    /// marking — see [`Memory::flip_bit`].
+    /// marking — see [`Memory::flip_bit`] — but still widens the extent,
+    /// so snapshots see it.
     pub fn flip_bit(&mut self, addr: usize, bit: u32, silent: bool) -> bool {
         if addr >= self.bytes.len() {
             return false;
         }
         self.bytes[addr] ^= 1 << (bit & 7);
-        if !silent {
+        if silent {
+            self.extent = self.extent.max(addr + 1);
+        } else {
             self.mark_dirty(addr);
         }
         true
@@ -224,11 +296,11 @@ impl Memory {
         }
     }
 
-    /// Creates a memory whose contents are a full copy of `image`, with
-    /// no blocks marked dirty.
+    /// Creates a memory holding `image`'s contents, with no blocks
+    /// marked dirty (copies only the image's populated prefix).
     pub fn from_image(image: &MemImage) -> Self {
         Self {
-            t: TrackedMem::from_bytes(image.as_bytes()),
+            t: TrackedMem::from_image(image),
         }
     }
 
@@ -242,22 +314,22 @@ impl Memory {
         self.t.as_bytes()
     }
 
-    /// Takes an immutable snapshot of the current contents.
+    /// Takes an immutable snapshot of the current contents (only the
+    /// populated prefix is copied — see [`MemImage`]).
     pub fn image(&self) -> MemImage {
-        MemImage {
-            bytes: Arc::from(self.t.as_bytes()),
-        }
+        self.t.image()
     }
 
     /// Replaces the whole contents with `image` and clears all dirty
-    /// bits (full copy — use [`restore_image`](Self::restore_image) for
-    /// the incremental path).
+    /// bits (a full load, touching the image's populated prefix and
+    /// whatever this memory held beyond it — use
+    /// [`restore_image`](Self::restore_image) for the incremental path).
     ///
     /// # Panics
     ///
     /// Panics if the image size differs from the memory size.
     pub fn load_image(&mut self, image: &MemImage) {
-        self.t.load_from(image.as_bytes());
+        self.t.load_image(image);
     }
 
     /// Copies back only the blocks written since the last snapshot
@@ -272,7 +344,7 @@ impl Memory {
     ///
     /// Panics if the image size differs from the memory size.
     pub fn restore_image(&mut self, image: &MemImage) -> usize {
-        self.t.restore_from(image.as_bytes())
+        self.t.restore_image(image)
     }
 
     /// Bytes covered by currently-dirty blocks (an upper bound on what
@@ -638,6 +710,88 @@ mod tests {
         assert_eq!(m.mem().read_u32(64).unwrap(), 0x2222_2222);
     }
 
+    fn contents(mem: &Memory) -> Vec<u8> {
+        (0..mem.size() as u32)
+            .map(|a| mem.read_u8(a).unwrap())
+            .collect()
+    }
+
+    /// A memory holding exactly `bytes`, built by plain writes.
+    fn written(bytes: &[u8]) -> Memory {
+        let mut mem = Memory::new(bytes.len());
+        mem.write_bytes(0, bytes).unwrap();
+        mem
+    }
+
+    /// Sparse snapshots keep full-copy semantics. Random writes land on
+    /// both sides of the staged extent; after every `from_image`,
+    /// `load_image` and `restore_image`, each byte must read as in a
+    /// plain full-copy model, and snapshots must compare equal exactly
+    /// when their contents do.
+    #[test]
+    fn sparse_images_match_a_full_copy_model() {
+        use rnnasip_rng::StdRng;
+        const SIZE: usize = 4096;
+        let mut rng = StdRng::seed_from_u64(0x5A4E_1A6E);
+        for _ in 0..20 {
+            let staged = 1 + rng.gen::<u32>() as usize % 1500;
+            let mut model = vec![0u8; SIZE];
+            let mut mem = Memory::new(SIZE);
+            for _ in 0..64 {
+                let a = rng.gen::<u32>() as usize % staged;
+                model[a] = rng.gen::<u32>() as u8;
+                mem.write_u8(a as u32, model[a]).unwrap();
+            }
+            let image = mem.image();
+            assert_eq!(image.len(), SIZE);
+            assert!(image.populated().len() <= staged);
+            assert!(
+                image == written(&model).image(),
+                "snapshots compare by content"
+            );
+
+            let mut copy = Memory::from_image(&image);
+            assert!(contents(&copy) == model, "from_image");
+            assert_eq!(copy.dirty_bytes(), 0);
+            for round in 0..12 {
+                // Scribble on both sides of the extent, near and far.
+                let mut restored = 0;
+                for _ in 0..8 {
+                    let a = match rng.gen::<u32>() % 3 {
+                        0 => rng.gen::<u32>() as usize % SIZE,
+                        _ => (staged + rng.gen::<u32>() as usize % 256).saturating_sub(128),
+                    };
+                    copy.write_u8(a as u32, rng.gen::<u32>() as u8 | 1).unwrap();
+                }
+                let dirty = copy.dirty_bytes();
+                match round % 3 {
+                    0 => restored = copy.restore_image(&image),
+                    1 => copy.load_image(&image),
+                    _ => {
+                        // A silent flip beyond the extent survives an
+                        // incremental restore, shows in snapshots, and a
+                        // full load clears it.
+                        restored = copy.restore_image(&image);
+                        let a = (staged + rng.gen::<u32>() as usize % 512).min(SIZE - 1);
+                        copy.flip_bit(a as u32, 3, true);
+                        assert_eq!(copy.restore_image(&image), 0);
+                        let mut flipped = model.clone();
+                        flipped[a] ^= 8;
+                        assert!(contents(&copy) == flipped, "silent flip survives");
+                        assert!(copy.image() == written(&flipped).image());
+                        copy.load_image(&image);
+                    }
+                }
+                if round % 3 != 1 {
+                    assert_eq!(restored, dirty, "restored bytes = dirty bytes");
+                }
+                assert!(contents(&copy) == model, "round {round}");
+                assert_eq!(copy.dirty_bytes(), 0);
+                assert!(copy.image() == image);
+            }
+        }
+    }
+
     #[test]
     fn q3p12_slice_round_trip() {
         let mut mem = Memory::new(64);
@@ -685,11 +839,11 @@ mod tests {
     #[test]
     fn tracked_mem_restore_and_range_marking() {
         let mut t = TrackedMem::new(200);
-        let snap = t.as_bytes().to_vec();
+        let snap = t.image();
         // A range write straddling blocks 0 and 1 dirties both.
         t.write(60, &[0xAB; 8]);
         assert_eq!(t.dirty_bytes(), 2 * 64);
-        assert_eq!(t.restore_from(&snap), 2 * 64);
+        assert_eq!(t.restore_image(&snap), 2 * 64);
         assert_eq!(t.as_bytes()[60], 0);
         assert_eq!(t.dirty_bytes(), 0);
         // A zero-length range marks nothing.
@@ -697,12 +851,12 @@ mod tests {
         assert_eq!(t.dirty_bytes(), 0);
         // fill_zero dirties the whole (partial-tail) store.
         t.fill_zero();
-        assert_eq!(t.restore_from(&snap), 200);
+        assert_eq!(t.restore_image(&snap), 200);
     }
 
     #[test]
     fn tracked_mem_flip_bit_bounds_and_silence() {
-        let mut t = TrackedMem::from_bytes(&[0u8; 64]);
+        let mut t = TrackedMem::new(64);
         assert!(!t.flip_bit(64, 0, false), "out of bounds flip is a no-op");
         assert!(t.flip_bit(3, 1, true));
         assert_eq!(t.as_bytes()[3], 2);

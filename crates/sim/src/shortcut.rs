@@ -18,6 +18,11 @@
 //! * the complete timing profile — base cycles, taken branches,
 //!   load-use stalls, per-mnemonic retire rows — is static.
 //!
+//! Hardware loops whose iterations only shift the walk's state by
+//! constants are walked for two iterations and then applied in closed
+//! form (see `Candidate`), so verification costs what the region's
+//! static code costs, not what it executes.
+//!
 //! A region that passes is installed as a [`ShortcutRegion`]: the machine
 //! then executes one entry as a single native matrix-vector computation
 //! over TCDM (`Memory`) plus one bulk state/statistics commit, retiring
@@ -41,9 +46,12 @@ use rnnasip_isa::{
 };
 use std::collections::HashMap;
 
-/// Upper bound on the dynamic micro-ops walked while verifying one
-/// region — a guard against pathological descriptors, far above any real
-/// kernel (the largest suite kernels walk a few hundred thousand ops).
+/// Upper bound on the dynamic micro-ops verifying one region accounts
+/// for — a guard against pathological descriptors, far above any real
+/// kernel (the largest suite kernel executes ~200k micro-ops per entry).
+/// Hardware-loop iterations the walk applies in closed form count as if
+/// walked, so the cap rejects exactly the regions it rejected when every
+/// op was walked.
 const WALK_OP_CAP: u64 = 8_000_000;
 
 /// Upper bound on distinct contiguous load ranges tracked per region.
@@ -81,7 +89,7 @@ pub enum ShortcutAct {
 /// Descriptors are *claims*, not trusted input: translation verifies
 /// each one against the micro-op stream (see the [module docs](self))
 /// and silently discards any that cannot be proven safe.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct KernelRegion {
     /// Address of the region's first instruction.
     pub start_addr: u32,
@@ -115,7 +123,7 @@ pub(crate) struct AAddr {
 }
 
 /// How one exit-live register's final value is reconstructed at commit.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum ExitVal {
     /// A constant.
     Const(u32),
@@ -133,7 +141,7 @@ pub(crate) enum ExitVal {
 /// One contiguous abstract byte range accessed by the region, with the
 /// per-size alignment residues needed to prove every access in it is
 /// aligned once the cell base is known.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct AccessRange {
     pub cell: Option<u32>,
     /// Inclusive start offset (absolute address when `cell` is `None`).
@@ -146,7 +154,7 @@ pub(crate) struct AccessRange {
 }
 
 /// Exit state of one hardware-loop level touched by the region.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct HwLoopExit {
     pub start: u32,
     pub end: u32,
@@ -155,7 +163,7 @@ pub(crate) struct HwLoopExit {
 
 /// A verified, installed kernel region: the static execution profile of
 /// one region entry, precomputed by [`install`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct ShortcutRegion {
     pub desc: KernelRegion,
     /// Micro-op index just past the region.
@@ -238,9 +246,15 @@ fn load_size(op: LoadOp) -> u32 {
 /// Tracks the contiguous byte ranges a region accesses. Streamed
 /// accesses extend an existing range; a range count explosion or an
 /// inconsistent alignment residue rejects the region.
-#[derive(Default)]
+///
+/// Ranges of one cell never touch each other (every extension coalesces
+/// what it reaches), and they only move when `events` counts a new
+/// range or a merge — the two facts the loop summary relies on.
+#[derive(Clone, Default)]
 struct RangeSet {
     ranges: Vec<AccessRange>,
+    /// Ranges created plus ranges merged away, so far.
+    events: u64,
 }
 
 impl RangeSet {
@@ -273,6 +287,7 @@ impl RangeSet {
         }
         let mut res = [u32::MAX; 3];
         res[k] = off % size;
+        self.events += 1;
         self.ranges.push(AccessRange {
             cell,
             lo: off,
@@ -302,6 +317,7 @@ impl RangeSet {
                 return true;
             };
             let other = self.ranges.swap_remove(j);
+            self.events += 1;
             if j < i {
                 i = if i == self.ranges.len() { j } else { i };
             }
@@ -503,14 +519,622 @@ fn bump_stall(rows: &mut Vec<(MnemonicId, u64)>, id: MnemonicId) {
     }
 }
 
+/// How many micro-ops verification walked, and whether any hardware-loop
+/// iterations were applied in closed form instead.
+#[derive(Default)]
+struct WalkStats {
+    walked: u64,
+    summarized: bool,
+}
+
 /// Verifies a [`KernelRegion`] descriptor against the micro-op stream by
 /// abstract interpretation and, on success, returns its installed
 /// static profile. `None` means the region stays on the generic path —
 /// never an error: verification failure only costs performance.
+/// `walked` accumulates the micro-ops the walk interpreted one by one.
 pub(crate) fn install(
     uops: &[Uop],
     program: &Program,
     desc: &KernelRegion,
+    walked: &mut u64,
+) -> Option<ShortcutRegion> {
+    let mut stats = WalkStats::default();
+    let region = walk(uops, program, desc, true, &mut stats);
+    *walked += stats.walked;
+    // The loop summary must be invisible: re-derive the profile op by op
+    // and demand a field-for-field identical result.
+    #[cfg(debug_assertions)]
+    if stats.summarized {
+        let full = walk(uops, program, desc, false, &mut WalkStats::default());
+        assert_eq!(region, full, "loop summary diverged from the full walk");
+    }
+    region
+}
+
+/// The mutable abstract machine state of one verification walk.
+#[derive(Clone)]
+struct WalkState {
+    regs: [Av; 32],
+    /// Per hardware-loop level: `(start, end, count)`.
+    hwl: [Option<(u32, u32, u32)>; 2],
+    spr: [SprAv; 2],
+    /// In-flight SPR writes: `(issue instret, slot, weight address)`.
+    pend: Vec<(u64, usize, AAddr)>,
+    loads: RangeSet,
+    retire_rows: Vec<(MnemonicId, u64, u64, u64)>,
+    stall_rows: Vec<(MnemonicId, u64)>,
+    prev_load: Option<(u8, MnemonicId)>,
+    cycles: u64,
+    instret: u64,
+    next_out: u32,
+}
+
+/// How a value moves between two loop iterations, in terms of the
+/// iteration-start state (see [`Candidate`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Form {
+    /// Moves exactly as iteration-start source `s` moves: register `s`
+    /// for `s < 32`, pending SPR write `s - 32` ([`SRC_PEND`]) or SPR
+    /// slot `s - 34` ([`SRC_SPR`]).
+    Lin(u8),
+    /// A cell pointer `mem_u32[c]` whose cell address `c` moves as
+    /// source `s` moves (a word loaded through a moving pointer).
+    Cell(u8),
+    /// The same in every iteration.
+    Zero,
+    /// Symbolic data created in this iteration.
+    Fresh,
+}
+
+/// First pending-SPR-write source index of a [`Form::Lin`].
+const SRC_PEND: usize = 32;
+/// First SPR-slot source index of a [`Form::Lin`].
+const SRC_SPR: usize = 34;
+
+/// Outcome of [`Candidate::summarize`].
+enum Summary {
+    /// Not a constant shift: keep walking.
+    Skip,
+    /// Applied; this many micro-ops were accounted for.
+    Applied(u64),
+    /// A replayed load failed — so would the full walk.
+    Reject,
+}
+
+/// How a source changed over one watched iteration.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Delta {
+    /// A pointer-like value advanced by this constant.
+    Num(u32),
+    /// A cell pointer whose cell address advanced by this constant.
+    Cell(u32),
+    /// Opaque (entry contents or symbolic data of the same kind).
+    Same,
+}
+
+/// Shift of `a` into `b`, if both are the same kind of abstract value.
+fn delta(a: Av, b: Av) -> Option<Delta> {
+    Some(match (a, b) {
+        (Av::Entry, Av::Entry) => Delta::Same,
+        (Av::Const(x), Av::Const(y)) => Delta::Num(y.wrapping_sub(x)),
+        (Av::CellVal { cell: c, off: x }, Av::CellVal { cell: d, off: y }) if c == d => {
+            Delta::Num(y.wrapping_sub(x))
+        }
+        (Av::CellVal { cell: c, off: x }, Av::CellVal { cell: d, off: y }) if x == y => {
+            Delta::Cell(d.wrapping_sub(c))
+        }
+        (Av::Load { op: o, addr: x }, Av::Load { op: p, addr: y })
+            if o == p && x.cell == y.cell =>
+        {
+            Delta::Num(y.off.wrapping_sub(x.off))
+        }
+        (Av::Data { hw: g, .. }, Av::Data { hw: h, .. }) if g == h => Delta::Same,
+        _ => return None,
+    })
+}
+
+/// `v` moved by `d` applied `m` times.
+fn shifted(v: Av, d: Delta, m: u32) -> Av {
+    let by = match d {
+        Delta::Num(x) => m.wrapping_mul(x),
+        Delta::Cell(x) => {
+            return match v {
+                Av::CellVal { cell, off } => Av::CellVal {
+                    cell: cell.wrapping_add(m.wrapping_mul(x)),
+                    off,
+                },
+                v => v,
+            };
+        }
+        Delta::Same => return v,
+    };
+    match v {
+        Av::Const(c) => Av::Const(c.wrapping_add(by)),
+        Av::CellVal { cell, off } => Av::CellVal {
+            cell,
+            off: off.wrapping_add(by),
+        },
+        Av::Load { op, addr } => Av::Load {
+            op,
+            addr: AAddr {
+                cell: addr.cell,
+                off: addr.off.wrapping_add(by),
+            },
+        },
+        v => v,
+    }
+}
+
+/// One hardware-loop iteration watched for a closed-form summary.
+///
+/// Alongside the ordinary walk, every value written in the iteration
+/// gets a [`Form`] saying how it would move if the iteration-start state
+/// moved. At the next jump-back of the same loop, [`summarize`] compares
+/// the two iteration-start states. All remaining iterations can be
+/// applied at once when
+///
+/// * each source changed by a constant [`Delta`], or is opaque data of
+///   the same kind;
+/// * the forms confirm that one more iteration would shift it by the
+///   same constants — a source moves only into copies of itself
+///   advanced by constants, and every value inspected beyond that
+///   (constant folds, loads from a constant address) did not move;
+/// * every load address moves by a constant;
+/// * nothing else happened: no store, branch or loop setup.
+///
+/// Then iteration `k + 1` is iteration `k` shifted, by induction: rows,
+/// counters, pointers and SPR state advance linearly and the loads of
+/// every later iteration are known. The range set takes them in closed
+/// form while that is exact, and replays the rest.
+///
+/// [`summarize`]: Candidate::summarize
+struct Candidate {
+    level: usize,
+    /// The state at the watched iteration's first op.
+    start: WalkState,
+    regs: [Form; 32],
+    spr: [Form; 2],
+    /// Forms of `WalkState::pend`, in step with it.
+    pend: Vec<Form>,
+    /// Sources whose values were inspected and so must not move.
+    fixed: u64,
+    /// Every load of the iteration: `(address, size, form of address)`.
+    accesses: Vec<(AAddr, u32, Form)>,
+}
+
+impl Candidate {
+    fn new(level: usize, st: &WalkState) -> Self {
+        let mut regs: [Form; 32] = std::array::from_fn(|r| Form::Lin(r as u8));
+        regs[0] = Form::Zero;
+        Self {
+            level,
+            start: st.clone(),
+            regs,
+            spr: [Form::Lin(SRC_SPR as u8), Form::Lin(SRC_SPR as u8 + 1)],
+            pend: (0..st.pend.len())
+                .map(|j| Form::Lin((SRC_PEND + j) as u8))
+                .collect(),
+            fixed: 0,
+            accesses: Vec::new(),
+        }
+    }
+
+    fn form(&self, r: Reg) -> Form {
+        self.regs[r.num() as usize]
+    }
+
+    fn set(&mut self, r: Reg, f: Form) {
+        if r.num() != 0 {
+            self.regs[r.num() as usize] = f;
+        }
+    }
+
+    /// Records that a value of form `f` was inspected beyond a constant
+    /// shift, so its source must not move.
+    fn fix(&mut self, f: Form) {
+        if let Form::Lin(s) | Form::Cell(s) = f {
+            self.fixed |= 1 << s;
+        }
+    }
+
+    /// Form of a value used as a pointer or offset: a cell pointer is
+    /// only affine in its offset, so its cell must not move.
+    fn ptr(&mut self, f: Form) -> Form {
+        if let Form::Cell(_) = f {
+            self.fix(f);
+            return Form::Zero;
+        }
+        f
+    }
+
+    /// Form of a sum of two pointer-like values (if both move, the second
+    /// is pinned).
+    fn add(&mut self, a: Form, b: Form) -> Form {
+        let (a, b) = (self.ptr(a), self.ptr(b));
+        match (a, b) {
+            (Form::Fresh, _) | (_, Form::Fresh) => Form::Fresh,
+            (f, Form::Zero) | (Form::Zero, f) => f,
+            (f, g) => {
+                self.fix(g);
+                f
+            }
+        }
+    }
+
+    /// Form of a result the walk folds from `inputs`: a constant fold
+    /// inspects every input, anything else is fresh data.
+    fn fold(&mut self, inputs: &[(Av, Form)]) -> Form {
+        if inputs.iter().all(|(v, _)| matches!(v, Av::Const(_))) {
+            for &(_, f) in inputs {
+                self.fix(f);
+            }
+            Form::Zero
+        } else {
+            Form::Fresh
+        }
+    }
+
+    fn load(&mut self, op: LoadOp, rd: Reg, addr: AAddr, f: Form) {
+        let f = self.ptr(f);
+        self.accesses.push((addr, load_size(op), f));
+        // A word from a constant address becomes a cell pointer named
+        // by that address.
+        let v = match f {
+            Form::Lin(s) if op == LoadOp::Lw && addr.cell.is_none() => Form::Cell(s),
+            f => f,
+        };
+        self.set(rd, v);
+    }
+
+    /// Mirrors one op of the walk (called before the op executes, on the
+    /// pre-op registers). `false` ends the watch.
+    fn track(&mut self, u: &Uop, regs: &[Av; 32]) -> bool {
+        let val = |r: Reg| match r.num() {
+            0 => Av::Const(0),
+            n => regs[n as usize],
+        };
+        let inp = |c: &Self, r: Reg| (val(r), c.form(r));
+        match u.kind {
+            UopKind::SetReg { rd, .. } => self.set(rd, Form::Zero),
+            UopKind::Load {
+                op,
+                rd,
+                rs1,
+                offset,
+            } => {
+                let Some(addr) = aaddr(val(rs1), offset) else {
+                    return false;
+                };
+                self.load(op, rd, addr, self.form(rs1));
+            }
+            UopKind::LoadPostInc { op, rd, rs1, .. } => {
+                let Some(addr) = aaddr(val(rs1), 0) else {
+                    return false;
+                };
+                let f = self.ptr(self.form(rs1));
+                self.set(rs1, f);
+                self.load(op, rd, addr, f);
+            }
+            UopKind::LoadReg { op, rd, rs1, rs2 } => {
+                let addr = match (val(rs1), val(rs2)) {
+                    (Av::Const(a), Av::Const(b)) => AAddr {
+                        cell: None,
+                        off: a.wrapping_add(b),
+                    },
+                    (Av::CellVal { cell, off }, Av::Const(c))
+                    | (Av::Const(c), Av::CellVal { cell, off }) => AAddr {
+                        cell: Some(cell),
+                        off: off.wrapping_add(c),
+                    },
+                    _ => return false,
+                };
+                let f = self.add(self.form(rs1), self.form(rs2));
+                self.load(op, rd, addr, f);
+            }
+            UopKind::OpImm { op, rd, rs1, .. } => {
+                let f = match (op, val(rs1)) {
+                    (AluImmOp::Addi, Av::Const(_) | Av::CellVal { .. }) => self.ptr(self.form(rs1)),
+                    _ => self.fold(&[inp(self, rs1)]),
+                };
+                self.set(rd, f);
+            }
+            UopKind::Op { op, rd, rs1, rs2 } => {
+                let (a, b) = (inp(self, rs1), inp(self, rs2));
+                let f = match (op, a.0, b.0) {
+                    (AluOp::Add, Av::Const(_), Av::Const(_))
+                    | (AluOp::Add, Av::CellVal { .. }, Av::Const(_))
+                    | (AluOp::Add, Av::Const(_), Av::CellVal { .. }) => self.add(a.1, b.1),
+                    (AluOp::Sub, Av::Const(_), Av::Const(_))
+                    | (AluOp::Sub, Av::CellVal { .. }, Av::Const(_)) => {
+                        self.fix(b.1);
+                        self.ptr(a.1)
+                    }
+                    _ => self.fold(&[a, b]),
+                };
+                self.set(rd, f);
+            }
+            UopKind::MulDiv { rd, rs1, rs2, .. }
+            | UopKind::Ror { rd, rs1, rs2 }
+            | UopKind::PvAluVv { rd, rs1, rs2, .. }
+            | UopKind::PvAluSc { rd, rs1, rs2, .. } => {
+                let f = self.fold(&[inp(self, rs1), inp(self, rs2)]);
+                self.set(rd, f);
+            }
+            UopKind::PMin { rd, rs1, rs2 } | UopKind::PMax { rd, rs1, rs2 } => {
+                // The 16-bit range test reads constant operands too.
+                for (v, f) in [inp(self, rs1), inp(self, rs2)] {
+                    if matches!(v, Av::Const(_)) {
+                        self.fix(f);
+                    }
+                }
+                let f = self.fold(&[inp(self, rs1), inp(self, rs2)]);
+                self.set(rd, f);
+            }
+            UopKind::Mac { rd, rs1, rs2 } | UopKind::Msu { rd, rs1, rs2 } => {
+                let f = self.fold(&[inp(self, rd), inp(self, rs1), inp(self, rs2)]);
+                self.set(rd, f);
+            }
+            UopKind::Clip { rd, rs1, .. }
+            | UopKind::ClipU { rd, rs1, .. }
+            | UopKind::Unary { rd, rs1, .. }
+            | UopKind::PvAluImm { rd, rs1, .. } => {
+                let f = self.fold(&[inp(self, rs1)]);
+                self.set(rd, f);
+            }
+            UopKind::PvDot {
+                op, rd, rs1, rs2, ..
+            } => {
+                let f = if op.accumulates() {
+                    self.fold(&[inp(self, rs1), inp(self, rs2), inp(self, rd)])
+                } else {
+                    self.fold(&[inp(self, rs1), inp(self, rs2)])
+                };
+                self.set(rd, f);
+            }
+            UopKind::PlSdotsp { rd, rs1, .. } => {
+                let Some(addr) = aaddr(val(rs1), 0) else {
+                    return false;
+                };
+                let f = self.ptr(self.form(rs1));
+                self.accesses.push((addr, 4, f));
+                self.pend.push(f);
+                if rd != Reg::ZERO {
+                    self.set(rd, Form::Fresh);
+                }
+                self.set(rs1, f);
+            }
+            UopKind::Nop => {}
+            // Stores, control flow and loop setup end the watch.
+            UopKind::Store { .. }
+            | UopKind::StorePostInc { .. }
+            | UopKind::Branch { .. }
+            | UopKind::Jal { .. }
+            | UopKind::Jalr { .. }
+            | UopKind::Halt(_)
+            | UopKind::CsrRead { .. }
+            | UopKind::LpSetup { .. }
+            | UopKind::LpSetupi { .. }
+            | UopKind::LpSetAddr { .. }
+            | UopKind::LpCount { .. }
+            | UopKind::LpCounti { .. } => return false,
+        }
+        true
+    }
+
+    /// At the loop's next jump-back (`st` is the state at the start of
+    /// the following iteration, `n1` of them left): if the watched
+    /// iteration proves to be a constant shift, advances `st` to the end
+    /// of the loop's last iteration, with the loop's count back at 1 so
+    /// the walk can take its exit. [`Summary::Skip`] leaves `st`
+    /// untouched.
+    fn summarize(&self, st: &mut WalkState) -> Summary {
+        let s0 = &self.start;
+        let lv = self.level;
+        let (Some((a0, e0, n0)), Some((a1, e1, n1))) = (s0.hwl[lv], st.hwl[lv]) else {
+            return Summary::Skip;
+        };
+        if (a0, e0) != (a1, e1)
+            || n1 + 1 != n0
+            || s0.hwl[1 - lv] != st.hwl[1 - lv]
+            || s0.next_out != st.next_out
+            || s0.prev_load != st.prev_load
+            || s0.retire_rows.len() != st.retire_rows.len()
+            || s0.stall_rows.len() != st.stall_rows.len()
+            || s0.pend.len() != st.pend.len()
+        {
+            return Summary::Skip;
+        }
+        let iter = st.instret - s0.instret;
+
+        // Per-source deltas over the watched iteration.
+        let mut d = [Delta::Same; SRC_SPR + 2];
+        for (dr, (&a, &b)) in d.iter_mut().zip(s0.regs.iter().zip(&st.regs)).skip(1) {
+            let Some(v) = delta(a, b) else {
+                return Summary::Skip;
+            };
+            *dr = v;
+        }
+        for (j, (p, q)) in s0.pend.iter().zip(&st.pend).enumerate() {
+            if s0.instret - p.0 != st.instret - q.0 || p.1 != q.1 || p.2.cell != q.2.cell {
+                return Summary::Skip;
+            }
+            d[SRC_PEND + j] = Delta::Num(q.2.off.wrapping_sub(p.2.off));
+        }
+        for k in 0..2 {
+            d[SRC_SPR + k] = match (s0.spr[k], st.spr[k]) {
+                (SprAv::Entry, SprAv::Entry) => Delta::Same,
+                (SprAv::Known(a), SprAv::Known(b)) if a.cell == b.cell => {
+                    Delta::Num(b.off.wrapping_sub(a.off))
+                }
+                _ => return Summary::Skip,
+            };
+        }
+
+        // The forms must predict the same deltas for the next iteration.
+        let ends = (1..32)
+            .map(|r| (r, self.regs[r]))
+            .chain(
+                self.pend
+                    .iter()
+                    .enumerate()
+                    .map(|(j, &f)| (SRC_PEND + j, f)),
+            )
+            .chain(self.spr.iter().enumerate().map(|(k, &f)| (SRC_SPR + k, f)));
+        for (x, f) in ends {
+            let ok = match f {
+                Form::Lin(s) => {
+                    let s = usize::from(s);
+                    d[x] == d[s] && (x == s || d[s] != Delta::Same)
+                }
+                Form::Cell(s) => match d[usize::from(s)] {
+                    Delta::Num(0) => d[x] == Delta::Num(0),
+                    Delta::Num(v) => d[x] == Delta::Cell(v),
+                    _ => false,
+                },
+                Form::Zero => d[x] == Delta::Num(0),
+                Form::Fresh => d[x] == Delta::Same,
+            };
+            if !ok {
+                return Summary::Skip;
+            }
+        }
+        if (0..d.len()).any(|s| self.fixed & (1 << s) != 0 && d[s] != Delta::Num(0)) {
+            return Summary::Skip;
+        }
+
+        // Where each load of the watched iteration moves per iteration.
+        let mut shifts = Vec::with_capacity(self.accesses.len());
+        for &(addr, size, f) in &self.accesses {
+            let shift = match f {
+                Form::Lin(s) => match d[usize::from(s)] {
+                    Delta::Num(v) => v,
+                    _ => return Summary::Skip,
+                },
+                Form::Zero => 0,
+                Form::Cell(_) | Form::Fresh => return Summary::Skip,
+            };
+            shifts.push((addr, size, shift));
+        }
+
+        // All remaining iterations are applied: load ranges in closed
+        // form for the first `safe` of them (see [`closed_form`]), the
+        // loads of the rest replayed into the range set one by one, which
+        // reproduces its merges exactly.
+        let m = u64::from(n1);
+        let (safe, grow) = closed_form(&s0.loads, &st.loads, &shifts, m).unwrap_or((0, Vec::new()));
+        if safe > 0 {
+            for (r, &g) in st.loads.ranges.iter_mut().zip(&grow) {
+                r.hi = r.hi.wrapping_add((safe as u32).wrapping_mul(g));
+            }
+        }
+        for q in safe + 1..=m {
+            for &(addr, size, shift) in &shifts {
+                let off = addr.off.wrapping_add((q as u32).wrapping_mul(shift));
+                if !st.loads.add(addr.cell, off, size) {
+                    return Summary::Reject;
+                }
+            }
+        }
+
+        // Apply `m` more iterations (pending writes and SPR contents
+        // only ever have offset deltas).
+        let m32 = m as u32;
+        let by = |x: usize| match d[x] {
+            Delta::Num(v) => m32.wrapping_mul(v),
+            _ => 0,
+        };
+        for (v, &dr) in st.regs.iter_mut().zip(&d) {
+            *v = shifted(*v, dr, m32);
+        }
+        for (j, p) in st.pend.iter_mut().enumerate() {
+            p.0 += m * iter;
+            p.2.off = p.2.off.wrapping_add(by(SRC_PEND + j));
+        }
+        for k in 0..2 {
+            if let SprAv::Known(a) = &mut st.spr[k] {
+                a.off = a.off.wrapping_add(by(SRC_SPR + k));
+            }
+        }
+        for (r, r0) in st.retire_rows.iter_mut().zip(&s0.retire_rows) {
+            r.1 += m * (r.1 - r0.1);
+            r.2 += m * (r.2 - r0.2);
+            r.3 += m * (r.3 - r0.3);
+        }
+        for (r, r0) in st.stall_rows.iter_mut().zip(&s0.stall_rows) {
+            r.1 += m * (r.1 - r0.1);
+        }
+        st.cycles += m * (st.cycles - s0.cycles);
+        st.instret += m * iter;
+        if let Some(h) = &mut st.hwl[lv] {
+            h.2 = 1;
+        }
+        Summary::Applied(m * iter)
+    }
+}
+
+/// How many of `m` further iterations the range set can take in closed
+/// form, and each range's growth per iteration. `before` and `after`
+/// bracket the watched iteration; `shifts` are its loads as
+/// `(address, size, advance per iteration)`.
+///
+/// Exact while every range grows at its top by a constant, every load
+/// into a growing range advances by exactly that growth, every load into
+/// a still range stays inside it, every load keeps its alignment residue,
+/// and no two ranges meet. `None` when the watched iteration created or
+/// merged a range, or a load breaks the pattern.
+fn closed_form(
+    before: &RangeSet,
+    after: &RangeSet,
+    shifts: &[(AAddr, u32, u32)],
+    m: u64,
+) -> Option<(u64, Vec<u32>)> {
+    if before.events != after.events {
+        return None;
+    }
+    let ranges = &after.ranges;
+    let mut grow = Vec::with_capacity(ranges.len());
+    for (r0, r1) in before.ranges.iter().zip(ranges) {
+        if r0.cell != r1.cell || r0.lo != r1.lo || r1.hi < r0.hi {
+            return None;
+        }
+        grow.push(r1.hi - r0.hi);
+    }
+    let mut safe = m;
+    for &(addr, size, shift) in shifts {
+        let end = u64::from(addr.off) + u64::from(size);
+        let k = ranges
+            .iter()
+            .position(|r| r.cell == addr.cell && r.lo <= addr.off && end <= u64::from(r.hi))?;
+        if shift % size != 0 || (grow[k] > 0 && shift != grow[k]) {
+            return None;
+        }
+        if grow[k] == 0 && shift > 0 {
+            safe = safe.min((u64::from(ranges[k].hi) - end) / u64::from(shift));
+        }
+    }
+    for (a, &g) in ranges.iter().zip(&grow).filter(|(_, &g)| g > 0) {
+        // Ranges of one cell never touch, so `b` above `a` means
+        // `a.hi < b.lo`; `a` may grow until one byte short of `b` (or of
+        // the address space).
+        let room = ranges
+            .iter()
+            .filter(|b| b.cell == a.cell && b.lo > a.hi)
+            .map(|b| b.lo - a.hi - 1)
+            .fold(u32::MAX - a.hi, u32::min);
+        safe = safe.min(u64::from(room / g));
+    }
+    Some((safe, grow))
+}
+
+/// The walk proper. With `summarize`, hardware-loop iterations whose
+/// effect is a constant shift of the abstract state are applied in
+/// closed form (see [`Candidate`]); the result is identical either way.
+fn walk(
+    uops: &[Uop],
+    program: &Program,
+    desc: &KernelRegion,
+    summarize: bool,
+    stats: &mut WalkStats,
 ) -> Option<ShortcutRegion> {
     if desc.n_in == 0
         || !desc.n_in.is_multiple_of(2)
@@ -545,17 +1169,19 @@ pub(crate) fn install(
         res: [u32::MAX, out_base.off % 2, u32::MAX],
     };
 
-    let mut regs = [Av::Entry; 32];
-    let mut hwl: [Option<(u32, u32, u32)>; 2] = [None, None];
-    let mut spr = [SprAv::Entry, SprAv::Entry];
-    let mut pend: Vec<(u64, usize, AAddr)> = Vec::new();
-    let mut loads = RangeSet::default();
-    let mut retire_rows: Vec<(MnemonicId, u64, u64, u64)> = Vec::new();
-    let mut stall_rows: Vec<(MnemonicId, u64)> = Vec::new();
-    let mut prev_load: Option<(u8, MnemonicId)> = None;
-    let mut cycles = 0u64;
-    let mut instret = 0u64;
-    let mut next_out = 0u32;
+    let mut st = WalkState {
+        regs: [Av::Entry; 32],
+        hwl: [None, None],
+        spr: [SprAv::Entry, SprAv::Entry],
+        pend: Vec::new(),
+        loads: RangeSet::default(),
+        retire_rows: Vec::new(),
+        stall_rows: Vec::new(),
+        prev_load: None,
+        cycles: 0,
+        instret: 0,
+        next_out: 0,
+    };
     let mut out_map: HashMap<u32, u32> = HashMap::new();
     let mut next_id = 0u32;
     let data = |hw: bool, next_id: &mut u32| {
@@ -563,44 +1189,53 @@ pub(crate) fn install(
         *next_id += 1;
         Av::Data { id, hw }
     };
+    let mut cand: Option<Candidate> = None;
 
     let mut i = start_idx;
     let mut ops = 0u64;
     while i != end_idx {
         let u = &uops[i];
         ops += 1;
+        stats.walked += 1;
         if ops > WALK_OP_CAP {
             return None;
         }
         // SPR writes issued two or more retirements ago land now — the
         // same drain point as the per-op path.
-        while let Some(&(iss, slot, addr)) = pend.first() {
-            if iss + 2 <= instret {
-                spr[slot] = SprAv::Known(addr);
-                pend.remove(0);
+        while let Some(&(iss, slot, addr)) = st.pend.first() {
+            if iss + 2 <= st.instret {
+                st.spr[slot] = SprAv::Known(addr);
+                st.pend.remove(0);
+                if let Some(c) = &mut cand {
+                    c.spr[slot] = c.pend.remove(0);
+                }
             } else {
                 break;
             }
         }
+        if cand.as_mut().is_some_and(|c| !c.track(u, &st.regs)) {
+            cand = None;
+        }
         // Load-use stall, charged to the producing load.
-        if let Some((r, id)) = prev_load.take() {
+        if let Some((r, id)) = st.prev_load.take() {
             if u.uses_mask & (1u32 << r) != 0 {
-                cycles += 1;
-                bump_stall(&mut stall_rows, id);
+                st.cycles += 1;
+                bump_stall(&mut st.stall_rows, id);
             }
         }
 
         let mut extra = 0u64;
         let mut jump: Option<(u32, usize)> = None;
         match u.kind {
-            UopKind::SetReg { rd, val } => set(&mut regs, rd, Av::Const(val)),
+            UopKind::SetReg { rd, val } => set(&mut st.regs, rd, Av::Const(val)),
             UopKind::Branch {
                 op,
                 rs1,
                 rs2,
                 target,
             } => {
-                let (Av::Const(a), Av::Const(b)) = (get(&regs, rs1)?, get(&regs, rs2)?) else {
+                let (Av::Const(a), Av::Const(b)) = (get(&st.regs, rs1)?, get(&st.regs, rs2)?)
+                else {
                     return None;
                 };
                 let taken = match op {
@@ -625,8 +1260,8 @@ pub(crate) fn install(
                 rs1,
                 offset,
             } => {
-                let addr = aaddr(get(&regs, rs1)?, offset)?;
-                if !loads.add(addr.cell, addr.off, load_size(op)) {
+                let addr = aaddr(get(&st.regs, rs1)?, offset)?;
+                if !st.loads.add(addr.cell, addr.off, load_size(op)) {
                     return None;
                 }
                 let v = if op == LoadOp::Lw && addr.cell.is_none() {
@@ -637,7 +1272,7 @@ pub(crate) fn install(
                 } else {
                     Av::Load { op, addr }
                 };
-                set(&mut regs, rd, v);
+                set(&mut st.regs, rd, v);
             }
             UopKind::LoadPostInc {
                 op,
@@ -645,9 +1280,9 @@ pub(crate) fn install(
                 rs1,
                 offset,
             } => {
-                let base = get(&regs, rs1)?;
+                let base = get(&st.regs, rs1)?;
                 let addr = aaddr(base, 0)?;
-                if !loads.add(addr.cell, addr.off, load_size(op)) {
+                if !st.loads.add(addr.cell, addr.off, load_size(op)) {
                     return None;
                 }
                 let v = if op == LoadOp::Lw && addr.cell.is_none() {
@@ -658,11 +1293,11 @@ pub(crate) fn install(
                 } else {
                     Av::Load { op, addr }
                 };
-                set(&mut regs, rs1, bump(base, offset)?);
-                set(&mut regs, rd, v);
+                set(&mut st.regs, rs1, bump(base, offset)?);
+                set(&mut st.regs, rd, v);
             }
             UopKind::LoadReg { op, rd, rs1, rs2 } => {
-                let addr = match (get(&regs, rs1)?, get(&regs, rs2)?) {
+                let addr = match (get(&st.regs, rs1)?, get(&st.regs, rs2)?) {
                     (Av::Const(a), Av::Const(b)) => AAddr {
                         cell: None,
                         off: a.wrapping_add(b),
@@ -674,7 +1309,7 @@ pub(crate) fn install(
                     },
                     _ => return None,
                 };
-                if !loads.add(addr.cell, addr.off, load_size(op)) {
+                if !st.loads.add(addr.cell, addr.off, load_size(op)) {
                     return None;
                 }
                 let v = if op == LoadOp::Lw && addr.cell.is_none() {
@@ -685,7 +1320,7 @@ pub(crate) fn install(
                 } else {
                     Av::Load { op, addr }
                 };
-                set(&mut regs, rd, v);
+                set(&mut st.regs, rd, v);
             }
             UopKind::Store {
                 op,
@@ -693,14 +1328,14 @@ pub(crate) fn install(
                 rs1,
                 offset,
             } => {
-                let addr = aaddr(get(&regs, rs1)?, offset)?;
+                let addr = aaddr(get(&st.regs, rs1)?, offset)?;
                 check_store(
                     op,
                     addr,
-                    get(&regs, rs2)?,
+                    get(&st.regs, rs2)?,
                     desc,
                     out_base,
-                    &mut next_out,
+                    &mut st.next_out,
                     &mut out_map,
                 )?;
             }
@@ -710,21 +1345,21 @@ pub(crate) fn install(
                 rs1,
                 offset,
             } => {
-                let base = get(&regs, rs1)?;
+                let base = get(&st.regs, rs1)?;
                 let addr = aaddr(base, 0)?;
                 check_store(
                     op,
                     addr,
-                    get(&regs, rs2)?,
+                    get(&st.regs, rs2)?,
                     desc,
                     out_base,
-                    &mut next_out,
+                    &mut st.next_out,
                     &mut out_map,
                 )?;
-                set(&mut regs, rs1, bump(base, offset)?);
+                set(&mut st.regs, rs1, bump(base, offset)?);
             }
             UopKind::OpImm { op, rd, rs1, imm } => {
-                let a = get(&regs, rs1)?;
+                let a = get(&st.regs, rs1)?;
                 let v = match (op, a) {
                     (AluImmOp::Addi, Av::CellVal { cell, off }) => Av::CellVal {
                         cell,
@@ -733,11 +1368,11 @@ pub(crate) fn install(
                     (_, Av::Const(c)) => Av::Const(exec_opimm(op, c, imm)),
                     _ => data(false, &mut next_id),
                 };
-                set(&mut regs, rd, v);
+                set(&mut st.regs, rd, v);
             }
             UopKind::Op { op, rd, rs1, rs2 } => {
-                let a = get(&regs, rs1)?;
-                let b = get(&regs, rs2)?;
+                let a = get(&st.regs, rs1)?;
+                let b = get(&st.regs, rs2)?;
                 let v = match (op, a, b) {
                     (_, Av::Const(x), Av::Const(y)) => Av::Const(exec_op(op, x, y)),
                     (AluOp::Add, Av::CellVal { cell, off }, Av::Const(c))
@@ -751,79 +1386,79 @@ pub(crate) fn install(
                     },
                     _ => data(false, &mut next_id),
                 };
-                set(&mut regs, rd, v);
+                set(&mut st.regs, rd, v);
             }
             UopKind::MulDiv { op, rd, rs1, rs2 } => {
-                let v = match (get(&regs, rs1)?, get(&regs, rs2)?) {
+                let v = match (get(&st.regs, rs1)?, get(&st.regs, rs2)?) {
                     (Av::Const(a), Av::Const(b)) => Av::Const(exec_muldiv(op, a, b)),
                     _ => data(false, &mut next_id),
                 };
-                set(&mut regs, rd, v);
+                set(&mut st.regs, rd, v);
             }
             UopKind::Nop => {}
             UopKind::Mac { rd, rs1, rs2 } => {
-                let v = match (get(&regs, rd)?, get(&regs, rs1)?, get(&regs, rs2)?) {
+                let v = match (get(&st.regs, rd)?, get(&st.regs, rs1)?, get(&st.regs, rs2)?) {
                     (Av::Const(d), Av::Const(a), Av::Const(b)) => {
                         Av::Const(d.wrapping_add((a as i32).wrapping_mul(b as i32) as u32))
                     }
                     _ => data(false, &mut next_id),
                 };
-                set(&mut regs, rd, v);
+                set(&mut st.regs, rd, v);
             }
             UopKind::Msu { rd, rs1, rs2 } => {
-                let v = match (get(&regs, rd)?, get(&regs, rs1)?, get(&regs, rs2)?) {
+                let v = match (get(&st.regs, rd)?, get(&st.regs, rs1)?, get(&st.regs, rs2)?) {
                     (Av::Const(d), Av::Const(a), Av::Const(b)) => {
                         Av::Const(d.wrapping_sub((a as i32).wrapping_mul(b as i32) as u32))
                     }
                     _ => data(false, &mut next_id),
                 };
-                set(&mut regs, rd, v);
+                set(&mut st.regs, rd, v);
             }
             UopKind::Clip { rd, rs1, lo, hi } => {
-                let v = match get(&regs, rs1)? {
+                let v = match get(&st.regs, rs1)? {
                     Av::Const(c) => Av::Const((c as i32).clamp(lo, hi) as u32),
                     _ => data(lo >= -32768 && hi <= 32767, &mut next_id),
                 };
-                set(&mut regs, rd, v);
+                set(&mut st.regs, rd, v);
             }
             UopKind::ClipU { rd, rs1, hi } => {
-                let v = match get(&regs, rs1)? {
+                let v = match get(&st.regs, rs1)? {
                     Av::Const(c) => Av::Const((c as i32).clamp(0, hi) as u32),
                     _ => data(hi <= 32767, &mut next_id),
                 };
-                set(&mut regs, rd, v);
+                set(&mut st.regs, rd, v);
             }
             UopKind::Unary { op, rd, rs1 } => {
-                let v = match get(&regs, rs1)? {
+                let v = match get(&st.regs, rs1)? {
                     Av::Const(c) => Av::Const(exec_unary(op, c)),
                     _ => data(unary_hw(op), &mut next_id),
                 };
-                set(&mut regs, rd, v);
+                set(&mut st.regs, rd, v);
             }
             UopKind::PMin { rd, rs1, rs2 } => {
-                let a = get(&regs, rs1)?;
-                let b = get(&regs, rs2)?;
+                let a = get(&st.regs, rs1)?;
+                let b = get(&st.regs, rs2)?;
                 let v = match (a, b) {
                     (Av::Const(x), Av::Const(y)) => Av::Const((x as i32).min(y as i32) as u32),
                     _ => data(in_i16(a) && in_i16(b), &mut next_id),
                 };
-                set(&mut regs, rd, v);
+                set(&mut st.regs, rd, v);
             }
             UopKind::PMax { rd, rs1, rs2 } => {
-                let a = get(&regs, rs1)?;
-                let b = get(&regs, rs2)?;
+                let a = get(&st.regs, rs1)?;
+                let b = get(&st.regs, rs2)?;
                 let v = match (a, b) {
                     (Av::Const(x), Av::Const(y)) => Av::Const((x as i32).max(y as i32) as u32),
                     _ => data(in_i16(a) && in_i16(b), &mut next_id),
                 };
-                set(&mut regs, rd, v);
+                set(&mut st.regs, rd, v);
             }
             UopKind::Ror { rd, rs1, rs2 } => {
-                let v = match (get(&regs, rs1)?, get(&regs, rs2)?) {
+                let v = match (get(&st.regs, rs1)?, get(&st.regs, rs2)?) {
                     (Av::Const(a), Av::Const(b)) => Av::Const(a.rotate_right(b & 31)),
                     _ => data(false, &mut next_id),
                 };
-                set(&mut regs, rd, v);
+                set(&mut st.regs, rd, v);
             }
             UopKind::PvAluVv {
                 op,
@@ -832,13 +1467,13 @@ pub(crate) fn install(
                 rs1,
                 rs2,
             } => {
-                let v = match (get(&regs, rs1)?, get(&regs, rs2)?) {
+                let v = match (get(&st.regs, rs1)?, get(&st.regs, rs2)?) {
                     (Av::Const(a), Av::Const(b)) => {
                         Av::Const(crate::machine::exec_pv_alu(op, size, a, b))
                     }
                     _ => data(false, &mut next_id),
                 };
-                set(&mut regs, rd, v);
+                set(&mut st.regs, rd, v);
             }
             UopKind::PvAluSc {
                 op,
@@ -847,7 +1482,7 @@ pub(crate) fn install(
                 rs1,
                 rs2,
             } => {
-                let v = match (get(&regs, rs1)?, get(&regs, rs2)?) {
+                let v = match (get(&st.regs, rs1)?, get(&st.regs, rs2)?) {
                     (Av::Const(a), Av::Const(b)) => {
                         let b = match size {
                             SimdSize::Half => {
@@ -863,7 +1498,7 @@ pub(crate) fn install(
                     }
                     _ => data(false, &mut next_id),
                 };
-                set(&mut regs, rd, v);
+                set(&mut st.regs, rd, v);
             }
             UopKind::PvAluImm {
                 op,
@@ -872,11 +1507,11 @@ pub(crate) fn install(
                 rs1,
                 b,
             } => {
-                let v = match get(&regs, rs1)? {
+                let v = match get(&st.regs, rs1)? {
                     Av::Const(a) => Av::Const(crate::machine::exec_pv_alu(op, size, a, b)),
                     _ => data(false, &mut next_id),
                 };
-                set(&mut regs, rd, v);
+                set(&mut st.regs, rd, v);
             }
             UopKind::PvDot {
                 op,
@@ -885,10 +1520,10 @@ pub(crate) fn install(
                 rs1,
                 rs2,
             } => {
-                let a = get(&regs, rs1)?;
-                let b = get(&regs, rs2)?;
+                let a = get(&st.regs, rs1)?;
+                let b = get(&st.regs, rs2)?;
                 let d0 = if op.accumulates() {
-                    Some(get(&regs, rd)?)
+                    Some(get(&st.regs, rd)?)
                 } else {
                     None
                 };
@@ -901,7 +1536,7 @@ pub(crate) fn install(
                     }
                     _ => data(false, &mut next_id),
                 };
-                set(&mut regs, rd, v);
+                set(&mut st.regs, rd, v);
             }
             UopKind::PlSdotsp {
                 spr: s,
@@ -912,39 +1547,39 @@ pub(crate) fn install(
             } => {
                 let sl = usize::from(s & 1);
                 // The x operand's value is symbolic but must exist.
-                let _ = get(&regs, rs2)?;
+                let _ = get(&st.regs, rs2)?;
                 if rd != Reg::ZERO {
                     // A live accumulation must read a weight whose
                     // provenance is known (drained from a walked issue),
                     // never the slot's unknown entry contents.
-                    if !matches!(spr[sl], SprAv::Known(_)) {
+                    if !matches!(st.spr[sl], SprAv::Known(_)) {
                         return None;
                     }
-                    let _ = get(&regs, rd)?;
+                    let _ = get(&st.regs, rd)?;
                 }
-                let base = get(&regs, rs1)?;
+                let base = get(&st.regs, rs1)?;
                 let addr = aaddr(base, 0)?;
-                if !loads.add(addr.cell, addr.off, 4) {
+                if !st.loads.add(addr.cell, addr.off, 4) {
                     return None;
                 }
-                pend.push((instret, sl, addr));
-                if pend.len() > 2 {
+                st.pend.push((st.instret, sl, addr));
+                if st.pend.len() > 2 {
                     return None;
                 }
                 if rd != Reg::ZERO {
                     let v = data(false, &mut next_id);
-                    set(&mut regs, rd, v);
+                    set(&mut st.regs, rd, v);
                 }
-                set(&mut regs, rs1, bump(base, 4)?);
+                set(&mut st.regs, rs1, bump(base, 4)?);
             }
             UopKind::LpSetup { l, rs1, start, end } => {
-                let Av::Const(count) = get(&regs, rs1)? else {
+                let Av::Const(count) = get(&st.regs, rs1)? else {
                     return None;
                 };
                 if count > 0 && start >= end {
                     return None;
                 }
-                hwl[usize::from(l)] = Some((start, end, count));
+                st.hwl[usize::from(l)] = Some((start, end, count));
             }
             UopKind::LpSetupi {
                 l,
@@ -955,7 +1590,7 @@ pub(crate) fn install(
                 if count > 0 && start >= end {
                     return None;
                 }
-                hwl[usize::from(l)] = Some((start, end, count));
+                st.hwl[usize::from(l)] = Some((start, end, count));
             }
             // Jumps, halts, CSR access and split hardware-loop setup
             // never appear in generated kernel regions; reject rather
@@ -970,10 +1605,10 @@ pub(crate) fn install(
         }
 
         let op_cycles = u64::from(u.base_cycles) + extra;
-        bump_row(&mut retire_rows, u.id, op_cycles, u64::from(u.mac_ops));
-        cycles += op_cycles;
-        instret += 1;
-        prev_load = (u.load_rd != 0).then_some((u.load_rd, u.id));
+        bump_row(&mut st.retire_rows, u.id, op_cycles, u64::from(u.mac_ops));
+        st.cycles += op_cycles;
+        st.instret += 1;
+        st.prev_load = (u.load_rd != 0).then_some((u.load_rd, u.id));
 
         match jump {
             Some((_, t)) => {
@@ -983,40 +1618,68 @@ pub(crate) fn install(
                 i = t;
             }
             None => {
-                let mut na = u.next_addr;
-                let mut jumped = false;
                 // Hardware-loop jump-back on fall-through, inner level
                 // first; an expired inner count falls through so an
                 // outer loop sharing the end address can fire.
-                for (start, end, count) in hwl.iter_mut().flatten() {
-                    if *count > 0 && na == *end {
-                        if *count > 1 {
-                            *count -= 1;
-                            na = *start;
-                            jumped = true;
-                            break;
+                let jump_back = |hwl: &mut [Option<(u32, u32, u32)>; 2]| {
+                    for (level, h) in hwl.iter_mut().enumerate() {
+                        if let Some((start, end, count)) = h {
+                            if *count > 0 && u.next_addr == *end {
+                                if *count > 1 {
+                                    *count -= 1;
+                                    return Some((level, *start));
+                                }
+                                *count = 0;
+                            }
                         }
-                        *count = 0;
                     }
-                }
-                if jumped {
-                    let t = program.index_of(na)?;
-                    if t < start_idx || t >= end_idx {
-                        return None;
-                    }
-                    i = t;
-                } else {
+                    None
+                };
+                let Some((mut level, mut na)) = jump_back(&mut st.hwl) else {
                     i += 1;
+                    continue;
+                };
+                if summarize {
+                    // One iteration of `level` has been watched from its
+                    // start: if it shifted the state by constants, apply
+                    // the rest of the loop and take its exit instead.
+                    if let Some(c) = cand.take().filter(|c| c.level == level) {
+                        match c.summarize(&mut st) {
+                            Summary::Applied(n) => {
+                                ops += n;
+                                stats.summarized = true;
+                                if ops > WALK_OP_CAP {
+                                    return None;
+                                }
+                                let Some(next) = jump_back(&mut st.hwl) else {
+                                    i += 1;
+                                    continue;
+                                };
+                                (level, na) = next;
+                            }
+                            Summary::Reject => return None,
+                            Summary::Skip => {}
+                        }
+                    }
+                    // Watch the next iteration if enough remain to pay off.
+                    if st.hwl[level].is_some_and(|h| h.2 >= 3) {
+                        cand = Some(Candidate::new(level, &st));
+                    }
                 }
+                let t = program.index_of(na)?;
+                if t < start_idx || t >= end_idx {
+                    return None;
+                }
+                i = t;
             }
         }
     }
 
-    if next_out != desc.n_out {
+    if st.next_out != desc.n_out {
         return None;
     }
     let mut exit_regs = Vec::new();
-    for (r, av) in regs.iter().enumerate().skip(1) {
+    for (r, av) in st.regs.iter().enumerate().skip(1) {
         let ev = match *av {
             Av::Entry => continue,
             Av::Const(v) => ExitVal::Const(v),
@@ -1029,24 +1692,26 @@ pub(crate) fn install(
         };
         exit_regs.push((r as u8, ev));
     }
-    let exit_spr = spr.map(|s| match s {
+    let exit_spr = st.spr.map(|s| match s {
         SprAv::Entry => None,
         SprAv::Known(a) => Some(a),
     });
-    let exit_hwloop = hwl.map(|h| h.map(|(start, end, count)| HwLoopExit { start, end, count }));
+    let exit_hwloop = st
+        .hwl
+        .map(|h| h.map(|(start, end, count)| HwLoopExit { start, end, count }));
     Some(ShortcutRegion {
         desc: *desc,
         end_idx: end_idx as u32,
-        total_instrs: instret,
-        total_cycles: cycles,
-        retire_rows,
-        stall_rows,
+        total_instrs: st.instret,
+        total_cycles: st.cycles,
+        retire_rows: st.retire_rows,
+        stall_rows: st.stall_rows,
         exit_regs,
         exit_spr,
-        exit_pending: pend,
+        exit_pending: st.pend,
         exit_hwloop,
-        exit_pending_load: prev_load,
-        loads: loads.ranges,
+        exit_pending_load: st.prev_load,
+        loads: st.loads.ranges,
         store,
     })
 }

@@ -416,6 +416,8 @@ pub struct UopProgram {
     pub(crate) bodies: Vec<LoopBody>,
     pub(crate) runs: Vec<StraightRun>,
     pub(crate) shortcuts: Vec<crate::shortcut::ShortcutRegion>,
+    verify_ops: u64,
+    verify_nanos: u64,
 }
 
 impl UopProgram {
@@ -476,8 +478,10 @@ impl UopProgram {
         // marked on its first op — before run recognition, so region
         // starts can act as run barriers below.
         let mut shortcuts: Vec<crate::shortcut::ShortcutRegion> = Vec::new();
+        let mut verify_ops = 0u64;
+        let verify_started = std::time::Instant::now();
         for r in regions {
-            if let Some(sc) = crate::shortcut::install(&uops, program, r) {
+            if let Some(sc) = crate::shortcut::install(&uops, program, r, &mut verify_ops) {
                 // install() proved start_addr maps to an op.
                 let start = program.index_of(r.start_addr).unwrap();
                 if uops[start].shortcut == NO_SC {
@@ -486,6 +490,7 @@ impl UopProgram {
                 }
             }
         }
+        let verify_nanos = verify_started.elapsed().as_nanos() as u64;
 
         // Straight-line runs: maximal sequences of eligible ops, marked
         // on their first op. Loop bodies are a subrange of some run; the
@@ -527,6 +532,8 @@ impl UopProgram {
             bodies,
             runs,
             shortcuts,
+            verify_ops,
+            verify_nanos,
         }
     }
 
@@ -554,6 +561,20 @@ impl UopProgram {
     /// [`translate_with_shortcuts`](Self::translate_with_shortcuts).
     pub fn shortcut_regions(&self) -> usize {
         self.shortcuts.len()
+    }
+
+    /// Micro-ops the shortcut verifier interpreted one by one while
+    /// checking the declared kernel regions. Hardware-loop iterations it
+    /// applied in closed form are not counted, so this is the
+    /// deterministic measure of verification work.
+    pub fn verify_ops(&self) -> u64 {
+        self.verify_ops
+    }
+
+    /// Host nanoseconds spent verifying kernel regions (part of
+    /// [`translate_with_shortcuts`](Self::translate_with_shortcuts)).
+    pub fn verify_nanos(&self) -> u64 {
+        self.verify_nanos
     }
 }
 

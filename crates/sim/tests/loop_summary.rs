@@ -1,0 +1,443 @@
+//! Hand-built kernel regions exercising the shortcut verifier's
+//! hardware-loop summary.
+//!
+//! Verification walks a declared kernel region op by op, but applies the
+//! iterations of a hardware loop in closed form once one iteration has
+//! shifted the walk's state by constants. Each kernel here runs on a
+//! machine with the region installed (`translate_with_shortcuts`) and on
+//! one without it (`translate`); outputs, registers, cycles, instret,
+//! every statistics row and memory must be identical. Debug builds also
+//! re-run the full walk after every summary and compare the two
+//! installed regions field by field.
+
+use rnnasip_isa::{AluImmOp, BranchOp, DotOp, Instr, LoadOp, LoopIdx, Reg, SimdSize, StoreOp};
+use rnnasip_rng::StdRng;
+use rnnasip_sim::{
+    ExitReason, KernelRegion, Machine, Memory, Program, ShortcutAct, ShortcutPtr, UopProgram,
+};
+use std::sync::Arc;
+
+const CODE: u32 = 0x1000;
+const BIAS: u32 = 0x100;
+const X: u32 = 0x200;
+const W: u32 = 0x300;
+const OUT: u32 = 0x700;
+const GATHER: u32 = 0x740;
+
+const BP: Reg = Reg::T0;
+const WP: Reg = Reg::T1;
+const XP: Reg = Reg::T2;
+const OP: Reg = Reg::S0;
+const CNT: Reg = Reg::S1;
+const OCNT: Reg = Reg::A0;
+const GP: Reg = Reg::A2;
+const WP1: Reg = Reg::A3;
+const ACC: Reg = Reg::A4;
+const ACC1: Reg = Reg::A5;
+const WV: Reg = Reg::A6;
+const XV: Reg = Reg::A7;
+const TMP: Reg = Reg::A1;
+
+fn li(rd: Reg, imm: u32) -> Instr {
+    Instr::OpImm {
+        op: AluImmOp::Addi,
+        rd,
+        rs1: Reg::ZERO,
+        imm: imm as i32,
+    }
+}
+
+fn addi(rd: Reg, rs1: Reg, imm: i32) -> Instr {
+    Instr::OpImm {
+        op: AluImmOp::Addi,
+        rd,
+        rs1,
+        imm,
+    }
+}
+
+fn lw_post(rd: Reg, rs1: Reg) -> Instr {
+    Instr::LoadPostInc {
+        op: LoadOp::Lw,
+        rd,
+        rs1,
+        offset: 4,
+    }
+}
+
+fn sdot(rd: Reg, rs1: Reg, rs2: Reg) -> Instr {
+    Instr::PvDot {
+        op: DotOp::SdotSp,
+        size: SimdSize::Half,
+        rd,
+        rs1,
+        rs2,
+    }
+}
+
+fn pl_sdotsp(spr: u8, rd: Reg, rs1: Reg, rs2: Reg) -> Instr {
+    Instr::PlSdotsp {
+        spr,
+        size: SimdSize::Half,
+        rd,
+        rs1,
+        rs2,
+    }
+}
+
+/// `srai 12`, `clip 16`, `sh` with post-increment: the kernel epilogue.
+fn requant_store(acc: Reg) -> [Instr; 3] {
+    [
+        Instr::OpImm {
+            op: AluImmOp::Srai,
+            rd: acc,
+            rs1: acc,
+            imm: 12,
+        },
+        Instr::Clip {
+            rd: acc,
+            rs1: acc,
+            bits: 16,
+        },
+        Instr::StorePostInc {
+            op: StoreOp::Sh,
+            rs2: acc,
+            rs1: OP,
+            offset: 2,
+        },
+    ]
+}
+
+/// A kernel: the region's instructions (an `ecall` follows) and its
+/// descriptor shape.
+struct Kernel {
+    body: Vec<Instr>,
+    n_in: u32,
+    n_out: u32,
+}
+
+impl Kernel {
+    fn program(&self) -> Program {
+        let mut instrs = self.body.clone();
+        instrs.push(Instr::Ecall);
+        Program::from_instrs(CODE, instrs)
+    }
+
+    fn region(&self) -> KernelRegion {
+        KernelRegion {
+            start_addr: CODE,
+            end_addr: CODE + 4 * self.body.len() as u32,
+            w_base: W,
+            bias32: BIAS,
+            x: ShortcutPtr::Const(X),
+            out: ShortcutPtr::Const(OUT),
+            out_stride: 2,
+            n_in: self.n_in,
+            n_out: self.n_out,
+            act: ShortcutAct::None,
+        }
+    }
+}
+
+/// Level-(b) shape: a software loop over outputs around a hardware loop
+/// of `count` iterations (one weight pair and one input pair each). A
+/// count of 0 runs the body once, like 1.
+fn xpulp_kernel(count: u32, n_out: u32) -> Kernel {
+    let mut body = vec![li(BP, BIAS), li(WP, W), li(OCNT, n_out), li(OP, OUT)];
+    let out_loop = body.len();
+    body.extend([
+        li(XP, X),
+        lw_post(ACC, BP),
+        li(CNT, count),
+        Instr::LpSetup {
+            l: LoopIdx::L0,
+            rs1: CNT,
+            uimm: 2 + 2 * 3,
+        },
+        lw_post(WV, WP),
+        lw_post(XV, XP),
+        sdot(ACC, WV, XV),
+    ]);
+    body.extend(requant_store(ACC));
+    body.push(addi(OCNT, OCNT, -1));
+    let back = -4 * (body.len() - out_loop) as i32;
+    body.push(Instr::Branch {
+        op: BranchOp::Bne,
+        rs1: OCNT,
+        rs2: Reg::ZERO,
+        offset: back,
+    });
+    Kernel {
+        body,
+        n_in: 2 * count.max(1),
+        n_out,
+    }
+}
+
+/// One output whose `outer × inner` input pairs stream through two
+/// hardware-loop levels that share their end address.
+fn nested_kernel(outer: u32, inner: u32) -> Kernel {
+    let mut body = vec![
+        li(BP, BIAS),
+        li(WP, W),
+        li(XP, X),
+        li(OP, OUT),
+        lw_post(ACC, BP),
+        Instr::LpSetupi {
+            l: LoopIdx::L1,
+            count: outer,
+            uimm: 2 + 2 * 4,
+        },
+        Instr::LpSetupi {
+            l: LoopIdx::L0,
+            count: inner,
+            uimm: 2 + 2 * 3,
+        },
+        lw_post(WV, WP),
+        lw_post(XV, XP),
+        sdot(ACC, WV, XV),
+    ];
+    body.extend(requant_store(ACC));
+    Kernel {
+        body,
+        n_in: 2 * outer * inner,
+        n_out: 1,
+    }
+}
+
+/// Level-(d) shape: a two-output tile whose `pl.sdotsp` weight loads are
+/// still in flight across every iteration boundary.
+fn sdotsp_kernel(count: u32) -> Kernel {
+    let n_in = 2 * count;
+    let mut body = vec![
+        li(BP, BIAS),
+        li(WP, W),
+        li(WP1, W + 2 * n_in),
+        li(XP, X),
+        li(OP, OUT),
+        Instr::Load {
+            op: LoadOp::Lw,
+            rd: ACC,
+            rs1: BP,
+            offset: 0,
+        },
+        Instr::Load {
+            op: LoadOp::Lw,
+            rd: ACC1,
+            rs1: BP,
+            offset: 4,
+        },
+        pl_sdotsp(0, Reg::ZERO, WP, Reg::ZERO),
+        pl_sdotsp(1, Reg::ZERO, WP1, Reg::ZERO),
+        li(CNT, count),
+        Instr::LpSetup {
+            l: LoopIdx::L0,
+            rs1: CNT,
+            uimm: 2 + 2 * 3,
+        },
+        lw_post(XV, XP),
+        pl_sdotsp(0, ACC, WP, XV),
+        pl_sdotsp(1, ACC1, WP1, XV),
+    ];
+    body.extend(requant_store(ACC));
+    body.extend(requant_store(ACC1));
+    Kernel {
+        body,
+        n_in,
+        n_out: 2,
+    }
+}
+
+/// One output whose input pairs are fetched through a gather table: the
+/// input pointer of each iteration is a word loaded through a moving
+/// pointer, which is not a constant shift, so verification must walk
+/// every iteration.
+fn gather_kernel(count: u32) -> Kernel {
+    let mut body = vec![
+        li(BP, BIAS),
+        li(WP, W),
+        li(GP, GATHER),
+        li(OP, OUT),
+        lw_post(ACC, BP),
+        Instr::LpSetupi {
+            l: LoopIdx::L0,
+            count,
+            uimm: 2 + 2 * 4,
+        },
+        lw_post(TMP, GP),
+        lw_post(WV, WP),
+        Instr::Load {
+            op: LoadOp::Lw,
+            rd: XV,
+            rs1: TMP,
+            offset: 0,
+        },
+        sdot(ACC, WV, XV),
+    ];
+    body.extend(requant_store(ACC));
+    Kernel {
+        body,
+        n_in: 2 * count,
+        n_out: 1,
+    }
+}
+
+/// A machine over seeded weights, biases and inputs (and the gather
+/// table `GATHER[k] = X + 4k`), running `uops`.
+fn machine(prog: &Program, uops: UopProgram) -> Machine {
+    let mut mem = Memory::new(64 * 1024);
+    let mut rng = StdRng::seed_from_u64(0x5EED_100B);
+    for a in (BIAS..OUT).step_by(2) {
+        let v = (rng.gen::<u32>() % 8192) as u16 as i16 - 4096;
+        mem.write_u16(a, v as u16).unwrap();
+    }
+    for k in 0..16 {
+        mem.write_u32(GATHER + 4 * k, X + 4 * k).unwrap();
+    }
+    let image = mem.image();
+    mem.load_image(&image);
+    let mut m = Machine::with_memory(mem);
+    m.load_program_shared(prog, Arc::new(uops));
+    m
+}
+
+/// Runs the kernel with and without its shortcut region and asserts
+/// bit-identity. Returns the shortcut translation's verification walk.
+fn assert_identical(k: &Kernel, expect_installed: bool) -> u64 {
+    let prog = k.program();
+    let with = UopProgram::translate_with_shortcuts(&prog, &[k.region()]);
+    let walked = with.verify_ops();
+    assert_eq!(with.shortcut_regions(), usize::from(expect_installed));
+    let mut sc = machine(&prog, with);
+    let mut plain = machine(&prog, UopProgram::translate(&prog));
+    assert_eq!(sc.run(1_000_000).unwrap(), ExitReason::Ecall);
+    assert_eq!(plain.run(1_000_000).unwrap(), ExitReason::Ecall);
+    if expect_installed {
+        assert!(sc.shortcut_instrs() > 0, "the shortcut must engage");
+    }
+    assert_eq!(plain.shortcut_instrs(), 0);
+    let (a, b) = (sc.core(), plain.core());
+    assert_eq!(a.pc, b.pc);
+    assert_eq!(a.cycle, b.cycle);
+    assert_eq!(a.instret, b.instret);
+    for r in Reg::all() {
+        assert_eq!(a.reg(r), b.reg(r), "register {r}");
+    }
+    assert_eq!(a.spr, b.spr);
+    for l in 0..2 {
+        assert_eq!(a.hwloop[l].count, b.hwloop[l].count);
+        assert_eq!(a.hwloop[l].start, b.hwloop[l].start);
+        assert_eq!(a.hwloop[l].end, b.hwloop[l].end);
+    }
+    assert_eq!(sc.stats().to_csv(), plain.stats().to_csv());
+    assert!(sc.stats().iter().eq(plain.stats().iter()), "stats rows");
+    assert!(sc.mem().image() == plain.mem().image(), "memory");
+    walked
+}
+
+#[test]
+fn every_loop_count_matches_the_uop_tier() {
+    for count in [0, 1, 2, 3, 4, 5, 64] {
+        for n_out in [1, 3] {
+            assert_identical(&xpulp_kernel(count, n_out), true);
+        }
+    }
+}
+
+#[test]
+fn summarized_walk_does_not_grow_with_the_loop_count() {
+    // Two iterations are watched and the rest applied in closed form, so
+    // a 64-iteration loop walks no more than a 5-iteration one.
+    let short = assert_identical(&xpulp_kernel(5, 3), true);
+    let long = assert_identical(&xpulp_kernel(64, 3), true);
+    assert_eq!(short, long);
+}
+
+#[test]
+fn loop_levels_sharing_an_end_address() {
+    for (outer, inner) in [(1, 1), (2, 3), (3, 1), (4, 8), (3, 31)] {
+        assert_identical(&nested_kernel(outer, inner), true);
+    }
+}
+
+#[test]
+fn sdotsp_writes_pending_across_iterations() {
+    let mut walks = Vec::new();
+    for count in [1, 2, 3, 4, 64] {
+        walks.push(assert_identical(&sdotsp_kernel(count), true));
+    }
+    assert_eq!(walks[3], walks[4], "64 iterations walk like 4");
+}
+
+#[test]
+fn pointer_loaded_through_a_moving_pointer_falls_back() {
+    let walk = |count| assert_identical(&gather_kernel(count), true);
+    let (eight, sixteen) = (walk(8), walk(16));
+    // No summary: eight more iterations of the four-op body are walked.
+    assert_eq!(sixteen - eight, 8 * 4);
+}
+
+/// A region whose loop streams words through a cell pointer by
+/// `stride` bytes, into a range an earlier loop read as halfwords. A
+/// stride that is not a multiple of 4 keeps every address aligned in the
+/// first two iterations but breaks the word residue in the third, so
+/// the region must be rejected — with or without the loop summary.
+fn residue_kernel(stride: i32) -> Kernel {
+    const CELL: u32 = 0x7F0;
+    let mut body = vec![
+        li(BP, BIAS),
+        li(WP, W),
+        li(XP, X),
+        li(OP, OUT),
+        Instr::Load {
+            op: LoadOp::Lw,
+            rd: GP,
+            rs1: Reg::ZERO,
+            offset: CELL as i32,
+        },
+        addi(WP1, GP, 0x100),
+        li(CNT, 256),
+        Instr::LpSetup {
+            l: LoopIdx::L1,
+            rs1: CNT,
+            uimm: 2 + 2,
+        },
+        Instr::LoadPostInc {
+            op: LoadOp::Lh,
+            rd: TMP,
+            rs1: WP1,
+            offset: 2,
+        },
+        lw_post(ACC, BP),
+        Instr::LpSetupi {
+            l: LoopIdx::L0,
+            count: 4,
+            uimm: 2 + 2 * 4,
+        },
+        lw_post(WV, WP),
+        lw_post(XV, XP),
+        Instr::LoadPostInc {
+            op: LoadOp::Lw,
+            rd: TMP,
+            rs1: GP,
+            offset: stride,
+        },
+        sdot(ACC, WV, XV),
+    ];
+    body.extend(requant_store(ACC));
+    Kernel {
+        body,
+        n_in: 8,
+        n_out: 1,
+    }
+}
+
+#[test]
+fn a_stride_breaking_alignment_rejects_like_the_full_walk() {
+    let installed = |stride| {
+        let k = residue_kernel(stride);
+        UopProgram::translate_with_shortcuts(&k.program(), &[k.region()]).shortcut_regions()
+    };
+    assert_eq!(installed(0x104), 1);
+    assert_eq!(installed(0x102), 0);
+}
