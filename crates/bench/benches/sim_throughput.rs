@@ -42,6 +42,11 @@ const SAMPLES: usize = 5;
 /// the specialized block runner executes in bulk.
 const MIN_O3_SPEEDUP: f64 = 2.0;
 
+/// The micro-op path must beat the per-step interpreter by at least this
+/// factor on the RV32IMC baseline (level a), whose software loops —
+/// closed by backward branches — the block runner executes in bulk.
+const MIN_BASELINE_SPEEDUP: f64 = 2.0;
+
 /// The shortcut tier must beat the micro-op path by at least this factor
 /// on the O3 kernels (levels d and e), where the suite's inner loops are
 /// near-fully covered by installed kernel regions. Measured serially on
@@ -296,6 +301,13 @@ fn main() {
     }
 
     for row in &rows {
+        if row.tag == "a" {
+            assert!(
+                row.speedup() >= MIN_BASELINE_SPEEDUP,
+                "micro-op speedup regressed on level a: {:.2}x < {MIN_BASELINE_SPEEDUP}x",
+                row.speedup()
+            );
+        }
         if row.tag == "d" || row.tag == "e" {
             assert!(
                 row.speedup() >= MIN_O3_SPEEDUP,

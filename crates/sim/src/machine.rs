@@ -9,8 +9,8 @@ use crate::program::Program;
 use crate::shortcut::{read_load, ExitVal, ShortcutRegion};
 use crate::stats::Stats;
 use crate::uop::{
-    Target, UnaryOp, Uop, UopKind, UopProgram, DIV_EXTRA_CYCLES, MULH_EXTRA_CYCLES, NO_BODY,
-    NO_IDX, NO_RUN, NO_SC,
+    LoopExit, Target, UnaryOp, Uop, UopKind, UopProgram, DIV_EXTRA_CYCLES, MULH_EXTRA_CYCLES,
+    NO_BODY, NO_IDX, NO_RUN, NO_SC,
 };
 use rnnasip_isa::{
     AluImmOp, AluOp, BranchOp, Csr, CsrOp, DotOp, Instr, LoadOp, MnemonicId, MulDivOp, PvAluOp,
@@ -32,8 +32,8 @@ pub enum StepOutcome {
 enum UStep {
     /// One instruction retired; at most `MAX_CYCLES_PER_STEP` consumed.
     Cont,
-    /// A bulk hardware-loop run advanced the cycle counter by more than
-    /// one step's worth; the run loop must re-derive its watchdog block.
+    /// A bulk run advanced the cycle counter by more than one step's
+    /// worth; the run loop must re-derive its watchdog block.
     Bulk,
     /// The program halted.
     Halt(ExitReason),
@@ -49,6 +49,17 @@ enum Flow {
     Jump(Target),
     /// `ecall`/`ebreak`.
     Halt(ExitReason),
+}
+
+/// How control reached a loop body's first op, for
+/// [`Machine::run_loop_body`].
+#[derive(Clone, Copy)]
+enum LoopEntry {
+    /// Hardware loop `level` just jumped back — or, with `top`, its
+    /// `lp.setup` just armed it and iteration 0 is next.
+    Hw { level: usize, top: bool },
+    /// A branch-closed body's closing branch was just taken.
+    Branch,
 }
 
 /// Upper bound on the cycles one [`Machine::step`] can consume, used by
@@ -143,9 +154,14 @@ impl Machine {
     }
 
     /// Instructions retired through the specialized block runners rather
-    /// than the generic per-op path, since construction. The
-    /// bulk-coverage ratio `bulk_instrs() / core().instret` is the main
-    /// diagnostic for micro-op-path throughput.
+    /// than the generic per-op path, cumulative since construction.
+    ///
+    /// Unlike [`shortcut_instrs`](Self::shortcut_instrs), this counter
+    /// is *not* cleared by [`rewind`](Self::rewind) or
+    /// [`clear_stats`](Self::clear_stats), so after warm reruns it can
+    /// exceed `core().instret`. One run's bulk coverage — the main
+    /// diagnostic for micro-op-path throughput — is the delta across the
+    /// run divided by that run's `instret`.
     pub fn bulk_instrs(&self) -> u64 {
         self.bulk_instrs
     }
@@ -510,12 +526,13 @@ impl Machine {
     /// [`load_program`](Self::load_program): the hot loop tracks the
     /// micro-op *index* alongside the PC, so sequential flow is an index
     /// increment and direct jumps use their pre-resolved target index.
-    /// Straight-line hardware-loop bodies recognized at translation time
-    /// run through a specialized block runner that executes only data
-    /// semantics per iteration and accounts cycles and statistics in
-    /// bulk. Everything observable — cycle counts, per-mnemonic rows,
-    /// trace-visible state, fault points — is bit-identical to the
-    /// reference loop [`run_legacy`](Self::run_legacy).
+    /// Straight-line loop bodies recognized at translation time — closed
+    /// by a hardware loop or by a backward branch — run through a
+    /// specialized block runner that executes only data semantics per
+    /// iteration and accounts cycles and statistics in bulk. Everything
+    /// observable — cycle counts, per-mnemonic rows, trace-visible
+    /// state, fault points — is bit-identical to the reference loop
+    /// [`run_legacy`](Self::run_legacy).
     ///
     /// Steps are executed in watchdog-check-free blocks: while the cycle
     /// budget left exceeds `block · MAX_CYCLES_PER_STEP`, no step in the
@@ -747,21 +764,30 @@ impl Machine {
             self.halted = Some(reason);
             return Ok(UStep::Halt(reason));
         }
-        if hw_jump {
-            if u.body != NO_BODY
-                && self.run_loop_body(uops, u.body, jump_level, max_cycles, false)?
-            {
-                return Ok(UStep::Bulk);
+        if u.body == NO_BODY {
+            return Ok(UStep::Cont);
+        }
+        let entry = if hw_jump {
+            LoopEntry::Hw {
+                level: jump_level,
+                top: false,
             }
-        } else if u.body != NO_BODY {
-            // An lp.setup/lp.setupi that just armed a specializable loop:
-            // the fall-through PC is the body start, so iteration 0 can
-            // run in bulk too (top entry).
-            if let UopKind::LpSetup { l, .. } | UopKind::LpSetupi { l, .. } = u.kind {
-                if self.run_loop_body(uops, u.body, usize::from(l), max_cycles, true)? {
-                    return Ok(UStep::Bulk);
-                }
+        } else {
+            match u.kind {
+                // An lp.setup/lp.setupi that just armed a specializable
+                // loop: the fall-through PC is the body start, so
+                // iteration 0 can run in bulk too (top entry).
+                UopKind::LpSetup { l, .. } | UopKind::LpSetupi { l, .. } => LoopEntry::Hw {
+                    level: usize::from(l),
+                    top: true,
+                },
+                // A taken backward branch closing a specializable body.
+                UopKind::Branch { .. } if extra != 0 => LoopEntry::Branch,
+                _ => return Ok(UStep::Cont),
             }
+        };
+        if self.run_loop_body(uops, u.body, entry, idx, max_cycles)? {
+            return Ok(UStep::Bulk);
         }
         Ok(UStep::Cont)
     }
@@ -900,27 +926,28 @@ impl Machine {
     }
 
     /// Attempts a bulk run of the specialized loop body chain starting at
-    /// descriptor `head`, with the PC on the body's first op — either
-    /// just after a generic jump-back of hardware loop `level`
-    /// (`top_entry == false`) or just after the loop's `lp.setup` armed
-    /// it (`top_entry == true`, running from iteration 0).
+    /// descriptor `head`, with the PC on the body's first op. `entry`
+    /// says how control got there: a generic jump-back or top entry of a
+    /// hardware loop, or a taken closing branch of a branch-closed body.
     ///
-    /// Returns `Ok(false)` when no descriptor matches the armed loop or
-    /// the preconditions for bulk execution don't hold (fewer than two
-    /// iterations left, a conflicting other-level loop, no cycle budget)
-    /// — the caller then continues on the generic path, which handles
-    /// those cases bit-identically. On `Ok(true)`, whole iterations were
+    /// Returns `Ok(false)` when no descriptor matches the entry or the
+    /// preconditions for bulk execution don't hold (fewer than two
+    /// hardware-loop iterations left, an armed hardware loop that could
+    /// trigger inside the body, no cycle budget for one iteration) — the
+    /// caller then continues on the generic path, which handles those
+    /// cases bit-identically. On `Ok(true)`, whole iterations were
     /// executed and accounted in bulk; the machine state (PC, counters,
     /// statistics, pending load) is exactly what the generic path would
-    /// have produced. A mid-body fault unwinds to exact per-op
-    /// accounting before returning the error.
+    /// have produced. A branch-closed loop runs until its branch falls
+    /// through or the budget is spent. A mid-body fault unwinds to exact
+    /// per-op accounting before returning the error.
     fn run_loop_body(
         &mut self,
         uops: &UopProgram,
         head: u32,
-        level: usize,
+        entry: LoopEntry,
+        idx: &mut u32,
         max_cycles: u64,
-        top_entry: bool,
     ) -> Result<bool, SimError> {
         // Bulk execution retires many ops without fault or corrupted-slot
         // checks; fall back to the generic path while any are live. Armed
@@ -930,73 +957,108 @@ impl Machine {
         if !self.bulk_ok() || self.guards.is_some() {
             return Ok(false);
         }
-        let lp = self.core.hwloop[level];
-        let mut bi = head;
-        let body = loop {
-            if bi == NO_BODY {
-                return Ok(false);
+        let (body, max_iters) = match entry {
+            LoopEntry::Hw { level, top } => {
+                let lp = self.core.hwloop[level];
+                let mut bi = head;
+                let body = loop {
+                    if bi == NO_BODY {
+                        return Ok(false);
+                    }
+                    let b = &uops.bodies[bi as usize];
+                    if matches!(b.exit, LoopExit::HwLoop)
+                        && b.start_addr == lp.start
+                        && b.end_addr == lp.end
+                    {
+                        break b;
+                    }
+                    bi = b.next;
+                };
+                // The final iteration (count == 1) must run generically:
+                // its jump-back check falls through and may hand over to
+                // an outer loop sharing the end address.
+                if lp.count < 2 {
+                    return Ok(false);
+                }
+                // Steady-state iterations pay the wrap-around stall into
+                // op 0; iteration 0 does not (nothing can be pending after
+                // lp.setup). Bulk accounting charges every iteration
+                // identically, so top entry is only valid when that stall
+                // is statically absent.
+                if top && body.stall_in[0].is_some() {
+                    return Ok(false);
+                }
+                // The other loop level must not be able to trigger
+                // anywhere in the body. Its end address strictly inside
+                // the body always conflicts; an end equal to this body's
+                // end conflicts only when the other level is the *inner*
+                // one (level 0 has priority).
+                let other = self.core.hwloop[1 - level];
+                if other.count > 0
+                    && other.end > body.start_addr
+                    && (other.end < body.end_addr || (level == 1 && other.end == body.end_addr))
+                {
+                    return Ok(false);
+                }
+                (body, u64::from(lp.count - 1))
             }
-            let b = &uops.bodies[bi as usize];
-            if b.start_addr == lp.start && b.end_addr == lp.end {
-                break b;
+            LoopEntry::Branch => {
+                let body = &uops.bodies[head as usize];
+                // No armed hardware loop may trigger on any of the body's
+                // fall-through addresses, the closing branch's included.
+                for lp in &self.core.hwloop {
+                    if lp.count > 0 && lp.end > body.start_addr && lp.end <= body.end_addr {
+                        return Ok(false);
+                    }
+                }
+                (body, u64::MAX)
             }
-            bi = b.next;
         };
-        // The final iteration (count == 1) must run generically: its
-        // jump-back check falls through and may hand over to an outer
-        // loop sharing the end address.
-        if lp.count < 2 {
-            return Ok(false);
-        }
-        // Steady-state iterations pay the wrap-around stall into op 0;
-        // iteration 0 does not (nothing can be pending after lp.setup).
-        // Bulk accounting charges every iteration identically, so top
-        // entry is only valid when that stall is statically absent.
-        if top_entry && body.stall_in[0].is_some() {
-            return Ok(false);
-        }
-        // The other loop level must not be able to trigger anywhere in
-        // the body. Its end address strictly inside the body always
-        // conflicts; an end equal to this body's end conflicts only when
-        // the other level is the *inner* one (level 0 has priority).
-        let other = self.core.hwloop[1 - level];
-        if other.count > 0
-            && other.end > body.start_addr
-            && (other.end < body.end_addr || (level == 1 && other.end == body.end_addr))
-        {
-            return Ok(false);
-        }
         let budget = max_cycles.saturating_sub(self.core.cycle);
-        let iters = (budget / body.iter_cycles).min(u64::from(lp.count - 1));
+        let iters = (budget / body.iter_cycles).min(max_iters);
         if iters == 0 {
             return Ok(false);
         }
 
         let slice = &uops.uops[body.start_idx as usize..(body.start_idx + body.len) as usize];
-        let (done, fault) = self.exec_bulk(slice, iters);
+        let close = match body.exit {
+            LoopExit::HwLoop => None,
+            LoopExit::Branch { op, rs1, rs2 } => Some((op, rs1, rs2)),
+        };
+        let (done, exited, fault) = self.exec_bulk(slice, iters, close);
 
-        // Bulk-account the completed iterations: cycles, loop count and
-        // one row update per mnemonic. PC stays at the body start — every
-        // completed iteration ended in a jump-back (count never dropped
-        // below 2 before its decrement, by the `iters` cap).
-        self.core.cycle += done * body.iter_cycles;
-        self.core.hwloop[level].count -= done as u32;
+        // Bulk-account the completed iterations: cycles and one row
+        // update per mnemonic. Every completed iteration ended in a
+        // jump-back, except a final untaken closing branch, whose taken
+        // cycle is refunded (the branch is the only op on its row).
+        let last = slice[slice.len() - 1];
+        let refund = u64::from(exited);
+        self.core.cycle += done * body.iter_cycles - refund;
         self.bulk_instrs += done * u64::from(body.len);
         for &(id, instrs, cycles, macs) in &body.retire_rows {
+            let cycles = cycles * done - if id == last.id { refund } else { 0 };
             self.stats
-                .record_many(id, instrs * done, cycles * done, macs * done);
+                .record_many(id, instrs * done, cycles, macs * done);
         }
         for &(id, n) in &body.stall_rows {
             self.stats.attribute_stalls(id, n * done);
+        }
+        // A hardware loop's PC stays at the body start: its count never
+        // dropped below 2 before a decrement, by the `iters` cap.
+        if let LoopEntry::Hw { level, .. } = entry {
+            self.core.hwloop[level].count -= done as u32;
         }
 
         match fault {
             None => {
                 // The generic path would have retired the body's last op
                 // just before returning here, leaving its load pending.
-                let last = slice[slice.len() - 1];
                 self.pending_load =
                     (last.load_rd != 0).then(|| (Reg::from_bits(u32::from(last.load_rd)), last.id));
+                if exited {
+                    self.core.pc = body.end_addr;
+                    *idx = body.start_idx + body.len;
+                }
                 Ok(true)
             }
             Some((k, e)) => {
@@ -1059,7 +1121,7 @@ impl Machine {
         }
 
         let slice = &uops.uops[run.start_idx as usize..(run.start_idx + run.len) as usize];
-        let (_, fault) = self.exec_bulk(slice, 1);
+        let (_, _, fault) = self.exec_bulk(slice, 1, None);
 
         match fault {
             None => {
@@ -1116,10 +1178,25 @@ impl Machine {
     /// the generic path, and the deque is reconstructed verbatim (same
     /// `instret` keys) on exit, so machine state stays bit-identical.
     ///
-    /// Returns the number of completed passes and, for a partial pass,
-    /// the faulting op's slice index with the error. The faulting op
-    /// does not retire; earlier ops of the partial pass do.
-    fn exec_bulk(&mut self, slice: &[Uop], iters: u64) -> (u64, Option<(usize, SimError)>) {
+    /// With `close`, the slice's last op is a conditional branch back to
+    /// its first, evaluated from those operands after each pass: the
+    /// first untaken evaluation ends the passes early.
+    ///
+    /// Returns the number of completed passes, whether the closing
+    /// branch fell through, and, for a partial pass, the faulting op's
+    /// slice index with the error. The faulting op does not retire;
+    /// earlier ops of the partial pass do.
+    fn exec_bulk(
+        &mut self,
+        slice: &[Uop],
+        iters: u64,
+        close: Option<(BranchOp, Reg, Reg)>,
+    ) -> (u64, bool, Option<(usize, SimError)>) {
+        let ops = if close.is_some() {
+            &slice[..slice.len() - 1]
+        } else {
+            slice
+        };
         let mut spr = self.core.spr;
         let mut instret = self.core.instret;
         // In-flight SPR writes, oldest first. Every path drains before
@@ -1134,9 +1211,10 @@ impl Machine {
         }
 
         let mut done = 0u64;
+        let mut exited = false;
         let mut fault: Option<(usize, SimError)> = None;
         'passes: for _ in 0..iters {
-            for (k, u) in slice.iter().enumerate() {
+            for (k, u) in ops.iter().enumerate() {
                 // Writes issued two or more retirements ago land now —
                 // the same drain point as `uop_step` / `step`.
                 while qn > 0 && q[0].0 + 2 <= instret {
@@ -1208,6 +1286,15 @@ impl Machine {
                 instret += 1;
             }
             done += 1;
+            if let Some((op, rs1, rs2)) = close {
+                // The branch reads no SPR, so skipping the drain before
+                // it lands the same writes at the next op's drain.
+                instret += 1;
+                if !branch_taken(op, self.core.reg(rs1), self.core.reg(rs2)) {
+                    exited = true;
+                    break;
+                }
+            }
         }
 
         self.core.spr = spr;
@@ -1215,7 +1302,7 @@ impl Machine {
         for &e in q.iter().take(qn) {
             self.spr_pending.push_back(e);
         }
-        (done, fault)
+        (done, exited, fault)
     }
 
     /// Executes one instruction.
@@ -1717,17 +1804,7 @@ impl Machine {
                 rs2,
                 target,
             } => {
-                let a = self.core.reg(rs1);
-                let b = self.core.reg(rs2);
-                let taken = match op {
-                    BranchOp::Beq => a == b,
-                    BranchOp::Bne => a != b,
-                    BranchOp::Blt => (a as i32) < (b as i32),
-                    BranchOp::Bge => (a as i32) >= (b as i32),
-                    BranchOp::Bltu => a < b,
-                    BranchOp::Bgeu => a >= b,
-                };
-                if taken {
+                if branch_taken(op, self.core.reg(rs1), self.core.reg(rs2)) {
                     return Ok(Flow::Jump(target));
                 }
             }
@@ -2103,6 +2180,19 @@ impl Machine {
             Csr::LpCount1 => self.core.hwloop[1].count,
             Csr::Other(_) => 0,
         }
+    }
+}
+
+/// Whether a conditional branch with operand values `a`, `b` is taken.
+#[inline]
+fn branch_taken(op: BranchOp, a: u32, b: u32) -> bool {
+    match op {
+        BranchOp::Beq => a == b,
+        BranchOp::Bne => a != b,
+        BranchOp::Blt => (a as i32) < (b as i32),
+        BranchOp::Bge => (a as i32) >= (b as i32),
+        BranchOp::Bltu => a < b,
+        BranchOp::Bgeu => a >= b,
     }
 }
 

@@ -11,14 +11,18 @@
 //! `Instr` enum per step; `Machine::step` keeps the original
 //! interpretation loop as the bit-identical reference path.
 //!
-//! On top of the linear lowering, `lp.setup`/`lp.setupi` instructions
-//! whose body is straight-line (no control flow, no CSR access, no loop
-//! configuration) get a [`LoopBody`] descriptor: the per-iteration cycle
-//! cost, per-mnemonic retire rows and load-use stall pattern are all
-//! static, so the hardware-loop block runner in `machine.rs` can execute
-//! iterations as a tight data-only host loop and account statistics in
-//! bulk. See `DESIGN.md` § "Micro-op pipeline" for the exact lowering
-//! rules and fallback conditions.
+//! On top of the linear lowering, straight-line loops (no control flow,
+//! no CSR access, no loop configuration inside) get a [`LoopBody`]
+//! descriptor. Two kinds of loop qualify, told apart by [`LoopExit`]:
+//! `lp.setup`/`lp.setupi` hardware loops, and software loops closed by a
+//! backward conditional branch over the body (the RV32IMC baseline's
+//! loops). Either way the per-iteration cycle cost, per-mnemonic retire
+//! rows and load-use stall pattern are static, so the loop runner in
+//! `machine.rs` can execute iterations as a tight data-only host loop and
+//! account statistics in bulk. Maximal straight-line stretches between
+//! control flow and branch targets get a [`StraightRun`] the same way.
+//! See `DESIGN.md` § "Micro-op pipeline" for the exact lowering rules and
+//! fallback conditions.
 
 use crate::error::ExitReason;
 use crate::program::Program;
@@ -319,7 +323,8 @@ pub(crate) struct Uop {
     /// Head of the [`LoopBody`] chain of specializable hardware loops
     /// whose *last body op* this is — or, on an `lp.setup`/`lp.setupi`
     /// op, the chain containing its own loop's descriptor (for bulk
-    /// entry from the top). [`NO_BODY`] otherwise.
+    /// entry from the top), and on a backward branch, the branch-closed
+    /// body it ends. [`NO_BODY`] otherwise.
     pub body: u32,
     /// Index of the [`StraightRun`] whose *first op* this is, or
     /// [`NO_RUN`].
@@ -331,7 +336,19 @@ pub(crate) struct Uop {
     pub shortcut: u32,
 }
 
-/// A specializable hardware-loop body, recognized at translation time.
+/// How a [`LoopBody`] jumps back to its first op.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum LoopExit {
+    /// The zero-cycle jump-back of an armed hardware loop whose
+    /// `[lpstart, lpend)` is the body range; the loop count ends it.
+    HwLoop,
+    /// The body's last op: a conditional branch back to the first op.
+    /// Taken, it costs one extra cycle; the first untaken evaluation
+    /// leaves the loop.
+    Branch { op: BranchOp, rs1: Reg, rs2: Reg },
+}
+
+/// A specializable loop body, recognized at translation time.
 ///
 /// Bodies are straight-line micro-op runs `[start_idx, start_idx+len)`
 /// covering addresses `[start_addr, end_addr)` with a fully static
@@ -340,12 +357,14 @@ pub(crate) struct Uop {
 /// from the last op's load into the first op of the next iteration) are
 /// pre-computed here, so the block runner executes only data semantics
 /// per iteration and accounts `n` iterations with one bulk update per
-/// row.
+/// row. A [`LoopExit::Branch`] body includes its closing branch as the
+/// last op, and its profile charges the branch as taken.
 #[derive(Clone, Debug)]
 pub(crate) struct LoopBody {
-    /// First body address (`lp.setup` PC + 4).
+    /// First body address (`lp.setup` PC + 4, or the branch target).
     pub start_addr: u32,
-    /// Address just past the body (the loop's `lpend`).
+    /// Address just past the body (the loop's `lpend`, or the closing
+    /// branch's fall-through).
     pub end_addr: u32,
     /// Micro-op index of the first body op.
     pub start_idx: u32,
@@ -365,7 +384,10 @@ pub(crate) struct LoopBody {
     /// iteration's first). Used for exact accounting of a faulting
     /// partial iteration.
     pub stall_in: Vec<Option<MnemonicId>>,
-    /// Next descriptor sharing the same last body op, or [`NO_BODY`].
+    /// What closes the loop.
+    pub exit: LoopExit,
+    /// Next descriptor sharing the same last body op, or [`NO_BODY`]
+    /// (always for a branch-closed body).
     pub next: u32,
 }
 
@@ -374,8 +396,9 @@ pub(crate) struct LoopBody {
 /// Same idea as a [`LoopBody`], executed once per entry instead of per
 /// iteration: kernel scaffolding between loops (requantize/activate
 /// epilogues, pointer setup) is straight-line too, and its timing is
-/// just as static. The block runner may execute a run in bulk only when
-/// no *armed* hardware loop's end address falls on one of the run's
+/// just as static. Only a run's first op may be a direct branch or jump
+/// target. The block runner may execute a run in bulk only when no
+/// *armed* hardware loop's end address falls on one of the run's
 /// fall-through addresses — a runtime condition checked per entry; the
 /// generic per-op path handles every other case bit-identically.
 #[derive(Clone, Debug)]
@@ -422,7 +445,7 @@ pub struct UopProgram {
 
 impl UopProgram {
     /// Lowers `program` into micro-ops and recognizes specializable
-    /// hardware-loop bodies.
+    /// loop bodies and straight-line runs.
     pub fn translate(program: &Program) -> Self {
         Self::translate_with_shortcuts(program, &[])
     }
@@ -492,11 +515,60 @@ impl UopProgram {
         }
         let verify_nanos = verify_started.elapsed().as_nanos() as u64;
 
+        // Branch-closed loops: a backward conditional branch over an
+        // eligible stretch, marked on the branch. No op of the stretch
+        // may start an installed shortcut region: bulk passes would skip
+        // its trigger. Every pass the runner accounts in bulk ends in a
+        // taken jump-back, so the profile charges the branch's taken
+        // cycle; the runner refunds it when the loop falls through.
+        let mut is_target = vec![false; uops.len()];
+        for b in 0..uops.len() {
+            let target = match uops[b].kind {
+                UopKind::Branch { target, .. } | UopKind::Jal { target, .. } => target,
+                _ => continue,
+            };
+            if let Some(t) = is_target.get_mut(target.idx as usize) {
+                *t = true;
+            }
+            let UopKind::Branch { op, rs1, rs2, .. } = uops[b].kind else {
+                continue;
+            };
+            let t = target.idx as usize;
+            if t >= b
+                || !uops[t..b]
+                    .iter()
+                    .all(|u| body_eligible(&u.kind) && u.shortcut == NO_SC)
+            {
+                continue;
+            }
+            let (mut retire_rows, stall_rows, stall_in, cycles) = aggregate(&uops[t..=b], true);
+            retire_rows
+                .iter_mut()
+                .find(|r| r.0 == uops[b].id)
+                .expect("the closing branch is the only op on its row")
+                .2 += 1;
+            uops[b].body = bodies.len() as u32;
+            bodies.push(LoopBody {
+                start_addr: uops[t].addr,
+                end_addr: uops[b].next_addr,
+                start_idx: t as u32,
+                len: (b - t + 1) as u32,
+                iter_cycles: cycles + 1,
+                retire_rows,
+                stall_rows,
+                stall_in,
+                exit: LoopExit::Branch { op, rs1, rs2 },
+                next: NO_BODY,
+            });
+        }
+
         // Straight-line runs: maximal sequences of eligible ops, marked
         // on their first op. Loop bodies are a subrange of some run; the
         // run trigger defers to the armed-loop check at execution time.
         // An installed shortcut region's first op ends the preceding run:
-        // bulking across it would skip the shortcut trigger.
+        // bulking across it would skip the shortcut trigger. So does a
+        // direct branch or jump target: control arriving there should
+        // find a run start, not step the rest of a run op by op.
         let mut runs: Vec<StraightRun> = Vec::new();
         let mut i = 0usize;
         while i < uops.len() {
@@ -506,7 +578,11 @@ impl UopProgram {
             }
             let start = i;
             i += 1;
-            while i < uops.len() && body_eligible(&uops[i].kind) && uops[i].shortcut == NO_SC {
+            while i < uops.len()
+                && body_eligible(&uops[i].kind)
+                && uops[i].shortcut == NO_SC
+                && !is_target[i]
+            {
                 i += 1;
             }
             let len = i - start;
@@ -547,7 +623,8 @@ impl UopProgram {
         self.uops.is_empty()
     }
 
-    /// Number of hardware-loop bodies the translator specialized.
+    /// Number of loop bodies the translator specialized, hardware loops
+    /// and branch-closed loops alike.
     pub fn loop_bodies(&self) -> usize {
         self.bodies.len()
     }
@@ -644,6 +721,7 @@ fn recognize_body(uops: &[Uop], program: &Program, start: u32, end: u32) -> Opti
         retire_rows,
         stall_rows,
         stall_in,
+        exit: LoopExit::HwLoop,
         next: NO_BODY,
     })
 }
@@ -1160,7 +1238,45 @@ mod tests {
             ],
         );
         let t = UopProgram::translate(&prog);
-        assert_eq!(t.loop_bodies(), 0);
+        // The hardware loop is not specialized; the branch closing the
+        // software loop inside it is.
+        assert_eq!(t.loop_bodies(), 1);
+        assert!(matches!(t.bodies[0].exit, LoopExit::Branch { .. }));
+        assert_eq!((t.bodies[0].start_idx, t.bodies[0].len), (1, 2));
+    }
+
+    #[test]
+    fn branch_closed_loop_profile_charges_the_taken_branch() {
+        // top: lw a0, 0(a1); bne a0, zero, top — the branch stalls on
+        // the load every pass, and each steady-state pass ends taken.
+        let prog = Program::from_instrs(
+            0,
+            [
+                Instr::Load {
+                    op: LoadOp::Lw,
+                    rd: Reg::A0,
+                    rs1: Reg::A1,
+                    offset: 0,
+                },
+                Instr::Branch {
+                    op: BranchOp::Bne,
+                    rs1: Reg::A0,
+                    rs2: Reg::ZERO,
+                    offset: -4,
+                },
+                Instr::Ecall,
+            ],
+        );
+        let t = UopProgram::translate(&prog);
+        assert_eq!(t.loop_bodies(), 1);
+        let b = &t.bodies[0];
+        assert_eq!((b.start_addr, b.end_addr), (0, 8));
+        assert_eq!(b.stall_in, vec![None, Some(MnemonicId::Lw)]);
+        // lw 1 + stall 1 + bne 1 + taken 1.
+        assert_eq!(b.iter_cycles, 4);
+        assert!(b.retire_rows.contains(&(MnemonicId::Bne, 1, 2, 0)));
+        assert_eq!(t.uops[1].body, 0);
+        assert_eq!(std::mem::size_of::<Uop>(), 48);
     }
 
     #[test]

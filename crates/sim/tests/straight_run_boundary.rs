@@ -1,11 +1,14 @@
-//! Regression tests for the straight-run coalescing threshold.
+//! Regression tests for the straight-run coalescing threshold and run
+//! boundaries.
 //!
 //! `MIN_RUN_LEN` is 4: a straight-line stretch of exactly four eligible
 //! micro-ops must form one bulk `StraightRun`, while three must not —
 //! and in both cases the micro-op path must stay bit-identical to the
 //! per-step legacy interpreter, per-mnemonic statistics rows included.
+//! A direct branch target splits a stretch: a run never has an incoming
+//! branch past its first op.
 
-use rnnasip_isa::{AluImmOp, Instr, Reg};
+use rnnasip_isa::{AluImmOp, BranchOp, Instr, Reg};
 use rnnasip_sim::{ExitReason, Machine, Program, Row, UopProgram};
 use std::collections::BTreeMap;
 
@@ -73,4 +76,41 @@ fn no_run_forms_one_below_min_run_len() {
     );
     let a0 = assert_paths_identical(&prog);
     assert_eq!(a0, 1 + 2 + 3);
+}
+
+/// A forward branch over the first four ops of a nine-op stretch:
+/// `op 4` is a branch target, so the stretch forms two runs (4 + 5 ops),
+/// and a taken branch lands on the second run's start.
+fn split_prog(op: BranchOp) -> Program {
+    let mut instrs = vec![Instr::Branch {
+        op,
+        rs1: Reg::ZERO,
+        rs2: Reg::ZERO,
+        offset: 4 * 5,
+    }];
+    instrs.extend(straight_prog(9).iter().map(|item| item.instr));
+    Program::from_instrs(0x0, instrs)
+}
+
+#[test]
+fn branch_target_splits_a_stretch_into_two_runs() {
+    for (op, a0, bulk) in [
+        // Not taken: both runs execute in bulk.
+        (BranchOp::Bne, (1..=9).sum::<u32>(), 9),
+        // Taken: control lands on the second run's first op.
+        (BranchOp::Beq, (5..=9).sum::<u32>(), 5),
+    ] {
+        let prog = split_prog(op);
+        assert_eq!(
+            UopProgram::translate(&prog).straight_runs(),
+            2,
+            "a branch target inside a stretch must start a new run"
+        );
+        assert_eq!(assert_paths_identical(&prog), a0);
+
+        let mut m = Machine::new(64 * 1024);
+        m.load_program(&prog);
+        assert_eq!(m.run(1_000_000).unwrap(), ExitReason::Ecall);
+        assert_eq!(m.bulk_instrs(), bulk, "{op:?}: ops retired in bulk");
+    }
 }

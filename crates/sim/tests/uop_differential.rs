@@ -43,6 +43,11 @@ const REG_POOL: [Reg; 8] = [
 const PTR_LOAD: Reg = Reg::A1;
 const PTR_STORE: Reg = Reg::A2;
 
+/// A software loop's counter (or loaded condition word) and bound, out
+/// of the general pool so generated bodies never touch them.
+const SW_COUNT: Reg = Reg::A5;
+const SW_BOUND: Reg = Reg::A6;
+
 struct Gen {
     rng: StdRng,
 }
@@ -336,7 +341,95 @@ impl Gen {
         }
     }
 
+    /// A software loop: a generated body closed by a backward
+    /// conditional branch — counted (`addi`/`bnez`), pointer (`bltu`
+    /// against an end pointer) or data-dependent (`blt`/`bge` on a loaded
+    /// word) — sometimes wrapped in a hardware loop ending at the
+    /// branch's fall-through (with or without the loop's setup inside),
+    /// sometimes with a CSR read that defeats specialization.
+    fn emit_sw_loop(&mut self, out: &mut Vec<Instr>) {
+        let mut init = Vec::new();
+        let mut body: Vec<Instr> = (0..1 + self.u(4)).map(|_| self.body_instr()).collect();
+        if self.u(6) == 0 {
+            let k = self.u(body.len() as u32) as usize;
+            body.insert(
+                k,
+                Instr::Csr {
+                    op: CsrOp::Csrrs,
+                    rd: self.reg(),
+                    rs1: Reg::ZERO,
+                    csr: Csr::Minstret,
+                },
+            );
+        }
+        let (op, rs1, rs2) = match self.u(3) {
+            0 => {
+                let trips = 1 + self.u(40) as i32;
+                init.push(self.addi(SW_COUNT, Reg::ZERO, trips));
+                body.push(self.addi(SW_COUNT, SW_COUNT, -1));
+                (BranchOp::Bne, SW_COUNT, Reg::ZERO)
+            }
+            1 => {
+                let span = 4 * (1 + self.u(40)) as i32;
+                init.push(self.addi(SW_BOUND, PTR_LOAD, span));
+                body.push(self.addi(PTR_LOAD, PTR_LOAD, 4));
+                (BranchOp::Bltu, PTR_LOAD, SW_BOUND)
+            }
+            _ => {
+                // Walk the (random) memory while the loaded word passes
+                // the test. Unmasked, the branch reads the load's target
+                // directly and stalls on it.
+                body.push(Instr::LoadPostInc {
+                    op: LoadOp::Lw,
+                    rd: SW_COUNT,
+                    rs1: PTR_LOAD,
+                    offset: 4,
+                });
+                if self.u(2) == 0 {
+                    body.push(Instr::OpImm {
+                        op: AluImmOp::Andi,
+                        rd: SW_COUNT,
+                        rs1: SW_COUNT,
+                        imm: 7,
+                    });
+                }
+                init.push(self.addi(SW_BOUND, Reg::ZERO, 1));
+                if self.u(2) == 0 {
+                    (BranchOp::Blt, Reg::ZERO, SW_COUNT)
+                } else {
+                    (BranchOp::Bge, SW_COUNT, SW_BOUND)
+                }
+            }
+        };
+        let offset = -4 * body.len() as i32;
+        body.push(Instr::Branch {
+            op,
+            rs1,
+            rs2,
+            offset,
+        });
+        let wrap = self.u(4) == 0;
+        if wrap && self.u(2) == 0 {
+            body.splice(0..0, init.drain(..));
+        }
+        out.extend(init);
+        if wrap {
+            out.push(Instr::LpSetupi {
+                l: LoopIdx::L1,
+                count: 1 + self.u(4),
+                uimm: 2 + 2 * body.len() as u32,
+            });
+        }
+        out.extend(body);
+    }
+
     fn program(&mut self) -> Program {
+        self.program_with(false)
+    }
+
+    /// A random program; with `sw_loops`, a third of its chunks are
+    /// software loops.
+    fn program_with(&mut self, sw_loops: bool) -> Program {
         let mut v = Vec::new();
         // Pointer setup: word-aligned, usually low (streams stay in
         // bounds), sometimes near the top of memory (streams fault).
@@ -356,7 +449,11 @@ impl Gen {
             v.push(i);
         }
         for _ in 0..4 + self.u(6) {
-            self.emit_chunk(&mut v);
+            if sw_loops && self.u(3) == 0 {
+                self.emit_sw_loop(&mut v);
+            } else {
+                self.emit_chunk(&mut v);
+            }
         }
         v.push(Instr::Ecall);
         Program::from_instrs(0, v)
@@ -557,5 +654,68 @@ fn specialized_loops_are_actually_exercised() {
     assert!(
         specialized >= 50,
         "only {specialized} specialized loop bodies across 100 seeds"
+    );
+}
+
+/// Seeds for the software-loop generator, disjoint from the others'.
+const SW_SEEDS: std::ops::Range<u64> = 1000..1400;
+
+/// `prog` with every backward branch turned into a never-taken forward
+/// one: the same layout with no branch-closed loops.
+fn without_backward_branches(prog: &Program) -> Program {
+    Program::from_instrs(
+        prog.entry(),
+        prog.iter().map(|item| match item.instr {
+            Instr::Branch { offset, .. } if offset < 0 => Instr::Branch {
+                op: BranchOp::Bne,
+                rs1: Reg::ZERO,
+                rs2: Reg::ZERO,
+                offset: 4,
+            },
+            i => i,
+        }),
+    )
+}
+
+#[test]
+fn randomized_software_loops_match_reference_bit_exactly() {
+    let mut halts = 0u32;
+    let mut errors = 0u32;
+    for seed in SW_SEEDS {
+        let mut g = Gen {
+            rng: StdRng::seed_from_u64(seed),
+        };
+        let prog = g.program_with(true);
+        for max_cycles in [60, 700, 20_000] {
+            assert_identical(seed, max_cycles, &prog);
+        }
+        let mut probe = staged_machine(&prog, seed);
+        match probe.run(20_000) {
+            Ok(_) => halts += 1,
+            Err(_) => errors += 1,
+        }
+    }
+    assert!(halts >= 100, "only {halts} seeds halted cleanly");
+    assert!(errors >= 40, "only {errors} seeds faulted");
+}
+
+#[test]
+fn branch_closed_loops_are_actually_exercised() {
+    let mut branch_closed = 0usize;
+    for seed in SW_SEEDS.take(100) {
+        let mut g = Gen {
+            rng: StdRng::seed_from_u64(seed),
+        };
+        let prog = g.program_with(true);
+        let bodies = |p: &Program| {
+            let mut m = Machine::new(MEM_BYTES);
+            m.load_program(p);
+            m.uop_program().loop_bodies()
+        };
+        branch_closed += bodies(&prog) - bodies(&without_backward_branches(&prog));
+    }
+    assert!(
+        branch_closed >= 50,
+        "only {branch_closed} branch-closed loop bodies across 100 seeds"
     );
 }
