@@ -78,6 +78,9 @@ struct LevelRow {
     /// Serial per-stage compile time: each network's fastest of
     /// [`SAMPLES`] compiles, summed over the suite.
     stages: CompileStages,
+    /// Per network: `(id, generic, bulk, shortcut)` instructions of one
+    /// canonical run on a fresh engine.
+    tiers: Vec<(&'static str, u64, u64, u64)>,
 }
 
 impl LevelRow {
@@ -119,6 +122,7 @@ fn measure_level(level: OptLevel) -> LevelRow {
     let mut uop_nanos = 0u64;
     let mut shortcut_nanos = 0u64;
     let mut stages = CompileStages::default();
+    let mut tiers = Vec::new();
     for net in rnnasip_rrm::suite() {
         let compiled = (0..SAMPLES)
             .map(|_| {
@@ -129,6 +133,18 @@ fn measure_level(level: OptLevel) -> LevelRow {
             .min_by_key(|c| c.compile_nanos())
             .expect("SAMPLES is nonzero");
         stages += compiled.stage_nanos();
+        let mut fresh = compiled.engine();
+        let run = fresh.run(&net.input()).unwrap();
+        let (bulk, shortcut) = (
+            fresh.machine().bulk_instrs(),
+            fresh.machine().shortcut_instrs(),
+        );
+        tiers.push((
+            net.id,
+            run.report.instrs() - bulk - shortcut,
+            bulk,
+            shortcut,
+        ));
         let mut sc_engine = compiled.engine();
         let mut uop_engine = compiled.without_shortcuts().engine();
         let input = net.input();
@@ -160,6 +176,7 @@ fn measure_level(level: OptLevel) -> LevelRow {
         wall_ms,
         compile_ms,
         stages,
+        tiers,
     }
 }
 
@@ -298,6 +315,21 @@ fn main() {
             ms(s.verify),
             ms(s.total())
         );
+    }
+
+    println!("\ntier split, instructions of one run (generic/bulk/shortcut)");
+    print!("{:<14}", "net");
+    for row in &rows {
+        print!(" {:>24}", row.tag);
+    }
+    println!();
+    for (n, &(id, ..)) in rows[0].tiers.iter().enumerate() {
+        print!("{id:<14}");
+        for row in &rows {
+            let (_, g, b, s) = row.tiers[n];
+            print!(" {:>24}", format!("{g}/{b}/{s}"));
+        }
+        println!();
     }
 
     for row in &rows {

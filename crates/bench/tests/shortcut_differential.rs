@@ -15,16 +15,26 @@
 //! rendered CSV, which pins row ordering). A second randomized pass
 //! compiles 400 seeded random FC stacks and repeats the comparison, so
 //! the walker's admission decisions are exercised far outside the
-//! hand-picked suite shapes.
+//! hand-picked suite shapes. A third compiles seeded random LSTMs (gate
+//! matvecs plus the cell-update region) and also runs them on clusters
+//! of 2, 3 and 8 cores, where small hidden widths leave cores idle; every
+//! output must equal the fixed-point golden model. Each failure line
+//! names the seed that reproduces it.
 
 use rnnasip_bench::par;
 use rnnasip_core::{CompiledNetwork, KernelBackend, NetworkRun, OptLevel};
 use rnnasip_fixed::Q3p12;
-use rnnasip_nn::{Act, FcLayer, Matrix, Network, Stage};
+use rnnasip_nn::{Act, FcLayer, LstmLayer, Matrix, Network, Stage};
 use rnnasip_rng::StdRng;
 
 /// Seeded random-network cases for the randomized pass.
 const RANDOM_SEEDS: u64 = 400;
+
+/// Seeded random-LSTM cases.
+const LSTM_SEEDS: u64 = 60;
+
+/// Cluster sizes every random LSTM also runs on.
+const LSTM_CORES: [usize; 3] = [2, 3, 8];
 
 fn csv(run: &NetworkRun) -> String {
     run.report.stats().to_csv()
@@ -166,6 +176,78 @@ fn randomized_networks_three_way_bit_identical() {
             .compile_network(&net)
             .unwrap_or_else(|e| panic!("{tag}: compile failed: {e}"));
         diff_three_way(&tag, &compiled, &input).0
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+/// A seeded random LSTM: even `n_in` and `n_hidden` in 2–48, 1–10 time
+/// steps, gate weights and biases in ±0.5 and inputs in ±1 (Q3.12).
+fn random_lstm(seed: u64) -> (Network, Vec<Vec<Q3p12>>) {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x15D7_CE11);
+    let mut even = |hi: usize| 2 * (1 + rng.next_u64() as usize % (hi / 2));
+    let (n_in, n_hidden) = (even(48), even(48));
+    let steps = 1 + rng.next_u64() as usize % 10;
+    let mut q = |scale: f64| Q3p12::from_f64((rng.gen::<f64>() * 2.0 - 1.0) * scale);
+    let mut matrix = |rows: usize, cols: usize| {
+        Matrix::new(rows, cols, (0..rows * cols).map(|_| q(0.5)).collect())
+    };
+    let wx = std::array::from_fn(|_| matrix(n_hidden, n_in));
+    let wh = std::array::from_fn(|_| matrix(n_hidden, n_hidden));
+    let mut rng2 = StdRng::seed_from_u64(seed ^ 0xB1A5);
+    let mut q2 = |scale: f64| Q3p12::from_f64((rng2.gen::<f64>() * 2.0 - 1.0) * scale);
+    let bias = std::array::from_fn(|_| (0..n_hidden).map(|_| q2(0.5)).collect());
+    let input = (0..steps)
+        .map(|_| (0..n_in).map(|_| q2(1.0)).collect())
+        .collect();
+    let layer = LstmLayer::new(wx, wh, bias);
+    let net = Network::new(format!("lstm{seed}"), vec![Stage::Lstm { layer, steps }]);
+    (net, input)
+}
+
+#[test]
+fn randomized_lstms_three_way_bit_identical_on_every_core_count() {
+    let seeds: Vec<u64> = (0..LSTM_SEEDS).collect();
+    let failures: Vec<String> = par::par_map(&seeds, |&seed| {
+        let (net, input) = random_lstm(seed);
+        let golden = net.forward_fixed(&input);
+        let level = OptLevel::ALL[(seed % 5) as usize];
+        let tag = format!("random LSTM seed {seed} level {}", level.tag());
+        let compiled = KernelBackend::new(level)
+            .compile_network(&net)
+            .unwrap_or_else(|e| panic!("{tag}: compile failed: {e}"));
+        let (mut errs, _) = diff_three_way(&tag, &compiled, &input);
+        for cores in LSTM_CORES {
+            let tag = format!("{tag} cores {cores}");
+            let compiled = KernelBackend::new(level)
+                .with_cores(cores)
+                .compile_network(&net)
+                .unwrap_or_else(|e| panic!("{tag}: compile failed: {e}"));
+            let run = |c: &CompiledNetwork| {
+                c.engine()
+                    .run(&input)
+                    .unwrap_or_else(|e| panic!("{tag}: run failed: {e}"))
+            };
+            let (sc, plain) = (run(&compiled), run(&compiled.without_shortcuts()));
+            if sc.outputs != golden {
+                errs.push(format!("{tag}: outputs differ from forward_fixed"));
+            }
+            if sc.outputs != plain.outputs
+                || sc.report.cycles() != plain.report.cycles()
+                || sc.report.instrs() != plain.report.instrs()
+                || csv(&sc) != csv(&plain)
+            {
+                errs.push(format!("{tag}: shortcut and uop tiers diverge"));
+            }
+        }
+        let one_core = compiled.engine().run(&input).map(|r| r.outputs);
+        if one_core.as_ref().ok() != Some(&golden) {
+            errs.push(format!("{tag}: outputs differ from forward_fixed"));
+        }
+        errs
     })
     .into_iter()
     .flatten()

@@ -13,17 +13,17 @@ use rnnasip_core::{KernelBackend, OptLevel};
 /// single-core suite, per level.
 const FULL_WALK: [(OptLevel, u64); 4] = [
     (OptLevel::Xpulp, 1_433_532),
-    (OptLevel::OfmTile, 1_033_660),
-    (OptLevel::SdotSp, 557_408),
-    (OptLevel::IfmTile, 557_408),
+    (OptLevel::OfmTile, 1_035_320),
+    (OptLevel::SdotSp, 559_068),
+    (OptLevel::IfmTile, 559_068),
 ];
 
 /// The same walk with loop summaries, per level.
 const SUMMARIZED_WALK: [(OptLevel, u64); 4] = [
     (OptLevel::Xpulp, 73_590),
-    (OptLevel::OfmTile, 51_172),
-    (OptLevel::SdotSp, 42_640),
-    (OptLevel::IfmTile, 54_596),
+    (OptLevel::OfmTile, 51_302),
+    (OptLevel::SdotSp, 42_770),
+    (OptLevel::IfmTile, 54_726),
 ];
 
 fn suite_verify_ops(level: OptLevel) -> u64 {

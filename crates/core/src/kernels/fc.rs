@@ -6,7 +6,7 @@ use super::{regs, KernelCtx, MatvecSpec, PtrSrc, ACC_POOL, MAX_TILE, WP_POOL};
 use crate::error::CoreError;
 use crate::optlevel::OptLevel;
 use rnnasip_isa::{LoopIdx, Reg};
-use rnnasip_sim::{KernelRegion, ShortcutAct, ShortcutPtr};
+use rnnasip_sim::{KernelRegion, Matvec, RegionMath, ShortcutAct, ShortcutPtr};
 
 /// Emits a complete matrix-vector kernel for the context's level.
 ///
@@ -55,14 +55,16 @@ fn record_region(ctx: &mut KernelCtx<'_>, spec: &MatvecSpec, start_addr: u32) {
     ctx.regions.push(KernelRegion {
         start_addr,
         end_addr: ctx.asm.here(),
-        w_base: spec.w_base,
-        bias32: spec.bias32,
-        x: ptr(spec.x),
-        out: ptr(spec.out),
-        out_stride: spec.out_stride as u32,
-        n_in: spec.n_in as u32,
-        n_out: spec.n_out as u32,
-        act,
+        math: RegionMath::Matvec(Matvec {
+            w_base: spec.w_base,
+            bias32: spec.bias32,
+            x: ptr(spec.x),
+            out: ptr(spec.out),
+            out_stride: spec.out_stride as u32,
+            n_in: spec.n_in as u32,
+            n_out: spec.n_out as u32,
+            act,
+        }),
     });
 }
 

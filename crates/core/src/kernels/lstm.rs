@@ -21,6 +21,7 @@ use super::{regs, KernelCtx, MatvecSpec, PtrSrc};
 use crate::error::CoreError;
 use rnnasip_isa::{BranchOp, LoopIdx, Reg};
 use rnnasip_nn::Act;
+use rnnasip_sim::{CellUpdate, KernelRegion, RegionMath, ShortcutPtr};
 
 /// Addresses and shape of one staged LSTM stage.
 #[derive(Clone, Copy, Debug)]
@@ -179,6 +180,7 @@ pub fn emit_update_rows(ctx: &mut KernelCtx<'_>, spec: &LstmSpec, row0: usize, r
     if !ctx.level.has_act_ext() {
         emit_pla_hoist(ctx, ActFunc::Tanh);
     }
+    let start_addr = ctx.asm.here();
     let off = (row0 * 2) as i32;
     let (optr, fptr, iptr, gptr) = (Reg::A0, Reg::A1, Reg::A2, Reg::A3);
     let cptr = Reg::T5;
@@ -218,6 +220,21 @@ pub fn emit_update_rows(ctx: &mut KernelCtx<'_>, spec: &LstmSpec, row0: usize, r
         a.clip(Reg::T3, Reg::T3, 16);
         a.sh_post(Reg::T3, 2, hptr); // h_t
         a.bind(end);
+        // With `pl.tanh` the loop is straight-line math the simulator's
+        // shortcut tier can prove and run natively.
+        if ctx.level.has_act_ext() && rows > 0 {
+            let at = |base: u32| ShortcutPtr::Const(base + off as u32);
+            ctx.regions.push(KernelRegion {
+                start_addr,
+                end_addr: ctx.asm.here(),
+                math: RegionMath::Cell(CellUpdate {
+                    gates: spec.gate_bufs.map(at),
+                    c: at(spec.c_buf),
+                    h: at(spec.h_addr()),
+                    rows: rows as u32,
+                }),
+            });
+        }
     } else {
         // Baseline: software loop, counter in s5.
         let a = &mut *ctx.asm;

@@ -36,7 +36,7 @@
 //! so it is identical across the micro-op and shortcut execution tiers.
 
 use crate::mem::Memory;
-use crate::shortcut::{KernelRegion, ShortcutAct, ShortcutPtr};
+use crate::shortcut::{KernelRegion, Matvec, RegionMath};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -52,8 +52,12 @@ const GUARD_BASE_CYCLES: u64 = 2;
 /// run-time exit of the region.
 #[derive(Clone, Debug)]
 pub struct GuardSpec {
-    /// The guarded kernel region (pc range + operand layout).
-    pub region: KernelRegion,
+    /// Address of the guarded region's first instruction.
+    pub start_addr: u32,
+    /// Fall-through address after the guarded region.
+    pub end_addr: u32,
+    /// The guarded matrix-vector kernel's operand layout.
+    pub region: Matvec,
     /// Golden column sums `c[k] = Σ_j W[j][k]` (wrapping), one per input
     /// element, computed from the clean staged weights.
     pub checksum: Vec<i32>,
@@ -64,9 +68,14 @@ pub struct GuardSpec {
 impl GuardSpec {
     /// Derives a region's guard from staged memory: reads the clean
     /// `n_out × n_in` weight matrix and bias words and folds the column
-    /// sums. `None` if any operand lies outside memory (a malformed
-    /// descriptor — the region is then simply left unguarded).
-    pub fn from_region(mem: &Memory, region: &KernelRegion) -> Option<GuardSpec> {
+    /// sums. `None` for a region that is not a matrix-vector product (a
+    /// cell update has no checksum identity) or if any operand lies
+    /// outside memory (a malformed descriptor) — the region is then
+    /// simply left unguarded.
+    pub fn from_region(mem: &Memory, desc: &KernelRegion) -> Option<GuardSpec> {
+        let RegionMath::Matvec(region) = &desc.math else {
+            return None;
+        };
         let n_in = region.n_in as usize;
         let n_out = region.n_out as usize;
         if n_in == 0 || n_out == 0 {
@@ -91,6 +100,8 @@ impl GuardSpec {
             }
         }
         Some(GuardSpec {
+            start_addr: desc.start_addr,
+            end_addr: desc.end_addr,
             region: *region,
             checksum,
             bias_sum,
@@ -214,7 +225,7 @@ impl GuardUnit {
         let mut starts = HashMap::with_capacity(specs.len());
         let mut ends = Vec::with_capacity(specs.len());
         for (gid, spec) in specs.iter().enumerate() {
-            let bounds = index_of(spec.region.start_addr).zip(index_of(spec.region.end_addr));
+            let bounds = index_of(spec.start_addr).zip(index_of(spec.end_addr));
             match bounds {
                 Some((s, e)) if e > s => {
                     starts.insert(s, gid as u32);
@@ -272,8 +283,8 @@ impl GuardUnit {
         let spec = &self.specs[gid as usize];
         self.counters[gid as usize].entries += 1;
         self.guard_cycles += spec.entry_cycles();
-        let x = resolve(spec.region.x, mem);
-        let out = resolve(spec.region.out, mem);
+        let x = spec.region.x.resolve(mem);
+        let out = spec.region.out.resolve(mem);
         self.pending = Some(Pending {
             gid,
             start_idx,
@@ -325,13 +336,6 @@ impl GuardUnit {
             guard_cycles: self.guard_cycles,
             output_check_failed: false,
         }
-    }
-}
-
-fn resolve(ptr: ShortcutPtr, mem: &Memory) -> Option<u32> {
-    match ptr {
-        ShortcutPtr::Const(a) => Some(a),
-        ShortcutPtr::Cell(c) => mem.read_u32(c).ok(),
     }
 }
 
@@ -418,17 +422,7 @@ fn check_exit(
         }
         rhs = rhs.wrapping_add(acc);
 
-        let v = (acc >> 12).clamp(-32768, 32767);
-        let v = match r.act {
-            ShortcutAct::None => v,
-            ShortcutAct::Relu => v.max(0),
-            ShortcutAct::Tanh => {
-                rnnasip_fixed::hw_tanh(rnnasip_fixed::Q3p12::from_raw(v as i16)).raw() as i32
-            }
-            ShortcutAct::Sigmoid => {
-                rnnasip_fixed::hw_sig(rnnasip_fixed::Q3p12::from_raw(v as i16)).raw() as i32
-            }
-        };
+        let v = r.act.apply((acc >> 12).clamp(-32768, 32767));
         let Ok(got) = mem.read_u16(out_base.wrapping_add(j as u32 * r.out_stride)) else {
             return false;
         };
@@ -442,12 +436,10 @@ fn check_exit(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shortcut::{KernelRegion, ShortcutAct, ShortcutPtr};
+    use crate::shortcut::{ShortcutAct, ShortcutPtr};
 
-    fn region(w_base: u32, bias32: u32, x: u32, out: u32, n_in: u32, n_out: u32) -> KernelRegion {
-        KernelRegion {
-            start_addr: 0,
-            end_addr: 4,
+    fn region(w_base: u32, bias32: u32, x: u32, out: u32, n_in: u32, n_out: u32) -> Matvec {
+        Matvec {
             w_base,
             bias32,
             x: ShortcutPtr::Const(x),
@@ -461,7 +453,15 @@ mod tests {
 
     /// Stages a tiny kernel's operands and writes the correct outputs,
     /// returning (memory, region).
-    fn staged() -> (Memory, KernelRegion) {
+    fn desc(m: Matvec) -> KernelRegion {
+        KernelRegion {
+            start_addr: 0,
+            end_addr: 4,
+            math: RegionMath::Matvec(m),
+        }
+    }
+
+    fn staged() -> (Memory, Matvec) {
         let mut mem = Memory::new(4096);
         let r = region(0x100, 0x200, 0x300, 0x400, 4, 3);
         let w: [[i16; 4]; 3] = [[100, -200, 300, -400], [7, 11, -13, 17], [0, -1, 2, -3]];
@@ -493,14 +493,14 @@ mod tests {
     #[test]
     fn clean_region_passes() {
         let (mem, r) = staged();
-        let spec = GuardSpec::from_region(&mem, &r).unwrap();
+        let spec = GuardSpec::from_region(&mem, &desc(r)).unwrap();
         assert!(check_exit(&spec, &mem, 0x300, 0x400, &[]));
     }
 
     #[test]
     fn weight_flip_with_live_input_is_detected() {
         let (mut mem, r) = staged();
-        let spec = GuardSpec::from_region(&mem, &r).unwrap();
+        let spec = GuardSpec::from_region(&mem, &desc(r)).unwrap();
         for bit in 0..16 {
             let before = mem.read_u16(r.w_base + 2).unwrap();
             mem.write_u16(r.w_base + 2, before ^ (1 << bit)).unwrap();
@@ -515,7 +515,7 @@ mod tests {
     #[test]
     fn bias_flip_is_detected_even_when_requant_masks_it() {
         let (mut mem, r) = staged();
-        let spec = GuardSpec::from_region(&mem, &r).unwrap();
+        let spec = GuardSpec::from_region(&mem, &desc(r)).unwrap();
         // Low bias bits vanish under `>> 12` — the outputs stay golden,
         // but the checksum still sees the corrupted memory.
         let before = mem.read_u32(r.bias32 + 4).unwrap();
@@ -526,7 +526,7 @@ mod tests {
     #[test]
     fn output_flip_after_write_is_detected() {
         let (mut mem, r) = staged();
-        let spec = GuardSpec::from_region(&mem, &r).unwrap();
+        let spec = GuardSpec::from_region(&mem, &desc(r)).unwrap();
         let before = mem.read_u16(0x402).unwrap();
         mem.write_u16(0x402, before ^ (1 << 9)).unwrap();
         assert!(!check_exit(&spec, &mem, 0x300, 0x400, &[]));
@@ -535,7 +535,7 @@ mod tests {
     #[test]
     fn ledger_catches_input_flip_between_producer_and_consumer() {
         let (mut mem, r) = staged();
-        let spec = GuardSpec::from_region(&mem, &r).unwrap();
+        let spec = GuardSpec::from_region(&mem, &desc(r)).unwrap();
         let mut ledger = Vec::new();
         note(&mut ledger, &mem, 0x300, 4);
         // Flip a bit of x *after* it was recorded: the kernel computes a
@@ -564,7 +564,7 @@ mod tests {
     #[test]
     fn zero_input_column_masks_weight_flip_and_output() {
         let (mut mem, r) = staged();
-        let spec = GuardSpec::from_region(&mem, &r).unwrap();
+        let spec = GuardSpec::from_region(&mem, &desc(r)).unwrap();
         // Zero x[1], recompute outputs, then flip W[0][1]: the flip
         // cannot corrupt any output and the guard (correctly) passes.
         mem.write_u16(0x302, 0).unwrap();

@@ -71,6 +71,19 @@ enum LoopEntry {
 /// is ever modelled.
 const MAX_CYCLES_PER_STEP: u64 = 64;
 
+/// Per-entry buffers of the shortcut tier.
+#[derive(Debug, Default)]
+struct ShortcutScratch {
+    /// The region's stores, `(address, value)` in store order.
+    outs: Vec<(u32, i32)>,
+    /// Exit register values.
+    regs: Vec<(Reg, u32)>,
+    /// Exit SPR slot contents (`None` = untouched).
+    spr: [Option<u32>; 2],
+    /// SPR writes still in flight at exit: `(issue instret, slot, data)`.
+    pend: Vec<(u64, usize, u32)>,
+}
+
 /// The simulated machine: core + memory + loaded program + statistics.
 ///
 /// See the [crate docs](crate) for the timing model. Construct with
@@ -102,9 +115,9 @@ pub struct Machine {
     /// (the native execution tier), for coverage diagnostics. One
     /// addition per region entry, not per op.
     shortcut_instrs: u64,
-    /// Scratch buffer for shortcut-region outputs, kept across entries
-    /// to avoid per-entry allocation.
-    shortcut_outs: Vec<i32>,
+    /// Scratch buffers of the shortcut tier, kept across entries so an
+    /// entry allocates nothing.
+    shortcut_scratch: ShortcutScratch,
     /// Scheduled faults not yet applied, in `at_instret` order.
     armed_faults: VecDeque<Fault>,
     /// Forced watchdog budget from the armed [`FaultPlan`], capping the
@@ -144,7 +157,7 @@ impl Machine {
             halted: None,
             bulk_instrs: 0,
             shortcut_instrs: 0,
-            shortcut_outs: Vec::new(),
+            shortcut_scratch: ShortcutScratch::default(),
             armed_faults: VecDeque::new(),
             forced_watchdog: None,
             fault_log: Vec::new(),
@@ -826,44 +839,37 @@ impl Machine {
         if sc.total_cycles > max_cycles.saturating_sub(self.core.cycle) {
             return Ok(false);
         }
-        let Some((x_base, out_base)) = sc.check_entry(&self.mem) else {
-            return Ok(false);
-        };
-        let mut outs = std::mem::take(&mut self.shortcut_outs);
-        outs.clear();
-        if !sc.compute(&self.mem, x_base, &mut outs) {
-            self.shortcut_outs = outs;
+        if !sc.check_entry(&self.mem) {
             return Ok(false);
         }
-        // Resolve every exit value before mutating any state, so a
-        // failure here still declines cleanly to the interpreted path.
-        // Exit-value loads re-read operand memory the region read; the
-        // admission check proved those ranges store-disjoint, so the
-        // values are entry-time values regardless of commit order.
-        let entry_instret = self.core.instret;
-        let Some((reg_vals, spr_vals, pend_vals)) = self.resolve_exit(sc, &outs, entry_instret)
-        else {
-            self.shortcut_outs = outs;
+        // Compute the stores and resolve every exit value before mutating
+        // any state, so a failure here still declines cleanly to the
+        // interpreted path. Both read entry-time memory: exit-value loads
+        // re-read operands the region read, including a cell update's
+        // in-place `c` rows, which the writes below then overwrite.
+        let mut scratch = std::mem::take(&mut self.shortcut_scratch);
+        scratch.outs.clear();
+        let resolved = sc.compute(&self.mem, &mut scratch.outs)
+            && self.resolve_exit(sc, &mut scratch).is_some();
+        if !resolved {
+            self.shortcut_scratch = scratch;
             return Ok(false);
-        };
+        }
 
-        for (k, &v) in outs.iter().enumerate() {
-            let addr = out_base.wrapping_add(k as u32 * sc.desc.out_stride);
+        for &(addr, v) in &scratch.outs {
             self.mem
                 .write_u16(addr, v as u16)
-                .expect("shortcut output range was admission-checked");
+                .expect("shortcut store spans were admission-checked");
         }
-        for (r, v) in reg_vals {
+        for &(r, v) in &scratch.regs {
             self.core.set_reg(r, v);
         }
-        for (s, v) in spr_vals.into_iter().enumerate() {
+        for (s, v) in scratch.spr.into_iter().enumerate() {
             if let Some(v) = v {
                 self.core.spr[s] = v;
             }
         }
-        for e in pend_vals {
-            self.spr_pending.push_back(e);
-        }
+        self.spr_pending.extend(scratch.pend.iter().copied());
         for (l, h) in sc.exit_hwloop.iter().enumerate() {
             if let Some(h) = h {
                 self.core.hwloop[l] = HwLoop {
@@ -887,42 +893,45 @@ impl Machine {
         }
         self.core.pc = sc.desc.end_addr;
         *idx = sc.end_idx;
-        self.shortcut_outs = outs;
+        self.shortcut_scratch = scratch;
         Ok(true)
     }
 
     /// Resolves a shortcut region's exit-live values against current
-    /// memory: final register values, final SPR slot contents, and the
-    /// still-in-flight SPR writes (re-keyed to absolute `instret`).
-    #[allow(clippy::type_complexity)]
-    fn resolve_exit(
-        &self,
-        sc: &ShortcutRegion,
-        outs: &[i32],
-        entry_instret: u64,
-    ) -> Option<(Vec<(Reg, u32)>, [Option<u32>; 2], Vec<(u64, usize, u32)>)> {
-        let mut reg_vals = Vec::with_capacity(sc.exit_regs.len());
+    /// memory into `scratch`: final register values, final SPR slot
+    /// contents, and the still-in-flight SPR writes (re-keyed to absolute
+    /// `instret`). Reads `scratch.outs`, the computed stores.
+    fn resolve_exit(&self, sc: &ShortcutRegion, scratch: &mut ShortcutScratch) -> Option<()> {
+        scratch.regs.clear();
         for &(r, ev) in &sc.exit_regs {
-            let v = match ev {
-                ExitVal::Const(v) => v,
-                ExitVal::CellAdd { cell, off } => self.mem.read_u32(cell).ok()?.wrapping_add(off),
-                ExitVal::Load { op, addr } => read_load(&self.mem, op, addr.resolve(&self.mem)?)?,
-                ExitVal::Out(k) => outs[k as usize] as u32,
-            };
-            reg_vals.push((Reg::from_bits(u32::from(r)), v));
+            let v = self.exit_value(sc, &scratch.outs, ev)?;
+            scratch.regs.push((Reg::from_bits(u32::from(r)), v));
         }
-        let mut spr_vals = [None, None];
+        scratch.spr = [None, None];
         for (s, a) in sc.exit_spr.iter().enumerate() {
             if let Some(a) = a {
-                spr_vals[s] = Some(self.mem.read_u32(a.resolve(&self.mem)?).ok()?);
+                scratch.spr[s] = Some(self.mem.read_u32(a.resolve(&self.mem)?).ok()?);
             }
         }
-        let mut pend_vals = Vec::with_capacity(sc.exit_pending.len());
+        scratch.pend.clear();
         for &(rel, slot, a) in &sc.exit_pending {
             let v = self.mem.read_u32(a.resolve(&self.mem)?).ok()?;
-            pend_vals.push((entry_instret + rel, slot, v));
+            scratch.pend.push((self.core.instret + rel, slot, v));
         }
-        Some((reg_vals, spr_vals, pend_vals))
+        Some(())
+    }
+
+    /// One exit value of a shortcut region (`outs`: its computed stores).
+    fn exit_value(&self, sc: &ShortcutRegion, outs: &[(u32, i32)], ev: ExitVal) -> Option<u32> {
+        Some(match ev {
+            ExitVal::Const(v) => v,
+            ExitVal::CellAdd { cell, off } => self.mem.read_u32(cell).ok()?.wrapping_add(off),
+            ExitVal::Load { op, addr } => read_load(&self.mem, op, addr.resolve(&self.mem)?)?,
+            ExitVal::Out(k) => outs[k as usize].1 as u32,
+            ExitVal::Node(i) => sc.exit_nodes[i as usize]
+                .try_map(|a| self.exit_value(sc, outs, a))?
+                .eval(),
+        })
     }
 
     /// Attempts a bulk run of the specialized loop body chain starting at

@@ -1,10 +1,12 @@
 //! Kernel-shortcut execution tier: native fast paths for compiled
-//! matrix-vector kernel regions.
+//! kernel regions.
 //!
 //! The code generator in `rnnasip-core` knows exactly which pc ranges it
-//! emitted as FC / LSTM-gate / CNN-pixel inner kernels, and publishes
-//! them as [`KernelRegion`] descriptors (pc range plus the kernel's
-//! address layout and math). At translation time
+//! emitted as kernels, and publishes them as [`KernelRegion`] descriptors
+//! (pc range plus the region's math and address layout). There are two
+//! kinds of math ([`RegionMath`]): the requantized matrix-vector product
+//! of FC stages, LSTM gates and CNN pixels, and, from level c on, the
+//! LSTM cell update. At translation time
 //! ([`UopProgram::translate_with_shortcuts`](crate::UopProgram::translate_with_shortcuts))
 //! each descriptor is *verified* against the micro-op stream by an
 //! abstract interpretation ([`install`]): the region is walked with
@@ -13,8 +15,11 @@
 //! * every branch, hardware-loop count and memory address inside the
 //!   region is a compile-time constant (given the values of the region's
 //!   pointer cells),
-//! * the region stores exactly `n_out` requantized halfwords at the
-//!   descriptor's output addresses and nothing else, and
+//! * the region makes exactly the descriptor's stores, in order, and
+//!   nothing else: `n_out` requantized halfwords for a matvec; for a cell
+//!   update, each row's `c` then `h`, whose dataflow trees of loads,
+//!   `mul`, `srai`, `add`, `clip` and `pl.tanh` must be the row's formula
+//!   (see [`CellUpdate`]),
 //! * the complete timing profile — base cycles, taken branches,
 //!   load-use stalls, per-mnemonic retire rows — is static.
 //!
@@ -24,15 +29,14 @@
 //! static code costs, not what it executes.
 //!
 //! A region that passes is installed as a [`ShortcutRegion`]: the machine
-//! then executes one entry as a single native matrix-vector computation
-//! over TCDM (`Memory`) plus one bulk state/statistics commit, retiring
-//! thousands of micro-ops per entry. Regions that fail verification are
-//! simply not installed — execution falls back to the micro-op path,
-//! which is bit-identical by construction. The same holds per entry at
-//! run time: armed faults, in-flight SPR writes, live hardware loops, a
-//! short watchdog budget or unresolvable/overlapping pointer ranges all
-//! make the machine decline the shortcut and interpret the region
-//! instead.
+//! then executes one entry as a single native computation over TCDM
+//! (`Memory`) plus one bulk state/statistics commit, retiring thousands
+//! of micro-ops per entry. Regions that fail verification are simply not
+//! installed — execution falls back to the micro-op path, which is
+//! bit-identical by construction. The same holds per entry at run time:
+//! armed faults, in-flight SPR writes, live hardware loops, a short
+//! watchdog budget or unresolvable/overlapping pointer ranges all make
+//! the machine decline the shortcut and interpret the region instead.
 //!
 //! The bit-identity contract (outputs, cycle counts, per-mnemonic rows)
 //! is enforced by the three-way shortcut/uop/legacy differential tests
@@ -82,9 +86,8 @@ pub enum ShortcutAct {
     Sigmoid,
 }
 
-/// A compiler-declared kernel region: the pc range of one emitted
-/// matrix-vector kernel (`out[j] = act((bias32[j] + W[j]·x) >> 12)` for
-/// `j < n_out`) together with its operand layout.
+/// A compiler-declared kernel region: the pc range of one emitted kernel
+/// together with the math it computes and its operand layout.
 ///
 /// Descriptors are *claims*, not trusted input: translation verifies
 /// each one against the micro-op stream (see the [module docs](self))
@@ -95,6 +98,23 @@ pub struct KernelRegion {
     pub start_addr: u32,
     /// Fall-through address after the region's last instruction.
     pub end_addr: u32,
+    /// What the region computes.
+    pub math: RegionMath,
+}
+
+/// The computation a [`KernelRegion`] claims to perform.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RegionMath {
+    /// A requantized matrix-vector product.
+    Matvec(Matvec),
+    /// The LSTM element-wise cell and hidden-state update.
+    Cell(CellUpdate),
+}
+
+/// One emitted matrix-vector kernel:
+/// `out[j] = act((bias32[j] + W[j]·x) >> 12)` for `j < n_out`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Matvec {
     /// Row-major Q3.12 weight base (`n_out × n_in` halfwords).
     pub w_base: u32,
     /// Pre-shifted 32-bit bias seeds (`n_out` words).
@@ -111,6 +131,68 @@ pub struct KernelRegion {
     pub n_out: u32,
     /// Activation applied after requantization.
     pub act: ShortcutAct,
+}
+
+/// One emitted LSTM cell-update loop over `rows` dense Q3.12 rows. Row
+/// `k`, in order, computes and stores
+///
+/// ```text
+/// c[k] ← clip16((f[k]·c[k] >> 12) + (i[k]·g[k] >> 12))
+/// h[k] ← clip16((o[k]·tanh(c[k])) >> 12)
+/// ```
+///
+/// with the hardware `pl.tanh`; `c` is updated in place.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CellUpdate {
+    /// Gate activation sources in `o, f, i, g` order (`rows` halfwords
+    /// each).
+    pub gates: [ShortcutPtr; 4],
+    /// Cell-state source, read and rewritten row by row.
+    pub c: ShortcutPtr,
+    /// Hidden-state destination.
+    pub h: ShortcutPtr,
+    /// Row count (nonzero).
+    pub rows: u32,
+}
+
+impl ShortcutAct {
+    /// Applies the activation to a requantized, clipped value.
+    pub(crate) fn apply(self, v: i32) -> i32 {
+        match self {
+            ShortcutAct::None => v,
+            ShortcutAct::Relu => v.max(0),
+            ShortcutAct::Tanh => hw_tanh(v),
+            ShortcutAct::Sigmoid => {
+                rnnasip_fixed::hw_sig(rnnasip_fixed::Q3p12::from_raw(v as i16)).raw() as i32
+            }
+        }
+    }
+}
+
+/// The hardware `pl.tanh` of a Q3.12 halfword, sign-extended.
+fn hw_tanh(v: i32) -> i32 {
+    rnnasip_fixed::hw_tanh(rnnasip_fixed::Q3p12::from_raw(v as i16)).raw() as i32
+}
+
+impl ShortcutPtr {
+    /// The pointer's value in `mem` (`None` if its cell is unreadable).
+    pub(crate) fn resolve(self, mem: &Memory) -> Option<u32> {
+        match self {
+            ShortcutPtr::Const(a) => Some(a),
+            ShortcutPtr::Cell(c) => mem.read_u32(c).ok(),
+        }
+    }
+
+    /// The pointer as an abstract address.
+    fn aaddr(self) -> AAddr {
+        match self {
+            ShortcutPtr::Const(a) => AAddr { cell: None, off: a },
+            ShortcutPtr::Cell(c) => AAddr {
+                cell: Some(c),
+                off: 0,
+            },
+        }
+    }
 }
 
 /// An abstract address: `cell` is `None` for a constant byte address
@@ -130,12 +212,54 @@ pub(crate) enum ExitVal {
     /// `mem_u32[cell] + off` (a pointer loaded from a global cell and
     /// advanced by a constant amount).
     CellAdd { cell: u32, off: u32 },
-    /// Re-load from memory (the last value a register loaded; its
-    /// address range is store-disjoint, so the commit-time read returns
-    /// the load-time value).
+    /// Re-load from memory (the last value a register loaded). Resolved
+    /// before the region's stores are written, so the read returns the
+    /// load-time value: every load range is store-disjoint, and a cell
+    /// update's in-place `c` read precedes its row's store.
     Load { op: LoadOp, addr: AAddr },
-    /// The activated value of output `k`, sign-extended.
+    /// The `k`-th stored value, sign-extended.
     Out(u32),
+    /// A value the region computed but did not store (a cell update's
+    /// last-row intermediate): re-evaluated from
+    /// [`ShortcutRegion::exit_nodes`]`[i]`.
+    Node(u32),
+}
+
+/// One step of a dataflow tree over operands `V`: the data semantics of
+/// the micro-op that produced a value.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Node<V> {
+    Imm(AluImmOp, V, i32),
+    Alu(AluOp, V, V),
+    MulDiv(MulDivOp, V, V),
+    Clip(V, i32, i32),
+    Unary(UnaryOp, V),
+}
+
+impl<V: Copy> Node<V> {
+    /// Maps the operands, failing if any fails.
+    pub(crate) fn try_map<W>(self, mut f: impl FnMut(V) -> Option<W>) -> Option<Node<W>> {
+        Some(match self {
+            Node::Imm(op, a, imm) => Node::Imm(op, f(a)?, imm),
+            Node::Alu(op, a, b) => Node::Alu(op, f(a)?, f(b)?),
+            Node::MulDiv(op, a, b) => Node::MulDiv(op, f(a)?, f(b)?),
+            Node::Clip(a, lo, hi) => Node::Clip(f(a)?, lo, hi),
+            Node::Unary(op, a) => Node::Unary(op, f(a)?),
+        })
+    }
+}
+
+impl Node<u32> {
+    /// The micro-op's result on concrete operands.
+    pub(crate) fn eval(self) -> u32 {
+        match self {
+            Node::Imm(op, a, imm) => exec_opimm(op, a, imm),
+            Node::Alu(op, a, b) => exec_op(op, a, b),
+            Node::MulDiv(op, a, b) => exec_muldiv(op, a, b),
+            Node::Clip(a, lo, hi) => (a as i32).clamp(lo, hi) as u32,
+            Node::Unary(op, a) => exec_unary(op, a),
+        }
+    }
 }
 
 /// One contiguous abstract byte range accessed by the region, with the
@@ -188,10 +312,13 @@ pub(crate) struct ShortcutRegion {
     pub exit_hwloop: [Option<HwLoopExit>; 2],
     /// The last op's load, pending into the op after the region.
     pub exit_pending_load: Option<(u8, MnemonicId)>,
-    /// Every byte range the region reads.
+    /// Dataflow trees of [`ExitVal::Node`] exit values.
+    pub exit_nodes: Vec<Node<ExitVal>>,
+    /// Every byte range the region reads, except a cell update's
+    /// in-place reads of `c` (covered by its store span).
     pub loads: Vec<AccessRange>,
-    /// The byte range the region writes (the output stream's span).
-    pub store: AccessRange,
+    /// The spans of the region's store streams (one per output stream).
+    pub stores: Vec<AccessRange>,
 }
 
 /// Abstract value of a register during the verification walk.
@@ -595,8 +722,9 @@ const SRC_SPR: usize = 34;
 enum Summary {
     /// Not a constant shift: keep walking.
     Skip,
-    /// Applied; this many micro-ops were accounted for.
-    Applied(u64),
+    /// Applied; `ops` micro-ops were accounted for. With `walk_last`,
+    /// the loop's last iteration is still to be walked.
+    Applied { ops: u64, walk_last: bool },
     /// A replayed load failed — so would the full walk.
     Reject,
 }
@@ -700,10 +828,15 @@ struct Candidate {
     fixed: u64,
     /// Every load of the iteration: `(address, size, form of address)`.
     accesses: Vec<(AAddr, u32, Form)>,
+    /// Every store of the iteration: `(address, form of address)`;
+    /// `None` when a store ends the watch.
+    stores: Option<Vec<(AAddr, Form)>>,
 }
 
 impl Candidate {
-    fn new(level: usize, st: &WalkState) -> Self {
+    /// Watches one iteration of loop `level`. Only a cell update's walk
+    /// (`stores`) may summarize iterations that store.
+    fn new(level: usize, st: &WalkState, stores: bool) -> Self {
         let mut regs: [Form; 32] = std::array::from_fn(|r| Form::Lin(r as u8));
         regs[0] = Form::Zero;
         Self {
@@ -716,6 +849,7 @@ impl Candidate {
                 .collect(),
             fixed: 0,
             accesses: Vec::new(),
+            stores: stores.then(Vec::new),
         }
     }
 
@@ -904,7 +1038,22 @@ impl Candidate {
                 self.set(rs1, f);
             }
             UopKind::Nop => {}
-            // Stores, control flow and loop setup end the watch.
+            UopKind::Store { rs1, offset, .. } if self.stores.is_some() => {
+                let Some(addr) = aaddr(val(rs1), offset) else {
+                    return false;
+                };
+                let f = self.ptr(self.form(rs1));
+                self.stores.as_mut().unwrap().push((addr, f));
+            }
+            UopKind::StorePostInc { rs1, .. } if self.stores.is_some() => {
+                let Some(addr) = aaddr(val(rs1), 0) else {
+                    return false;
+                };
+                let f = self.ptr(self.form(rs1));
+                self.set(rs1, f);
+                self.stores.as_mut().unwrap().push((addr, f));
+            }
+            // Other stores, control flow and loop setup end the watch.
             UopKind::Store { .. }
             | UopKind::StorePostInc { .. }
             | UopKind::Branch { .. }
@@ -927,16 +1076,26 @@ impl Candidate {
     /// of the loop's last iteration, with the loop's count back at 1 so
     /// the walk can take its exit. [`Summary::Skip`] leaves `st`
     /// untouched.
-    fn summarize(&self, st: &mut WalkState) -> Summary {
+    ///
+    /// A cell update's iteration may store: it then writes whole rows,
+    /// and every store and load must advance by exactly those rows, so
+    /// iteration `k + 1` checks the row formulas one row further on. The
+    /// stored values of applied iterations are never exit-live, so the
+    /// loop's last iteration is left to the walk (`walk_last`), which
+    /// records its stores and dataflow as usual.
+    fn summarize(&self, st: &mut WalkState, plan: &Outputs) -> Summary {
         let s0 = &self.start;
         let lv = self.level;
         let (Some((a0, e0, n0)), Some((a1, e1, n1))) = (s0.hwl[lv], st.hwl[lv]) else {
             return Summary::Skip;
         };
-        if (a0, e0) != (a1, e1)
+        // Two halfword stores per row: `stored` bytes of advance per
+        // iteration for every stream and operand.
+        let stored = st.next_out - s0.next_out;
+        if (stored > 0 && (self.stores.is_none() || !stored.is_multiple_of(2)))
+            || (a0, e0) != (a1, e1)
             || n1 + 1 != n0
             || s0.hwl[1 - lv] != st.hwl[1 - lv]
-            || s0.next_out != st.next_out
             || s0.prev_load != st.prev_load
             || s0.retire_rows.len() != st.retire_rows.len()
             || s0.stall_rows.len() != st.stall_rows.len()
@@ -1002,25 +1161,47 @@ impl Candidate {
             return Summary::Skip;
         }
 
-        // Where each load of the watched iteration moves per iteration.
+        // Where each access of the watched iteration moves per iteration.
+        let shift_of = |f: Form| match f {
+            Form::Lin(s) => match d[usize::from(s)] {
+                Delta::Num(v) => Some(v),
+                _ => None,
+            },
+            Form::Zero => Some(0),
+            Form::Cell(_) | Form::Fresh => None,
+        };
         let mut shifts = Vec::with_capacity(self.accesses.len());
         for &(addr, size, f) in &self.accesses {
-            let shift = match f {
-                Form::Lin(s) => match d[usize::from(s)] {
-                    Delta::Num(v) => v,
-                    _ => return Summary::Skip,
-                },
-                Form::Zero => 0,
-                Form::Cell(_) | Form::Fresh => return Summary::Skip,
+            let Some(shift) = shift_of(f) else {
+                return Summary::Skip;
             };
-            shifts.push((addr, size, shift));
+            if stored > 0 && shift != stored {
+                return Summary::Skip;
+            }
+            // In-place reads of `c` are covered by its store span.
+            if !plan.in_place(addr, size) {
+                shifts.push((addr, size, shift));
+            }
         }
+        for &(_, f) in self.stores.iter().flatten() {
+            if shift_of(f) != Some(stored) {
+                return Summary::Skip;
+            }
+        }
+        let walk_last = stored > 0;
 
         // All remaining iterations are applied: load ranges in closed
         // form for the first `safe` of them (see [`closed_form`]), the
         // loads of the rest replayed into the range set one by one, which
         // reproduces its merges exactly.
-        let m = u64::from(n1);
+        let m = u64::from(n1) - u64::from(walk_last);
+        let Some(next_out) = (m as u32)
+            .checked_mul(stored)
+            .and_then(|n| n.checked_add(st.next_out))
+            .filter(|&n| n <= plan.count)
+        else {
+            return Summary::Reject;
+        };
         let (safe, grow) = closed_form(&s0.loads, &st.loads, &shifts, m).unwrap_or((0, Vec::new()));
         if safe > 0 {
             for (r, &g) in st.loads.ranges.iter_mut().zip(&grow) {
@@ -1065,10 +1246,14 @@ impl Candidate {
         }
         st.cycles += m * (st.cycles - s0.cycles);
         st.instret += m * iter;
+        st.next_out = next_out;
         if let Some(h) = &mut st.hwl[lv] {
             h.2 = 1;
         }
-        Summary::Applied(m * iter)
+        Summary::Applied {
+            ops: m * iter,
+            walk_last,
+        }
     }
 }
 
@@ -1136,38 +1321,13 @@ fn walk(
     summarize: bool,
     stats: &mut WalkStats,
 ) -> Option<ShortcutRegion> {
-    if desc.n_in == 0
-        || !desc.n_in.is_multiple_of(2)
-        || desc.n_out == 0
-        || desc.out_stride == 0
-        || !desc.out_stride.is_multiple_of(2)
-    {
-        return None;
-    }
+    let plan = Outputs::new(desc)?;
     let start_idx = program.index_of(desc.start_addr)?;
     let end_idx = program.index_of(desc.end_addr)?;
     if end_idx <= start_idx || end_idx > uops.len() {
         return None;
     }
-    let out_base = match desc.out {
-        ShortcutPtr::Const(a) => AAddr { cell: None, off: a },
-        ShortcutPtr::Cell(c) => AAddr {
-            cell: Some(c),
-            off: 0,
-        },
-    };
-    // The full output span (outputs may be strided): checked for bounds
-    // and load-disjointness at every entry.
-    let span = desc
-        .out_stride
-        .checked_mul(desc.n_out - 1)?
-        .checked_add(2)?;
-    let store = AccessRange {
-        cell: out_base.cell,
-        lo: out_base.off,
-        hi: out_base.off.checked_add(span)?,
-        res: [u32::MAX, out_base.off % 2, u32::MAX],
-    };
+    let stores = plan.spans()?;
 
     let mut st = WalkState {
         regs: [Av::Entry; 32],
@@ -1183,11 +1343,9 @@ fn walk(
         next_out: 0,
     };
     let mut out_map: HashMap<u32, u32> = HashMap::new();
-    let mut next_id = 0u32;
-    let data = |hw: bool, next_id: &mut u32| {
-        let id = *next_id;
-        *next_id += 1;
-        Av::Data { id, hw }
+    let mut vals = Values {
+        count: 0,
+        nodes: plan.cell.map(|_| Vec::new()),
     };
     let mut cand: Option<Candidate> = None;
 
@@ -1261,9 +1419,7 @@ fn walk(
                 offset,
             } => {
                 let addr = aaddr(get(&st.regs, rs1)?, offset)?;
-                if !st.loads.add(addr.cell, addr.off, load_size(op)) {
-                    return None;
-                }
+                plan.load(&mut st, op, addr)?;
                 let v = if op == LoadOp::Lw && addr.cell.is_none() {
                     Av::CellVal {
                         cell: addr.off,
@@ -1282,9 +1438,7 @@ fn walk(
             } => {
                 let base = get(&st.regs, rs1)?;
                 let addr = aaddr(base, 0)?;
-                if !st.loads.add(addr.cell, addr.off, load_size(op)) {
-                    return None;
-                }
+                plan.load(&mut st, op, addr)?;
                 let v = if op == LoadOp::Lw && addr.cell.is_none() {
                     Av::CellVal {
                         cell: addr.off,
@@ -1309,9 +1463,7 @@ fn walk(
                     },
                     _ => return None,
                 };
-                if !st.loads.add(addr.cell, addr.off, load_size(op)) {
-                    return None;
-                }
+                plan.load(&mut st, op, addr)?;
                 let v = if op == LoadOp::Lw && addr.cell.is_none() {
                     Av::CellVal {
                         cell: addr.off,
@@ -1329,15 +1481,7 @@ fn walk(
                 offset,
             } => {
                 let addr = aaddr(get(&st.regs, rs1)?, offset)?;
-                check_store(
-                    op,
-                    addr,
-                    get(&st.regs, rs2)?,
-                    desc,
-                    out_base,
-                    &mut st.next_out,
-                    &mut out_map,
-                )?;
+                plan.store(op, addr, get(&st.regs, rs2)?, &vals, &mut st, &mut out_map)?;
             }
             UopKind::StorePostInc {
                 op,
@@ -1347,15 +1491,7 @@ fn walk(
             } => {
                 let base = get(&st.regs, rs1)?;
                 let addr = aaddr(base, 0)?;
-                check_store(
-                    op,
-                    addr,
-                    get(&st.regs, rs2)?,
-                    desc,
-                    out_base,
-                    &mut st.next_out,
-                    &mut out_map,
-                )?;
+                plan.store(op, addr, get(&st.regs, rs2)?, &vals, &mut st, &mut out_map)?;
                 set(&mut st.regs, rs1, bump(base, offset)?);
             }
             UopKind::OpImm { op, rd, rs1, imm } => {
@@ -1366,7 +1502,7 @@ fn walk(
                         off: off.wrapping_add(imm as u32),
                     },
                     (_, Av::Const(c)) => Av::Const(exec_opimm(op, c, imm)),
-                    _ => data(false, &mut next_id),
+                    _ => vals.fresh(false, Some(Node::Imm(op, a, imm))),
                 };
                 set(&mut st.regs, rd, v);
             }
@@ -1384,14 +1520,14 @@ fn walk(
                         cell,
                         off: off.wrapping_sub(c),
                     },
-                    _ => data(false, &mut next_id),
+                    _ => vals.fresh(false, Some(Node::Alu(op, a, b))),
                 };
                 set(&mut st.regs, rd, v);
             }
             UopKind::MulDiv { op, rd, rs1, rs2 } => {
                 let v = match (get(&st.regs, rs1)?, get(&st.regs, rs2)?) {
                     (Av::Const(a), Av::Const(b)) => Av::Const(exec_muldiv(op, a, b)),
-                    _ => data(false, &mut next_id),
+                    (a, b) => vals.fresh(false, Some(Node::MulDiv(op, a, b))),
                 };
                 set(&mut st.regs, rd, v);
             }
@@ -1401,7 +1537,7 @@ fn walk(
                     (Av::Const(d), Av::Const(a), Av::Const(b)) => {
                         Av::Const(d.wrapping_add((a as i32).wrapping_mul(b as i32) as u32))
                     }
-                    _ => data(false, &mut next_id),
+                    _ => vals.fresh(false, None),
                 };
                 set(&mut st.regs, rd, v);
             }
@@ -1410,28 +1546,28 @@ fn walk(
                     (Av::Const(d), Av::Const(a), Av::Const(b)) => {
                         Av::Const(d.wrapping_sub((a as i32).wrapping_mul(b as i32) as u32))
                     }
-                    _ => data(false, &mut next_id),
+                    _ => vals.fresh(false, None),
                 };
                 set(&mut st.regs, rd, v);
             }
             UopKind::Clip { rd, rs1, lo, hi } => {
                 let v = match get(&st.regs, rs1)? {
                     Av::Const(c) => Av::Const((c as i32).clamp(lo, hi) as u32),
-                    _ => data(lo >= -32768 && hi <= 32767, &mut next_id),
+                    a => vals.fresh(lo >= -32768 && hi <= 32767, Some(Node::Clip(a, lo, hi))),
                 };
                 set(&mut st.regs, rd, v);
             }
             UopKind::ClipU { rd, rs1, hi } => {
                 let v = match get(&st.regs, rs1)? {
                     Av::Const(c) => Av::Const((c as i32).clamp(0, hi) as u32),
-                    _ => data(hi <= 32767, &mut next_id),
+                    a => vals.fresh(hi <= 32767, Some(Node::Clip(a, 0, hi))),
                 };
                 set(&mut st.regs, rd, v);
             }
             UopKind::Unary { op, rd, rs1 } => {
                 let v = match get(&st.regs, rs1)? {
                     Av::Const(c) => Av::Const(exec_unary(op, c)),
-                    _ => data(unary_hw(op), &mut next_id),
+                    a => vals.fresh(unary_hw(op), Some(Node::Unary(op, a))),
                 };
                 set(&mut st.regs, rd, v);
             }
@@ -1440,7 +1576,7 @@ fn walk(
                 let b = get(&st.regs, rs2)?;
                 let v = match (a, b) {
                     (Av::Const(x), Av::Const(y)) => Av::Const((x as i32).min(y as i32) as u32),
-                    _ => data(in_i16(a) && in_i16(b), &mut next_id),
+                    _ => vals.fresh(in_i16(a) && in_i16(b), None),
                 };
                 set(&mut st.regs, rd, v);
             }
@@ -1449,14 +1585,14 @@ fn walk(
                 let b = get(&st.regs, rs2)?;
                 let v = match (a, b) {
                     (Av::Const(x), Av::Const(y)) => Av::Const((x as i32).max(y as i32) as u32),
-                    _ => data(in_i16(a) && in_i16(b), &mut next_id),
+                    _ => vals.fresh(in_i16(a) && in_i16(b), None),
                 };
                 set(&mut st.regs, rd, v);
             }
             UopKind::Ror { rd, rs1, rs2 } => {
                 let v = match (get(&st.regs, rs1)?, get(&st.regs, rs2)?) {
                     (Av::Const(a), Av::Const(b)) => Av::Const(a.rotate_right(b & 31)),
-                    _ => data(false, &mut next_id),
+                    _ => vals.fresh(false, None),
                 };
                 set(&mut st.regs, rd, v);
             }
@@ -1471,7 +1607,7 @@ fn walk(
                     (Av::Const(a), Av::Const(b)) => {
                         Av::Const(crate::machine::exec_pv_alu(op, size, a, b))
                     }
-                    _ => data(false, &mut next_id),
+                    _ => vals.fresh(false, None),
                 };
                 set(&mut st.regs, rd, v);
             }
@@ -1496,7 +1632,7 @@ fn walk(
                         };
                         Av::Const(crate::machine::exec_pv_alu(op, size, a, b))
                     }
-                    _ => data(false, &mut next_id),
+                    _ => vals.fresh(false, None),
                 };
                 set(&mut st.regs, rd, v);
             }
@@ -1509,7 +1645,7 @@ fn walk(
             } => {
                 let v = match get(&st.regs, rs1)? {
                     Av::Const(a) => Av::Const(crate::machine::exec_pv_alu(op, size, a, b)),
-                    _ => data(false, &mut next_id),
+                    _ => vals.fresh(false, None),
                 };
                 set(&mut st.regs, rd, v);
             }
@@ -1534,7 +1670,7 @@ fn walk(
                     (Av::Const(x), Av::Const(y), None) => {
                         Av::Const(crate::machine::exec_dot(op, size, x, y))
                     }
-                    _ => data(false, &mut next_id),
+                    _ => vals.fresh(false, None),
                 };
                 set(&mut st.regs, rd, v);
             }
@@ -1559,15 +1695,13 @@ fn walk(
                 }
                 let base = get(&st.regs, rs1)?;
                 let addr = aaddr(base, 0)?;
-                if !st.loads.add(addr.cell, addr.off, 4) {
-                    return None;
-                }
+                plan.load(&mut st, LoadOp::Lw, addr)?;
                 st.pend.push((st.instret, sl, addr));
                 if st.pend.len() > 2 {
                     return None;
                 }
                 if rd != Reg::ZERO {
-                    let v = data(false, &mut next_id);
+                    let v = vals.fresh(false, None);
                     set(&mut st.regs, rd, v);
                 }
                 set(&mut st.regs, rs1, bump(base, 4)?);
@@ -1644,18 +1778,20 @@ fn walk(
                     // start: if it shifted the state by constants, apply
                     // the rest of the loop and take its exit instead.
                     if let Some(c) = cand.take().filter(|c| c.level == level) {
-                        match c.summarize(&mut st) {
-                            Summary::Applied(n) => {
+                        match c.summarize(&mut st, &plan) {
+                            Summary::Applied { ops: n, walk_last } => {
                                 ops += n;
                                 stats.summarized = true;
                                 if ops > WALK_OP_CAP {
                                     return None;
                                 }
-                                let Some(next) = jump_back(&mut st.hwl) else {
-                                    i += 1;
-                                    continue;
-                                };
-                                (level, na) = next;
+                                if !walk_last {
+                                    let Some(next) = jump_back(&mut st.hwl) else {
+                                        i += 1;
+                                        continue;
+                                    };
+                                    (level, na) = next;
+                                }
                             }
                             Summary::Reject => return None,
                             Summary::Skip => {}
@@ -1663,7 +1799,7 @@ fn walk(
                     }
                     // Watch the next iteration if enough remain to pay off.
                     if st.hwl[level].is_some_and(|h| h.2 >= 3) {
-                        cand = Some(Candidate::new(level, &st));
+                        cand = Some(Candidate::new(level, &st, plan.cell.is_some()));
                     }
                 }
                 let t = program.index_of(na)?;
@@ -1675,21 +1811,16 @@ fn walk(
         }
     }
 
-    if st.next_out != desc.n_out {
+    if st.next_out != plan.count {
         return None;
     }
     let mut exit_regs = Vec::new();
-    for (r, av) in st.regs.iter().enumerate().skip(1) {
-        let ev = match *av {
-            Av::Entry => continue,
-            Av::Const(v) => ExitVal::Const(v),
-            Av::CellVal { cell, off } => ExitVal::CellAdd { cell, off },
-            Av::Load { op, addr } => ExitVal::Load { op, addr },
-            Av::Data { id, .. } => match out_map.get(&id) {
-                Some(&k) => ExitVal::Out(k),
-                None => return None,
-            },
-        };
+    let mut exit_nodes = Vec::new();
+    for (r, &av) in st.regs.iter().enumerate().skip(1) {
+        if let Av::Entry = av {
+            continue;
+        }
+        let ev = exit_val(av, &out_map, &vals, &mut exit_nodes)?;
         exit_regs.push((r as u8, ev));
     }
     let exit_spr = st.spr.map(|s| match s {
@@ -1711,39 +1842,243 @@ fn walk(
         exit_pending: st.pend,
         exit_hwloop,
         exit_pending_load: st.prev_load,
+        exit_nodes,
         loads: st.loads.ranges,
-        store,
+        stores,
     })
 }
 
-/// Verifies one store op against the region's declared output stream:
-/// only `sh` of a requantized (sign-extended 16-bit) value at exactly
-/// the next expected output address is accepted.
-#[allow(clippy::too_many_arguments)]
-fn check_store(
-    op: StoreOp,
-    addr: AAddr,
-    value: Av,
-    desc: &KernelRegion,
-    out_base: AAddr,
-    next_out: &mut u32,
-    out_map: &mut HashMap<u32, u32>,
-) -> Option<()> {
-    if op != StoreOp::Sh || *next_out >= desc.n_out {
-        return None;
+/// How an exit-live abstract value is rebuilt at commit: a stored value
+/// by its store index, computed data through its dataflow tree (only a
+/// cell update's walk records one), anything else directly.
+fn exit_val(
+    v: Av,
+    out_map: &HashMap<u32, u32>,
+    vals: &Values,
+    exit_nodes: &mut Vec<Node<ExitVal>>,
+) -> Option<ExitVal> {
+    Some(match v {
+        Av::Entry => return None,
+        Av::Const(c) => ExitVal::Const(c),
+        Av::CellVal { cell, off } => ExitVal::CellAdd { cell, off },
+        Av::Load { op, addr } => ExitVal::Load { op, addr },
+        Av::Data { id, .. } => match out_map.get(&id) {
+            Some(&k) => ExitVal::Out(k),
+            None => {
+                let node = vals
+                    .node(v)?
+                    .try_map(|a| exit_val(a, out_map, vals, exit_nodes))?;
+                exit_nodes.push(node);
+                ExitVal::Node(exit_nodes.len() as u32 - 1)
+            }
+        },
+    })
+}
+
+/// The symbolic data values of one walk. A cell update's walk records the
+/// micro-op behind each value, so its stores' dataflow can be proven and
+/// its exit intermediates rebuilt; a matvec walk keeps every value opaque.
+struct Values {
+    count: u32,
+    /// Per value id, the producing op (`None` = not modelled); `None`
+    /// altogether when not recording.
+    nodes: Option<Vec<Option<Node<Av>>>>,
+}
+
+impl Values {
+    fn fresh(&mut self, hw: bool, node: Option<Node<Av>>) -> Av {
+        let id = self.count;
+        self.count += 1;
+        if let Some(nodes) = &mut self.nodes {
+            nodes.push(node);
+        }
+        Av::Data { id, hw }
     }
-    let Av::Data { id, hw: true } = value else {
-        return None;
-    };
-    let expected = AAddr {
-        cell: out_base.cell,
-        off: out_base.off.wrapping_add(*next_out * desc.out_stride),
-    };
-    if addr != expected || out_map.insert(id, *next_out).is_some() {
-        return None;
+
+    /// The op that produced `v`, if recorded.
+    fn node(&self, v: Av) -> Option<Node<Av>> {
+        let Av::Data { id, .. } = v else {
+            return None;
+        };
+        *self.nodes.as_ref()?.get(id as usize)?
     }
-    *next_out += 1;
-    Some(())
+
+    /// Whether `v` is `(a·b) >> 12` with operands matching `pa` and `pb`
+    /// in either order.
+    fn is_q12(&self, v: Av, pa: impl Fn(Av) -> bool, pb: impl Fn(Av) -> bool) -> bool {
+        let Some(Node::Imm(AluImmOp::Srai, p, 12)) = self.node(v) else {
+            return false;
+        };
+        let Some(Node::MulDiv(MulDivOp::Mul, a, b)) = self.node(p) else {
+            return false;
+        };
+        (pa(a) && pb(b)) || (pa(b) && pb(a))
+    }
+
+    /// The operand of a `clip 16`, if `v` is one.
+    fn clip16(&self, v: Av) -> Option<Av> {
+        match self.node(v)? {
+            Node::Clip(a, -32768, 32767) => Some(a),
+            _ => None,
+        }
+    }
+}
+
+/// `lh` of row `k` of a dense halfword stream at `base`, as a predicate.
+fn row_load(base: AAddr, k: u32) -> impl Fn(Av) -> bool {
+    let want = AAddr {
+        cell: base.cell,
+        off: base.off.wrapping_add(2 * k),
+    };
+    move |v| matches!(v, Av::Load { op: LoadOp::Lh, addr } if addr == want)
+}
+
+/// The stores a region must make, in order: store `k` goes to stream
+/// `k % n` at element `k / n` of `n` streams. A matvec has one output
+/// stream; a cell update alternates its `c` and `h` rows.
+struct Outputs {
+    /// `(base, stride)` per stream.
+    streams: Vec<(AAddr, u32)>,
+    /// Total stores.
+    count: u32,
+    /// A cell update's `o, f, i, g` sources.
+    cell: Option<[AAddr; 4]>,
+}
+
+impl Outputs {
+    fn new(desc: &KernelRegion) -> Option<Self> {
+        match desc.math {
+            RegionMath::Matvec(m) => {
+                if m.n_in == 0
+                    || !m.n_in.is_multiple_of(2)
+                    || m.n_out == 0
+                    || m.out_stride == 0
+                    || !m.out_stride.is_multiple_of(2)
+                {
+                    return None;
+                }
+                Some(Self {
+                    streams: vec![(m.out.aaddr(), m.out_stride)],
+                    count: m.n_out,
+                    cell: None,
+                })
+            }
+            RegionMath::Cell(u) => {
+                if u.rows == 0 {
+                    return None;
+                }
+                Some(Self {
+                    streams: vec![(u.c.aaddr(), 2), (u.h.aaddr(), 2)],
+                    count: u.rows.checked_mul(2)?,
+                    cell: Some(u.gates.map(ShortcutPtr::aaddr)),
+                })
+            }
+        }
+    }
+
+    /// Address of store `k`.
+    fn addr(&self, k: u32) -> AAddr {
+        let n = self.streams.len() as u32;
+        let (base, stride) = self.streams[(k % n) as usize];
+        AAddr {
+            cell: base.cell,
+            off: base.off.wrapping_add(k / n * stride),
+        }
+    }
+
+    /// Each stream's byte span, checked for bounds and load-disjointness
+    /// at every entry.
+    fn spans(&self) -> Option<Vec<AccessRange>> {
+        let per = self.count / self.streams.len() as u32;
+        self.streams
+            .iter()
+            .map(|&(base, stride)| {
+                let span = stride.checked_mul(per - 1)?.checked_add(2)?;
+                Some(AccessRange {
+                    cell: base.cell,
+                    lo: base.off,
+                    hi: base.off.checked_add(span)?,
+                    res: [u32::MAX, base.off % 2, u32::MAX],
+                })
+            })
+            .collect()
+    }
+
+    /// Records one load. A cell update may read its `c` stream only in
+    /// place: the current row's own `c`, once, before that row's store.
+    /// Such reads stay out of the load ranges — the `c` span is the
+    /// region's one allowed load/store overlap.
+    fn load(&self, st: &mut WalkState, op: LoadOp, addr: AAddr) -> Option<()> {
+        let size = load_size(op);
+        if self.in_place(addr, size) {
+            let k = st.next_out;
+            return (op == LoadOp::Lh && k.is_multiple_of(2) && addr == self.addr(k)).then_some(());
+        }
+        st.loads.add(addr.cell, addr.off, size).then_some(())
+    }
+
+    /// Whether an access lies statically in a cell update's `c` span
+    /// (`rows` halfwords, so `count` bytes).
+    fn in_place(&self, addr: AAddr, size: u32) -> bool {
+        if self.cell.is_none() {
+            return false;
+        }
+        let c = self.addr(0);
+        let end = u64::from(c.off) + u64::from(self.count);
+        addr.cell == c.cell
+            && u64::from(addr.off) < end
+            && u64::from(c.off) < u64::from(addr.off) + u64::from(size)
+    }
+
+    /// Verifies one store against the next expected store: an `sh` at
+    /// exactly its address of a value that is a requantized halfword
+    /// (matvec) or the row's `c` / `h` formula over this row's operands
+    /// (cell update).
+    fn store(
+        &self,
+        op: StoreOp,
+        addr: AAddr,
+        value: Av,
+        vals: &Values,
+        st: &mut WalkState,
+        out_map: &mut HashMap<u32, u32>,
+    ) -> Option<()> {
+        let k = st.next_out;
+        if op != StoreOp::Sh || k >= self.count || addr != self.addr(k) {
+            return None;
+        }
+        let Av::Data { id, hw } = value else {
+            return None;
+        };
+        let ok = match self.cell {
+            None => hw,
+            Some([o, f, i, g]) => {
+                let row = k / 2;
+                if k.is_multiple_of(2) {
+                    let c = self.addr(0);
+                    let fc = |t| vals.is_q12(t, row_load(f, row), row_load(c, row));
+                    let ig = |t| vals.is_q12(t, row_load(i, row), row_load(g, row));
+                    matches!(
+                        vals.clip16(value).and_then(|s| vals.node(s)),
+                        Some(Node::Alu(AluOp::Add, a, b)) if (fc(a) && ig(b)) || (fc(b) && ig(a))
+                    )
+                } else {
+                    // tanh of exactly the value stored as this row's c.
+                    let tanh_c = |t| {
+                        matches!(vals.node(t), Some(Node::Unary(UnaryOp::Tanh, Av::Data { id, .. }))
+                            if out_map.get(&id) == Some(&(k - 1)))
+                    };
+                    vals.clip16(value)
+                        .is_some_and(|s| vals.is_q12(s, row_load(o, row), tanh_c))
+                }
+            }
+        };
+        if !ok || out_map.insert(id, k).is_some() {
+            return None;
+        }
+        st.next_out += 1;
+        Some(())
+    }
 }
 
 impl AAddr {
@@ -1784,72 +2119,93 @@ impl AccessRange {
 
 impl ShortcutRegion {
     /// Per-entry admission check: resolves every pointer cell and
-    /// verifies that all load ranges and the output span are in bounds,
-    /// aligned, and that the output span overlaps no load range (the
-    /// handler batches its writes after its reads). Returns the
-    /// resolved `(x, out)` base addresses, or `None` to decline.
-    pub(crate) fn check_entry(&self, mem: &Memory) -> Option<(u32, u32)> {
-        let (s_lo, s_hi) = self.store.resolve(mem)?;
-        for r in &self.loads {
-            let (l_lo, l_hi) = r.resolve(mem)?;
-            if s_lo < l_hi && l_lo < s_hi {
-                return None;
-            }
-        }
-        let x = match self.desc.x {
-            ShortcutPtr::Const(a) => a,
-            ShortcutPtr::Cell(c) => mem.read_u32(c).ok()?,
-        };
-        let out = match self.desc.out {
-            ShortcutPtr::Const(a) => a,
-            ShortcutPtr::Cell(c) => mem.read_u32(c).ok()?,
-        };
-        Some((x, out))
-    }
-
-    /// Computes the region's activated outputs with host arithmetic —
-    /// bit-identical to the emitted kernel: `i16×i16` products
-    /// accumulated with wrapping 32-bit adds (order-independent), then
-    /// `>> 12`, clip to 16 bits, and the shared fixed-point activation
-    /// units. Returns `false` (with no state mutated anywhere) if any
-    /// read falls outside memory.
-    pub(crate) fn compute(&self, mem: &Memory, x_base: u32, outs: &mut Vec<i32>) -> bool {
-        let n_in = self.desc.n_in as usize;
-        let n_out = self.desc.n_out as usize;
-        let row_bytes = n_in * 2;
-        let Ok(x) = mem.byte_slice(x_base, row_bytes) else {
-            return false;
-        };
-        outs.reserve(n_out);
-        for j in 0..n_out {
-            let Ok(bias) = mem.read_u32(self.desc.bias32.wrapping_add(4 * j as u32)) else {
+    /// verifies that all load ranges and store spans are in bounds and
+    /// aligned, and that no store span overlaps a load range or another
+    /// store span (the handler batches its writes after its reads; a cell
+    /// update's in-place reads of `c` are not load ranges). `false`
+    /// declines.
+    pub(crate) fn check_entry(&self, mem: &Memory) -> bool {
+        for (n, w) in self.stores.iter().enumerate() {
+            let Some((s_lo, s_hi)) = w.resolve(mem) else {
                 return false;
             };
-            let Ok(row) = mem.byte_slice(
-                self.desc.w_base.wrapping_add((j * row_bytes) as u32),
-                row_bytes,
-            ) else {
-                return false;
-            };
-            let mut acc = bias as i32;
-            for (wp, xp) in row.chunks_exact(2).zip(x.chunks_exact(2)) {
-                let w = i16::from_le_bytes([wp[0], wp[1]]) as i32;
-                let xv = i16::from_le_bytes([xp[0], xp[1]]) as i32;
-                acc = acc.wrapping_add(w.wrapping_mul(xv));
+            for r in self.loads.iter().chain(&self.stores[..n]) {
+                let Some((l_lo, l_hi)) = r.resolve(mem) else {
+                    return false;
+                };
+                if s_lo < l_hi && l_lo < s_hi {
+                    return false;
+                }
             }
-            let v = (acc >> 12).clamp(-32768, 32767);
-            let v = match self.desc.act {
-                ShortcutAct::None => v,
-                ShortcutAct::Relu => v.max(0),
-                ShortcutAct::Tanh => {
-                    rnnasip_fixed::hw_tanh(rnnasip_fixed::Q3p12::from_raw(v as i16)).raw() as i32
-                }
-                ShortcutAct::Sigmoid => {
-                    rnnasip_fixed::hw_sig(rnnasip_fixed::Q3p12::from_raw(v as i16)).raw() as i32
-                }
-            };
-            outs.push(v);
         }
         true
     }
+
+    /// Computes the region's stores, in store order, as `(address,
+    /// value)` pairs with host arithmetic bit-identical to the emitted
+    /// kernel. A matvec accumulates `i16×i16` products with wrapping
+    /// 32-bit adds (order-independent), then applies `>> 12`, a 16-bit
+    /// clip and the shared fixed-point activation. A cell update
+    /// evaluates each row's formula (see [`CellUpdate`]). Every read sees
+    /// entry-time memory, which [`check_entry`](Self::check_entry) makes
+    /// exactly what the kernel reads. Returns `false` (with no state
+    /// mutated anywhere) if any pointer or read falls outside memory.
+    pub(crate) fn compute(&self, mem: &Memory, outs: &mut Vec<(u32, i32)>) -> bool {
+        match self.desc.math {
+            RegionMath::Matvec(m) => matvec(&m, mem, outs),
+            RegionMath::Cell(u) => cell_update(&u, mem, outs),
+        }
+        .is_some()
+    }
+}
+
+fn matvec(m: &Matvec, mem: &Memory, outs: &mut Vec<(u32, i32)>) -> Option<()> {
+    let n_in = m.n_in as usize;
+    let n_out = m.n_out as usize;
+    let row_bytes = n_in * 2;
+    let x = mem.byte_slice(m.x.resolve(mem)?, row_bytes).ok()?;
+    let out = m.out.resolve(mem)?;
+    outs.reserve(n_out);
+    for j in 0..n_out {
+        let bias = mem.read_u32(m.bias32.wrapping_add(4 * j as u32)).ok()?;
+        let row = mem
+            .byte_slice(m.w_base.wrapping_add((j * row_bytes) as u32), row_bytes)
+            .ok()?;
+        let mut acc = bias as i32;
+        for (wp, xp) in row.chunks_exact(2).zip(x.chunks_exact(2)) {
+            let w = i16::from_le_bytes([wp[0], wp[1]]) as i32;
+            let xv = i16::from_le_bytes([xp[0], xp[1]]) as i32;
+            acc = acc.wrapping_add(w.wrapping_mul(xv));
+        }
+        let v = m.act.apply((acc >> 12).clamp(-32768, 32767));
+        outs.push((out.wrapping_add(j as u32 * m.out_stride), v));
+    }
+    Some(())
+}
+
+fn cell_update(u: &CellUpdate, mem: &Memory, outs: &mut Vec<(u32, i32)>) -> Option<()> {
+    let rows = u.rows as usize;
+    let stream = |p: ShortcutPtr| -> Option<(u32, &[u8])> {
+        let base = p.resolve(mem)?;
+        Some((base, mem.byte_slice(base, 2 * rows).ok()?))
+    };
+    let [(_, o), (_, f), (_, i), (_, g)] = [
+        stream(u.gates[0])?,
+        stream(u.gates[1])?,
+        stream(u.gates[2])?,
+        stream(u.gates[3])?,
+    ];
+    let (c_base, c) = stream(u.c)?;
+    let (h_base, _) = stream(u.h)?;
+    let at = |s: &[u8], k: usize| i16::from_le_bytes([s[2 * k], s[2 * k + 1]]) as i32;
+    outs.reserve(2 * rows);
+    for k in 0..rows {
+        let c_new =
+            (((at(f, k) * at(c, k)) >> 12) + ((at(i, k) * at(g, k)) >> 12)).clamp(-32768, 32767);
+        let h = ((at(o, k) * hw_tanh(c_new)) >> 12).clamp(-32768, 32767);
+        let off = 2 * k as u32;
+        outs.push((c_base.wrapping_add(off), c_new));
+        outs.push((h_base.wrapping_add(off), h));
+    }
+    Some(())
 }

@@ -13,7 +13,8 @@
 use rnnasip_isa::{AluImmOp, BranchOp, DotOp, Instr, LoadOp, LoopIdx, Reg, SimdSize, StoreOp};
 use rnnasip_rng::StdRng;
 use rnnasip_sim::{
-    ExitReason, KernelRegion, Machine, Memory, Program, ShortcutAct, ShortcutPtr, UopProgram,
+    ExitReason, KernelRegion, Machine, Matvec, Memory, Program, RegionMath, ShortcutAct,
+    ShortcutPtr, UopProgram,
 };
 use std::sync::Arc;
 
@@ -127,14 +128,16 @@ impl Kernel {
         KernelRegion {
             start_addr: CODE,
             end_addr: CODE + 4 * self.body.len() as u32,
-            w_base: W,
-            bias32: BIAS,
-            x: ShortcutPtr::Const(X),
-            out: ShortcutPtr::Const(OUT),
-            out_stride: 2,
-            n_in: self.n_in,
-            n_out: self.n_out,
-            act: ShortcutAct::None,
+            math: RegionMath::Matvec(Matvec {
+                w_base: W,
+                bias32: BIAS,
+                x: ShortcutPtr::Const(X),
+                out: ShortcutPtr::Const(OUT),
+                out_stride: 2,
+                n_in: self.n_in,
+                n_out: self.n_out,
+                act: ShortcutAct::None,
+            }),
         }
     }
 }
