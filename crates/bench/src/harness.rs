@@ -44,8 +44,8 @@ const TARGET_SAMPLE: Duration = Duration::from_millis(20);
 
 /// Times `f`, printing and returning the measurement.
 ///
-/// The batch size doubles until one batch runs for at least
-/// [`TARGET_SAMPLE`], then [`SAMPLES`] batches are timed. The reported
+/// The batch size doubles until one batch runs for at least 20 ms, then
+/// 10 batches are timed. The reported
 /// unit is always ns per single iteration of `f`.
 pub fn bench<R>(name: &str, mut f: impl FnMut() -> R) -> Measurement {
     let mut batch = 1u64;

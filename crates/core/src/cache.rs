@@ -61,7 +61,6 @@ pub(crate) type Key = (String, OptLevel);
 /// assert_eq!(cache.len(), 1);
 /// # Ok::<(), rnnasip_core::CoreError>(())
 /// ```
-#[derive(Default)]
 pub struct EngineCache {
     /// Compile-once artifacts, one per key; cloned out cheaply (the
     /// image is `Arc`-shared) whenever a fresh engine is needed.
@@ -76,11 +75,24 @@ pub struct EngineCache {
     /// Whether engines created by this cache arm ABFT guards
     /// ([`Engine::set_guards`]).
     guards: bool,
-    /// Simulated cluster cores per artifact (0 = classic single-machine
-    /// artifacts; `n >= 1` compiles with [`KernelBackend::with_cores`]).
+    /// Simulated cluster cores per artifact
+    /// ([`KernelBackend::with_cores`]).
     cores: usize,
     /// Engines dropped under the quarantine rule.
     quarantined: AtomicU64,
+}
+
+impl Default for EngineCache {
+    fn default() -> Self {
+        Self {
+            compiled: Mutex::default(),
+            idle: Mutex::default(),
+            compiles: AtomicU64::default(),
+            guards: false,
+            cores: 1,
+            quarantined: AtomicU64::default(),
+        }
+    }
 }
 
 impl EngineCache {
@@ -101,7 +113,7 @@ impl EngineCache {
     }
 
     /// This cache, compiling every artifact for a simulated
-    /// `cores`-core cluster (0 keeps single-machine artifacts).
+    /// `cores`-core cluster.
     pub(crate) fn with_cores(mut self, cores: usize) -> Self {
         self.cores = cores;
         self
@@ -193,9 +205,9 @@ impl EngineCache {
         }
         // Compiling under the lock serializes concurrent first requests
         // so the artifact is built exactly once per key.
-        let mut backend = KernelBackend::new(key.1);
-        backend.cores = self.cores;
-        let compiled = backend.compile_network(net)?;
+        let compiled = KernelBackend::new(key.1)
+            .with_cores(self.cores)
+            .compile_network(net)?;
         self.compiles.fetch_add(1, Ordering::Relaxed);
         cache.insert(key.clone(), compiled.clone());
         Ok((compiled, true))

@@ -27,7 +27,9 @@ use crate::runner::KernelBackend;
 use rnnasip_asm::Asm;
 use rnnasip_fixed::Q3p12;
 use rnnasip_nn::{Act, Conv2dLayer, FcLayer, LstmLayer, Matrix, Network, Stage};
-use rnnasip_sim::{ClusterProgram, GuardSpec, Machine, MemImage, Program, UopProgram};
+use rnnasip_sim::{
+    ClusterKernel, ClusterPhase, ClusterProgram, GuardSpec, Machine, MemImage, Program, UopProgram,
+};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -142,31 +144,25 @@ pub(crate) fn lap(mark: &mut Instant) -> u64 {
     nanos
 }
 
-/// A network compiled for one `(OptLevel, max_tile)` configuration:
-/// assembled program, staged initial TCDM image, and input/output
+/// A network compiled for one `(OptLevel, max_tile, cores)`
+/// configuration: the cluster program (one phase with one kernel on a
+/// single core), the staged initial TCDM image, and input/output
 /// descriptors.
 ///
 /// Produce with [`KernelBackend::compile_network`]; execute with an
 /// [`Engine`](crate::engine::Engine). Cloning is cheap — the image bytes
-/// are shared — so one artifact can fan out to per-worker engines.
+/// and kernels are shared — so one artifact can fan out to per-worker
+/// engines.
 #[derive(Clone, Debug)]
 pub struct CompiledNetwork {
-    pub(crate) program: Program,
-    /// The program's micro-op translation, built once here so every
-    /// engine instantiated from this artifact skips re-translation
-    /// (`Machine::load_program_shared`).
-    pub(crate) uops: Arc<UopProgram>,
     pub(crate) image: MemImage,
-    /// The cluster lowering, present when the backend was configured
-    /// with [`KernelBackend::with_cores`]: per-core phase programs plus
-    /// DMA descriptors. `None` means the classic single-machine artifact.
-    pub(crate) cluster: Option<Arc<ClusterProgram>>,
-    /// Compile-time ABFT guard specs, one per recorded kernel region:
-    /// the column-checksum row of each region's weight matrix, folded
-    /// from the clean staged image. Engines arm these on demand
-    /// ([`Engine::set_guards`](crate::engine::Engine::set_guards));
-    /// empty for cluster artifacts, whose kernels run on per-core
-    /// machines the guard monitor does not observe.
+    /// The executable lowering: per-core phase kernels (each program
+    /// with its micro-op translation, built once here so every engine
+    /// instantiated from this artifact shares it) plus DMA descriptors.
+    pub(crate) cluster: Arc<ClusterProgram>,
+    /// Every kernel's ABFT guard specs (column-checksum rows folded from
+    /// the clean staged image) in [`ClusterProgram::kernels`] order — the
+    /// row order of a guarded run's report.
     pub(crate) guards: Arc<Vec<GuardSpec>>,
     pub(crate) input: InputDesc,
     pub(crate) output: OutputDesc,
@@ -178,14 +174,23 @@ pub struct CompiledNetwork {
 }
 
 impl CompiledNetwork {
-    /// The assembled kernel program.
-    pub fn program(&self) -> &Program {
-        &self.program
+    /// The whole network on one core; core 0's first phase on a cluster.
+    fn first_kernel(&self) -> &ClusterKernel {
+        self.cluster
+            .kernels()
+            .next()
+            .expect("a compiled network has at least one kernel")
     }
 
-    /// The program's shared micro-op translation.
+    /// The assembled kernel program of a one-core artifact (core 0's
+    /// first phase program on a cluster).
+    pub fn program(&self) -> &Program {
+        &self.first_kernel().program
+    }
+
+    /// The shared micro-op translation of [`program`](Self::program).
     pub fn uop_program(&self) -> &Arc<UopProgram> {
-        &self.uops
+        &self.first_kernel().uops
     }
 
     /// The staged initial memory image (weights loaded, inputs zeroed).
@@ -208,21 +213,19 @@ impl CompiledNetwork {
         self.level
     }
 
-    /// The cluster lowering, when compiled with
-    /// [`KernelBackend::with_cores`].
-    pub fn cluster(&self) -> Option<&Arc<ClusterProgram>> {
-        self.cluster.as_ref()
+    /// The cluster program engines execute.
+    pub fn cluster(&self) -> &Arc<ClusterProgram> {
+        &self.cluster
     }
 
-    /// The compile-time ABFT guard specs (empty for cluster artifacts).
+    /// The compile-time ABFT guard specs, in guard-report row order.
     pub fn guards(&self) -> &Arc<Vec<GuardSpec>> {
         &self.guards
     }
 
-    /// How many cluster cores this artifact executes on (1 for the
-    /// classic single-machine path).
+    /// How many cluster cores this artifact executes on.
     pub fn cores(&self) -> usize {
-        self.cluster.as_ref().map_or(1, |c| c.cores)
+        self.cluster.cores
     }
 
     /// The output-tile cap this network was compiled with.
@@ -256,23 +259,23 @@ impl CompiledNetwork {
         crate::engine::Engine::new(self.clone())
     }
 
-    /// A clone of this artifact whose micro-op translation carries **no**
+    /// A clone of this artifact whose micro-op translations carry **no**
     /// shortcut regions, so engines built from it always execute the
     /// plain micro-op tier. This is the control arm for the
     /// shortcut-vs-uop differential tests and benchmarks.
     pub fn without_shortcuts(&self) -> Self {
-        let mut clone = self.clone();
-        clone.uops = Arc::new(UopProgram::translate(&clone.program));
-        if let Some(cluster) = &self.cluster {
-            let mut plain = (**cluster).clone();
-            for phase in &mut plain.phases {
-                for kernel in phase.kernels.iter_mut().flatten() {
-                    kernel.uops = Arc::new(UopProgram::translate(&kernel.program));
-                }
-            }
-            clone.cluster = Some(Arc::new(plain));
+        let mut plain = (*self.cluster).clone();
+        for kernel in plain
+            .phases
+            .iter_mut()
+            .flat_map(|p| p.kernels.iter_mut().flatten())
+        {
+            kernel.uops = Arc::new(UopProgram::translate(&kernel.program));
         }
-        clone
+        Self {
+            cluster: Arc::new(plain),
+            ..self.clone()
+        }
     }
 }
 
@@ -292,7 +295,7 @@ impl KernelBackend {
     /// shapes, [`CoreError::Unsupported`] for LSTM stages after the
     /// first, plus layout/assembly errors.
     pub fn compile_network(&self, net: &Network) -> Result<CompiledNetwork, CoreError> {
-        if self.cores == 0 {
+        if self.cores == 1 {
             compile_stages(self, net.name(), net.stages())
         } else {
             crate::partition::compile_clustered(self, net.name(), net.stages(), self.cores)
@@ -400,13 +403,27 @@ pub(crate) fn compile_stages(
             .collect::<Vec<_>>(),
     );
     timing.guard_fold = lap(&mut mark);
+    // The staging TCDM (`machine`) must outlive the artifact's own
+    // allocations (it is freed on return): freed before them, whether
+    // they split its chunk would depend on the heap's history, and so
+    // would peak RSS.
     let uops = Arc::new(UopProgram::translate_with_shortcuts(&program, &regions));
     timing.add_translation(lap(&mut mark), &uops);
-    Ok(CompiledNetwork {
-        program,
+    let kernel = ClusterKernel {
+        program: Arc::new(program),
         uops,
+        guards: Arc::clone(&guards),
+    };
+    Ok(CompiledNetwork {
         image,
-        cluster: None,
+        cluster: Arc::new(ClusterProgram {
+            cores: 1,
+            dma: Vec::new(),
+            phases: vec![ClusterPhase {
+                label: "whole network".into(),
+                kernels: vec![Some(kernel)],
+            }],
+        }),
         guards,
         input,
         output: OutputDesc {
@@ -745,25 +762,6 @@ impl Session {
         self.asm.ecall();
         let prog = self.asm.assemble()?;
         Ok((prog, self.machine))
-    }
-
-    /// Appends the halt, assembles, runs, and reads the result.
-    pub(crate) fn finish(
-        self,
-        out_addr: u32,
-        out_len: usize,
-        max_cycles: u64,
-    ) -> Result<(Vec<Q3p12>, crate::report::RunReport), CoreError> {
-        let (prog, mut machine) = self.into_program()?;
-        machine.load_program(&prog);
-        let started = std::time::Instant::now();
-        machine.run(max_cycles)?;
-        let host_nanos = started.elapsed().as_nanos() as u64;
-        let outputs = machine.mem().read_q3p12_slice(out_addr, out_len)?;
-        Ok((
-            outputs,
-            crate::report::RunReport::new(machine.stats().clone()).with_host_nanos(host_nanos),
-        ))
     }
 }
 

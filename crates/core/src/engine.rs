@@ -1,8 +1,9 @@
 //! The run phase of the compile-once / run-many split.
 //!
-//! An [`Engine`] owns a reusable [`Machine`] seeded from a
-//! [`CompiledNetwork`]'s staged image. Each [`run`](Engine::run) rewinds
-//! the machine (restoring only the memory blocks the previous run
+//! An [`Engine`] owns a reusable [`Cluster`] — one core per
+//! [`CompiledNetwork::cores`], a single core being a one-phase cluster —
+//! seeded from the artifact's staged image. Each [`run`](Engine::run)
+//! rewinds it (restoring only the memory blocks the previous run
 //! dirtied — see `rnnasip_sim::Memory::restore_image`), patches the new
 //! input window, simulates, and reads the outputs back. Per-request host
 //! cost is therefore simulation plus a restore proportional to the
@@ -14,19 +15,11 @@
 
 use crate::compile::CompiledNetwork;
 use crate::error::CoreError;
-use crate::report::{CoreReport, RunReport};
+use crate::report::RunReport;
 use crate::runner::NetworkRun;
 use rnnasip_fixed::Q3p12;
 use rnnasip_sim::{Cluster, FaultPlan, FaultRecord, Machine, Memory};
 use std::sync::Arc;
-
-/// The engine's execution substrate: one machine, or a simulated
-/// multi-core cluster when the artifact carries a cluster lowering.
-#[derive(Debug)]
-enum Exec {
-    Single(Box<Machine>),
-    Cluster(Cluster),
-}
 
 /// A reusable executor for one [`CompiledNetwork`].
 ///
@@ -48,58 +41,45 @@ enum Exec {
 #[derive(Debug)]
 pub struct Engine {
     compiled: CompiledNetwork,
-    exec: Exec,
+    cluster: Cluster,
     last_restored: usize,
     last_fault_log: Vec<FaultRecord>,
     last_faulted_core: Option<usize>,
-    /// Which cluster core the next injected plan arms on (cluster
-    /// engines only).
+    /// Which core the next injected plan arms on.
     fault_core: usize,
     /// Reusable input-patch staging: the request sequence flattened to
     /// little-endian halfword bytes, written into the TCDM in one bulk
     /// copy. Hoisted out of `run` so back-to-back inferences (the
     /// serving hot path) allocate nothing per request.
     patch: Vec<u8>,
-    /// Whether ABFT guards are armed on the machine (single-machine
-    /// engines only; cluster substrates have no guard monitor).
-    guards_on: bool,
     /// Whether the most recent successful run tripped a guard.
     last_guard_failed: bool,
 }
 
 impl Engine {
-    /// Builds an engine around `compiled`: one machine (or one cluster,
-    /// when the artifact carries a cluster lowering), its memory loaded
-    /// from the staged image, the program loaded once — sharing the
-    /// artifact's micro-op translation instead of re-translating.
+    /// Builds an engine around `compiled`: its cluster's shared memory
+    /// loaded from the staged image, the kernels shared with the
+    /// artifact — micro-op translations included — not re-translated.
     pub fn new(compiled: CompiledNetwork) -> Self {
-        let exec = Self::build_exec(&compiled);
+        let cluster = Self::build_cluster(&compiled);
         let patch_capacity = 2 * compiled.input().width() * compiled.input().steps();
         Self {
             compiled,
-            exec,
+            cluster,
             last_restored: 0,
             last_fault_log: Vec::new(),
             last_faulted_core: None,
             fault_core: 0,
             patch: Vec::with_capacity(patch_capacity),
-            guards_on: false,
             last_guard_failed: false,
         }
     }
 
-    fn build_exec(compiled: &CompiledNetwork) -> Exec {
-        match compiled.cluster() {
-            Some(cluster) => Exec::Cluster(Cluster::new(
-                Arc::clone(cluster),
-                Memory::from_image(compiled.image()),
-            )),
-            None => {
-                let mut machine = Machine::with_memory(Memory::from_image(compiled.image()));
-                machine.load_program_shared(compiled.program(), compiled.uop_program().clone());
-                Exec::Single(Box::new(machine))
-            }
-        }
+    fn build_cluster(compiled: &CompiledNetwork) -> Cluster {
+        Cluster::new(
+            Arc::clone(compiled.cluster()),
+            Memory::from_image(compiled.image()),
+        )
     }
 
     /// The artifact this engine executes.
@@ -107,24 +87,17 @@ impl Engine {
         &self.compiled
     }
 
-    /// Read-only view of the underlying machine — cycle counters,
-    /// statistics, and block-runner coverage diagnostics
-    /// (`Machine::bulk_instrs`). For a cluster engine this is core 0;
-    /// use [`cluster`](Self::cluster) for the full picture.
+    /// Read-only view of core 0's machine — cycle counters, statistics,
+    /// block-runner coverage diagnostics (`Machine::bulk_instrs`) and,
+    /// between runs, the shared TCDM. Use [`cluster`](Self::cluster)
+    /// for the other cores.
     pub fn machine(&self) -> &Machine {
-        match &self.exec {
-            Exec::Single(m) => m,
-            Exec::Cluster(c) => c.machine(0),
-        }
+        self.cluster.machine(0)
     }
 
-    /// The cluster substrate, when this engine executes a clustered
-    /// artifact.
+    /// The cluster this engine executes on (`Some` for every engine).
     pub fn cluster(&self) -> Option<&Cluster> {
-        match &self.exec {
-            Exec::Single(_) => None,
-            Exec::Cluster(c) => Some(c),
-        }
+        Some(&self.cluster)
     }
 
     /// Memory bytes the last [`run`](Self::run) had to restore from the
@@ -151,9 +124,7 @@ impl Engine {
     /// fresh engine (unless the failure corrupted state the dirty-block
     /// bitmap cannot see — then [`heal_rebuild`](Self::heal_rebuild)).
     pub fn run(&mut self, sequence: &[Vec<Q3p12>]) -> Result<NetworkRun, CoreError> {
-        let mut outputs = Vec::with_capacity(self.compiled.output().len());
-        let report = self.run_inner(sequence, false, None, &mut outputs)?;
-        Ok(NetworkRun { outputs, report })
+        self.run_owned(sequence, false, None)
     }
 
     /// Allocation-lean twin of [`run`](Self::run): outputs land in a
@@ -184,9 +155,7 @@ impl Engine {
     ///
     /// Same as [`run`](Self::run).
     pub fn run_reference(&mut self, sequence: &[Vec<Q3p12>]) -> Result<NetworkRun, CoreError> {
-        let mut outputs = Vec::with_capacity(self.compiled.output().len());
-        let report = self.run_inner(sequence, true, None, &mut outputs)?;
-        Ok(NetworkRun { outputs, report })
+        self.run_owned(sequence, true, None)
     }
 
     /// Like [`run`](Self::run) with the watchdog budget overridden for
@@ -204,9 +173,7 @@ impl Engine {
         sequence: &[Vec<Q3p12>],
         max_cycles: u64,
     ) -> Result<NetworkRun, CoreError> {
-        let mut outputs = Vec::with_capacity(self.compiled.output().len());
-        let report = self.run_inner(sequence, false, Some(max_cycles), &mut outputs)?;
-        Ok(NetworkRun { outputs, report })
+        self.run_owned(sequence, false, Some(max_cycles))
     }
 
     /// [`run_budgeted`](Self::run_budgeted) through the reference
@@ -221,9 +188,7 @@ impl Engine {
         sequence: &[Vec<Q3p12>],
         max_cycles: u64,
     ) -> Result<NetworkRun, CoreError> {
-        let mut outputs = Vec::with_capacity(self.compiled.output().len());
-        let report = self.run_inner(sequence, true, Some(max_cycles), &mut outputs)?;
-        Ok(NetworkRun { outputs, report })
+        self.run_owned(sequence, true, Some(max_cycles))
     }
 
     /// Arms a [`FaultPlan`] for the **next run only**. The plan's faults
@@ -252,28 +217,22 @@ impl Engine {
     /// # Ok::<(), rnnasip_core::CoreError>(())
     /// ```
     pub fn inject_faults(&mut self, plan: &FaultPlan) {
-        match &mut self.exec {
-            Exec::Single(m) => m.arm_faults(plan),
-            Exec::Cluster(c) => {
-                let core = self.fault_core.min(c.cores().saturating_sub(1));
-                c.arm_faults(plan, core);
-            }
-        }
+        let core = self.fault_core.min(self.cluster.cores() - 1);
+        self.cluster.arm_faults(plan, core);
     }
 
-    /// Selects which cluster core the next [`inject_faults`] plan arms
-    /// on (ignored by single-machine engines; clamped to the cluster
-    /// width).
+    /// Selects which core the next [`inject_faults`] plan arms on
+    /// (clamped to the cluster width).
     ///
     /// [`inject_faults`]: Self::inject_faults
     pub fn set_fault_core(&mut self, core: usize) {
         self.fault_core = core;
     }
 
-    /// The core that faulted or raised the error on the most recent run
-    /// — `None` when the run succeeded with no fault activity. A
-    /// single-machine engine reports core 0 when an injected fault
-    /// contributed to a failed run.
+    /// The core that raised the most recent run's error — or, when the
+    /// run completed, the last core that applied an injected fault;
+    /// `None` when neither happened (see
+    /// [`Cluster::last_faulted_core`]).
     pub fn last_faulted_core(&self) -> Option<usize> {
         self.last_faulted_core
     }
@@ -286,30 +245,22 @@ impl Engine {
         &self.last_fault_log
     }
 
-    /// Arms (or disarms) the compiled artifact's ABFT guards on the
-    /// underlying machine. Guarded runs verify every kernel region's
-    /// column checksum natively at region exit and attach a
-    /// [`GuardReport`](rnnasip_sim::GuardReport) to the
-    /// [`RunReport`]; outputs, cycle counts and per-mnemonic rows stay
-    /// bit-identical to unguarded runs on clean inputs (the analytic
-    /// guard surcharge lives in the report's separate
-    /// `guard_cycles` counter). No-op for cluster engines and for the
-    /// reference interpreter path, neither of which the guard monitor
-    /// observes.
+    /// Arms (or disarms) the compiled artifact's ABFT guards on every
+    /// core. Guarded runs verify every kernel region's column checksum
+    /// natively at region exit — with one activation ledger for the
+    /// whole run, shared across cores — and attach a
+    /// [`GuardReport`](rnnasip_sim::GuardReport) to the [`RunReport`];
+    /// outputs, cycle counts and per-mnemonic rows stay bit-identical to
+    /// unguarded runs on clean inputs (the analytic guard surcharge
+    /// lives in the report's separate `guard_cycles` counter). The
+    /// reference interpreter path is not observed by the monitor.
     pub fn set_guards(&mut self, on: bool) {
-        self.guards_on = on && self.compiled.cluster().is_none();
-        if let Exec::Single(m) = &mut self.exec {
-            if self.guards_on {
-                m.arm_guards(Arc::clone(self.compiled.guards()));
-            } else {
-                m.disarm_guards();
-            }
-        }
+        self.cluster.set_guards(on);
     }
 
     /// Whether ABFT guards are currently armed on this engine.
     pub fn guards_enabled(&self) -> bool {
-        self.guards_on
+        self.cluster.guards_armed()
     }
 
     /// Whether the most recent successful guarded run tripped a guard
@@ -320,27 +271,35 @@ impl Engine {
         self.last_guard_failed
     }
 
-    /// Rebuilds the machine from the compiled artifact: fresh memory
-    /// loaded from the full staged image, program reloaded (clearing any
+    /// Rebuilds the cluster from the compiled artifact: fresh memory
+    /// loaded from the full staged image, kernels reloaded (clearing any
     /// instruction-word corruption), all fault state gone.
     ///
     /// This is the heavy rung of the recovery ladder: the eager rewind
     /// after a failed run undoes *tracked* writes, but a fault that
     /// evaded the dirty-block bitmap (a silent memory upset) or that
-    /// corrupted the program image itself survives rewinds — only a full
-    /// rebuild restores the engine's invariants. Cost is proportional to
-    /// the whole image rather than the last run's write footprint.
+    /// corrupted a kernel a core keeps holding survives rewinds — only a
+    /// full rebuild restores the engine's invariants. Cost is
+    /// proportional to the whole image rather than the last run's write
+    /// footprint.
     pub fn heal_rebuild(&mut self) {
-        self.exec = Self::build_exec(&self.compiled);
+        let guards = self.guards_enabled();
+        self.cluster = Self::build_cluster(&self.compiled);
+        self.set_guards(guards);
         self.last_restored = self.compiled.image().len();
         self.last_guard_failed = false;
-        // `build_exec` reloads the program, which drops any armed guard
-        // unit; restore the caller's guard setting on the fresh machine.
-        if self.guards_on {
-            if let Exec::Single(m) = &mut self.exec {
-                m.arm_guards(Arc::clone(self.compiled.guards()));
-            }
-        }
+    }
+
+    /// [`run_inner`](Self::run_inner) into a fresh output vector.
+    fn run_owned(
+        &mut self,
+        sequence: &[Vec<Q3p12>],
+        reference: bool,
+        budget: Option<u64>,
+    ) -> Result<NetworkRun, CoreError> {
+        let mut outputs = Vec::with_capacity(self.compiled.output().len());
+        let report = self.run_inner(sequence, reference, budget, &mut outputs)?;
+        Ok(NetworkRun { outputs, report })
     }
 
     fn run_inner(
@@ -372,32 +331,17 @@ impl Engine {
         // then disarm so the next run is unaffected; on failure also
         // rewind eagerly so a poisoned engine heals before the caller
         // ever observes it again (DESIGN.md, "Fault model & recovery").
-        match &mut self.exec {
-            Exec::Single(m) => {
-                self.last_fault_log = m.fault_log().to_vec();
-                self.last_faulted_core = if result.is_err() && !self.last_fault_log.is_empty() {
-                    Some(0)
-                } else {
-                    None
-                };
-                m.clear_faults();
-                if result.is_err() {
-                    outputs.clear();
-                    self.last_restored = m.rewind(self.compiled.image());
-                }
-            }
-            Exec::Cluster(c) => {
-                self.last_fault_log.clear();
-                for core in 0..c.cores() {
-                    self.last_fault_log.extend_from_slice(c.fault_log(core));
-                }
-                self.last_faulted_core = c.last_faulted_core();
-                c.clear_faults();
-                if result.is_err() {
-                    outputs.clear();
-                    self.last_restored = c.rewind(self.compiled.image());
-                }
-            }
+        let cluster = &mut self.cluster;
+        self.last_fault_log.clear();
+        for core in 0..cluster.cores() {
+            self.last_fault_log
+                .extend_from_slice(cluster.fault_log(core));
+        }
+        self.last_faulted_core = cluster.last_faulted_core();
+        cluster.clear_faults();
+        if result.is_err() {
+            outputs.clear();
+            self.last_restored = cluster.rewind(self.compiled.image());
         }
         result
     }
@@ -422,69 +366,31 @@ impl Engine {
             }
         }
         let max_cycles = budget.unwrap_or_else(|| self.compiled.max_cycles());
-        match &mut self.exec {
-            Exec::Single(machine) => {
-                self.last_restored = machine.rewind(self.compiled.image());
-                machine.mem_mut().write_bytes(input.base(), &self.patch)?;
-                // Seed the guard ledger with the freshly patched input
-                // window, so the first region's input-sum check covers
-                // flips that land before the kernel ever reads it.
-                machine.guard_note_range(input.base(), (self.patch.len() / 2) as u32);
-                let started = std::time::Instant::now();
-                if reference {
-                    machine.run_legacy(max_cycles)?;
-                } else {
-                    machine.run(max_cycles)?;
-                }
-                let host_nanos = started.elapsed().as_nanos() as u64;
-                let out = self.compiled.output();
-                machine
-                    .mem()
-                    .read_q3p12_into(out.base(), out.len(), outputs)?;
-                let mut report =
-                    RunReport::new(machine.stats().clone()).with_host_nanos(host_nanos);
-                // The guard monitor only observes the micro-op path; a
-                // reference run with guards armed reports nothing.
-                if !reference {
-                    if let Some(mut guard) = machine.guard_report() {
-                        // Final rung of the ledger chain: the output
-                        // window as read back must still sum to what the
-                        // last region wrote there.
-                        if machine.guard_verify_range(out.base(), out.len() as u32) == Some(false) {
-                            guard.output_check_failed = true;
-                        }
-                        self.last_guard_failed = guard.failed();
-                        report = report.with_guard(guard);
-                    }
-                }
-                Ok(report)
-            }
-            Exec::Cluster(cluster) => {
-                self.last_restored = cluster.rewind(self.compiled.image());
-                cluster.mem_mut().write_bytes(input.base(), &self.patch)?;
-                let started = std::time::Instant::now();
-                cluster.run_with(max_cycles, reference)?;
-                let host_nanos = started.elapsed().as_nanos() as u64;
-                let out = self.compiled.output();
-                cluster
-                    .mem()
-                    .read_q3p12_into(out.base(), out.len(), outputs)?;
-                let per_core = (0..cluster.cores())
-                    .map(|c| CoreReport {
-                        core: c,
-                        stats: cluster.machine(c).stats().clone(),
-                        conflict_stalls: cluster.conflict_stalls(c),
-                    })
-                    .collect();
-                Ok(RunReport::new(cluster.merged_stats())
-                    .with_host_nanos(host_nanos)
-                    .with_cluster(
-                        per_core,
-                        cluster.dma_cycles(),
-                        cluster.barrier_cycles(),
-                        cluster.latency_cycles(),
-                    ))
+        let cluster = &mut self.cluster;
+        self.last_restored = cluster.rewind(self.compiled.image());
+        cluster.mem_mut().write_bytes(input.base(), &self.patch)?;
+        // Seed the guard ledger with the freshly patched request, so the
+        // first region's input-sum check covers flips that land before
+        // the kernel ever reads it (the cluster seeds its DMA copies).
+        cluster.guard_note_range(input.base(), (self.patch.len() / 2) as u32);
+        let started = std::time::Instant::now();
+        cluster.run_with(max_cycles, reference)?;
+        let host_nanos = started.elapsed().as_nanos() as u64;
+        let out = self.compiled.output();
+        cluster
+            .mem()
+            .read_q3p12_into(out.base(), out.len(), outputs)?;
+        let mut report = RunReport::for_cluster(cluster).with_host_nanos(host_nanos);
+        // The guard monitor only observes the micro-op path; a reference
+        // run with guards armed reports nothing.
+        if !reference {
+            // The report closes the ledger chain: the output window as
+            // read back must still sum to what the last regions wrote.
+            if let Some(guard) = cluster.guard_report(out.base(), out.len() as u32) {
+                self.last_guard_failed = guard.failed();
+                report = report.with_guard(guard);
             }
         }
+        Ok(report)
     }
 }

@@ -1,6 +1,6 @@
 //! CNN-layer kernels: im2col gather followed by a matrix-matrix product
 //! expressed as one FC matvec per output pixel (Section II-A's `im2col`
-//! lowering [25]).
+//! lowering \[25\]).
 //!
 //! The gather is index-driven: the runner stages a table of byte offsets
 //! (one per im2col element) into the *source* feature map, and the

@@ -126,7 +126,7 @@ pub enum PtrSrc {
 #[derive(Clone, Copy, Debug)]
 pub struct MatvecSpec {
     /// Row-major weight base address (`n_out × n_in` halfwords, plus
-    /// [`STREAM_SLACK`](crate::layout::STREAM_SLACK) readable bytes).
+    /// `STREAM_SLACK` readable bytes of streaming overrun).
     pub w_base: u32,
     /// Pre-shifted 32-bit bias seeds (`n_out` words).
     pub bias32: u32,

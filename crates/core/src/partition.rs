@@ -27,7 +27,7 @@
 //! stalls, DMA and barrier costs on top without touching the data path.
 
 use crate::compile::{
-    compile_stages, lap, CompileStages, CompiledNetwork, InputDesc, OutputDesc, Session, StageInput,
+    lap, CompileStages, CompiledNetwork, InputDesc, OutputDesc, Session, StageInput,
 };
 use crate::error::CoreError;
 use crate::kernels::conv::{emit_gather_range, emit_pixel_loop_range};
@@ -38,7 +38,9 @@ use crate::runner::KernelBackend;
 use rnnasip_asm::Asm;
 use rnnasip_fixed::Q3p12;
 use rnnasip_nn::Stage;
-use rnnasip_sim::{ClusterKernel, ClusterPhase, ClusterProgram, DmaXfer, UopProgram};
+use rnnasip_sim::{
+    ClusterKernel, ClusterPhase, ClusterProgram, DmaXfer, GuardSpec, Memory, UopProgram,
+};
 use std::cell::Cell;
 use std::sync::Arc;
 use std::time::Instant;
@@ -55,20 +57,13 @@ pub struct StageSplit {
     pub ranges: Vec<(usize, usize)>,
 }
 
-impl StageSplit {
-    /// The number of cores with non-empty slices.
-    pub fn active_cores(&self) -> usize {
-        self.ranges.iter().filter(|(a, b)| b > a).count()
-    }
-}
-
 /// The declared layer/tile partition of a network over an `N`-core
 /// cluster: one [`StageSplit`] per network stage.
 ///
 /// Built by [`Partition::plan`] with a balanced contiguous split —
 /// every core gets `⌊axis/N⌋` or `⌈axis/N⌉` consecutive rows/pixels —
-/// and consumed by [`compile_clustered`], which turns each range into a
-/// per-core phase program.
+/// and consumed by [`KernelBackend::compile_network`] for two or more
+/// cores, which turns each range into a per-core phase program.
 #[derive(Clone, Debug)]
 pub struct Partition {
     /// Cluster width the plan was built for.
@@ -128,12 +123,14 @@ fn split_even(n: usize, cores: usize) -> Vec<(usize, usize)> {
 }
 
 /// Assembles one per-core phase kernel: fresh assembler, fresh shortcut
-/// region list, halt appended, micro-ops translated with shortcuts.
+/// region list, halt appended, guard specs folded from the staged
+/// weights in `mem`, micro-ops translated with shortcuts.
 fn build_kernel<F>(
     level: OptLevel,
     luts: (u32, u32, u32, u32),
     max_tile: usize,
     timing: &Cell<CompileStages>,
+    mem: &Memory,
     emit: F,
 ) -> Result<ClusterKernel, CoreError>
 where
@@ -156,47 +153,38 @@ where
     asm.ecall();
     let program = asm.assemble()?;
     t.assemble += lap(&mut mark);
+    // A kernel's weights and biases are staged before it is emitted and
+    // never written afterwards, so folding now reads the clean image.
+    let guards = regions
+        .iter()
+        .filter_map(|r| GuardSpec::from_region(mem, r))
+        .collect();
+    t.guard_fold += lap(&mut mark);
     let uops = Arc::new(UopProgram::translate_with_shortcuts(&program, &regions));
     t.add_translation(lap(&mut mark), &uops);
     timing.set(t);
-    Ok(ClusterKernel::new(Arc::new(program), uops))
+    Ok(ClusterKernel {
+        program: Arc::new(program),
+        uops,
+        guards: Arc::new(guards),
+    })
 }
 
-/// Compiles a network for an `cores`-core cluster.
-///
-/// `cores == 1` wraps the *unchanged* single-core artifact — same
-/// program, same image, no DMA — in a one-phase cluster, so executing
-/// it through the cluster path is bit-identical to the classic
-/// single-machine engine. `cores >= 2` stages data once and emits
-/// per-core phase programs following the [`Partition`] plan, with the
-/// input relocated behind an L2 staging area and a DMA descriptor.
+/// Compiles a network for an `cores`-core cluster (`cores >= 2`): data
+/// staged once, per-core phase programs following the [`Partition`]
+/// plan, the input relocated behind an L2 staging area and a DMA
+/// descriptor.
 ///
 /// # Errors
 ///
-/// Everything [`compile_stages`] can raise, for the same shapes.
+/// Everything the one-core `compile_stages` can raise, for the same
+/// shapes.
 pub(crate) fn compile_clustered(
     backend: &KernelBackend,
     name: &str,
     stages: &[Stage],
     cores: usize,
 ) -> Result<CompiledNetwork, CoreError> {
-    if cores <= 1 {
-        let mut compiled = compile_stages(backend, name, stages)?;
-        let kernel = ClusterKernel::new(
-            Arc::new(compiled.program.clone()),
-            Arc::clone(&compiled.uops),
-        );
-        compiled.cluster = Some(Arc::new(ClusterProgram {
-            cores: 1,
-            dma: Vec::new(),
-            phases: vec![ClusterPhase {
-                label: "whole network".into(),
-                kernels: vec![Some(kernel)],
-            }],
-        }));
-        return Ok(compiled);
-    }
-
     let mut mark = Instant::now();
     let timing = Cell::new(CompileStages::default());
     let mut s = Session::new(backend)?;
@@ -208,10 +196,12 @@ pub(crate) fn compile_clustered(
         scratches.push(s.layout.alloc_words(1)?);
     }
     let (level, luts, max_tile) = (s.level, s.luts, s.max_tile);
-    let kernel =
-        |emit: &mut dyn FnMut(&mut crate::kernels::KernelCtx<'_>) -> Result<(), CoreError>| {
-            build_kernel(level, luts, max_tile, &timing, |ctx| emit(ctx))
-        };
+    let kernel = |mem: &Memory,
+                  emit: &mut dyn FnMut(
+        &mut crate::kernels::KernelCtx<'_>,
+    ) -> Result<(), CoreError>| {
+        build_kernel(level, luts, max_tile, &timing, mem, |ctx| emit(ctx))
+    };
 
     let mut phases: Vec<ClusterPhase> = Vec::new();
     let mut iter = stages.iter().zip(&plan.stages);
@@ -224,7 +214,8 @@ pub(crate) fn compile_clustered(
         Stage::Lstm { layer, steps } => {
             let zeros = vec![vec![Q3p12::ZERO; layer.n_in()]; *steps];
             let spec = s.stage_lstm_data(layer, &zeros)?;
-            emit_lstm_phases(&mut phases, &spec, first_split, &scratches, &kernel)?;
+            let mem = s.machine.mem();
+            emit_lstm_phases(&mut phases, &spec, first_split, &scratches, mem, &kernel)?;
             (
                 spec.x_seq,
                 layer.n_in(),
@@ -236,7 +227,8 @@ pub(crate) fn compile_clustered(
         Stage::Fc(layer) => {
             let zeros = vec![Q3p12::ZERO; layer.n_in()];
             let p = s.stage_fc_data(layer, StageInput::Staged(zeros))?;
-            emit_fc_phase(&mut phases, &p, first_split, &scratches, &kernel)?;
+            let mem = s.machine.mem();
+            emit_fc_phase(&mut phases, &p, first_split, &scratches, mem, &kernel)?;
             (p.x_addr, layer.n_in(), 1, p.out, layer.n_out())
         }
         Stage::Conv(conv) => {
@@ -244,12 +236,14 @@ pub(crate) fn compile_clustered(
             let src = s.stage_vector(&zeros)?;
             let spec = s.stage_conv_data(conv, src, zeros.len())?;
             let globals = conv_core_globals(&mut s, &spec, cores)?;
+            let mem = s.machine.mem();
             emit_conv_phase(
                 &mut phases,
                 &spec,
                 &globals,
                 first_split,
                 &scratches,
+                mem,
                 &kernel,
             )?;
             (src, conv.n_in(), 1, spec.out_base, conv.n_out())
@@ -259,14 +253,24 @@ pub(crate) fn compile_clustered(
         match stage {
             Stage::Fc(layer) => {
                 let p = s.stage_fc_data(layer, StageInput::Buffer(cur_addr))?;
-                emit_fc_phase(&mut phases, &p, split, &scratches, &kernel)?;
+                let mem = s.machine.mem();
+                emit_fc_phase(&mut phases, &p, split, &scratches, mem, &kernel)?;
                 cur_addr = p.out;
                 cur_width = layer.n_out();
             }
             Stage::Conv(conv) => {
                 let spec = s.stage_conv_data(conv, cur_addr, cur_width)?;
                 let globals = conv_core_globals(&mut s, &spec, cores)?;
-                emit_conv_phase(&mut phases, &spec, &globals, split, &scratches, &kernel)?;
+                let mem = s.machine.mem();
+                emit_conv_phase(
+                    &mut phases,
+                    &spec,
+                    &globals,
+                    split,
+                    &scratches,
+                    mem,
+                    &kernel,
+                )?;
                 cur_addr = spec.out_base;
                 cur_width = conv.n_out();
             }
@@ -287,29 +291,22 @@ pub(crate) fn compile_clustered(
         len: (2 * width * steps) as u32,
     }];
 
-    // Kernel assembly and translation ran interleaved with code
-    // generation; they were timed separately.
+    // Kernel assembly, guard folding and translation ran interleaved
+    // with code generation; they were timed separately.
     let mut timing = timing.get();
-    timing.codegen = lap(&mut mark).saturating_sub(timing.assemble + timing.lower + timing.verify);
+    timing.codegen = lap(&mut mark)
+        .saturating_sub(timing.assemble + timing.guard_fold + timing.lower + timing.verify);
     let image = s.machine.mem().image();
     timing.snapshot = lap(&mut mark);
-    // The flat single-machine program is empty for a clustered artifact;
-    // the executable code lives in the per-phase kernels.
-    let program = {
-        let mut asm = Asm::new(0);
-        asm.ecall();
-        asm.assemble()?
-    };
-    let uops = Arc::new(UopProgram::translate(&program));
-    timing.add_translation(lap(&mut mark), &uops);
+    let cluster = ClusterProgram { cores, dma, phases };
+    let guards = cluster
+        .kernels()
+        .flat_map(|k| k.guards.iter().cloned())
+        .collect();
     Ok(CompiledNetwork {
-        program,
-        uops,
         image,
-        cluster: Some(Arc::new(ClusterProgram { cores, dma, phases })),
-        // Guards watch the single-machine uop stream; cluster kernels
-        // run on per-core machines outside the monitor's view.
-        guards: Arc::new(Vec::new()),
+        cluster: Arc::new(cluster),
+        guards: Arc::new(guards),
         input: InputDesc {
             base: l2_base,
             width,
@@ -328,6 +325,7 @@ pub(crate) fn compile_clustered(
 }
 
 type KernelBuilder<'a> = dyn Fn(
+        &Memory,
         &mut dyn FnMut(&mut crate::kernels::KernelCtx<'_>) -> Result<(), CoreError>,
     ) -> Result<ClusterKernel, CoreError>
     + 'a;
@@ -339,6 +337,7 @@ fn emit_fc_phase(
     p: &crate::compile::FcPlacement,
     split: &StageSplit,
     scratches: &[u32],
+    mem: &Memory,
     kernel: &KernelBuilder<'_>,
 ) -> Result<(), CoreError> {
     let mut kernels = Vec::with_capacity(split.ranges.len());
@@ -348,7 +347,7 @@ fn emit_fc_phase(
             continue;
         }
         let spec = p.matvec_rows(r0, r1 - r0, scratches[c]);
-        kernels.push(Some(kernel(&mut |ctx| emit_matvec(ctx, &spec))?));
+        kernels.push(Some(kernel(mem, &mut |ctx| emit_matvec(ctx, &spec))?));
     }
     phases.push(ClusterPhase {
         label: split.label.clone(),
@@ -365,6 +364,7 @@ fn emit_lstm_phases(
     spec: &crate::kernels::lstm::LstmSpec,
     split: &StageSplit,
     scratches: &[u32],
+    mem: &Memory,
     kernel: &KernelBuilder<'_>,
 ) -> Result<(), CoreError> {
     let cores = split.ranges.len();
@@ -372,7 +372,7 @@ fn emit_lstm_phases(
     for t in 0..spec.steps {
         let src = spec.x_seq + (t * spec.n_in * 2) as u32;
         let mut copy = vec![None; cores];
-        copy[0] = Some(kernel(&mut |ctx| {
+        copy[0] = Some(kernel(mem, &mut |ctx| {
             emit_word_copy(ctx, src, spec.xh, words);
             Ok(())
         })?);
@@ -393,13 +393,13 @@ fn emit_lstm_phases(
             }
             let mut sc = *spec;
             sc.scratch = scratches[c];
-            gates.push(Some(kernel(&mut |ctx| {
+            gates.push(Some(kernel(mem, &mut |ctx| {
                 for g in 0..4 {
                     emit_matvec(ctx, &sc.gate_matvec_rows(g, r0, r1 - r0))?;
                 }
                 Ok(())
             })?));
-            update.push(Some(kernel(&mut |ctx| {
+            update.push(Some(kernel(mem, &mut |ctx| {
                 emit_update_rows(ctx, &sc, r0, r1 - r0);
                 Ok(())
             })?));
@@ -442,6 +442,7 @@ fn emit_conv_phase(
     globals: &[(u32, u32, u32)],
     split: &StageSplit,
     scratches: &[u32],
+    mem: &Memory,
     kernel: &KernelBuilder<'_>,
 ) -> Result<(), CoreError> {
     spec.validate()?;
@@ -454,7 +455,7 @@ fn emit_conv_phase(
         let mut sc = *spec;
         sc.scratch = scratches[c];
         (sc.g_pix, sc.g_out, sc.g_cnt) = globals[c];
-        kernels.push(Some(kernel(&mut |ctx| {
+        kernels.push(Some(kernel(mem, &mut |ctx| {
             emit_gather_range(ctx, &sc, p0, p1 - p0);
             emit_pixel_loop_range(ctx, &sc, p0, p1 - p0)
         })?));

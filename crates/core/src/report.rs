@@ -1,6 +1,7 @@
 //! Run reports: cycles, instructions, MACs, and derived metrics.
 
-use rnnasip_sim::{GuardReport, Stats};
+use rnnasip_sim::{Cluster, GuardReport, Stats};
+use std::sync::Arc;
 
 /// One cluster core's share of a run: its per-mnemonic statistics and
 /// the banking-conflict stalls the TCDM model charged it.
@@ -8,8 +9,9 @@ use rnnasip_sim::{GuardReport, Stats};
 pub struct CoreReport {
     /// Cluster core index.
     pub core: usize,
-    /// This core's per-mnemonic statistics.
-    pub stats: Stats,
+    /// This core's per-mnemonic statistics (shared with the run's totals
+    /// on a one-core run).
+    pub stats: Arc<Stats>,
     /// Analytic TCDM banking-conflict stall cycles charged to this core.
     pub conflict_stalls: u64,
 }
@@ -25,14 +27,14 @@ pub struct CoreReport {
 /// bench tracks.
 #[derive(Clone, Debug, Default)]
 pub struct RunReport {
-    stats: Stats,
+    stats: Arc<Stats>,
     host_nanos: u64,
     per_core: Vec<CoreReport>,
     dma_cycles: u64,
     barrier_cycles: u64,
-    /// Cluster critical-path latency; `None` for single-machine runs,
-    /// whose latency is simply [`cycles`](Self::cycles).
-    latency_cycles: Option<u64>,
+    /// Cluster critical-path latency (the cycle total for runs outside
+    /// an engine, such as INT8 layers).
+    latency_cycles: u64,
     /// ABFT guard verdicts, when the engine ran with guards armed.
     guard: Option<GuardReport>,
 }
@@ -41,49 +43,67 @@ impl RunReport {
     /// Wraps simulator statistics.
     pub fn new(stats: Stats) -> Self {
         Self {
-            stats,
+            latency_cycles: stats.cycles(),
+            stats: Arc::new(stats),
             ..Self::default()
         }
     }
 
-    /// Attaches a cluster run's breakdown: per-core reports, the DMA and
-    /// barrier cycle totals, and the critical-path latency.
-    #[must_use]
-    pub fn with_cluster(
-        mut self,
-        per_core: Vec<CoreReport>,
-        dma_cycles: u64,
-        barrier_cycles: u64,
-        latency_cycles: u64,
-    ) -> Self {
-        self.per_core = per_core;
-        self.dma_cycles = dma_cycles;
-        self.barrier_cycles = barrier_cycles;
-        self.latency_cycles = Some(latency_cycles);
-        self
+    /// The report of a finished cluster run: merged statistics, one row
+    /// per core, the DMA and barrier totals and the critical-path
+    /// latency. A one-core run's totals *are* its core row, built once
+    /// and shared.
+    pub(crate) fn for_cluster(cluster: &Cluster) -> Self {
+        let cores = cluster.cores();
+        let own = |c: usize| Arc::new(cluster.machine(c).stats().clone());
+        let stats = match cores {
+            1 => own(0),
+            _ => Arc::new(cluster.merged_stats()),
+        };
+        let per_core = (0..cores)
+            .map(|core| CoreReport {
+                core,
+                stats: if cores == 1 {
+                    Arc::clone(&stats)
+                } else {
+                    own(core)
+                },
+                conflict_stalls: cluster.conflict_stalls(core),
+            })
+            .collect();
+        Self {
+            stats,
+            host_nanos: 0,
+            per_core,
+            dma_cycles: cluster.dma_cycles(),
+            barrier_cycles: cluster.barrier_cycles(),
+            latency_cycles: cluster.latency_cycles(),
+            guard: None,
+        }
     }
 
-    /// Per-core breakdown of a cluster run (empty for single-machine
-    /// runs).
+    /// Per-core breakdown of an engine run, one row per core (empty for
+    /// INT8 layer runs).
     pub fn per_core(&self) -> &[CoreReport] {
         &self.per_core
     }
 
-    /// DMA engine cycles spent staging inputs (0 for single-machine
-    /// runs).
+    /// DMA engine cycles spent staging inputs (0 on one core, which
+    /// needs no staging).
     pub fn dma_cycles(&self) -> u64 {
         self.dma_cycles
     }
 
-    /// Cycles spent in cluster barriers (0 for single-machine runs).
+    /// Cycles spent in cluster barriers (0 on one core).
     pub fn barrier_cycles(&self) -> u64 {
         self.barrier_cycles
     }
 
-    /// End-to-end latency of the run: the cluster critical path when the
-    /// run was clustered, otherwise the single machine's cycle total.
+    /// End-to-end latency of the run: the cluster critical path (equal to
+    /// [`cycles`](Self::cycles) on one core), or the cycle total for runs
+    /// outside an engine.
     pub fn latency_cycles(&self) -> u64 {
-        self.latency_cycles.unwrap_or_else(|| self.cycles())
+        self.latency_cycles
     }
 
     /// Attaches the per-region ABFT guard verdicts of a guarded run.
@@ -170,17 +190,11 @@ impl RunReport {
     /// aggregate report's [`sim_mips`](Self::sim_mips) is the overall
     /// rate across its parts.
     pub fn merge(&mut self, other: &RunReport) {
-        // Latency falls back to the cycle total, which is about to
-        // change — resolve both sides first.
-        let latency = match (self.latency_cycles, other.latency_cycles) {
-            (None, None) => None,
-            _ => Some(self.latency_cycles() + other.latency_cycles()),
-        };
-        self.stats.merge(&other.stats);
+        Arc::make_mut(&mut self.stats).merge(&other.stats);
         self.host_nanos += other.host_nanos;
         self.dma_cycles += other.dma_cycles;
         self.barrier_cycles += other.barrier_cycles;
-        self.latency_cycles = latency;
+        self.latency_cycles += other.latency_cycles;
         match (&mut self.guard, &other.guard) {
             (Some(mine), Some(theirs)) => mine.merge(theirs),
             (None, Some(theirs)) => self.guard = Some(theirs.clone()),
@@ -191,7 +205,7 @@ impl RunReport {
         for row in &other.per_core {
             match self.per_core.iter_mut().find(|r| r.core == row.core) {
                 Some(mine) => {
-                    mine.stats.merge(&row.stats);
+                    Arc::make_mut(&mut mine.stats).merge(&row.stats);
                     mine.conflict_stalls += row.conflict_stalls;
                 }
                 None => self.per_core.push(row.clone()),
@@ -250,6 +264,23 @@ mod tests {
         assert_eq!(r.sim_mips(), None);
     }
 
+    /// A cluster run's report, as an engine would build it.
+    fn cluster_report(
+        stats: Stats,
+        per_core: Vec<CoreReport>,
+        dma: u64,
+        barrier: u64,
+        latency: u64,
+    ) -> RunReport {
+        RunReport {
+            per_core,
+            dma_cycles: dma,
+            barrier_cycles: barrier,
+            latency_cycles: latency,
+            ..RunReport::new(stats)
+        }
+    }
+
     #[test]
     fn cluster_merge_is_order_independent_and_sums_stall_rows() {
         let core_row = |core: usize, mnemonic: &str, stalls: u64| {
@@ -257,13 +288,14 @@ mod tests {
             s.record_name(mnemonic, 1, 2);
             CoreReport {
                 core,
-                stats: s,
+                stats: Arc::new(s),
                 conflict_stalls: stalls,
             }
         };
         let mut sa = Stats::new();
         sa.record_name("lw", 3, 4);
-        let a = RunReport::new(sa).with_cluster(
+        let a = cluster_report(
+            sa,
             vec![core_row(0, "lw", 5), core_row(1, "sw", 7)],
             10,
             16,
@@ -271,7 +303,7 @@ mod tests {
         );
         let mut sb = Stats::new();
         sb.record_name("sw", 2, 2);
-        let b = RunReport::new(sb).with_cluster(vec![core_row(1, "sw", 3)], 4, 8, 50);
+        let b = cluster_report(sb, vec![core_row(1, "sw", 3)], 4, 8, 50);
         // A plain (non-cluster) part: its latency contribution is its
         // cycle total.
         let mut sc = Stats::new();

@@ -191,9 +191,8 @@ pub struct Attempt {
     /// The simulation error that ended the attempt, or `None` if it
     /// succeeded.
     pub error: Option<SimError>,
-    /// The core whose fault activity ended the attempt — core 0 for a
-    /// single-machine engine, the faulting cluster core for a clustered
-    /// one, `None` for clean attempts.
+    /// The core whose fault activity ended the attempt
+    /// ([`Engine::last_faulted_core`]), `None` for clean attempts.
     pub faulted_core: Option<usize>,
     /// Whether this attempt succeeded but tripped an ABFT guard.
     pub guard_failed: bool,
@@ -243,7 +242,7 @@ impl RunOutcome {
 
 /// A self-healing wrapper around an [`Engine`].
 ///
-/// See the [module docs](self) for the recovery ladder and an example.
+/// [`run`](Self::run) climbs the recovery ladder its [`RetryPolicy`] allows.
 #[derive(Debug)]
 pub struct ResilientEngine {
     net: Network,
@@ -474,6 +473,43 @@ pub(crate) fn climb(
                     attempts,
                     level,
                 }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Through the ladder, the failed attempt names the core its forced
+    /// watchdog was armed on; the rewind retry and the next run come
+    /// back clean and bit-identical to the golden run.
+    #[test]
+    fn attempts_name_the_faulted_cluster_core() {
+        let bench = rnnasip_rrm::suite().remove(3); // eisen2019 MLP
+        let input = bench.input();
+        for cores in [2, 4] {
+            let backend = KernelBackend::new(OptLevel::IfmTile).with_cores(cores);
+            let mut resilient = ResilientEngine::new(&bench.network, backend).unwrap();
+            let golden = resilient.run(&input).result.unwrap();
+            for k in 0..cores {
+                resilient.engine.set_fault_core(k);
+                resilient.inject_faults(&FaultPlan::new().with_watchdog(10));
+                let outcome = resilient.run(&input);
+                let actions: Vec<_> = outcome.attempts.iter().map(|a| a.action).collect();
+                assert_eq!(actions, [RecoveryAction::FirstTry, RecoveryAction::Rewind]);
+                assert_eq!(outcome.attempts[0].faulted_core, Some(k), "{cores} cores");
+                assert_eq!(outcome.attempts[1].faulted_core, None);
+                let run = outcome.result.unwrap();
+                assert_eq!(run.outputs, golden.outputs);
+                assert_eq!(run.report.cycles(), golden.report.cycles());
+
+                let next = resilient.run(&input);
+                assert_eq!(next.attempts.len(), 1);
+                let next = next.result.unwrap();
+                assert_eq!(next.outputs, golden.outputs);
+                assert_eq!(next.report.latency_cycles(), golden.report.latency_cycles());
             }
         }
     }

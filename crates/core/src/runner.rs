@@ -8,9 +8,10 @@
 //! [`CompiledNetwork`](crate::compile::CompiledNetwork) and reuse one
 //! engine instead. Outputs, cycle counts and per-mnemonic histograms are
 //! bit-identical either way. The per-layer entry points (`run_fc`,
-//! `run_lstm`, `run_conv`, `run_fc8`) keep their single-shot sessions —
-//! they exist for kernel-level experiments where compile cost is not on
-//! the measured path.
+//! `run_lstm`, `run_conv`) compile a one-stage, one-core network and run
+//! it the same way — they exist for kernel-level experiments where
+//! compile cost is not on the measured path. Only `run_fc8` keeps a
+//! single-shot session: INT8 layers have no network [`Stage`].
 
 use crate::compile::{compile_stages, Session, StageInput};
 use crate::engine::Engine;
@@ -21,14 +22,9 @@ use crate::report::RunReport;
 use rnnasip_fixed::{Q1p6, Q3p12};
 use rnnasip_nn::{Conv2dLayer, FcLayer, FcLayer8, LstmLayer, Network, Stage};
 
-/// One executed layer: outputs plus statistics.
-#[derive(Clone, Debug)]
-pub struct LayerRun {
-    /// The layer outputs read back from simulated memory.
-    pub outputs: Vec<Q3p12>,
-    /// Cycle/instruction statistics of the run.
-    pub report: RunReport,
-}
+/// One executed layer: outputs plus statistics — a one-stage
+/// [`NetworkRun`].
+pub type LayerRun = NetworkRun;
 
 /// One executed INT8 layer: Q1.6 outputs plus statistics.
 #[derive(Clone, Debug)]
@@ -82,27 +78,21 @@ impl KernelBackend {
             mem_bytes: 4 << 20,
             max_cycles: DEFAULT_WATCHDOG_CYCLES,
             max_tile: crate::kernels::MAX_TILE,
-            cores: 0,
+            cores: 1,
         }
     }
 
-    /// Targets an `n`-core cluster: [`compile_network`] emits a
-    /// partitioned [`ClusterProgram`](rnnasip_sim::ClusterProgram)
-    /// instead of the classic single-machine artifact (`n = 1` produces
-    /// a one-core cluster wrapping the identical single-core program,
-    /// bit-identical to the default path).
+    /// Targets an `n`-core cluster (at least one core; one is the
+    /// default): for `n >= 2`, [`compile_network`] emits a partitioned
+    /// [`ClusterProgram`](rnnasip_sim::ClusterProgram) — per-core phase
+    /// kernels plus a DMA input stage — instead of the one-core,
+    /// one-phase program.
     ///
     /// [`compile_network`]: KernelBackend::compile_network
     #[must_use]
     pub fn with_cores(mut self, n: usize) -> Self {
         self.cores = n.max(1);
         self
-    }
-
-    /// The cluster-core target (1 when not configured with
-    /// [`with_cores`](KernelBackend::with_cores)).
-    pub fn cores(&self) -> usize {
-        self.cores.max(1)
     }
 
     /// Switches the optimization level, keeping every other knob — the
@@ -153,10 +143,7 @@ impl KernelBackend {
                 layer.n_in()
             )));
         }
-        let mut s = Session::new(self)?;
-        let (out_addr, _) = s.emit_fc_stage(layer, StageInput::Staged(input.to_vec()))?;
-        let (outputs, report) = s.finish(out_addr, layer.n_out(), self.max_cycles)?;
-        Ok(LayerRun { outputs, report })
+        self.run_stage(Stage::Fc(layer.clone()), &[input.to_vec()])
     }
 
     /// Runs an LSTM layer over a sequence, returning the final hidden
@@ -170,10 +157,11 @@ impl KernelBackend {
         layer: &LstmLayer,
         sequence: &[Vec<Q3p12>],
     ) -> Result<LayerRun, CoreError> {
-        let mut s = Session::new(self)?;
-        let (out_addr, _) = s.emit_lstm_stage(layer, sequence)?;
-        let (outputs, report) = s.finish(out_addr, layer.n_hidden(), self.max_cycles)?;
-        Ok(LayerRun { outputs, report })
+        let stage = Stage::Lstm {
+            layer: layer.clone(),
+            steps: sequence.len(),
+        };
+        self.run_stage(stage, sequence)
     }
 
     /// Runs a convolution layer on a flattened feature map.
@@ -189,11 +177,14 @@ impl KernelBackend {
                 conv.n_in()
             )));
         }
-        let mut s = Session::new(self)?;
-        let src = s.stage_vector(input)?;
-        let out_addr = s.emit_conv_stage(conv, src, input.len())?;
-        let (outputs, report) = s.finish(out_addr, conv.n_out(), self.max_cycles)?;
-        Ok(LayerRun { outputs, report })
+        self.run_stage(Stage::Conv(conv.clone()), &[input.to_vec()])
+    }
+
+    /// Compiles `stage` alone for one core and runs it once on an
+    /// [`Engine`].
+    fn run_stage(&self, stage: Stage, sequence: &[Vec<Q3p12>]) -> Result<LayerRun, CoreError> {
+        let compiled = compile_stages(self, "layer", std::slice::from_ref(&stage))?;
+        Engine::new(compiled).run(sequence)
     }
 
     /// Compiles a fully-connected layer to its program *without* running
@@ -311,8 +302,7 @@ impl KernelBackend {
                 net.seq_len()
             )));
         }
-        let compiled = compile_stages(self, net.name(), net.stages())?;
-        Engine::new(compiled).run(sequence)
+        Engine::new(self.compile_network(net)?).run(sequence)
     }
 }
 

@@ -198,15 +198,15 @@ impl EnginePool {
 
     /// A pool with exactly `workers` worker threads (at least one).
     pub fn with_workers(workers: usize) -> Self {
-        Self::with_workers_and_cores(workers, 0)
+        Self::with_workers_and_cores(workers, 1)
     }
 
     /// A pool whose engines execute on simulated `cores`-core clusters:
     /// every shard is compiled with
     /// [`KernelBackend::with_cores`](crate::KernelBackend::with_cores), so
     /// each request's report carries per-core rows and a cluster
-    /// latency. `cores == 0` (the [`with_workers`](Self::with_workers)
-    /// default) keeps the classic single-machine artifacts.
+    /// latency. [`with_workers`](Self::with_workers) uses one core; `0`
+    /// is taken as one.
     pub fn with_workers_and_cores(workers: usize, cores: usize) -> Self {
         Self::build(workers, EngineCache::new().with_cores(cores))
     }

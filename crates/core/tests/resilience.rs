@@ -430,3 +430,50 @@ fn mem_flip_beyond_the_staged_extent_is_undone_by_rewind() {
         golden.report.stats().to_csv()
     );
 }
+
+/// Per-core attribution: a forced watchdog armed on core `k` of a 2- or
+/// 4-core engine fails the run on that core, and the eager heal leaves
+/// the next clean run bit-identical to the golden one.
+#[test]
+fn cluster_faults_are_attributed_to_the_armed_core() {
+    let (net, input) = policy_net();
+    for cores in [2, 4] {
+        let compiled = KernelBackend::new(OptLevel::IfmTile)
+            .with_cores(cores)
+            .compile_network(&net)
+            .unwrap();
+        assert!(
+            compiled.cluster().phases[0]
+                .kernels
+                .iter()
+                .all(Option::is_some),
+            "every core works in phase 0"
+        );
+        let mut engine = compiled.engine();
+        let golden = engine.run(&input).unwrap();
+        assert_eq!(engine.last_faulted_core(), None);
+        for k in 0..cores {
+            engine.set_fault_core(k);
+            engine.inject_faults(&FaultPlan::new().with_watchdog(10));
+            let err = engine.run(&input).unwrap_err();
+            assert!(
+                matches!(err, CoreError::Sim(SimError::Watchdog { max_cycles: 10 })),
+                "{cores} cores, core {k}: {err}"
+            );
+            assert_eq!(engine.last_faulted_core(), Some(k), "{cores} cores");
+
+            let healed = engine.run(&input).unwrap();
+            assert_eq!(engine.last_faulted_core(), None);
+            assert_eq!(healed.outputs, golden.outputs);
+            assert_eq!(healed.report.cycles(), golden.report.cycles());
+            assert_eq!(
+                healed.report.latency_cycles(),
+                golden.report.latency_cycles()
+            );
+            assert_eq!(
+                healed.report.stats().to_csv(),
+                golden.report.stats().to_csv()
+            );
+        }
+    }
+}

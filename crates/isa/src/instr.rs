@@ -1081,7 +1081,7 @@ impl Instr {
     /// The registers this instruction reads, as a 32-bit mask indexed by
     /// register number (bit `n` set ⇔ `xn` ∈ [`uses`](Self::uses)).
     ///
-    /// Equivalent to scanning the [`RegList`], pre-flattened for consumers
+    /// Equivalent to scanning the `RegList`, pre-flattened for consumers
     /// that test membership on a hot path (the simulator's load-use stall
     /// check is a single `and` against this mask).
     pub fn uses_mask(&self) -> u32 {

@@ -11,7 +11,7 @@ use rnnasip_fixed::{Acc32, Q3p12};
 ///
 /// Feature maps are stored channel-major, row-major within a channel
 /// (`c·h·w + y·w + x`). The convolution is evaluated both directly and via
-/// **im2col** (the lowering the paper cites from [25], which lets the CNN
+/// **im2col** (the lowering the paper cites from \[25\], which lets the CNN
 /// reuse the FC kernels); the two are bit-identical because the
 /// accumulation order is preserved.
 #[derive(Clone, Debug)]

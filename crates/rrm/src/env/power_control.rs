@@ -9,7 +9,7 @@ use rnnasip_rng::StdRng;
 ///
 /// The observation is the flattened `n × n` channel-gain matrix in a
 /// normalized log scale — exactly the feature map the power-control
-/// networks ([2], [12], [15]) consume. [`sum_rate`](Self::sum_rate)
+/// networks (\[2\], \[12\], \[15\]) consume. [`sum_rate`](Self::sum_rate)
 /// scores a power allocation, so examples can compare the network's
 /// decision against baselines (max power, random).
 ///

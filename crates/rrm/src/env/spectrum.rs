@@ -5,7 +5,7 @@ use rnnasip_rng::StdRng;
 
 /// `k` independent Gilbert–Elliott channels (two-state Markov: *free* /
 /// *busy*) observed through noisy energy detection — the classic
-/// dynamic-spectrum-access model the RL papers ([14], [17]) evaluate on.
+/// dynamic-spectrum-access model the RL papers (\[14\], \[17\]) evaluate on.
 ///
 /// Per slot: [`observe`](Self::observe) yields the noisy per-channel
 /// availability features (what the LSTM sees),

@@ -4,7 +4,7 @@
 //! The suite consists of ten neural networks drawn from the recent RRM
 //! literature; the paper evaluates every optimization level on all of
 //! them (Table I aggregates the whole suite, Fig. 3 shows per-network
-//! speedups). The exact topologies live in the project report [34],
+//! speedups). The exact topologies live in the project report \[34\],
 //! which is not redistributable — [`suite`] reconstructs representative
 //! configurations from the cited source papers, preserving the
 //! properties the evaluation depends on (see `DESIGN.md`).
@@ -13,7 +13,7 @@
 //! counts depend only on topology, and the bit-exactness harness needs
 //! *some* concrete values to verify against the golden models.
 //!
-//! The [`env`] module provides small deterministic RRM task simulators
+//! The [`env`](mod@env) module provides small deterministic RRM task simulators
 //! (downlink power control, multichannel spectrum access) that the
 //! examples use to drive the networks with realistic feature streams.
 //! Their decision loops get compile-once / run-many inference from

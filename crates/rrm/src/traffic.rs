@@ -18,7 +18,7 @@
 //!
 //! Every quantity is derived from the seeded [`rnnasip_rng`] stream and
 //! pure IEEE-754 arithmetic: the exponential sampler uses a local
-//! bit-decomposition `ln` ([`det_ln`]) instead of the platform `libm`
+//! bit-decomposition `ln` (`det_ln`) instead of the platform `libm`
 //! (whose last-bit results vary across hosts), and the diurnal curve is
 //! table interpolation, not trigonometry. A given [`CityConfig`]
 //! therefore yields the byte-identical arrival stream — times, UE ids,

@@ -6,15 +6,16 @@
 //!
 //! A partitioned network arrives as a [`ClusterProgram`]: an ordered
 //! list of [`ClusterPhase`]s, each holding one optional per-core
-//! [`ClusterKernel`] (program + micro-op image). Inside a phase the
-//! cores work on *disjoint* output ranges and read only data produced
-//! before the phase started, so the memory result does not depend on
-//! the interleaving of core cycles. The cluster exploits this: it runs
-//! each core's kernel to completion in turn, swapping the one shared
-//! TCDM [`Memory`] into the active core's [`Machine`]
-//! ([`Machine::swap_memory`]) — byte-for-byte the same final memory and
-//! per-core statistics a cycle-by-cycle lockstep interleaving would
-//! produce, at single-core simulation speed. Both fast execution tiers
+//! [`ClusterKernel`] (program + micro-op image + guard specs). A single
+//! core is the degenerate case: one phase, one kernel, no DMA. Inside a
+//! phase the cores work on *disjoint* output ranges and read only data
+//! produced before the phase started, so the memory result does not
+//! depend on the interleaving of core cycles. The cluster exploits this:
+//! it runs each core's kernel to completion in turn, lending the one
+//! shared TCDM [`Memory`], which core 0's [`Machine`] holds, to the
+//! active core ([`Machine::swap_memory`]). That gives byte-for-byte the
+//! same final memory and per-core statistics a cycle-by-cycle lockstep
+//! interleaving would produce, at single-core simulation speed. Both fast execution tiers
 //! (micro-op and kernel-shortcut) therefore keep working unmodified per
 //! core.
 //!
@@ -44,6 +45,7 @@
 
 use crate::error::{ExitReason, SimError};
 use crate::fault::{FaultPlan, FaultRecord};
+use crate::guard::{GuardReport, GuardSpec, GuardUnit};
 use crate::machine::Machine;
 use crate::mem::{MemImage, Memory};
 use crate::program::Program;
@@ -81,7 +83,8 @@ const MEM_ACCESS_MNEMONICS: &[&str] = &[
 ];
 
 /// One core's share of a phase: a program plus its micro-op translation
-/// (with any verified kernel-shortcut regions installed).
+/// (with any verified kernel-shortcut regions installed) and the ABFT
+/// guard specs of its matrix-vector regions.
 #[derive(Clone, Debug)]
 pub struct ClusterKernel {
     /// The phase program (ends in `ecall`).
@@ -89,13 +92,8 @@ pub struct ClusterKernel {
     /// Its micro-op image, as produced by
     /// [`UopProgram::translate_with_shortcuts`] (or plain `translate`).
     pub uops: Arc<UopProgram>,
-}
-
-impl ClusterKernel {
-    /// Bundles a program with its micro-op translation.
-    pub fn new(program: Arc<Program>, uops: Arc<UopProgram>) -> Self {
-        Self { program, uops }
-    }
+    /// Guard specs of the kernel's regions, armed by [`Cluster::set_guards`].
+    pub guards: Arc<Vec<GuardSpec>>,
 }
 
 /// One barrier-delimited step of a cluster run: per-core kernels that
@@ -122,7 +120,8 @@ pub struct DmaXfer {
 }
 
 /// A network partitioned for an N-core cluster: the DMA input staging
-/// plan followed by the barrier-delimited phases.
+/// plan followed by the barrier-delimited phases. A single-core program
+/// is one phase with one kernel and no DMA.
 #[derive(Clone, Debug, Default)]
 pub struct ClusterProgram {
     /// Number of cores the phases are laid out for.
@@ -131,6 +130,14 @@ pub struct ClusterProgram {
     pub dma: Vec<DmaXfer>,
     /// The phases, in execution order.
     pub phases: Vec<ClusterPhase>,
+}
+
+impl ClusterProgram {
+    /// Every kernel, phase by phase and core by core — the order a run
+    /// executes them in and the order of a guard report's rows.
+    pub fn kernels(&self) -> impl Iterator<Item = &ClusterKernel> {
+        self.phases.iter().flat_map(|p| p.kernels.iter().flatten())
+    }
 }
 
 /// Cluster timing parameters: TCDM banking, barrier and DMA costs.
@@ -168,23 +175,32 @@ struct LaneAccount {
     /// TCDM accesses counted so far (cache of the stats-derived total,
     /// so per-phase deltas need no re-scan).
     accesses: u64,
+    /// Phase whose kernel this core holds: a core reloads only when its
+    /// next kernel differs, so corrupted instruction slots survive.
+    held: Option<usize>,
+    /// This core's cycles in the current phase.
+    phase_cycles: u64,
+    /// This core's TCDM accesses in the current phase.
+    phase_accesses: u64,
 }
 
-/// The simulated multi-core cluster. See the [module docs](self) for
-/// the execution and timing model.
+/// The simulated multi-core cluster: per-core machines running
+/// barrier-delimited phases over one shared banked TCDM.
 #[derive(Debug)]
 pub struct Cluster {
     program: Arc<ClusterProgram>,
     cfg: TcdmConfig,
-    /// One machine per core. Each holds a zero-size placeholder memory
-    /// except while it is the active core of a phase, when the shared
-    /// TCDM is swapped in.
+    /// One machine per core. Core 0's holds the shared banked TCDM (plus
+    /// the L2 staging area at its top); another core borrows it for the
+    /// length of its kernel.
     machines: Vec<Machine>,
-    /// The shared banked TCDM (plus the L2 staging area at its top).
-    mem: Memory,
     /// Memory-access mnemonic ids, resolved once.
     access_ids: Vec<MnemonicId>,
     lanes: Vec<LaneAccount>,
+    /// The run-wide guard unit, lent to each core for its kernels.
+    guards: Option<Box<GuardUnit>>,
+    /// DMA copy staging, kept across runs.
+    dma_scratch: Vec<u8>,
     dma_cycles: u64,
     barrier_cycles: u64,
     latency: u64,
@@ -197,13 +213,9 @@ impl Cluster {
     /// with the default [`TcdmConfig`] for the program's core count.
     pub fn new(program: Arc<ClusterProgram>, mem: Memory) -> Self {
         let cfg = TcdmConfig::for_cores(program.cores);
-        Self::with_config(program, mem, cfg)
-    }
-
-    /// Builds a cluster with an explicit timing configuration.
-    pub fn with_config(program: Arc<ClusterProgram>, mem: Memory, cfg: TcdmConfig) -> Self {
         let cores = program.cores.max(1);
-        let machines = (0..cores).map(|_| Machine::new(0)).collect();
+        let mut machines = vec![Machine::with_memory(mem)];
+        machines.extend((1..cores).map(|_| Machine::new(0)));
         let access_ids = MEM_ACCESS_MNEMONICS
             .iter()
             .filter_map(|name| MnemonicId::from_name(name))
@@ -212,9 +224,10 @@ impl Cluster {
             program,
             cfg,
             machines,
-            mem,
             access_ids,
             lanes: vec![LaneAccount::default(); cores],
+            guards: None,
+            dma_scratch: Vec::new(),
             dma_cycles: 0,
             barrier_cycles: 0,
             latency: 0,
@@ -227,24 +240,14 @@ impl Cluster {
         self.machines.len()
     }
 
-    /// The cluster program being executed.
-    pub fn program(&self) -> &Arc<ClusterProgram> {
-        &self.program
-    }
-
-    /// The timing configuration.
-    pub fn config(&self) -> &TcdmConfig {
-        &self.cfg
-    }
-
     /// The shared TCDM.
     pub fn mem(&self) -> &Memory {
-        &self.mem
+        self.machines[0].mem()
     }
 
     /// Mutable shared TCDM (for staging inputs and reading outputs).
     pub fn mem_mut(&mut self) -> &mut Memory {
-        &mut self.mem
+        self.machines[0].mem_mut()
     }
 
     /// Core `i`'s machine (per-core stats, registers, fault log).
@@ -253,20 +256,63 @@ impl Cluster {
     }
 
     /// Restores the shared TCDM from `image` (dirty blocks only) and
-    /// resets every core and the cluster accounting for another run.
-    /// Returns the number of memory bytes restored.
+    /// resets every core, the guard verdicts and the cluster accounting
+    /// for another run. Returns the number of memory bytes restored.
     pub fn rewind(&mut self, image: &MemImage) -> usize {
-        let restored = self.mem.restore_image(image);
+        let restored = self.mem_mut().restore_image(image);
         for m in &mut self.machines {
             m.clear_stats();
             m.reset_core();
         }
-        self.lanes.fill(LaneAccount::default());
+        for lane in &mut self.lanes {
+            (lane.conflict_stalls, lane.accesses) = (0, 0);
+        }
+        if let Some(g) = &mut self.guards {
+            g.reset_run();
+        }
         self.dma_cycles = 0;
         self.barrier_cycles = 0;
         self.latency = 0;
         self.last_faulted_core = None;
         restored
+    }
+
+    /// Arms (or disarms) ABFT guards on every kernel (see
+    /// [`GuardSpec`]): one unit for the whole run, its activation ledger
+    /// shared by all cores, so a consumer's input check sees every core's
+    /// producer slices. Guards are pure observers — outputs, cycles and
+    /// per-mnemonic rows are untouched.
+    pub fn set_guards(&mut self, on: bool) {
+        self.guards = on.then(|| {
+            let kernels = self.program.kernels().map(|k| (&k.guards, &*k.program));
+            Box::new(GuardUnit::new(kernels))
+        });
+    }
+
+    /// Whether ABFT guards are armed.
+    pub fn guards_armed(&self) -> bool {
+        self.guards.is_some()
+    }
+
+    /// The run's guard verdicts, one row per kernel spec in
+    /// [`ClusterProgram::kernels`] order, closed by the final-output
+    /// check: every ledger window overlapping the `halfwords` halfwords
+    /// at `out` must still sum to what its producer recorded. `None`
+    /// when unguarded.
+    pub fn guard_report(&self, out: u32, halfwords: u32) -> Option<GuardReport> {
+        let g = self.guards.as_deref()?;
+        let mut report = g.report();
+        report.output_check_failed = g.verify_range(self.mem(), out, halfwords) == Some(false);
+        Some(report)
+    }
+
+    /// Records `halfwords` halfwords of the shared TCDM at `base` in the
+    /// guard ledger — how an engine covers the window it patched a
+    /// request into. No-op when unguarded.
+    pub fn guard_note_range(&mut self, base: u32, halfwords: u32) {
+        if let Some(g) = self.guards.as_deref_mut() {
+            g.note_range(self.machines[0].mem(), base, halfwords);
+        }
     }
 
     /// Arms a fault plan on core `core` (cleared by
@@ -288,8 +334,9 @@ impl Cluster {
         self.machines[core].fault_log()
     }
 
-    /// The core whose run last raised an error or applied a fault, if
-    /// any — feeds the resilience layer's per-core attribution.
+    /// The core that raised the last run's error — or, for a completed
+    /// run, the last core that applied an injected fault; `None` when
+    /// neither happened.
     pub fn last_faulted_core(&self) -> Option<usize> {
         self.last_faulted_core
     }
@@ -316,12 +363,6 @@ impl Cluster {
         self.latency
     }
 
-    /// Instructions retired through kernel-shortcut regions across all
-    /// cores this run.
-    pub fn shortcut_instrs(&self) -> u64 {
-        self.machines.iter().map(Machine::shortcut_instrs).sum()
-    }
-
     /// Sum of all cores' per-mnemonic statistics (total work; its
     /// `cycles()` is core-cycles, not wall-clock — compare
     /// [`latency_cycles`](Self::latency_cycles)).
@@ -341,24 +382,57 @@ impl Cluster {
             .sum()
     }
 
-    /// Runs the DMA plan, charging the engine's cycles.
+    /// Runs the DMA plan, charging the engine's cycles, and seeds the
+    /// guard ledger with every destination window.
     fn run_dma(&mut self) -> Result<(), SimError> {
+        let mem = self.machines[0].mem_mut();
         // One shared engine: descriptors are processed serially.
-        for xfer in &self.program.dma {
-            self.dma_cycles += self.cfg.dma_startup_cycles
-                + u64::from(xfer.len).div_ceil(self.cfg.dma_bytes_per_cycle);
-        }
-        // The copies themselves (separate loop: the borrow of the plan
-        // above is read-only, the copies need `&mut self.mem`).
-        let xfers: Vec<DmaXfer> = self.program.dma.clone();
-        let mut scratch = Vec::new();
-        for DmaXfer { src, dst, len } in xfers {
-            let bytes = self.mem.byte_slice(src, len as usize)?;
-            scratch.clear();
-            scratch.extend_from_slice(bytes);
-            self.mem.write_bytes(dst, &scratch)?;
+        for &DmaXfer { src, dst, len } in &self.program.dma {
+            self.dma_cycles +=
+                self.cfg.dma_startup_cycles + u64::from(len).div_ceil(self.cfg.dma_bytes_per_cycle);
+            self.dma_scratch.clear();
+            self.dma_scratch
+                .extend_from_slice(mem.byte_slice(src, len as usize)?);
+            mem.write_bytes(dst, &self.dma_scratch)?;
+            if let Some(g) = self.guards.as_deref_mut() {
+                g.note_range(mem, dst, len / 2);
+            }
         }
         Ok(())
+    }
+
+    /// Runs core `c` through kernel `k` of phase `p`, lending it the
+    /// shared TCDM and the guard unit for the duration.
+    fn run_kernel(
+        &mut self,
+        c: usize,
+        p: usize,
+        k: &ClusterKernel,
+        max_cycles: u64,
+        legacy: bool,
+    ) -> Result<ExitReason, SimError> {
+        let (owner, rest) = self.machines.split_at_mut(c);
+        let m = &mut rest[0];
+        if self.lanes[c].held == Some(p) {
+            m.restart();
+        } else {
+            m.load_phase_program(&k.program, &k.uops);
+            self.lanes[c].held = Some(p);
+        }
+        if let Some(owner) = owner.first_mut() {
+            m.swap_memory(owner.mem_mut());
+        }
+        m.swap_guards(&mut self.guards);
+        let result = if legacy {
+            m.run_legacy(max_cycles)
+        } else {
+            m.run(max_cycles)
+        };
+        m.swap_guards(&mut self.guards);
+        if let Some(owner) = owner.first_mut() {
+            m.swap_memory(owner.mem_mut());
+        }
+        result
     }
 
     /// Runs every phase to completion. `max_cycles` bounds each core's
@@ -369,41 +443,36 @@ impl Cluster {
     ///
     /// Any error a core raises is propagated after recording the core in
     /// [`last_faulted_core`](Self::last_faulted_core); the shared memory
-    /// is always swapped back first.
+    /// is always handed back first.
     pub fn run(&mut self, max_cycles: u64) -> Result<ExitReason, SimError> {
         self.run_with(max_cycles, false)
     }
 
     /// [`run`](Self::run) with a tier selector: `legacy` drives every
     /// core through [`Machine::run_legacy`] (the per-step reference
-    /// interpreter) instead of the micro-op/shortcut tiers.
+    /// interpreter, which the guard monitor does not observe) instead of
+    /// the micro-op/shortcut tiers.
     pub fn run_with(&mut self, max_cycles: u64, legacy: bool) -> Result<ExitReason, SimError> {
         self.last_faulted_core = None;
         self.run_dma()?;
         self.latency += self.dma_cycles;
         let cores = self.machines.len();
         let banks = self.cfg.banks.max(1) as u64;
-        let mut phase_cycles = vec![0u64; cores];
-        let mut phase_accesses = vec![0u64; cores];
-        let phases = Arc::clone(&self.program);
-        for phase in &phases.phases {
+        let program = Arc::clone(&self.program);
+        let mut kernel_no = 0;
+        for (p, phase) in program.phases.iter().enumerate() {
             // Advance every participating core through its kernel.
             for (c, kernel) in phase.kernels.iter().enumerate() {
-                phase_cycles[c] = 0;
-                phase_accesses[c] = 0;
+                self.lanes[c].phase_cycles = 0;
+                self.lanes[c].phase_accesses = 0;
                 let Some(k) = kernel else { continue };
-                let m = &mut self.machines[c];
-                m.load_phase_program(&k.program, &k.uops);
-                let cycles_before = m.core().cycle;
-                m.swap_memory(&mut self.mem);
-                let result = if legacy {
-                    m.run_legacy(max_cycles)
-                } else {
-                    m.run(max_cycles)
-                };
-                m.swap_memory(&mut self.mem);
-                let m = &self.machines[c];
-                if !m.fault_log().is_empty() {
+                if let Some(g) = self.guards.as_deref_mut() {
+                    g.select(kernel_no);
+                }
+                kernel_no += 1;
+                let cycles_before = self.machines[c].core().cycle;
+                let result = self.run_kernel(c, p, k, max_cycles, legacy);
+                if !self.machines[c].fault_log().is_empty() {
                     self.last_faulted_core = Some(c);
                 }
                 match result {
@@ -415,26 +484,27 @@ impl Cluster {
                         return Err(e);
                     }
                 }
-                phase_cycles[c] = m.core().cycle - cycles_before;
                 let total = self.accesses(c);
-                phase_accesses[c] = total - self.lanes[c].accesses;
-                self.lanes[c].accesses = total;
+                let lane = &mut self.lanes[c];
+                lane.phase_cycles = self.machines[c].core().cycle - cycles_before;
+                lane.phase_accesses = total - lane.accesses;
+                lane.accesses = total;
             }
             // Charge analytic banking-conflict stalls and close the
             // phase with a barrier.
-            let busiest = phase_cycles.iter().copied().max().unwrap_or(0);
-            let all_accesses: u64 = phase_accesses.iter().sum();
+            let busiest = self.lanes.iter().map(|l| l.phase_cycles).max().unwrap_or(0);
+            let all_accesses: u64 = self.lanes.iter().map(|l| l.phase_accesses).sum();
             let mut slowest = 0u64;
-            for c in 0..cores {
-                let others = all_accesses - phase_accesses[c];
+            for lane in &mut self.lanes {
+                let others = all_accesses - lane.phase_accesses;
                 let stall = if busiest == 0 {
                     0
                 } else {
-                    (u128::from(phase_accesses[c]) * u128::from(others)
+                    (u128::from(lane.phase_accesses) * u128::from(others)
                         / (u128::from(banks) * u128::from(busiest))) as u64
                 };
-                self.lanes[c].conflict_stalls += stall;
-                slowest = slowest.max(phase_cycles[c] + stall);
+                lane.conflict_stalls += stall;
+                slowest = slowest.max(lane.phase_cycles + stall);
             }
             self.latency += slowest;
             if cores > 1 {
@@ -471,7 +541,11 @@ mod tests {
             ],
         );
         let uops = Arc::new(UopProgram::translate(&program));
-        ClusterKernel::new(Arc::new(program), uops)
+        ClusterKernel {
+            program: Arc::new(program),
+            uops,
+            guards: Arc::default(),
+        }
     }
 
     #[test]
@@ -587,7 +661,11 @@ mod tests {
             instrs.push(Instr::Ecall);
             let p = Program::from_instrs(0, instrs);
             let u = Arc::new(UopProgram::translate(&p));
-            ClusterKernel::new(Arc::new(p), u)
+            ClusterKernel {
+                program: Arc::new(p),
+                uops: u,
+                guards: Arc::default(),
+            }
         };
         let prog = ClusterProgram {
             cores: 2,

@@ -36,6 +36,7 @@
 //! so it is identical across the micro-op and shortcut execution tiers.
 
 use crate::mem::Memory;
+use crate::program::Program;
 use crate::shortcut::{KernelRegion, Matvec, RegionMath};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -191,7 +192,7 @@ struct LedgerEntry {
 /// A guard armed and waiting for its region's exit.
 #[derive(Clone, Copy, Debug)]
 struct Pending {
-    gid: u32,
+    row: u32,
     start_idx: u32,
     x_base: u32,
     out_base: u32,
@@ -200,16 +201,21 @@ struct Pending {
     resolved: bool,
 }
 
-/// The machine's guard state: armed specs, their micro-op boundary
-/// indices, per-run counters and the activation ledger.
+/// The guard state of one run: every kernel's armed specs, per-region
+/// counters and the activation ledger. One unit serves a whole run — a
+/// cluster lends it to each core's machine in turn and
+/// [`select`](Self::select)s the kernel about to execute — so the ledger
+/// sees every producer before any later consumer.
 #[derive(Debug)]
 pub(crate) struct GuardUnit {
-    specs: Arc<Vec<GuardSpec>>,
-    /// Micro-op index of each region's first op → spec index.
-    starts: HashMap<u32, u32>,
-    /// Spec index → micro-op index just past the region (`u32::MAX` when
-    /// the region's boundaries don't map into the loaded program).
-    ends: Vec<u32>,
+    /// Per kernel: micro-op index of each region's first op → report row.
+    starts: Vec<HashMap<u32, u32>>,
+    /// Per report row: its kernel's specs, its index there, and the
+    /// micro-op index just past the region (`u32::MAX` when its
+    /// boundaries don't map into the kernel's program).
+    rows: Vec<(Arc<Vec<GuardSpec>>, usize, u32)>,
+    /// The kernel now executing.
+    active: usize,
     pending: Option<Pending>,
     counters: Vec<RegionGuard>,
     guard_cycles: u64,
@@ -217,43 +223,62 @@ pub(crate) struct GuardUnit {
 }
 
 impl GuardUnit {
-    /// Builds the unit for `specs` against a resolver from instruction
-    /// address to micro-op index (the loaded program's fetch table).
-    /// Regions whose boundaries don't resolve are reported but never
-    /// armed.
-    pub(crate) fn new(specs: Arc<Vec<GuardSpec>>, index_of: impl Fn(u32) -> Option<u32>) -> Self {
-        let mut starts = HashMap::with_capacity(specs.len());
-        let mut ends = Vec::with_capacity(specs.len());
-        for (gid, spec) in specs.iter().enumerate() {
-            let bounds = index_of(spec.start_addr).zip(index_of(spec.end_addr));
-            match bounds {
-                Some((s, e)) if e > s => {
-                    starts.insert(s, gid as u32);
-                    ends.push(e);
-                }
-                _ => ends.push(u32::MAX),
+    /// Builds the unit for a sequence of kernels, each given as its
+    /// spec list and its program (whose fetch table resolves region
+    /// addresses to micro-op indices). Regions whose boundaries don't
+    /// resolve are reported but never armed.
+    pub(crate) fn new<'a>(
+        kernels: impl IntoIterator<Item = (&'a Arc<Vec<GuardSpec>>, &'a Program)>,
+    ) -> Self {
+        let (mut starts, mut rows) = (Vec::new(), Vec::new());
+        for (kernel_specs, program) in kernels {
+            let index_of = |a| program.index_of(a).map(|i| i as u32);
+            let mut kernel_starts = HashMap::with_capacity(kernel_specs.len());
+            for (i, spec) in kernel_specs.iter().enumerate() {
+                let end = match index_of(spec.start_addr).zip(index_of(spec.end_addr)) {
+                    Some((s, e)) if e > s => {
+                        kernel_starts.insert(s, rows.len() as u32);
+                        e
+                    }
+                    _ => u32::MAX,
+                };
+                rows.push((Arc::clone(kernel_specs), i, end));
             }
+            starts.push(kernel_starts);
         }
-        let counters = vec![RegionGuard::default(); specs.len()];
         Self {
-            specs,
             starts,
-            ends,
+            counters: vec![RegionGuard::default(); rows.len()],
+            rows,
+            active: 0,
             pending: None,
-            counters,
             guard_cycles: 0,
             ledger: Vec::new(),
         }
     }
 
+    fn spec(&self, row: u32) -> &GuardSpec {
+        let (specs, i, _) = &self.rows[row as usize];
+        &specs[*i]
+    }
+
     /// Clears the per-run state (counters, surcharge, ledger, pending).
     pub(crate) fn reset_run(&mut self) {
         self.pending = None;
-        for c in &mut self.counters {
-            *c = RegionGuard::default();
-        }
+        self.active = 0;
+        self.counters.fill(RegionGuard::default());
         self.guard_cycles = 0;
         self.ledger.clear();
+    }
+
+    /// Switches to kernel `kernel` (its index in arming order) before it
+    /// executes. A guard left pending by the previous kernel never
+    /// reached its exit: it counts as a failed one.
+    pub(crate) fn select(&mut self, kernel: usize) {
+        if let Some(p) = self.pending.take() {
+            self.counters[p.row as usize].fails += 1;
+        }
+        self.active = kernel;
     }
 
     /// The dispatch-boundary hook: called with the micro-op index about
@@ -262,31 +287,31 @@ impl GuardUnit {
     /// region's own head (its internal loop) is ignored.
     pub(crate) fn boundary(&mut self, mem: &Memory, idx: u32) {
         if let Some(p) = self.pending {
-            if idx == self.ends[p.gid as usize] {
+            if idx == self.rows[p.row as usize].2 {
                 self.pending = None;
                 self.finish(mem, p);
             } else if idx == p.start_idx {
                 return;
             }
         }
-        if let Some(&gid) = self.starts.get(&idx) {
+        if let Some(&row) = self.starts[self.active].get(&idx) {
             if let Some(p) = self.pending.take() {
                 // Control left a region without passing its exit (never
                 // the case for generated kernels): flag it.
-                self.counters[p.gid as usize].fails += 1;
+                self.counters[p.row as usize].fails += 1;
             }
-            self.arm(mem, gid, idx);
+            self.arm(mem, row, idx);
         }
     }
 
-    fn arm(&mut self, mem: &Memory, gid: u32, start_idx: u32) {
-        let spec = &self.specs[gid as usize];
-        self.counters[gid as usize].entries += 1;
-        self.guard_cycles += spec.entry_cycles();
+    fn arm(&mut self, mem: &Memory, row: u32, start_idx: u32) {
+        let spec = self.spec(row);
         let x = spec.region.x.resolve(mem);
         let out = spec.region.out.resolve(mem);
+        self.guard_cycles += spec.entry_cycles();
+        self.counters[row as usize].entries += 1;
         self.pending = Some(Pending {
-            gid,
+            row,
             start_idx,
             x_base: x.unwrap_or(0),
             out_base: out.unwrap_or(0),
@@ -295,17 +320,18 @@ impl GuardUnit {
     }
 
     fn finish(&mut self, mem: &Memory, p: Pending) {
-        let spec = &self.specs[p.gid as usize];
+        let spec = self.spec(p.row);
         let ok = p.resolved && check_exit(spec, mem, p.x_base, p.out_base, &self.ledger);
+        let (dense, n_out) = (spec.region.out_stride == 2, spec.region.n_out);
         if !ok {
-            self.counters[p.gid as usize].fails += 1;
+            self.counters[p.row as usize].fails += 1;
         }
         // Producer ledger: dense stride-2 output windows become checkable
         // inputs of downstream regions. Recorded from current memory even
         // after a failed check, so the ledger always reflects what the
         // next consumer will actually read.
-        if spec.region.out_stride == 2 && p.resolved {
-            note(&mut self.ledger, mem, p.out_base, spec.region.n_out);
+        if dense && p.resolved {
+            note(&mut self.ledger, mem, p.out_base, n_out);
         }
     }
 
@@ -314,14 +340,19 @@ impl GuardUnit {
         note(&mut self.ledger, mem, base, halfwords);
     }
 
-    /// Re-checks a recorded window against current memory: `None` when
-    /// no entry with this exact base/extent exists.
+    /// Re-checks every recorded window overlapping `halfwords` halfwords
+    /// at `base` against current memory (a window several cores produced
+    /// is recorded slice by slice): `Some(false)` when any changed,
+    /// `None` when none overlaps.
     pub(crate) fn verify_range(&self, mem: &Memory, base: u32, halfwords: u32) -> Option<bool> {
-        let e = self
+        let end = base.wrapping_add(halfwords * 2);
+        let overlapping = self
             .ledger
             .iter()
-            .find(|e| e.base == base && e.halfwords == halfwords)?;
-        Some(halfword_sum(mem, e.base, e.halfwords) == Some(e.sum))
+            .filter(|e| e.base < end && base < e.base.wrapping_add(e.halfwords * 2));
+        overlapping.fold(None, |ok, e| {
+            Some(ok.unwrap_or(true) && halfword_sum(mem, e.base, e.halfwords) == Some(e.sum))
+        })
     }
 
     /// Snapshot of the run's verdicts. A guard still pending (the run
@@ -329,7 +360,7 @@ impl GuardUnit {
     pub(crate) fn report(&self) -> GuardReport {
         let mut regions = self.counters.clone();
         if let Some(p) = &self.pending {
-            regions[p.gid as usize].fails += 1;
+            regions[p.row as usize].fails += 1;
         }
         GuardReport {
             regions,

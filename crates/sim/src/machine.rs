@@ -220,13 +220,7 @@ impl Machine {
     /// statistics are preserved, so data can be staged before or after
     /// loading code.
     pub fn load_program(&mut self, program: &Program) {
-        self.program = Arc::new(program.clone());
-        self.uops = Arc::new(UopProgram::translate(program));
-        self.clear_faults();
-        self.corrupted_pcs.clear();
-        // Guard boundary indices belong to the replaced program.
-        self.guards = None;
-        self.reset_core();
+        self.load_program_shared(program, Arc::new(UopProgram::translate(program)));
     }
 
     /// Loads a program together with an already-translated micro-op
@@ -247,6 +241,7 @@ impl Machine {
         self.uops = uops;
         self.clear_faults();
         self.corrupted_pcs.clear();
+        // Guard boundary indices belong to the replaced program.
         self.guards = None;
         self.reset_core();
     }
@@ -274,6 +269,13 @@ impl Machine {
         self.program = Arc::clone(program);
         self.uops = Arc::clone(uops);
         self.corrupted_pcs.clear();
+        self.restart();
+    }
+
+    /// Re-dispatches the loaded program: control state reset as by
+    /// [`load_phase_program`](Self::load_phase_program), everything else
+    /// — corrupted instruction slots included — kept.
+    pub fn restart(&mut self) {
         let (cycle, instret) = (self.core.cycle, self.core.instret);
         self.reset_core();
         self.core.cycle = cycle;
@@ -348,8 +350,8 @@ impl Machine {
     }
 
     /// Arms ABFT checksum guards for the loaded program's kernel regions:
-    /// from now on every run verifies each region's exit (see the
-    /// [`guard`](crate::guard) module) and [`guard_report`](Self::guard_report)
+    /// from now on every run verifies each region's exit (see
+    /// [`GuardSpec`]) and [`guard_report`](Self::guard_report)
     /// snapshots the verdicts. Guards are pure observers — outputs,
     /// cycles, `instret` and per-mnemonic rows are untouched — but they
     /// disable the bulk block runners (a host-throughput cost only; the
@@ -357,20 +359,7 @@ impl Machine {
     /// way). Call **after** the program is loaded; region boundaries are
     /// resolved against the current micro-op image.
     pub fn arm_guards(&mut self, specs: Arc<Vec<GuardSpec>>) {
-        let program = &self.program;
-        self.guards = Some(Box::new(GuardUnit::new(specs, |a| {
-            program.index_of(a).map(|i| i as u32)
-        })));
-    }
-
-    /// Removes armed guards (per-run counters included).
-    pub fn disarm_guards(&mut self) {
-        self.guards = None;
-    }
-
-    /// Whether ABFT guards are armed.
-    pub fn guards_armed(&self) -> bool {
-        self.guards.is_some()
+        self.guards = Some(Box::new(GuardUnit::new([(&specs, &*self.program)])));
     }
 
     /// Snapshot of the current run's guard verdicts, `None` when no
@@ -380,22 +369,10 @@ impl Machine {
         self.guards.as_ref().map(|g| g.report())
     }
 
-    /// Records `halfwords` halfwords at `base` in the guard ledger (the
-    /// produced-window freshness record — used by the engine to cover
-    /// the freshly patched input window). No-op when guards are off.
-    pub fn guard_note_range(&mut self, base: u32, halfwords: u32) {
-        if let Some(g) = self.guards.as_deref_mut() {
-            g.note_range(&self.mem, base, halfwords);
-        }
-    }
-
-    /// Re-checks a ledger window against current memory: `Some(false)`
-    /// means the bytes changed since they were recorded. `None` when
-    /// guards are off or no entry with this exact base/extent exists.
-    pub fn guard_verify_range(&self, base: u32, halfwords: u32) -> Option<bool> {
-        self.guards
-            .as_deref()?
-            .verify_range(&self.mem, base, halfwords)
+    /// Exchanges this machine's guard unit with `other` — how a cluster
+    /// lends its one run-wide unit to the core about to execute.
+    pub(crate) fn swap_guards(&mut self, other: &mut Option<Box<GuardUnit>>) {
+        std::mem::swap(&mut self.guards, other);
     }
 
     /// Arms a fault plan: replaces any pending faults with the plan's

@@ -54,7 +54,7 @@ impl MemImage {
 }
 
 /// The reusable core of every tracked byte store: a flat byte array
-/// plus a dirty-block bitmap (one bit per [`BLOCK_BYTES`] block, set on
+/// plus a dirty-block bitmap (one bit per 64-byte block, set on
 /// every write since the last snapshot load/restore).
 ///
 /// [`Memory`] wraps this with bounds/alignment checking and the Q3.12

@@ -90,7 +90,7 @@ pub enum ShortcutAct {
 /// together with the math it computes and its operand layout.
 ///
 /// Descriptors are *claims*, not trusted input: translation verifies
-/// each one against the micro-op stream (see the [module docs](self))
+/// each one against the micro-op stream (the `shortcut` module's rules)
 /// and silently discards any that cannot be proven safe.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct KernelRegion {

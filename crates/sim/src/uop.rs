@@ -453,7 +453,7 @@ impl UopProgram {
     /// Like [`translate`](Self::translate), additionally verifying the
     /// given kernel-region descriptors against the lowered micro-op
     /// stream and installing the ones that pass as native shortcut
-    /// regions (see the [`shortcut`](crate::shortcut) module docs).
+    /// regions (see [`KernelRegion`](crate::KernelRegion)).
     ///
     /// Descriptors that fail verification are silently skipped — the
     /// region then executes on the generic micro-op path, which is
