@@ -7,8 +7,6 @@
 //! - `--seed N` — campaign master seed (default 7).
 //! - `--trials N` — trials per cell (default 12, or 3 with `--smoke`).
 //! - `--smoke` — the CI configuration: 3 trials per cell.
-//! - `--legacy` — simulate through the reference per-step interpreter;
-//!   the emitted report must be byte-identical to the micro-op run.
 //! - `--json` — also write `BENCH_faults.json` next to this crate's
 //!   manifest.
 //! - `--check` — compare the report against the committed
@@ -36,18 +34,16 @@ fn main() {
     if let Some(trials) = arg_value(&args, "--trials") {
         cfg.trials = trials as u32;
     }
-    cfg.reference = args.iter().any(|a| a == "--legacy");
     let mode = if smoke { "smoke" } else { "full" };
 
     let cells = campaign(&cfg);
     let doc = to_json(&cfg, mode, &cells);
 
     println!(
-        "fault campaign: seed {}, {} trials/cell, {} cells, {} path",
+        "fault campaign: seed {}, {} trials/cell, {} cells",
         cfg.seed,
         cfg.trials,
-        cells.len(),
-        if cfg.reference { "legacy" } else { "uop" }
+        cells.len()
     );
     println!("| level | masked | sdc | crash | hang | recovered |");
     println!("|---|---|---|---|---|---|");

@@ -17,18 +17,14 @@
 //! | `hang` | watchdog expired |
 //!
 //! Everything is derived from the campaign seed and cell indices — not
-//! from thread scheduling, host time, or the execution path — so the
-//! emitted JSON is byte-identical across repeated runs *and* across the
-//! micro-op / legacy interpreter paths ([`CampaignConfig::reference`]),
-//! which is asserted by `crates/bench/tests/fault_determinism.rs` and by
-//! the CI `--check` against the committed baseline.
+//! from thread scheduling or host time — so the emitted JSON is
+//! byte-identical across repeated runs, which is asserted by
+//! `crates/bench/tests/fault_determinism.rs` and by the CI `--check`
+//! against the committed baseline.
 
 use crate::json::{array, escape, Obj};
 use crate::par;
-use rnnasip_core::{
-    CoreError, Engine, Fault, FaultPlan, FaultSite, KernelBackend, NetworkRun, OptLevel, SimError,
-};
-use rnnasip_fixed::Q3p12;
+use rnnasip_core::{CoreError, Fault, FaultPlan, FaultSite, KernelBackend, OptLevel, SimError};
 use rnnasip_isa::Reg;
 use rnnasip_rng::StdRng;
 use rnnasip_rrm::BenchmarkNet;
@@ -106,37 +102,25 @@ impl Cell {
 }
 
 /// Campaign parameters. Every output byte is a pure function of this
-/// struct (the execution path included only in host time, never in the
-/// report).
+/// struct.
 #[derive(Clone, Copy, Debug)]
 pub struct CampaignConfig {
     /// Master seed; trial plans derive from `(seed, net, level, trial)`.
     pub seed: u64,
     /// Trials per `(network, level)` cell.
     pub trials: u32,
-    /// Simulate through the legacy per-step interpreter instead of the
-    /// micro-op path. The report must come out byte-identical.
-    pub reference: bool,
 }
 
 impl CampaignConfig {
     /// The CI smoke configuration: few trials, same coverage (every
     /// network × every level).
     pub fn smoke(seed: u64) -> Self {
-        Self {
-            seed,
-            trials: 3,
-            reference: false,
-        }
+        Self { seed, trials: 3 }
     }
 
     /// The full sweep.
     pub fn full(seed: u64) -> Self {
-        Self {
-            seed,
-            trials: 12,
-            reference: false,
-        }
+        Self { seed, trials: 12 }
     }
 }
 
@@ -188,26 +172,14 @@ fn data_span(image: &[u8]) -> u64 {
     (top.saturating_sub(DATA_BASE as usize) as u64).max(1024)
 }
 
-fn run_once(
-    engine: &mut Engine,
-    input: &[Vec<Q3p12>],
-    budget: u64,
-    reference: bool,
-) -> Result<NetworkRun, CoreError> {
-    if reference {
-        engine.run_reference_budgeted(input, budget)
-    } else {
-        engine.run_budgeted(input, budget)
-    }
-}
-
 fn run_cell(net: &BenchmarkNet, net_idx: usize, level: OptLevel, cfg: &CampaignConfig) -> Cell {
     let compiled = KernelBackend::new(level)
         .compile_network(&net.network)
         .unwrap_or_else(|e| panic!("{} at {level:?}: {e}", net.id));
     let input = net.input();
     let mut engine = compiled.engine();
-    let golden = run_once(&mut engine, &input, compiled.max_cycles(), cfg.reference)
+    let golden = engine
+        .run_budgeted(&input, compiled.max_cycles())
         .unwrap_or_else(|e| panic!("{} at {level:?} golden run: {e}", net.id));
     let golden_cycles = golden.report.cycles();
     let golden_instrs = golden.report.stats().instrs();
@@ -270,7 +242,7 @@ fn run_cell(net: &BenchmarkNet, net_idx: usize, level: OptLevel, cfg: &CampaignC
             let at_instret = if site == "hang" { 0 } else { at_instret };
 
             engine.inject_faults(&plan);
-            let result = run_once(&mut engine, &input, budget, cfg.reference);
+            let result = engine.run_budgeted(&input, budget);
             let (class, error) = match &result {
                 Ok(run) if run.outputs == golden.outputs => (Classification::Masked, None),
                 Ok(_) => (Classification::Sdc, None),
@@ -284,7 +256,7 @@ fn run_cell(net: &BenchmarkNet, net_idx: usize, level: OptLevel, cfg: &CampaignC
             // rewind already ran, so a plain retry is rung one; a full
             // rebuild is rung two and final.
             let recovery = if result.is_err() {
-                let retried = run_once(&mut engine, &input, budget, cfg.reference);
+                let retried = engine.run_budgeted(&input, budget);
                 let rewound = matches!(
                     &retried,
                     Ok(run) if run.outputs == golden.outputs
@@ -294,10 +266,9 @@ fn run_cell(net: &BenchmarkNet, net_idx: usize, level: OptLevel, cfg: &CampaignC
                     "rewind"
                 } else {
                     engine.heal_rebuild();
-                    let rebuilt = run_once(&mut engine, &input, budget, cfg.reference)
-                        .unwrap_or_else(|e| {
-                            panic!("{} at {level:?} trial {trial}: unrecovered: {e}", net.id)
-                        });
+                    let rebuilt = engine.run_budgeted(&input, budget).unwrap_or_else(|e| {
+                        panic!("{} at {level:?} trial {trial}: unrecovered: {e}", net.id)
+                    });
                     assert_eq!(
                         rebuilt.outputs, golden.outputs,
                         "{} at {level:?} trial {trial}: rebuild did not restore golden outputs",
@@ -336,9 +307,7 @@ fn run_cell(net: &BenchmarkNet, net_idx: usize, level: OptLevel, cfg: &CampaignC
     }
 }
 
-/// Serializes a campaign into the `BENCH_faults.json` document. The
-/// execution path is deliberately absent: the micro-op and legacy runs
-/// of the same configuration must serialize to the same bytes.
+/// Serializes a campaign into the `BENCH_faults.json` document.
 pub fn to_json(cfg: &CampaignConfig, mode: &str, cells: &[Cell]) -> String {
     let cell_objs = array(cells.iter().map(|cell| {
         let trials = array(cell.trials.iter().map(|t| {

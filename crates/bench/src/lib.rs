@@ -40,30 +40,14 @@ pub fn run_net(net: &BenchmarkNet, level: OptLevel) -> RunReport {
 /// [`host_nanos`](RunReport::host_nanos) covers simulation only, so
 /// compile cost is visible rather than folded into the MIPS figure.
 pub fn run_net_split(net: &BenchmarkNet, level: OptLevel) -> (u64, RunReport) {
-    run_net_split_with(net, level, false)
-}
-
-/// Like [`run_net_split`], but simulating through the reference per-step
-/// interpreter instead of the micro-op path (see
-/// `rnnasip_core::Engine::run_reference`). Architectural results are
-/// bit-identical; only host time differs. This is the "legacy" column of
-/// the `sim_throughput` bench.
-pub fn run_net_split_ref(net: &BenchmarkNet, level: OptLevel) -> (u64, RunReport) {
-    run_net_split_with(net, level, true)
-}
-
-fn run_net_split_with(net: &BenchmarkNet, level: OptLevel, reference: bool) -> (u64, RunReport) {
     let compiled = KernelBackend::new(level)
         .compile_network(&net.network)
         .unwrap_or_else(|e| panic!("{} at {level:?}: {e}", net.id));
     let compile_nanos = compiled.compile_nanos();
-    let mut engine = compiled.engine();
-    let run = if reference {
-        engine.run_reference(&net.input())
-    } else {
-        engine.run(&net.input())
-    }
-    .unwrap_or_else(|e| panic!("{} at {level:?}: {e}", net.id));
+    let run = compiled
+        .engine()
+        .run(&net.input())
+        .unwrap_or_else(|e| panic!("{} at {level:?}: {e}", net.id));
     (compile_nanos, run.report)
 }
 
@@ -86,19 +70,8 @@ pub fn run_suite_report(level: OptLevel) -> RunReport {
 /// nanos alongside the merged execute report — the compile-vs-execute
 /// host time split at suite granularity.
 pub fn run_suite_split(level: OptLevel) -> (u64, RunReport) {
-    run_suite_split_with(level, false)
-}
-
-/// Like [`run_suite_split`], but through the reference per-step
-/// interpreter ([`run_net_split_ref`]) — the legacy baseline the micro-op
-/// path is benchmarked against.
-pub fn run_suite_split_ref(level: OptLevel) -> (u64, RunReport) {
-    run_suite_split_with(level, true)
-}
-
-fn run_suite_split_with(level: OptLevel, reference: bool) -> (u64, RunReport) {
     let nets = rnnasip_rrm::suite();
-    let split = par::par_map(&nets, |net| run_net_split_with(net, level, reference));
+    let split = par::par_map(&nets, |net| run_net_split(net, level));
     let compile: u64 = split.iter().map(|(c, _)| c).sum();
     let total = RunReport::merged(split.iter().map(|(_, r)| r));
     (compile, total)

@@ -1,6 +1,6 @@
 //! Determinism contract of the fault campaign: the same
 //! [`CampaignConfig`] must reproduce byte-identical results across
-//! repeated runs and across the micro-op / legacy execution paths.
+//! repeated runs.
 //!
 //! The tests sweep single cells (`faults::cell`) on the smallest suite
 //! network rather than the full campaign, so they stay fast in debug
@@ -16,11 +16,7 @@ const SMALL_NET: usize = 3;
 
 #[test]
 fn same_seed_reproduces_identical_cells() {
-    let cfg = CampaignConfig {
-        seed: 7,
-        trials: 4,
-        reference: false,
-    };
+    let cfg = CampaignConfig { seed: 7, trials: 4 };
     let first = cell(&cfg, SMALL_NET, OptLevel::IfmTile);
     let second = cell(&cfg, SMALL_NET, OptLevel::IfmTile);
     assert_eq!(first, second);
@@ -41,36 +37,10 @@ fn same_seed_reproduces_identical_cells() {
 }
 
 #[test]
-fn legacy_path_reports_identically() {
-    let uop = CampaignConfig {
-        seed: 11,
-        trials: 4,
-        reference: false,
-    };
-    let legacy = CampaignConfig {
-        reference: true,
-        ..uop
-    };
-    for level in [OptLevel::Baseline, OptLevel::IfmTile] {
-        let a = cell(&uop, SMALL_NET, level);
-        let b = cell(&legacy, SMALL_NET, level);
-        assert_eq!(a, b, "uop and legacy paths diverged at {level:?}");
-        assert_eq!(
-            to_json(&uop, "smoke", &[a]),
-            to_json(&legacy, "smoke", &[b])
-        );
-    }
-}
-
-#[test]
 fn detected_failures_always_record_a_recovery_rung() {
     // This seed deterministically yields one crash and one hang among
     // the eight trials, so both detected classes exercise the ladder.
-    let cfg = CampaignConfig {
-        seed: 9,
-        trials: 8,
-        reference: false,
-    };
+    let cfg = CampaignConfig { seed: 9, trials: 8 };
     let c = cell(&cfg, SMALL_NET, OptLevel::IfmTile);
     let mut detected = 0;
     for t in &c.trials {

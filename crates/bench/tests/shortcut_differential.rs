@@ -7,7 +7,7 @@
 //!   regions as native Rust,
 //! * **uop** — a [`CompiledNetwork::without_shortcuts`] engine, the
 //!   pre-decoded micro-op path alone,
-//! * **legacy** — the per-step reference interpreter
+//! * **stepping** — the reference path, one generic micro-op at a time
 //!   (`Engine::run_reference`).
 //!
 //! All three must agree bit-for-bit on the Q3.12 outputs, the total
@@ -58,35 +58,35 @@ fn diff_three_way(
     let uop = uop_engine
         .run(input)
         .unwrap_or_else(|e| panic!("{tag}: uop run failed: {e}"));
-    let legacy = sc_engine
+    let stepping = sc_engine
         .run_reference(input)
-        .unwrap_or_else(|e| panic!("{tag}: legacy run failed: {e}"));
+        .unwrap_or_else(|e| panic!("{tag}: stepping run failed: {e}"));
 
     let mut errs = Vec::new();
-    if shortcut.outputs != uop.outputs || shortcut.outputs != legacy.outputs {
+    if shortcut.outputs != uop.outputs || shortcut.outputs != stepping.outputs {
         errs.push(format!("{tag}: outputs diverge"));
     }
     if shortcut.report.cycles() != uop.report.cycles()
-        || shortcut.report.cycles() != legacy.report.cycles()
+        || shortcut.report.cycles() != stepping.report.cycles()
     {
         errs.push(format!(
-            "{tag}: cycles diverge (shortcut {} / uop {} / legacy {})",
+            "{tag}: cycles diverge (shortcut {} / uop {} / stepping {})",
             shortcut.report.cycles(),
             uop.report.cycles(),
-            legacy.report.cycles()
+            stepping.report.cycles()
         ));
     }
     if shortcut.report.instrs() != uop.report.instrs()
-        || shortcut.report.instrs() != legacy.report.instrs()
+        || shortcut.report.instrs() != stepping.report.instrs()
     {
         errs.push(format!(
-            "{tag}: instruction totals diverge (shortcut {} / uop {} / legacy {})",
+            "{tag}: instruction totals diverge (shortcut {} / uop {} / stepping {})",
             shortcut.report.instrs(),
             uop.report.instrs(),
-            legacy.report.instrs()
+            stepping.report.instrs()
         ));
     }
-    if csv(&shortcut) != csv(&uop) || csv(&shortcut) != csv(&legacy) {
+    if csv(&shortcut) != csv(&uop) || csv(&shortcut) != csv(&stepping) {
         errs.push(format!("{tag}: per-mnemonic stats rows diverge"));
     }
     if uop_engine.machine().shortcut_instrs() != 0 {

@@ -1,13 +1,13 @@
 //! Tier-selection tests for the kernel-shortcut execution tier.
 //!
 //! The shortcut tier must be *transparent*: it engages only when its
-//! preconditions hold and silently yields to the micro-op or legacy
+//! preconditions hold and silently yields to the bulk or stepping
 //! tiers otherwise, always bit-identically. These tests pin the three
 //! disarm rules:
 //!
 //! 1. an armed [`FaultPlan`] (even one whose faults never fire) keeps
 //!    every retired instruction on the per-op path,
-//! 2. tracing (`run_with_trace`) drives the legacy interpreter and never
+//! 2. tracing (`run_with_trace`) drives the stepping loop and never
 //!    retires shortcut instructions,
 //! 3. a network with no admissible kernel regions (optimization level
 //!    a's spilled-accumulator code) installs zero regions, so the uop
@@ -74,7 +74,7 @@ fn armed_fault_plan_disarms_shortcut_bit_identically() {
 }
 
 #[test]
-fn tracing_runs_the_legacy_tier() {
+fn tracing_runs_the_stepping_tier() {
     let net = policy_net();
     let compiled = KernelBackend::new(OptLevel::IfmTile)
         .compile_network(&net.network)
@@ -97,7 +97,7 @@ fn tracing_runs_the_legacy_tier() {
     assert_eq!(
         traced.shortcut_instrs(),
         0,
-        "tracing must stay on the per-step legacy tier"
+        "tracing must stay on the stepping tier"
     );
     assert_eq!(retired, run.report.instrs(), "traced instruction count");
     assert_eq!(traced.stats().cycles(), run.report.cycles());

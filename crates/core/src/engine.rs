@@ -10,8 +10,8 @@
 //! kernel's write footprint, not re-staging megabytes of weights or
 //! re-assembling the program.
 //!
-//! Runs are bit-identical to the legacy fresh-session path: same Q3.12
-//! outputs, same cycle counts, same per-mnemonic histograms.
+//! Runs are bit-identical to a fresh session's: same Q3.12 outputs,
+//! same cycle counts, same per-mnemonic histograms.
 
 use crate::compile::CompiledNetwork;
 use crate::error::CoreError;
@@ -144,12 +144,12 @@ impl Engine {
         self.run_inner(sequence, false, None, outputs)
     }
 
-    /// Like [`run`](Self::run), but simulating through the reference
-    /// per-step interpreter (`Machine::run_legacy`) instead of the
-    /// micro-op path. Outputs, cycle counts and per-mnemonic rows are
-    /// bit-identical to [`run`](Self::run); only host time differs. Used
-    /// by the differential tests and the `sim_throughput` benchmark's
-    /// legacy column.
+    /// Like [`run`](Self::run), but every core steps one micro-op at a
+    /// time (`Machine::run_stepping`) instead of running the bulk and
+    /// shortcut tiers. Outputs, cycle counts, per-mnemonic rows and the
+    /// guard report are bit-identical to [`run`](Self::run); only host
+    /// time differs. Used by the differential tests and the
+    /// `sim_throughput` benchmark's stepping column.
     ///
     /// # Errors
     ///
@@ -176,25 +176,10 @@ impl Engine {
         self.run_owned(sequence, false, Some(max_cycles))
     }
 
-    /// [`run_budgeted`](Self::run_budgeted) through the reference
-    /// per-step interpreter — the legacy column of the fault campaign's
-    /// cross-path determinism check.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run_budgeted`](Self::run_budgeted).
-    pub fn run_reference_budgeted(
-        &mut self,
-        sequence: &[Vec<Q3p12>],
-        max_cycles: u64,
-    ) -> Result<NetworkRun, CoreError> {
-        self.run_owned(sequence, true, Some(max_cycles))
-    }
-
     /// Arms a [`FaultPlan`] for the **next run only**. The plan's faults
-    /// fire at their `instret` triggers during that run (on either
-    /// execution path); whatever the outcome, the engine disarms the
-    /// plan afterwards and keeps the applied-fault records readable via
+    /// fire at their `instret` triggers during that run; whatever the
+    /// outcome, the engine disarms the plan afterwards and keeps the
+    /// applied-fault records readable via
     /// [`last_fault_log`](Self::last_fault_log).
     ///
     /// # Example
@@ -252,8 +237,7 @@ impl Engine {
     /// [`GuardReport`](rnnasip_sim::GuardReport) to the [`RunReport`];
     /// outputs, cycle counts and per-mnemonic rows stay bit-identical to
     /// unguarded runs on clean inputs (the analytic guard surcharge
-    /// lives in the report's separate `guard_cycles` counter). The
-    /// reference interpreter path is not observed by the monitor.
+    /// lives in the report's separate `guard_cycles` counter).
     pub fn set_guards(&mut self, on: bool) {
         self.cluster.set_guards(on);
     }
@@ -264,9 +248,9 @@ impl Engine {
     }
 
     /// Whether the most recent successful guarded run tripped a guard
-    /// (`false` after unguarded, reference, or failed runs). Engine
-    /// pools use this to quarantine a possibly-corrupted engine instead
-    /// of recycling it.
+    /// (`false` after unguarded or failed runs). Engine pools use this
+    /// to quarantine a possibly-corrupted engine instead of recycling
+    /// it.
     pub fn last_guard_failed(&self) -> bool {
         self.last_guard_failed
     }
@@ -294,18 +278,18 @@ impl Engine {
     fn run_owned(
         &mut self,
         sequence: &[Vec<Q3p12>],
-        reference: bool,
+        stepping: bool,
         budget: Option<u64>,
     ) -> Result<NetworkRun, CoreError> {
         let mut outputs = Vec::with_capacity(self.compiled.output().len());
-        let report = self.run_inner(sequence, reference, budget, &mut outputs)?;
+        let report = self.run_inner(sequence, stepping, budget, &mut outputs)?;
         Ok(NetworkRun { outputs, report })
     }
 
     fn run_inner(
         &mut self,
         sequence: &[Vec<Q3p12>],
-        reference: bool,
+        stepping: bool,
         budget: Option<u64>,
         outputs: &mut Vec<Q3p12>,
     ) -> Result<RunReport, CoreError> {
@@ -326,7 +310,7 @@ impl Engine {
                 )));
             }
         }
-        let result = self.attempt(sequence, reference, budget, outputs);
+        let result = self.attempt(sequence, stepping, budget, outputs);
         // One-shot injection semantics: stash what the plan actually did,
         // then disarm so the next run is unaffected; on failure also
         // rewind eagerly so a poisoned engine heals before the caller
@@ -349,7 +333,7 @@ impl Engine {
     fn attempt(
         &mut self,
         sequence: &[Vec<Q3p12>],
-        reference: bool,
+        stepping: bool,
         budget: Option<u64>,
         outputs: &mut Vec<Q3p12>,
     ) -> Result<RunReport, CoreError> {
@@ -374,22 +358,18 @@ impl Engine {
         // the kernel ever reads it (the cluster seeds its DMA copies).
         cluster.guard_note_range(input.base(), (self.patch.len() / 2) as u32);
         let started = std::time::Instant::now();
-        cluster.run_with(max_cycles, reference)?;
+        cluster.run_with(max_cycles, stepping)?;
         let host_nanos = started.elapsed().as_nanos() as u64;
         let out = self.compiled.output();
         cluster
             .mem()
             .read_q3p12_into(out.base(), out.len(), outputs)?;
         let mut report = RunReport::for_cluster(cluster).with_host_nanos(host_nanos);
-        // The guard monitor only observes the micro-op path; a reference
-        // run with guards armed reports nothing.
-        if !reference {
-            // The report closes the ledger chain: the output window as
-            // read back must still sum to what the last regions wrote.
-            if let Some(guard) = cluster.guard_report(out.base(), out.len() as u32) {
-                self.last_guard_failed = guard.failed();
-                report = report.with_guard(guard);
-            }
+        // The report closes the ledger chain: the output window as read
+        // back must still sum to what the last regions wrote.
+        if let Some(guard) = cluster.guard_report(out.base(), out.len() as u32) {
+            self.last_guard_failed = guard.failed();
+            report = report.with_guard(guard);
         }
         Ok(report)
     }

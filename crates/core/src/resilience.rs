@@ -87,10 +87,6 @@ pub struct RetryPolicy {
     /// Whether recompiling at lower [`OptLevel`]s (rung 3) is allowed,
     /// walking [`OptLevel::lower`] down to `Baseline` if needed.
     pub degrade: bool,
-    /// Run attempts through the reference per-step interpreter instead
-    /// of the micro-op path (for differential campaigns; architectural
-    /// results are bit-identical).
-    pub reference: bool,
 }
 
 impl Default for RetryPolicy {
@@ -102,7 +98,6 @@ impl Default for RetryPolicy {
             max_rewinds: 1,
             rebuild: true,
             degrade: true,
-            reference: false,
         }
     }
 }
@@ -138,13 +133,6 @@ impl RetryPolicy {
     #[must_use]
     pub fn with_degrade(mut self, on: bool) -> Self {
         self.degrade = on;
-        self
-    }
-
-    /// Selects the reference interpreter for every attempt.
-    #[must_use]
-    pub fn with_reference(mut self, on: bool) -> Self {
-        self.reference = on;
         self
     }
 }
@@ -367,11 +355,7 @@ pub(crate) fn climb(
     let mut rebuild_left = policy.rebuild;
     loop {
         let level = engine.compiled().level();
-        let result = if policy.reference {
-            engine.run_reference(sequence)
-        } else {
-            engine.run(sequence)
-        };
+        let result = engine.run(sequence);
         match &result {
             Ok(run) => {
                 let guard_failed = run.report.guard_failed();

@@ -22,7 +22,6 @@ const SERVE_POLICY: RetryPolicy = RetryPolicy {
     max_rewinds: 1,
     rebuild: true,
     degrade: false,
-    reference: false,
 };
 
 /// FNV-1a over the shard key — a *deterministic* router (the std

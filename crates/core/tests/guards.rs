@@ -104,7 +104,8 @@ fn guarded_clean_suite_is_bit_identical_and_never_trips() {
 fn guard_accounting_is_tier_identical() {
     // The analytic surcharge and entry counts must not depend on which
     // execution tier ran the kernel: shortcut-enabled vs plain micro-op
-    // artifacts produce byte-equal guard reports.
+    // artifacts vs the stepping reference produce byte-equal guard
+    // reports.
     for net in [0usize, 3, 6] {
         let bench = rnnasip_rrm::suite().remove(net);
         let input = bench.input();
@@ -122,13 +123,22 @@ fn guard_accounting_is_tier_identical() {
             let mut plain = compiled.without_shortcuts().engine();
             plain.set_guards(true);
             let b = plain.run(&input).unwrap();
+            let tag = format!("{} level {} on {cores} cores", bench.tag, level.tag());
             assert_eq!(a.outputs, b.outputs);
+            assert_eq!(a.report.guard(), b.report.guard(), "{tag}: tiers disagree");
+            // The stepping reference is observed by the same monitor.
+            let c = fast.run_reference(&input).unwrap();
+            assert_eq!(c.outputs, a.outputs, "{tag}: stepping outputs");
             assert_eq!(
+                c.report.cycles(),
+                a.report.cycles(),
+                "{tag}: stepping cycles"
+            );
+            assert!(c.report.guard().is_some(), "{tag}: stepping run unguarded");
+            assert_eq!(
+                c.report.guard(),
                 a.report.guard(),
-                b.report.guard(),
-                "{} level {} on {cores} cores: tiers disagree",
-                bench.tag,
-                level.tag()
+                "{tag}: stepping disagrees"
             );
         }
     }

@@ -220,35 +220,6 @@ fn shape_errors_are_not_retried() {
     assert!(matches!(outcome.result, Err(CoreError::Shape(_))));
 }
 
-#[test]
-fn reference_policy_matches_the_uop_path_through_recovery() {
-    let (net, input) = policy_net();
-    let mut uop = ResilientEngine::new(&net, KernelBackend::new(OptLevel::IfmTile)).unwrap();
-    let mut legacy = ResilientEngine::with_policy(
-        &net,
-        KernelBackend::new(OptLevel::IfmTile),
-        RetryPolicy::new().with_reference(true),
-    )
-    .unwrap();
-    let plan = FaultPlan::new()
-        .with_fault(Fault {
-            at_instret: 40,
-            site: FaultSite::RegBit {
-                reg: Reg::A3,
-                bit: 7,
-            },
-        })
-        .with_watchdog(30);
-    uop.inject_faults(&plan);
-    legacy.inject_faults(&plan);
-    let a = uop.run(&input);
-    let b = legacy.run(&input);
-    assert_eq!(a.attempts, b.attempts);
-    let (ra, rb) = (a.result.unwrap(), b.result.unwrap());
-    assert_eq!(ra.outputs, rb.outputs);
-    assert_eq!(ra.report.cycles(), rb.report.cycles());
-}
-
 /// A *tracked* memory flip corrupts a bias word the guards watch: the
 /// run succeeds but trips, the verify re-run starts from rewound
 /// (clean) memory, and the verdict is `Transient`.

@@ -409,7 +409,7 @@ impl Cluster {
         p: usize,
         k: &ClusterKernel,
         max_cycles: u64,
-        legacy: bool,
+        stepping: bool,
     ) -> Result<ExitReason, SimError> {
         let (owner, rest) = self.machines.split_at_mut(c);
         let m = &mut rest[0];
@@ -423,8 +423,8 @@ impl Cluster {
             m.swap_memory(owner.mem_mut());
         }
         m.swap_guards(&mut self.guards);
-        let result = if legacy {
-            m.run_legacy(max_cycles)
+        let result = if stepping {
+            m.run_stepping(max_cycles)
         } else {
             m.run(max_cycles)
         };
@@ -448,11 +448,10 @@ impl Cluster {
         self.run_with(max_cycles, false)
     }
 
-    /// [`run`](Self::run) with a tier selector: `legacy` drives every
-    /// core through [`Machine::run_legacy`] (the per-step reference
-    /// interpreter, which the guard monitor does not observe) instead of
-    /// the micro-op/shortcut tiers.
-    pub fn run_with(&mut self, max_cycles: u64, legacy: bool) -> Result<ExitReason, SimError> {
+    /// [`run`](Self::run) with a tier selector: `stepping` drives every
+    /// core through [`Machine::run_stepping`] (the reference path, one
+    /// instruction at a time) instead of the bulk and shortcut tiers.
+    pub fn run_with(&mut self, max_cycles: u64, stepping: bool) -> Result<ExitReason, SimError> {
         self.last_faulted_core = None;
         self.run_dma()?;
         self.latency += self.dma_cycles;
@@ -471,7 +470,7 @@ impl Cluster {
                 }
                 kernel_no += 1;
                 let cycles_before = self.machines[c].core().cycle;
-                let result = self.run_kernel(c, p, k, max_cycles, legacy);
+                let result = self.run_kernel(c, p, k, max_cycles, stepping);
                 if !self.machines[c].fault_log().is_empty() {
                     self.last_faulted_core = Some(c);
                 }

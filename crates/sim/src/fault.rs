@@ -4,11 +4,13 @@
 //! (a [`FaultSite`]) to corrupt architectural state, plus an optional
 //! forced watchdog budget. Plans are armed on a
 //! [`Machine`](crate::Machine) with
-//! [`arm_faults`](crate::Machine::arm_faults) and fire identically on
-//! the pre-decoded micro-op path and the legacy per-step interpreter:
-//! a due fault is applied at the top of the step, after the halted
-//! check and before SPR drain/fetch, so both paths observe the
-//! corruption at exactly the same instruction boundary.
+//! [`arm_faults`](crate::Machine::arm_faults) and fire at exactly the
+//! same instruction boundary on every run path: while a fault is
+//! pending the machine retires one micro-op at a time (the bulk runners
+//! and the shortcut tier decline), and a due fault is applied before
+//! the step's SPR drain and fetch — in [`run`](crate::Machine::run),
+//! [`run_stepping`](crate::Machine::run_stepping) and
+//! [`step`](crate::Machine::step) alike.
 //!
 //! Every applied fault leaves a [`FaultRecord`] in the machine's
 //! [`fault_log`](crate::Machine::fault_log) stating what was actually

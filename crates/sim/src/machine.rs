@@ -9,12 +9,11 @@ use crate::program::Program;
 use crate::shortcut::{read_load, ExitVal, ShortcutRegion};
 use crate::stats::Stats;
 use crate::uop::{
-    LoopExit, Target, UnaryOp, Uop, UopKind, UopProgram, DIV_EXTRA_CYCLES, MULH_EXTRA_CYCLES,
-    NO_BODY, NO_IDX, NO_RUN, NO_SC,
+    splat, LoopExit, Target, UnaryOp, Uop, UopKind, UopProgram, NO_BODY, NO_IDX, NO_RUN, NO_SC,
 };
 use rnnasip_isa::{
-    AluImmOp, AluOp, BranchOp, Csr, CsrOp, DotOp, Instr, LoadOp, MnemonicId, MulDivOp, PvAluOp,
-    Reg, SimdMode, SimdSize, StoreOp,
+    AluImmOp, AluOp, BranchOp, Csr, DotOp, Instr, LoadOp, MnemonicId, MulDivOp, PvAluOp, Reg,
+    SimdSize, StoreOp,
 };
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -134,6 +133,9 @@ pub struct Machine {
     /// `None` when unguarded — the common case, so the hot loop pays one
     /// pointer test.
     guards: Option<Box<GuardUnit>>,
+    /// Set while the stepping loop runs: every bulk runner and the
+    /// shortcut tier decline (see [`bulk_ok`](Self::bulk_ok)).
+    stepping: bool,
 }
 
 impl Machine {
@@ -163,6 +165,7 @@ impl Machine {
             fault_log: Vec::new(),
             corrupted_pcs: Vec::new(),
             guards: None,
+            stepping: false,
         }
     }
 
@@ -407,12 +410,13 @@ impl Machine {
         &self.fault_log
     }
 
-    /// Whether fault state (pending faults or corrupted instruction
-    /// slots) currently disables the bulk block runners. Exposed for
+    /// Whether the bulk block runners and the shortcut tier may engage:
+    /// false while fault state (pending faults or corrupted instruction
+    /// slots) is live and while the stepping loop runs. Exposed for
     /// diagnostics; the generic per-op path is bit-identical, so this
     /// only affects host-side throughput.
     pub fn bulk_ok(&self) -> bool {
-        self.armed_faults.is_empty() && self.corrupted_pcs.is_empty()
+        self.armed_faults.is_empty() && self.corrupted_pcs.is_empty() && !self.stepping
     }
 
     /// The run budget after applying the armed plan's forced watchdog.
@@ -521,8 +525,8 @@ impl Machine {
     /// specialized block runner that executes only data semantics per
     /// iteration and accounts cycles and statistics in bulk. Everything
     /// observable — cycle counts, per-mnemonic rows, trace-visible
-    /// state, fault points — is bit-identical to the reference loop
-    /// [`run_legacy`](Self::run_legacy).
+    /// state, fault points — is bit-identical to the stepping reference
+    /// [`run_stepping`](Self::run_stepping).
     ///
     /// Steps are executed in watchdog-check-free blocks: while the cycle
     /// budget left exceeds `block · MAX_CYCLES_PER_STEP`, no step in the
@@ -543,33 +547,13 @@ impl Machine {
         if let Some(reason) = self.halted {
             return Ok(reason);
         }
-        // Fault mode: an armed instruction-corruption fault can replace
-        // the micro-op image mid-run, so while faults are pending, step
-        // with a freshly derived `Arc`/index each iteration (the bulk
-        // runners are disabled via `bulk_ok`, keeping every step on the
-        // bit-identical generic path). Falls through to the fast loop
-        // once the queue drains.
-        while !self.armed_faults.is_empty() {
-            self.apply_due_faults();
-            let uops = Arc::clone(&self.uops);
-            let mut idx = self
-                .program
-                .index_of(self.core.pc)
-                .map_or(NO_IDX, |i| i as u32);
-            match self.uop_step(&uops, &mut idx, max_cycles)? {
-                UStep::Halt(reason) => return Ok(reason),
-                UStep::Cont | UStep::Bulk => {
-                    if self.core.cycle > max_cycles {
-                        return Err(SimError::Watchdog { max_cycles });
-                    }
-                }
-            }
+        // Fault mode: while faults are pending (`bulk_ok` false), step
+        // until the queue drains, then take the fast loop.
+        if let Some(reason) = self.step_loop(max_cycles, true, |_, _| {})? {
+            return Ok(reason);
         }
         let uops = Arc::clone(&self.uops);
-        let mut idx = self
-            .program
-            .index_of(self.core.pc)
-            .map_or(NO_IDX, |i| i as u32);
+        let mut idx = self.pc_index();
         loop {
             let remaining = max_cycles.saturating_sub(self.core.cycle);
             let mut block = remaining / MAX_CYCLES_PER_STEP;
@@ -596,58 +580,105 @@ impl Machine {
         }
     }
 
-    /// The reference run loop: identical contract to [`run`](Self::run),
-    /// executed by re-matching the decoded [`Instr`] stream one
-    /// [`step`](Self::step) at a time. Kept as the bit-identity oracle
-    /// the differential tests compare the micro-op path against.
+    /// The reference run: identical contract to [`run`](Self::run), but
+    /// every instruction retires alone through the generic micro-op step
+    /// — no bulk runner, no shortcut region — with the watchdog checked
+    /// after every retire. The differential tests compare the fast tiers
+    /// against it; guards and faults behave exactly as in `run`.
     ///
     /// # Errors
     ///
     /// Same as [`run`](Self::run).
-    pub fn run_legacy(&mut self, max_cycles: u64) -> Result<ExitReason, SimError> {
+    pub fn run_stepping(&mut self, max_cycles: u64) -> Result<ExitReason, SimError> {
+        self.run_stepping_with(max_cycles, |_, _| {})
+    }
+
+    /// [`run_stepping`](Self::run_stepping), calling `on_retire(self, pc)`
+    /// after every retired instruction (`pc` is its address).
+    pub(crate) fn run_stepping_with(
+        &mut self,
+        max_cycles: u64,
+        on_retire: impl FnMut(&Self, u32),
+    ) -> Result<ExitReason, SimError> {
         let max_cycles = self.effective_budget(max_cycles);
         if let Some(reason) = self.halted {
             return Ok(reason);
         }
-        // Armed faults are applied inside `step`, but the watchdog must
-        // be re-checked after every step while they can fire (mirroring
-        // `run`'s fault-mode loop) rather than once per block.
-        while !self.armed_faults.is_empty() {
-            match self.step()? {
-                StepOutcome::Halted(reason) => return Ok(reason),
-                StepOutcome::Continue => {
-                    if self.core.cycle > max_cycles {
-                        return Err(SimError::Watchdog { max_cycles });
-                    }
-                }
-            }
-        }
-        loop {
-            let remaining = max_cycles.saturating_sub(self.core.cycle);
-            let block = remaining / MAX_CYCLES_PER_STEP;
-            if block == 0 {
-                // Near the budget: step one at a time, checking the
-                // watchdog after every retire exactly as the paper's
-                // original run loop did.
-                match self.step()? {
-                    StepOutcome::Halted(reason) => return Ok(reason),
-                    StepOutcome::Continue => {
-                        if self.core.cycle > max_cycles {
-                            return Err(SimError::Watchdog { max_cycles });
-                        }
-                    }
-                }
-            } else {
-                for _ in 0..block {
-                    if let StepOutcome::Halted(reason) = self.step()? {
-                        return Ok(reason);
-                    }
-                }
-            }
-        }
+        self.stepping = true;
+        let result = self.step_loop(max_cycles, false, on_retire);
+        self.stepping = false;
+        result.map(|r| r.expect("the stepping loop ends only at a halt or an error"))
     }
 
-    /// Executes one micro-op: the pre-decoded image of [`step`]\(Self::step).
+    /// Executes one instruction through the generic micro-op step, as
+    /// [`run_stepping`](Self::run_stepping) does: due faults strike
+    /// first, then the op retires alone. No watchdog applies.
+    ///
+    /// # Errors
+    ///
+    /// Fetch faults, memory faults, or hardware-loop misconfiguration.
+    pub fn step(&mut self) -> Result<StepOutcome, SimError> {
+        if let Some(reason) = self.halted {
+            return Ok(StepOutcome::Halted(reason));
+        }
+        self.apply_due_faults();
+        let uops = Arc::clone(&self.uops);
+        let mut idx = self.pc_index();
+        self.stepping = true;
+        let step = self.uop_step(&uops, &mut idx, u64::MAX);
+        self.stepping = false;
+        Ok(match step? {
+            UStep::Halt(reason) => StepOutcome::Halted(reason),
+            UStep::Cont | UStep::Bulk => StepOutcome::Continue,
+        })
+    }
+
+    /// The stepping loop: one [`uop_step`](Self::uop_step) per
+    /// iteration, due faults applied at each instruction boundary and
+    /// the watchdog checked after every retire. With `while_armed` it
+    /// returns `Ok(None)` as soon as no fault is pending — `run`'s
+    /// fault-mode prefix; otherwise it runs to a halt or an error.
+    fn step_loop(
+        &mut self,
+        max_cycles: u64,
+        while_armed: bool,
+        mut on_retire: impl FnMut(&Self, u32),
+    ) -> Result<Option<ExitReason>, SimError> {
+        let mut uops = Arc::clone(&self.uops);
+        let mut idx = self.pc_index();
+        while !(while_armed && self.armed_faults.is_empty()) {
+            if !self.armed_faults.is_empty() {
+                self.apply_due_faults();
+                // An instruction flip retranslates the micro-op image
+                // (instruction sizes, hence indices, are unchanged).
+                if !Arc::ptr_eq(&uops, &self.uops) {
+                    uops = Arc::clone(&self.uops);
+                }
+            }
+            let pc = self.core.pc;
+            let step = self.uop_step(&uops, &mut idx, max_cycles)?;
+            on_retire(self, pc);
+            if let UStep::Halt(reason) = step {
+                return Ok(Some(reason));
+            }
+            if self.core.cycle > max_cycles {
+                return Err(SimError::Watchdog { max_cycles });
+            }
+        }
+        Ok(None)
+    }
+
+    /// The micro-op index of the current PC ([`NO_IDX`] when it does not
+    /// start an instruction).
+    fn pc_index(&self) -> u32 {
+        self.program
+            .index_of(self.core.pc)
+            .map_or(NO_IDX, |i| i as u32)
+    }
+
+    /// Executes one micro-op — the simulator's only per-instruction
+    /// semantics — or, where one starts here and [`bulk_ok`](Self::bulk_ok)
+    /// holds, a whole shortcut region, straight run or loop-body run.
     ///
     /// `idx` is the micro-op index of the current PC (or [`NO_IDX`] when
     /// the PC does not start an instruction), maintained across calls so
@@ -1291,463 +1322,6 @@ impl Machine {
         (done, exited, fault)
     }
 
-    /// Executes one instruction.
-    ///
-    /// # Errors
-    ///
-    /// Fetch faults, memory faults, or hardware-loop misconfiguration.
-    pub fn step(&mut self) -> Result<StepOutcome, SimError> {
-        if let Some(reason) = self.halted {
-            return Ok(StepOutcome::Halted(reason));
-        }
-
-        // Due faults strike at the instruction boundary, before anything
-        // of this step executes — the same point `run`'s fault-mode loop
-        // applies them for the micro-op path.
-        if !self.armed_faults.is_empty() {
-            self.apply_due_faults();
-        }
-
-        // SPR writes issued two or more instructions ago become visible.
-        // The deque is empty except inside `pl.sdotsp` streams, so guard
-        // the drain with the cheap length check.
-        if !self.spr_pending.is_empty() {
-            self.drain_spr();
-        }
-
-        let pc = self.core.pc;
-        if !self.corrupted_pcs.is_empty() && self.corrupted_pcs.contains(&pc) {
-            return Err(SimError::FetchFault { pc });
-        }
-        let item = *self.program.fetch(pc).ok_or(SimError::FetchFault { pc })?;
-        let instr = item.instr;
-        let size = item.size as u32;
-
-        // Load-use stall: one bubble, charged to the producing load.
-        if let Some((reg, id)) = self.pending_load.take() {
-            if instr.uses().contains(reg) {
-                self.stats.attribute_stall(id);
-                self.core.cycle += 1;
-            }
-        }
-
-        let mut next_pc = pc.wrapping_add(size);
-        let mut extra_cycles: u64 = 0;
-        let mut redirected = false;
-        let mut halted = None;
-
-        macro_rules! take_branch {
-            ($target:expr) => {{
-                next_pc = $target;
-                extra_cycles += 1;
-                redirected = true;
-            }};
-        }
-
-        match instr {
-            Instr::Lui { rd, imm20 } => {
-                self.core.set_reg(rd, (imm20 as u32) << 12);
-            }
-            Instr::Auipc { rd, imm20 } => {
-                self.core.set_reg(rd, pc.wrapping_add((imm20 as u32) << 12));
-            }
-            Instr::Jal { rd, offset } => {
-                self.core.set_reg(rd, pc.wrapping_add(size));
-                take_branch!(pc.wrapping_add(offset as u32));
-            }
-            Instr::Jalr { rd, rs1, offset } => {
-                let target = self.core.reg(rs1).wrapping_add(offset as u32) & !1;
-                self.core.set_reg(rd, pc.wrapping_add(size));
-                take_branch!(target);
-            }
-            Instr::Branch {
-                op,
-                rs1,
-                rs2,
-                offset,
-            } => {
-                let a = self.core.reg(rs1);
-                let b = self.core.reg(rs2);
-                let taken = match op {
-                    BranchOp::Beq => a == b,
-                    BranchOp::Bne => a != b,
-                    BranchOp::Blt => (a as i32) < (b as i32),
-                    BranchOp::Bge => (a as i32) >= (b as i32),
-                    BranchOp::Bltu => a < b,
-                    BranchOp::Bgeu => a >= b,
-                };
-                if taken {
-                    take_branch!(pc.wrapping_add(offset as u32));
-                }
-            }
-            Instr::Load {
-                op,
-                rd,
-                rs1,
-                offset,
-            } => {
-                let addr = self.core.reg(rs1).wrapping_add(offset as u32);
-                let value = self.load_value(op, addr)?;
-                self.core.set_reg(rd, value);
-                if !rd.is_zero() {
-                    self.pending_load = Some((rd, instr.mnemonic_id()));
-                }
-            }
-            Instr::LoadPostInc {
-                op,
-                rd,
-                rs1,
-                offset,
-            } => {
-                let addr = self.core.reg(rs1);
-                let value = self.load_value(op, addr)?;
-                self.core.set_reg(rs1, addr.wrapping_add(offset as u32));
-                self.core.set_reg(rd, value);
-                if !rd.is_zero() {
-                    self.pending_load = Some((rd, instr.mnemonic_id()));
-                }
-            }
-            Instr::LoadReg { op, rd, rs1, rs2 } => {
-                let addr = self.core.reg(rs1).wrapping_add(self.core.reg(rs2));
-                let value = self.load_value(op, addr)?;
-                self.core.set_reg(rd, value);
-                if !rd.is_zero() {
-                    self.pending_load = Some((rd, instr.mnemonic_id()));
-                }
-            }
-            Instr::Store {
-                op,
-                rs2,
-                rs1,
-                offset,
-            } => {
-                let addr = self.core.reg(rs1).wrapping_add(offset as u32);
-                self.store_value(op, addr, self.core.reg(rs2))?;
-            }
-            Instr::StorePostInc {
-                op,
-                rs2,
-                rs1,
-                offset,
-            } => {
-                let addr = self.core.reg(rs1);
-                self.store_value(op, addr, self.core.reg(rs2))?;
-                self.core.set_reg(rs1, addr.wrapping_add(offset as u32));
-            }
-            Instr::OpImm { op, rd, rs1, imm } => {
-                let a = self.core.reg(rs1);
-                let v = match op {
-                    AluImmOp::Addi => a.wrapping_add(imm as u32),
-                    AluImmOp::Slti => ((a as i32) < imm) as u32,
-                    AluImmOp::Sltiu => (a < imm as u32) as u32,
-                    AluImmOp::Xori => a ^ imm as u32,
-                    AluImmOp::Ori => a | imm as u32,
-                    AluImmOp::Andi => a & imm as u32,
-                    AluImmOp::Slli => a << (imm & 0x1F),
-                    AluImmOp::Srli => a >> (imm & 0x1F),
-                    AluImmOp::Srai => ((a as i32) >> (imm & 0x1F)) as u32,
-                };
-                self.core.set_reg(rd, v);
-            }
-            Instr::Op { op, rd, rs1, rs2 } => {
-                let a = self.core.reg(rs1);
-                let b = self.core.reg(rs2);
-                let v = match op {
-                    AluOp::Add => a.wrapping_add(b),
-                    AluOp::Sub => a.wrapping_sub(b),
-                    AluOp::Sll => a << (b & 0x1F),
-                    AluOp::Slt => ((a as i32) < (b as i32)) as u32,
-                    AluOp::Sltu => (a < b) as u32,
-                    AluOp::Xor => a ^ b,
-                    AluOp::Srl => a >> (b & 0x1F),
-                    AluOp::Sra => ((a as i32) >> (b & 0x1F)) as u32,
-                    AluOp::Or => a | b,
-                    AluOp::And => a & b,
-                };
-                self.core.set_reg(rd, v);
-            }
-            Instr::MulDiv { op, rd, rs1, rs2 } => {
-                let a = self.core.reg(rs1);
-                let b = self.core.reg(rs2);
-                let v = match op {
-                    MulDivOp::Mul => a.wrapping_mul(b),
-                    MulDivOp::Mulh => {
-                        extra_cycles += MULH_EXTRA_CYCLES;
-                        ((a as i32 as i64 * b as i32 as i64) >> 32) as u32
-                    }
-                    MulDivOp::Mulhsu => {
-                        extra_cycles += MULH_EXTRA_CYCLES;
-                        ((a as i32 as i64 * b as u64 as i64) >> 32) as u32
-                    }
-                    MulDivOp::Mulhu => {
-                        extra_cycles += MULH_EXTRA_CYCLES;
-                        ((a as u64 * b as u64) >> 32) as u32
-                    }
-                    MulDivOp::Div => {
-                        extra_cycles += DIV_EXTRA_CYCLES;
-                        match (a as i32, b as i32) {
-                            (_, 0) => u32::MAX,
-                            (i32::MIN, -1) => i32::MIN as u32,
-                            (x, y) => x.wrapping_div(y) as u32,
-                        }
-                    }
-                    MulDivOp::Divu => {
-                        extra_cycles += DIV_EXTRA_CYCLES;
-                        // RISC-V defines x/0 = all-ones (no trap).
-                        a.checked_div(b).unwrap_or(u32::MAX)
-                    }
-                    MulDivOp::Rem => {
-                        extra_cycles += DIV_EXTRA_CYCLES;
-                        match (a as i32, b as i32) {
-                            (x, 0) => x as u32,
-                            (i32::MIN, -1) => 0,
-                            (x, y) => x.wrapping_rem(y) as u32,
-                        }
-                    }
-                    MulDivOp::Remu => {
-                        extra_cycles += DIV_EXTRA_CYCLES;
-                        if b == 0 {
-                            a
-                        } else {
-                            a % b
-                        }
-                    }
-                };
-                self.core.set_reg(rd, v);
-            }
-            Instr::Fence => {}
-            Instr::Ecall => halted = Some(ExitReason::Ecall),
-            Instr::Ebreak => halted = Some(ExitReason::Ebreak),
-            Instr::Csr { op, rd, rs1, csr } => {
-                let old = self.read_csr(csr);
-                // Counter CSRs are read-only in this model; writes are
-                // accepted and discarded.
-                let _ = (op, rs1);
-                self.core.set_reg(rd, old);
-                if matches!(op, CsrOp::Csrrw | CsrOp::Csrrs | CsrOp::Csrrc) {
-                    // No writable CSR state is modelled.
-                }
-            }
-            Instr::LpStarti { l, uimm } => {
-                self.core.hwloop[l.index()].start = pc.wrapping_add(2 * uimm);
-            }
-            Instr::LpEndi { l, uimm } => {
-                self.core.hwloop[l.index()].end = pc.wrapping_add(2 * uimm);
-            }
-            Instr::LpCount { l, rs1 } => {
-                self.core.hwloop[l.index()].count = self.core.reg(rs1);
-            }
-            Instr::LpCounti { l, uimm } => {
-                self.core.hwloop[l.index()].count = uimm;
-            }
-            Instr::LpSetup { l, rs1, uimm } => {
-                let count = self.core.reg(rs1);
-                let lp = &mut self.core.hwloop[l.index()];
-                lp.start = pc.wrapping_add(4);
-                lp.end = pc.wrapping_add(2 * uimm);
-                lp.count = count;
-                if lp.count > 0 && lp.start >= lp.end {
-                    return Err(SimError::BadHwLoop { level: l.index() });
-                }
-            }
-            Instr::LpSetupi { l, count, uimm } => {
-                let lp = &mut self.core.hwloop[l.index()];
-                lp.start = pc.wrapping_add(4);
-                lp.end = pc.wrapping_add(2 * uimm);
-                lp.count = count;
-                if lp.count > 0 && lp.start >= lp.end {
-                    return Err(SimError::BadHwLoop { level: l.index() });
-                }
-            }
-            Instr::Mac { rd, rs1, rs2 } => {
-                let v = self.core.reg(rd).wrapping_add(
-                    (self.core.reg_i32(rs1).wrapping_mul(self.core.reg_i32(rs2))) as u32,
-                );
-                self.core.set_reg(rd, v);
-            }
-            Instr::Msu { rd, rs1, rs2 } => {
-                let v = self.core.reg(rd).wrapping_sub(
-                    (self.core.reg_i32(rs1).wrapping_mul(self.core.reg_i32(rs2))) as u32,
-                );
-                self.core.set_reg(rd, v);
-            }
-            Instr::Clip { rd, rs1, bits } => {
-                let b = bits.clamp(1, 32) as u32;
-                let (lo, hi) = if b == 32 {
-                    (i32::MIN as i64, i32::MAX as i64)
-                } else {
-                    (-(1i64 << (b - 1)), (1i64 << (b - 1)) - 1)
-                };
-                let v = (self.core.reg_i32(rs1) as i64).clamp(lo, hi);
-                self.core.set_reg(rd, v as i32 as u32);
-            }
-            Instr::ClipU { rd, rs1, bits } => {
-                let b = bits.clamp(1, 32) as u32;
-                let hi = if b == 32 {
-                    i32::MAX as i64
-                } else {
-                    (1i64 << (b - 1)) - 1
-                };
-                let v = (self.core.reg_i32(rs1) as i64).clamp(0, hi);
-                self.core.set_reg(rd, v as i32 as u32);
-            }
-            Instr::ExtHs { rd, rs1 } => {
-                self.core
-                    .set_reg(rd, self.core.reg(rs1) as u16 as i16 as i32 as u32);
-            }
-            Instr::ExtHz { rd, rs1 } => {
-                self.core.set_reg(rd, self.core.reg(rs1) & 0xFFFF);
-            }
-            Instr::ExtBs { rd, rs1 } => {
-                self.core
-                    .set_reg(rd, self.core.reg(rs1) as u8 as i8 as i32 as u32);
-            }
-            Instr::ExtBz { rd, rs1 } => {
-                self.core.set_reg(rd, self.core.reg(rs1) & 0xFF);
-            }
-            Instr::PAbs { rd, rs1 } => {
-                self.core
-                    .set_reg(rd, self.core.reg_i32(rs1).wrapping_abs() as u32);
-            }
-            Instr::PMin { rd, rs1, rs2 } => {
-                self.core.set_reg(
-                    rd,
-                    self.core.reg_i32(rs1).min(self.core.reg_i32(rs2)) as u32,
-                );
-            }
-            Instr::Ff1 { rd, rs1 } => {
-                let v = self.core.reg(rs1);
-                self.core
-                    .set_reg(rd, if v == 0 { 32 } else { v.trailing_zeros() });
-            }
-            Instr::Fl1 { rd, rs1 } => {
-                let v = self.core.reg(rs1);
-                self.core
-                    .set_reg(rd, if v == 0 { 32 } else { 31 - v.leading_zeros() });
-            }
-            Instr::Cnt { rd, rs1 } => {
-                self.core.set_reg(rd, self.core.reg(rs1).count_ones());
-            }
-            Instr::Clb { rd, rs1 } => {
-                let v = self.core.reg(rs1);
-                // Count of leading bits equal to the sign bit, minus one
-                // (redundant sign bits); zero input yields 0 per RI5CY.
-                let r = if v == 0 {
-                    0
-                } else if (v as i32) < 0 {
-                    (!v).leading_zeros() - 1
-                } else {
-                    v.leading_zeros() - 1
-                };
-                self.core.set_reg(rd, r);
-            }
-            Instr::Ror { rd, rs1, rs2 } => {
-                let amount = self.core.reg(rs2) & 31;
-                self.core
-                    .set_reg(rd, self.core.reg(rs1).rotate_right(amount));
-            }
-            Instr::PMax { rd, rs1, rs2 } => {
-                self.core.set_reg(
-                    rd,
-                    self.core.reg_i32(rs1).max(self.core.reg_i32(rs2)) as u32,
-                );
-            }
-            Instr::PvAlu {
-                op,
-                size,
-                mode,
-                rd,
-                rs1,
-                rs2,
-            } => {
-                let a = self.core.reg(rs1);
-                let b = self.simd_operand(size, mode, rs2);
-                let v = exec_pv_alu(op, size, a, b);
-                self.core.set_reg(rd, v);
-            }
-            Instr::PvDot {
-                op,
-                size,
-                rd,
-                rs1,
-                rs2,
-            } => {
-                let a = self.core.reg(rs1);
-                let b = self.core.reg(rs2);
-                let dot = exec_dot(op, size, a, b);
-                let v = if op.accumulates() {
-                    self.core.reg(rd).wrapping_add(dot)
-                } else {
-                    dot
-                };
-                self.core.set_reg(rd, v);
-            }
-            Instr::PlSdotsp {
-                spr,
-                size,
-                rd,
-                rs1,
-                rs2,
-            } => {
-                // MAC with the weight currently in SPR[spr]...
-                let w = self.core.spr[spr as usize & 1];
-                let x = self.core.reg(rs2);
-                let dot = exec_dot(DotOp::SdotSp, size, w, x);
-                let acc = self.core.reg(rd).wrapping_add(dot);
-                // ...while the LSU fetches the next weight into the same
-                // SPR (visible two instructions later) and post-increments
-                // the stream pointer.
-                let addr = self.core.reg(rs1);
-                let value = self.mem.read_u32(addr)?;
-                self.spr_pending
-                    .push_back((self.core.instret, spr as usize & 1, value));
-                self.core.set_reg(rd, acc);
-                self.core.set_reg(rs1, addr.wrapping_add(4));
-            }
-            Instr::PlTanh { rd, rs1 } => {
-                let x = rnnasip_fixed::Q3p12::from_raw(self.core.reg(rs1) as u16 as i16);
-                self.core
-                    .set_reg(rd, rnnasip_fixed::hw_tanh(x).raw() as i32 as u32);
-            }
-            Instr::PlSig { rd, rs1 } => {
-                let x = rnnasip_fixed::Q3p12::from_raw(self.core.reg(rs1) as u16 as i16);
-                self.core
-                    .set_reg(rd, rnnasip_fixed::hw_sig(x).raw() as i32 as u32);
-            }
-        }
-
-        // Hardware loops: zero-cycle jump-back when the fall-through PC
-        // reaches an armed loop's end. Inner loop (level 0) has priority.
-        if !redirected && halted.is_none() {
-            for level in 0..2 {
-                let lp = &mut self.core.hwloop[level];
-                if lp.count > 0 && next_pc == lp.end {
-                    if lp.count > 1 {
-                        lp.count -= 1;
-                        next_pc = lp.start;
-                        break;
-                    }
-                    // Inner loop expired: fall through so an outer loop
-                    // sharing the same end address gets its jump-back.
-                    lp.count = 0;
-                }
-            }
-        }
-
-        let cycles = 1 + extra_cycles;
-        self.stats
-            .record(instr.mnemonic_id(), cycles, instr.mac_ops());
-        self.core.cycle += cycles;
-        self.core.instret += 1;
-        self.core.pc = next_pc;
-
-        if let Some(reason) = halted {
-            self.halted = Some(reason);
-            return Ok(StepOutcome::Halted(reason));
-        }
-        Ok(StepOutcome::Continue)
-    }
-
     /// Makes SPR writes issued two or more instructions ago visible.
     /// Visibility is keyed on `instret`, so the micro-op bulk runner —
     /// which defers *cycle* accounting but retires `instret` per op —
@@ -2047,7 +1621,7 @@ impl Machine {
                 rs2,
             } => {
                 let a = self.core.reg(rs1);
-                let b = self.simd_operand(size, SimdMode::Sc, rs2);
+                let b = splat(size, self.core.reg(rs2));
                 self.core.set_reg(rd, exec_pv_alu(op, size, a, b));
             }
             UopKind::PvAluImm {
@@ -2118,37 +1692,6 @@ impl Machine {
             StoreOp::Sb => self.mem.write_u8(addr, value as u8),
             StoreOp::Sh => self.mem.write_u16(addr, value as u16),
             StoreOp::Sw => self.mem.write_u32(addr, value),
-        }
-    }
-
-    /// Second SIMD operand after mode resolution (vector / replicated
-    /// scalar / replicated immediate).
-    fn simd_operand(&self, size: SimdSize, mode: SimdMode, rs2: Reg) -> u32 {
-        match mode {
-            SimdMode::Vv => self.core.reg(rs2),
-            SimdMode::Sc => {
-                let r = self.core.reg(rs2);
-                match size {
-                    SimdSize::Half => {
-                        let h = r & 0xFFFF;
-                        h | (h << 16)
-                    }
-                    SimdSize::Byte => {
-                        let b = r & 0xFF;
-                        b | (b << 8) | (b << 16) | (b << 24)
-                    }
-                }
-            }
-            SimdMode::Sci(imm) => match size {
-                SimdSize::Half => {
-                    let h = imm as i16 as u16 as u32;
-                    h | (h << 16)
-                }
-                SimdSize::Byte => {
-                    let b = imm as u8 as u32;
-                    b | (b << 8) | (b << 16) | (b << 24)
-                }
-            },
         }
     }
 
@@ -2279,7 +1822,7 @@ pub(crate) fn exec_dot(op: DotOp, size: SimdSize, a: u32, b: u32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rnnasip_isa::LoopIdx;
+    use rnnasip_isa::{CsrOp, LoopIdx};
 
     fn addi(rd: Reg, rs1: Reg, imm: i32) -> Instr {
         Instr::OpImm {

@@ -39,8 +39,8 @@
 //! the machine decline the shortcut and interpret the region instead.
 //!
 //! The bit-identity contract (outputs, cycle counts, per-mnemonic rows)
-//! is enforced by the three-way shortcut/uop/legacy differential tests
-//! in the bench crate.
+//! is enforced by the three-way shortcut / bulk / stepping differential
+//! tests in the bench crate.
 
 use crate::mem::Memory;
 use crate::program::Program;

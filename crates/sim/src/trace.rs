@@ -1,6 +1,6 @@
 //! Execution tracing.
 
-use crate::machine::{Machine, StepOutcome};
+use crate::machine::Machine;
 use crate::SimError;
 use rnnasip_isa::Instr;
 
@@ -22,8 +22,8 @@ impl Machine {
     /// instruction — the standard way to produce an execution trace or
     /// feed a custom profiler.
     ///
-    /// Tracing deliberately drives the generic per-step interpreter, not
-    /// the micro-op fast path: hardware-loop bodies that [`Machine::run`]
+    /// Tracing drives the stepping loop of [`Machine::run_stepping`],
+    /// not the fast tiers: hardware-loop bodies that [`Machine::run`]
     /// would execute through the specialized block runner retire here one
     /// instruction at a time, so the callback observes every iteration.
     /// Cycle counts, instret and statistics are bit-identical either way
@@ -59,25 +59,16 @@ impl Machine {
     where
         F: FnMut(&TraceEntry),
     {
-        loop {
-            let pc = self.core().pc;
-            let instr = self.fetch_instr(pc).ok_or(SimError::FetchFault { pc })?;
-            let outcome = self.step()?;
+        self.run_stepping_with(max_cycles, |m, pc| {
             on_retire(&TraceEntry {
                 pc,
-                instr,
-                cycle: self.core().cycle,
-                instret: self.core().instret,
+                instr: m
+                    .fetch_instr(pc)
+                    .expect("a retired pc holds an instruction"),
+                cycle: m.core().cycle,
+                instret: m.core().instret,
             });
-            match outcome {
-                StepOutcome::Halted(reason) => return Ok(reason),
-                StepOutcome::Continue => {
-                    if self.core().cycle > max_cycles {
-                        return Err(SimError::Watchdog { max_cycles });
-                    }
-                }
-            }
-        }
+        })
     }
 
     /// Runs until halt and returns the whole disassembled trace as text

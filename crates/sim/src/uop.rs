@@ -8,8 +8,9 @@
 //! load-use source set flattened to a register bitmask, and direct
 //! branch/jump targets resolved to micro-op *indices*. `Machine::run`
 //! then drives execution off this array instead of re-matching the
-//! `Instr` enum per step; `Machine::step` keeps the original
-//! interpretation loop as the bit-identical reference path.
+//! `Instr` enum per step. The micro-op is the simulator's one executable
+//! form: `Machine::run_stepping` (the reference and trace path) retires
+//! the same ops one at a time with every bulk runner off.
 //!
 //! On top of the linear lowering, straight-line loops (no control flow,
 //! no CSR access, no loop configuration inside) get a [`LoopBody`]
@@ -32,7 +33,7 @@ use rnnasip_isa::{
 };
 
 /// Sentinel micro-op index: "this address is not an instruction start".
-/// Stepping onto it raises the same fetch fault the legacy path raises.
+/// Stepping onto it raises [`SimError::FetchFault`](crate::SimError::FetchFault).
 pub(crate) const NO_IDX: u32 = u32::MAX;
 
 /// Sentinel loop-body index: "no specializable loop body ends here".
@@ -63,8 +64,7 @@ pub(crate) struct Target {
     /// Byte address of the target (what the PC is set to).
     pub addr: u32,
     /// Micro-op index of the target, or [`NO_IDX`] when the address does
-    /// not start an instruction — the *next* step then fetch-faults,
-    /// exactly as the legacy path does.
+    /// not start an instruction — the *next* step then fetch-faults.
     pub idx: u32,
 }
 
@@ -97,8 +97,8 @@ pub(crate) enum UnaryOp {
 
 /// The operation of a micro-op, with every operand pre-extracted.
 ///
-/// Relative to [`Instr`], immediates that the legacy interpreter
-/// re-derived per retire are folded at translation time: LUI/AUIPC
+/// Relative to [`Instr`], immediates are folded at translation time
+/// rather than re-derived per retire: LUI/AUIPC
 /// produce a finished constant, SIMD scalar immediates are replicated
 /// into a packed word, clip bounds are materialized, hardware-loop
 /// start/end addresses are absolute, and direct jump targets carry their
@@ -785,19 +785,13 @@ fn resolve(program: &Program, addr: u32) -> Target {
     }
 }
 
-/// Replicates a SIMD scalar immediate into a packed word — the
-/// translation-time image of the legacy `simd_operand` for
-/// [`SimdMode::Sci`].
-fn replicate_imm(size: SimdSize, imm: i8) -> u32 {
+/// Replicates the low lane of `x` into every lane of a packed word: a
+/// SIMD scalar operand ([`SimdMode::Sc`], at run time) or a sign-extended
+/// scalar immediate ([`SimdMode::Sci`], at translation).
+pub(crate) fn splat(size: SimdSize, x: u32) -> u32 {
     match size {
-        SimdSize::Half => {
-            let h = imm as i16 as u16 as u32;
-            h | (h << 16)
-        }
-        SimdSize::Byte => {
-            let b = imm as u8 as u32;
-            b | (b << 8) | (b << 16) | (b << 24)
-        }
+        SimdSize::Half => (x & 0xFFFF) * 0x0001_0001,
+        SimdSize::Byte => (x & 0xFF) * 0x0101_0101,
     }
 }
 
@@ -1019,7 +1013,7 @@ fn lower(program: &Program, pc: u32, size: u32, instr: &Instr) -> Uop {
                 size,
                 rd,
                 rs1,
-                b: replicate_imm(size, imm),
+                b: splat(size, imm as u32),
             },
         },
         Instr::PvDot {

@@ -3,8 +3,9 @@
 //! A software loop — a straight-line body closed by a backward
 //! conditional branch, the RV32IMC baseline's only loop form — is run in
 //! bulk by the micro-op path (`Machine::run`). Every program here is
-//! also run on the per-step reference interpreter (`Machine::run_legacy`)
-//! on an identically staged machine, and everything observable must
+//! also run on the stepping reference path (`Machine::run_stepping`, one
+//! generic micro-op at a time, bulk runners declined) on an identically
+//! staged machine, and everything observable must
 //! match: the `Result`, all 32 registers, PC, cycle and instret, every
 //! per-mnemonic statistics row, the memory image, and the pending load
 //! (probed by one more step that reads each register in turn).
@@ -112,47 +113,50 @@ fn check(
 ) -> (Result<ExitReason, SimError>, Machine) {
     let run_pair = || {
         let mut uop = machine(prog, words, guards);
-        let mut legacy = machine(prog, words, guards);
+        let mut stepping = machine(prog, words, guards);
         let ru = uop.run(budget);
-        let rl = legacy.run_legacy(budget);
-        (uop, ru, legacy, rl)
+        let rs = stepping.run_stepping(budget);
+        (uop, ru, stepping, rs)
     };
-    let (uop, ru, legacy, rl) = run_pair();
+    let (uop, ru, stepping, rs) = run_pair();
     let ctx = format!("budget {budget}, guards {guards}");
-    assert_eq!(ru, rl, "exit ({ctx})");
-    assert_same(&uop, &legacy, &ctx);
+    assert_eq!(ru, rs, "exit ({ctx})");
+    assert_same(&uop, &stepping, &ctx);
 
     // A stopped run may leave a load pending; it shows only as a stall
     // on the next op that reads its register. Probe every register.
     if ru.is_err() {
         for (n, r) in Reg::all().enumerate().skip(1) {
-            let (mut uop, _, mut legacy, _) = run_pair();
+            let (mut uop, _, mut stepping, _) = run_pair();
             let pc = PROBES + 4 * (n as u32 - 1);
             uop.core_mut().pc = pc;
-            legacy.core_mut().pc = pc;
-            assert_eq!(uop.step(), legacy.step(), "probe {r} ({ctx})");
-            assert_same(&uop, &legacy, &format!("probe {r}, {ctx}"));
+            stepping.core_mut().pc = pc;
+            assert_eq!(uop.step(), stepping.step(), "probe {r} ({ctx})");
+            assert_same(&uop, &stepping, &format!("probe {r}, {ctx}"));
         }
     }
     (ru, uop)
 }
 
-fn assert_same(uop: &Machine, legacy: &Machine, ctx: &str) {
-    let (cu, cl) = (uop.core(), legacy.core());
-    assert_eq!(cu.pc, cl.pc, "pc ({ctx})");
-    assert_eq!(cu.cycle, cl.cycle, "cycle ({ctx})");
-    assert_eq!(cu.instret, cl.instret, "instret ({ctx})");
+fn assert_same(uop: &Machine, stepping: &Machine, ctx: &str) {
+    let (cu, cs) = (uop.core(), stepping.core());
+    assert_eq!(cu.pc, cs.pc, "pc ({ctx})");
+    assert_eq!(cu.cycle, cs.cycle, "cycle ({ctx})");
+    assert_eq!(cu.instret, cs.instret, "instret ({ctx})");
     for r in Reg::all() {
-        assert_eq!(cu.reg(r), cl.reg(r), "reg {r} ({ctx})");
+        assert_eq!(cu.reg(r), cs.reg(r), "reg {r} ({ctx})");
     }
-    let (su, sl) = (uop.stats(), legacy.stats());
-    assert_eq!(su.stall_cycles(), sl.stall_cycles(), "stalls ({ctx})");
+    let (su, ss) = (uop.stats(), stepping.stats());
+    assert_eq!(su.stall_cycles(), ss.stall_cycles(), "stalls ({ctx})");
     assert_eq!(
         su.iter().collect::<Vec<_>>(),
-        sl.iter().collect::<Vec<_>>(),
+        ss.iter().collect::<Vec<_>>(),
         "stats rows ({ctx})"
     );
-    assert!(uop.mem().image() == legacy.mem().image(), "memory ({ctx})");
+    assert!(
+        uop.mem().image() == stepping.mem().image(),
+        "memory ({ctx})"
+    );
 }
 
 /// A loop of `trips` iterations closed by `op`: each pass copies a word
@@ -308,7 +312,7 @@ fn budgets_expiring_mid_loop_match_cycle_for_cycle() {
     for op in [BranchOp::Bne, BranchOp::Bltu] {
         let prog = trip_loop(op, 12);
         let mut full = machine(&prog, &[], false);
-        full.run_legacy(1_000_000).unwrap();
+        full.run_stepping(1_000_000).unwrap();
         let total = full.core().cycle;
         for budget in 0..=total + 2 {
             let _ = check(&prog, &[], budget, false);

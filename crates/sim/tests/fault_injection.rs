@@ -1,6 +1,7 @@
 //! Deterministic unit coverage of the fault-injection API: each
 //! [`FaultSite`] kind, the recorded [`FaultEffect`]s, forced watchdogs,
-//! and the interaction with rewind/reload — on both execution paths.
+//! and the interaction with rewind/reload — on the fast path and the
+//! stepping reference path.
 
 use rnnasip_isa::{AluImmOp, Instr, LoadOp, Reg};
 use rnnasip_sim::{
@@ -36,23 +37,23 @@ fn machine_with(prog: &Program) -> Machine {
 }
 
 /// Runs the same plan on both paths and asserts identical outcome, a0,
-/// and fault logs; returns the uop-path machine for further inspection.
+/// and fault logs; returns the fast-path machine for further inspection.
 fn run_both(
     prog: &Program,
     plan: &FaultPlan,
     max_cycles: u64,
 ) -> (Machine, Result<ExitReason, SimError>) {
-    let mut legacy = machine_with(prog);
+    let mut stepping = machine_with(prog);
     let mut uop = machine_with(prog);
-    legacy.arm_faults(plan);
+    stepping.arm_faults(plan);
     uop.arm_faults(plan);
-    let rl = legacy.run_legacy(max_cycles);
+    let rs = stepping.run_stepping(max_cycles);
     let ru = uop.run(max_cycles);
-    assert_eq!(rl, ru, "exit");
-    assert_eq!(legacy.core().pc, uop.core().pc, "pc");
-    assert_eq!(legacy.core().cycle, uop.core().cycle, "cycle");
-    assert_eq!(legacy.core().reg(Reg::A0), uop.core().reg(Reg::A0), "a0");
-    assert_eq!(legacy.fault_log(), uop.fault_log(), "fault log");
+    assert_eq!(rs, ru, "exit");
+    assert_eq!(stepping.core().pc, uop.core().pc, "pc");
+    assert_eq!(stepping.core().cycle, uop.core().cycle, "cycle");
+    assert_eq!(stepping.core().reg(Reg::A0), uop.core().reg(Reg::A0), "a0");
+    assert_eq!(stepping.fault_log(), uop.fault_log(), "fault log");
     (uop, ru)
 }
 
@@ -117,17 +118,17 @@ fn memory_flip_corrupts_a_later_load() {
             silent: false,
         },
     });
-    let mut legacy = machine_with(&prog);
+    let mut stepping = machine_with(&prog);
     let mut uop = machine_with(&prog);
-    for m in [&mut legacy, &mut uop] {
+    for m in [&mut stepping, &mut uop] {
         m.mem_mut().write_u32(0x100, 41).unwrap();
         m.arm_faults(&plan);
     }
-    legacy.run_legacy(1000).unwrap();
+    stepping.run_stepping(1000).unwrap();
     uop.run(1000).unwrap();
-    assert_eq!(legacy.core().reg(Reg::A0), 33);
+    assert_eq!(stepping.core().reg(Reg::A0), 33);
     assert_eq!(uop.core().reg(Reg::A0), 33);
-    assert_eq!(legacy.fault_log(), uop.fault_log());
+    assert_eq!(stepping.fault_log(), uop.fault_log());
     assert_eq!(
         uop.fault_log()[0].effect,
         FaultEffect::FlippedMem {

@@ -4,7 +4,7 @@
 //! `MIN_RUN_LEN` is 4: a straight-line stretch of exactly four eligible
 //! micro-ops must form one bulk `StraightRun`, while three must not —
 //! and in both cases the micro-op path must stay bit-identical to the
-//! per-step legacy interpreter, per-mnemonic statistics rows included.
+//! stepping reference path, per-mnemonic statistics rows included.
 //! A direct branch target splits a stretch: a run never has an incoming
 //! branch past its first op.
 
@@ -39,16 +39,16 @@ fn assert_paths_identical(prog: &Program) -> u32 {
     uop.load_program(prog);
     assert_eq!(uop.run(1_000_000).unwrap(), ExitReason::Ecall);
 
-    let mut legacy = Machine::new(64 * 1024);
-    legacy.load_program(prog);
-    assert_eq!(legacy.run_legacy(1_000_000).unwrap(), ExitReason::Ecall);
+    let mut stepping = Machine::new(64 * 1024);
+    stepping.load_program(prog);
+    assert_eq!(stepping.run_stepping(1_000_000).unwrap(), ExitReason::Ecall);
 
-    assert_eq!(uop.core().reg(Reg::A0), legacy.core().reg(Reg::A0));
-    assert_eq!(uop.core().instret, legacy.core().instret);
-    assert_eq!(uop.stats().cycles(), legacy.stats().cycles());
-    assert_eq!(uop.stats().instrs(), legacy.stats().instrs());
-    assert_eq!(rows(&uop), rows(&legacy), "per-mnemonic rows diverge");
-    assert_eq!(uop.stats().to_csv(), legacy.stats().to_csv());
+    assert_eq!(uop.core().reg(Reg::A0), stepping.core().reg(Reg::A0));
+    assert_eq!(uop.core().instret, stepping.core().instret);
+    assert_eq!(uop.stats().cycles(), stepping.stats().cycles());
+    assert_eq!(uop.stats().instrs(), stepping.stats().instrs());
+    assert_eq!(rows(&uop), rows(&stepping), "per-mnemonic rows diverge");
+    assert_eq!(uop.stats().to_csv(), stepping.stats().to_csv());
     uop.core().reg(Reg::A0)
 }
 

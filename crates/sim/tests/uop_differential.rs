@@ -1,6 +1,7 @@
-//! Randomized differential test: the pre-decoded micro-op execution path
-//! (`Machine::run`) against the per-step reference interpreter
-//! (`Machine::run_legacy`).
+//! Randomized differential test: the fast execution path (`Machine::run`,
+//! with its bulk loop-body and straight-run runners) against the
+//! stepping reference path (`Machine::run_stepping`, one generic micro-op
+//! at a time with every bulk runner declined).
 //!
 //! Programs are generated from a vocabulary biased toward the features
 //! where the two paths genuinely diverge in mechanism: hardware loops
@@ -486,44 +487,47 @@ fn assert_identical_with_plan(
     prog: &Program,
     plan: Option<&FaultPlan>,
 ) {
-    let mut legacy = staged_machine(prog, seed);
+    let mut stepping = staged_machine(prog, seed);
     let mut uop = staged_machine(prog, seed);
     if let Some(plan) = plan {
-        legacy.arm_faults(plan);
+        stepping.arm_faults(plan);
         uop.arm_faults(plan);
     }
-    let r_legacy = legacy.run_legacy(max_cycles);
+    let r_stepping = stepping.run_stepping(max_cycles);
     let r_uop = uop.run(max_cycles);
     let ctx = format!("seed {seed}, budget {max_cycles}");
 
-    assert_eq!(legacy.fault_log(), uop.fault_log(), "fault log ({ctx})");
+    assert_eq!(stepping.fault_log(), uop.fault_log(), "fault log ({ctx})");
 
-    assert_eq!(r_legacy, r_uop, "exit ({ctx})");
-    let (cl, cu) = (legacy.core(), uop.core());
-    assert_eq!(cl.pc, cu.pc, "pc ({ctx})");
-    assert_eq!(cl.cycle, cu.cycle, "cycle ({ctx})");
-    assert_eq!(cl.instret, cu.instret, "instret ({ctx})");
+    assert_eq!(r_stepping, r_uop, "exit ({ctx})");
+    let (cs, cu) = (stepping.core(), uop.core());
+    assert_eq!(cs.pc, cu.pc, "pc ({ctx})");
+    assert_eq!(cs.cycle, cu.cycle, "cycle ({ctx})");
+    assert_eq!(cs.instret, cu.instret, "instret ({ctx})");
     for r in Reg::all() {
-        assert_eq!(cl.reg(r), cu.reg(r), "reg {r} ({ctx})");
+        assert_eq!(cs.reg(r), cu.reg(r), "reg {r} ({ctx})");
     }
     for l in 0..2 {
-        assert_eq!(cl.hwloop[l].start, cu.hwloop[l].start, "lpstart{l} ({ctx})");
-        assert_eq!(cl.hwloop[l].end, cu.hwloop[l].end, "lpend{l} ({ctx})");
-        assert_eq!(cl.hwloop[l].count, cu.hwloop[l].count, "lpcount{l} ({ctx})");
+        assert_eq!(cs.hwloop[l].start, cu.hwloop[l].start, "lpstart{l} ({ctx})");
+        assert_eq!(cs.hwloop[l].end, cu.hwloop[l].end, "lpend{l} ({ctx})");
+        assert_eq!(cs.hwloop[l].count, cu.hwloop[l].count, "lpcount{l} ({ctx})");
     }
-    assert_eq!(cl.spr, cu.spr, "spr ({ctx})");
+    assert_eq!(cs.spr, cu.spr, "spr ({ctx})");
 
-    let (sl, su) = (legacy.stats(), uop.stats());
-    assert_eq!(sl.cycles(), su.cycles(), "total cycles ({ctx})");
-    assert_eq!(sl.instrs(), su.instrs(), "total instrs ({ctx})");
-    assert_eq!(sl.stall_cycles(), su.stall_cycles(), "stalls ({ctx})");
-    assert_eq!(sl.mac_ops(), su.mac_ops(), "macs ({ctx})");
-    for ((name_l, row_l), (name_u, row_u)) in sl.iter().zip(su.iter()) {
-        assert_eq!(name_l, name_u, "row order ({ctx})");
-        assert_eq!(row_l, row_u, "row {name_l} ({ctx})");
+    let (ss, su) = (stepping.stats(), uop.stats());
+    assert_eq!(ss.cycles(), su.cycles(), "total cycles ({ctx})");
+    assert_eq!(ss.instrs(), su.instrs(), "total instrs ({ctx})");
+    assert_eq!(ss.stall_cycles(), su.stall_cycles(), "stalls ({ctx})");
+    assert_eq!(ss.mac_ops(), su.mac_ops(), "macs ({ctx})");
+    for ((name_s, row_s), (name_u, row_u)) in ss.iter().zip(su.iter()) {
+        assert_eq!(name_s, name_u, "row order ({ctx})");
+        assert_eq!(row_s, row_u, "row {name_s} ({ctx})");
     }
 
-    assert!(legacy.mem().image() == uop.mem().image(), "memory ({ctx})");
+    assert!(
+        stepping.mem().image() == uop.mem().image(),
+        "memory ({ctx})"
+    );
 }
 
 #[test]
