@@ -309,7 +309,7 @@ impl KernelBackend {
 /// One profiled stage of a [`KernelBackend::run_network_staged`] run.
 #[derive(Clone, Debug)]
 pub struct StageRun {
-    /// Stage label (`"fc 120x360"`, `"lstm 32x64 x10"`, `"conv ..."`).
+    /// Stage label (`"fc 360->120"`, `"lstm 32x64 x10"`, `"conv ..."`).
     pub label: String,
     /// Statistics of this stage alone.
     pub report: RunReport,

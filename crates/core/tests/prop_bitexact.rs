@@ -1,72 +1,68 @@
-// Property-based tests need the external `proptest` crate, which is
-// not available in the offline build environment this repository
-// targets. Restore the `proptest` dev-dependency and enable the
-// `proptest-tests` feature to compile and run this file.
-#![cfg(feature = "proptest-tests")]
+//! Randomized bit-exactness: *any* well-formed FC layer is bit-exact on
+//! *any* optimization level. Shapes, weights, biases, activations, tile
+//! caps and inputs are all drawn from a seeded generator; the invariant
+//! is absolute equality with the golden Q3.12 model.
+//!
+//! Each of the [`CASES`] cases is rebuilt from its seed by `case(seed)`,
+//! and every failure message starts with `seed N`.
 
-//! Property test: *any* well-formed FC layer is bit-exact on *any*
-//! optimization level. Shapes, weights, biases, activations and inputs
-//! are all randomized; the invariant is absolute equality with the
-//! golden Q3.12 model.
-
-use proptest::prelude::*;
 use rnnasip_core::{KernelBackend, OptLevel};
 use rnnasip_fixed::Q3p12;
 use rnnasip_nn::{Act, FcLayer, Matrix};
+use rnnasip_rng::StdRng;
 
-fn arb_act() -> impl Strategy<Value = Act> {
-    prop_oneof![
-        Just(Act::None),
-        Just(Act::Relu),
-        Just(Act::Tanh),
-        Just(Act::Sigmoid),
-    ]
+/// Cases drawn. Each simulates a full kernel, so keep the count moderate.
+const CASES: u64 = 48;
+
+const ACTS: [Act; 4] = [Act::None, Act::Relu, Act::Tanh, Act::Sigmoid];
+
+/// Uniform in `lo..hi`.
+fn range(rng: &mut StdRng, lo: usize, hi: usize) -> usize {
+    lo + (rng.gen::<u64>() % (hi - lo) as u64) as usize
 }
 
-fn arb_level() -> impl Strategy<Value = OptLevel> {
-    prop_oneof![
-        Just(OptLevel::Baseline),
-        Just(OptLevel::Xpulp),
-        Just(OptLevel::OfmTile),
-        Just(OptLevel::SdotSp),
-        Just(OptLevel::IfmTile),
-    ]
+/// Uniform in `[-scale, scale)`.
+fn q(rng: &mut StdRng, scale: f64) -> Q3p12 {
+    Q3p12::from_f64((rng.gen::<f64>() * 2.0 - 1.0) * scale)
 }
 
-fn arb_q(range: f64) -> impl Strategy<Value = Q3p12> {
-    (-range..range).prop_map(Q3p12::from_f64)
+/// One case: the layer, its input, the level and the tile cap.
+fn case(seed: u64) -> (FcLayer, Vec<Q3p12>, OptLevel, usize) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n_out = range(&mut rng, 1, 24);
+    let n_in = range(&mut rng, 1, 40);
+    let act = ACTS[range(&mut rng, 0, ACTS.len())];
+    let level = OptLevel::ALL[range(&mut rng, 0, OptLevel::ALL.len())];
+    let tile = range(&mut rng, 1, 11);
+    let weights = (0..n_out * n_in).map(|_| q(&mut rng, 4.0)).collect();
+    let input = (0..n_in).map(|_| q(&mut rng, 4.0)).collect();
+    let bias = (0..n_out).map(|_| q(&mut rng, 2.0)).collect();
+    let layer = FcLayer::new(Matrix::new(n_out, n_in, weights), bias, act);
+    (layer, input, level, tile)
 }
 
-proptest! {
-    // Each case simulates a full kernel; keep the count moderate.
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn any_fc_layer_is_bit_exact(
-        n_out in 1usize..24,
-        n_in in 1usize..40,
-        act in arb_act(),
-        level in arb_level(),
-        tile in 1usize..=10,
-        seed_weights in proptest::collection::vec(arb_q(4.0), 24 * 40),
-        seed_input in proptest::collection::vec(arb_q(4.0), 40),
-        seed_bias in proptest::collection::vec(arb_q(2.0), 24),
-    ) {
-        let weights: Vec<Q3p12> = seed_weights[..n_out * n_in].to_vec();
-        let bias: Vec<Q3p12> = seed_bias[..n_out].to_vec();
-        let input: Vec<Q3p12> = seed_input[..n_in].to_vec();
-        let layer = FcLayer::new(Matrix::new(n_out, n_in, weights), bias, act);
+#[test]
+fn any_fc_layer_is_bit_exact() {
+    let mut levels = Vec::new();
+    let mut acts = Vec::new();
+    for seed in 0..CASES {
+        let (layer, input, level, tile) = case(seed);
+        let (n_out, n_in, act) = (layer.n_out(), layer.n_in(), layer.act());
+        let what =
+            format!("seed {seed}: level {level:?}, tile {tile}, shape {n_out}x{n_in}, act {act:?}");
         let expect = layer.forward_fixed(&input);
         let run = KernelBackend::new(level)
             .with_max_tile(tile)
             .run_fc(&layer, &input)
-            .map_err(|e| TestCaseError::fail(format!(
-                "{level:?} tile {tile} {n_out}x{n_in} {act:?}: {e}"
-            )))?;
-        prop_assert_eq!(
-            run.outputs, expect,
-            "level {:?}, tile {}, shape {}x{}, act {:?}",
-            level, tile, n_out, n_in, act
-        );
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert_eq!(run.outputs, expect, "{what}");
+        levels.push(level);
+        acts.push(act);
+    }
+    for level in OptLevel::ALL {
+        assert!(levels.contains(&level), "no case drew level {level:?}");
+    }
+    for act in ACTS {
+        assert!(acts.contains(&act), "no case drew act {act:?}");
     }
 }

@@ -8,9 +8,6 @@
 //! 2. a seeded uniform sample of 32-bit words through `decode`,
 //! 3. single-bit flips of *valid* encodings — exactly the corruption
 //!    model of `rnnasip_sim::FaultSite::InstrBit`.
-//!
-//! A property-based twin lives in `decode_fuzz_prop.rs` behind the
-//! `proptest-tests` feature.
 
 use rnnasip_isa::{compress, decode, decode_compressed, encode, is_compressed};
 use rnnasip_rng::StdRng;
@@ -54,6 +51,7 @@ fn random_u32_words_decode_without_panic() {
             Ok(instr) => {
                 ok += 1;
                 let _ = encode(&instr);
+                let _ = compress(&instr);
             }
             Err(e) => {
                 let _ = e.to_string();

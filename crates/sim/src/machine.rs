@@ -6,15 +6,13 @@ use crate::fault::{Fault, FaultEffect, FaultPlan, FaultRecord, FaultSite};
 use crate::guard::{GuardReport, GuardSpec, GuardUnit};
 use crate::mem::{MemImage, Memory};
 use crate::program::Program;
-use crate::shortcut::{read_load, ExitVal, ShortcutRegion};
+use crate::shortcut::{ExitVal, ShortcutRegion};
 use crate::stats::Stats;
 use crate::uop::{
-    splat, LoopExit, Target, UnaryOp, Uop, UopKind, UopProgram, NO_BODY, NO_IDX, NO_RUN, NO_SC,
+    branch_taken, dot, load_value, LoopExit, Target, Uop, UopKind, UopProgram, NO_BODY, NO_IDX,
+    NO_RUN, NO_SC,
 };
-use rnnasip_isa::{
-    AluImmOp, AluOp, BranchOp, Csr, DotOp, Instr, LoadOp, MnemonicId, MulDivOp, PvAluOp, Reg,
-    SimdSize, StoreOp,
-};
+use rnnasip_isa::{BranchOp, Csr, DotOp, Instr, MnemonicId, Reg, SimdSize, StoreOp};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -934,7 +932,9 @@ impl Machine {
         Some(match ev {
             ExitVal::Const(v) => v,
             ExitVal::CellAdd { cell, off } => self.mem.read_u32(cell).ok()?.wrapping_add(off),
-            ExitVal::Load { op, addr } => read_load(&self.mem, op, addr.resolve(&self.mem)?)?,
+            ExitVal::Load { op, addr } => {
+                load_value(&self.mem, op, addr.resolve(&self.mem)?).ok()?
+            }
             ExitVal::Out(k) => outs[k as usize].1 as u32,
             ExitVal::Node(i) => sc.exit_nodes[i as usize]
                 .try_map(|a| self.exit_value(sc, outs, a))?
@@ -1255,7 +1255,7 @@ impl Machine {
                     // Specialized signed×signed dot: lane products fit in
                     // i32, and wrapping i32 sums equal the generic i64
                     // accumulation truncated to 32 bits.
-                    let dot = match size {
+                    let d = match size {
                         SimdSize::Half => {
                             let p0 = (w as i16 as i32) * (x as i16 as i32);
                             let p1 = ((w >> 16) as i16 as i32) * ((x >> 16) as i16 as i32);
@@ -1269,8 +1269,8 @@ impl Machine {
                             sum as u32
                         }
                     };
-                    debug_assert_eq!(dot, exec_dot(DotOp::SdotSp, size, w, x));
-                    let acc = self.core.reg(rd).wrapping_add(dot);
+                    debug_assert_eq!(d, dot(DotOp::SdotSp, size, w, x));
+                    let acc = self.core.reg(rd).wrapping_add(d);
                     let addr = self.core.reg(rs1);
                     match self.mem.read_u32(addr) {
                         Ok(value) => {
@@ -1345,7 +1345,6 @@ impl Machine {
     /// accounting time in bulk.
     fn exec_uop(&mut self, u: &Uop) -> Result<Flow, SimError> {
         match u.kind {
-            UopKind::SetReg { rd, val } => self.core.set_reg(rd, val),
             UopKind::Jal { rd, target } => {
                 self.core.set_reg(rd, u.next_addr);
                 return Ok(Flow::Jump(target));
@@ -1375,7 +1374,7 @@ impl Machine {
                 offset,
             } => {
                 let addr = self.core.reg(rs1).wrapping_add(offset);
-                let value = self.load_value(op, addr)?;
+                let value = load_value(&self.mem, op, addr)?;
                 self.core.set_reg(rd, value);
             }
             UopKind::LoadPostInc {
@@ -1385,13 +1384,13 @@ impl Machine {
                 offset,
             } => {
                 let addr = self.core.reg(rs1);
-                let value = self.load_value(op, addr)?;
+                let value = load_value(&self.mem, op, addr)?;
                 self.core.set_reg(rs1, addr.wrapping_add(offset));
                 self.core.set_reg(rd, value);
             }
             UopKind::LoadReg { op, rd, rs1, rs2 } => {
                 let addr = self.core.reg(rs1).wrapping_add(self.core.reg(rs2));
-                let value = self.load_value(op, addr)?;
+                let value = load_value(&self.mem, op, addr)?;
                 self.core.set_reg(rd, value);
             }
             UopKind::Store {
@@ -1412,69 +1411,6 @@ impl Machine {
                 let addr = self.core.reg(rs1);
                 self.store_value(op, addr, self.core.reg(rs2))?;
                 self.core.set_reg(rs1, addr.wrapping_add(offset));
-            }
-            UopKind::OpImm { op, rd, rs1, imm } => {
-                let a = self.core.reg(rs1);
-                let v = match op {
-                    AluImmOp::Addi => a.wrapping_add(imm as u32),
-                    AluImmOp::Slti => ((a as i32) < imm) as u32,
-                    AluImmOp::Sltiu => (a < imm as u32) as u32,
-                    AluImmOp::Xori => a ^ imm as u32,
-                    AluImmOp::Ori => a | imm as u32,
-                    AluImmOp::Andi => a & imm as u32,
-                    AluImmOp::Slli => a << (imm & 0x1F),
-                    AluImmOp::Srli => a >> (imm & 0x1F),
-                    AluImmOp::Srai => ((a as i32) >> (imm & 0x1F)) as u32,
-                };
-                self.core.set_reg(rd, v);
-            }
-            UopKind::Op { op, rd, rs1, rs2 } => {
-                let a = self.core.reg(rs1);
-                let b = self.core.reg(rs2);
-                let v = match op {
-                    AluOp::Add => a.wrapping_add(b),
-                    AluOp::Sub => a.wrapping_sub(b),
-                    AluOp::Sll => a << (b & 0x1F),
-                    AluOp::Slt => ((a as i32) < (b as i32)) as u32,
-                    AluOp::Sltu => (a < b) as u32,
-                    AluOp::Xor => a ^ b,
-                    AluOp::Srl => a >> (b & 0x1F),
-                    AluOp::Sra => ((a as i32) >> (b & 0x1F)) as u32,
-                    AluOp::Or => a | b,
-                    AluOp::And => a & b,
-                };
-                self.core.set_reg(rd, v);
-            }
-            UopKind::MulDiv { op, rd, rs1, rs2 } => {
-                // Value semantics only: the mulh/div extra latency is
-                // folded into the op's static `base_cycles`.
-                let a = self.core.reg(rs1);
-                let b = self.core.reg(rs2);
-                let v = match op {
-                    MulDivOp::Mul => a.wrapping_mul(b),
-                    MulDivOp::Mulh => ((a as i32 as i64 * b as i32 as i64) >> 32) as u32,
-                    MulDivOp::Mulhsu => ((a as i32 as i64 * b as u64 as i64) >> 32) as u32,
-                    MulDivOp::Mulhu => ((a as u64 * b as u64) >> 32) as u32,
-                    MulDivOp::Div => match (a as i32, b as i32) {
-                        (_, 0) => u32::MAX,
-                        (i32::MIN, -1) => i32::MIN as u32,
-                        (x, y) => x.wrapping_div(y) as u32,
-                    },
-                    MulDivOp::Divu => a.checked_div(b).unwrap_or(u32::MAX),
-                    MulDivOp::Rem => match (a as i32, b as i32) {
-                        (x, 0) => x as u32,
-                        (i32::MIN, -1) => 0,
-                        (x, y) => x.wrapping_rem(y) as u32,
-                    },
-                    MulDivOp::Remu => {
-                        if b == 0 {
-                            a
-                        } else {
-                            a % b
-                        }
-                    }
-                };
-                self.core.set_reg(rd, v);
             }
             UopKind::Nop => {}
             UopKind::Halt(reason) => return Ok(Flow::Halt(reason)),
@@ -1520,137 +1456,6 @@ impl Machine {
                     return Err(SimError::BadHwLoop { level: l as usize });
                 }
             }
-            UopKind::Mac { rd, rs1, rs2 } => {
-                let v = self.core.reg(rd).wrapping_add(
-                    (self.core.reg_i32(rs1).wrapping_mul(self.core.reg_i32(rs2))) as u32,
-                );
-                self.core.set_reg(rd, v);
-            }
-            UopKind::Msu { rd, rs1, rs2 } => {
-                let v = self.core.reg(rd).wrapping_sub(
-                    (self.core.reg_i32(rs1).wrapping_mul(self.core.reg_i32(rs2))) as u32,
-                );
-                self.core.set_reg(rd, v);
-            }
-            UopKind::Clip { rd, rs1, lo, hi } => {
-                let v = self.core.reg_i32(rs1).clamp(lo, hi);
-                self.core.set_reg(rd, v as u32);
-            }
-            UopKind::ClipU { rd, rs1, hi } => {
-                let v = self.core.reg_i32(rs1).clamp(0, hi);
-                self.core.set_reg(rd, v as u32);
-            }
-            UopKind::Unary { op, rd, rs1 } => {
-                let a = self.core.reg(rs1);
-                let v = match op {
-                    UnaryOp::ExtHs => a as u16 as i16 as i32 as u32,
-                    UnaryOp::ExtHz => a & 0xFFFF,
-                    UnaryOp::ExtBs => a as u8 as i8 as i32 as u32,
-                    UnaryOp::ExtBz => a & 0xFF,
-                    UnaryOp::Abs => (a as i32).wrapping_abs() as u32,
-                    UnaryOp::Ff1 => {
-                        if a == 0 {
-                            32
-                        } else {
-                            a.trailing_zeros()
-                        }
-                    }
-                    UnaryOp::Fl1 => {
-                        if a == 0 {
-                            32
-                        } else {
-                            31 - a.leading_zeros()
-                        }
-                    }
-                    UnaryOp::Cnt => a.count_ones(),
-                    UnaryOp::Clb => {
-                        // Count of leading bits equal to the sign bit,
-                        // minus one; zero input yields 0 per RI5CY.
-                        if a == 0 {
-                            0
-                        } else if (a as i32) < 0 {
-                            (!a).leading_zeros() - 1
-                        } else {
-                            a.leading_zeros() - 1
-                        }
-                    }
-                    UnaryOp::Tanh => {
-                        let x = rnnasip_fixed::Q3p12::from_raw(a as u16 as i16);
-                        rnnasip_fixed::hw_tanh(x).raw() as i32 as u32
-                    }
-                    UnaryOp::Sig => {
-                        let x = rnnasip_fixed::Q3p12::from_raw(a as u16 as i16);
-                        rnnasip_fixed::hw_sig(x).raw() as i32 as u32
-                    }
-                };
-                self.core.set_reg(rd, v);
-            }
-            UopKind::PMin { rd, rs1, rs2 } => {
-                self.core.set_reg(
-                    rd,
-                    self.core.reg_i32(rs1).min(self.core.reg_i32(rs2)) as u32,
-                );
-            }
-            UopKind::PMax { rd, rs1, rs2 } => {
-                self.core.set_reg(
-                    rd,
-                    self.core.reg_i32(rs1).max(self.core.reg_i32(rs2)) as u32,
-                );
-            }
-            UopKind::Ror { rd, rs1, rs2 } => {
-                let amount = self.core.reg(rs2) & 31;
-                self.core
-                    .set_reg(rd, self.core.reg(rs1).rotate_right(amount));
-            }
-            UopKind::PvAluVv {
-                op,
-                size,
-                rd,
-                rs1,
-                rs2,
-            } => {
-                let a = self.core.reg(rs1);
-                let b = self.core.reg(rs2);
-                self.core.set_reg(rd, exec_pv_alu(op, size, a, b));
-            }
-            UopKind::PvAluSc {
-                op,
-                size,
-                rd,
-                rs1,
-                rs2,
-            } => {
-                let a = self.core.reg(rs1);
-                let b = splat(size, self.core.reg(rs2));
-                self.core.set_reg(rd, exec_pv_alu(op, size, a, b));
-            }
-            UopKind::PvAluImm {
-                op,
-                size,
-                rd,
-                rs1,
-                b,
-            } => {
-                let a = self.core.reg(rs1);
-                self.core.set_reg(rd, exec_pv_alu(op, size, a, b));
-            }
-            UopKind::PvDot {
-                op,
-                size,
-                rd,
-                rs1,
-                rs2,
-            } => {
-                let a = self.core.reg(rs1);
-                let b = self.core.reg(rs2);
-                let dot = exec_dot(op, size, a, b);
-                let v = if op.accumulates() {
-                    self.core.reg(rd).wrapping_add(dot)
-                } else {
-                    dot
-                };
-                self.core.set_reg(rd, v);
-            }
             UopKind::PlSdotsp {
                 spr,
                 size,
@@ -1664,8 +1469,10 @@ impl Machine {
                 // pointer. `spr` was masked to 0/1 at translation.
                 let w = self.core.spr[spr as usize];
                 let x = self.core.reg(rs2);
-                let dot = exec_dot(DotOp::SdotSp, size, w, x);
-                let acc = self.core.reg(rd).wrapping_add(dot);
+                let acc = self
+                    .core
+                    .reg(rd)
+                    .wrapping_add(dot(DotOp::SdotSp, size, w, x));
                 let addr = self.core.reg(rs1);
                 let value = self.mem.read_u32(addr)?;
                 self.spr_pending
@@ -1673,18 +1480,35 @@ impl Machine {
                 self.core.set_reg(rd, acc);
                 self.core.set_reg(rs1, addr.wrapping_add(4));
             }
+            // Pure register writes: one arm per kind, so that once the
+            // dispatcher is inlined into each arm its own match folds
+            // away and an op is dispatched once, not twice.
+            UopKind::SetReg { .. } => self.write_value(u),
+            UopKind::OpImm { .. } => self.write_value(u),
+            UopKind::Op { .. } => self.write_value(u),
+            UopKind::MulDiv { .. } => self.write_value(u),
+            UopKind::Mac { .. } => self.write_value(u),
+            UopKind::Msu { .. } => self.write_value(u),
+            UopKind::Clip { .. } => self.write_value(u),
+            UopKind::ClipU { .. } => self.write_value(u),
+            UopKind::Unary { .. } => self.write_value(u),
+            UopKind::PMin { .. } => self.write_value(u),
+            UopKind::PMax { .. } => self.write_value(u),
+            UopKind::Ror { .. } => self.write_value(u),
+            UopKind::PvAluVv { .. } => self.write_value(u),
+            UopKind::PvAluSc { .. } => self.write_value(u),
+            UopKind::PvAluImm { .. } => self.write_value(u),
+            UopKind::PvDot { .. } => self.write_value(u),
         }
         Ok(Flow::Fall)
     }
 
-    fn load_value(&mut self, op: LoadOp, addr: u32) -> Result<u32, SimError> {
-        Ok(match op {
-            LoadOp::Lb => self.mem.read_u8(addr)? as i8 as i32 as u32,
-            LoadOp::Lbu => self.mem.read_u8(addr)? as u32,
-            LoadOp::Lh => self.mem.read_u16(addr)? as i16 as i32 as u32,
-            LoadOp::Lhu => self.mem.read_u16(addr)? as u32,
-            LoadOp::Lw => self.mem.read_u32(addr)?,
-        })
+    /// Retires a pure op's register write.
+    #[inline(always)]
+    fn write_value(&mut self, u: &Uop) {
+        if let (Some(rd), Some(v)) = (u.kind.dest(), u.kind.value(|r| self.core.reg(r))) {
+            self.core.set_reg(rd, v);
+        }
     }
 
     fn store_value(&mut self, op: StoreOp, addr: u32, value: u32) -> Result<(), SimError> {
@@ -1712,117 +1536,10 @@ impl Machine {
     }
 }
 
-/// Whether a conditional branch with operand values `a`, `b` is taken.
-#[inline]
-fn branch_taken(op: BranchOp, a: u32, b: u32) -> bool {
-    match op {
-        BranchOp::Beq => a == b,
-        BranchOp::Bne => a != b,
-        BranchOp::Blt => (a as i32) < (b as i32),
-        BranchOp::Bge => (a as i32) >= (b as i32),
-        BranchOp::Bltu => a < b,
-        BranchOp::Bgeu => a >= b,
-    }
-}
-
-/// Lane-wise SIMD ALU semantics on packed registers.
-pub(crate) fn exec_pv_alu(op: PvAluOp, size: SimdSize, a: u32, b: u32) -> u32 {
-    match size {
-        SimdSize::Half => {
-            let la = [(a & 0xFFFF) as u16 as i16, (a >> 16) as u16 as i16];
-            let lb = [(b & 0xFFFF) as u16 as i16, (b >> 16) as u16 as i16];
-            let mut out = [0i16; 2];
-            for i in 0..2 {
-                out[i] = pv_lane_op_h(op, la[i], lb[i]);
-            }
-            (out[0] as u16 as u32) | ((out[1] as u16 as u32) << 16)
-        }
-        SimdSize::Byte => {
-            let la = a.to_le_bytes().map(|x| x as i8);
-            let lb = b.to_le_bytes().map(|x| x as i8);
-            let mut out = [0u8; 4];
-            for i in 0..4 {
-                out[i] = pv_lane_op_b(op, la[i], lb[i]) as u8;
-            }
-            u32::from_le_bytes(out)
-        }
-    }
-}
-
-fn pv_lane_op_h(op: PvAluOp, a: i16, b: i16) -> i16 {
-    match op {
-        PvAluOp::Add => a.wrapping_add(b),
-        PvAluOp::Sub => a.wrapping_sub(b),
-        PvAluOp::Avg => ((a as i32 + b as i32) >> 1) as i16,
-        PvAluOp::Min => a.min(b),
-        PvAluOp::Max => a.max(b),
-        PvAluOp::Srl => ((a as u16) >> (b as u16 & 0xF)) as i16,
-        PvAluOp::Sra => a >> (b as u16 & 0xF),
-        PvAluOp::Sll => ((a as u16) << (b as u16 & 0xF)) as i16,
-        PvAluOp::Or => a | b,
-        PvAluOp::Xor => a ^ b,
-        PvAluOp::And => a & b,
-        PvAluOp::Abs => a.wrapping_abs(),
-    }
-}
-
-fn pv_lane_op_b(op: PvAluOp, a: i8, b: i8) -> i8 {
-    match op {
-        PvAluOp::Add => a.wrapping_add(b),
-        PvAluOp::Sub => a.wrapping_sub(b),
-        PvAluOp::Avg => ((a as i32 + b as i32) >> 1) as i8,
-        PvAluOp::Min => a.min(b),
-        PvAluOp::Max => a.max(b),
-        PvAluOp::Srl => ((a as u8) >> (b as u8 & 0x7)) as i8,
-        PvAluOp::Sra => a >> (b as u8 & 0x7),
-        PvAluOp::Sll => ((a as u8) << (b as u8 & 0x7)) as i8,
-        PvAluOp::Or => a | b,
-        PvAluOp::Xor => a ^ b,
-        PvAluOp::And => a & b,
-        PvAluOp::Abs => a.wrapping_abs(),
-    }
-}
-
-/// Dot-product semantics: the *fresh* dot value, before any accumulation.
-pub(crate) fn exec_dot(op: DotOp, size: SimdSize, a: u32, b: u32) -> u32 {
-    let (sign_a, sign_b) = match op {
-        DotOp::DotUp | DotOp::SdotUp => (false, false),
-        DotOp::DotUsp | DotOp::SdotUsp => (false, true),
-        DotOp::DotSp | DotOp::SdotSp => (true, true),
-    };
-    let lane = |word: u32, idx: u32, signed: bool, half: bool| -> i64 {
-        if half {
-            let raw = ((word >> (16 * idx)) & 0xFFFF) as u16;
-            if signed {
-                raw as i16 as i64
-            } else {
-                raw as i64
-            }
-        } else {
-            let raw = ((word >> (8 * idx)) & 0xFF) as u8;
-            if signed {
-                raw as i8 as i64
-            } else {
-                raw as i64
-            }
-        }
-    };
-    let lanes = match size {
-        SimdSize::Half => 2,
-        SimdSize::Byte => 4,
-    };
-    let half = matches!(size, SimdSize::Half);
-    let mut sum: i64 = 0;
-    for i in 0..lanes {
-        sum += lane(a, i, sign_a, half) * lane(b, i, sign_b, half);
-    }
-    sum as u32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rnnasip_isa::{CsrOp, LoopIdx};
+    use rnnasip_isa::{AluImmOp, AluOp, CsrOp, LoadOp, LoopIdx};
 
     fn addi(rd: Reg, rs1: Reg, imm: i32) -> Instr {
         Instr::OpImm {
@@ -2090,8 +1807,8 @@ mod tests {
         // pv.sdotsp.h: acc += a0*b0 + a1*b1 with signed lanes.
         let a = ((-3i16 as u16 as u32) << 16) | (2i16 as u16 as u32);
         let b = ((5i16 as u16 as u32) << 16) | (7i16 as u16 as u32);
-        let dot = exec_dot(DotOp::SdotSp, SimdSize::Half, a, b);
-        assert_eq!(dot as i32, 2 * 7 + (-3) * 5);
+        let sum = dot(DotOp::SdotSp, SimdSize::Half, a, b);
+        assert_eq!(sum as i32, 2 * 7 + (-3) * 5);
     }
 
     #[test]

@@ -10,7 +10,11 @@
 //! ([`UopProgram::translate_with_shortcuts`](crate::UopProgram::translate_with_shortcuts))
 //! each descriptor is *verified* against the micro-op stream by an
 //! abstract interpretation ([`install`]): the region is walked with
-//! constant-folded control flow and symbolic data, proving that
+//! constant-folded control flow and symbolic data. Constants fold
+//! through the interpreter's own micro-op semantics (`UopKind::value`,
+//! `branch_taken`, `load_value` in the `uop` module); the walk adds only
+//! the symbolic cases (cell-pointer arithmetic, dataflow nodes and
+//! halfword inference). It proves that
 //!
 //! * every branch, hardware-loop count and memory address inside the
 //!   region is a compile-time constant (given the values of the region's
@@ -44,10 +48,8 @@
 
 use crate::mem::Memory;
 use crate::program::Program;
-use crate::uop::{UnaryOp, Uop, UopKind, NO_IDX};
-use rnnasip_isa::{
-    AluImmOp, AluOp, BranchOp, LoadOp, MnemonicId, MulDivOp, Reg, SimdSize, StoreOp,
-};
+use crate::uop::{alu, alu_imm, branch_taken, clip, mul_div, unary, UnaryOp, Uop, UopKind, NO_IDX};
+use rnnasip_isa::{AluImmOp, AluOp, LoadOp, MnemonicId, MulDivOp, Reg, StoreOp};
 use std::collections::HashMap;
 
 /// Upper bound on the dynamic micro-ops verifying one region accounts
@@ -253,11 +255,11 @@ impl Node<u32> {
     /// The micro-op's result on concrete operands.
     pub(crate) fn eval(self) -> u32 {
         match self {
-            Node::Imm(op, a, imm) => exec_opimm(op, a, imm),
-            Node::Alu(op, a, b) => exec_op(op, a, b),
-            Node::MulDiv(op, a, b) => exec_muldiv(op, a, b),
-            Node::Clip(a, lo, hi) => (a as i32).clamp(lo, hi) as u32,
-            Node::Unary(op, a) => exec_unary(op, a),
+            Node::Imm(op, a, imm) => alu_imm(op, a, imm),
+            Node::Alu(op, a, b) => alu(op, a, b),
+            Node::MulDiv(op, a, b) => mul_div(op, a, b),
+            Node::Clip(a, lo, hi) => clip(a, lo, hi),
+            Node::Unary(op, a) => unary(op, a),
         }
     }
 }
@@ -347,19 +349,6 @@ enum SprAv {
     Entry,
     /// The weight word at this address.
     Known(AAddr),
-}
-
-/// Load semantics against a memory snapshot (the commit-time image of
-/// `Machine::load_value`); `None` on an out-of-bounds or misaligned
-/// address.
-pub(crate) fn read_load(mem: &Memory, op: LoadOp, addr: u32) -> Option<u32> {
-    Some(match op {
-        LoadOp::Lb => mem.read_u8(addr).ok()? as i8 as i32 as u32,
-        LoadOp::Lbu => u32::from(mem.read_u8(addr).ok()?),
-        LoadOp::Lh => mem.read_u16(addr).ok()? as i16 as i32 as u32,
-        LoadOp::Lhu => u32::from(mem.read_u16(addr).ok()?),
-        LoadOp::Lw => mem.read_u32(addr).ok()?,
-    })
 }
 
 fn load_size(op: LoadOp) -> u32 {
@@ -462,15 +451,46 @@ impl RangeSet {
     }
 }
 
-fn get(regs: &[Av; 32], r: Reg) -> Option<Av> {
-    let n = r.num() as usize;
-    if n == 0 {
-        return Some(Av::Const(0));
+fn av(regs: &[Av; 32], r: Reg) -> Av {
+    match r.num() {
+        0 => Av::Const(0),
+        n => regs[usize::from(n)],
     }
-    match regs[n] {
+}
+
+/// A register's abstract value; `None` (rejecting the region) for a
+/// region-entry value.
+fn get(regs: &[Av; 32], r: Reg) -> Option<Av> {
+    match av(regs, r) {
         Av::Entry => None,
         v => Some(v),
     }
+}
+
+/// Whether every register in `mask` holds a constant (`x0` does);
+/// `None` if one holds its region-entry value.
+fn all_const(regs: &[Av; 32], mask: u32) -> Option<bool> {
+    let mut all = true;
+    for n in used(mask) {
+        match regs[n] {
+            Av::Entry => return None,
+            Av::Const(_) => {}
+            _ => all = false,
+        }
+    }
+    Some(all)
+}
+
+/// The register numbers in `mask`, `x0` excepted.
+fn used(mask: u32) -> impl Iterator<Item = usize> {
+    let mut m = mask & !1;
+    std::iter::from_fn(move || {
+        (m != 0).then(|| {
+            let n = m.trailing_zeros() as usize;
+            m &= m - 1;
+            n
+        })
+    })
 }
 
 fn set(regs: &mut [Av; 32], r: Reg, v: Av) {
@@ -518,114 +538,55 @@ fn in_i16(v: Av) -> bool {
     }
 }
 
-/// Exact constant image of [`UopKind::OpImm`] data semantics.
-fn exec_opimm(op: AluImmOp, a: u32, imm: i32) -> u32 {
-    match op {
-        AluImmOp::Addi => a.wrapping_add(imm as u32),
-        AluImmOp::Slti => ((a as i32) < imm) as u32,
-        AluImmOp::Sltiu => (a < imm as u32) as u32,
-        AluImmOp::Xori => a ^ imm as u32,
-        AluImmOp::Ori => a | imm as u32,
-        AluImmOp::Andi => a & imm as u32,
-        AluImmOp::Slli => a << (imm & 0x1F),
-        AluImmOp::Srli => a >> (imm & 0x1F),
-        AluImmOp::Srai => ((a as i32) >> (imm & 0x1F)) as u32,
-    }
-}
-
-/// Exact constant image of [`UopKind::Op`] data semantics.
-fn exec_op(op: AluOp, a: u32, b: u32) -> u32 {
-    match op {
-        AluOp::Add => a.wrapping_add(b),
-        AluOp::Sub => a.wrapping_sub(b),
-        AluOp::Sll => a << (b & 0x1F),
-        AluOp::Slt => ((a as i32) < (b as i32)) as u32,
-        AluOp::Sltu => (a < b) as u32,
-        AluOp::Xor => a ^ b,
-        AluOp::Srl => a >> (b & 0x1F),
-        AluOp::Sra => ((a as i32) >> (b & 0x1F)) as u32,
-        AluOp::Or => a | b,
-        AluOp::And => a & b,
-    }
-}
-
-/// Exact constant image of [`UopKind::MulDiv`] data semantics.
-fn exec_muldiv(op: MulDivOp, a: u32, b: u32) -> u32 {
-    match op {
-        MulDivOp::Mul => a.wrapping_mul(b),
-        MulDivOp::Mulh => ((a as i32 as i64 * b as i32 as i64) >> 32) as u32,
-        MulDivOp::Mulhsu => ((a as i32 as i64 * b as u64 as i64) >> 32) as u32,
-        MulDivOp::Mulhu => ((a as u64 * b as u64) >> 32) as u32,
-        MulDivOp::Div => match (a as i32, b as i32) {
-            (_, 0) => u32::MAX,
-            (i32::MIN, -1) => i32::MIN as u32,
-            (x, y) => x.wrapping_div(y) as u32,
-        },
-        MulDivOp::Divu => a.checked_div(b).unwrap_or(u32::MAX),
-        MulDivOp::Rem => match (a as i32, b as i32) {
-            (x, 0) => x as u32,
-            (i32::MIN, -1) => 0,
-            (x, y) => x.wrapping_rem(y) as u32,
-        },
-        MulDivOp::Remu => {
-            if b == 0 {
-                a
-            } else {
-                a % b
-            }
-        }
-    }
-}
-
-/// Exact constant image of [`UopKind::Unary`] data semantics.
-fn exec_unary(op: UnaryOp, a: u32) -> u32 {
-    match op {
-        UnaryOp::ExtHs => a as u16 as i16 as i32 as u32,
-        UnaryOp::ExtHz => a & 0xFFFF,
-        UnaryOp::ExtBs => a as u8 as i8 as i32 as u32,
-        UnaryOp::ExtBz => a & 0xFF,
-        UnaryOp::Abs => (a as i32).wrapping_abs() as u32,
-        UnaryOp::Ff1 => {
-            if a == 0 {
-                32
-            } else {
-                a.trailing_zeros()
-            }
-        }
-        UnaryOp::Fl1 => {
-            if a == 0 {
-                32
-            } else {
-                31 - a.leading_zeros()
-            }
-        }
-        UnaryOp::Cnt => a.count_ones(),
-        UnaryOp::Clb => {
-            if a == 0 {
-                0
-            } else if (a as i32) < 0 {
-                (!a).leading_zeros() - 1
-            } else {
-                a.leading_zeros() - 1
-            }
-        }
-        UnaryOp::Tanh => {
-            let x = rnnasip_fixed::Q3p12::from_raw(a as u16 as i16);
-            rnnasip_fixed::hw_tanh(x).raw() as i32 as u32
-        }
-        UnaryOp::Sig => {
-            let x = rnnasip_fixed::Q3p12::from_raw(a as u16 as i16);
-            rnnasip_fixed::hw_sig(x).raw() as i32 as u32
-        }
-    }
-}
-
 /// Whether a unary op's result is always a sign-extended 16-bit value.
 fn unary_hw(op: UnaryOp) -> bool {
     matches!(
         op,
         UnaryOp::Tanh | UnaryOp::Sig | UnaryOp::ExtHs | UnaryOp::ExtBs | UnaryOp::ExtBz
     )
+}
+
+/// The abstract result of a pure op that reads a non-constant register:
+/// a moved cell pointer for `addi`/`add`/`sub` on one, otherwise fresh
+/// data — recorded as a dataflow [`Node`] where the cell-update matchers
+/// need one, and marked `hw` where the op provably yields a
+/// sign-extended halfword.
+fn symbolic(kind: UopKind, regs: &[Av; 32], vals: &mut Values) -> Av {
+    let a = |r| av(regs, r);
+    match kind {
+        UopKind::OpImm { op, rs1, imm, .. } => match (op, a(rs1)) {
+            (AluImmOp::Addi, Av::CellVal { cell, off }) => Av::CellVal {
+                cell,
+                off: off.wrapping_add(imm as u32),
+            },
+            (_, x) => vals.fresh(false, Some(Node::Imm(op, x, imm))),
+        },
+        UopKind::Op { op, rs1, rs2, .. } => match (op, a(rs1), a(rs2)) {
+            (AluOp::Add, Av::CellVal { cell, off }, Av::Const(c))
+            | (AluOp::Add, Av::Const(c), Av::CellVal { cell, off }) => Av::CellVal {
+                cell,
+                off: off.wrapping_add(c),
+            },
+            (AluOp::Sub, Av::CellVal { cell, off }, Av::Const(c)) => Av::CellVal {
+                cell,
+                off: off.wrapping_sub(c),
+            },
+            (_, x, y) => vals.fresh(false, Some(Node::Alu(op, x, y))),
+        },
+        UopKind::MulDiv { op, rs1, rs2, .. } => {
+            vals.fresh(false, Some(Node::MulDiv(op, a(rs1), a(rs2))))
+        }
+        UopKind::Clip { rs1, lo, hi, .. } => vals.fresh(
+            lo >= -32768 && hi <= 32767,
+            Some(Node::Clip(a(rs1), lo, hi)),
+        ),
+        UopKind::ClipU { rs1, hi, .. } => vals.fresh(hi <= 32767, Some(Node::Clip(a(rs1), 0, hi))),
+        UopKind::Unary { op, rs1, .. } => vals.fresh(unary_hw(op), Some(Node::Unary(op, a(rs1)))),
+        UopKind::PMin { rs1, rs2, .. } | UopKind::PMax { rs1, rs2, .. } => {
+            vals.fresh(in_i16(a(rs1)) && in_i16(a(rs2)), None)
+        }
+        _ => vals.fresh(false, None),
+    }
 }
 
 fn bump_row(rows: &mut Vec<(MnemonicId, u64, u64, u64)>, id: MnemonicId, cycles: u64, macs: u64) {
@@ -895,17 +856,16 @@ impl Candidate {
         }
     }
 
-    /// Form of a result the walk folds from `inputs`: a constant fold
-    /// inspects every input, anything else is fresh data.
-    fn fold(&mut self, inputs: &[(Av, Form)]) -> Form {
-        if inputs.iter().all(|(v, _)| matches!(v, Av::Const(_))) {
-            for &(_, f) in inputs {
-                self.fix(f);
-            }
-            Form::Zero
-        } else {
-            Form::Fresh
+    /// Form of a pure op's result: a constant fold inspects every
+    /// register the op reads (`mask`), anything else is fresh data.
+    fn fold(&mut self, mask: u32, regs: &[Av; 32]) -> Form {
+        if all_const(regs, mask) != Some(true) {
+            return Form::Fresh;
         }
+        for n in used(mask) {
+            self.fix(self.regs[n]);
+        }
+        Form::Zero
     }
 
     fn load(&mut self, op: LoadOp, rd: Reg, addr: AAddr, f: Form) {
@@ -923,13 +883,8 @@ impl Candidate {
     /// Mirrors one op of the walk (called before the op executes, on the
     /// pre-op registers). `false` ends the watch.
     fn track(&mut self, u: &Uop, regs: &[Av; 32]) -> bool {
-        let val = |r: Reg| match r.num() {
-            0 => Av::Const(0),
-            n => regs[n as usize],
-        };
-        let inp = |c: &Self, r: Reg| (val(r), c.form(r));
+        let val = |r: Reg| av(regs, r);
         match u.kind {
-            UopKind::SetReg { rd, .. } => self.set(rd, Form::Zero),
             UopKind::Load {
                 op,
                 rd,
@@ -965,64 +920,43 @@ impl Candidate {
                 let f = self.add(self.form(rs1), self.form(rs2));
                 self.load(op, rd, addr, f);
             }
-            UopKind::OpImm { op, rd, rs1, .. } => {
-                let f = match (op, val(rs1)) {
-                    (AluImmOp::Addi, Av::Const(_) | Av::CellVal { .. }) => self.ptr(self.form(rs1)),
-                    _ => self.fold(&[inp(self, rs1)]),
-                };
+            // Pointer arithmetic moves with the pointer.
+            UopKind::OpImm {
+                op: AluImmOp::Addi,
+                rd,
+                rs1,
+                ..
+            } if matches!(val(rs1), Av::Const(_) | Av::CellVal { .. }) => {
+                let f = self.ptr(self.form(rs1));
                 self.set(rd, f);
             }
-            UopKind::Op { op, rd, rs1, rs2 } => {
-                let (a, b) = (inp(self, rs1), inp(self, rs2));
-                let f = match (op, a.0, b.0) {
-                    (AluOp::Add, Av::Const(_), Av::Const(_))
-                    | (AluOp::Add, Av::CellVal { .. }, Av::Const(_))
-                    | (AluOp::Add, Av::Const(_), Av::CellVal { .. }) => self.add(a.1, b.1),
-                    (AluOp::Sub, Av::Const(_), Av::Const(_))
-                    | (AluOp::Sub, Av::CellVal { .. }, Av::Const(_)) => {
-                        self.fix(b.1);
-                        self.ptr(a.1)
-                    }
-                    _ => self.fold(&[a, b]),
-                };
+            UopKind::Op {
+                op: AluOp::Add,
+                rd,
+                rs1,
+                rs2,
+            } if matches!(
+                (val(rs1), val(rs2)),
+                (Av::Const(_), Av::Const(_))
+                    | (Av::CellVal { .. }, Av::Const(_))
+                    | (Av::Const(_), Av::CellVal { .. })
+            ) =>
+            {
+                let f = self.add(self.form(rs1), self.form(rs2));
                 self.set(rd, f);
             }
-            UopKind::MulDiv { rd, rs1, rs2, .. }
-            | UopKind::Ror { rd, rs1, rs2 }
-            | UopKind::PvAluVv { rd, rs1, rs2, .. }
-            | UopKind::PvAluSc { rd, rs1, rs2, .. } => {
-                let f = self.fold(&[inp(self, rs1), inp(self, rs2)]);
-                self.set(rd, f);
-            }
-            UopKind::PMin { rd, rs1, rs2 } | UopKind::PMax { rd, rs1, rs2 } => {
-                // The 16-bit range test reads constant operands too.
-                for (v, f) in [inp(self, rs1), inp(self, rs2)] {
-                    if matches!(v, Av::Const(_)) {
-                        self.fix(f);
-                    }
-                }
-                let f = self.fold(&[inp(self, rs1), inp(self, rs2)]);
-                self.set(rd, f);
-            }
-            UopKind::Mac { rd, rs1, rs2 } | UopKind::Msu { rd, rs1, rs2 } => {
-                let f = self.fold(&[inp(self, rd), inp(self, rs1), inp(self, rs2)]);
-                self.set(rd, f);
-            }
-            UopKind::Clip { rd, rs1, .. }
-            | UopKind::ClipU { rd, rs1, .. }
-            | UopKind::Unary { rd, rs1, .. }
-            | UopKind::PvAluImm { rd, rs1, .. } => {
-                let f = self.fold(&[inp(self, rs1)]);
-                self.set(rd, f);
-            }
-            UopKind::PvDot {
-                op, rd, rs1, rs2, ..
-            } => {
-                let f = if op.accumulates() {
-                    self.fold(&[inp(self, rs1), inp(self, rs2), inp(self, rd)])
-                } else {
-                    self.fold(&[inp(self, rs1), inp(self, rs2)])
-                };
+            UopKind::Op {
+                op: AluOp::Sub,
+                rd,
+                rs1,
+                rs2,
+            } if matches!(
+                (val(rs1), val(rs2)),
+                (Av::Const(_) | Av::CellVal { .. }, Av::Const(_))
+            ) =>
+            {
+                self.fix(self.form(rs2));
+                let f = self.ptr(self.form(rs1));
                 self.set(rd, f);
             }
             UopKind::PlSdotsp { rd, rs1, .. } => {
@@ -1066,6 +1000,22 @@ impl Candidate {
             | UopKind::LpSetAddr { .. }
             | UopKind::LpCount { .. }
             | UopKind::LpCounti { .. } => return false,
+            // Every other op is a pure register write.
+            kind => {
+                let Some(rd) = kind.dest() else {
+                    return false;
+                };
+                if let UopKind::PMin { .. } | UopKind::PMax { .. } = kind {
+                    // The 16-bit range test reads constant operands too.
+                    for n in used(u.uses_mask) {
+                        if let Av::Const(_) = regs[n] {
+                            self.fix(self.regs[n]);
+                        }
+                    }
+                }
+                let f = self.fold(u.uses_mask, regs);
+                self.set(rd, f);
+            }
         }
         true
     }
@@ -1385,7 +1335,6 @@ fn walk(
         let mut extra = 0u64;
         let mut jump: Option<(u32, usize)> = None;
         match u.kind {
-            UopKind::SetReg { rd, val } => set(&mut st.regs, rd, Av::Const(val)),
             UopKind::Branch {
                 op,
                 rs1,
@@ -1396,15 +1345,7 @@ fn walk(
                 else {
                     return None;
                 };
-                let taken = match op {
-                    BranchOp::Beq => a == b,
-                    BranchOp::Bne => a != b,
-                    BranchOp::Blt => (a as i32) < (b as i32),
-                    BranchOp::Bge => (a as i32) >= (b as i32),
-                    BranchOp::Bltu => a < b,
-                    BranchOp::Bgeu => a >= b,
-                };
-                if taken {
+                if branch_taken(op, a, b) {
                     if target.idx == NO_IDX {
                         return None;
                     }
@@ -1494,186 +1435,7 @@ fn walk(
                 plan.store(op, addr, get(&st.regs, rs2)?, &vals, &mut st, &mut out_map)?;
                 set(&mut st.regs, rs1, bump(base, offset)?);
             }
-            UopKind::OpImm { op, rd, rs1, imm } => {
-                let a = get(&st.regs, rs1)?;
-                let v = match (op, a) {
-                    (AluImmOp::Addi, Av::CellVal { cell, off }) => Av::CellVal {
-                        cell,
-                        off: off.wrapping_add(imm as u32),
-                    },
-                    (_, Av::Const(c)) => Av::Const(exec_opimm(op, c, imm)),
-                    _ => vals.fresh(false, Some(Node::Imm(op, a, imm))),
-                };
-                set(&mut st.regs, rd, v);
-            }
-            UopKind::Op { op, rd, rs1, rs2 } => {
-                let a = get(&st.regs, rs1)?;
-                let b = get(&st.regs, rs2)?;
-                let v = match (op, a, b) {
-                    (_, Av::Const(x), Av::Const(y)) => Av::Const(exec_op(op, x, y)),
-                    (AluOp::Add, Av::CellVal { cell, off }, Av::Const(c))
-                    | (AluOp::Add, Av::Const(c), Av::CellVal { cell, off }) => Av::CellVal {
-                        cell,
-                        off: off.wrapping_add(c),
-                    },
-                    (AluOp::Sub, Av::CellVal { cell, off }, Av::Const(c)) => Av::CellVal {
-                        cell,
-                        off: off.wrapping_sub(c),
-                    },
-                    _ => vals.fresh(false, Some(Node::Alu(op, a, b))),
-                };
-                set(&mut st.regs, rd, v);
-            }
-            UopKind::MulDiv { op, rd, rs1, rs2 } => {
-                let v = match (get(&st.regs, rs1)?, get(&st.regs, rs2)?) {
-                    (Av::Const(a), Av::Const(b)) => Av::Const(exec_muldiv(op, a, b)),
-                    (a, b) => vals.fresh(false, Some(Node::MulDiv(op, a, b))),
-                };
-                set(&mut st.regs, rd, v);
-            }
             UopKind::Nop => {}
-            UopKind::Mac { rd, rs1, rs2 } => {
-                let v = match (get(&st.regs, rd)?, get(&st.regs, rs1)?, get(&st.regs, rs2)?) {
-                    (Av::Const(d), Av::Const(a), Av::Const(b)) => {
-                        Av::Const(d.wrapping_add((a as i32).wrapping_mul(b as i32) as u32))
-                    }
-                    _ => vals.fresh(false, None),
-                };
-                set(&mut st.regs, rd, v);
-            }
-            UopKind::Msu { rd, rs1, rs2 } => {
-                let v = match (get(&st.regs, rd)?, get(&st.regs, rs1)?, get(&st.regs, rs2)?) {
-                    (Av::Const(d), Av::Const(a), Av::Const(b)) => {
-                        Av::Const(d.wrapping_sub((a as i32).wrapping_mul(b as i32) as u32))
-                    }
-                    _ => vals.fresh(false, None),
-                };
-                set(&mut st.regs, rd, v);
-            }
-            UopKind::Clip { rd, rs1, lo, hi } => {
-                let v = match get(&st.regs, rs1)? {
-                    Av::Const(c) => Av::Const((c as i32).clamp(lo, hi) as u32),
-                    a => vals.fresh(lo >= -32768 && hi <= 32767, Some(Node::Clip(a, lo, hi))),
-                };
-                set(&mut st.regs, rd, v);
-            }
-            UopKind::ClipU { rd, rs1, hi } => {
-                let v = match get(&st.regs, rs1)? {
-                    Av::Const(c) => Av::Const((c as i32).clamp(0, hi) as u32),
-                    a => vals.fresh(hi <= 32767, Some(Node::Clip(a, 0, hi))),
-                };
-                set(&mut st.regs, rd, v);
-            }
-            UopKind::Unary { op, rd, rs1 } => {
-                let v = match get(&st.regs, rs1)? {
-                    Av::Const(c) => Av::Const(exec_unary(op, c)),
-                    a => vals.fresh(unary_hw(op), Some(Node::Unary(op, a))),
-                };
-                set(&mut st.regs, rd, v);
-            }
-            UopKind::PMin { rd, rs1, rs2 } => {
-                let a = get(&st.regs, rs1)?;
-                let b = get(&st.regs, rs2)?;
-                let v = match (a, b) {
-                    (Av::Const(x), Av::Const(y)) => Av::Const((x as i32).min(y as i32) as u32),
-                    _ => vals.fresh(in_i16(a) && in_i16(b), None),
-                };
-                set(&mut st.regs, rd, v);
-            }
-            UopKind::PMax { rd, rs1, rs2 } => {
-                let a = get(&st.regs, rs1)?;
-                let b = get(&st.regs, rs2)?;
-                let v = match (a, b) {
-                    (Av::Const(x), Av::Const(y)) => Av::Const((x as i32).max(y as i32) as u32),
-                    _ => vals.fresh(in_i16(a) && in_i16(b), None),
-                };
-                set(&mut st.regs, rd, v);
-            }
-            UopKind::Ror { rd, rs1, rs2 } => {
-                let v = match (get(&st.regs, rs1)?, get(&st.regs, rs2)?) {
-                    (Av::Const(a), Av::Const(b)) => Av::Const(a.rotate_right(b & 31)),
-                    _ => vals.fresh(false, None),
-                };
-                set(&mut st.regs, rd, v);
-            }
-            UopKind::PvAluVv {
-                op,
-                size,
-                rd,
-                rs1,
-                rs2,
-            } => {
-                let v = match (get(&st.regs, rs1)?, get(&st.regs, rs2)?) {
-                    (Av::Const(a), Av::Const(b)) => {
-                        Av::Const(crate::machine::exec_pv_alu(op, size, a, b))
-                    }
-                    _ => vals.fresh(false, None),
-                };
-                set(&mut st.regs, rd, v);
-            }
-            UopKind::PvAluSc {
-                op,
-                size,
-                rd,
-                rs1,
-                rs2,
-            } => {
-                let v = match (get(&st.regs, rs1)?, get(&st.regs, rs2)?) {
-                    (Av::Const(a), Av::Const(b)) => {
-                        let b = match size {
-                            SimdSize::Half => {
-                                let h = b & 0xFFFF;
-                                h | (h << 16)
-                            }
-                            SimdSize::Byte => {
-                                let x = b & 0xFF;
-                                x | (x << 8) | (x << 16) | (x << 24)
-                            }
-                        };
-                        Av::Const(crate::machine::exec_pv_alu(op, size, a, b))
-                    }
-                    _ => vals.fresh(false, None),
-                };
-                set(&mut st.regs, rd, v);
-            }
-            UopKind::PvAluImm {
-                op,
-                size,
-                rd,
-                rs1,
-                b,
-            } => {
-                let v = match get(&st.regs, rs1)? {
-                    Av::Const(a) => Av::Const(crate::machine::exec_pv_alu(op, size, a, b)),
-                    _ => vals.fresh(false, None),
-                };
-                set(&mut st.regs, rd, v);
-            }
-            UopKind::PvDot {
-                op,
-                size,
-                rd,
-                rs1,
-                rs2,
-            } => {
-                let a = get(&st.regs, rs1)?;
-                let b = get(&st.regs, rs2)?;
-                let d0 = if op.accumulates() {
-                    Some(get(&st.regs, rd)?)
-                } else {
-                    None
-                };
-                let v = match (a, b, d0) {
-                    (Av::Const(x), Av::Const(y), Some(Av::Const(d))) => {
-                        Av::Const(d.wrapping_add(crate::machine::exec_dot(op, size, x, y)))
-                    }
-                    (Av::Const(x), Av::Const(y), None) => {
-                        Av::Const(crate::machine::exec_dot(op, size, x, y))
-                    }
-                    _ => vals.fresh(false, None),
-                };
-                set(&mut st.regs, rd, v);
-            }
             UopKind::PlSdotsp {
                 spr: s,
                 rd,
@@ -1736,6 +1498,23 @@ fn walk(
             | UopKind::LpSetAddr { .. }
             | UopKind::LpCount { .. }
             | UopKind::LpCounti { .. } => return None,
+            // Every other op is a pure register write: folded through the
+            // interpreter's own semantics when every register it reads is
+            // constant, symbolic otherwise.
+            kind => {
+                let folds = all_const(&st.regs, u.uses_mask)?;
+                let konst = |r: Reg| match av(&st.regs, r) {
+                    Av::Const(c) => c,
+                    _ => 0,
+                };
+                let rd = kind.dest()?;
+                let v = if folds {
+                    Av::Const(kind.value(konst)?)
+                } else {
+                    symbolic(kind, &st.regs, &mut vals)
+                };
+                set(&mut st.regs, rd, v);
+            }
         }
 
         let op_cycles = u64::from(u.base_cycles) + extra;

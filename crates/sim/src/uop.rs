@@ -11,6 +11,9 @@
 //! `Instr` enum per step. The micro-op is the simulator's one executable
 //! form: `Machine::run_stepping` (the reference and trace path) retires
 //! the same ops one at a time with every bulk runner off.
+//! Each pure op's value semantics is defined once, here:
+//! [`UopKind::dest`], [`UopKind::value`] and the per-family functions it
+//! calls, which the interpreter and the shortcut verifier both use.
 //!
 //! On top of the linear lowering, straight-line loops (no control flow,
 //! no CSR access, no loop configuration inside) get a [`LoopBody`]
@@ -25,7 +28,8 @@
 //! See `DESIGN.md` § "Micro-op pipeline" for the exact lowering rules and
 //! fallback conditions.
 
-use crate::error::ExitReason;
+use crate::error::{ExitReason, SimError};
+use crate::mem::Memory;
 use crate::program::Program;
 use rnnasip_isa::{
     AluImmOp, AluOp, BranchOp, Csr, DotOp, Instr, LoadOp, MnemonicId, MulDivOp, PvAluOp, Reg,
@@ -793,6 +797,342 @@ pub(crate) fn splat(size: SimdSize, x: u32) -> u32 {
         SimdSize::Half => (x & 0xFFFF) * 0x0001_0001,
         SimdSize::Byte => (x & 0xFF) * 0x0101_0101,
     }
+}
+
+impl UopKind {
+    /// The register a pure register-to-register op writes, or `None` for
+    /// an op with memory, control-flow, CSR, SPR or hardware-loop
+    /// effects.
+    #[inline(always)]
+    pub(crate) fn dest(&self) -> Option<Reg> {
+        match *self {
+            UopKind::SetReg { rd, .. }
+            | UopKind::OpImm { rd, .. }
+            | UopKind::Op { rd, .. }
+            | UopKind::MulDiv { rd, .. }
+            | UopKind::Mac { rd, .. }
+            | UopKind::Msu { rd, .. }
+            | UopKind::Clip { rd, .. }
+            | UopKind::ClipU { rd, .. }
+            | UopKind::Unary { rd, .. }
+            | UopKind::PMin { rd, .. }
+            | UopKind::PMax { rd, .. }
+            | UopKind::Ror { rd, .. }
+            | UopKind::PvAluVv { rd, .. }
+            | UopKind::PvAluSc { rd, .. }
+            | UopKind::PvAluImm { rd, .. }
+            | UopKind::PvDot { rd, .. } => Some(rd),
+            UopKind::Jal { .. }
+            | UopKind::Jalr { .. }
+            | UopKind::Branch { .. }
+            | UopKind::Load { .. }
+            | UopKind::LoadPostInc { .. }
+            | UopKind::LoadReg { .. }
+            | UopKind::Store { .. }
+            | UopKind::StorePostInc { .. }
+            | UopKind::Nop
+            | UopKind::Halt(_)
+            | UopKind::CsrRead { .. }
+            | UopKind::LpSetAddr { .. }
+            | UopKind::LpCount { .. }
+            | UopKind::LpCounti { .. }
+            | UopKind::LpSetup { .. }
+            | UopKind::LpSetupi { .. }
+            | UopKind::PlSdotsp { .. } => None,
+        }
+    }
+
+    /// The value a pure op writes to its [`dest`](Self::dest), given a
+    /// reader of its source registers; `None` for every other op.
+    ///
+    /// This and the per-family functions below are the simulator's one
+    /// definition of what these ops compute: `Machine::exec_uop` retires
+    /// them through it, and the shortcut verifier folds an op whose
+    /// `uses_mask` registers are all constant through it. It and the
+    /// scalar family functions are `#[inline(always)]`: they sit in the
+    /// interpreter's hottest match, where an out-of-line call per op
+    /// cost about a tenth of level a's bulk-tier MIPS.
+    #[inline(always)]
+    pub(crate) fn value(&self, mut reg: impl FnMut(Reg) -> u32) -> Option<u32> {
+        Some(match *self {
+            UopKind::SetReg { val, .. } => val,
+            UopKind::OpImm { op, rs1, imm, .. } => alu_imm(op, reg(rs1), imm),
+            UopKind::Op { op, rs1, rs2, .. } => alu(op, reg(rs1), reg(rs2)),
+            // The mulh/div extra latency is folded into the op's static
+            // `base_cycles`.
+            UopKind::MulDiv { op, rs1, rs2, .. } => mul_div(op, reg(rs1), reg(rs2)),
+            UopKind::Mac { rd, rs1, rs2 } => reg(rd).wrapping_add(reg(rs1).wrapping_mul(reg(rs2))),
+            UopKind::Msu { rd, rs1, rs2 } => reg(rd).wrapping_sub(reg(rs1).wrapping_mul(reg(rs2))),
+            UopKind::Clip { rs1, lo, hi, .. } => clip(reg(rs1), lo, hi),
+            UopKind::ClipU { rs1, hi, .. } => clip(reg(rs1), 0, hi),
+            UopKind::Unary { op, rs1, .. } => unary(op, reg(rs1)),
+            UopKind::PMin { rs1, rs2, .. } => (reg(rs1) as i32).min(reg(rs2) as i32) as u32,
+            UopKind::PMax { rs1, rs2, .. } => (reg(rs1) as i32).max(reg(rs2) as i32) as u32,
+            UopKind::Ror { rs1, rs2, .. } => reg(rs1).rotate_right(reg(rs2) & 31),
+            UopKind::PvAluVv {
+                op, size, rs1, rs2, ..
+            } => pv_alu(op, size, reg(rs1), reg(rs2)),
+            UopKind::PvAluSc {
+                op, size, rs1, rs2, ..
+            } => pv_alu(op, size, reg(rs1), splat(size, reg(rs2))),
+            UopKind::PvAluImm {
+                op, size, rs1, b, ..
+            } => pv_alu(op, size, reg(rs1), b),
+            UopKind::PvDot {
+                op,
+                size,
+                rd,
+                rs1,
+                rs2,
+            } => {
+                let d = dot(op, size, reg(rs1), reg(rs2));
+                if op.accumulates() {
+                    reg(rd).wrapping_add(d)
+                } else {
+                    d
+                }
+            }
+            // Every other kind has no `dest`.
+            _ => return None,
+        })
+    }
+}
+
+/// `OpImm` semantics (`addi` … `srai`).
+#[inline(always)]
+pub(crate) fn alu_imm(op: AluImmOp, a: u32, imm: i32) -> u32 {
+    match op {
+        AluImmOp::Addi => a.wrapping_add(imm as u32),
+        AluImmOp::Slti => ((a as i32) < imm) as u32,
+        AluImmOp::Sltiu => (a < imm as u32) as u32,
+        AluImmOp::Xori => a ^ imm as u32,
+        AluImmOp::Ori => a | imm as u32,
+        AluImmOp::Andi => a & imm as u32,
+        AluImmOp::Slli => a << (imm & 0x1F),
+        AluImmOp::Srli => a >> (imm & 0x1F),
+        AluImmOp::Srai => ((a as i32) >> (imm & 0x1F)) as u32,
+    }
+}
+
+/// `Op` semantics (`add` … `and`).
+#[inline(always)]
+pub(crate) fn alu(op: AluOp, a: u32, b: u32) -> u32 {
+    match op {
+        AluOp::Add => a.wrapping_add(b),
+        AluOp::Sub => a.wrapping_sub(b),
+        AluOp::Sll => a << (b & 0x1F),
+        AluOp::Slt => ((a as i32) < (b as i32)) as u32,
+        AluOp::Sltu => (a < b) as u32,
+        AluOp::Xor => a ^ b,
+        AluOp::Srl => a >> (b & 0x1F),
+        AluOp::Sra => ((a as i32) >> (b & 0x1F)) as u32,
+        AluOp::Or => a | b,
+        AluOp::And => a & b,
+    }
+}
+
+/// M-extension semantics, with the RISC-V results for division by zero
+/// and signed overflow.
+#[inline(always)]
+pub(crate) fn mul_div(op: MulDivOp, a: u32, b: u32) -> u32 {
+    match op {
+        MulDivOp::Mul => a.wrapping_mul(b),
+        MulDivOp::Mulh => ((a as i32 as i64 * b as i32 as i64) >> 32) as u32,
+        MulDivOp::Mulhsu => ((a as i32 as i64 * b as u64 as i64) >> 32) as u32,
+        MulDivOp::Mulhu => ((a as u64 * b as u64) >> 32) as u32,
+        MulDivOp::Div => match (a as i32, b as i32) {
+            (_, 0) => u32::MAX,
+            (i32::MIN, -1) => i32::MIN as u32,
+            (x, y) => x.wrapping_div(y) as u32,
+        },
+        MulDivOp::Divu => a.checked_div(b).unwrap_or(u32::MAX),
+        MulDivOp::Rem => match (a as i32, b as i32) {
+            (x, 0) => x as u32,
+            (i32::MIN, -1) => 0,
+            (x, y) => x.wrapping_rem(y) as u32,
+        },
+        MulDivOp::Remu => {
+            if b == 0 {
+                a
+            } else {
+                a % b
+            }
+        }
+    }
+}
+
+/// `p.clip` / `p.clipu` semantics over materialized bounds.
+#[inline(always)]
+pub(crate) fn clip(a: u32, lo: i32, hi: i32) -> u32 {
+    (a as i32).clamp(lo, hi) as u32
+}
+
+/// [`UnaryOp`] semantics.
+#[inline(always)]
+pub(crate) fn unary(op: UnaryOp, a: u32) -> u32 {
+    match op {
+        UnaryOp::ExtHs => a as u16 as i16 as i32 as u32,
+        UnaryOp::ExtHz => a & 0xFFFF,
+        UnaryOp::ExtBs => a as u8 as i8 as i32 as u32,
+        UnaryOp::ExtBz => a & 0xFF,
+        UnaryOp::Abs => (a as i32).wrapping_abs() as u32,
+        UnaryOp::Ff1 => {
+            if a == 0 {
+                32
+            } else {
+                a.trailing_zeros()
+            }
+        }
+        UnaryOp::Fl1 => {
+            if a == 0 {
+                32
+            } else {
+                31 - a.leading_zeros()
+            }
+        }
+        UnaryOp::Cnt => a.count_ones(),
+        UnaryOp::Clb => {
+            // Count of leading bits equal to the sign bit, minus one;
+            // zero input yields 0 per RI5CY.
+            if a == 0 {
+                0
+            } else if (a as i32) < 0 {
+                (!a).leading_zeros() - 1
+            } else {
+                a.leading_zeros() - 1
+            }
+        }
+        UnaryOp::Tanh => {
+            let x = rnnasip_fixed::Q3p12::from_raw(a as u16 as i16);
+            rnnasip_fixed::hw_tanh(x).raw() as i32 as u32
+        }
+        UnaryOp::Sig => {
+            let x = rnnasip_fixed::Q3p12::from_raw(a as u16 as i16);
+            rnnasip_fixed::hw_sig(x).raw() as i32 as u32
+        }
+    }
+}
+
+/// Whether a conditional branch with operand values `a`, `b` is taken.
+#[inline(always)]
+pub(crate) fn branch_taken(op: BranchOp, a: u32, b: u32) -> bool {
+    match op {
+        BranchOp::Beq => a == b,
+        BranchOp::Bne => a != b,
+        BranchOp::Blt => (a as i32) < (b as i32),
+        BranchOp::Bge => (a as i32) >= (b as i32),
+        BranchOp::Bltu => a < b,
+        BranchOp::Bgeu => a >= b,
+    }
+}
+
+/// Load semantics: the access at `addr`, sign- or zero-extended to a
+/// register value.
+#[inline(always)]
+pub(crate) fn load_value(mem: &Memory, op: LoadOp, addr: u32) -> Result<u32, SimError> {
+    Ok(match op {
+        LoadOp::Lb => mem.read_u8(addr)? as i8 as i32 as u32,
+        LoadOp::Lbu => u32::from(mem.read_u8(addr)?),
+        LoadOp::Lh => mem.read_u16(addr)? as i16 as i32 as u32,
+        LoadOp::Lhu => u32::from(mem.read_u16(addr)?),
+        LoadOp::Lw => mem.read_u32(addr)?,
+    })
+}
+
+/// Lane-wise SIMD ALU semantics on packed registers.
+#[inline]
+pub(crate) fn pv_alu(op: PvAluOp, size: SimdSize, a: u32, b: u32) -> u32 {
+    match size {
+        SimdSize::Half => {
+            let la = [(a & 0xFFFF) as u16 as i16, (a >> 16) as u16 as i16];
+            let lb = [(b & 0xFFFF) as u16 as i16, (b >> 16) as u16 as i16];
+            let mut out = [0i16; 2];
+            for i in 0..2 {
+                out[i] = pv_lane_op_h(op, la[i], lb[i]);
+            }
+            (out[0] as u16 as u32) | ((out[1] as u16 as u32) << 16)
+        }
+        SimdSize::Byte => {
+            let la = a.to_le_bytes().map(|x| x as i8);
+            let lb = b.to_le_bytes().map(|x| x as i8);
+            let mut out = [0u8; 4];
+            for i in 0..4 {
+                out[i] = pv_lane_op_b(op, la[i], lb[i]) as u8;
+            }
+            u32::from_le_bytes(out)
+        }
+    }
+}
+
+fn pv_lane_op_h(op: PvAluOp, a: i16, b: i16) -> i16 {
+    match op {
+        PvAluOp::Add => a.wrapping_add(b),
+        PvAluOp::Sub => a.wrapping_sub(b),
+        PvAluOp::Avg => ((a as i32 + b as i32) >> 1) as i16,
+        PvAluOp::Min => a.min(b),
+        PvAluOp::Max => a.max(b),
+        PvAluOp::Srl => ((a as u16) >> (b as u16 & 0xF)) as i16,
+        PvAluOp::Sra => a >> (b as u16 & 0xF),
+        PvAluOp::Sll => ((a as u16) << (b as u16 & 0xF)) as i16,
+        PvAluOp::Or => a | b,
+        PvAluOp::Xor => a ^ b,
+        PvAluOp::And => a & b,
+        PvAluOp::Abs => a.wrapping_abs(),
+    }
+}
+
+fn pv_lane_op_b(op: PvAluOp, a: i8, b: i8) -> i8 {
+    match op {
+        PvAluOp::Add => a.wrapping_add(b),
+        PvAluOp::Sub => a.wrapping_sub(b),
+        PvAluOp::Avg => ((a as i32 + b as i32) >> 1) as i8,
+        PvAluOp::Min => a.min(b),
+        PvAluOp::Max => a.max(b),
+        PvAluOp::Srl => ((a as u8) >> (b as u8 & 0x7)) as i8,
+        PvAluOp::Sra => a >> (b as u8 & 0x7),
+        PvAluOp::Sll => ((a as u8) << (b as u8 & 0x7)) as i8,
+        PvAluOp::Or => a | b,
+        PvAluOp::Xor => a ^ b,
+        PvAluOp::And => a & b,
+        PvAluOp::Abs => a.wrapping_abs(),
+    }
+}
+
+/// Dot-product semantics: the *fresh* dot value, before any accumulation.
+#[inline]
+pub(crate) fn dot(op: DotOp, size: SimdSize, a: u32, b: u32) -> u32 {
+    let (sign_a, sign_b) = match op {
+        DotOp::DotUp | DotOp::SdotUp => (false, false),
+        DotOp::DotUsp | DotOp::SdotUsp => (false, true),
+        DotOp::DotSp | DotOp::SdotSp => (true, true),
+    };
+    let lane = |word: u32, idx: u32, signed: bool, half: bool| -> i64 {
+        if half {
+            let raw = ((word >> (16 * idx)) & 0xFFFF) as u16;
+            if signed {
+                raw as i16 as i64
+            } else {
+                raw as i64
+            }
+        } else {
+            let raw = ((word >> (8 * idx)) & 0xFF) as u8;
+            if signed {
+                raw as i8 as i64
+            } else {
+                raw as i64
+            }
+        }
+    };
+    let lanes = match size {
+        SimdSize::Half => 2,
+        SimdSize::Byte => 4,
+    };
+    let half = matches!(size, SimdSize::Half);
+    let mut sum: i64 = 0;
+    for i in 0..lanes {
+        sum += lane(a, i, sign_a, half) * lane(b, i, sign_b, half);
+    }
+    sum as u32
 }
 
 /// Lowers one placed instruction to a micro-op.

@@ -4,13 +4,17 @@
 //! Verification walks a declared kernel region op by op, but applies the
 //! iterations of a hardware loop in closed form once one iteration has
 //! shifted the walk's state by constants. Each kernel here runs on a
-//! machine with the region installed (`translate_with_shortcuts`) and on
-//! one without it (`translate`); outputs, registers, cycles, instret,
-//! every statistics row and memory must be identical. Debug builds also
-//! re-run the full walk after every summary and compare the two
-//! installed regions field by field.
+//! machine with the region installed (`translate_with_shortcuts`), on
+//! one without it (`translate`) and on the stepping reference
+//! (`run_stepping`); outputs, registers, cycles, instret, every
+//! statistics row and memory must be identical. Debug builds also re-run
+//! the full walk after every summary and compare the two installed
+//! regions field by field.
 
-use rnnasip_isa::{AluImmOp, BranchOp, DotOp, Instr, LoadOp, LoopIdx, Reg, SimdSize, StoreOp};
+use rnnasip_isa::{
+    AluImmOp, AluOp, BranchOp, DotOp, Instr, LoadOp, LoopIdx, MulDivOp, PvAluOp, Reg, SimdMode,
+    SimdSize, StoreOp,
+};
 use rnnasip_rng::StdRng;
 use rnnasip_sim::{
     ExitReason, KernelRegion, Machine, Matvec, Memory, Program, RegionMath, ShortcutAct,
@@ -304,8 +308,29 @@ fn machine(prog: &Program, uops: UopProgram) -> Machine {
     m
 }
 
-/// Runs the kernel with and without its shortcut region and asserts
-/// bit-identity. Returns the shortcut translation's verification walk.
+/// Asserts that two finished machines agree in every observable.
+fn assert_same(a: &Machine, b: &Machine) {
+    let (x, y) = (a.core(), b.core());
+    assert_eq!(x.pc, y.pc);
+    assert_eq!(x.cycle, y.cycle);
+    assert_eq!(x.instret, y.instret);
+    for r in Reg::all() {
+        assert_eq!(x.reg(r), y.reg(r), "register {r}");
+    }
+    assert_eq!(x.spr, y.spr);
+    for l in 0..2 {
+        assert_eq!(x.hwloop[l].count, y.hwloop[l].count);
+        assert_eq!(x.hwloop[l].start, y.hwloop[l].start);
+        assert_eq!(x.hwloop[l].end, y.hwloop[l].end);
+    }
+    assert_eq!(a.stats().to_csv(), b.stats().to_csv());
+    assert!(a.stats().iter().eq(b.stats().iter()), "stats rows");
+    assert!(a.mem().image() == b.mem().image(), "memory");
+}
+
+/// Runs the kernel with and without its shortcut region, and stepping,
+/// and asserts bit-identity. Returns the shortcut translation's
+/// verification walk.
 fn assert_identical(k: &Kernel, expect_installed: bool) -> u64 {
     let prog = k.program();
     let with = UopProgram::translate_with_shortcuts(&prog, &[k.region()]);
@@ -313,28 +338,16 @@ fn assert_identical(k: &Kernel, expect_installed: bool) -> u64 {
     assert_eq!(with.shortcut_regions(), usize::from(expect_installed));
     let mut sc = machine(&prog, with);
     let mut plain = machine(&prog, UopProgram::translate(&prog));
+    let mut step = machine(&prog, UopProgram::translate(&prog));
     assert_eq!(sc.run(1_000_000).unwrap(), ExitReason::Ecall);
     assert_eq!(plain.run(1_000_000).unwrap(), ExitReason::Ecall);
+    assert_eq!(step.run_stepping(1_000_000).unwrap(), ExitReason::Ecall);
     if expect_installed {
         assert!(sc.shortcut_instrs() > 0, "the shortcut must engage");
     }
     assert_eq!(plain.shortcut_instrs(), 0);
-    let (a, b) = (sc.core(), plain.core());
-    assert_eq!(a.pc, b.pc);
-    assert_eq!(a.cycle, b.cycle);
-    assert_eq!(a.instret, b.instret);
-    for r in Reg::all() {
-        assert_eq!(a.reg(r), b.reg(r), "register {r}");
-    }
-    assert_eq!(a.spr, b.spr);
-    for l in 0..2 {
-        assert_eq!(a.hwloop[l].count, b.hwloop[l].count);
-        assert_eq!(a.hwloop[l].start, b.hwloop[l].start);
-        assert_eq!(a.hwloop[l].end, b.hwloop[l].end);
-    }
-    assert_eq!(sc.stats().to_csv(), plain.stats().to_csv());
-    assert!(sc.stats().iter().eq(plain.stats().iter()), "stats rows");
-    assert!(sc.mem().image() == plain.mem().image(), "memory");
+    assert_same(&sc, &plain);
+    assert_same(&sc, &step);
     walked
 }
 
@@ -443,4 +456,347 @@ fn a_stride_breaking_alignment_rejects_like_the_full_walk() {
     };
     assert_eq!(installed(0x104), 1);
     assert_eq!(installed(0x102), 0);
+}
+
+/// One output over a hardware loop whose count, weight-pointer
+/// displacement and input pointer come out of a constant prologue that
+/// runs every pure op family on edge operands: division by zero,
+/// `i32::MIN / -1`, `p.clb 0`, `p.ff1 0`, shift and rotate amounts of 32
+/// or more, and `0x7FFF` / `0x8000` around the clip bounds. Every
+/// prologue result is also mixed into an exit-live checksum register.
+/// Verification folds all of it, so a fold that disagreed with the
+/// interpreter would change the loop count, a stream or a committed
+/// register.
+fn folding_kernel() -> Kernel {
+    const MIN: Reg = Reg::S2; // i32::MIN
+    const M1: Reg = Reg::S3; // -1
+    const H7: Reg = Reg::S4; // 0x7FFF
+    const H8: Reg = Reg::S5; // 0x8000
+    const SH: Reg = Reg::S6; // 35: shifts by 3 after masking
+    const R39: Reg = Reg::S7; // 39: rotates by 7 after masking
+    const PK: Reg = Reg::S8; // halves 0x8001 : 0x7FFF
+    const PB: Reg = Reg::S9; // bytes 0x80 0x7F 0x01 0xFF
+    const CK: Reg = Reg::S10; // checksum
+    const T: Reg = Reg::S11; // each value
+    let op = |op, rs1, rs2| Instr::Op {
+        op,
+        rd: T,
+        rs1,
+        rs2,
+    };
+    let opi = |op, rs1, imm| Instr::OpImm {
+        op,
+        rd: T,
+        rs1,
+        imm,
+    };
+    let md = |op, rs1, rs2| Instr::MulDiv {
+        op,
+        rd: T,
+        rs1,
+        rs2,
+    };
+    let pv = |op, size, mode, rs1, rs2| Instr::PvAlu {
+        op,
+        size,
+        mode,
+        rd: T,
+        rs1,
+        rs2,
+    };
+    let dot = |op, size, rs1, rs2| Instr::PvDot {
+        op,
+        size,
+        rd: T,
+        rs1,
+        rs2,
+    };
+    let (h, b) = (SimdSize::Half, SimdSize::Byte);
+    let values = [
+        // OpImm
+        opi(AluImmOp::Slti, MIN, 0),
+        opi(AluImmOp::Sltiu, M1, -1),
+        opi(AluImmOp::Xori, H7, -1),
+        opi(AluImmOp::Ori, MIN, 0x7FF),
+        opi(AluImmOp::Andi, M1, 0x555),
+        opi(AluImmOp::Slli, M1, 31),
+        opi(AluImmOp::Srli, MIN, 31),
+        opi(AluImmOp::Srai, MIN, 31),
+        // Op
+        op(AluOp::Add, MIN, M1),
+        op(AluOp::Sub, MIN, H7),
+        op(AluOp::Sll, M1, SH),
+        op(AluOp::Slt, MIN, H7),
+        op(AluOp::Sltu, MIN, H7),
+        op(AluOp::Xor, PK, PB),
+        op(AluOp::Srl, MIN, SH),
+        op(AluOp::Sra, MIN, R39),
+        op(AluOp::Or, H8, PB),
+        op(AluOp::And, PK, PB),
+        // MulDiv
+        md(MulDivOp::Mul, MIN, M1),
+        md(MulDivOp::Mulh, MIN, MIN),
+        md(MulDivOp::Mulhsu, M1, M1),
+        md(MulDivOp::Mulhu, M1, M1),
+        md(MulDivOp::Div, MIN, M1),
+        md(MulDivOp::Div, H7, Reg::ZERO),
+        md(MulDivOp::Divu, H7, Reg::ZERO),
+        md(MulDivOp::Divu, M1, H8),
+        md(MulDivOp::Rem, MIN, M1),
+        md(MulDivOp::Rem, MIN, Reg::ZERO),
+        md(MulDivOp::Remu, M1, Reg::ZERO),
+        md(MulDivOp::Remu, M1, H7),
+        // Mac / Msu accumulate into the previous value.
+        Instr::Mac {
+            rd: T,
+            rs1: MIN,
+            rs2: M1,
+        },
+        Instr::Msu {
+            rd: T,
+            rs1: H7,
+            rs2: H8,
+        },
+        // Clip / ClipU
+        Instr::Clip {
+            rd: T,
+            rs1: H8,
+            bits: 16,
+        },
+        Instr::Clip {
+            rd: T,
+            rs1: MIN,
+            bits: 16,
+        },
+        Instr::Clip {
+            rd: T,
+            rs1: H7,
+            bits: 16,
+        },
+        Instr::Clip {
+            rd: T,
+            rs1: MIN,
+            bits: 32,
+        },
+        Instr::Clip {
+            rd: T,
+            rs1: M1,
+            bits: 1,
+        },
+        Instr::ClipU {
+            rd: T,
+            rs1: H8,
+            bits: 16,
+        },
+        Instr::ClipU {
+            rd: T,
+            rs1: M1,
+            bits: 16,
+        },
+        // Unary
+        Instr::ExtHs { rd: T, rs1: PK },
+        Instr::ExtHz { rd: T, rs1: PK },
+        Instr::ExtBs { rd: T, rs1: PB },
+        Instr::ExtBz { rd: T, rs1: PB },
+        Instr::PAbs { rd: T, rs1: MIN },
+        Instr::Ff1 {
+            rd: T,
+            rs1: Reg::ZERO,
+        },
+        Instr::Ff1 { rd: T, rs1: H8 },
+        Instr::Fl1 {
+            rd: T,
+            rs1: Reg::ZERO,
+        },
+        Instr::Fl1 { rd: T, rs1: MIN },
+        Instr::Cnt { rd: T, rs1: PB },
+        Instr::Clb {
+            rd: T,
+            rs1: Reg::ZERO,
+        },
+        Instr::Clb { rd: T, rs1: MIN },
+        Instr::Clb { rd: T, rs1: M1 },
+        Instr::Clb { rd: T, rs1: H7 },
+        Instr::PlTanh { rd: T, rs1: H7 },
+        Instr::PlTanh { rd: T, rs1: H8 },
+        Instr::PlSig { rd: T, rs1: H7 },
+        Instr::PlSig { rd: T, rs1: MIN },
+        // PMin / PMax / Ror
+        Instr::PMin {
+            rd: T,
+            rs1: MIN,
+            rs2: H7,
+        },
+        Instr::PMax {
+            rd: T,
+            rs1: MIN,
+            rs2: M1,
+        },
+        Instr::Ror {
+            rd: T,
+            rs1: H7,
+            rs2: SH,
+        },
+        Instr::Ror {
+            rd: T,
+            rs1: MIN,
+            rs2: R39,
+        },
+        // pv.* in vector-vector, replicated-scalar and immediate modes
+        pv(PvAluOp::Add, h, SimdMode::Vv, PK, PK),
+        pv(PvAluOp::Sub, b, SimdMode::Vv, PB, H7),
+        pv(PvAluOp::Avg, h, SimdMode::Vv, PK, MIN),
+        pv(PvAluOp::Min, b, SimdMode::Vv, PB, M1),
+        pv(PvAluOp::Max, h, SimdMode::Vv, PK, H8),
+        pv(PvAluOp::Srl, h, SimdMode::Vv, PK, R39),
+        pv(PvAluOp::Sra, b, SimdMode::Vv, PB, PB),
+        pv(PvAluOp::Sll, b, SimdMode::Vv, PB, SH),
+        pv(PvAluOp::Abs, h, SimdMode::Vv, PK, Reg::ZERO),
+        pv(PvAluOp::Xor, b, SimdMode::Vv, PB, PK),
+        pv(PvAluOp::Add, h, SimdMode::Sc, PK, M1),
+        pv(PvAluOp::Sra, b, SimdMode::Sc, PB, SH),
+        pv(PvAluOp::Max, h, SimdMode::Sc, PK, H8),
+        pv(PvAluOp::Or, b, SimdMode::Sc, PB, H7),
+        pv(PvAluOp::Add, h, SimdMode::Sci(-1), PK, Reg::ZERO),
+        pv(PvAluOp::Srl, b, SimdMode::Sci(31), PB, Reg::ZERO),
+        pv(PvAluOp::And, h, SimdMode::Sci(-32), PK, Reg::ZERO),
+        // pv.dot*: fresh, then accumulating into the previous value
+        dot(DotOp::DotUp, h, PK, PK),
+        dot(DotOp::DotUsp, b, PB, PB),
+        dot(DotOp::DotSp, h, PK, PK),
+        dot(DotOp::DotSp, b, PB, MIN),
+        dot(DotOp::SdotUp, b, PB, PB),
+        dot(DotOp::SdotUsp, h, PK, PK),
+        dot(DotOp::SdotSp, b, PB, PB),
+        dot(DotOp::SdotSp, h, PK, H8),
+    ];
+
+    let mut body = vec![
+        Instr::Lui {
+            rd: MIN,
+            imm20: 0x80000,
+        },
+        li(M1, -1i32 as u32),
+        Instr::Lui { rd: H8, imm20: 0x8 },
+        addi(H7, H8, -1),
+        li(SH, 35),
+        li(R39, 39),
+        Instr::Lui {
+            rd: PK,
+            imm20: 0x80018,
+        },
+        addi(PK, PK, -1),
+        Instr::Lui {
+            rd: PB,
+            imm20: 0x807F0,
+        },
+        addi(PB, PB, 0x1FF),
+        li(CK, 0x5A),
+    ];
+    for v in values {
+        body.extend([
+            v,
+            Instr::Op {
+                op: AluOp::Xor,
+                rd: CK,
+                rs1: CK,
+                rs2: T,
+            },
+            Instr::Ror {
+                rd: CK,
+                rs1: CK,
+                rs2: R39,
+            },
+        ]);
+    }
+    // Loop count 4 = (p.ff1 0 >> 35) + p.clb 0.
+    body.extend([
+        Instr::Ff1 {
+            rd: TMP,
+            rs1: Reg::ZERO,
+        },
+        Instr::Op {
+            op: AluOp::Srl,
+            rd: TMP,
+            rs1: TMP,
+            rs2: SH,
+        },
+        Instr::Clb {
+            rd: GP,
+            rs1: Reg::ZERO,
+        },
+        Instr::Op {
+            op: AluOp::Add,
+            rd: CNT,
+            rs1: TMP,
+            rs2: GP,
+        },
+    ]);
+    // Weight pointer (W - 8) + mulhu(-1, 9) = W.
+    body.extend([
+        li(WP1, 9),
+        Instr::MulDiv {
+            op: MulDivOp::Mulhu,
+            rd: WP1,
+            rs1: M1,
+            rs2: WP1,
+        },
+        li(WP, W - 8),
+        Instr::Op {
+            op: AluOp::Add,
+            rd: WP,
+            rs1: WP,
+            rs2: WP1,
+        },
+    ]);
+    // Input pointer (X + 1) + (clip16(i32::MIN) + clip16(0x8000)) = X.
+    body.extend([
+        Instr::Clip {
+            rd: ACC1,
+            rs1: MIN,
+            bits: 16,
+        },
+        Instr::Clip {
+            rd: TMP,
+            rs1: H8,
+            bits: 16,
+        },
+        Instr::Op {
+            op: AluOp::Add,
+            rd: ACC1,
+            rs1: ACC1,
+            rs2: TMP,
+        },
+        li(XP, X + 1),
+        Instr::Op {
+            op: AluOp::Add,
+            rd: XP,
+            rs1: XP,
+            rs2: ACC1,
+        },
+    ]);
+    body.extend([
+        li(BP, BIAS),
+        li(OP, OUT),
+        lw_post(ACC, BP),
+        Instr::LpSetup {
+            l: LoopIdx::L0,
+            rs1: CNT,
+            uimm: 2 + 2 * 3,
+        },
+        lw_post(WV, WP),
+        lw_post(XV, XP),
+        sdot(ACC, WV, XV),
+    ]);
+    body.extend(requant_store(ACC));
+    Kernel {
+        body,
+        n_in: 8,
+        n_out: 1,
+    }
+}
+
+#[test]
+fn constant_prologue_folds_through_every_pure_op_family() {
+    assert_identical(&folding_kernel(), true);
 }
