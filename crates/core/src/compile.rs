@@ -1,13 +1,20 @@
 //! The compile phase of the compile-once / run-many split.
 //!
 //! [`KernelBackend::compile_network`] lowers a [`Network`] into a
-//! [`CompiledNetwork`]: the assembled [`Program`], the fully staged
-//! initial TCDM image (weights, biases, LUTs, gather tables — with the
-//! input window zero-filled), and typed descriptors saying where one
-//! inference's inputs go and where its outputs come out. The artifact is
-//! immutable and cheap to clone (the image is `Arc`-shared), so it can be
-//! compiled once per `(network, OptLevel, max_tile)` and handed to any
-//! number of [`Engine`](crate::engine::Engine)s.
+//! [`CompiledNetwork`]: the cluster program (on one core, one phase
+//! holding the whole network as one assembled [`Program`]), the fully
+//! staged initial TCDM image (weights, biases, LUTs, gather tables —
+//! with the input window zero-filled), and typed descriptors saying
+//! where one inference's inputs go and where its outputs come out. The
+//! artifact is immutable and cheap to clone (the image is `Arc`-shared),
+//! so it can be compiled once per `(network, OptLevel, max_tile, cores)`
+//! and handed to any number of [`Engine`](crate::engine::Engine)s.
+//!
+//! Every core count goes through one stage walk, [`compile_stages`]: it
+//! stages each stage's data in stage order, keeping where it landed, and
+//! only then emits code — on one core a single kernel running each
+//! stage's whole-range emitter in turn, on more the per-core phase
+//! kernels of the [`Partition`] plan (see [`crate::partition`]).
 //!
 //! Compilation stages a zero-filled input window; because the memory
 //! layout is purely shape-dependent, the staged image plus a patched
@@ -23,12 +30,14 @@ use crate::kernels::lstm::{emit_lstm, LstmSpec};
 use crate::kernels::{KernelCtx, MatvecSpec, PtrSrc};
 use crate::layout::DataLayout;
 use crate::optlevel::OptLevel;
+use crate::partition::{cluster_phases, Partition};
 use crate::runner::KernelBackend;
 use rnnasip_asm::Asm;
 use rnnasip_fixed::Q3p12;
 use rnnasip_nn::{Act, Conv2dLayer, FcLayer, LstmLayer, Matrix, Network, Stage};
 use rnnasip_sim::{
-    ClusterKernel, ClusterPhase, ClusterProgram, GuardSpec, Machine, MemImage, Program, UopProgram,
+    ClusterKernel, ClusterPhase, ClusterProgram, DmaXfer, GuardSpec, Machine, MemImage, Memory,
+    Program, UopProgram,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -280,9 +289,9 @@ impl CompiledNetwork {
 }
 
 impl KernelBackend {
-    /// Compiles a network once for this backend's `(level, max_tile)`:
-    /// emits and assembles all stage kernels, stages every weight
-    /// matrix, bias vector and lookup table into a fresh TCDM image, and
+    /// Compiles a network once for this backend's `(level, max_tile,
+    /// cores)`: stages every weight matrix, bias vector and lookup table
+    /// into a fresh TCDM image, emits and assembles the kernels, and
     /// records where inputs are patched and outputs read.
     ///
     /// The input window is staged zero-filled; the memory layout depends
@@ -295,83 +304,59 @@ impl KernelBackend {
     /// shapes, [`CoreError::Unsupported`] for LSTM stages after the
     /// first, plus layout/assembly errors.
     pub fn compile_network(&self, net: &Network) -> Result<CompiledNetwork, CoreError> {
-        if self.cores == 1 {
-            compile_stages(self, net.name(), net.stages())
-        } else {
-            crate::partition::compile_clustered(self, net.name(), net.stages(), self.cores)
-        }
+        compile_stages(self, net.name(), net.stages(), self.cores)
     }
 }
 
-/// The compile pipeline over a raw stage list.
+/// One stage's data as staged by the walk in [`compile_stages`]:
+/// everything needed to emit its kernel, whole or sliced per core.
+pub(crate) enum Placed {
+    Fc(FcPlacement),
+    Lstm(LstmSpec),
+    /// The spec (core 0's pixel-loop globals) plus every core's globals.
+    Conv(ConvSpec, Vec<(u32, u32, u32)>),
+}
+
+/// The compile pipeline over a raw stage list, for a `cores`-core
+/// cluster.
 ///
-/// Split out from [`KernelBackend::compile_network`] so the empty-network
-/// guard is unit-testable: [`Network::new`] itself rejects empty stage
-/// lists, making the error unreachable through the public `Network` API.
+/// One walk stages every stage's data in stage order — the first stage
+/// owns the zero-filled input window — and then emits the kernels: on
+/// one core a single "whole network" kernel running each stage's
+/// whole-range emitter in turn, on more the per-core phase kernels of
+/// the [`Partition`] plan behind an L2 staging area and a DMA
+/// descriptor.
+///
+/// Takes a raw stage list so the empty-network guard is unit-testable:
+/// [`Network::new`] itself rejects empty stage lists, making the error
+/// unreachable through the public `Network` API.
 pub(crate) fn compile_stages(
     backend: &KernelBackend,
     name: &str,
     stages: &[Stage],
+    cores: usize,
 ) -> Result<CompiledNetwork, CoreError> {
     let mut mark = Instant::now();
-    let mut s = Session::new(backend)?;
-    let mut iter = stages.iter();
-    let Some(first) = iter.next() else {
+    let mut s = Session::new(backend, cores)?;
+    let Some(first) = stages.first() else {
         return Err(CoreError::Shape("network has no stages".into()));
     };
-    // The first stage owns the input window; it is staged zero-filled
-    // at exactly the layout position the legacy path staged real inputs.
-    let (input, mut cur_addr, mut cur_width) = match first {
-        Stage::Lstm { layer, steps } => {
-            let zeros = vec![vec![Q3p12::ZERO; layer.n_in()]; *steps];
-            let (h_addr, x_seq) = s.emit_lstm_stage(layer, &zeros)?;
-            (
-                InputDesc {
-                    base: x_seq,
-                    width: layer.n_in(),
-                    steps: *steps,
-                },
-                h_addr,
-                layer.n_hidden(),
-            )
-        }
-        Stage::Fc(layer) => {
-            let zeros = vec![Q3p12::ZERO; layer.n_in()];
-            let (out, x_addr) = s.emit_fc_stage(layer, StageInput::Staged(zeros))?;
-            (
-                InputDesc {
-                    base: x_addr,
-                    width: layer.n_in(),
-                    steps: 1,
-                },
-                out,
-                layer.n_out(),
-            )
-        }
-        Stage::Conv(conv) => {
-            let zeros = vec![Q3p12::ZERO; conv.n_in()];
-            let src = s.stage_vector(&zeros)?;
-            let out = s.emit_conv_stage(conv, src, zeros.len())?;
-            (
-                InputDesc {
-                    base: src,
-                    width: conv.n_in(),
-                    steps: 1,
-                },
-                out,
-                conv.n_out(),
-            )
-        }
+    let (width, steps) = match first {
+        Stage::Lstm { layer, steps } => (layer.n_in(), *steps),
+        Stage::Fc(layer) => (layer.n_in(), 1),
+        Stage::Conv(conv) => (conv.n_in(), 1),
     };
-    for stage in iter {
-        match stage {
-            Stage::Fc(layer) => {
-                cur_addr = s.emit_fc_stage(layer, StageInput::Buffer(cur_addr))?.0;
-                cur_width = layer.n_out();
-            }
-            Stage::Conv(conv) => {
-                cur_addr = s.emit_conv_stage(conv, cur_addr, cur_width)?;
-                cur_width = conv.n_out();
+    let zeros = vec![Q3p12::ZERO; width];
+    // The input window and the previous stage's output `(addr, width)`.
+    let (mut window, mut cur) = (0, (0, 0));
+    let mut placed = Vec::with_capacity(stages.len());
+    for (k, stage) in stages.iter().enumerate() {
+        placed.push(match stage {
+            Stage::Lstm { layer, steps } if k == 0 => {
+                let spec = s.stage_lstm_data(layer, &vec![zeros.clone(); *steps])?;
+                window = spec.x_seq;
+                cur = (spec.h_addr(), layer.n_hidden());
+                Placed::Lstm(spec)
             }
             Stage::Lstm { .. } => {
                 // The code generator chains stages through a single
@@ -382,53 +367,92 @@ pub(crate) fn compile_stages(
                     "LSTM stages are only supported as the first stage".into(),
                 ));
             }
-        }
+            Stage::Fc(layer) => {
+                let input = if k == 0 {
+                    StageInput::Staged(zeros.clone())
+                } else {
+                    StageInput::Buffer(cur.0)
+                };
+                let p = s.stage_fc_data(layer, input)?;
+                if k == 0 {
+                    window = p.x_addr;
+                }
+                cur = (p.out, layer.n_out());
+                Placed::Fc(p)
+            }
+            Stage::Conv(conv) => {
+                if k == 0 {
+                    window = s.stage_vector(&zeros)?;
+                    cur = (window, width);
+                }
+                let spec = s.stage_conv_data(conv, cur.0, cur.1)?;
+                let globals = s.conv_core_globals(&spec)?;
+                cur = (spec.out_base, conv.n_out());
+                Placed::Conv(spec, globals)
+            }
+        });
     }
-    let regions = std::mem::take(&mut s.regions);
-    let mut timing = CompileStages {
-        codegen: lap(&mut mark),
-        ..CompileStages::default()
+
+    let mut kernels = KernelBuilder::new(backend, s.luts, s.machine.mem());
+    let (phases, dma, input_base) = if cores == 1 {
+        let scratch = s.scratches[0];
+        let whole = kernels.build(|ctx| {
+            for p in &placed {
+                match p {
+                    Placed::Fc(p) => emit_matvec(ctx, &p.matvec_rows(0, p.n_out, scratch))?,
+                    Placed::Lstm(spec) => emit_lstm(ctx, spec)?,
+                    Placed::Conv(spec, _) => emit_conv(ctx, spec)?,
+                }
+            }
+            Ok(())
+        })?;
+        let phase = ClusterPhase {
+            label: "whole network".into(),
+            kernels: vec![Some(whole)],
+        };
+        (vec![phase], Vec::new(), window)
+    } else {
+        let plan = Partition::plan(stages, cores);
+        let phases = cluster_phases(&placed, &plan, &s.scratches, &mut kernels)?;
+        // L2 staging area: engines patch inputs here; the DMA engine
+        // moves them into the kernel's input window before phase 0.
+        let l2_base = s.layout.alloc_halves(width * steps)?;
+        let dma = DmaXfer {
+            src: l2_base,
+            dst: window,
+            len: (2 * width * steps) as u32,
+        };
+        (phases, vec![dma], l2_base)
     };
-    let (program, machine) = s.into_program()?;
-    timing.assemble = lap(&mut mark);
-    let image = machine.mem().image();
+
+    // Kernel assembly, guard folding and translation were timed
+    // separately from staging and code generation.
+    let mut timing = kernels.timing;
+    timing.codegen = lap(&mut mark)
+        .saturating_sub(timing.assemble + timing.guard_fold + timing.lower + timing.verify);
+    let image = s.machine.mem().image();
     timing.snapshot = lap(&mut mark);
-    // Fold the guard checksums from the *clean* staged weights, before
-    // any input patching or fault injection can touch the image: this
-    // is what makes the run-time check sensitive to later corruption.
-    let guards = Arc::new(
-        regions
-            .iter()
-            .filter_map(|r| GuardSpec::from_region(machine.mem(), r))
-            .collect::<Vec<_>>(),
-    );
-    timing.guard_fold = lap(&mut mark);
-    // The staging TCDM (`machine`) must outlive the artifact's own
+    let cluster = ClusterProgram { cores, dma, phases };
+    let guards = cluster
+        .kernels()
+        .flat_map(|k| k.guards.iter().cloned())
+        .collect();
+    // The staging TCDM (`s`) must outlive the artifact's own
     // allocations (it is freed on return): freed before them, whether
     // they split its chunk would depend on the heap's history, and so
     // would peak RSS.
-    let uops = Arc::new(UopProgram::translate_with_shortcuts(&program, &regions));
-    timing.add_translation(lap(&mut mark), &uops);
-    let kernel = ClusterKernel {
-        program: Arc::new(program),
-        uops,
-        guards: Arc::clone(&guards),
-    };
     Ok(CompiledNetwork {
         image,
-        cluster: Arc::new(ClusterProgram {
-            cores: 1,
-            dma: Vec::new(),
-            phases: vec![ClusterPhase {
-                label: "whole network".into(),
-                kernels: vec![Some(kernel)],
-            }],
-        }),
-        guards,
-        input,
+        cluster: Arc::new(cluster),
+        guards: Arc::new(guards),
+        input: InputDesc {
+            base: input_base,
+            width,
+            steps,
+        },
         output: OutputDesc {
-            base: cur_addr,
-            len: cur_width,
+            base: cur.0,
+            len: cur.1,
         },
         level: backend.level(),
         max_tile: backend.max_tile,
@@ -436,6 +460,66 @@ pub(crate) fn compile_stages(
         name: name.to_string(),
         stages: timing,
     })
+}
+
+/// Assembles kernels over one staged image: each with a fresh assembler
+/// and shortcut-region list, halt appended, guard specs folded from the
+/// staged weights and micro-ops translated with shortcuts. Accumulates
+/// the time spent in those steps.
+pub(crate) struct KernelBuilder<'a> {
+    level: OptLevel,
+    luts: (u32, u32, u32, u32),
+    max_tile: usize,
+    mem: &'a Memory,
+    timing: CompileStages,
+}
+
+impl<'a> KernelBuilder<'a> {
+    fn new(backend: &KernelBackend, luts: (u32, u32, u32, u32), mem: &'a Memory) -> Self {
+        Self {
+            level: backend.level(),
+            luts,
+            max_tile: backend.max_tile,
+            mem,
+            timing: CompileStages::default(),
+        }
+    }
+
+    /// Builds one kernel from what `emit` emits.
+    pub(crate) fn build(
+        &mut self,
+        emit: impl FnOnce(&mut KernelCtx<'_>) -> Result<(), CoreError>,
+    ) -> Result<ClusterKernel, CoreError> {
+        let mut asm = Asm::new(0);
+        let mut regions = Vec::new();
+        emit(&mut KernelCtx {
+            asm: &mut asm,
+            level: self.level,
+            luts: self.luts,
+            max_tile: self.max_tile,
+            regions: &mut regions,
+        })?;
+        let mut mark = Instant::now();
+        asm.ecall();
+        let program = asm.assemble()?;
+        self.timing.assemble += lap(&mut mark);
+        // A kernel's weights and biases are staged before it is emitted
+        // and never written afterwards, so folding now reads the clean
+        // image: this is what makes the run-time check sensitive to
+        // later corruption.
+        let guards = regions
+            .iter()
+            .filter_map(|r| GuardSpec::from_region(self.mem, r))
+            .collect();
+        self.timing.guard_fold += lap(&mut mark);
+        let uops = Arc::new(UopProgram::translate_with_shortcuts(&program, &regions));
+        self.timing.add_translation(lap(&mut mark), &uops);
+        Ok(ClusterKernel {
+            program: Arc::new(program),
+            uops,
+            guards: Arc::new(guards),
+        })
+    }
 }
 
 /// Where an FC stage's input comes from.
@@ -482,45 +566,32 @@ impl FcPlacement {
     }
 }
 
-/// A compilation session: one assembler, one bump layout, one machine
-/// whose memory doubles as the staging area.
+/// A staging session: one bump layout over one machine whose memory is
+/// the staging area for a `cores`-core compile.
 pub(crate) struct Session {
     pub(crate) machine: Machine,
-    pub(crate) asm: Asm,
     pub(crate) layout: DataLayout,
     pub(crate) luts: (u32, u32, u32, u32),
-    pub(crate) scratch: u32,
-    pub(crate) level: OptLevel,
-    pub(crate) max_tile: usize,
-    pub(crate) regions: Vec<rnnasip_sim::KernelRegion>,
+    /// Per-core baseline spill scratch: one shared cell would be a
+    /// same-phase write collision under true lockstep. Core 0's is the
+    /// one every staged spec carries.
+    pub(crate) scratches: Vec<u32>,
 }
 
 impl Session {
-    pub(crate) fn new(backend: &KernelBackend) -> Result<Self, CoreError> {
+    pub(crate) fn new(backend: &KernelBackend, cores: usize) -> Result<Self, CoreError> {
         let mut machine = Machine::new(backend.mem_bytes);
         let mut layout = DataLayout::new(DATA_BASE, backend.mem_bytes);
         let luts = layout.stage_pla_luts(machine.mem_mut())?;
-        let scratch = layout.alloc_words(1)?;
+        let scratches = (0..cores)
+            .map(|_| layout.alloc_words(1))
+            .collect::<Result<_, _>>()?;
         Ok(Self {
             machine,
-            asm: Asm::new(0),
             layout,
             luts,
-            scratch,
-            level: backend.level(),
-            max_tile: backend.max_tile,
-            regions: Vec::new(),
+            scratches,
         })
-    }
-
-    pub(crate) fn ctx(&mut self) -> KernelCtx<'_> {
-        KernelCtx {
-            asm: &mut self.asm,
-            level: self.level,
-            luts: self.luts,
-            max_tile: self.max_tile,
-            regions: &mut self.regions,
-        }
     }
 
     /// Stages a vector with one trailing zero halfword of padding slack.
@@ -578,20 +649,6 @@ impl Session {
             n_out: layer.n_out(),
             act: layer.act(),
         })
-    }
-
-    /// Emits one FC stage; returns `(output buffer, input buffer)`
-    /// addresses.
-    pub(crate) fn emit_fc_stage(
-        &mut self,
-        layer: &FcLayer,
-        input: StageInput,
-    ) -> Result<(u32, u32), CoreError> {
-        let p = self.stage_fc_data(layer, input)?;
-        let spec = p.matvec_rows(0, p.n_out, self.scratch);
-        let mut ctx = self.ctx();
-        emit_matvec(&mut ctx, &spec)?;
-        Ok((p.out, p.x_addr))
     }
 
     /// Stages one LSTM stage's data (combined gate matrices, biases,
@@ -660,22 +717,9 @@ impl Session {
             steps: sequence.len(),
             n_in: m,
             n_hidden: n,
-            scratch: self.scratch,
+            scratch: self.scratches[0],
         };
         Ok(spec)
-    }
-
-    /// Emits one LSTM stage; returns `(final hidden state, staged input
-    /// sequence)` addresses.
-    pub(crate) fn emit_lstm_stage(
-        &mut self,
-        layer: &LstmLayer,
-        sequence: &[Vec<Q3p12>],
-    ) -> Result<(u32, u32), CoreError> {
-        let spec = self.stage_lstm_data(layer, sequence)?;
-        let mut ctx = self.ctx();
-        emit_lstm(&mut ctx, &spec)?;
-        Ok((spec.h_addr(), spec.x_seq))
     }
 
     /// Stages one convolution stage's data (weights, bias, gather index
@@ -736,32 +780,26 @@ impl Session {
             taps,
             out_ch: conv.out_ch(),
             act: conv.act(),
-            scratch: self.scratch,
+            scratch: self.scratches[0],
         };
         Ok(spec)
     }
 
-    /// Emits one convolution stage reading from `src` (a buffer of
-    /// `src_len` halfwords with a zeroed trailing slack element);
-    /// returns the output buffer address.
-    pub(crate) fn emit_conv_stage(
+    /// Allocates every core's pixel-loop global cells for one staged
+    /// convolution (core 0 reuses the spec's own cells).
+    pub(crate) fn conv_core_globals(
         &mut self,
-        conv: &Conv2dLayer,
-        src: u32,
-        src_len: usize,
-    ) -> Result<u32, CoreError> {
-        let spec = self.stage_conv_data(conv, src, src_len)?;
-        let mut ctx = self.ctx();
-        emit_conv(&mut ctx, &spec)?;
-        Ok(spec.out_base)
-    }
-
-    /// Appends the halt and assembles, handing back the program and the
-    /// machine whose memory holds the staged image.
-    pub(crate) fn into_program(mut self) -> Result<(Program, Machine), CoreError> {
-        self.asm.ecall();
-        let prog = self.asm.assemble()?;
-        Ok((prog, self.machine))
+        spec: &ConvSpec,
+    ) -> Result<Vec<(u32, u32, u32)>, CoreError> {
+        let mut globals = vec![(spec.g_pix, spec.g_out, spec.g_cnt)];
+        for _ in 1..self.scratches.len() {
+            globals.push((
+                self.layout.alloc_words(1)?,
+                self.layout.alloc_words(1)?,
+                self.layout.alloc_words(1)?,
+            ));
+        }
+        Ok(globals)
     }
 }
 
@@ -827,9 +865,11 @@ mod tests {
     #[test]
     fn empty_network_is_a_shape_error_not_a_panic() {
         let backend = KernelBackend::new(OptLevel::Baseline);
-        match compile_stages(&backend, "empty", &[]) {
-            Err(CoreError::Shape(msg)) => assert!(msg.contains("no stages"), "{msg}"),
-            other => panic!("expected Shape error, got {other:?}"),
+        for cores in [1, 2, 4] {
+            match compile_stages(&backend, "empty", &[], cores) {
+                Err(CoreError::Shape(msg)) => assert!(msg.contains("no stages"), "{msg}"),
+                other => panic!("{cores} cores: expected Shape error, got {other:?}"),
+            }
         }
     }
 
@@ -843,9 +883,11 @@ mod tests {
             },
         ];
         let backend = KernelBackend::new(OptLevel::Baseline);
-        match compile_stages(&backend, "mid-lstm", &stages) {
-            Err(CoreError::Unsupported(msg)) => assert!(msg.contains("LSTM"), "{msg}"),
-            other => panic!("expected Unsupported error, got {other:?}"),
+        for cores in [1, 2, 4] {
+            match compile_stages(&backend, "mid-lstm", &stages, cores) {
+                Err(CoreError::Unsupported(msg)) => assert!(msg.contains("LSTM"), "{msg}"),
+                other => panic!("{cores} cores: expected Unsupported error, got {other:?}"),
+            }
         }
     }
 

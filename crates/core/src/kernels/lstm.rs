@@ -140,11 +140,19 @@ pub fn emit_lstm(ctx: &mut KernelCtx<'_>, spec: &LstmSpec) -> Result<(), CoreErr
 /// Copies `x_t` (m halfwords = m/2 words) from the sequence cursor into
 /// the combined buffer and advances the cursor global.
 fn emit_copy_x(ctx: &mut KernelCtx<'_>, spec: &LstmSpec) {
-    let words = spec.n_in / 2;
     let a = &mut *ctx.asm;
     a.li(regs::WV1, spec.g_xptr as i32);
     a.lw(regs::X0, 0, regs::WV1); // src cursor
     a.li(regs::X1, spec.xh as i32); // dst
+    emit_copy_loop(ctx, spec.n_in / 2);
+    // The advanced source cursor is the next step's x_t.
+    ctx.asm.sw(regs::X0, 0, regs::WV1);
+}
+
+/// Copies `words` words from the address in `X0` to the one in `X1`,
+/// leaving both advanced past the copy (hardware loop from level b).
+fn emit_copy_loop(ctx: &mut KernelCtx<'_>, words: usize) {
+    let a = &mut *ctx.asm;
     if ctx.level.has_xpulp() {
         a.li(regs::CNT, words as i32);
         let end = a.new_label();
@@ -162,8 +170,6 @@ fn emit_copy_x(ctx: &mut KernelCtx<'_>, spec: &LstmSpec) {
         a.addi(regs::X1, regs::X1, 4);
         a.branch(BranchOp::Bltu, regs::X0, regs::ACC0, top);
     }
-    // The advanced source cursor is the next step's x_t.
-    a.sw(regs::X0, 0, regs::WV1);
 }
 
 /// Emits the element-wise state update over hidden rows
@@ -278,26 +284,9 @@ pub fn emit_word_copy(ctx: &mut KernelCtx<'_>, src: u32, dst: u32, words: usize)
     if words == 0 {
         return;
     }
-    let a = &mut *ctx.asm;
-    a.li(regs::X0, src as i32);
-    a.li(regs::X1, dst as i32);
-    if ctx.level.has_xpulp() {
-        a.li(regs::CNT, words as i32);
-        let end = a.new_label();
-        a.lp_setup(LoopIdx::L0, regs::CNT, end);
-        a.lw_post(regs::WV0, 4, regs::X0);
-        a.sw_post(regs::WV0, 4, regs::X1);
-        a.bind(end);
-    } else {
-        a.addi(regs::ACC0, regs::X0, 4 * words as i32);
-        let top = a.new_label();
-        a.bind(top);
-        a.lw(regs::WV0, 0, regs::X0);
-        a.sw(regs::WV0, 0, regs::X1);
-        a.addi(regs::X0, regs::X0, 4);
-        a.addi(regs::X1, regs::X1, 4);
-        a.branch(BranchOp::Bltu, regs::X0, regs::ACC0, top);
-    }
+    ctx.asm.li(regs::X0, src as i32);
+    ctx.asm.li(regs::X1, dst as i32);
+    emit_copy_loop(ctx, words);
 }
 
 /// `t3 ← tanh(t3)` via the level-appropriate mechanism.

@@ -68,9 +68,7 @@ pub use report::{CoreReport, RunReport};
 pub use resilience::{
     Attempt, RecoveryAction, ResilientEngine, RetryPolicy, RunOutcome, SdcVerdict,
 };
-pub use runner::{
-    KernelBackend, Layer8Run, LayerRun, NetworkRun, StageRun, DEFAULT_WATCHDOG_CYCLES,
-};
+pub use runner::{KernelBackend, Layer8Run, LayerRun, NetworkRun, DEFAULT_WATCHDOG_CYCLES};
 pub use serve::{
     Arrival, BatchRequest, BatchResponse, EnginePool, Front, FrontConfig, LatencyHistogram,
     OverloadPolicy, TrafficReport,

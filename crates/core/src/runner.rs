@@ -1,24 +1,27 @@
 //! Compatibility facade over the compile/execute split: golden-model
 //! layers in, simulated outputs and cycle statistics out.
 //!
-//! [`KernelBackend::run_network`] is now a thin wrapper that
+//! [`KernelBackend::run_network`] is a thin wrapper that
 //! [compiles](KernelBackend::compile_network) the network and executes
 //! it through a one-shot [`Engine`](crate::engine::Engine); callers that
 //! run the same network repeatedly should hold on to the
 //! [`CompiledNetwork`](crate::compile::CompiledNetwork) and reuse one
 //! engine instead. Outputs, cycle counts and per-mnemonic histograms are
 //! bit-identical either way. The per-layer entry points (`run_fc`,
-//! `run_lstm`, `run_conv`) compile a one-stage, one-core network and run
-//! it the same way — they exist for kernel-level experiments where
-//! compile cost is not on the measured path. Only `run_fc8` keeps a
-//! single-shot session: INT8 layers have no network [`Stage`].
+//! `run_lstm`, `run_conv`, and `compile_fc` without the run) compile a
+//! one-stage, one-core network through the same compile driver — they
+//! exist for kernel-level experiments where compile cost is not on the
+//! measured path. Only `run_fc8` stages and assembles by hand: INT8
+//! layers have no network [`Stage`].
 
-use crate::compile::{compile_stages, Session, StageInput};
+use crate::compile::{compile_stages, Session};
 use crate::engine::Engine;
 use crate::error::CoreError;
 use crate::kernels::fc8::{emit_matvec8, Int8Kernel, Matvec8Spec};
+use crate::kernels::KernelCtx;
 use crate::optlevel::OptLevel;
 use crate::report::RunReport;
+use rnnasip_asm::Asm;
 use rnnasip_fixed::{Q1p6, Q3p12};
 use rnnasip_nn::{Conv2dLayer, FcLayer, FcLayer8, LstmLayer, Network, Stage};
 
@@ -183,7 +186,7 @@ impl KernelBackend {
     /// Compiles `stage` alone for one core and runs it once on an
     /// [`Engine`].
     fn run_stage(&self, stage: Stage, sequence: &[Vec<Q3p12>]) -> Result<LayerRun, CoreError> {
-        let compiled = compile_stages(self, "layer", std::slice::from_ref(&stage))?;
+        let compiled = compile_stages(self, "layer", std::slice::from_ref(&stage), 1)?;
         Engine::new(compiled).run(sequence)
     }
 
@@ -195,11 +198,9 @@ impl KernelBackend {
     ///
     /// Shape, layout or assembly errors ([`CoreError`]).
     pub fn compile_fc(&self, layer: &FcLayer) -> Result<rnnasip_sim::Program, CoreError> {
-        let mut s = Session::new(self)?;
-        let zeros = vec![Q3p12::ZERO; layer.n_in()];
-        s.emit_fc_stage(layer, StageInput::Staged(zeros))?;
-        let (prog, _machine) = s.into_program()?;
-        Ok(prog)
+        let stage = Stage::Fc(layer.clone());
+        let compiled = compile_stages(self, "layer", std::slice::from_ref(&stage), 1)?;
+        Ok(compiled.program().clone())
     }
 
     /// Runs an INT8 fully-connected layer (the future-work path) with
@@ -221,7 +222,7 @@ impl KernelBackend {
                 layer.n_in()
             )));
         }
-        let mut s = Session::new(self)?;
+        let mut s = Session::new(self, 1)?;
         // Pad the input width to a multiple of four bytes.
         let n_in = (layer.n_in() + 3) & !3;
         let w_base = s
@@ -256,10 +257,21 @@ impl KernelBackend {
             n_out: layer.n_out(),
             act: layer.act(),
         };
-        let mut ctx = s.ctx();
-        emit_matvec8(&mut ctx, &spec, kernel)?;
-        let (prog, mut machine) = s.into_program()?;
-        machine.load_program(&prog);
+        let mut asm = Asm::new(0);
+        emit_matvec8(
+            &mut KernelCtx {
+                asm: &mut asm,
+                level: self.level,
+                luts: s.luts,
+                max_tile: self.max_tile,
+                regions: &mut Vec::new(),
+            },
+            &spec,
+            kernel,
+        )?;
+        asm.ecall();
+        let mut machine = s.machine;
+        machine.load_program(&asm.assemble()?);
         let started = std::time::Instant::now();
         machine.run(self.max_cycles)?;
         let host_nanos = started.elapsed().as_nanos() as u64;
@@ -303,84 +315,5 @@ impl KernelBackend {
             )));
         }
         Engine::new(self.compile_network(net)?).run(sequence)
-    }
-}
-
-/// One profiled stage of a [`KernelBackend::run_network_staged`] run.
-#[derive(Clone, Debug)]
-pub struct StageRun {
-    /// Stage label (`"fc 360->120"`, `"lstm 32x64 x10"`, `"conv ..."`).
-    pub label: String,
-    /// Statistics of this stage alone.
-    pub report: RunReport,
-}
-
-impl KernelBackend {
-    /// Runs a network one stage at a time (each stage as its own
-    /// program), returning the final outputs and a per-stage cycle
-    /// profile. Outputs are identical to [`run_network`]
-    /// (same kernels, same staging), which the integration tests assert.
-    ///
-    /// [`run_network`]: KernelBackend::run_network
-    ///
-    /// # Errors
-    ///
-    /// Shape, layout, assembly or simulation errors ([`CoreError`]).
-    pub fn run_network_staged(
-        &self,
-        net: &Network,
-        sequence: &[Vec<Q3p12>],
-    ) -> Result<(Vec<Q3p12>, Vec<StageRun>), CoreError> {
-        if sequence.len() != net.seq_len() {
-            return Err(CoreError::Shape(format!(
-                "sequence length {} != network seq_len {}",
-                sequence.len(),
-                net.seq_len()
-            )));
-        }
-        let mut stages = Vec::new();
-        let mut cur: Option<Vec<Q3p12>> = None;
-        for stage in net.stages() {
-            let (label, run) = match stage {
-                Stage::Lstm { layer, steps } => {
-                    let run = self.run_lstm(layer, sequence)?;
-                    (
-                        format!("lstm {}x{} x{}", layer.n_in(), layer.n_hidden(), steps),
-                        run,
-                    )
-                }
-                Stage::Fc(layer) => {
-                    let input = cur.as_deref().unwrap_or(&sequence[0]);
-                    let run = self.run_fc(layer, input)?;
-                    (format!("fc {}->{}", layer.n_in(), layer.n_out()), run)
-                }
-                Stage::Conv(conv) => {
-                    let input = cur.as_deref().unwrap_or(&sequence[0]);
-                    let run = self.run_conv(conv, input)?;
-                    (
-                        format!(
-                            "conv {}x{}x{} -> {} ({}x{})",
-                            conv.in_ch(),
-                            conv.in_h(),
-                            conv.in_w(),
-                            conv.out_ch(),
-                            conv.kh(),
-                            conv.kw()
-                        ),
-                        run,
-                    )
-                }
-            };
-            stages.push(StageRun {
-                label,
-                report: run.report,
-            });
-            // Move, don't clone: `run` is consumed field by field.
-            cur = Some(run.outputs);
-        }
-        match cur {
-            Some(outputs) => Ok((outputs, stages)),
-            None => Err(CoreError::Shape("network has no stages".into())),
-        }
     }
 }

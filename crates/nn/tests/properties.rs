@@ -1,113 +1,133 @@
-// Property-based tests need the external `proptest` crate, which is
-// not available in the offline build environment this repository
-// targets. Restore the `proptest` dev-dependency and enable the
-// `proptest-tests` feature to compile and run this file.
-#![cfg(feature = "proptest-tests")]
-
 //! Property tests on the golden models: structural identities the
 //! kernels rely on.
+//!
+//! Each property runs [`CASES`] cases, each drawn from its own seeded
+//! generator, and every failure message starts with `seed N:` so one
+//! case reproduces on its own.
 
-use proptest::prelude::*;
 use rnnasip_fixed::Q3p12;
 use rnnasip_nn::{Act, Conv2dLayer, FcLayer, LstmLayer, LstmState, Matrix};
+use rnnasip_rng::StdRng;
 
-fn arb_q(scale: f64) -> impl Strategy<Value = Q3p12> {
-    (-scale..scale).prop_map(Q3p12::from_f64)
+/// Cases per property.
+const CASES: u64 = 256;
+
+/// Uniform in `[-scale, scale)`.
+fn q(rng: &mut StdRng, scale: f64) -> Q3p12 {
+    Q3p12::from_f64((rng.gen::<f64>() * 2.0 - 1.0) * scale)
 }
 
-fn arb_vec(n: usize, scale: f64) -> impl Strategy<Value = Vec<Q3p12>> {
-    proptest::collection::vec(arb_q(scale), n)
+/// `n` values uniform in `[-scale, scale)`.
+fn vec_q(rng: &mut StdRng, n: usize, scale: f64) -> Vec<Q3p12> {
+    (0..n).map(|_| q(rng, scale)).collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+/// Runs `check` once per seed in `0..CASES` on a generator seeded with it.
+fn for_each_seed(mut check: impl FnMut(u64, &mut StdRng)) {
+    for seed in 0..CASES {
+        check(seed, &mut StdRng::seed_from_u64(seed));
+    }
+}
 
-    /// A zero-weight layer outputs exactly its (activated) bias.
-    #[test]
-    fn zero_weights_pass_bias_through(bias in arb_vec(6, 7.0), x in arb_vec(4, 7.0)) {
+/// A zero-weight layer outputs exactly its (activated) bias.
+#[test]
+fn zero_weights_pass_bias_through() {
+    for_each_seed(|seed, rng| {
+        let bias = vec_q(rng, 6, 7.0);
+        let x = vec_q(rng, 4, 7.0);
         let layer = FcLayer::new(Matrix::zeros(6, 4), bias.clone(), Act::None);
-        prop_assert_eq!(layer.forward_fixed(&x), bias);
-    }
+        assert_eq!(layer.forward_fixed(&x), bias, "seed {seed}: x {x:?}");
+    });
+}
 
-    /// An identity-weight layer with zero bias is the identity (when no
-    /// activation and values fit without requantization error).
-    #[test]
-    fn identity_layer_is_identity(x in arb_vec(5, 7.0)) {
-        let mut data = vec![Q3p12::ZERO; 25];
-        for i in 0..5 {
-            data[i * 5 + i] = Q3p12::from_f64(1.0);
-        }
-        let layer = FcLayer::new(
-            Matrix::new(5, 5, data),
-            vec![Q3p12::ZERO; 5],
-            Act::None,
-        );
-        prop_assert_eq!(layer.forward_fixed(&x), x);
+/// An identity-weight layer with zero bias is the identity (when no
+/// activation and values fit without requantization error).
+#[test]
+fn identity_layer_is_identity() {
+    let mut data = vec![Q3p12::ZERO; 25];
+    for i in 0..5 {
+        data[i * 5 + i] = Q3p12::from_f64(1.0);
     }
+    let layer = FcLayer::new(Matrix::new(5, 5, data), vec![Q3p12::ZERO; 5], Act::None);
+    for_each_seed(|seed, rng| {
+        let x = vec_q(rng, 5, 7.0);
+        assert_eq!(layer.forward_fixed(&x), x, "seed {seed}");
+    });
+}
 
-    /// ReLU output is never negative and matches None-activation output
-    /// where that output is non-negative.
-    #[test]
-    fn relu_matches_linear_on_positive_outputs(
-        w in arb_vec(12, 1.0),
-        b in arb_vec(3, 1.0),
-        x in arb_vec(4, 1.0),
-    ) {
+/// ReLU output is never negative and matches None-activation output
+/// where that output is non-negative.
+#[test]
+fn relu_matches_linear_on_positive_outputs() {
+    for_each_seed(|seed, rng| {
+        let w = vec_q(rng, 12, 1.0);
+        let b = vec_q(rng, 3, 1.0);
+        let x = vec_q(rng, 4, 1.0);
         let lin = FcLayer::new(Matrix::new(3, 4, w.clone()), b.clone(), Act::None);
         let rel = FcLayer::new(Matrix::new(3, 4, w), b, Act::Relu);
-        for (l, r) in lin.forward_fixed(&x).iter().zip(rel.forward_fixed(&x)) {
-            prop_assert!(r.raw() >= 0);
-            if l.raw() >= 0 {
-                prop_assert_eq!(*l, r);
-            } else {
-                prop_assert_eq!(r, Q3p12::ZERO);
-            }
+        for (k, (l, r)) in lin
+            .forward_fixed(&x)
+            .iter()
+            .zip(rel.forward_fixed(&x))
+            .enumerate()
+        {
+            assert!(r.raw() >= 0, "seed {seed}: output {k} is {r:?}");
+            let want = if l.raw() >= 0 { *l } else { Q3p12::ZERO };
+            assert_eq!(r, want, "seed {seed}: output {k}, linear {l:?}");
         }
-    }
+    });
+}
 
-    /// The LSTM with forget gate forced to 1 and input gate to 0
-    /// preserves its cell state exactly.
-    #[test]
-    fn saturated_forget_gate_preserves_cell(c0 in arb_vec(3, 1.0), x in arb_vec(2, 1.0)) {
-        let n = 3;
-        let m = 2;
-        let zeros_nm = Matrix::zeros(n, m);
-        let zeros_nn = Matrix::zeros(n, n);
-        // Biases: forget-gate bias +8 (sig -> 1), input-gate bias -8
-        // (sig -> 0); output gate and candidate neutral.
-        let big = Q3p12::from_f64(7.99);
-        let neg = Q3p12::from_f64(-7.99);
-        let layer = LstmLayer::new(
-            [zeros_nm.clone(), zeros_nm.clone(), zeros_nm.clone(), zeros_nm],
-            [zeros_nn.clone(), zeros_nn.clone(), zeros_nn.clone(), zeros_nn],
-            [
-                vec![Q3p12::ZERO; n], // o: sig(0) = 0.5
-                vec![big; n],         // f -> ~1
-                vec![neg; n],         // i -> ~0
-                vec![Q3p12::ZERO; n], // g
-            ],
-        );
+/// The LSTM with forget gate forced to 1 and input gate to 0
+/// preserves its cell state exactly.
+#[test]
+fn saturated_forget_gate_preserves_cell() {
+    let (n, m) = (3, 2);
+    let zeros_nm = Matrix::zeros(n, m);
+    let zeros_nn = Matrix::zeros(n, n);
+    // Biases: forget-gate bias +8 (sig -> 1), input-gate bias -8
+    // (sig -> 0); output gate and candidate neutral.
+    let big = Q3p12::from_f64(7.99);
+    let neg = Q3p12::from_f64(-7.99);
+    let layer = LstmLayer::new(
+        std::array::from_fn(|_| zeros_nm.clone()),
+        std::array::from_fn(|_| zeros_nn.clone()),
+        [
+            vec![Q3p12::ZERO; n], // o: sig(0) = 0.5
+            vec![big; n],         // f -> ~1
+            vec![neg; n],         // i -> ~0
+            vec![Q3p12::ZERO; n], // g
+        ],
+    );
+    for_each_seed(|seed, rng| {
+        let c0 = vec_q(rng, n, 1.0);
+        let x = vec_q(rng, m, 1.0);
         let state = LstmState {
             h: vec![Q3p12::ZERO; n],
             c: c0.clone(),
         };
         let next = layer.step_fixed(&x, &state);
         // f = 4096/4096 exactly (converged sigmoid), i = 0: c' = c.
-        prop_assert_eq!(next.c, c0);
-    }
+        assert_eq!(next.c, c0, "seed {seed}: x {x:?}");
+    });
+}
 
-    /// Conv evaluated directly equals the same filter expressed as an
-    /// FC layer applied to each im2col column — the lowering identity
-    /// the CNN kernels are built on.
-    #[test]
-    fn conv_equals_fc_on_im2col_columns(
-        weights in arb_vec(2 * 8, 0.5),
-        bias in arb_vec(2, 0.5),
-        input in arb_vec(2 * 3 * 4, 1.0),
-    ) {
+/// Conv evaluated directly equals the same filter expressed as an
+/// FC layer applied to each im2col column — the lowering identity
+/// the CNN kernels are built on.
+#[test]
+fn conv_equals_fc_on_im2col_columns() {
+    for_each_seed(|seed, rng| {
+        let weights = vec_q(rng, 2 * 8, 0.5);
+        let bias = vec_q(rng, 2, 0.5);
+        let input = vec_q(rng, 2 * 3 * 4, 1.0);
         let conv = Conv2dLayer::new(
-            2, 3, 4, // 2 channels of 3x4
-            2, 2, 2, // 2 output channels, 2x2 kernel
+            2,
+            3,
+            4, // 2 channels of 3x4
+            2,
+            2,
+            2, // 2 output channels, 2x2 kernel
             Matrix::new(2, 8, weights.clone()),
             bias.clone(),
             Act::None,
@@ -120,26 +140,27 @@ proptest! {
             let column: Vec<Q3p12> = (0..8).map(|t| cols.get(t, px)).collect();
             let out = fc.forward_fixed(&column);
             for k in 0..2 {
-                prop_assert_eq!(out[k], direct[k * oh * ow + px], "pixel {}, ch {}", px, k);
+                assert_eq!(
+                    out[k],
+                    direct[k * oh * ow + px],
+                    "seed {seed}: pixel {px}, ch {k}"
+                );
             }
         }
-    }
+    });
 }
 
 /// Quantization error of a whole random network stays bounded (the
 /// robustness claim behind "no retraining needed").
 #[test]
 fn random_deep_mlp_quantization_error_is_bounded() {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    let mut rng = StdRng::seed_from_u64(17);
+    let seed = 17;
+    let mut rng = StdRng::seed_from_u64(seed);
     let mut layers = Vec::new();
     let widths = [12usize, 24, 24, 24, 8];
     for w in widths.windows(2) {
         let scale = (1.5 / w[0] as f64).sqrt();
-        let data: Vec<Q3p12> = (0..w[0] * w[1])
-            .map(|_| Q3p12::from_f64((rng.gen::<f64>() * 2.0 - 1.0) * scale))
-            .collect();
+        let data = vec_q(&mut rng, w[0] * w[1], scale);
         layers.push(FcLayer::new(
             Matrix::new(w[1], w[0], data),
             vec![Q3p12::ZERO; w[1]],
@@ -156,7 +177,7 @@ fn random_deep_mlp_quantization_error_is_bounded() {
     for (q, f) in fq.iter().zip(&ff) {
         assert!(
             (q.to_f64() - f).abs() < 0.05,
-            "after 4 tanh layers: {} vs {f}",
+            "seed {seed}: after 4 tanh layers: {} vs {f}",
             q.to_f64()
         );
     }

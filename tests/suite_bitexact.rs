@@ -3,6 +3,7 @@
 //! exactly, network by network.
 
 use rnnasip::core::{KernelBackend, OptLevel};
+use rnnasip::nn::Network;
 
 /// Every suite network at the two extension levels (d, e) — the levels
 /// that exercise the paper's new instructions end to end.
@@ -83,30 +84,24 @@ fn suite_speedups_have_paper_shape() {
     assert!(speedup(4) > speedup(3), "IFM tiling helps on the suite");
 }
 
-/// Staged execution (one program per stage) must agree exactly with the
-/// monolithic program — they use the same kernels and staging.
+/// Every prefix of every suite network — its first `k` stages as a
+/// network of their own, the profile binary's per-stage view — is
+/// bit-exact against the golden model of that prefix at all five levels.
 #[test]
-fn staged_and_monolithic_runs_agree() {
-    let backend = KernelBackend::new(OptLevel::IfmTile);
+fn every_suite_prefix_bit_exact_at_all_levels() {
     for net in rnnasip::rrm::suite() {
         let input = net.input();
-        let mono = backend
-            .run_network(&net.network, &input)
-            .expect("monolithic run");
-        let (staged_out, stages) = backend
-            .run_network_staged(&net.network, &input)
-            .expect("staged run");
-        assert_eq!(mono.outputs, staged_out, "{}", net.id);
-        assert_eq!(stages.len(), net.network.stages().len(), "{}", net.id);
-        // Stage cycles sum close to the monolithic count (staging skips
-        // the inter-stage instructions the monolithic program shares).
-        let sum: u64 = stages.iter().map(|s| s.report.cycles()).sum();
-        let mono_cycles = mono.report.cycles();
-        let diff = (sum as f64 - mono_cycles as f64).abs() / mono_cycles as f64;
-        assert!(
-            diff < 0.02,
-            "{}: staged {sum} vs mono {mono_cycles}",
-            net.id
-        );
+        let stages = net.network.stages();
+        for k in 1..=stages.len() {
+            let head = Network::new(net.network.name(), stages[..k].to_vec());
+            let expect = head.forward_fixed(&input);
+            for level in OptLevel::ALL {
+                let what = format!("{} first {k} stages at {level:?}", net.id);
+                let run = KernelBackend::new(level)
+                    .run_network(&head, &input)
+                    .unwrap_or_else(|e| panic!("{what}: {e}"));
+                assert_eq!(run.outputs, expect, "{what}");
+            }
+        }
     }
 }
