@@ -15,16 +15,18 @@ use rnnasip_rrm::BenchmarkNet;
 /// Per level: (instructions, retired in bulk, retired through shortcuts),
 /// summed over the suite.
 const PINNED: [(OptLevel, u64, u64, u64); 5] = [
-    (OptLevel::Baseline, 10_755_216, 10_672_346, 0),
+    (OptLevel::Baseline, 10_755_216, 145_032, 10_536_860),
     (OptLevel::Xpulp, 2_181_922, 526_410, 1_599_654),
     (OptLevel::OfmTile, 1_474_902, 14_069, 1_458_893),
     (OptLevel::SdotSp, 822_188, 14_069, 806_179),
     (OptLevel::IfmTile, 822_188, 14_069, 806_179),
 ];
 
-/// Level a's software loops are closed by backward branches; the bulk
-/// tier must carry nearly all of its work.
-const MIN_BASELINE_BULK_SHARE: f64 = 0.95;
+/// Level a's per-output dot products — bias seed, spilled accumulator
+/// and the branch-closed MAC loop — run as shortcut regions; only the
+/// requantize/activate epilogues and the output loop are left to the
+/// other tiers.
+const MIN_BASELINE_SHORTCUT_SHARE: f64 = 0.95;
 
 /// From level c on, the LSTM policy nets' gate matvecs and cell updates
 /// both run as shortcut regions; only the per-step `x` copy and step
@@ -54,7 +56,7 @@ fn suite_tiers(level: OptLevel) -> (u64, u64, u64) {
 }
 
 #[test]
-fn suite_tier_coverage_is_pinned_and_level_a_runs_in_bulk() {
+fn suite_tier_coverage_is_pinned_and_level_a_runs_through_shortcuts() {
     let got: Vec<_> = PINNED
         .iter()
         .map(|&(level, ..)| {
@@ -63,11 +65,11 @@ fn suite_tier_coverage_is_pinned_and_level_a_runs_in_bulk() {
         })
         .collect();
     assert_eq!(got, PINNED, "(level, instrs, bulk, shortcut)");
-    let (_, instrs, bulk, _) = got[0];
-    let share = bulk as f64 / instrs as f64;
+    let (_, instrs, _, shortcut) = got[0];
+    let share = shortcut as f64 / instrs as f64;
     assert!(
-        share >= MIN_BASELINE_BULK_SHARE,
-        "level a bulk share {share:.4} < {MIN_BASELINE_BULK_SHARE}"
+        share >= MIN_BASELINE_SHORTCUT_SHARE,
+        "level a shortcut share {share:.4} < {MIN_BASELINE_SHORTCUT_SHARE}"
     );
 }
 

@@ -18,8 +18,10 @@
 //! hand-picked suite shapes. A third compiles seeded random LSTMs (gate
 //! matvecs plus the cell-update region) and also runs them on clusters
 //! of 2, 3 and 8 cores, where small hidden widths leave cores idle; every
-//! output must equal the fixed-point golden model. Each failure line
-//! names the seed that reproduces it.
+//! output must equal the fixed-point golden model. At level a every
+//! network, suite or random, must also engage the shortcut tier through
+//! its per-output dot-product regions. Each failure line names the seed
+//! that reproduces it.
 
 use rnnasip_bench::par;
 use rnnasip_core::{CompiledNetwork, KernelBackend, NetworkRun, OptLevel};
@@ -113,15 +115,11 @@ fn suite_three_way_bit_identical_and_engaged() {
             .unwrap_or_else(|e| panic!("{tag}: compile failed: {e}"));
         let (mut errs, shortcut_instrs) = diff_three_way(&tag, &compiled, &input);
         // Engagement: at the tiled levels every suite network contains at
-        // least one FC-shaped kernel the walker must admit. Level a's
-        // spilled-accumulator code and level b's branchy software-PLA
+        // least one FC-shaped kernel the walker must admit, and at level a
+        // every matvec's dot products. Level b's branchy software-PLA
         // kernels are legitimately rejected for some networks, so only
-        // c/d/e assert coverage.
-        if matches!(
-            level,
-            OptLevel::OfmTile | OptLevel::SdotSp | OptLevel::IfmTile
-        ) && shortcut_instrs == 0
-        {
+        // a/c/d/e assert coverage.
+        if level != OptLevel::Xpulp && shortcut_instrs == 0 {
             errs.push(format!("{tag}: shortcut tier never engaged"));
         }
         errs
@@ -175,7 +173,11 @@ fn randomized_networks_three_way_bit_identical() {
         let compiled = KernelBackend::new(level)
             .compile_network(&net)
             .unwrap_or_else(|e| panic!("{tag}: compile failed: {e}"));
-        diff_three_way(&tag, &compiled, &input).0
+        let (mut errs, shortcut_instrs) = diff_three_way(&tag, &compiled, &input);
+        if level == OptLevel::Baseline && shortcut_instrs == 0 {
+            errs.push(format!("{tag}: shortcut tier never engaged"));
+        }
+        errs
     })
     .into_iter()
     .flatten()
@@ -219,7 +221,10 @@ fn randomized_lstms_three_way_bit_identical_on_every_core_count() {
         let compiled = KernelBackend::new(level)
             .compile_network(&net)
             .unwrap_or_else(|e| panic!("{tag}: compile failed: {e}"));
-        let (mut errs, _) = diff_three_way(&tag, &compiled, &input);
+        let (mut errs, shortcut_instrs) = diff_three_way(&tag, &compiled, &input);
+        if level == OptLevel::Baseline && shortcut_instrs == 0 {
+            errs.push(format!("{tag}: shortcut tier never engaged"));
+        }
         for cores in LSTM_CORES {
             let tag = format!("{tag} cores {cores}");
             let compiled = KernelBackend::new(level)

@@ -9,13 +9,13 @@
 //!    every retired instruction on the per-op path,
 //! 2. tracing (`run_with_trace`) drives the stepping loop and never
 //!    retires shortcut instructions,
-//! 3. a network with no admissible kernel regions (optimization level
-//!    a's spilled-accumulator code) installs zero regions, so the uop
-//!    stream carries no shortcut marks at all.
+//! 3. a kernel region the walker cannot prove (optimization level a's
+//!    whole kernel, whose epilogue branches on data) installs nothing;
+//!    only its per-output dot-product regions do.
 
 use rnnasip_core::{KernelBackend, OptLevel};
 use rnnasip_fixed::Q3p12;
-use rnnasip_sim::{Fault, FaultPlan, FaultSite, Machine, Memory};
+use rnnasip_sim::{Fault, FaultPlan, FaultSite, Machine, Memory, RegionMath};
 
 fn policy_net() -> rnnasip_rrm::BenchmarkNet {
     rnnasip_rrm::suite()
@@ -113,25 +113,42 @@ fn tracing_runs_the_stepping_tier() {
 fn unrecognized_network_installs_no_regions() {
     let net = policy_net();
     let input = net.input();
-    // Level a spills the accumulator to memory inside the inner loop;
-    // the walker rejects that store, so no region may install.
+    // Level a declares each matvec twice: the whole kernel (the region
+    // its guard folds from), whose requantize/activate epilogue branches
+    // on data, and the per-output dot product inside it. Only the dot
+    // product may install: one region per matvec emission, none where a
+    // whole kernel starts.
     let compiled = KernelBackend::new(OptLevel::Baseline)
         .compile_network(&net.network)
         .expect("compile");
+    let uops = compiled.uop_program();
+    let kernels: Vec<u32> = compiled.guards().iter().map(|g| g.start_addr).collect();
+    assert!(!kernels.is_empty());
     assert_eq!(
-        compiled.uop_program().shortcut_regions(),
-        0,
-        "level a must not install shortcut regions"
+        uops.shortcut_regions(),
+        kernels.len(),
+        "one dot-product region per matvec emission"
     );
+    for r in uops.installed_regions() {
+        assert!(matches!(r.math, RegionMath::Dot(_)), "{r:?} installed");
+        assert!(
+            !kernels.contains(&r.start_addr),
+            "a whole level-a kernel installed at {:#x}",
+            r.start_addr
+        );
+    }
     let mut engine = compiled.engine();
     let run = engine.run(&input).expect("run");
-    assert_eq!(engine.machine().shortcut_instrs(), 0);
-    assert!(run.report.instrs() > 0);
+    assert!(engine.machine().shortcut_instrs() > 0);
 
-    // The compiled artifact and its shortcut-free control are the same
-    // translation when nothing installs: same uop count, zero regions —
-    // the per-step overhead of the disabled tier is a single integer
-    // compare per op.
+    // The shortcut-free control installs nothing and retires the same
+    // run on the other tiers.
     let control = compiled.without_shortcuts();
     assert_eq!(control.uop_program().shortcut_regions(), 0);
+    let mut plain = control.engine();
+    let plain_run = plain.run(&input).expect("control run");
+    assert_eq!(plain.machine().shortcut_instrs(), 0);
+    assert_eq!(plain_run.outputs, run.outputs);
+    assert_eq!(plain_run.report.cycles(), run.report.cycles());
+    assert_eq!(plain_run.report.instrs(), run.report.instrs());
 }

@@ -6,7 +6,7 @@ use super::{regs, KernelCtx, MatvecSpec, PtrSrc, ACC_POOL, MAX_TILE, WP_POOL};
 use crate::error::CoreError;
 use crate::optlevel::OptLevel;
 use rnnasip_isa::{LoopIdx, Reg};
-use rnnasip_sim::{KernelRegion, Matvec, RegionMath, ShortcutAct, ShortcutPtr};
+use rnnasip_sim::{Dot, KernelRegion, Matvec, RegionMath, ShortcutAct, ShortcutPtr};
 
 /// Emits a complete matrix-vector kernel for the context's level.
 ///
@@ -34,18 +34,24 @@ pub fn emit_matvec(ctx: &mut KernelCtx<'_>, spec: &MatvecSpec) -> Result<(), Cor
     Ok(())
 }
 
+/// The shortcut-layer image of a pointer source.
+fn shortcut_ptr(src: PtrSrc) -> ShortcutPtr {
+    match src {
+        PtrSrc::Const(addr) => ShortcutPtr::Const(addr),
+        PtrSrc::Global(cell) => ShortcutPtr::Cell(cell),
+    }
+}
+
 /// Records a [`KernelRegion`] descriptor for the code just emitted so the
 /// simulator's shortcut tier can recognize it. Recording is unconditional
 /// for well-formed specs; the simulator-side walker rejects regions it
-/// cannot prove safe (e.g. the baseline level's spilled accumulator).
+/// cannot prove safe (e.g. the baseline level's whole kernel, whose
+/// accumulator is spilled and whose epilogue branches on data — its
+/// per-output [`Dot`] regions run natively instead).
 fn record_region(ctx: &mut KernelCtx<'_>, spec: &MatvecSpec, start_addr: u32) {
     if spec.out_stride <= 0 {
         return;
     }
-    let ptr = |src: PtrSrc| match src {
-        PtrSrc::Const(addr) => ShortcutPtr::Const(addr),
-        PtrSrc::Global(cell) => ShortcutPtr::Cell(cell),
-    };
     let act = match spec.act {
         rnnasip_nn::Act::None => ShortcutAct::None,
         rnnasip_nn::Act::Relu => ShortcutAct::Relu,
@@ -58,8 +64,8 @@ fn record_region(ctx: &mut KernelCtx<'_>, spec: &MatvecSpec, start_addr: u32) {
         math: RegionMath::Matvec(Matvec {
             w_base: spec.w_base,
             bias32: spec.bias32,
-            x: ptr(spec.x),
-            out: ptr(spec.out),
+            x: shortcut_ptr(spec.x),
+            out: shortcut_ptr(spec.out),
             out_stride: spec.out_stride as u32,
             n_in: spec.n_in as u32,
             n_out: spec.n_out as u32,
@@ -71,6 +77,10 @@ fn record_region(ctx: &mut KernelCtx<'_>, spec: &MatvecSpec, start_addr: u32) {
 /// Level (a): scalar RV32IMC with the accumulator spilled to memory,
 /// reproducing the instruction mix of Table Ia (two `lh`, one `lw`, one
 /// `sw`, one `mac`, two `addi`, one `bltu` per MAC).
+///
+/// Each output's input-cursor reset, bias seed and inner loop is
+/// declared as a [`Dot`] region over the live weight, bias and spill
+/// cursors; the data-dependent epilogue after it is not.
 fn emit_baseline(ctx: &mut KernelCtx<'_>, spec: &MatvecSpec) {
     emit_requant_hoists(ctx, spec.act);
     emit_bias_base(ctx, spec);
@@ -83,6 +93,7 @@ fn emit_baseline(ctx: &mut KernelCtx<'_>, spec: &MatvecSpec) {
     ctx.load_ptr(regs::OP, spec.out);
     let out_loop = ctx.asm.new_label();
     ctx.asm.bind(out_loop);
+    let dot_start = ctx.asm.here();
     // Reset the input cursor and its end bound for this output.
     ctx.load_ptr(regs::XP, spec.x);
     {
@@ -110,6 +121,17 @@ fn emit_baseline(ctx: &mut KernelCtx<'_>, spec: &MatvecSpec) {
         a.addi(regs::XP, regs::XP, 2);
         a.bltu(regs::XP, regs::XEND, inner);
     }
+    ctx.regions.push(KernelRegion {
+        start_addr: dot_start,
+        end_addr: ctx.asm.here(),
+        math: RegionMath::Dot(Dot {
+            w: ShortcutPtr::Reg(regs::WP),
+            x: shortcut_ptr(spec.x),
+            bias32: ShortcutPtr::Reg(regs::BP),
+            spill: ShortcutPtr::Reg(regs::SPILL),
+            n_in: spec.n_in as u32,
+        }),
+    });
     // Requantize, activate, store.
     emit_requant_act(ctx, regs::ACC0, spec.act);
     {

@@ -146,64 +146,90 @@ fn guard_accounting_is_tier_identical() {
 
 #[test]
 fn corrupting_flips_in_guarded_words_are_detected() {
+    // Each network's sweep is independent: run them side by side.
+    let suite = rnnasip_rrm::suite();
+    let sweeps: Vec<_> = std::thread::scope(|s| {
+        let handles: Vec<_> = suite
+            .iter()
+            .enumerate()
+            .map(|(ni, bench)| s.spawn(move || flip_sweep(ni, bench)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("a network's flip sweep panicked"))
+            .collect()
+    });
     let mut escapes: Vec<String> = Vec::new();
     let mut corrupting = [0u32; CORES.len()];
-    for (ni, bench) in rnnasip_rrm::suite().iter().enumerate() {
-        let input = bench.input();
-        for (level, (arm, cores)) in OptLevel::ALL
-            .into_iter()
-            .flat_map(|l| CORES.into_iter().enumerate().map(move |c| (l, c)))
-        {
-            let compiled = KernelBackend::new(level)
-                .with_cores(cores)
-                .compile_network(&bench.network)
-                .unwrap();
-            let ranges = must_detect_ranges(&compiled);
-            if ranges.is_empty() {
-                continue;
-            }
-            let mut engine = compiled.engine();
-            engine.set_guards(true);
-            let golden = engine.run(&input).unwrap();
-            let mut rng = StdRng::seed_from_u64(cell_seed(ni, level) ^ ((cores as u64 - 1) << 32));
-            for _ in 0..4 {
-                let (base, len) = ranges[uniform(&mut rng, ranges.len() as u64) as usize];
-                let addr = base + uniform(&mut rng, u64::from(len)) as u32;
-                let bit = uniform(&mut rng, 8) as u32;
-                // Silent flips evade the dirty-block bitmap, so nothing
-                // but the guard can notice them.
-                engine.inject_faults(&FaultPlan::new().with_fault(Fault {
-                    at_instret: 0,
-                    site: FaultSite::MemBit {
-                        addr,
-                        bit,
-                        silent: true,
-                    },
-                }));
-                if let Ok(run) = engine.run(&input) {
-                    if run.outputs != golden.outputs {
-                        corrupting[arm] += 1;
-                        if !run.report.guard_failed() {
-                            escapes.push(format!(
-                                "{} level {} on {cores} cores: flip 0x{addr:08x}.{bit} escaped",
-                                bench.tag,
-                                level.tag()
-                            ));
-                        } else {
-                            assert!(engine.last_guard_failed());
-                        }
-                    }
-                }
-                // The silent corruption survives rewinds by design; only
-                // a rebuild restores a clean TCDM for the next trial.
-                engine.heal_rebuild();
-            }
+    for (e, c) in sweeps {
+        escapes.extend(e);
+        for (total, n) in corrupting.iter_mut().zip(c) {
+            *total += n;
         }
     }
     assert!(escapes.is_empty(), "undetected SDC: {escapes:#?}");
     for (cores, n) in CORES.iter().zip(corrupting) {
         assert!(n > 0, "sweep never corrupted an output on {cores} cores");
     }
+}
+
+/// Seeded flips into one network's guarded words at every level and core
+/// count: the escapes, and per core count how many flips corrupted an
+/// output.
+fn flip_sweep(ni: usize, bench: &rnnasip_rrm::BenchmarkNet) -> (Vec<String>, [u32; CORES.len()]) {
+    let mut escapes: Vec<String> = Vec::new();
+    let mut corrupting = [0u32; CORES.len()];
+    let input = bench.input();
+    for (level, (arm, cores)) in OptLevel::ALL
+        .into_iter()
+        .flat_map(|l| CORES.into_iter().enumerate().map(move |c| (l, c)))
+    {
+        let compiled = KernelBackend::new(level)
+            .with_cores(cores)
+            .compile_network(&bench.network)
+            .unwrap();
+        let ranges = must_detect_ranges(&compiled);
+        if ranges.is_empty() {
+            continue;
+        }
+        let mut engine = compiled.engine();
+        engine.set_guards(true);
+        let golden = engine.run(&input).unwrap();
+        let mut rng = StdRng::seed_from_u64(cell_seed(ni, level) ^ ((cores as u64 - 1) << 32));
+        for _ in 0..4 {
+            let (base, len) = ranges[uniform(&mut rng, ranges.len() as u64) as usize];
+            let addr = base + uniform(&mut rng, u64::from(len)) as u32;
+            let bit = uniform(&mut rng, 8) as u32;
+            // Silent flips evade the dirty-block bitmap, so nothing
+            // but the guard can notice them.
+            engine.inject_faults(&FaultPlan::new().with_fault(Fault {
+                at_instret: 0,
+                site: FaultSite::MemBit {
+                    addr,
+                    bit,
+                    silent: true,
+                },
+            }));
+            if let Ok(run) = engine.run(&input) {
+                if run.outputs != golden.outputs {
+                    corrupting[arm] += 1;
+                    if !run.report.guard_failed() {
+                        escapes.push(format!(
+                            "{} level {} on {cores} cores: flip 0x{addr:08x}.{bit} escaped",
+                            bench.tag,
+                            level.tag()
+                        ));
+                    } else {
+                        assert!(engine.last_guard_failed());
+                    }
+                }
+            }
+            // The silent corruption survives rewinds by design; only
+            // a rebuild restores a clean TCDM for the next trial.
+            engine.heal_rebuild();
+        }
+    }
+    (escapes, corrupting)
 }
 
 /// Regression: a cluster engine used to ignore `set_guards` silently.

@@ -68,7 +68,7 @@ pub use guard::{GuardReport, GuardSpec, RegionGuard};
 pub use machine::{Machine, StepOutcome};
 pub use mem::{MemImage, Memory, TrackedMem};
 pub use program::{ProgItem, Program};
-pub use shortcut::{CellUpdate, KernelRegion, Matvec, RegionMath, ShortcutAct, ShortcutPtr};
+pub use shortcut::{CellUpdate, Dot, KernelRegion, Matvec, RegionMath, ShortcutAct, ShortcutPtr};
 pub use stats::{Row, Stats};
 pub use trace::TraceEntry;
 pub use uop::UopProgram;

@@ -821,7 +821,8 @@ impl Machine {
     /// writes in flight, armed hardware loops), when the watchdog budget
     /// cannot cover the whole region, or when the per-entry admission
     /// check fails (pointer cells unresolvable, operand/output ranges
-    /// out of bounds, misaligned, or overlapping).
+    /// out of bounds, misaligned, or overlapping, or a compared pointer
+    /// offset wrapping).
     ///
     /// On `Ok(true)` the region was executed natively: outputs written
     /// through the dirty-block bitmap, exit-live registers / SPR state /
@@ -845,7 +846,7 @@ impl Machine {
         if sc.total_cycles > max_cycles.saturating_sub(self.core.cycle) {
             return Ok(false);
         }
-        if !sc.check_entry(&self.mem) {
+        if !sc.check_entry(&self.mem, &self.core) {
             return Ok(false);
         }
         // Compute the stores and resolve every exit value before mutating
@@ -855,17 +856,21 @@ impl Machine {
         // in-place `c` rows, which the writes below then overwrite.
         let mut scratch = std::mem::take(&mut self.shortcut_scratch);
         scratch.outs.clear();
-        let resolved = sc.compute(&self.mem, &mut scratch.outs)
+        let resolved = sc.compute(&self.mem, &self.core, &mut scratch.outs)
             && self.resolve_exit(sc, &mut scratch).is_some();
         if !resolved {
             self.shortcut_scratch = scratch;
             return Ok(false);
         }
 
+        let words = sc.stores_words();
         for &(addr, v) in &scratch.outs {
-            self.mem
-                .write_u16(addr, v as u16)
-                .expect("shortcut store spans were admission-checked");
+            if words {
+                self.mem.write_u32(addr, v as u32)
+            } else {
+                self.mem.write_u16(addr, v as u16)
+            }
+            .expect("shortcut store spans were admission-checked");
         }
         for &(r, v) in &scratch.regs {
             self.core.set_reg(r, v);
@@ -916,12 +921,12 @@ impl Machine {
         scratch.spr = [None, None];
         for (s, a) in sc.exit_spr.iter().enumerate() {
             if let Some(a) = a {
-                scratch.spr[s] = Some(self.mem.read_u32(a.resolve(&self.mem)?).ok()?);
+                scratch.spr[s] = Some(self.mem.read_u32(a.resolve(&self.mem, &self.core)?).ok()?);
             }
         }
         scratch.pend.clear();
         for &(rel, slot, a) in &sc.exit_pending {
-            let v = self.mem.read_u32(a.resolve(&self.mem)?).ok()?;
+            let v = self.mem.read_u32(a.resolve(&self.mem, &self.core)?).ok()?;
             scratch.pend.push((self.core.instret + rel, slot, v));
         }
         Some(())
@@ -931,9 +936,9 @@ impl Machine {
     fn exit_value(&self, sc: &ShortcutRegion, outs: &[(u32, i32)], ev: ExitVal) -> Option<u32> {
         Some(match ev {
             ExitVal::Const(v) => v,
-            ExitVal::CellAdd { cell, off } => self.mem.read_u32(cell).ok()?.wrapping_add(off),
+            ExitVal::Addr(a) => a.resolve(&self.mem, &self.core)?,
             ExitVal::Load { op, addr } => {
-                load_value(&self.mem, op, addr.resolve(&self.mem)?).ok()?
+                load_value(&self.mem, op, addr.resolve(&self.mem, &self.core)?).ok()?
             }
             ExitVal::Out(k) => outs[k as usize].1 as u32,
             ExitVal::Node(i) => sc.exit_nodes[i as usize]

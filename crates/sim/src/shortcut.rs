@@ -3,34 +3,39 @@
 //!
 //! The code generator in `rnnasip-core` knows exactly which pc ranges it
 //! emitted as kernels, and publishes them as [`KernelRegion`] descriptors
-//! (pc range plus the region's math and address layout). There are two
+//! (pc range plus the region's math and address layout). There are three
 //! kinds of math ([`RegionMath`]): the requantized matrix-vector product
-//! of FC stages, LSTM gates and CNN pixels, and, from level c on, the
-//! LSTM cell update. At translation time
+//! of FC stages, LSTM gates and CNN pixels; from level c on, the LSTM
+//! cell update; and at level a, one output's spilled dot product. At
+//! translation time
 //! ([`UopProgram::translate_with_shortcuts`](crate::UopProgram::translate_with_shortcuts))
 //! each descriptor is *verified* against the micro-op stream by an
 //! abstract interpretation ([`install`]): the region is walked with
 //! constant-folded control flow and symbolic data. Constants fold
 //! through the interpreter's own micro-op semantics (`UopKind::value`,
 //! `branch_taken`, `load_value` in the `uop` module); the walk adds only
-//! the symbolic cases (cell-pointer arithmetic, dataflow nodes and
-//! halfword inference). It proves that
+//! the symbolic cases (pointer arithmetic on entry cells, dataflow nodes,
+//! dot-product chains and halfword inference). It proves that
 //!
 //! * every branch, hardware-loop count and memory address inside the
-//!   region is a compile-time constant (given the values of the region's
-//!   pointer cells),
+//!   region is a compile-time constant given the values of the region's
+//!   pointer cells (global words or live-in registers), or compares two
+//!   offsets from one cell,
 //! * the region makes exactly the descriptor's stores, in order, and
 //!   nothing else: `n_out` requantized halfwords for a matvec; for a cell
 //!   update, each row's `c` then `h`, whose dataflow trees of loads,
 //!   `mul`, `srai`, `add`, `clip` and `pl.tanh` must be the row's formula
-//!   (see [`CellUpdate`]),
+//!   (see [`CellUpdate`]); for a dot product, the bias seed and then
+//!   each partial sum into the spill word, which every `lw` of it reads
+//!   back (see [`Dot`]),
 //! * the complete timing profile — base cycles, taken branches,
 //!   load-use stalls, per-mnemonic retire rows — is static.
 //!
-//! Hardware loops whose iterations only shift the walk's state by
-//! constants are walked for two iterations and then applied in closed
-//! form (see `Candidate`), so verification costs what the region's
-//! static code costs, not what it executes.
+//! Loops whose iterations only shift the walk's state by constants —
+//! hardware loops and loops closed by a backward branch alike — are
+//! walked for two iterations and then applied in closed form (see
+//! `Candidate`), so verification costs what the region's static code
+//! costs, not what it executes.
 //!
 //! A region that passes is installed as a [`ShortcutRegion`]: the machine
 //! then executes one entry as a single native computation over TCDM
@@ -46,16 +51,17 @@
 //! is enforced by the three-way shortcut / bulk / stepping differential
 //! tests in the bench crate.
 
+use crate::core_state::Core;
 use crate::mem::Memory;
 use crate::program::Program;
 use crate::uop::{alu, alu_imm, branch_taken, clip, mul_div, unary, UnaryOp, Uop, UopKind, NO_IDX};
-use rnnasip_isa::{AluImmOp, AluOp, LoadOp, MnemonicId, MulDivOp, Reg, StoreOp};
+use rnnasip_isa::{AluImmOp, AluOp, BranchOp, LoadOp, MnemonicId, MulDivOp, Reg, StoreOp};
 use std::collections::HashMap;
 
 /// Upper bound on the dynamic micro-ops verifying one region accounts
 /// for — a guard against pathological descriptors, far above any real
 /// kernel (the largest suite kernel executes ~200k micro-ops per entry).
-/// Hardware-loop iterations the walk applies in closed form count as if
+/// Loop iterations the walk applies in closed form count as if
 /// walked, so the cap rejects exactly the regions it rejected when every
 /// op was walked.
 const WALK_OP_CAP: u64 = 8_000_000;
@@ -72,6 +78,9 @@ pub enum ShortcutPtr {
     /// Loaded from a 32-bit global cell at this constant address (an
     /// outer software loop advances the pointer between kernel entries).
     Cell(u32),
+    /// Held in this register at region entry (a loop-carried cursor of
+    /// the code around the region).
+    Reg(Reg),
 }
 
 /// Activation applied after requantization, mirroring the generated
@@ -111,6 +120,8 @@ pub enum RegionMath {
     Matvec(Matvec),
     /// The LSTM element-wise cell and hidden-state update.
     Cell(CellUpdate),
+    /// One output's dot product with a spilled accumulator.
+    Dot(Dot),
 }
 
 /// One emitted matrix-vector kernel:
@@ -157,6 +168,31 @@ pub struct CellUpdate {
     pub rows: u32,
 }
 
+/// One output of the level-a kernel, whose accumulator lives in a
+/// memory word:
+///
+/// ```text
+/// spill ← acc = bias32 + Σ_{k < n_in} w[k]·x[k]    (wrapping, 32-bit)
+/// ```
+///
+/// The region seeds the spill word with the bias word, then stores each
+/// partial sum back to it; every `lw` of the spill word reads the
+/// region's own last store. The final sum is also left in the register
+/// that held it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Dot {
+    /// Weight row source (`n_in` halfwords).
+    pub w: ShortcutPtr,
+    /// Input vector source (`n_in` halfwords).
+    pub x: ShortcutPtr,
+    /// Source of the pre-shifted 32-bit bias seed word.
+    pub bias32: ShortcutPtr,
+    /// The accumulator's spill word.
+    pub spill: ShortcutPtr,
+    /// Input width in elements (nonzero).
+    pub n_in: u32,
+}
+
 impl ShortcutAct {
     /// Applies the activation to a requantized, clipped value.
     pub(crate) fn apply(self, v: i32) -> i32 {
@@ -177,11 +213,13 @@ fn hw_tanh(v: i32) -> i32 {
 }
 
 impl ShortcutPtr {
-    /// The pointer's value in `mem` (`None` if its cell is unreadable).
+    /// The pointer's value in `mem` (`None` if its cell is unreadable,
+    /// and for a register pointer, which only a core can resolve).
     pub(crate) fn resolve(self, mem: &Memory) -> Option<u32> {
         match self {
             ShortcutPtr::Const(a) => Some(a),
             ShortcutPtr::Cell(c) => mem.read_u32(c).ok(),
+            ShortcutPtr::Reg(_) => None,
         }
     }
 
@@ -190,19 +228,40 @@ impl ShortcutPtr {
         match self {
             ShortcutPtr::Const(a) => AAddr { cell: None, off: a },
             ShortcutPtr::Cell(c) => AAddr {
-                cell: Some(c),
+                cell: Some(Cell::Mem(c)),
+                off: 0,
+            },
+            ShortcutPtr::Reg(r) => AAddr {
+                cell: Some(Cell::Reg(r.num())),
                 off: 0,
             },
         }
     }
 }
 
+/// A pointer cell, read at region entry: a 32-bit global word at a
+/// constant address, or a live-in register.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Cell {
+    Mem(u32),
+    Reg(u8),
+}
+
+impl Cell {
+    /// The cell's value on entry (`None` if the word is unreadable).
+    fn resolve(self, mem: &Memory, core: &Core) -> Option<u32> {
+        match self {
+            Cell::Mem(c) => mem.read_u32(c).ok(),
+            Cell::Reg(r) => Some(core.reg(Reg::from_bits(u32::from(r)))),
+        }
+    }
+}
+
 /// An abstract address: `cell` is `None` for a constant byte address
-/// `off`, or `Some(c)` for `mem_u32[c] + off` with the cell read at
-/// region entry.
+/// `off`, or `Some(c)` for cell `c`'s entry value plus `off`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct AAddr {
-    pub cell: Option<u32>,
+    pub cell: Option<Cell>,
     pub off: u32,
 }
 
@@ -211,9 +270,10 @@ pub(crate) struct AAddr {
 pub(crate) enum ExitVal {
     /// A constant.
     Const(u32),
-    /// `mem_u32[cell] + off` (a pointer loaded from a global cell and
-    /// advanced by a constant amount).
-    CellAdd { cell: u32, off: u32 },
+    /// The address itself: a pointer cell's entry value plus a constant
+    /// (a pointer loaded from a global cell or held in a register, then
+    /// advanced).
+    Addr(AAddr),
     /// Re-load from memory (the last value a register loaded). Resolved
     /// before the region's stores are written, so the read returns the
     /// load-time value: every load range is store-disjoint, and a cell
@@ -269,7 +329,7 @@ impl Node<u32> {
 /// aligned once the cell base is known.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct AccessRange {
-    pub cell: Option<u32>,
+    pub cell: Option<Cell>,
     /// Inclusive start offset (absolute address when `cell` is `None`).
     pub lo: u32,
     /// Exclusive end offset.
@@ -321,6 +381,10 @@ pub(crate) struct ShortcutRegion {
     pub loads: Vec<AccessRange>,
     /// The spans of the region's store streams (one per output stream).
     pub stores: Vec<AccessRange>,
+    /// Per cell, the largest offset an unsigned branch compared against
+    /// another offset from the same cell: the comparison folded to one
+    /// of the offsets, which holds while `cell + offset` does not wrap.
+    pub nowrap: Vec<(Cell, u32)>,
 }
 
 /// Abstract value of a register during the verification walk.
@@ -331,15 +395,27 @@ enum Av {
     Entry,
     /// A known constant.
     Const(u32),
-    /// `mem_u32[cell] + off` — a pointer loaded from a constant cell
-    /// address, plus a constant displacement.
-    CellVal { cell: u32, off: u32 },
+    /// A pointer cell's entry value plus a constant displacement.
+    CellVal { cell: Cell, off: u32 },
     /// A value loaded from a resolvable address during the walk.
     Load { op: LoadOp, addr: AAddr },
+    /// A dot-product chain (see [`DotVal`]).
+    Dot(DotVal),
     /// Unknown data. `hw` marks a value proven to be a sign-extended
     /// 16-bit quantity (requantized/activated), eligible for output
     /// mapping.
     Data { id: u32, hw: bool },
+}
+
+/// `mem_u32[seed] + Σ_{k < n} a[k]·b[k]` (wrapping) over the halfword
+/// streams at `a` and `b`: the value a `mac` chain over successive `lh`
+/// pairs builds on a loaded seed word.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct DotVal {
+    seed: AAddr,
+    a: AAddr,
+    b: AAddr,
+    n: u32,
 }
 
 /// Abstract value of one SPR slot.
@@ -375,7 +451,7 @@ struct RangeSet {
 
 impl RangeSet {
     /// Records one access; `false` rejects the region.
-    fn add(&mut self, cell: Option<u32>, off: u32, size: u32) -> bool {
+    fn add(&mut self, cell: Option<Cell>, off: u32, size: u32) -> bool {
         // Constant addresses are checked statically: a misaligned one
         // would fault on every entry, so the region is left interpreted.
         if cell.is_none() && !off.is_multiple_of(size) {
@@ -576,6 +652,10 @@ fn symbolic(kind: UopKind, regs: &[Av; 32], vals: &mut Values) -> Av {
         UopKind::MulDiv { op, rs1, rs2, .. } => {
             vals.fresh(false, Some(Node::MulDiv(op, a(rs1), a(rs2))))
         }
+        UopKind::Mac { rd, rs1, rs2 } => match dot_step(a(rd), a(rs1), a(rs2)) {
+            Some(d) => Av::Dot(d),
+            None => vals.fresh(false, None),
+        },
         UopKind::Clip { rs1, lo, hi, .. } => vals.fresh(
             lo >= -32768 && hi <= 32767,
             Some(Node::Clip(a(rs1), lo, hi)),
@@ -586,6 +666,38 @@ fn symbolic(kind: UopKind, regs: &[Av; 32], vals: &mut Values) -> Av {
             vals.fresh(in_i16(a(rs1)) && in_i16(a(rs2)), None)
         }
         _ => vals.fresh(false, None),
+    }
+}
+
+/// The dot-product chain a `mac` of two loaded halfwords builds on `acc`:
+/// a loaded word seeds a chain, and a chain grows by one term when the
+/// halfwords are the next elements of both of its streams.
+fn dot_step(acc: Av, a: Av, b: Av) -> Option<DotVal> {
+    let (
+        Av::Load {
+            op: LoadOp::Lh,
+            addr: a,
+        },
+        Av::Load {
+            op: LoadOp::Lh,
+            addr: b,
+        },
+    ) = (a, b)
+    else {
+        return None;
+    };
+    match acc {
+        Av::Load {
+            op: LoadOp::Lw,
+            addr: seed,
+        } => Some(DotVal { seed, a, b, n: 1 }),
+        Av::Dot(d) if a == d.a.plus(d.n.wrapping_mul(2)) && b == d.b.plus(d.n.wrapping_mul(2)) => {
+            Some(DotVal {
+                n: d.n.wrapping_add(1),
+                ..d
+            })
+        }
+        _ => None,
     }
 }
 
@@ -655,6 +767,10 @@ struct WalkState {
     cycles: u64,
     instret: u64,
     next_out: u32,
+    /// The spill word's content: the region's last store to it.
+    spill: Option<Av>,
+    /// See [`ShortcutRegion::nowrap`].
+    nowrap: Vec<(Cell, u32)>,
 }
 
 /// How a value moves between two loop iterations, in terms of the
@@ -662,8 +778,8 @@ struct WalkState {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Form {
     /// Moves exactly as iteration-start source `s` moves: register `s`
-    /// for `s < 32`, pending SPR write `s - 32` ([`SRC_PEND`]) or SPR
-    /// slot `s - 34` ([`SRC_SPR`]).
+    /// for `s < 32`, pending SPR write `s - 32` ([`SRC_PEND`]), SPR
+    /// slot `s - 34` ([`SRC_SPR`]) or the spill word ([`SRC_SPILL`]).
     Lin(u8),
     /// A cell pointer `mem_u32[c]` whose cell address `c` moves as
     /// source `s` moves (a word loaded through a moving pointer).
@@ -678,13 +794,25 @@ enum Form {
 const SRC_PEND: usize = 32;
 /// First SPR-slot source index of a [`Form::Lin`].
 const SRC_SPR: usize = 34;
+/// The spill word's source index of a [`Form::Lin`].
+const SRC_SPILL: usize = 36;
+
+/// The loop a [`Candidate`] watches.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Loop {
+    /// Hardware loop level `l`.
+    Hw(usize),
+    /// The loop closed by the backward branch at this address.
+    Branch(u32),
+}
 
 /// Outcome of [`Candidate::summarize`].
 enum Summary {
     /// Not a constant shift: keep walking.
     Skip,
     /// Applied; `ops` micro-ops were accounted for. With `walk_last`,
-    /// the loop's last iteration is still to be walked.
+    /// the loop's last iteration is still to be walked (always so for a
+    /// branch-closed loop, whose last branch falls through).
     Applied { ops: u64, walk_last: bool },
     /// A replayed load failed — so would the full walk.
     Reject,
@@ -709,13 +837,23 @@ fn delta(a: Av, b: Av) -> Option<Delta> {
         (Av::CellVal { cell: c, off: x }, Av::CellVal { cell: d, off: y }) if c == d => {
             Delta::Num(y.wrapping_sub(x))
         }
-        (Av::CellVal { cell: c, off: x }, Av::CellVal { cell: d, off: y }) if x == y => {
-            Delta::Cell(d.wrapping_sub(c))
-        }
+        (
+            Av::CellVal {
+                cell: Cell::Mem(c),
+                off: x,
+            },
+            Av::CellVal {
+                cell: Cell::Mem(d),
+                off: y,
+            },
+        ) if x == y => Delta::Cell(d.wrapping_sub(c)),
         (Av::Load { op: o, addr: x }, Av::Load { op: p, addr: y })
             if o == p && x.cell == y.cell =>
         {
             Delta::Num(y.off.wrapping_sub(x.off))
+        }
+        (Av::Dot(x), Av::Dot(y)) if DotVal { n: y.n, ..x } == y => {
+            Delta::Num(y.n.wrapping_sub(x.n))
         }
         (Av::Data { hw: g, .. }, Av::Data { hw: h, .. }) if g == h => Delta::Same,
         _ => return None,
@@ -728,8 +866,11 @@ fn shifted(v: Av, d: Delta, m: u32) -> Av {
         Delta::Num(x) => m.wrapping_mul(x),
         Delta::Cell(x) => {
             return match v {
-                Av::CellVal { cell, off } => Av::CellVal {
-                    cell: cell.wrapping_add(m.wrapping_mul(x)),
+                Av::CellVal {
+                    cell: Cell::Mem(c),
+                    off,
+                } => Av::CellVal {
+                    cell: Cell::Mem(c.wrapping_add(m.wrapping_mul(x))),
                     off,
                 },
                 v => v,
@@ -745,16 +886,17 @@ fn shifted(v: Av, d: Delta, m: u32) -> Av {
         },
         Av::Load { op, addr } => Av::Load {
             op,
-            addr: AAddr {
-                cell: addr.cell,
-                off: addr.off.wrapping_add(by),
-            },
+            addr: addr.plus(by),
         },
+        Av::Dot(d) => Av::Dot(DotVal {
+            n: d.n.wrapping_add(by),
+            ..d
+        }),
         v => v,
     }
 }
 
-/// One hardware-loop iteration watched for a closed-form summary.
+/// One loop iteration watched for a closed-form summary.
 ///
 /// Alongside the ordinary walk, every value written in the iteration
 /// gets a [`Form`] saying how it would move if the iteration-start state
@@ -768,49 +910,66 @@ fn shifted(v: Av, d: Delta, m: u32) -> Av {
 ///   same constants — a source moves only into copies of itself
 ///   advanced by constants, and every value inspected beyond that
 ///   (constant folds, loads from a constant address) did not move;
-/// * every load address moves by a constant;
-/// * nothing else happened: no store, branch or loop setup.
+/// * every load address moves by a constant, and every dot-product
+///   step's halfword streams move two bytes per term it adds;
+/// * nothing else happened: no branch but a branch-closed loop's own
+///   closing branch, no loop setup, and no store but the whole rows of
+///   a cell update or the spill-word partial sums of a dot product.
 ///
 /// Then iteration `k + 1` is iteration `k` shifted, by induction: rows,
 /// counters, pointers and SPR state advance linearly and the loads of
 /// every later iteration are known. The range set takes them in closed
-/// form while that is exact, and replays the rest.
+/// form while that is exact, and replays the rest. A hardware loop's
+/// count says how many iterations remain; a branch-closed loop's
+/// closing `bltu` gives its trip count from how far its moving operand
+/// still is from its fixed one.
 ///
 /// [`summarize`]: Candidate::summarize
 struct Candidate {
-    level: usize,
+    lp: Loop,
     /// The state at the watched iteration's first op.
     start: WalkState,
     regs: [Form; 32],
     spr: [Form; 2],
+    /// Form of the spill word's content.
+    spill: Form,
     /// Forms of `WalkState::pend`, in step with it.
     pend: Vec<Form>,
     /// Sources whose values were inspected and so must not move.
     fixed: u64,
     /// Every load of the iteration: `(address, size, form of address)`.
     accesses: Vec<(AAddr, u32, Form)>,
-    /// Every store of the iteration: `(address, form of address)`;
+    /// Every store of the iteration: `(form of address, form of value)`;
     /// `None` when a store ends the watch.
-    stores: Option<Vec<(AAddr, Form)>>,
+    stores: Option<Vec<(Form, Form)>>,
+    /// Every dot-product step: the forms of its chain and of its two
+    /// halfword operands.
+    macs: Vec<[Form; 3]>,
+    /// A branch-closed loop's closing branch: its op and the forms of
+    /// its two operand registers.
+    closing: Option<(BranchOp, Reg, Reg, Form, Form)>,
 }
 
 impl Candidate {
-    /// Watches one iteration of loop `level`. Only a cell update's walk
-    /// (`stores`) may summarize iterations that store.
-    fn new(level: usize, st: &WalkState, stores: bool) -> Self {
+    /// Watches one iteration of loop `lp`. Only a cell update's or a dot
+    /// product's walk (`stores`) may summarize iterations that store.
+    fn new(lp: Loop, st: &WalkState, stores: bool) -> Self {
         let mut regs: [Form; 32] = std::array::from_fn(|r| Form::Lin(r as u8));
         regs[0] = Form::Zero;
         Self {
-            level,
+            lp,
             start: st.clone(),
             regs,
             spr: [Form::Lin(SRC_SPR as u8), Form::Lin(SRC_SPR as u8 + 1)],
+            spill: Form::Lin(SRC_SPILL as u8),
             pend: (0..st.pend.len())
                 .map(|j| Form::Lin((SRC_PEND + j) as u8))
                 .collect(),
             fixed: 0,
             accesses: Vec::new(),
             stores: stores.then(Vec::new),
+            macs: Vec::new(),
+            closing: None,
         }
     }
 
@@ -868,8 +1027,13 @@ impl Candidate {
         Form::Zero
     }
 
-    fn load(&mut self, op: LoadOp, rd: Reg, addr: AAddr, f: Form) {
+    fn load(&mut self, op: LoadOp, rd: Reg, addr: AAddr, f: Form, plan: &Outputs) {
         let f = self.ptr(f);
+        // A spill-word read forwards the word's content.
+        if plan.spill() == Some(addr) {
+            self.set(rd, self.spill);
+            return;
+        }
         self.accesses.push((addr, load_size(op), f));
         // A word from a constant address becomes a cell pointer named
         // by that address.
@@ -880,9 +1044,18 @@ impl Candidate {
         self.set(rd, v);
     }
 
+    fn store(&mut self, addr: AAddr, addr_form: Form, value: Reg, plan: &Outputs) {
+        let f = self.ptr(addr_form);
+        let v = self.form(value);
+        if plan.spill() == Some(addr) {
+            self.spill = v;
+        }
+        self.stores.as_mut().unwrap().push((f, v));
+    }
+
     /// Mirrors one op of the walk (called before the op executes, on the
     /// pre-op registers). `false` ends the watch.
-    fn track(&mut self, u: &Uop, regs: &[Av; 32]) -> bool {
+    fn track(&mut self, u: &Uop, regs: &[Av; 32], plan: &Outputs) -> bool {
         let val = |r: Reg| av(regs, r);
         match u.kind {
             UopKind::Load {
@@ -894,7 +1067,7 @@ impl Candidate {
                 let Some(addr) = aaddr(val(rs1), offset) else {
                     return false;
                 };
-                self.load(op, rd, addr, self.form(rs1));
+                self.load(op, rd, addr, self.form(rs1), plan);
             }
             UopKind::LoadPostInc { op, rd, rs1, .. } => {
                 let Some(addr) = aaddr(val(rs1), 0) else {
@@ -902,7 +1075,7 @@ impl Candidate {
                 };
                 let f = self.ptr(self.form(rs1));
                 self.set(rs1, f);
-                self.load(op, rd, addr, f);
+                self.load(op, rd, addr, f, plan);
             }
             UopKind::LoadReg { op, rd, rs1, rs2 } => {
                 let addr = match (val(rs1), val(rs2)) {
@@ -918,7 +1091,7 @@ impl Candidate {
                     _ => return false,
                 };
                 let f = self.add(self.form(rs1), self.form(rs2));
-                self.load(op, rd, addr, f);
+                self.load(op, rd, addr, f, plan);
             }
             // Pointer arithmetic moves with the pointer.
             UopKind::OpImm {
@@ -959,6 +1132,13 @@ impl Candidate {
                 let f = self.ptr(self.form(rs1));
                 self.set(rd, f);
             }
+            // A dot-product step moves with its chain (the summary checks
+            // that its operands keep pace).
+            UopKind::Mac { rd, rs1, rs2 } if dot_step(val(rd), val(rs1), val(rs2)).is_some() => {
+                let f = self.form(rd);
+                self.macs.push([f, self.form(rs1), self.form(rs2)]);
+                self.set(rd, f);
+            }
             UopKind::PlSdotsp { rd, rs1, .. } => {
                 let Some(addr) = aaddr(val(rs1), 0) else {
                     return false;
@@ -972,20 +1152,28 @@ impl Candidate {
                 self.set(rs1, f);
             }
             UopKind::Nop => {}
-            UopKind::Store { rs1, offset, .. } if self.stores.is_some() => {
+            UopKind::Store {
+                rs2, rs1, offset, ..
+            } if self.stores.is_some() => {
                 let Some(addr) = aaddr(val(rs1), offset) else {
                     return false;
                 };
-                let f = self.ptr(self.form(rs1));
-                self.stores.as_mut().unwrap().push((addr, f));
+                self.store(addr, self.form(rs1), rs2, plan);
             }
-            UopKind::StorePostInc { rs1, .. } if self.stores.is_some() => {
+            UopKind::StorePostInc { rs2, rs1, .. } if self.stores.is_some() => {
                 let Some(addr) = aaddr(val(rs1), 0) else {
                     return false;
                 };
                 let f = self.ptr(self.form(rs1));
                 self.set(rs1, f);
-                self.stores.as_mut().unwrap().push((addr, f));
+                self.store(addr, f, rs2, plan);
+            }
+            // The closing branch of the watched loop: its outcome in later
+            // iterations follows from how its operands move.
+            UopKind::Branch { op, rs1, rs2, .. }
+                if self.lp == Loop::Branch(u.addr) && self.closing.is_none() =>
+            {
+                self.closing = Some((op, rs1, rs2, self.form(rs1), self.form(rs2)));
             }
             // Other stores, control flow and loop setup end the watch.
             UopKind::Store { .. }
@@ -1021,42 +1209,52 @@ impl Candidate {
     }
 
     /// At the loop's next jump-back (`st` is the state at the start of
-    /// the following iteration, `n1` of them left): if the watched
-    /// iteration proves to be a constant shift, advances `st` to the end
-    /// of the loop's last iteration, with the loop's count back at 1 so
-    /// the walk can take its exit. [`Summary::Skip`] leaves `st`
-    /// untouched.
+    /// the following iteration): if the watched iteration proves to be a
+    /// constant shift, advances `st` past every remaining iteration but,
+    /// with `walk_last`, the last. A hardware loop is left with its count
+    /// back at 1 so the walk can take its exit. [`Summary::Skip`] leaves
+    /// `st` untouched.
     ///
     /// A cell update's iteration may store: it then writes whole rows,
     /// and every store and load must advance by exactly those rows, so
-    /// iteration `k + 1` checks the row formulas one row further on. The
+    /// iteration `k + 1` checks the row formulas one row further on. A
+    /// dot product's iteration may store its partial sums: the spill
+    /// word stays put and each stored chain must grow by one term per
+    /// store, so iteration `k + 1` stores the next partial sums. The
     /// stored values of applied iterations are never exit-live, so the
     /// loop's last iteration is left to the walk (`walk_last`), which
     /// records its stores and dataflow as usual.
     fn summarize(&self, st: &mut WalkState, plan: &Outputs) -> Summary {
         let s0 = &self.start;
-        let lv = self.level;
-        let (Some((a0, e0, n0)), Some((a1, e1, n1))) = (s0.hwl[lv], st.hwl[lv]) else {
-            return Summary::Skip;
-        };
-        // Two halfword stores per row: `stored` bytes of advance per
-        // iteration for every stream and operand.
         let stored = st.next_out - s0.next_out;
-        if (stored > 0 && (self.stores.is_none() || !stored.is_multiple_of(2)))
-            || (a0, e0) != (a1, e1)
-            || n1 + 1 != n0
-            || s0.hwl[1 - lv] != st.hwl[1 - lv]
+        if (stored > 0 && self.stores.is_none())
+            || (plan.cell.is_some() && !stored.is_multiple_of(2))
             || s0.prev_load != st.prev_load
+            || s0.nowrap != st.nowrap
             || s0.retire_rows.len() != st.retire_rows.len()
             || s0.stall_rows.len() != st.stall_rows.len()
             || s0.pend.len() != st.pend.len()
         {
             return Summary::Skip;
         }
+        // Iterations left after the watched one, for a hardware loop.
+        let hw_left = match self.lp {
+            Loop::Hw(lv) => {
+                let (Some((a0, e0, n0)), Some((a1, e1, n1))) = (s0.hwl[lv], st.hwl[lv]) else {
+                    return Summary::Skip;
+                };
+                if (a0, e0) != (a1, e1) || n1 + 1 != n0 || s0.hwl[1 - lv] != st.hwl[1 - lv] {
+                    return Summary::Skip;
+                }
+                Some(n1)
+            }
+            Loop::Branch(_) if s0.hwl == st.hwl => None,
+            Loop::Branch(_) => return Summary::Skip,
+        };
         let iter = st.instret - s0.instret;
 
         // Per-source deltas over the watched iteration.
-        let mut d = [Delta::Same; SRC_SPR + 2];
+        let mut d = [Delta::Same; SRC_SPILL + 1];
         for (dr, (&a, &b)) in d.iter_mut().zip(s0.regs.iter().zip(&st.regs)).skip(1) {
             let Some(v) = delta(a, b) else {
                 return Summary::Skip;
@@ -1078,6 +1276,14 @@ impl Candidate {
                 _ => return Summary::Skip,
             };
         }
+        d[SRC_SPILL] = match (s0.spill, st.spill) {
+            (None, None) => Delta::Same,
+            (Some(a), Some(b)) => match delta(a, b) {
+                Some(v) => v,
+                None => return Summary::Skip,
+            },
+            _ => return Summary::Skip,
+        };
 
         // The forms must predict the same deltas for the next iteration.
         let ends = (1..32)
@@ -1088,7 +1294,8 @@ impl Candidate {
                     .enumerate()
                     .map(|(j, &f)| (SRC_PEND + j, f)),
             )
-            .chain(self.spr.iter().enumerate().map(|(k, &f)| (SRC_SPR + k, f)));
+            .chain(self.spr.iter().enumerate().map(|(k, &f)| (SRC_SPR + k, f)))
+            .chain([(SRC_SPILL, self.spill)]);
         for (x, f) in ends {
             let ok = match f {
                 Form::Lin(s) => {
@@ -1111,7 +1318,7 @@ impl Candidate {
             return Summary::Skip;
         }
 
-        // Where each access of the watched iteration moves per iteration.
+        // Where each value of the watched iteration moves per iteration.
         let shift_of = |f: Form| match f {
             Form::Lin(s) => match d[usize::from(s)] {
                 Delta::Num(v) => Some(v),
@@ -1120,12 +1327,23 @@ impl Candidate {
             Form::Zero => Some(0),
             Form::Cell(_) | Form::Fresh => None,
         };
+        // A dot-product step stays a step when both halfword operands
+        // move two bytes per term its chain moves.
+        for &[chain, a, b] in &self.macs {
+            let (Some(n), Some(a), Some(b)) = (shift_of(chain), shift_of(a), shift_of(b)) else {
+                return Summary::Skip;
+            };
+            let step = n.wrapping_mul(2);
+            if a != step || b != step {
+                return Summary::Skip;
+            }
+        }
         let mut shifts = Vec::with_capacity(self.accesses.len());
         for &(addr, size, f) in &self.accesses {
             let Some(shift) = shift_of(f) else {
                 return Summary::Skip;
             };
-            if stored > 0 && shift != stored {
+            if plan.cell.is_some() && stored > 0 && shift != stored {
                 return Summary::Skip;
             }
             // In-place reads of `c` are covered by its store span.
@@ -1133,18 +1351,33 @@ impl Candidate {
                 shifts.push((addr, size, shift));
             }
         }
-        for &(_, f) in self.stores.iter().flatten() {
-            if shift_of(f) != Some(stored) {
+        for &(at, value) in self.stores.iter().flatten() {
+            let ok = if plan.dot.is_some() {
+                shift_of(at) == Some(0) && shift_of(value) == Some(stored)
+            } else {
+                shift_of(at) == Some(stored)
+            };
+            if !ok {
                 return Summary::Skip;
             }
         }
-        let walk_last = stored > 0;
+
+        let (left, walk_last) = match hw_left {
+            Some(n1) => (u64::from(n1), stored > 0),
+            None => match self.trip(st, shift_of) {
+                Some(n) => (n, true),
+                None => return Summary::Skip,
+            },
+        };
+        let m = left - u64::from(walk_last);
+        if m == 0 {
+            return Summary::Skip;
+        }
 
         // All remaining iterations are applied: load ranges in closed
         // form for the first `safe` of them (see [`closed_form`]), the
         // loads of the rest replayed into the range set one by one, which
         // reproduces its merges exactly.
-        let m = u64::from(n1) - u64::from(walk_last);
         let Some(next_out) = (m as u32)
             .checked_mul(stored)
             .and_then(|n| n.checked_add(st.next_out))
@@ -1186,6 +1419,7 @@ impl Candidate {
                 a.off = a.off.wrapping_add(by(SRC_SPR + k));
             }
         }
+        st.spill = st.spill.map(|v| shifted(v, d[SRC_SPILL], m32));
         for (r, r0) in st.retire_rows.iter_mut().zip(&s0.retire_rows) {
             r.1 += m * (r.1 - r0.1);
             r.2 += m * (r.2 - r0.2);
@@ -1197,13 +1431,35 @@ impl Candidate {
         st.cycles += m * (st.cycles - s0.cycles);
         st.instret += m * iter;
         st.next_out = next_out;
-        if let Some(h) = &mut st.hwl[lv] {
-            h.2 = 1;
+        if let Loop::Hw(lv) = self.lp {
+            if let Some(h) = &mut st.hwl[lv] {
+                h.2 = 1;
+            }
         }
         Summary::Applied {
             ops: m * iter,
             walk_last,
         }
+    }
+
+    /// How many iterations a branch-closed loop has left, the last one
+    /// included, when its closing branch was just taken with the operands
+    /// now in `st`: a `bltu` whose first operand climbs by a constant
+    /// towards a fixed second one, both constants or offsets from one
+    /// cell, with no wrap on the way.
+    fn trip(&self, st: &WalkState, shift_of: impl Fn(Form) -> Option<u32>) -> Option<u64> {
+        let (op, r1, r2, f1, f2) = self.closing?;
+        let (a, b) = match (av(&st.regs, r1), av(&st.regs, r2)) {
+            (Av::Const(a), Av::Const(b)) => (a, b),
+            (Av::CellVal { cell: c, off: a }, Av::CellVal { cell: e, off: b }) if c == e => (a, b),
+            _ => return None,
+        };
+        let step = u64::from(shift_of(f1)?);
+        if op != BranchOp::Bltu || shift_of(f2)? != 0 || step == 0 || step >= 1 << 31 || a >= b {
+            return None;
+        }
+        let left = (u64::from(b - a)).div_ceil(step);
+        (u64::from(a) + left * step <= u64::from(u32::MAX)).then_some(left)
     }
 }
 
@@ -1280,7 +1536,7 @@ fn walk(
     let stores = plan.spans()?;
 
     let mut st = WalkState {
-        regs: [Av::Entry; 32],
+        regs: entry_regs(&desc.math)?,
         hwl: [None, None],
         spr: [SprAv::Entry, SprAv::Entry],
         pend: Vec::new(),
@@ -1291,6 +1547,8 @@ fn walk(
         cycles: 0,
         instret: 0,
         next_out: 0,
+        spill: None,
+        nowrap: Vec::new(),
     };
     let mut out_map: HashMap<u32, u32> = HashMap::new();
     let mut vals = Values {
@@ -1321,7 +1579,7 @@ fn walk(
                 break;
             }
         }
-        if cand.as_mut().is_some_and(|c| !c.track(u, &st.regs)) {
+        if cand.as_mut().is_some_and(|c| !c.track(u, &st.regs, &plan)) {
             cand = None;
         }
         // Load-use stall, charged to the producing load.
@@ -1341,9 +1599,24 @@ fn walk(
                 rs2,
                 target,
             } => {
-                let (Av::Const(a), Av::Const(b)) = (get(&st.regs, rs1)?, get(&st.regs, rs2)?)
-                else {
-                    return None;
+                let (a, b) = match (get(&st.regs, rs1)?, get(&st.regs, rs2)?) {
+                    (Av::Const(a), Av::Const(b)) => (a, b),
+                    // Two offsets from one cell compare as the offsets:
+                    // always for equality, and for an unsigned order while
+                    // neither wraps (checked at entry).
+                    (Av::CellVal { cell: c, off: a }, Av::CellVal { cell: e, off: b })
+                        if c == e =>
+                    {
+                        match op {
+                            BranchOp::Beq | BranchOp::Bne => {}
+                            BranchOp::Bltu | BranchOp::Bgeu => {
+                                note_nowrap(&mut st.nowrap, c, a.max(b))
+                            }
+                            _ => return None,
+                        }
+                        (a, b)
+                    }
+                    _ => return None,
                 };
                 if branch_taken(op, a, b) {
                     if target.idx == NO_IDX {
@@ -1360,15 +1633,7 @@ fn walk(
                 offset,
             } => {
                 let addr = aaddr(get(&st.regs, rs1)?, offset)?;
-                plan.load(&mut st, op, addr)?;
-                let v = if op == LoadOp::Lw && addr.cell.is_none() {
-                    Av::CellVal {
-                        cell: addr.off,
-                        off: 0,
-                    }
-                } else {
-                    Av::Load { op, addr }
-                };
+                let v = plan.load(&mut st, op, addr)?;
                 set(&mut st.regs, rd, v);
             }
             UopKind::LoadPostInc {
@@ -1379,15 +1644,7 @@ fn walk(
             } => {
                 let base = get(&st.regs, rs1)?;
                 let addr = aaddr(base, 0)?;
-                plan.load(&mut st, op, addr)?;
-                let v = if op == LoadOp::Lw && addr.cell.is_none() {
-                    Av::CellVal {
-                        cell: addr.off,
-                        off: 0,
-                    }
-                } else {
-                    Av::Load { op, addr }
-                };
+                let v = plan.load(&mut st, op, addr)?;
                 set(&mut st.regs, rs1, bump(base, offset)?);
                 set(&mut st.regs, rd, v);
             }
@@ -1404,15 +1661,7 @@ fn walk(
                     },
                     _ => return None,
                 };
-                plan.load(&mut st, op, addr)?;
-                let v = if op == LoadOp::Lw && addr.cell.is_none() {
-                    Av::CellVal {
-                        cell: addr.off,
-                        off: 0,
-                    }
-                } else {
-                    Av::Load { op, addr }
-                };
+                let v = plan.load(&mut st, op, addr)?;
                 set(&mut st.regs, rd, v);
             }
             UopKind::Store {
@@ -1528,6 +1777,31 @@ fn walk(
                 if t < start_idx || t >= end_idx {
                     return None;
                 }
+                if summarize && t <= i {
+                    // A backward branch closed one more iteration: with
+                    // one watched, apply all but the loop's last (which
+                    // the walk takes, so its branch falls through);
+                    // otherwise watch the next one.
+                    let lp = Loop::Branch(u.addr);
+                    let mut watch = true;
+                    if let Some(c) = cand.take().filter(|c| c.lp == lp) {
+                        match c.summarize(&mut st, &plan) {
+                            Summary::Applied { ops: n, .. } => {
+                                ops += n;
+                                stats.summarized = true;
+                                if ops > WALK_OP_CAP {
+                                    return None;
+                                }
+                                watch = false;
+                            }
+                            Summary::Reject => return None,
+                            Summary::Skip => {}
+                        }
+                    }
+                    if watch {
+                        cand = Some(Candidate::new(lp, &st, plan.stores_summarize()));
+                    }
+                }
                 i = t;
             }
             None => {
@@ -1556,7 +1830,7 @@ fn walk(
                     // One iteration of `level` has been watched from its
                     // start: if it shifted the state by constants, apply
                     // the rest of the loop and take its exit instead.
-                    if let Some(c) = cand.take().filter(|c| c.level == level) {
+                    if let Some(c) = cand.take().filter(|c| c.lp == Loop::Hw(level)) {
                         match c.summarize(&mut st, &plan) {
                             Summary::Applied { ops: n, walk_last } => {
                                 ops += n;
@@ -1578,7 +1852,11 @@ fn walk(
                     }
                     // Watch the next iteration if enough remain to pay off.
                     if st.hwl[level].is_some_and(|h| h.2 >= 3) {
-                        cand = Some(Candidate::new(level, &st, plan.cell.is_some()));
+                        cand = Some(Candidate::new(
+                            Loop::Hw(level),
+                            &st,
+                            plan.stores_summarize(),
+                        ));
                     }
                 }
                 let t = program.index_of(na)?;
@@ -1599,7 +1877,7 @@ fn walk(
         if let Av::Entry = av {
             continue;
         }
-        let ev = exit_val(av, &out_map, &vals, &mut exit_nodes)?;
+        let ev = exit_val(av, plan.dot, &out_map, &vals, &mut exit_nodes)?;
         exit_regs.push((r as u8, ev));
     }
     let exit_spr = st.spr.map(|s| match s {
@@ -1624,14 +1902,49 @@ fn walk(
         exit_nodes,
         loads: st.loads.ranges,
         stores,
+        nowrap: st.nowrap,
     })
+}
+
+/// The walk's initial registers: every register a pointer of `math`
+/// names holds that pointer cell's entry value; reading any other
+/// rejects the region.
+fn entry_regs(math: &RegionMath) -> Option<[Av; 32]> {
+    let mut regs = [Av::Entry; 32];
+    let ptrs = match *math {
+        RegionMath::Matvec(m) => vec![m.x, m.out],
+        RegionMath::Cell(u) => vec![u.gates[0], u.gates[1], u.gates[2], u.gates[3], u.c, u.h],
+        RegionMath::Dot(d) => vec![d.w, d.x, d.bias32, d.spill],
+    };
+    for p in ptrs {
+        if let ShortcutPtr::Reg(r) = p {
+            if r == Reg::ZERO {
+                return None;
+            }
+            regs[usize::from(r.num())] = Av::CellVal {
+                cell: Cell::Reg(r.num()),
+                off: 0,
+            };
+        }
+    }
+    Some(regs)
+}
+
+/// Raises the recorded no-wrap offset of `cell` to at least `off`.
+fn note_nowrap(nowrap: &mut Vec<(Cell, u32)>, cell: Cell, off: u32) {
+    match nowrap.iter_mut().find(|(c, _)| *c == cell) {
+        Some((_, o)) => *o = (*o).max(off),
+        None => nowrap.push((cell, off)),
+    }
 }
 
 /// How an exit-live abstract value is rebuilt at commit: a stored value
 /// by its store index, computed data through its dataflow tree (only a
-/// cell update's walk records one), anything else directly.
+/// cell update's walk records one), a dot product's complete sum (`dot`)
+/// as its one store, anything else directly.
 fn exit_val(
     v: Av,
+    dot: Option<DotVal>,
     out_map: &HashMap<u32, u32>,
     vals: &Values,
     exit_nodes: &mut Vec<Node<ExitVal>>,
@@ -1639,14 +1952,21 @@ fn exit_val(
     Some(match v {
         Av::Entry => return None,
         Av::Const(c) => ExitVal::Const(c),
-        Av::CellVal { cell, off } => ExitVal::CellAdd { cell, off },
+        Av::CellVal { cell, off } => ExitVal::Addr(AAddr {
+            cell: Some(cell),
+            off,
+        }),
         Av::Load { op, addr } => ExitVal::Load { op, addr },
+        Av::Dot(d) => {
+            dot.filter(|f| d.sums(f))?;
+            ExitVal::Out(0)
+        }
         Av::Data { id, .. } => match out_map.get(&id) {
             Some(&k) => ExitVal::Out(k),
             None => {
                 let node = vals
                     .node(v)?
-                    .try_map(|a| exit_val(a, out_map, vals, exit_nodes))?;
+                    .try_map(|a| exit_val(a, dot, out_map, vals, exit_nodes))?;
                 exit_nodes.push(node);
                 ExitVal::Node(exit_nodes.len() as u32 - 1)
             }
@@ -1714,7 +2034,8 @@ fn row_load(base: AAddr, k: u32) -> impl Fn(Av) -> bool {
 
 /// The stores a region must make, in order: store `k` goes to stream
 /// `k % n` at element `k / n` of `n` streams. A matvec has one output
-/// stream; a cell update alternates its `c` and `h` rows.
+/// stream; a cell update alternates its `c` and `h` rows; a dot product
+/// stores every partial sum to its one spill word (stride 0).
 struct Outputs {
     /// `(base, stride)` per stream.
     streams: Vec<(AAddr, u32)>,
@@ -1722,6 +2043,8 @@ struct Outputs {
     count: u32,
     /// A cell update's `o, f, i, g` sources.
     cell: Option<[AAddr; 4]>,
+    /// A dot product's complete sum.
+    dot: Option<DotVal>,
 }
 
 impl Outputs {
@@ -1740,6 +2063,7 @@ impl Outputs {
                     streams: vec![(m.out.aaddr(), m.out_stride)],
                     count: m.n_out,
                     cell: None,
+                    dot: None,
                 })
             }
             RegionMath::Cell(u) => {
@@ -1750,69 +2074,123 @@ impl Outputs {
                     streams: vec![(u.c.aaddr(), 2), (u.h.aaddr(), 2)],
                     count: u.rows.checked_mul(2)?,
                     cell: Some(u.gates.map(ShortcutPtr::aaddr)),
+                    dot: None,
+                })
+            }
+            RegionMath::Dot(d) => {
+                if d.n_in == 0 {
+                    return None;
+                }
+                Some(Self {
+                    streams: vec![(d.spill.aaddr(), 0)],
+                    count: d.n_in.checked_add(1)?,
+                    cell: None,
+                    dot: Some(DotVal {
+                        seed: d.bias32.aaddr(),
+                        a: d.w.aaddr(),
+                        b: d.x.aaddr(),
+                        n: d.n_in,
+                    }),
                 })
             }
         }
+    }
+
+    /// Bytes per store: a dot product spills words, the others store
+    /// halfwords.
+    fn width(&self) -> u32 {
+        if self.dot.is_some() {
+            4
+        } else {
+            2
+        }
+    }
+
+    /// A dot product's spill word.
+    fn spill(&self) -> Option<AAddr> {
+        self.dot.map(|_| self.addr(0))
+    }
+
+    /// Whether a loop summary may apply iterations that store.
+    fn stores_summarize(&self) -> bool {
+        self.cell.is_some() || self.dot.is_some()
     }
 
     /// Address of store `k`.
     fn addr(&self, k: u32) -> AAddr {
         let n = self.streams.len() as u32;
         let (base, stride) = self.streams[(k % n) as usize];
-        AAddr {
-            cell: base.cell,
-            off: base.off.wrapping_add(k / n * stride),
-        }
+        base.plus(k / n * stride)
     }
 
     /// Each stream's byte span, checked for bounds and load-disjointness
     /// at every entry.
     fn spans(&self) -> Option<Vec<AccessRange>> {
         let per = self.count / self.streams.len() as u32;
+        let width = self.width();
         self.streams
             .iter()
             .map(|&(base, stride)| {
-                let span = stride.checked_mul(per - 1)?.checked_add(2)?;
+                let span = stride.checked_mul(per - 1)?.checked_add(width)?;
+                let mut res = [u32::MAX; 3];
+                res[width.trailing_zeros() as usize] = base.off % width;
                 Some(AccessRange {
                     cell: base.cell,
                     lo: base.off,
                     hi: base.off.checked_add(span)?,
-                    res: [u32::MAX, base.off % 2, u32::MAX],
+                    res,
                 })
             })
             .collect()
     }
 
-    /// Records one load. A cell update may read its `c` stream only in
-    /// place: the current row's own `c`, once, before that row's store.
-    /// Such reads stay out of the load ranges — the `c` span is the
-    /// region's one allowed load/store overlap.
-    fn load(&self, st: &mut WalkState, op: LoadOp, addr: AAddr) -> Option<()> {
+    /// Records one load and returns the value it leaves in its
+    /// destination. A cell update may read its `c` stream only in place:
+    /// the current row's own `c`, once, before that row's store. Such
+    /// reads stay out of the load ranges — the `c` span is the region's
+    /// one allowed load/store overlap. A dot product's `lw` of its spill
+    /// word reads back the region's own last store, and any other load
+    /// that touches the spill word rejects the region. A word from a
+    /// constant address is a cell pointer.
+    fn load(&self, st: &mut WalkState, op: LoadOp, addr: AAddr) -> Option<Av> {
         let size = load_size(op);
+        if let Some(spill) = self.spill() {
+            if overlaps(spill, 4, addr, size) {
+                return if op == LoadOp::Lw && addr == spill {
+                    st.spill
+                } else {
+                    None
+                };
+            }
+        }
         if self.in_place(addr, size) {
             let k = st.next_out;
-            return (op == LoadOp::Lh && k.is_multiple_of(2) && addr == self.addr(k)).then_some(());
+            return (op == LoadOp::Lh && k.is_multiple_of(2) && addr == self.addr(k))
+                .then_some(Av::Load { op, addr });
         }
-        st.loads.add(addr.cell, addr.off, size).then_some(())
+        if !st.loads.add(addr.cell, addr.off, size) {
+            return None;
+        }
+        Some(match addr.cell {
+            None if op == LoadOp::Lw => Av::CellVal {
+                cell: Cell::Mem(addr.off),
+                off: 0,
+            },
+            _ => Av::Load { op, addr },
+        })
     }
 
     /// Whether an access lies statically in a cell update's `c` span
     /// (`rows` halfwords, so `count` bytes).
     fn in_place(&self, addr: AAddr, size: u32) -> bool {
-        if self.cell.is_none() {
-            return false;
-        }
-        let c = self.addr(0);
-        let end = u64::from(c.off) + u64::from(self.count);
-        addr.cell == c.cell
-            && u64::from(addr.off) < end
-            && u64::from(c.off) < u64::from(addr.off) + u64::from(size)
+        self.cell.is_some() && overlaps(self.addr(0), self.count, addr, size)
     }
 
-    /// Verifies one store against the next expected store: an `sh` at
-    /// exactly its address of a value that is a requantized halfword
+    /// Verifies one store against the next expected store: at exactly
+    /// its address, an `sh` of a value that is a requantized halfword
     /// (matvec) or the row's `c` / `h` formula over this row's operands
-    /// (cell update).
+    /// (cell update), or an `sw` of the bias seed and then of each
+    /// partial sum one term longer (dot product).
     fn store(
         &self,
         op: StoreOp,
@@ -1823,7 +2201,27 @@ impl Outputs {
         out_map: &mut HashMap<u32, u32>,
     ) -> Option<()> {
         let k = st.next_out;
-        if op != StoreOp::Sh || k >= self.count || addr != self.addr(k) {
+        if k >= self.count || addr != self.addr(k) {
+            return None;
+        }
+        if let Some(fin) = self.dot {
+            let ok = op == StoreOp::Sw
+                && match value {
+                    Av::Load {
+                        op: LoadOp::Lw,
+                        addr,
+                    } => k == 0 && addr == fin.seed,
+                    Av::Dot(d) => d.sums(&DotVal { n: k, ..fin }),
+                    _ => false,
+                };
+            if !ok {
+                return None;
+            }
+            st.spill = Some(value);
+            st.next_out += 1;
+            return Some(());
+        }
+        if op != StoreOp::Sh {
             return None;
         }
         let Av::Data { id, hw } = value else {
@@ -1860,13 +2258,40 @@ impl Outputs {
     }
 }
 
+/// Whether `a_len` bytes at `a` and `b_len` bytes at `b` statically
+/// share a byte (same cell, overlapping offsets).
+fn overlaps(a: AAddr, a_len: u32, b: AAddr, b_len: u32) -> bool {
+    a.cell == b.cell
+        && u64::from(b.off) < u64::from(a.off) + u64::from(a_len)
+        && u64::from(a.off) < u64::from(b.off) + u64::from(b_len)
+}
+
+impl DotVal {
+    /// Whether this chain is the sum `want` — the same seed and length,
+    /// over the same two streams in either order (`i16` products
+    /// commute).
+    fn sums(&self, want: &DotVal) -> bool {
+        self.seed == want.seed
+            && self.n == want.n
+            && ((self.a, self.b) == (want.a, want.b) || (self.a, self.b) == (want.b, want.a))
+    }
+}
+
 impl AAddr {
     /// Resolves to a concrete byte address (`None` if the cell read
     /// faults — the caller then declines the shortcut).
-    pub(crate) fn resolve(&self, mem: &Memory) -> Option<u32> {
+    pub(crate) fn resolve(&self, mem: &Memory, core: &Core) -> Option<u32> {
         match self.cell {
             None => Some(self.off),
-            Some(c) => Some(mem.read_u32(c).ok()?.wrapping_add(self.off)),
+            Some(c) => Some(c.resolve(mem, core)?.wrapping_add(self.off)),
+        }
+    }
+
+    /// The address `d` bytes on.
+    fn plus(self, d: u32) -> AAddr {
+        AAddr {
+            off: self.off.wrapping_add(d),
+            ..self
         }
     }
 }
@@ -1874,10 +2299,10 @@ impl AAddr {
 impl AccessRange {
     /// Resolves to a concrete `[start, end)` interval, checking bounds
     /// and the recorded alignment residues.
-    fn resolve(&self, mem: &Memory) -> Option<(u64, u64)> {
+    fn resolve(&self, mem: &Memory, core: &Core) -> Option<(u64, u64)> {
         let base = match self.cell {
             None => 0u64,
-            Some(c) => u64::from(mem.read_u32(c).ok()?),
+            Some(c) => u64::from(c.resolve(mem, core)?),
         };
         if self.lo > self.hi {
             return None;
@@ -1899,17 +2324,24 @@ impl AccessRange {
 impl ShortcutRegion {
     /// Per-entry admission check: resolves every pointer cell and
     /// verifies that all load ranges and store spans are in bounds and
-    /// aligned, and that no store span overlaps a load range or another
+    /// aligned, that no store span overlaps a load range or another
     /// store span (the handler batches its writes after its reads; a cell
-    /// update's in-place reads of `c` are not load ranges). `false`
-    /// declines.
-    pub(crate) fn check_entry(&self, mem: &Memory) -> bool {
+    /// update's in-place reads of `c` and a dot product's spill reads are
+    /// not load ranges), and that no offset a branch compared wraps its
+    /// cell. `false` declines.
+    pub(crate) fn check_entry(&self, mem: &Memory, core: &Core) -> bool {
+        for &(cell, off) in &self.nowrap {
+            match cell.resolve(mem, core) {
+                Some(base) if u64::from(base) + u64::from(off) <= u64::from(u32::MAX) => {}
+                _ => return false,
+            }
+        }
         for (n, w) in self.stores.iter().enumerate() {
-            let Some((s_lo, s_hi)) = w.resolve(mem) else {
+            let Some((s_lo, s_hi)) = w.resolve(mem, core) else {
                 return false;
             };
             for r in self.loads.iter().chain(&self.stores[..n]) {
-                let Some((l_lo, l_hi)) = r.resolve(mem) else {
+                let Some((l_lo, l_hi)) = r.resolve(mem, core) else {
                     return false;
                 };
                 if s_lo < l_hi && l_lo < s_hi {
@@ -1925,25 +2357,40 @@ impl ShortcutRegion {
     /// kernel. A matvec accumulates `i16×i16` products with wrapping
     /// 32-bit adds (order-independent), then applies `>> 12`, a 16-bit
     /// clip and the shared fixed-point activation. A cell update
-    /// evaluates each row's formula (see [`CellUpdate`]). Every read sees
-    /// entry-time memory, which [`check_entry`](Self::check_entry) makes
-    /// exactly what the kernel reads. Returns `false` (with no state
-    /// mutated anywhere) if any pointer or read falls outside memory.
-    pub(crate) fn compute(&self, mem: &Memory, outs: &mut Vec<(u32, i32)>) -> bool {
+    /// evaluates each row's formula (see [`CellUpdate`]). A dot product
+    /// yields its spill word's final value, the complete sum (its
+    /// partial sums are overwritten). Every read sees entry-time memory,
+    /// which [`check_entry`](Self::check_entry) makes exactly what the
+    /// kernel reads. Returns `false` (with no state mutated anywhere) if
+    /// any pointer or read falls outside memory.
+    pub(crate) fn compute(&self, mem: &Memory, core: &Core, outs: &mut Vec<(u32, i32)>) -> bool {
+        let at = |p: ShortcutPtr| p.aaddr().resolve(mem, core);
         match self.desc.math {
-            RegionMath::Matvec(m) => matvec(&m, mem, outs),
-            RegionMath::Cell(u) => cell_update(&u, mem, outs),
+            RegionMath::Matvec(m) => matvec(&m, mem, at, outs),
+            RegionMath::Cell(u) => cell_update(&u, mem, at, outs),
+            RegionMath::Dot(d) => dot(&d, mem, at, outs),
         }
         .is_some()
     }
+
+    /// Whether the region's stores are words (a dot product's spill)
+    /// rather than halfwords.
+    pub(crate) fn stores_words(&self) -> bool {
+        matches!(self.desc.math, RegionMath::Dot(_))
+    }
 }
 
-fn matvec(m: &Matvec, mem: &Memory, outs: &mut Vec<(u32, i32)>) -> Option<()> {
+fn matvec(
+    m: &Matvec,
+    mem: &Memory,
+    at: impl Fn(ShortcutPtr) -> Option<u32>,
+    outs: &mut Vec<(u32, i32)>,
+) -> Option<()> {
     let n_in = m.n_in as usize;
     let n_out = m.n_out as usize;
     let row_bytes = n_in * 2;
-    let x = mem.byte_slice(m.x.resolve(mem)?, row_bytes).ok()?;
-    let out = m.out.resolve(mem)?;
+    let x = mem.byte_slice(at(m.x)?, row_bytes).ok()?;
+    let out = at(m.out)?;
     outs.reserve(n_out);
     for j in 0..n_out {
         let bias = mem.read_u32(m.bias32.wrapping_add(4 * j as u32)).ok()?;
@@ -1962,10 +2409,15 @@ fn matvec(m: &Matvec, mem: &Memory, outs: &mut Vec<(u32, i32)>) -> Option<()> {
     Some(())
 }
 
-fn cell_update(u: &CellUpdate, mem: &Memory, outs: &mut Vec<(u32, i32)>) -> Option<()> {
+fn cell_update(
+    u: &CellUpdate,
+    mem: &Memory,
+    at_ptr: impl Fn(ShortcutPtr) -> Option<u32>,
+    outs: &mut Vec<(u32, i32)>,
+) -> Option<()> {
     let rows = u.rows as usize;
     let stream = |p: ShortcutPtr| -> Option<(u32, &[u8])> {
-        let base = p.resolve(mem)?;
+        let base = at_ptr(p)?;
         Some((base, mem.byte_slice(base, 2 * rows).ok()?))
     };
     let [(_, o), (_, f), (_, i), (_, g)] = [
@@ -1986,5 +2438,24 @@ fn cell_update(u: &CellUpdate, mem: &Memory, outs: &mut Vec<(u32, i32)>) -> Opti
         outs.push((c_base.wrapping_add(off), c_new));
         outs.push((h_base.wrapping_add(off), h));
     }
+    Some(())
+}
+
+fn dot(
+    d: &Dot,
+    mem: &Memory,
+    at: impl Fn(ShortcutPtr) -> Option<u32>,
+    outs: &mut Vec<(u32, i32)>,
+) -> Option<()> {
+    let bytes = 2 * d.n_in as usize;
+    let w = mem.byte_slice(at(d.w)?, bytes).ok()?;
+    let x = mem.byte_slice(at(d.x)?, bytes).ok()?;
+    let mut acc = mem.read_u32(at(d.bias32)?).ok()? as i32;
+    for (wp, xp) in w.chunks_exact(2).zip(x.chunks_exact(2)) {
+        let w = i16::from_le_bytes([wp[0], wp[1]]) as i32;
+        let xv = i16::from_le_bytes([xp[0], xp[1]]) as i32;
+        acc = acc.wrapping_add(w.wrapping_mul(xv));
+    }
+    outs.push((at(d.spill)?, acc));
     Some(())
 }

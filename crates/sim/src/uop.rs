@@ -644,8 +644,14 @@ impl UopProgram {
         self.shortcuts.len()
     }
 
+    /// The descriptors of the installed kernel-shortcut regions, in
+    /// installation order.
+    pub fn installed_regions(&self) -> impl Iterator<Item = &crate::shortcut::KernelRegion> {
+        self.shortcuts.iter().map(|sc| &sc.desc)
+    }
+
     /// Micro-ops the shortcut verifier interpreted one by one while
-    /// checking the declared kernel regions. Hardware-loop iterations it
+    /// checking the declared kernel regions. Loop iterations it
     /// applied in closed form are not counted, so this is the
     /// deterministic measure of verification work.
     pub fn verify_ops(&self) -> u64 {
