@@ -3,7 +3,7 @@
 //! One Table-I pass — the 10-net suite on one core, canonical inputs,
 //! a fresh engine per network — retires every instruction through one of
 //! three tiers: kernel shortcuts (`Machine::shortcut_instrs`), the bulk
-//! block runners for loop bodies and straight runs
+//! block runner for loop bodies and straight runs
 //! (`Machine::bulk_instrs`), or the generic per-op path. How many go
 //! where depends only on code generation and on what the translator
 //! recognizes, never on host load, so the totals are pinned exactly: a

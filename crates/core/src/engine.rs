@@ -124,24 +124,7 @@ impl Engine {
     /// fresh engine (unless the failure corrupted state the dirty-block
     /// bitmap cannot see — then [`heal_rebuild`](Self::heal_rebuild)).
     pub fn run(&mut self, sequence: &[Vec<Q3p12>]) -> Result<NetworkRun, CoreError> {
-        self.run_owned(sequence, false, None)
-    }
-
-    /// Allocation-lean twin of [`run`](Self::run): outputs land in a
-    /// caller-owned buffer (cleared first) instead of a fresh `Vec`, so
-    /// a tight serving loop that recycles its buffers pays no per-request
-    /// output allocation. Same semantics and bit-identical results
-    /// otherwise.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run`](Self::run); `outputs` is cleared on error.
-    pub fn run_into(
-        &mut self,
-        sequence: &[Vec<Q3p12>],
-        outputs: &mut Vec<Q3p12>,
-    ) -> Result<RunReport, CoreError> {
-        self.run_inner(sequence, false, None, outputs)
+        self.run_with(sequence, false, None)
     }
 
     /// Like [`run`](Self::run), but every core steps one micro-op at a
@@ -155,7 +138,7 @@ impl Engine {
     ///
     /// Same as [`run`](Self::run).
     pub fn run_reference(&mut self, sequence: &[Vec<Q3p12>]) -> Result<NetworkRun, CoreError> {
-        self.run_owned(sequence, true, None)
+        self.run_with(sequence, true, None)
     }
 
     /// Like [`run`](Self::run) with the watchdog budget overridden for
@@ -173,7 +156,7 @@ impl Engine {
         sequence: &[Vec<Q3p12>],
         max_cycles: u64,
     ) -> Result<NetworkRun, CoreError> {
-        self.run_owned(sequence, false, Some(max_cycles))
+        self.run_with(sequence, false, Some(max_cycles))
     }
 
     /// Arms a [`FaultPlan`] for the **next run only**. The plan's faults
@@ -274,25 +257,14 @@ impl Engine {
         self.last_guard_failed = false;
     }
 
-    /// [`run_inner`](Self::run_inner) into a fresh output vector.
-    fn run_owned(
+    /// One checked, healing run: [`run`](Self::run) with the stepping
+    /// reference path and the budget override selectable.
+    fn run_with(
         &mut self,
         sequence: &[Vec<Q3p12>],
         stepping: bool,
         budget: Option<u64>,
     ) -> Result<NetworkRun, CoreError> {
-        let mut outputs = Vec::with_capacity(self.compiled.output().len());
-        let report = self.run_inner(sequence, stepping, budget, &mut outputs)?;
-        Ok(NetworkRun { outputs, report })
-    }
-
-    fn run_inner(
-        &mut self,
-        sequence: &[Vec<Q3p12>],
-        stepping: bool,
-        budget: Option<u64>,
-        outputs: &mut Vec<Q3p12>,
-    ) -> Result<RunReport, CoreError> {
         let input = self.compiled.input();
         if sequence.len() != input.steps() {
             return Err(CoreError::Shape(format!(
@@ -310,7 +282,8 @@ impl Engine {
                 )));
             }
         }
-        let result = self.attempt(sequence, stepping, budget, outputs);
+        let mut outputs = Vec::with_capacity(self.compiled.output().len());
+        let result = self.attempt(sequence, stepping, budget, &mut outputs);
         // One-shot injection semantics: stash what the plan actually did,
         // then disarm so the next run is unaffected; on failure also
         // rewind eagerly so a poisoned engine heals before the caller
@@ -324,10 +297,9 @@ impl Engine {
         self.last_faulted_core = cluster.last_faulted_core();
         cluster.clear_faults();
         if result.is_err() {
-            outputs.clear();
             self.last_restored = cluster.rewind(self.compiled.image());
         }
-        result
+        result.map(|report| NetworkRun { outputs, report })
     }
 
     fn attempt(

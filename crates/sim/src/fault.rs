@@ -6,7 +6,7 @@
 //! [`Machine`](crate::Machine) with
 //! [`arm_faults`](crate::Machine::arm_faults) and fire at exactly the
 //! same instruction boundary on every run path: while a fault is
-//! pending the machine retires one micro-op at a time (the bulk runners
+//! pending the machine retires one micro-op at a time (the block runner
 //! and the shortcut tier decline), and a due fault is applied before
 //! the step's SPR drain and fetch — in [`run`](crate::Machine::run),
 //! [`run_stepping`](crate::Machine::run_stepping) and

@@ -66,7 +66,7 @@ pub use error::{ExitReason, SimError};
 pub use fault::{Fault, FaultEffect, FaultPlan, FaultRecord, FaultSite, ParseFaultError};
 pub use guard::{GuardReport, GuardSpec, RegionGuard};
 pub use machine::{Machine, StepOutcome};
-pub use mem::{MemImage, Memory, TrackedMem};
+pub use mem::{MemImage, Memory};
 pub use program::{ProgItem, Program};
 pub use shortcut::{CellUpdate, Dot, KernelRegion, Matvec, RegionMath, ShortcutAct, ShortcutPtr};
 pub use stats::{Row, Stats};

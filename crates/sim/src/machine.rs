@@ -9,8 +9,8 @@ use crate::program::Program;
 use crate::shortcut::{ExitVal, ShortcutRegion};
 use crate::stats::Stats;
 use crate::uop::{
-    branch_taken, dot, load_value, LoopExit, Target, Uop, UopKind, UopProgram, NO_BODY, NO_IDX,
-    NO_RUN, NO_SC,
+    branch_taken, dot, load_value, BlockExit, Profile, Target, Uop, UopKind, UopProgram, NO_BLOCK,
+    NO_IDX, NO_SC,
 };
 use rnnasip_isa::{BranchOp, Csr, DotOp, Instr, MnemonicId, Reg, SimdSize, StoreOp};
 use std::collections::VecDeque;
@@ -48,15 +48,15 @@ enum Flow {
     Halt(ExitReason),
 }
 
-/// How control reached a loop body's first op, for
-/// [`Machine::run_loop_body`].
+/// How control reached a block's first op, for [`Machine::run_block`].
 #[derive(Clone, Copy)]
-enum LoopEntry {
+enum BlockEntry {
     /// Hardware loop `level` just jumped back — or, with `top`, its
     /// `lp.setup` just armed it and iteration 0 is next.
     Hw { level: usize, top: bool },
-    /// A branch-closed body's closing branch was just taken.
-    Branch,
+    /// A branch-closed body's closing branch was just taken, or the PC
+    /// reached a straight run's first op.
+    Direct,
 }
 
 /// Upper bound on the cycles one [`Machine::step`] can consume, used by
@@ -104,7 +104,7 @@ pub struct Machine {
     /// SPR writes in flight: (instruction index at issue, SPR index, data).
     spr_pending: VecDeque<(u64, usize, u32)>,
     halted: Option<ExitReason>,
-    /// Instructions retired through the bulk block runners (loop bodies
+    /// Instructions retired through the bulk block runner (loop bodies
     /// and straight-line runs), for coverage diagnostics. One addition
     /// per bulk entry, not per op.
     bulk_instrs: u64,
@@ -131,7 +131,7 @@ pub struct Machine {
     /// `None` when unguarded — the common case, so the hot loop pays one
     /// pointer test.
     guards: Option<Box<GuardUnit>>,
-    /// Set while the stepping loop runs: every bulk runner and the
+    /// Set while the stepping loop runs: the block runner and the
     /// shortcut tier decline (see [`bulk_ok`](Self::bulk_ok)).
     stepping: bool,
 }
@@ -167,7 +167,7 @@ impl Machine {
         }
     }
 
-    /// Instructions retired through the specialized block runners rather
+    /// Instructions retired through the specialized block runner rather
     /// than the generic per-op path, cumulative since construction.
     ///
     /// Unlike [`shortcut_instrs`](Self::shortcut_instrs), this counter
@@ -355,7 +355,7 @@ impl Machine {
     /// [`GuardSpec`]) and [`guard_report`](Self::guard_report)
     /// snapshots the verdicts. Guards are pure observers — outputs,
     /// cycles, `instret` and per-mnemonic rows are untouched — but they
-    /// disable the bulk block runners (a host-throughput cost only; the
+    /// disable the bulk block runner (a host-throughput cost only; the
     /// kernel-shortcut tier stays armed, its entries checked the same
     /// way). Call **after** the program is loaded; region boundaries are
     /// resolved against the current micro-op image.
@@ -408,7 +408,7 @@ impl Machine {
         &self.fault_log
     }
 
-    /// Whether the bulk block runners and the shortcut tier may engage:
+    /// Whether the bulk block runner and the shortcut tier may engage:
     /// false while fault state (pending faults or corrupted instruction
     /// slots) is live and while the stepping loop runs. Exposed for
     /// diagnostics; the generic per-op path is bit-identical, so this
@@ -518,10 +518,11 @@ impl Machine {
     /// [`load_program`](Self::load_program): the hot loop tracks the
     /// micro-op *index* alongside the PC, so sequential flow is an index
     /// increment and direct jumps use their pre-resolved target index.
-    /// Straight-line loop bodies recognized at translation time — closed
-    /// by a hardware loop or by a backward branch — run through a
-    /// specialized block runner that executes only data semantics per
-    /// iteration and accounts cycles and statistics in bulk. Everything
+    /// Straight-line blocks recognized at translation time — loop bodies
+    /// closed by a hardware loop or by a backward branch, and straight
+    /// runs — go through one block runner that executes only data
+    /// semantics per pass and accounts cycles and statistics in bulk;
+    /// installed kernel-shortcut regions run natively. Everything
     /// observable — cycle counts, per-mnemonic rows, trace-visible
     /// state, fault points — is bit-identical to the stepping reference
     /// [`run_stepping`](Self::run_stepping).
@@ -532,8 +533,8 @@ impl Machine {
     /// budget comparison (and the halted re-check it guards) is hoisted
     /// out of the hot loop. Once the budget gets close the loop falls
     /// back to per-step checking, making the watchdog fire on exactly
-    /// the same cycle as the naive step-and-check loop. A bulk loop run
-    /// never overshoots: its iteration count is capped by the remaining
+    /// the same cycle as the naive step-and-check loop. A bulk run
+    /// never overshoots: its pass count is capped by the remaining
     /// budget, and the block size is re-derived right after it.
     ///
     /// # Errors
@@ -676,7 +677,7 @@ impl Machine {
 
     /// Executes one micro-op — the simulator's only per-instruction
     /// semantics — or, where one starts here and [`bulk_ok`](Self::bulk_ok)
-    /// holds, a whole shortcut region, straight run or loop-body run.
+    /// holds, a whole shortcut region or bulk block.
     ///
     /// `idx` is the micro-op index of the current PC (or [`NO_IDX`] when
     /// the PC does not start an instruction), maintained across calls so
@@ -730,7 +731,7 @@ impl Machine {
         // run in bulk if the runtime preconditions hold (no armed loop
         // end inside, enough watchdog budget). The entry stall above is
         // already charged either way.
-        if u.run != NO_RUN && self.run_straight(uops, u.run, idx, max_cycles)? {
+        if u.run != NO_BLOCK && self.run_block(uops, u.run, BlockEntry::Direct, idx, max_cycles)? {
             return Ok(UStep::Bulk);
         }
 
@@ -783,11 +784,11 @@ impl Machine {
             self.halted = Some(reason);
             return Ok(UStep::Halt(reason));
         }
-        if u.body == NO_BODY {
+        if u.body == NO_BLOCK {
             return Ok(UStep::Cont);
         }
         let entry = if hw_jump {
-            LoopEntry::Hw {
+            BlockEntry::Hw {
                 level: jump_level,
                 top: false,
             }
@@ -796,16 +797,16 @@ impl Machine {
                 // An lp.setup/lp.setupi that just armed a specializable
                 // loop: the fall-through PC is the body start, so
                 // iteration 0 can run in bulk too (top entry).
-                UopKind::LpSetup { l, .. } | UopKind::LpSetupi { l, .. } => LoopEntry::Hw {
+                UopKind::LpSetup { l, .. } | UopKind::LpSetupi { l, .. } => BlockEntry::Hw {
                     level: usize::from(l),
                     top: true,
                 },
                 // A taken backward branch closing a specializable body.
-                UopKind::Branch { .. } if extra != 0 => LoopEntry::Branch,
+                UopKind::Branch { .. } if extra != 0 => BlockEntry::Direct,
                 _ => return Ok(UStep::Cont),
             }
         };
-        if self.run_loop_body(uops, u.body, entry, idx, max_cycles)? {
+        if self.run_block(uops, u.body, entry, idx, max_cycles)? {
             return Ok(UStep::Bulk);
         }
         Ok(UStep::Cont)
@@ -843,7 +844,7 @@ impl Machine {
             return Ok(false);
         }
         let sc = &uops.shortcuts[si as usize];
-        if sc.total_cycles > max_cycles.saturating_sub(self.core.cycle) {
+        if sc.profile.cycles > max_cycles.saturating_sub(self.core.cycle) {
             return Ok(false);
         }
         if !sc.check_entry(&self.mem, &self.core) {
@@ -893,15 +894,9 @@ impl Machine {
         self.pending_load = sc
             .exit_pending_load
             .map(|(r, id)| (Reg::from_bits(u32::from(r)), id));
-        self.core.cycle += sc.total_cycles;
+        self.retire(&sc.profile, 1, None);
         self.core.instret += sc.total_instrs;
         self.shortcut_instrs += sc.total_instrs;
-        for &(id, instrs, cycles, macs) in &sc.retire_rows {
-            self.stats.record_many(id, instrs, cycles, macs);
-        }
-        for &(id, n) in &sc.stall_rows {
-            self.stats.attribute_stalls(id, n);
-        }
         self.core.pc = sc.desc.end_addr;
         *idx = sc.end_idx;
         self.shortcut_scratch = scratch;
@@ -947,27 +942,36 @@ impl Machine {
         })
     }
 
-    /// Attempts a bulk run of the specialized loop body chain starting at
-    /// descriptor `head`, with the PC on the body's first op. `entry`
-    /// says how control got there: a generic jump-back or top entry of a
-    /// hardware loop, or a taken closing branch of a branch-closed body.
+    /// Attempts a bulk run of a specialized [`Block`](crate::uop::Block),
+    /// with the PC on its first op. `entry` says how control got there:
+    /// a generic jump-back or top entry of a hardware loop — `head` then
+    /// starts the chain of hardware-loop descriptors ending at the
+    /// just-retired op — or a direct entry into block `head`, a taken
+    /// closing branch of a branch-closed body or a straight run's first
+    /// op.
     ///
     /// Returns `Ok(false)` when no descriptor matches the entry or the
     /// preconditions for bulk execution don't hold (fewer than two
     /// hardware-loop iterations left, an armed hardware loop that could
-    /// trigger inside the body, no cycle budget for one iteration) — the
+    /// trigger inside the block, no cycle budget for one pass) — the
     /// caller then continues on the generic path, which handles those
-    /// cases bit-identically. On `Ok(true)`, whole iterations were
-    /// executed and accounted in bulk; the machine state (PC, counters,
+    /// cases bit-identically. On `Ok(true)`, whole passes were executed
+    /// and accounted in bulk; the machine state (PC, counters,
     /// statistics, pending load) is exactly what the generic path would
     /// have produced. A branch-closed loop runs until its branch falls
-    /// through or the budget is spent. A mid-body fault unwinds to exact
-    /// per-op accounting before returning the error.
-    fn run_loop_body(
+    /// through or the budget is spent, a straight run once. A mid-block
+    /// fault unwinds to exact per-op accounting before returning the
+    /// error.
+    ///
+    /// Inlined into both trigger sites of `uop_step`: called out of line,
+    /// the benchmark's `table1` p99 latency read 11% higher (0/10
+    /// alternating pairs better, 2-thread x86-64 host).
+    #[inline(always)]
+    fn run_block(
         &mut self,
         uops: &UopProgram,
         head: u32,
-        entry: LoopEntry,
+        entry: BlockEntry,
         idx: &mut u32,
         max_cycles: u64,
     ) -> Result<bool, SimError> {
@@ -979,16 +983,16 @@ impl Machine {
         if !self.bulk_ok() || self.guards.is_some() {
             return Ok(false);
         }
-        let (body, max_iters) = match entry {
-            LoopEntry::Hw { level, top } => {
+        let (block, max_iters) = match entry {
+            BlockEntry::Hw { level, top } => {
                 let lp = self.core.hwloop[level];
                 let mut bi = head;
-                let body = loop {
-                    if bi == NO_BODY {
+                let block = loop {
+                    if bi == NO_BLOCK {
                         return Ok(false);
                     }
-                    let b = &uops.bodies[bi as usize];
-                    if matches!(b.exit, LoopExit::HwLoop)
+                    let b = &uops.blocks[bi as usize];
+                    if matches!(b.exit, BlockExit::HwLoop)
                         && b.start_addr == lp.start
                         && b.end_addr == lp.end
                     {
@@ -1007,7 +1011,7 @@ impl Machine {
                 // lp.setup). Bulk accounting charges every iteration
                 // identically, so top entry is only valid when that stall
                 // is statically absent.
-                if top && body.stall_in[0].is_some() {
+                if top && block.stall_in[0].is_some() {
                     return Ok(false);
                 }
                 // The other loop level must not be able to trigger
@@ -1017,80 +1021,71 @@ impl Machine {
                 // one (level 0 has priority).
                 let other = self.core.hwloop[1 - level];
                 if other.count > 0
-                    && other.end > body.start_addr
-                    && (other.end < body.end_addr || (level == 1 && other.end == body.end_addr))
+                    && other.end > block.start_addr
+                    && (other.end < block.end_addr || (level == 1 && other.end == block.end_addr))
                 {
                     return Ok(false);
                 }
-                (body, u64::from(lp.count - 1))
+                (block, u64::from(lp.count - 1))
             }
-            LoopEntry::Branch => {
-                let body = &uops.bodies[head as usize];
-                // No armed hardware loop may trigger on any of the body's
-                // fall-through addresses, the closing branch's included.
+            BlockEntry::Direct => {
+                let block = &uops.blocks[head as usize];
+                // No armed hardware loop may trigger on any of the block's
+                // fall-through addresses, the last op's included.
                 for lp in &self.core.hwloop {
-                    if lp.count > 0 && lp.end > body.start_addr && lp.end <= body.end_addr {
+                    if lp.count > 0 && lp.end > block.start_addr && lp.end <= block.end_addr {
                         return Ok(false);
                     }
                 }
-                (body, u64::MAX)
+                let once = matches!(block.exit, BlockExit::Straight);
+                (block, if once { 1 } else { u64::MAX })
             }
         };
         let budget = max_cycles.saturating_sub(self.core.cycle);
-        let iters = (budget / body.iter_cycles).min(max_iters);
+        let iters = (budget / block.profile.cycles).min(max_iters);
         if iters == 0 {
             return Ok(false);
         }
 
-        let slice = &uops.uops[body.start_idx as usize..(body.start_idx + body.len) as usize];
-        let close = match body.exit {
-            LoopExit::HwLoop => None,
-            LoopExit::Branch { op, rs1, rs2 } => Some((op, rs1, rs2)),
+        let slice = &uops.uops[block.start_idx as usize..(block.start_idx + block.len) as usize];
+        let close = match block.exit {
+            BlockExit::Branch { op, rs1, rs2 } => Some((op, rs1, rs2)),
+            BlockExit::HwLoop | BlockExit::Straight => None,
         };
         let (done, exited, fault) = self.exec_bulk(slice, iters, close);
 
-        // Bulk-account the completed iterations: cycles and one row
-        // update per mnemonic. Every completed iteration ended in a
-        // jump-back, except a final untaken closing branch, whose taken
-        // cycle is refunded (the branch is the only op on its row).
+        // Bulk-account the completed passes. Every completed loop
+        // iteration ended in a jump-back, except a final untaken closing
+        // branch, whose taken cycle is refunded.
         let last = slice[slice.len() - 1];
-        let refund = u64::from(exited);
-        self.core.cycle += done * body.iter_cycles - refund;
-        self.bulk_instrs += done * u64::from(body.len);
-        for &(id, instrs, cycles, macs) in &body.retire_rows {
-            let cycles = cycles * done - if id == last.id { refund } else { 0 };
-            self.stats
-                .record_many(id, instrs * done, cycles, macs * done);
-        }
-        for &(id, n) in &body.stall_rows {
-            self.stats.attribute_stalls(id, n * done);
-        }
+        self.retire(&block.profile, done, exited.then_some(last.id));
+        self.bulk_instrs += done * u64::from(block.len);
         // A hardware loop's PC stays at the body start: its count never
         // dropped below 2 before a decrement, by the `iters` cap.
-        if let LoopEntry::Hw { level, .. } = entry {
+        if let BlockEntry::Hw { level, .. } = entry {
             self.core.hwloop[level].count -= done as u32;
         }
 
         match fault {
             None => {
-                // The generic path would have retired the body's last op
+                // The generic path would have retired the block's last op
                 // just before returning here, leaving its load pending.
                 self.pending_load =
                     (last.load_rd != 0).then(|| (Reg::from_bits(u32::from(last.load_rd)), last.id));
-                if exited {
-                    self.core.pc = body.end_addr;
-                    *idx = body.start_idx + body.len;
+                if exited || matches!(block.exit, BlockExit::Straight) {
+                    self.core.pc = block.end_addr;
+                    *idx = block.start_idx + block.len;
                 }
                 Ok(true)
             }
             Some((k, e)) => {
-                // A fault in op `k` of the partial iteration: retire ops
-                // 0..k individually (their register/memory effects are
+                // A fault in op `k` of the partial pass: retire ops 0..k
+                // individually (their register/memory effects are
                 // already applied), charge the stall the faulting op
                 // suffered on entry, and leave the PC on the faulting op
                 // — exactly the state the generic path faults with.
                 for (j, u) in slice.iter().take(k).enumerate() {
-                    if let Some(id) = body.stall_in[j] {
+                    if let Some(id) = block.stall_in[j] {
                         self.stats.attribute_stall(id);
                         self.core.cycle += 1;
                     }
@@ -1098,7 +1093,7 @@ impl Machine {
                         .record(u.id, u64::from(u.base_cycles), u32::from(u.mac_ops));
                     self.core.cycle += u64::from(u.base_cycles);
                 }
-                if let Some(id) = body.stall_in[k] {
+                if let Some(id) = block.stall_in[k] {
                     self.stats.attribute_stall(id);
                     self.core.cycle += 1;
                 }
@@ -1109,82 +1104,20 @@ impl Machine {
         }
     }
 
-    /// Attempts a bulk pass of straight-line run `ri`, whose first op the
-    /// PC sits on.
-    ///
-    /// Returns `Ok(false)` when the preconditions don't hold: an *armed*
-    /// hardware loop's end address lies on one of the run's fall-through
-    /// addresses (the generic path would divert control there), or the
-    /// watchdog budget can't cover the whole run. On `Ok(true)` the run
-    /// was executed and accounted in bulk, leaving exactly the state the
-    /// generic path would have produced; a mid-run fault unwinds to exact
-    /// per-op accounting before returning the error.
-    fn run_straight(
-        &mut self,
-        uops: &UopProgram,
-        ri: u32,
-        idx: &mut u32,
-        max_cycles: u64,
-    ) -> Result<bool, SimError> {
-        // See `run_loop_body`: no bulk retirement while fault state or
-        // guards are live (a straight run can cross a region's
-        // fall-through exit, skipping the guard boundary hook).
-        if !self.bulk_ok() || self.guards.is_some() {
-            return Ok(false);
+    /// Retires `n` passes of a static timing profile: the cycle counter
+    /// and one statistics update per row. With `refund`, one taken-branch
+    /// cycle comes back off that row — a branch-closed loop whose last
+    /// pass fell through (the branch is the only op on its row).
+    #[inline(always)]
+    fn retire(&mut self, profile: &Profile, n: u64, refund: Option<MnemonicId>) {
+        let r = u64::from(refund.is_some());
+        self.core.cycle += n * profile.cycles - r;
+        for &(id, instrs, cycles, macs) in &profile.retire_rows {
+            let cycles = n * cycles - if refund == Some(id) { r } else { 0 };
+            self.stats.record_many(id, n * instrs, cycles, n * macs);
         }
-        let run = &uops.runs[ri as usize];
-        for lp in &self.core.hwloop {
-            if lp.count > 0 && lp.end > run.start_addr && lp.end <= run.end_addr {
-                return Ok(false);
-            }
-        }
-        if run.cycles > max_cycles.saturating_sub(self.core.cycle) {
-            return Ok(false);
-        }
-
-        let slice = &uops.uops[run.start_idx as usize..(run.start_idx + run.len) as usize];
-        let (_, _, fault) = self.exec_bulk(slice, 1, None);
-
-        match fault {
-            None => {
-                self.core.cycle += run.cycles;
-                self.bulk_instrs += u64::from(run.len);
-                for &(id, instrs, cycles, macs) in &run.retire_rows {
-                    self.stats.record_many(id, instrs, cycles, macs);
-                }
-                for &(id, n) in &run.stall_rows {
-                    self.stats.attribute_stalls(id, n);
-                }
-                let last = slice[slice.len() - 1];
-                self.pending_load =
-                    (last.load_rd != 0).then(|| (Reg::from_bits(u32::from(last.load_rd)), last.id));
-                self.core.pc = run.end_addr;
-                *idx = run.start_idx + run.len;
-                Ok(true)
-            }
-            Some((k, e)) => {
-                // Retire ops 0..k individually (their register/memory
-                // effects are already applied) and charge the faulting
-                // op's entry stall, leaving the PC on the faulting op —
-                // exactly the state the generic path faults with. (The
-                // *run* entry stall was charged by the caller.)
-                for (j, u) in slice.iter().take(k).enumerate() {
-                    if let Some(id) = run.stall_in[j] {
-                        self.stats.attribute_stall(id);
-                        self.core.cycle += 1;
-                    }
-                    self.stats
-                        .record(u.id, u64::from(u.base_cycles), u32::from(u.mac_ops));
-                    self.core.cycle += u64::from(u.base_cycles);
-                }
-                if let Some(id) = run.stall_in[k] {
-                    self.stats.attribute_stall(id);
-                    self.core.cycle += 1;
-                }
-                self.pending_load = None;
-                self.core.pc = slice[k].addr;
-                Err(e)
-            }
+        for &(id, stalls) in &profile.stall_rows {
+            self.stats.attribute_stalls(id, n * stalls);
         }
     }
 
@@ -1346,7 +1279,7 @@ impl Machine {
     /// Executes a micro-op's data semantics: register/memory/SPR effects
     /// only. Timing, statistics, PC update, hardware-loop jump-back and
     /// the pending-load hand-off are the caller's responsibility, which
-    /// is what lets the loop-body runner share this with `uop_step` while
+    /// is what lets the block runner share this with `uop_step` while
     /// accounting time in bulk.
     fn exec_uop(&mut self, u: &Uop) -> Result<Flow, SimError> {
         match u.kind {

@@ -53,22 +53,35 @@ impl MemImage {
     }
 }
 
-/// The reusable core of every tracked byte store: a flat byte array
-/// plus a dirty-block bitmap (one bit per 64-byte block, set on
-/// every write since the last snapshot load/restore).
+/// Byte-addressable, little-endian data memory with single-cycle access.
 ///
-/// [`Memory`] wraps this with bounds/alignment checking and the Q3.12
-/// accessors the kernels use; the cluster's banked TCDM shares the same
-/// implementation through its [`Memory`] storage, so the bulk-patch and
-/// incremental-restore logic exists exactly once. All offsets here are
-/// pre-validated `usize` indices — out-of-range access panics, which is
-/// why the type only crosses the crate boundary behind checked wrappers.
+/// RI5CY-class cores sit next to a TCDM with deterministic single-cycle
+/// latency; there is no cache model. Accesses are bounds-checked and must
+/// be naturally aligned — the optimized kernels never issue misaligned
+/// accesses, so an unaligned address indicates a code-generation bug and
+/// is reported as an error rather than silently split into two accesses.
 ///
-/// The store also tracks an *extent*: outside dirty blocks, every byte
-/// at or beyond it is zero. Snapshots and full loads use it (with the
-/// highest dirty block) to touch only the populated part of the store.
+/// Besides the bytes, the memory keeps a dirty-block bitmap (one bit per
+/// 64-byte block, set on every write since the last snapshot
+/// load/restore), so [`restore_image`](Self::restore_image) copies back
+/// only what a run wrote. It also tracks an *extent*: outside dirty
+/// blocks, every byte at or beyond it is zero. Snapshots and full loads
+/// use it (with the highest dirty block) to touch only the populated
+/// part of the memory. The cluster's banked TCDM is one `Memory` too, so
+/// the bulk-patch and incremental-restore logic exists exactly once.
+///
+/// # Example
+///
+/// ```
+/// use rnnasip_sim::Memory;
+///
+/// let mut mem = Memory::new(1024);
+/// mem.write_u32(0x10, 0xDEAD_BEEF)?;
+/// assert_eq!(mem.read_u16(0x10)?, 0xBEEF);
+/// # Ok::<(), rnnasip_sim::SimError>(())
+/// ```
 #[derive(Clone, Debug)]
-pub struct TrackedMem {
+pub struct Memory {
     bytes: Vec<u8>,
     dirty: Box<[u64]>,
     extent: usize,
@@ -78,8 +91,8 @@ fn dirty_words(size: usize) -> usize {
     size.div_ceil(BLOCK_BYTES).div_ceil(64)
 }
 
-impl TrackedMem {
-    /// Creates a zero-initialised store of `size` bytes.
+impl Memory {
+    /// Creates a zero-initialised memory of `size` bytes.
     pub fn new(size: usize) -> Self {
         Self {
             bytes: vec![0; size],
@@ -88,9 +101,9 @@ impl TrackedMem {
         }
     }
 
-    /// Creates a store holding `image`'s contents, with no blocks marked
-    /// dirty. Only the populated prefix is copied; the rest starts as
-    /// fresh zeroed memory.
+    /// Creates a memory holding `image`'s contents, with no blocks
+    /// marked dirty. Only the image's populated prefix is copied; the
+    /// rest starts as fresh zeroed memory.
     pub fn from_image(image: &MemImage) -> Self {
         let mut bytes = vec![0; image.len];
         bytes[..image.bytes.len()].copy_from_slice(&image.bytes);
@@ -101,19 +114,9 @@ impl TrackedMem {
         }
     }
 
-    /// Store size in bytes.
-    pub fn len(&self) -> usize {
+    /// Memory size in bytes.
+    pub fn size(&self) -> usize {
         self.bytes.len()
-    }
-
-    /// Whether the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
-    }
-
-    /// The raw contents.
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.bytes
     }
 
     /// End of the highest dirty block (0 when nothing is dirty).
@@ -129,8 +132,8 @@ impl TrackedMem {
         self.extent.max(self.dirty_end())
     }
 
-    /// Takes an immutable snapshot of the contents, storing only the
-    /// populated prefix.
+    /// Takes an immutable snapshot of the current contents (only the
+    /// populated prefix is copied — see [`MemImage`]).
     pub fn image(&self) -> MemImage {
         let end = self.populated_end();
         let used = self.bytes[..end]
@@ -143,16 +146,9 @@ impl TrackedMem {
         }
     }
 
-    /// Marks the block containing `addr` dirty.
-    #[inline]
-    pub fn mark_dirty(&mut self, addr: usize) {
-        let block = addr >> BLOCK_SHIFT;
-        self.dirty[block >> 6] |= 1 << (block & 63);
-    }
-
     /// Marks every block touched by `[addr, addr + len)` dirty.
     #[inline]
-    pub fn mark_dirty_range(&mut self, addr: usize, len: usize) {
+    fn mark_dirty_range(&mut self, addr: usize, len: usize) {
         if len == 0 {
             return;
         }
@@ -161,21 +157,22 @@ impl TrackedMem {
         }
     }
 
-    /// Bulk-copies `src` to `addr`, marking every touched block dirty.
-    /// The caller must have bounds-checked the range.
+    /// Bulk-copies `src` to the pre-validated offset `a`, marking every
+    /// touched block dirty.
     #[inline]
-    pub fn write(&mut self, addr: usize, src: &[u8]) {
-        self.bytes[addr..addr + src.len()].copy_from_slice(src);
-        self.mark_dirty_range(addr, src.len());
+    fn write_at(&mut self, a: usize, src: &[u8]) {
+        self.bytes[a..a + src.len()].copy_from_slice(src);
+        self.mark_dirty_range(a, src.len());
     }
 
     /// Replaces the whole contents with `image` and clears all dirty
-    /// bits. Copies the image's populated prefix and zeroes whatever the
-    /// store held beyond it.
+    /// bits (a full load, touching the image's populated prefix and
+    /// whatever this memory held beyond it — use
+    /// [`restore_image`](Self::restore_image) for the incremental path).
     ///
     /// # Panics
     ///
-    /// Panics if the image size differs from the store size.
+    /// Panics if the image size differs from the memory size.
     pub fn load_image(&mut self, image: &MemImage) {
         assert_eq!(image.len, self.bytes.len(), "image size mismatch");
         let src = &image.bytes;
@@ -191,12 +188,15 @@ impl TrackedMem {
     /// Copies back only the blocks written since the last snapshot
     /// load/restore, clearing the dirty bits. Returns the number of
     /// bytes copied (zero-filled blocks beyond the image's populated
-    /// prefix count too). Assumes `image` is the snapshot the store last
-    /// started from (otherwise clean-but-divergent blocks stay stale).
+    /// prefix count too).
+    ///
+    /// This assumes `image` is the same snapshot the memory last
+    /// started from (otherwise clean-but-divergent blocks stay stale) —
+    /// exactly the compile-once / run-many contract.
     ///
     /// # Panics
     ///
-    /// Panics if the image size differs from the store size.
+    /// Panics if the image size differs from the memory size.
     pub fn restore_image(&mut self, image: &MemImage) -> usize {
         assert_eq!(image.len, self.bytes.len(), "image size mismatch");
         let src = &image.bytes;
@@ -236,130 +236,13 @@ impl TrackedMem {
         (blocks * BLOCK_BYTES).min(self.bytes.len())
     }
 
-    /// Fills the store with zeros and marks everything dirty.
-    pub fn fill_zero(&mut self) {
-        let end = self.populated_end();
-        self.bytes[..end].fill(0);
-        self.dirty.fill(u64::MAX);
-        self.extent = 0;
-    }
-
-    /// Flips one bit of the byte at `addr`. Returns `false` (and changes
-    /// nothing) when `addr` is out of bounds. A silent flip skips dirty
-    /// marking — see [`Memory::flip_bit`] — but still widens the extent,
-    /// so snapshots see it.
-    pub fn flip_bit(&mut self, addr: usize, bit: u32, silent: bool) -> bool {
-        if addr >= self.bytes.len() {
-            return false;
-        }
-        self.bytes[addr] ^= 1 << (bit & 7);
-        if silent {
-            self.extent = self.extent.max(addr + 1);
-        } else {
-            self.mark_dirty(addr);
-        }
-        true
-    }
-}
-
-/// Byte-addressable, little-endian data memory with single-cycle access.
-///
-/// RI5CY-class cores sit next to a TCDM with deterministic single-cycle
-/// latency; there is no cache model. Accesses are bounds-checked and must
-/// be naturally aligned — the optimized kernels never issue misaligned
-/// accesses, so an unaligned address indicates a code-generation bug and
-/// is reported as an error rather than silently split into two accesses.
-///
-/// The byte store and its dirty-block bitmap live in a [`TrackedMem`];
-/// `Memory` adds the checked, typed access surface.
-///
-/// # Example
-///
-/// ```
-/// use rnnasip_sim::Memory;
-///
-/// let mut mem = Memory::new(1024);
-/// mem.write_u32(0x10, 0xDEAD_BEEF)?;
-/// assert_eq!(mem.read_u16(0x10)?, 0xBEEF);
-/// # Ok::<(), rnnasip_sim::SimError>(())
-/// ```
-#[derive(Clone, Debug)]
-pub struct Memory {
-    t: TrackedMem,
-}
-
-impl Memory {
-    /// Creates a zero-initialised memory of `size` bytes.
-    pub fn new(size: usize) -> Self {
-        Self {
-            t: TrackedMem::new(size),
-        }
-    }
-
-    /// Creates a memory holding `image`'s contents, with no blocks
-    /// marked dirty (copies only the image's populated prefix).
-    pub fn from_image(image: &MemImage) -> Self {
-        Self {
-            t: TrackedMem::from_image(image),
-        }
-    }
-
-    /// Memory size in bytes.
-    pub fn size(&self) -> usize {
-        self.t.len()
-    }
-
-    #[inline]
-    fn bytes(&self) -> &[u8] {
-        self.t.as_bytes()
-    }
-
-    /// Takes an immutable snapshot of the current contents (only the
-    /// populated prefix is copied — see [`MemImage`]).
-    pub fn image(&self) -> MemImage {
-        self.t.image()
-    }
-
-    /// Replaces the whole contents with `image` and clears all dirty
-    /// bits (a full load, touching the image's populated prefix and
-    /// whatever this memory held beyond it — use
-    /// [`restore_image`](Self::restore_image) for the incremental path).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the image size differs from the memory size.
-    pub fn load_image(&mut self, image: &MemImage) {
-        self.t.load_image(image);
-    }
-
-    /// Copies back only the blocks written since the last snapshot
-    /// load/restore, clearing the dirty bits. Returns the number of
-    /// bytes copied.
-    ///
-    /// This assumes `image` is the same snapshot the memory last
-    /// started from (otherwise clean-but-divergent blocks stay stale) —
-    /// exactly the compile-once / run-many contract.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the image size differs from the memory size.
-    pub fn restore_image(&mut self, image: &MemImage) -> usize {
-        self.t.restore_image(image)
-    }
-
-    /// Bytes covered by currently-dirty blocks (an upper bound on what
-    /// the next [`restore_image`](Self::restore_image) will copy).
-    pub fn dirty_bytes(&self) -> usize {
-        self.t.dirty_bytes()
-    }
-
     #[inline]
     fn check(&self, addr: u32, size: u32) -> Result<usize, SimError> {
         let a = addr as usize;
         if !a.is_multiple_of(size as usize) {
             return Err(SimError::Misaligned { addr, size });
         }
-        if a + size as usize > self.t.len() {
+        if a + size as usize > self.bytes.len() {
             return Err(SimError::MemOutOfBounds { addr, size });
         }
         Ok(a)
@@ -372,7 +255,7 @@ impl Memory {
     /// [`SimError::MemOutOfBounds`] past the end of memory.
     pub fn read_u8(&self, addr: u32) -> Result<u8, SimError> {
         let a = self.check(addr, 1)?;
-        Ok(self.bytes()[a])
+        Ok(self.bytes[a])
     }
 
     /// Reads a little-endian halfword.
@@ -383,8 +266,7 @@ impl Memory {
     /// [`SimError::MemOutOfBounds`] past the end of memory.
     pub fn read_u16(&self, addr: u32) -> Result<u16, SimError> {
         let a = self.check(addr, 2)?;
-        let b = self.bytes();
-        Ok(u16::from_le_bytes([b[a], b[a + 1]]))
+        Ok(u16::from_le_bytes([self.bytes[a], self.bytes[a + 1]]))
     }
 
     /// Reads a little-endian word.
@@ -395,7 +277,7 @@ impl Memory {
     #[inline]
     pub fn read_u32(&self, addr: u32) -> Result<u32, SimError> {
         let a = self.check(addr, 4)?;
-        let word: [u8; 4] = self.bytes()[a..a + 4].try_into().unwrap();
+        let word: [u8; 4] = self.bytes[a..a + 4].try_into().unwrap();
         Ok(u32::from_le_bytes(word))
     }
 
@@ -406,7 +288,7 @@ impl Memory {
     /// [`SimError::MemOutOfBounds`] past the end of memory.
     pub fn write_u8(&mut self, addr: u32, value: u8) -> Result<(), SimError> {
         let a = self.check(addr, 1)?;
-        self.t.write(a, &[value]);
+        self.write_at(a, &[value]);
         Ok(())
     }
 
@@ -417,7 +299,7 @@ impl Memory {
     /// [`SimError::Misaligned`] / [`SimError::MemOutOfBounds`].
     pub fn write_u16(&mut self, addr: u32, value: u16) -> Result<(), SimError> {
         let a = self.check(addr, 2)?;
-        self.t.write(a, &value.to_le_bytes());
+        self.write_at(a, &value.to_le_bytes());
         Ok(())
     }
 
@@ -428,7 +310,7 @@ impl Memory {
     /// [`SimError::Misaligned`] / [`SimError::MemOutOfBounds`].
     pub fn write_u32(&mut self, addr: u32, value: u32) -> Result<(), SimError> {
         let a = self.check(addr, 4)?;
-        self.t.write(a, &value.to_le_bytes());
+        self.write_at(a, &value.to_le_bytes());
         Ok(())
     }
 
@@ -481,7 +363,7 @@ impl Memory {
         }
         let a = self.check_range(addr, 2, 2 * len)?;
         out.extend(
-            self.bytes()[a..a + 2 * len]
+            self.bytes[a..a + 2 * len]
                 .chunks_exact(2)
                 .map(|h| Q3p12::from_raw(i16::from_le_bytes([h[0], h[1]]))),
         );
@@ -502,13 +384,10 @@ impl Memory {
             return Ok(());
         }
         let a = self.check_range(addr, 1, bytes.len())?;
-        self.t.write(a, bytes);
+        self.write_at(a, bytes);
         Ok(())
     }
 
-    /// Range twin of [`check`](Self::check): the whole `[addr, addr+len)`
-    /// span must fit, and `addr` must be aligned to `align`.
-    #[inline]
     /// Borrows `len` raw bytes starting at `addr` — the zero-copy
     /// operand view used by the kernel-shortcut handlers.
     ///
@@ -518,15 +397,18 @@ impl Memory {
     /// memory.
     pub(crate) fn byte_slice(&self, addr: u32, len: usize) -> Result<&[u8], SimError> {
         let a = self.check_range(addr, 1, len)?;
-        Ok(&self.bytes()[a..a + len])
+        Ok(&self.bytes[a..a + len])
     }
 
+    /// Range twin of [`check`](Self::check): the whole `[addr, addr+len)`
+    /// span must fit, and `addr` must be aligned to `align`.
+    #[inline]
     fn check_range(&self, addr: u32, align: u32, len: usize) -> Result<usize, SimError> {
         let a = addr as usize;
         if !a.is_multiple_of(align as usize) {
             return Err(SimError::Misaligned { addr, size: align });
         }
-        if a.checked_add(len).is_none_or(|end| end > self.t.len()) {
+        if a.checked_add(len).is_none_or(|end| end > self.bytes.len()) {
             return Err(SimError::MemOutOfBounds {
                 addr,
                 size: len.min(u32::MAX as usize) as u32,
@@ -537,7 +419,10 @@ impl Memory {
 
     /// Fills the whole memory with zeros and marks everything dirty.
     pub fn clear(&mut self) {
-        self.t.fill_zero();
+        let end = self.populated_end();
+        self.bytes[..end].fill(0);
+        self.dirty.fill(u64::MAX);
+        self.extent = 0;
     }
 
     /// Flips one bit of the byte at `addr`, as a fault-injection
@@ -549,9 +434,20 @@ impl Memory {
     /// any kernel write. A *silent* flip leaves the dirty bitmap alone —
     /// modelling a particle strike the write-tracking hardware never
     /// saw — and therefore survives an incremental restore; only a full
-    /// [`load_image`](Self::load_image) is guaranteed to clear it.
+    /// [`load_image`](Self::load_image) is guaranteed to clear it. It
+    /// still widens the extent, so snapshots see it.
     pub fn flip_bit(&mut self, addr: u32, bit: u32, silent: bool) -> bool {
-        self.t.flip_bit(addr as usize, bit, silent)
+        let a = addr as usize;
+        if a >= self.bytes.len() {
+            return false;
+        }
+        self.bytes[a] ^= 1 << (bit & 7);
+        if silent {
+            self.extent = self.extent.max(a + 1);
+        } else {
+            self.mark_dirty_range(a, 1);
+        }
+        true
     }
 }
 
@@ -837,32 +733,32 @@ mod tests {
     }
 
     #[test]
-    fn tracked_mem_restore_and_range_marking() {
-        let mut t = TrackedMem::new(200);
-        let snap = t.image();
+    fn restore_and_range_marking() {
+        let mut mem = Memory::new(200);
+        let snap = mem.image();
         // A range write straddling blocks 0 and 1 dirties both.
-        t.write(60, &[0xAB; 8]);
-        assert_eq!(t.dirty_bytes(), 2 * 64);
-        assert_eq!(t.restore_image(&snap), 2 * 64);
-        assert_eq!(t.as_bytes()[60], 0);
-        assert_eq!(t.dirty_bytes(), 0);
+        mem.write_bytes(60, &[0xAB; 8]).unwrap();
+        assert_eq!(mem.dirty_bytes(), 2 * 64);
+        assert_eq!(mem.restore_image(&snap), 2 * 64);
+        assert_eq!(mem.bytes[60], 0);
+        assert_eq!(mem.dirty_bytes(), 0);
         // A zero-length range marks nothing.
-        t.mark_dirty_range(100, 0);
-        assert_eq!(t.dirty_bytes(), 0);
-        // fill_zero dirties the whole (partial-tail) store.
-        t.fill_zero();
-        assert_eq!(t.restore_image(&snap), 200);
+        mem.mark_dirty_range(100, 0);
+        assert_eq!(mem.dirty_bytes(), 0);
+        // clear dirties the whole (partial-tail) memory.
+        mem.clear();
+        assert_eq!(mem.restore_image(&snap), 200);
     }
 
     #[test]
-    fn tracked_mem_flip_bit_bounds_and_silence() {
-        let mut t = TrackedMem::new(64);
-        assert!(!t.flip_bit(64, 0, false), "out of bounds flip is a no-op");
-        assert!(t.flip_bit(3, 1, true));
-        assert_eq!(t.as_bytes()[3], 2);
-        assert_eq!(t.dirty_bytes(), 0, "silent flip leaves bitmap alone");
-        assert!(t.flip_bit(3, 1, false));
-        assert_eq!(t.dirty_bytes(), 64, "tracked flip marks its block");
+    fn flip_bit_bounds_and_silence() {
+        let mut mem = Memory::new(64);
+        assert!(!mem.flip_bit(64, 0, false), "out of bounds flip is a no-op");
+        assert!(mem.flip_bit(3, 1, true));
+        assert_eq!(mem.bytes[3], 2);
+        assert_eq!(mem.dirty_bytes(), 0, "silent flip leaves bitmap alone");
+        assert!(mem.flip_bit(3, 1, false));
+        assert_eq!(mem.dirty_bytes(), 64, "tracked flip marks its block");
     }
 
     #[test]

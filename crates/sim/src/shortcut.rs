@@ -54,7 +54,9 @@
 use crate::core_state::Core;
 use crate::mem::Memory;
 use crate::program::Program;
-use crate::uop::{alu, alu_imm, branch_taken, clip, mul_div, unary, UnaryOp, Uop, UopKind, NO_IDX};
+use crate::uop::{
+    alu, alu_imm, branch_taken, clip, mul_div, unary, Profile, UnaryOp, Uop, UopKind, NO_IDX,
+};
 use rnnasip_isa::{AluImmOp, AluOp, BranchOp, LoadOp, MnemonicId, MulDivOp, Reg, StoreOp};
 use std::collections::HashMap;
 
@@ -356,12 +358,8 @@ pub(crate) struct ShortcutRegion {
     pub end_idx: u32,
     /// Instructions retired by one entry.
     pub total_instrs: u64,
-    /// Cycles consumed by one entry (base + taken branches + stalls).
-    pub total_cycles: u64,
-    /// Per-mnemonic retire totals `(id, instrs, cycles, macs)`.
-    pub retire_rows: Vec<(MnemonicId, u64, u64, u64)>,
-    /// Per-mnemonic load-use stall totals.
-    pub stall_rows: Vec<(MnemonicId, u64)>,
+    /// Timing of one entry (base + taken branches + stalls).
+    pub profile: Profile,
     /// Registers written by the region, with their exit values.
     pub exit_regs: Vec<(u8, ExitVal)>,
     /// Per SPR slot: the address of the last weight word drained into it
@@ -701,24 +699,6 @@ fn dot_step(acc: Av, a: Av, b: Av) -> Option<DotVal> {
     }
 }
 
-fn bump_row(rows: &mut Vec<(MnemonicId, u64, u64, u64)>, id: MnemonicId, cycles: u64, macs: u64) {
-    match rows.iter_mut().find(|r| r.0 == id) {
-        Some(r) => {
-            r.1 += 1;
-            r.2 += cycles;
-            r.3 += macs;
-        }
-        None => rows.push((id, 1, cycles, macs)),
-    }
-}
-
-fn bump_stall(rows: &mut Vec<(MnemonicId, u64)>, id: MnemonicId) {
-    match rows.iter_mut().find(|r| r.0 == id) {
-        Some(r) => r.1 += 1,
-        None => rows.push((id, 1)),
-    }
-}
-
 /// How many micro-ops verification walked, and whether any hardware-loop
 /// iterations were applied in closed form instead.
 #[derive(Default)]
@@ -761,10 +741,8 @@ struct WalkState {
     /// In-flight SPR writes: `(issue instret, slot, weight address)`.
     pend: Vec<(u64, usize, AAddr)>,
     loads: RangeSet,
-    retire_rows: Vec<(MnemonicId, u64, u64, u64)>,
-    stall_rows: Vec<(MnemonicId, u64)>,
+    profile: Profile,
     prev_load: Option<(u8, MnemonicId)>,
-    cycles: u64,
     instret: u64,
     next_out: u32,
     /// The spill word's content: the region's last store to it.
@@ -1231,8 +1209,8 @@ impl Candidate {
             || (plan.cell.is_some() && !stored.is_multiple_of(2))
             || s0.prev_load != st.prev_load
             || s0.nowrap != st.nowrap
-            || s0.retire_rows.len() != st.retire_rows.len()
-            || s0.stall_rows.len() != st.stall_rows.len()
+            || s0.profile.retire_rows.len() != st.profile.retire_rows.len()
+            || s0.profile.stall_rows.len() != st.profile.stall_rows.len()
             || s0.pend.len() != st.pend.len()
         {
             return Summary::Skip;
@@ -1420,15 +1398,7 @@ impl Candidate {
             }
         }
         st.spill = st.spill.map(|v| shifted(v, d[SRC_SPILL], m32));
-        for (r, r0) in st.retire_rows.iter_mut().zip(&s0.retire_rows) {
-            r.1 += m * (r.1 - r0.1);
-            r.2 += m * (r.2 - r0.2);
-            r.3 += m * (r.3 - r0.3);
-        }
-        for (r, r0) in st.stall_rows.iter_mut().zip(&s0.stall_rows) {
-            r.1 += m * (r.1 - r0.1);
-        }
-        st.cycles += m * (st.cycles - s0.cycles);
+        st.profile.repeat_since(&s0.profile, m);
         st.instret += m * iter;
         st.next_out = next_out;
         if let Loop::Hw(lv) = self.lp {
@@ -1541,10 +1511,8 @@ fn walk(
         spr: [SprAv::Entry, SprAv::Entry],
         pend: Vec::new(),
         loads: RangeSet::default(),
-        retire_rows: Vec::new(),
-        stall_rows: Vec::new(),
+        profile: Profile::default(),
         prev_load: None,
-        cycles: 0,
         instret: 0,
         next_out: 0,
         spill: None,
@@ -1585,8 +1553,7 @@ fn walk(
         // Load-use stall, charged to the producing load.
         if let Some((r, id)) = st.prev_load.take() {
             if u.uses_mask & (1u32 << r) != 0 {
-                st.cycles += 1;
-                bump_stall(&mut st.stall_rows, id);
+                st.profile.stall(id);
             }
         }
 
@@ -1766,9 +1733,8 @@ fn walk(
             }
         }
 
-        let op_cycles = u64::from(u.base_cycles) + extra;
-        bump_row(&mut st.retire_rows, u.id, op_cycles, u64::from(u.mac_ops));
-        st.cycles += op_cycles;
+        st.profile
+            .record(u.id, u64::from(u.base_cycles) + extra, u64::from(u.mac_ops));
         st.instret += 1;
         st.prev_load = (u.load_rd != 0).then_some((u.load_rd, u.id));
 
@@ -1891,9 +1857,7 @@ fn walk(
         desc: *desc,
         end_idx: end_idx as u32,
         total_instrs: st.instret,
-        total_cycles: st.cycles,
-        retire_rows: st.retire_rows,
-        stall_rows: st.stall_rows,
+        profile: st.profile,
         exit_regs,
         exit_spr,
         exit_pending: st.pend,

@@ -10,21 +10,21 @@
 //! then drives execution off this array instead of re-matching the
 //! `Instr` enum per step. The micro-op is the simulator's one executable
 //! form: `Machine::run_stepping` (the reference and trace path) retires
-//! the same ops one at a time with every bulk runner off.
+//! the same ops one at a time with the block runner and shortcut tier off.
 //! Each pure op's value semantics is defined once, here:
 //! [`UopKind::dest`], [`UopKind::value`] and the per-family functions it
 //! calls, which the interpreter and the shortcut verifier both use.
 //!
-//! On top of the linear lowering, straight-line loops (no control flow,
-//! no CSR access, no loop configuration inside) get a [`LoopBody`]
-//! descriptor. Two kinds of loop qualify, told apart by [`LoopExit`]:
-//! `lp.setup`/`lp.setupi` hardware loops, and software loops closed by a
-//! backward conditional branch over the body (the RV32IMC baseline's
-//! loops). Either way the per-iteration cycle cost, per-mnemonic retire
-//! rows and load-use stall pattern are static, so the loop runner in
-//! `machine.rs` can execute iterations as a tight data-only host loop and
-//! account statistics in bulk. Maximal straight-line stretches between
-//! control flow and branch targets get a [`StraightRun`] the same way.
+//! On top of the linear lowering, straight-line stretches (no control
+//! flow, no CSR access, no loop configuration inside) get a [`Block`]
+//! descriptor, told apart by its [`BlockExit`]: the body of an
+//! `lp.setup`/`lp.setupi` hardware loop, the body of a software loop
+//! closed by a backward conditional branch (the RV32IMC baseline's
+//! loops), or a maximal straight run between control flow and branch
+//! targets, executed once per entry. Either way one pass's cycle cost,
+//! per-mnemonic retire rows and load-use stall pattern are a static
+//! [`Profile`], so the block runner in `machine.rs` can execute passes as
+//! a tight data-only host loop and account statistics in bulk.
 //! See `DESIGN.md` § "Micro-op pipeline" for the exact lowering rules and
 //! fallback conditions.
 
@@ -40,17 +40,14 @@ use rnnasip_isa::{
 /// Stepping onto it raises [`SimError::FetchFault`](crate::SimError::FetchFault).
 pub(crate) const NO_IDX: u32 = u32::MAX;
 
-/// Sentinel loop-body index: "no specializable loop body ends here".
-pub(crate) const NO_BODY: u32 = u32::MAX;
-
-/// Sentinel straight-line-run index: "no specialized run starts here".
-pub(crate) const NO_RUN: u32 = u32::MAX;
+/// Sentinel block index: "no specialized block is triggered here".
+pub(crate) const NO_BLOCK: u32 = u32::MAX;
 
 /// Sentinel shortcut-region index: "no installed kernel-shortcut region
 /// starts here".
 pub(crate) const NO_SC: u32 = u32::MAX;
 
-/// Minimum micro-op count for materializing a [`StraightRun`]: below
+/// Minimum micro-op count for materializing a straight run: below
 /// this, the per-entry trigger checks and bulk row updates cost about as
 /// much as the generic bookkeeping they replace.
 const MIN_RUN_LEN: usize = 4;
@@ -324,14 +321,14 @@ pub(crate) struct Uop {
     /// Register number a pending load-use hazard is tracked for (0 when
     /// the op is not a load or loads into `x0`).
     pub load_rd: u8,
-    /// Head of the [`LoopBody`] chain of specializable hardware loops
+    /// Head of the [`Block`] chain of specializable hardware loops
     /// whose *last body op* this is — or, on an `lp.setup`/`lp.setupi`
     /// op, the chain containing its own loop's descriptor (for bulk
     /// entry from the top), and on a backward branch, the branch-closed
-    /// body it ends. [`NO_BODY`] otherwise.
+    /// body it ends. [`NO_BLOCK`] otherwise.
     pub body: u32,
-    /// Index of the [`StraightRun`] whose *first op* this is, or
-    /// [`NO_RUN`].
+    /// Index of the straight-run [`Block`] whose *first op* this is, or
+    /// [`NO_BLOCK`].
     pub run: u32,
     /// Index of the installed [`ShortcutRegion`] whose *first op* this
     /// is, or [`NO_SC`].
@@ -340,93 +337,118 @@ pub(crate) struct Uop {
     pub shortcut: u32,
 }
 
-/// How a [`LoopBody`] jumps back to its first op.
+/// How a [`Block`] ends a pass.
 #[derive(Clone, Copy, Debug)]
-pub(crate) enum LoopExit {
+pub(crate) enum BlockExit {
     /// The zero-cycle jump-back of an armed hardware loop whose
-    /// `[lpstart, lpend)` is the body range; the loop count ends it.
+    /// `[lpstart, lpend)` is the block range; the loop count ends it.
     HwLoop,
-    /// The body's last op: a conditional branch back to the first op.
+    /// The block's last op: a conditional branch back to the first op.
     /// Taken, it costs one extra cycle; the first untaken evaluation
     /// leaves the loop.
     Branch { op: BranchOp, rs1: Reg, rs2: Reg },
+    /// A straight run: one pass, falling through to `end_addr`. Only its
+    /// first op may be a direct branch or jump target.
+    Straight,
 }
 
-/// A specializable loop body, recognized at translation time.
+/// The static timing profile of a stretch of micro-ops: what retiring
+/// it adds to the cycle counter and to the per-mnemonic statistics rows.
 ///
-/// Bodies are straight-line micro-op runs `[start_idx, start_idx+len)`
-/// covering addresses `[start_addr, end_addr)` with a fully static
-/// timing profile: the per-iteration cycle cost, per-mnemonic retire
-/// rows and the load-use stall pattern (including the wrap-around stall
-/// from the last op's load into the first op of the next iteration) are
-/// pre-computed here, so the block runner executes only data semantics
-/// per iteration and accounts `n` iterations with one bulk update per
-/// row. A [`LoopExit::Branch`] body includes its closing branch as the
-/// last op, and its profile charges the branch as taken.
-#[derive(Clone, Debug)]
-pub(crate) struct LoopBody {
-    /// First body address (`lp.setup` PC + 4, or the branch target).
-    pub start_addr: u32,
-    /// Address just past the body (the loop's `lpend`, or the closing
-    /// branch's fall-through).
-    pub end_addr: u32,
-    /// Micro-op index of the first body op.
-    pub start_idx: u32,
-    /// Body length in micro-ops.
-    pub len: u32,
-    /// Total cycles of one steady-state iteration: base cycles plus
-    /// static load-use stalls. Never zero (bodies have ≥ 1 op).
-    pub iter_cycles: u64,
-    /// Per-mnemonic retire totals for one iteration:
-    /// `(id, instrs, cycles, macs)`.
-    pub retire_rows: Vec<(MnemonicId, u64, u64, u64)>,
-    /// Per-mnemonic stall-cycle totals for one iteration.
-    pub stall_rows: Vec<(MnemonicId, u64)>,
-    /// For body op `j`: the mnemonic to charge a load-use stall to when
-    /// entering op `j`, or `None` if no stall. Entry 0 is the
-    /// wrap-around stall (previous iteration's last op → this
-    /// iteration's first). Used for exact accounting of a faulting
-    /// partial iteration.
-    pub stall_in: Vec<Option<MnemonicId>>,
-    /// What closes the loop.
-    pub exit: LoopExit,
-    /// Next descriptor sharing the same last body op, or [`NO_BODY`]
-    /// (always for a branch-closed body).
-    pub next: u32,
-}
-
-/// A maximal straight-line micro-op run, recognized at translation time.
-///
-/// Same idea as a [`LoopBody`], executed once per entry instead of per
-/// iteration: kernel scaffolding between loops (requantize/activate
-/// epilogues, pointer setup) is straight-line too, and its timing is
-/// just as static. Only a run's first op may be a direct branch or jump
-/// target. The block runner may execute a run in bulk only when no
-/// *armed* hardware loop's end address falls on one of the run's
-/// fall-through addresses — a runtime condition checked per entry; the
-/// generic per-op path handles every other case bit-identically.
-#[derive(Clone, Debug)]
-pub(crate) struct StraightRun {
-    /// Address of the first op.
-    pub start_addr: u32,
-    /// Fall-through address of the last op.
-    pub end_addr: u32,
-    /// Micro-op index of the first op.
-    pub start_idx: u32,
-    /// Run length in micro-ops.
-    pub len: u32,
-    /// Total cycles of one pass: base cycles plus static internal
-    /// load-use stalls (the entry stall from a load *before* the run is
-    /// dynamic and charged by the caller).
+/// Translation builds one per [`Block`] pass and the shortcut verifier
+/// one per region entry, op by op through [`record`](Self::record) and
+/// [`stall`](Self::stall); the machine retires either with one row
+/// update per mnemonic.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Profile {
+    /// Total cycles: retire cycles plus load-use stalls.
     pub cycles: u64,
     /// Per-mnemonic retire totals: `(id, instrs, cycles, macs)`.
     pub retire_rows: Vec<(MnemonicId, u64, u64, u64)>,
-    /// Per-mnemonic stall-cycle totals.
+    /// Per-mnemonic load-use stall totals.
     pub stall_rows: Vec<(MnemonicId, u64)>,
-    /// For run op `j`: the mnemonic to charge a load-use stall to when
-    /// entering op `j` (`None` for op 0 — there is no wrap-around). Used
-    /// for exact accounting of a faulting partial pass.
+}
+
+impl Profile {
+    /// Adds one retired op of row `id` costing `cycles` cycles and
+    /// performing `macs` MACs.
+    pub(crate) fn record(&mut self, id: MnemonicId, cycles: u64, macs: u64) {
+        self.cycles += cycles;
+        match self.retire_rows.iter_mut().find(|r| r.0 == id) {
+            Some(r) => {
+                r.1 += 1;
+                r.2 += cycles;
+                r.3 += macs;
+            }
+            None => self.retire_rows.push((id, 1, cycles, macs)),
+        }
+    }
+
+    /// Adds one load-use stall cycle, charged to the producing load's
+    /// row `id`.
+    pub(crate) fn stall(&mut self, id: MnemonicId) {
+        self.cycles += 1;
+        match self.stall_rows.iter_mut().find(|r| r.0 == id) {
+            Some(r) => r.1 += 1,
+            None => self.stall_rows.push((id, 1)),
+        }
+    }
+
+    /// Adds `m` more copies of what was recorded since `start`, an
+    /// earlier snapshot of this profile with the same rows.
+    pub(crate) fn repeat_since(&mut self, start: &Profile, m: u64) {
+        for (r, r0) in self.retire_rows.iter_mut().zip(&start.retire_rows) {
+            r.1 += m * (r.1 - r0.1);
+            r.2 += m * (r.2 - r0.2);
+            r.3 += m * (r.3 - r0.3);
+        }
+        for (r, r0) in self.stall_rows.iter_mut().zip(&start.stall_rows) {
+            r.1 += m * (r.1 - r0.1);
+        }
+        self.cycles += m * (self.cycles - start.cycles);
+    }
+}
+
+/// A straight-line micro-op block `[start_idx, start_idx+len)` covering
+/// addresses `[start_addr, end_addr)`, recognized at translation time.
+///
+/// One pass's timing is a static [`Profile`] (for a loop, a steady-state
+/// iteration's, including the wrap-around stall from the last op's load
+/// into the first op of the next iteration), so the block runner
+/// executes only data semantics per pass and accounts `n` passes with
+/// one bulk update per row. A [`BlockExit::Branch`] body includes its
+/// closing branch as the last op, and its profile charges the branch as
+/// taken. The runner may execute a block in bulk only when no *armed*
+/// hardware loop can trigger inside it — a runtime condition checked per
+/// entry; the generic per-op path handles every other case
+/// bit-identically.
+#[derive(Clone, Debug)]
+pub(crate) struct Block {
+    /// First op's address (`lp.setup` PC + 4, the branch target, or the
+    /// run's first op).
+    pub start_addr: u32,
+    /// Address just past the block (the loop's `lpend`, the closing
+    /// branch's fall-through, or the run's last op's fall-through).
+    pub end_addr: u32,
+    /// Micro-op index of the first op.
+    pub start_idx: u32,
+    /// Block length in micro-ops.
+    pub len: u32,
+    /// Timing of one pass. Its cycles are never zero (blocks have ≥ 1
+    /// op).
+    pub profile: Profile,
+    /// For block op `j`: the mnemonic to charge a load-use stall to when
+    /// entering op `j`, or `None` if no stall. In a loop, entry 0 is the
+    /// wrap-around stall (previous iteration's last op → this
+    /// iteration's first); a straight run's entry stall, from a load
+    /// *before* it, is dynamic and charged by the caller. Used for exact
+    /// accounting of a faulting partial pass.
     pub stall_in: Vec<Option<MnemonicId>>,
+    /// What ends a pass.
+    pub exit: BlockExit,
+    /// Next hardware-loop descriptor sharing the same last body op, or
+    /// [`NO_BLOCK`] (always for a branch-closed body or straight run).
+    pub next: u32,
 }
 
 /// A [`Program`] lowered to micro-ops — build once with
@@ -440,8 +462,7 @@ pub(crate) struct StraightRun {
 #[derive(Clone, Debug, Default)]
 pub struct UopProgram {
     pub(crate) uops: Vec<Uop>,
-    pub(crate) bodies: Vec<LoopBody>,
-    pub(crate) runs: Vec<StraightRun>,
+    pub(crate) blocks: Vec<Block>,
     pub(crate) shortcuts: Vec<crate::shortcut::ShortcutRegion>,
     verify_ops: u64,
     verify_nanos: u64,
@@ -472,7 +493,7 @@ impl UopProgram {
             .iter()
             .map(|item| lower(program, item.addr, item.size as u32, &item.instr))
             .collect();
-        let mut bodies: Vec<LoopBody> = Vec::new();
+        let mut blocks: Vec<Block> = Vec::new();
         for i in 0..uops.len() {
             let (start, end) = match uops[i].kind {
                 UopKind::LpSetup { start, end, .. } | UopKind::LpSetupi { start, end, .. } => {
@@ -487,17 +508,17 @@ impl UopProgram {
                 // itself also carries the chain head, so the block runner
                 // can enter in bulk from the top (iteration 0) as well as
                 // from a jump-back.
-                if chain_contains(&bodies, uops[last].body, start, end) {
+                if chain_contains(&blocks, uops[last].body, start, end) {
                     uops[i].body = uops[last].body;
                     continue;
                 }
-                let chained = LoopBody {
+                let chained = Block {
                     next: uops[last].body,
                     ..body
                 };
-                uops[last].body = bodies.len() as u32;
-                uops[i].body = bodies.len() as u32;
-                bodies.push(chained);
+                uops[last].body = blocks.len() as u32;
+                uops[i].body = blocks.len() as u32;
+                blocks.push(chained);
             }
         }
 
@@ -545,25 +566,8 @@ impl UopProgram {
             {
                 continue;
             }
-            let (mut retire_rows, stall_rows, stall_in, cycles) = aggregate(&uops[t..=b], true);
-            retire_rows
-                .iter_mut()
-                .find(|r| r.0 == uops[b].id)
-                .expect("the closing branch is the only op on its row")
-                .2 += 1;
-            uops[b].body = bodies.len() as u32;
-            bodies.push(LoopBody {
-                start_addr: uops[t].addr,
-                end_addr: uops[b].next_addr,
-                start_idx: t as u32,
-                len: (b - t + 1) as u32,
-                iter_cycles: cycles + 1,
-                retire_rows,
-                stall_rows,
-                stall_in,
-                exit: LoopExit::Branch { op, rs1, rs2 },
-                next: NO_BODY,
-            });
+            uops[b].body = blocks.len() as u32;
+            blocks.push(block(&uops, t, b + 1, BlockExit::Branch { op, rs1, rs2 }));
         }
 
         // Straight-line runs: maximal sequences of eligible ops, marked
@@ -573,7 +577,6 @@ impl UopProgram {
         // bulking across it would skip the shortcut trigger. So does a
         // direct branch or jump target: control arriving there should
         // find a run start, not step the rest of a run op by op.
-        let mut runs: Vec<StraightRun> = Vec::new();
         let mut i = 0usize;
         while i < uops.len() {
             if !body_eligible(&uops[i].kind) {
@@ -589,28 +592,15 @@ impl UopProgram {
             {
                 i += 1;
             }
-            let len = i - start;
-            if len < MIN_RUN_LEN {
+            if i - start < MIN_RUN_LEN {
                 continue;
             }
-            let (retire_rows, stall_rows, stall_in, cycles) = aggregate(&uops[start..i], false);
-            let (start_addr, end_addr) = (uops[start].addr, uops[i - 1].next_addr);
-            uops[start].run = runs.len() as u32;
-            runs.push(StraightRun {
-                start_addr,
-                end_addr,
-                start_idx: start as u32,
-                len: len as u32,
-                cycles,
-                retire_rows,
-                stall_rows,
-                stall_in,
-            });
+            uops[start].run = blocks.len() as u32;
+            blocks.push(block(&uops, start, i, BlockExit::Straight));
         }
         Self {
             uops,
-            bodies,
-            runs,
+            blocks,
             shortcuts,
             verify_ops,
             verify_nanos,
@@ -630,12 +620,15 @@ impl UopProgram {
     /// Number of loop bodies the translator specialized, hardware loops
     /// and branch-closed loops alike.
     pub fn loop_bodies(&self) -> usize {
-        self.bodies.len()
+        self.blocks.len() - self.straight_runs()
     }
 
     /// Number of straight-line runs the translator specialized.
     pub fn straight_runs(&self) -> usize {
-        self.runs.len()
+        self.blocks
+            .iter()
+            .filter(|b| matches!(b.exit, BlockExit::Straight))
+            .count()
     }
 
     /// Number of kernel-shortcut regions verified and installed by
@@ -667,9 +660,9 @@ impl UopProgram {
 
 /// Whether the descriptor chain starting at `head` already covers the
 /// loop range `[start, end)`.
-fn chain_contains(bodies: &[LoopBody], mut head: u32, start: u32, end: u32) -> bool {
-    while head != NO_BODY {
-        let b = &bodies[head as usize];
+fn chain_contains(blocks: &[Block], mut head: u32, start: u32, end: u32) -> bool {
+    while head != NO_BLOCK {
+        let b = &blocks[head as usize];
         if b.start_addr == start && b.end_addr == end {
             return true;
         }
@@ -678,7 +671,8 @@ fn chain_contains(bodies: &[LoopBody], mut head: u32, start: u32, end: u32) -> b
     false
 }
 
-/// Whether a micro-op may appear in a specialized loop body.
+/// Whether a micro-op may appear in a [`Block`] (a branch-closed body's
+/// closing branch aside).
 ///
 /// Excluded: control flow (a straight-line body is what makes the
 /// per-iteration timing static), halts, CSR access (reads the live
@@ -703,11 +697,11 @@ fn body_eligible(kind: &UopKind) -> bool {
     )
 }
 
-/// Builds the [`LoopBody`] descriptor for the range `[start, end)`, or
+/// Builds the hardware-loop [`Block`] for the range `[start, end)`, or
 /// `None` when the body is not specializable: `start` does not map to an
 /// instruction, the body is empty or ends mid-instruction (the jump-back
 /// would never trigger), or an op fails [`body_eligible`].
-fn recognize_body(uops: &[Uop], program: &Program, start: u32, end: u32) -> Option<LoopBody> {
+fn recognize_body(uops: &[Uop], program: &Program, start: u32, end: u32) -> Option<Block> {
     let start_idx = program.index_of(start)?;
     let mut len = 0usize;
     while start_idx + len < uops.len() && uops[start_idx + len].addr < end {
@@ -719,72 +713,51 @@ fn recognize_body(uops: &[Uop], program: &Program, start: u32, end: u32) -> Opti
     if len == 0 || uops[start_idx + len - 1].next_addr != end {
         return None;
     }
-    let (retire_rows, stall_rows, stall_in, iter_cycles) =
-        aggregate(&uops[start_idx..start_idx + len], true);
-
-    Some(LoopBody {
-        start_addr: start,
-        end_addr: end,
-        start_idx: start_idx as u32,
-        len: len as u32,
-        iter_cycles,
-        retire_rows,
-        stall_rows,
-        stall_in,
-        exit: LoopExit::HwLoop,
-        next: NO_BODY,
-    })
+    Some(block(uops, start_idx, start_idx + len, BlockExit::HwLoop))
 }
 
-/// The static timing profile of a straight-line micro-op slice:
-/// per-mnemonic retire rows, per-mnemonic stall totals, the per-op
-/// stall-on-entry pattern, and the total cycles of one pass.
+/// The [`Block`] over micro-ops `[from, to)` with the given exit, with
+/// the static timing profile of one pass.
 ///
 /// Op `j` stalls on entry iff the previous op loads a register `j`
-/// reads. With `wrap` (loop bodies), op 0's predecessor is the last op —
-/// steady-state iterations follow one another directly; without it
-/// (straight runs), op 0 never stalls statically — a stall from a load
-/// *before* the slice is the caller's to charge.
-type SliceProfile = (
-    Vec<(MnemonicId, u64, u64, u64)>,
-    Vec<(MnemonicId, u64)>,
-    Vec<Option<MnemonicId>>,
-    u64,
-);
-
-fn aggregate(slice: &[Uop], wrap: bool) -> SliceProfile {
-    let len = slice.len();
-    let stall_in: Vec<Option<MnemonicId>> = (0..len)
-        .map(|j| {
-            if j == 0 && !wrap {
-                return None;
-            }
-            let p = &slice[if j == 0 { len - 1 } else { j - 1 }];
-            (p.load_rd != 0 && slice[j].uses_mask & (1u32 << p.load_rd) != 0).then_some(p.id)
-        })
-        .collect();
-
-    let mut retire_rows: Vec<(MnemonicId, u64, u64, u64)> = Vec::new();
-    for u in slice {
-        match retire_rows.iter_mut().find(|r| r.0 == u.id) {
-            Some(r) => {
-                r.1 += 1;
-                r.2 += u64::from(u.base_cycles);
-                r.3 += u64::from(u.mac_ops);
-            }
-            None => retire_rows.push((u.id, 1, u64::from(u.base_cycles), u64::from(u.mac_ops))),
+/// reads. In a loop, op 0's predecessor is the last op — steady-state
+/// iterations follow one another directly; in a straight run op 0 never
+/// stalls statically — a stall from a load *before* the run is the
+/// caller's to charge. A closing branch is charged as taken.
+fn block(uops: &[Uop], from: usize, to: usize, exit: BlockExit) -> Block {
+    let slice = &uops[from..to];
+    let mut profile = Profile::default();
+    let mut stall_in = Vec::with_capacity(slice.len());
+    for (j, u) in slice.iter().enumerate() {
+        let prev = match j {
+            0 if matches!(exit, BlockExit::Straight) => None,
+            0 => slice.last(),
+            _ => Some(&slice[j - 1]),
+        };
+        let stall = prev
+            .filter(|p| p.load_rd != 0 && u.uses_mask & (1u32 << p.load_rd) != 0)
+            .map(|p| p.id);
+        if let Some(id) = stall {
+            profile.stall(id);
         }
+        stall_in.push(stall);
+        let taken = j + 1 == slice.len() && matches!(exit, BlockExit::Branch { .. });
+        profile.record(
+            u.id,
+            u64::from(u.base_cycles) + u64::from(taken),
+            u64::from(u.mac_ops),
+        );
     }
-    let mut stall_rows: Vec<(MnemonicId, u64)> = Vec::new();
-    for id in stall_in.iter().flatten() {
-        match stall_rows.iter_mut().find(|r| r.0 == *id) {
-            Some(r) => r.1 += 1,
-            None => stall_rows.push((*id, 1)),
-        }
+    Block {
+        start_addr: slice[0].addr,
+        end_addr: slice[slice.len() - 1].next_addr,
+        start_idx: from as u32,
+        len: slice.len() as u32,
+        profile,
+        stall_in,
+        exit,
+        next: NO_BLOCK,
     }
-    let cycles =
-        retire_rows.iter().map(|r| r.2).sum::<u64>() + stall_rows.iter().map(|r| r.1).sum::<u64>();
-    (retire_rows, stall_rows, stall_in, cycles)
 }
 
 /// Resolves a direct branch/jump target to address + micro-op index.
@@ -1410,8 +1383,8 @@ fn lower(program: &Program, pc: u32, size: u32, instr: &Instr) -> Uop {
         base_cycles: (1 + extra) as u8,
         mac_ops: instr.mac_ops() as u8,
         load_rd,
-        body: NO_BODY,
-        run: NO_RUN,
+        body: NO_BLOCK,
+        run: NO_BLOCK,
         shortcut: NO_SC,
     }
 }
@@ -1499,11 +1472,11 @@ mod tests {
         );
         let t = UopProgram::translate(&prog);
         assert_eq!(t.loop_bodies(), 1);
-        let b = &t.bodies[0];
+        let b = &t.blocks[0];
         assert_eq!((b.start_addr, b.end_addr), (4, 12));
         assert_eq!((b.start_idx, b.len), (1, 2));
         // 2 base cycles + 1 load-use stall into the addi.
-        assert_eq!(b.iter_cycles, 3);
+        assert_eq!(b.profile.cycles, 3);
         assert_eq!(b.stall_in, vec![None, Some(MnemonicId::PLwPost)]);
         // The descriptor hangs off the last body op.
         assert_eq!(t.uops[2].body, 0);
@@ -1531,7 +1504,7 @@ mod tests {
             ],
         );
         let t = UopProgram::translate(&prog);
-        assert_eq!(t.bodies[0].stall_in, vec![None]);
+        assert_eq!(t.blocks[0].stall_in, vec![None]);
 
         // ...but loading the pointer register itself stalls every
         // iteration on the wrap.
@@ -1553,8 +1526,8 @@ mod tests {
             ],
         );
         let t = UopProgram::translate(&prog);
-        assert_eq!(t.bodies[0].stall_in, vec![Some(MnemonicId::PLwPost)]);
-        assert_eq!(t.bodies[0].iter_cycles, 2);
+        assert_eq!(t.blocks[0].stall_in, vec![Some(MnemonicId::PLwPost)]);
+        assert_eq!(t.blocks[0].profile.cycles, 2);
     }
 
     #[test]
@@ -1581,8 +1554,8 @@ mod tests {
         // The hardware loop is not specialized; the branch closing the
         // software loop inside it is.
         assert_eq!(t.loop_bodies(), 1);
-        assert!(matches!(t.bodies[0].exit, LoopExit::Branch { .. }));
-        assert_eq!((t.bodies[0].start_idx, t.bodies[0].len), (1, 2));
+        assert!(matches!(t.blocks[0].exit, BlockExit::Branch { .. }));
+        assert_eq!((t.blocks[0].start_idx, t.blocks[0].len), (1, 2));
     }
 
     #[test]
@@ -1609,12 +1582,12 @@ mod tests {
         );
         let t = UopProgram::translate(&prog);
         assert_eq!(t.loop_bodies(), 1);
-        let b = &t.bodies[0];
+        let b = &t.blocks[0];
         assert_eq!((b.start_addr, b.end_addr), (0, 8));
         assert_eq!(b.stall_in, vec![None, Some(MnemonicId::Lw)]);
         // lw 1 + stall 1 + bne 1 + taken 1.
-        assert_eq!(b.iter_cycles, 4);
-        assert!(b.retire_rows.contains(&(MnemonicId::Bne, 1, 2, 0)));
+        assert_eq!(b.profile.cycles, 4);
+        assert!(b.profile.retire_rows.contains(&(MnemonicId::Bne, 1, 2, 0)));
         assert_eq!(t.uops[1].body, 0);
         assert_eq!(std::mem::size_of::<Uop>(), 48);
     }
