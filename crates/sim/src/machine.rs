@@ -3,7 +3,7 @@
 use crate::core_state::{Core, HwLoop};
 use crate::error::{ExitReason, SimError};
 use crate::fault::{Fault, FaultEffect, FaultPlan, FaultRecord, FaultSite};
-use crate::guard::{GuardReport, GuardSpec, GuardUnit};
+use crate::guard::{GuardSpec, GuardUnit};
 use crate::mem::{MemImage, Memory};
 use crate::program::Program;
 use crate::shortcut::{ExitVal, ShortcutRegion};
@@ -352,7 +352,7 @@ impl Machine {
 
     /// Arms ABFT checksum guards for the loaded program's kernel regions:
     /// from now on every run verifies each region's exit (see
-    /// [`GuardSpec`]) and [`guard_report`](Self::guard_report)
+    /// [`GuardSpec`]) and [`Cluster::guard_report`](crate::Cluster::guard_report)
     /// snapshots the verdicts. Guards are pure observers — outputs,
     /// cycles, `instret` and per-mnemonic rows are untouched — but they
     /// disable the bulk block runner (a host-throughput cost only; the
@@ -361,13 +361,6 @@ impl Machine {
     /// resolved against the current micro-op image.
     pub fn arm_guards(&mut self, specs: Arc<Vec<GuardSpec>>) {
         self.guards = Some(Box::new(GuardUnit::new([(&specs, &*self.program)])));
-    }
-
-    /// Snapshot of the current run's guard verdicts, `None` when no
-    /// guards are armed. A guard still pending mid-region (the run
-    /// halted or faulted inside it) counts as a failed exit.
-    pub fn guard_report(&self) -> Option<GuardReport> {
-        self.guards.as_ref().map(|g| g.report())
     }
 
     /// Exchanges this machine's guard unit with `other` — how a cluster

@@ -34,8 +34,8 @@
 //! Loops whose iterations only shift the walk's state by constants —
 //! hardware loops and loops closed by a backward branch alike — are
 //! walked for two iterations and then applied in closed form (see
-//! `Candidate`), so verification costs what the region's static code
-//! costs, not what it executes.
+//! `Candidate`, which the walk's own arms feed), so verification costs
+//! what the region's static code costs, not what it executes.
 //!
 //! A region that passes is installed as a [`ShortcutRegion`]: the machine
 //! then executes one entry as a single native computation over TCDM
@@ -416,15 +416,6 @@ struct DotVal {
     n: u32,
 }
 
-/// Abstract value of one SPR slot.
-#[derive(Clone, Copy, Debug)]
-enum SprAv {
-    /// Region-entry contents (unknown; only discarding reads allowed).
-    Entry,
-    /// The weight word at this address.
-    Known(AAddr),
-}
-
 fn load_size(op: LoadOp) -> u32 {
     match op {
         LoadOp::Lb | LoadOp::Lbu => 1,
@@ -737,7 +728,9 @@ struct WalkState {
     regs: [Av; 32],
     /// Per hardware-loop level: `(start, end, count)`.
     hwl: [Option<(u32, u32, u32)>; 2],
-    spr: [SprAv; 2],
+    /// Per SPR slot: the address of the weight word it holds (`None` =
+    /// region-entry contents, which only discarding reads may touch).
+    spr: [Option<AAddr>; 2],
     /// In-flight SPR writes: `(issue instret, slot, weight address)`.
     pend: Vec<(u64, usize, AAddr)>,
     loads: RangeSet,
@@ -876,11 +869,15 @@ fn shifted(v: Av, d: Delta, m: u32) -> Av {
 
 /// One loop iteration watched for a closed-form summary.
 ///
-/// Alongside the ordinary walk, every value written in the iteration
-/// gets a [`Form`] saying how it would move if the iteration-start state
-/// moved. At the next jump-back of the same loop, [`summarize`] compares
-/// the two iteration-start states. All remaining iterations can be
-/// applied at once when
+/// The watcher decodes nothing itself: each arm of the walk reports its
+/// op through one hook (`load`, `store`, `sdot`, `branch`, `pure`), on
+/// the pre-op state and with the operands, address and value the arm
+/// has already formed; a hook that returns `false`, or a loop setup,
+/// ends the watch. From those reports every value written in the
+/// iteration gets a [`Form`] saying how it would move if the
+/// iteration-start state moved. At the next jump-back of the same loop,
+/// [`summarize`] compares the two iteration-start states. All remaining
+/// iterations can be applied at once when
 ///
 /// * each source changed by a constant [`Delta`], or is opaque data of
 ///   the same kind;
@@ -930,8 +927,8 @@ struct Candidate {
 
 impl Candidate {
     /// Watches one iteration of loop `lp`. Only a cell update's or a dot
-    /// product's walk (`stores`) may summarize iterations that store.
-    fn new(lp: Loop, st: &WalkState, stores: bool) -> Self {
+    /// product's walk may summarize iterations that store.
+    fn new(lp: Loop, st: &WalkState, plan: &Outputs) -> Self {
         let mut regs: [Form; 32] = std::array::from_fn(|r| Form::Lin(r as u8));
         regs[0] = Form::Zero;
         Self {
@@ -945,7 +942,7 @@ impl Candidate {
                 .collect(),
             fixed: 0,
             accesses: Vec::new(),
-            stores: stores.then(Vec::new),
+            stores: (plan.cell.is_some() || plan.dot.is_some()).then(Vec::new),
             macs: Vec::new(),
             closing: None,
         }
@@ -993,20 +990,18 @@ impl Candidate {
         }
     }
 
-    /// Form of a pure op's result: a constant fold inspects every
-    /// register the op reads (`mask`), anything else is fresh data.
-    fn fold(&mut self, mask: u32, regs: &[Av; 32]) -> Form {
-        if all_const(regs, mask) != Some(true) {
-            return Form::Fresh;
+    /// Form of a load or store base `rs1`, advanced in place by a
+    /// post-increment (`post`).
+    fn base(&mut self, rs1: Reg, post: bool) -> Form {
+        let f = self.ptr(self.form(rs1));
+        if post {
+            self.set(rs1, f);
         }
-        for n in used(mask) {
-            self.fix(self.regs[n]);
-        }
-        Form::Zero
+        f
     }
 
+    /// A load of `rd` from `addr`, whose form is `f`.
     fn load(&mut self, op: LoadOp, rd: Reg, addr: AAddr, f: Form, plan: &Outputs) {
-        let f = self.ptr(f);
         // A spill-word read forwards the word's content.
         if plan.spill() == Some(addr) {
             self.set(rd, self.spill);
@@ -1022,155 +1017,77 @@ impl Candidate {
         self.set(rd, v);
     }
 
-    fn store(&mut self, addr: AAddr, addr_form: Form, value: Reg, plan: &Outputs) {
-        let f = self.ptr(addr_form);
-        let v = self.form(value);
+    /// A store of `rs2` to `addr` through base `rs1`; `false` ends the
+    /// watch of a loop that may not store.
+    fn store(&mut self, addr: AAddr, rs1: Reg, post: bool, rs2: Reg, plan: &Outputs) -> bool {
+        if self.stores.is_none() {
+            return false;
+        }
+        let f = self.base(rs1, post);
+        let v = self.form(rs2);
         if plan.spill() == Some(addr) {
             self.spill = v;
         }
         self.stores.as_mut().unwrap().push((f, v));
+        true
     }
 
-    /// Mirrors one op of the walk (called before the op executes, on the
-    /// pre-op registers). `false` ends the watch.
-    fn track(&mut self, u: &Uop, regs: &[Av; 32], plan: &Outputs) -> bool {
-        let val = |r: Reg| av(regs, r);
-        match u.kind {
-            UopKind::Load {
-                op,
-                rd,
-                rs1,
-                offset,
-            } => {
-                let Some(addr) = aaddr(val(rs1), offset) else {
-                    return false;
-                };
-                self.load(op, rd, addr, self.form(rs1), plan);
-            }
-            UopKind::LoadPostInc { op, rd, rs1, .. } => {
-                let Some(addr) = aaddr(val(rs1), 0) else {
-                    return false;
-                };
-                let f = self.ptr(self.form(rs1));
-                self.set(rs1, f);
-                self.load(op, rd, addr, f, plan);
-            }
-            UopKind::LoadReg { op, rd, rs1, rs2 } => {
-                let addr = match (val(rs1), val(rs2)) {
-                    (Av::Const(a), Av::Const(b)) => AAddr {
-                        cell: None,
-                        off: a.wrapping_add(b),
-                    },
-                    (Av::CellVal { cell, off }, Av::Const(c))
-                    | (Av::Const(c), Av::CellVal { cell, off }) => AAddr {
-                        cell: Some(cell),
-                        off: off.wrapping_add(c),
-                    },
-                    _ => return false,
-                };
-                let f = self.add(self.form(rs1), self.form(rs2));
-                self.load(op, rd, addr, f, plan);
-            }
-            // Pointer arithmetic moves with the pointer.
+    /// A `pl.sdotsp` whose weight word at `addr` is read through `rs1`.
+    fn sdot(&mut self, rd: Reg, rs1: Reg, addr: AAddr) {
+        let f = self.ptr(self.form(rs1));
+        self.accesses.push((addr, 4, f));
+        self.pend.push(f);
+        self.set(rd, Form::Fresh);
+        self.set(rs1, f);
+    }
+
+    /// A branch at `at`: only the watched loop's closing branch keeps the
+    /// watch, as its outcome in later iterations follows from how its
+    /// operands move.
+    fn branch(&mut self, at: u32, op: BranchOp, rs1: Reg, rs2: Reg) -> bool {
+        if self.lp != Loop::Branch(at) || self.closing.is_some() {
+            return false;
+        }
+        self.closing = Some((op, rs1, rs2, self.form(rs1), self.form(rs2)));
+        true
+    }
+
+    /// A pure op giving `rd` the value `v`, on the pre-op registers:
+    /// pointer arithmetic (an `addi`, `add` or `sub` whose value is a
+    /// constant or a cell pointer) moves with its pointer, a dot-product
+    /// step with its chain (the summary checks that its operands keep
+    /// pace), any other constant is a fold that is the same every
+    /// iteration and pins every register it reads, and anything else is
+    /// fresh data.
+    fn pure(&mut self, u: &Uop, rd: Reg, v: Av, regs: &[Av; 32]) {
+        let pointer = matches!(v, Av::Const(_) | Av::CellVal { .. });
+        let f = match u.kind {
             UopKind::OpImm {
                 op: AluImmOp::Addi,
-                rd,
                 rs1,
                 ..
-            } if matches!(val(rs1), Av::Const(_) | Av::CellVal { .. }) => {
-                let f = self.ptr(self.form(rs1));
-                self.set(rd, f);
-            }
+            } if pointer => self.ptr(self.form(rs1)),
             UopKind::Op {
                 op: AluOp::Add,
-                rd,
                 rs1,
                 rs2,
-            } if matches!(
-                (val(rs1), val(rs2)),
-                (Av::Const(_), Av::Const(_))
-                    | (Av::CellVal { .. }, Av::Const(_))
-                    | (Av::Const(_), Av::CellVal { .. })
-            ) =>
-            {
-                let f = self.add(self.form(rs1), self.form(rs2));
-                self.set(rd, f);
-            }
+                ..
+            } if pointer => self.add(self.form(rs1), self.form(rs2)),
             UopKind::Op {
                 op: AluOp::Sub,
-                rd,
                 rs1,
                 rs2,
-            } if matches!(
-                (val(rs1), val(rs2)),
-                (Av::Const(_) | Av::CellVal { .. }, Av::Const(_))
-            ) =>
-            {
+                ..
+            } if pointer => {
                 self.fix(self.form(rs2));
-                let f = self.ptr(self.form(rs1));
-                self.set(rd, f);
+                self.ptr(self.form(rs1))
             }
-            // A dot-product step moves with its chain (the summary checks
-            // that its operands keep pace).
-            UopKind::Mac { rd, rs1, rs2 } if dot_step(val(rd), val(rs1), val(rs2)).is_some() => {
+            UopKind::Mac { rs1, rs2, .. } if matches!(v, Av::Dot(_)) => {
                 let f = self.form(rd);
                 self.macs.push([f, self.form(rs1), self.form(rs2)]);
-                self.set(rd, f);
+                f
             }
-            UopKind::PlSdotsp { rd, rs1, .. } => {
-                let Some(addr) = aaddr(val(rs1), 0) else {
-                    return false;
-                };
-                let f = self.ptr(self.form(rs1));
-                self.accesses.push((addr, 4, f));
-                self.pend.push(f);
-                if rd != Reg::ZERO {
-                    self.set(rd, Form::Fresh);
-                }
-                self.set(rs1, f);
-            }
-            UopKind::Nop => {}
-            UopKind::Store {
-                rs2, rs1, offset, ..
-            } if self.stores.is_some() => {
-                let Some(addr) = aaddr(val(rs1), offset) else {
-                    return false;
-                };
-                self.store(addr, self.form(rs1), rs2, plan);
-            }
-            UopKind::StorePostInc { rs2, rs1, .. } if self.stores.is_some() => {
-                let Some(addr) = aaddr(val(rs1), 0) else {
-                    return false;
-                };
-                let f = self.ptr(self.form(rs1));
-                self.set(rs1, f);
-                self.store(addr, f, rs2, plan);
-            }
-            // The closing branch of the watched loop: its outcome in later
-            // iterations follows from how its operands move.
-            UopKind::Branch { op, rs1, rs2, .. }
-                if self.lp == Loop::Branch(u.addr) && self.closing.is_none() =>
-            {
-                self.closing = Some((op, rs1, rs2, self.form(rs1), self.form(rs2)));
-            }
-            // Other stores, control flow and loop setup end the watch.
-            UopKind::Store { .. }
-            | UopKind::StorePostInc { .. }
-            | UopKind::Branch { .. }
-            | UopKind::Jal { .. }
-            | UopKind::Jalr { .. }
-            | UopKind::Halt(_)
-            | UopKind::CsrRead { .. }
-            | UopKind::LpSetup { .. }
-            | UopKind::LpSetupi { .. }
-            | UopKind::LpSetAddr { .. }
-            | UopKind::LpCount { .. }
-            | UopKind::LpCounti { .. } => return false,
-            // Every other op is a pure register write.
             kind => {
-                let Some(rd) = kind.dest() else {
-                    return false;
-                };
                 if let UopKind::PMin { .. } | UopKind::PMax { .. } = kind {
                     // The 16-bit range test reads constant operands too.
                     for n in used(u.uses_mask) {
@@ -1179,11 +1096,17 @@ impl Candidate {
                         }
                     }
                 }
-                let f = self.fold(u.uses_mask, regs);
-                self.set(rd, f);
+                if let Av::Const(_) = v {
+                    for n in used(u.uses_mask) {
+                        self.fix(self.regs[n]);
+                    }
+                    Form::Zero
+                } else {
+                    Form::Fresh
+                }
             }
-        }
-        true
+        };
+        self.set(rd, f);
     }
 
     /// At the loop's next jump-back (`st` is the state at the start of
@@ -1247,10 +1170,8 @@ impl Candidate {
         }
         for k in 0..2 {
             d[SRC_SPR + k] = match (s0.spr[k], st.spr[k]) {
-                (SprAv::Entry, SprAv::Entry) => Delta::Same,
-                (SprAv::Known(a), SprAv::Known(b)) if a.cell == b.cell => {
-                    Delta::Num(b.off.wrapping_sub(a.off))
-                }
+                (None, None) => Delta::Same,
+                (Some(a), Some(b)) if a.cell == b.cell => Delta::Num(b.off.wrapping_sub(a.off)),
                 _ => return Summary::Skip,
             };
         }
@@ -1393,7 +1314,7 @@ impl Candidate {
             p.2.off = p.2.off.wrapping_add(by(SRC_PEND + j));
         }
         for k in 0..2 {
-            if let SprAv::Known(a) = &mut st.spr[k] {
+            if let Some(a) = &mut st.spr[k] {
                 a.off = a.off.wrapping_add(by(SRC_SPR + k));
             }
         }
@@ -1487,9 +1408,36 @@ fn closed_form(
     Some((safe, grow))
 }
 
-/// The walk proper. With `summarize`, hardware-loop iterations whose
-/// effect is a constant shift of the abstract state are applied in
-/// closed form (see [`Candidate`]); the result is identical either way.
+/// At a jump-back of loop `lp` (`st` is the state at the start of its
+/// next iteration): if `cand` watched the iteration just closed, tries
+/// its summary and counts the iterations it applied into `ops`. Any
+/// watch of another loop ends. `None` rejects the region.
+fn jump_back_summary(
+    cand: &mut Option<Candidate>,
+    lp: Loop,
+    st: &mut WalkState,
+    plan: &Outputs,
+    ops: &mut u64,
+    stats: &mut WalkStats,
+) -> Option<Summary> {
+    let Some(c) = cand.take().filter(|c| c.lp == lp) else {
+        return Some(Summary::Skip);
+    };
+    let summary = c.summarize(st, plan);
+    match summary {
+        Summary::Reject => return None,
+        Summary::Applied { ops: n, .. } => {
+            *ops += n;
+            stats.summarized = true;
+        }
+        Summary::Skip => {}
+    }
+    (*ops <= WALK_OP_CAP).then_some(summary)
+}
+
+/// The walk proper. With `summarize`, loop iterations whose effect is a
+/// constant shift of the abstract state are applied in closed form (see
+/// [`Candidate`]); the result is identical either way.
 fn walk(
     uops: &[Uop],
     program: &Program,
@@ -1508,7 +1456,7 @@ fn walk(
     let mut st = WalkState {
         regs: entry_regs(&desc.math)?,
         hwl: [None, None],
-        spr: [SprAv::Entry, SprAv::Entry],
+        spr: [None, None],
         pend: Vec::new(),
         loads: RangeSet::default(),
         profile: Profile::default(),
@@ -1538,7 +1486,7 @@ fn walk(
         // same drain point as the per-op path.
         while let Some(&(iss, slot, addr)) = st.pend.first() {
             if iss + 2 <= st.instret {
-                st.spr[slot] = SprAv::Known(addr);
+                st.spr[slot] = Some(addr);
                 st.pend.remove(0);
                 if let Some(c) = &mut cand {
                     c.spr[slot] = c.pend.remove(0);
@@ -1546,9 +1494,6 @@ fn walk(
             } else {
                 break;
             }
-        }
-        if cand.as_mut().is_some_and(|c| !c.track(u, &st.regs, &plan)) {
-            cand = None;
         }
         // Load-use stall, charged to the producing load.
         if let Some((r, id)) = st.prev_load.take() {
@@ -1566,6 +1511,12 @@ fn walk(
                 rs2,
                 target,
             } => {
+                if cand
+                    .as_mut()
+                    .is_some_and(|c| !c.branch(u.addr, op, rs1, rs2))
+                {
+                    cand = None;
+                }
                 let (a, b) = match (get(&st.regs, rs1)?, get(&st.regs, rs2)?) {
                     (Av::Const(a), Av::Const(b)) => (a, b),
                     // Two offsets from one cell compare as the offsets:
@@ -1598,36 +1549,35 @@ fn walk(
                 rd,
                 rs1,
                 offset,
-            } => {
-                let addr = aaddr(get(&st.regs, rs1)?, offset)?;
-                let v = plan.load(&mut st, op, addr)?;
-                set(&mut st.regs, rd, v);
             }
-            UopKind::LoadPostInc {
+            | UopKind::LoadPostInc {
                 op,
                 rd,
                 rs1,
                 offset,
             } => {
+                let post = matches!(u.kind, UopKind::LoadPostInc { .. });
                 let base = get(&st.regs, rs1)?;
-                let addr = aaddr(base, 0)?;
+                let addr = aaddr(base, if post { 0 } else { offset })?;
+                if let Some(c) = &mut cand {
+                    let f = c.base(rs1, post);
+                    c.load(op, rd, addr, f, &plan);
+                }
                 let v = plan.load(&mut st, op, addr)?;
-                set(&mut st.regs, rs1, bump(base, offset)?);
+                if post {
+                    set(&mut st.regs, rs1, bump(base, offset)?);
+                }
                 set(&mut st.regs, rd, v);
             }
             UopKind::LoadReg { op, rd, rs1, rs2 } => {
                 let addr = match (get(&st.regs, rs1)?, get(&st.regs, rs2)?) {
-                    (Av::Const(a), Av::Const(b)) => AAddr {
-                        cell: None,
-                        off: a.wrapping_add(b),
-                    },
-                    (Av::CellVal { cell, off }, Av::Const(c))
-                    | (Av::Const(c), Av::CellVal { cell, off }) => AAddr {
-                        cell: Some(cell),
-                        off: off.wrapping_add(c),
-                    },
+                    (base, Av::Const(c)) | (Av::Const(c), base) => aaddr(base, c)?,
                     _ => return None,
                 };
+                if let Some(c) = &mut cand {
+                    let f = c.add(c.form(rs1), c.form(rs2));
+                    c.load(op, rd, addr, f, &plan);
+                }
                 let v = plan.load(&mut st, op, addr)?;
                 set(&mut st.regs, rd, v);
             }
@@ -1636,20 +1586,26 @@ fn walk(
                 rs2,
                 rs1,
                 offset,
-            } => {
-                let addr = aaddr(get(&st.regs, rs1)?, offset)?;
-                plan.store(op, addr, get(&st.regs, rs2)?, &vals, &mut st, &mut out_map)?;
             }
-            UopKind::StorePostInc {
+            | UopKind::StorePostInc {
                 op,
                 rs2,
                 rs1,
                 offset,
             } => {
+                let post = matches!(u.kind, UopKind::StorePostInc { .. });
                 let base = get(&st.regs, rs1)?;
-                let addr = aaddr(base, 0)?;
+                let addr = aaddr(base, if post { 0 } else { offset })?;
+                if cand
+                    .as_mut()
+                    .is_some_and(|c| !c.store(addr, rs1, post, rs2, &plan))
+                {
+                    cand = None;
+                }
                 plan.store(op, addr, get(&st.regs, rs2)?, &vals, &mut st, &mut out_map)?;
-                set(&mut st.regs, rs1, bump(base, offset)?);
+                if post {
+                    set(&mut st.regs, rs1, bump(base, offset)?);
+                }
             }
             UopKind::Nop => {}
             UopKind::PlSdotsp {
@@ -1666,13 +1622,14 @@ fn walk(
                     // A live accumulation must read a weight whose
                     // provenance is known (drained from a walked issue),
                     // never the slot's unknown entry contents.
-                    if !matches!(st.spr[sl], SprAv::Known(_)) {
-                        return None;
-                    }
+                    st.spr[sl]?;
                     let _ = get(&st.regs, rd)?;
                 }
                 let base = get(&st.regs, rs1)?;
                 let addr = aaddr(base, 0)?;
+                if let Some(c) = &mut cand {
+                    c.sdot(rd, rs1, addr);
+                }
                 plan.load(&mut st, LoadOp::Lw, addr)?;
                 st.pend.push((st.instret, sl, addr));
                 if st.pend.len() > 2 {
@@ -1684,7 +1641,9 @@ fn walk(
                 }
                 set(&mut st.regs, rs1, bump(base, 4)?);
             }
+            // Loop setup ends a watch.
             UopKind::LpSetup { l, rs1, start, end } => {
+                cand = None;
                 let Av::Const(count) = get(&st.regs, rs1)? else {
                     return None;
                 };
@@ -1699,6 +1658,7 @@ fn walk(
                 start,
                 end,
             } => {
+                cand = None;
                 if count > 0 && start >= end {
                     return None;
                 }
@@ -1729,6 +1689,9 @@ fn walk(
                 } else {
                     symbolic(kind, &st.regs, &mut vals)
                 };
+                if let Some(c) = &mut cand {
+                    c.pure(u, rd, v, &st.regs);
+                }
                 set(&mut st.regs, rd, v);
             }
         }
@@ -1749,23 +1712,10 @@ fn walk(
                     // the walk takes, so its branch falls through);
                     // otherwise watch the next one.
                     let lp = Loop::Branch(u.addr);
-                    let mut watch = true;
-                    if let Some(c) = cand.take().filter(|c| c.lp == lp) {
-                        match c.summarize(&mut st, &plan) {
-                            Summary::Applied { ops: n, .. } => {
-                                ops += n;
-                                stats.summarized = true;
-                                if ops > WALK_OP_CAP {
-                                    return None;
-                                }
-                                watch = false;
-                            }
-                            Summary::Reject => return None,
-                            Summary::Skip => {}
-                        }
-                    }
-                    if watch {
-                        cand = Some(Candidate::new(lp, &st, plan.stores_summarize()));
+                    let summary =
+                        jump_back_summary(&mut cand, lp, &mut st, &plan, &mut ops, stats)?;
+                    if !matches!(summary, Summary::Applied { .. }) {
+                        cand = Some(Candidate::new(lp, &st, &plan));
                     }
                 }
                 i = t;
@@ -1796,33 +1746,20 @@ fn walk(
                     // One iteration of `level` has been watched from its
                     // start: if it shifted the state by constants, apply
                     // the rest of the loop and take its exit instead.
-                    if let Some(c) = cand.take().filter(|c| c.lp == Loop::Hw(level)) {
-                        match c.summarize(&mut st, &plan) {
-                            Summary::Applied { ops: n, walk_last } => {
-                                ops += n;
-                                stats.summarized = true;
-                                if ops > WALK_OP_CAP {
-                                    return None;
-                                }
-                                if !walk_last {
-                                    let Some(next) = jump_back(&mut st.hwl) else {
-                                        i += 1;
-                                        continue;
-                                    };
-                                    (level, na) = next;
-                                }
-                            }
-                            Summary::Reject => return None,
-                            Summary::Skip => {}
-                        }
+                    let lp = Loop::Hw(level);
+                    if let Summary::Applied {
+                        walk_last: false, ..
+                    } = jump_back_summary(&mut cand, lp, &mut st, &plan, &mut ops, stats)?
+                    {
+                        let Some(next) = jump_back(&mut st.hwl) else {
+                            i += 1;
+                            continue;
+                        };
+                        (level, na) = next;
                     }
                     // Watch the next iteration if enough remain to pay off.
                     if st.hwl[level].is_some_and(|h| h.2 >= 3) {
-                        cand = Some(Candidate::new(
-                            Loop::Hw(level),
-                            &st,
-                            plan.stores_summarize(),
-                        ));
+                        cand = Some(Candidate::new(Loop::Hw(level), &st, &plan));
                     }
                 }
                 let t = program.index_of(na)?;
@@ -1846,10 +1783,6 @@ fn walk(
         let ev = exit_val(av, plan.dot, &out_map, &vals, &mut exit_nodes)?;
         exit_regs.push((r as u8, ev));
     }
-    let exit_spr = st.spr.map(|s| match s {
-        SprAv::Entry => None,
-        SprAv::Known(a) => Some(a),
-    });
     let exit_hwloop = st
         .hwl
         .map(|h| h.map(|(start, end, count)| HwLoopExit { start, end, count }));
@@ -1859,7 +1792,7 @@ fn walk(
         total_instrs: st.instret,
         profile: st.profile,
         exit_regs,
-        exit_spr,
+        exit_spr: st.spr,
         exit_pending: st.pend,
         exit_hwloop,
         exit_pending_load: st.prev_load,
@@ -2073,11 +2006,6 @@ impl Outputs {
     /// A dot product's spill word.
     fn spill(&self) -> Option<AAddr> {
         self.dot.map(|_| self.addr(0))
-    }
-
-    /// Whether a loop summary may apply iterations that store.
-    fn stores_summarize(&self) -> bool {
-        self.cell.is_some() || self.dot.is_some()
     }
 
     /// Address of store `k`.

@@ -263,6 +263,22 @@ fn load_into_the_branch_operand_stalls_on_the_branch() {
 
 #[test]
 fn pointer_stream_faulting_in_iteration_5_unwinds_exactly() {
+    let faults_at = |prog: &Program, words: &[(u32, u32)], pc: u32, case: &str| {
+        let (result, m) = check(prog, words, 1_000_000, false);
+        assert_eq!(
+            result,
+            Err(SimError::MemOutOfBounds {
+                addr: MEM_BYTES as u32,
+                size: 4
+            }),
+            "{case}"
+        );
+        assert_eq!(m.core().pc, pc, "{case}: faulting op");
+        assert!(
+            m.bulk_instrs() > 0,
+            "{case}: the fault must hit a bulk pass"
+        );
+    };
     // The load pointer starts four words below the top of memory, so
     // iteration 5 loads out of bounds — from the body's first op, and
     // from a later one.
@@ -288,21 +304,36 @@ fn pointer_stream_faulting_in_iteration_5_unwinds_exactly() {
             close(BranchOp::Bltu, Reg::A1, Reg::A2, &body),
             &[],
         );
-        let (result, m) = check(&prog, &[], 1_000_000, false);
-        assert_eq!(
-            result,
-            Err(SimError::MemOutOfBounds {
-                addr: MEM_BYTES as u32,
-                size: 4
-            }),
-            "lead {lead}"
-        );
-        assert_eq!(m.core().pc, 8 + 4 * lead as u32, "lead {lead}: faulting op");
-        assert!(
-            m.bulk_instrs() > 0,
-            "lead {lead}: the fault must hit a bulk pass"
-        );
+        faults_at(&prog, &[], 8 + 4 * lead as u32, &format!("lead {lead}"));
     }
+    // The faulting load takes its address from the load just before it,
+    // so it also carries a load-use stall on entry: word `k` of the
+    // pointer table names a word in bounds for `k < 4` and the top of
+    // memory for `k = 4`.
+    let table = 0x100;
+    let mut words: Vec<(u32, u32)> = (0..4).map(|k| (table + 4 * k, 0x40 + 4 * k)).collect();
+    words.push((table + 16, MEM_BYTES as u32));
+    let body = [
+        lw(Reg::A5, Reg::A1, 0),
+        lw(Reg::A0, Reg::A5, 0),
+        addi(Reg::A1, Reg::A1, 4),
+        Instr::Op {
+            op: AluOp::Add,
+            rd: Reg::A3,
+            rs1: Reg::A3,
+            rs2: Reg::A0,
+        },
+    ];
+    let prog = program(
+        &[
+            addi(Reg::A1, Reg::ZERO, table as i32),
+            addi(Reg::A2, Reg::ZERO, table as i32 + 64),
+        ],
+        &body,
+        close(BranchOp::Bltu, Reg::A1, Reg::A2, &body),
+        &[],
+    );
+    faults_at(&prog, &words, 12, "pointer chase");
 }
 
 #[test]

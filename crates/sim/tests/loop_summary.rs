@@ -800,3 +800,103 @@ fn folding_kernel() -> Kernel {
 fn constant_prologue_folds_through_every_pure_op_family() {
     assert_identical(&folding_kernel(), true);
 }
+
+/// A counter that climbs by 4 per iteration of [`pinned_kernel`]'s loop.
+const K: Reg = Reg::S2;
+
+/// One output over a hardware loop of `count` iterations whose body also
+/// runs `probe`: ops that read the climbing counter [`K`] through a rule
+/// that must pin it, then clear every register they wrote. A pinned
+/// source that moves is not a constant shift, so the loop must be walked
+/// iteration by iteration; without the pin the summary would take the
+/// probe as the same in every iteration.
+fn pinned_kernel(count: u32, probe: &[Instr]) -> Kernel {
+    let mut body = vec![
+        li(BP, BIAS),
+        li(WP, W),
+        li(XP, X),
+        li(OP, OUT),
+        li(K, 0),
+        lw_post(ACC, BP),
+        Instr::LpSetupi {
+            l: LoopIdx::L0,
+            count,
+            uimm: 2 + 2 * (4 + probe.len() as u32),
+        },
+        lw_post(WV, WP),
+        lw_post(XV, XP),
+    ];
+    body.extend_from_slice(probe);
+    body.extend([addi(K, K, 4), sdot(ACC, WV, XV)]);
+    body.extend(requant_store(ACC));
+    Kernel {
+        body,
+        n_in: 2 * count,
+        n_out: 1,
+    }
+}
+
+/// Asserts that [`pinned_kernel`] matches the uop tier and that its loop
+/// is walked: eight more iterations walk eight more bodies.
+fn assert_pinned(probe: &[Instr]) {
+    let walk = |count| assert_identical(&pinned_kernel(count, probe), true);
+    let (eight, sixteen) = (walk(8), walk(16));
+    assert_eq!(sixteen - eight, 8 * (4 + probe.len() as u64));
+}
+
+#[test]
+fn a_constant_fold_pins_the_registers_it_reads() {
+    // A dead word load at a constant address that moves with `K`.
+    assert_pinned(&[
+        Instr::OpImm {
+            op: AluImmOp::Slli,
+            rd: TMP,
+            rs1: K,
+            imm: 0,
+        },
+        Instr::Load {
+            op: LoadOp::Lw,
+            rd: GP,
+            rs1: TMP,
+            offset: 0x780,
+        },
+        li(TMP, 0),
+        li(GP, 0),
+    ]);
+}
+
+#[test]
+fn a_pointer_sub_pins_its_subtrahend() {
+    // A dead word load through a pointer that falls as `K` climbs.
+    assert_pinned(&[
+        li(TMP, 0x7C0),
+        Instr::Op {
+            op: AluOp::Sub,
+            rd: TMP,
+            rs1: TMP,
+            rs2: K,
+        },
+        Instr::Load {
+            op: LoadOp::Lw,
+            rd: GP,
+            rs1: TMP,
+            offset: 0,
+        },
+        li(TMP, 0),
+        li(GP, 0),
+    ]);
+}
+
+#[test]
+fn a_min_pins_its_constant_operand() {
+    // The 16-bit range test of `p.min` reads `K` even though the op does
+    // not fold.
+    assert_pinned(&[
+        Instr::PMin {
+            rd: TMP,
+            rs1: XV,
+            rs2: K,
+        },
+        li(TMP, 0),
+    ]);
+}
