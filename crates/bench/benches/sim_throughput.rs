@@ -89,6 +89,9 @@ struct LevelRow {
     /// Serial per-stage compile time: each network's fastest of
     /// [`SAMPLES`] compiles, summed over the suite.
     stages: CompileStages,
+    /// Serial `Engine::new` time: each network's fastest of [`SAMPLES`]
+    /// instantiations, summed over the suite.
+    instantiate_nanos: u64,
     /// Per network: `(id, generic, bulk, shortcut)` instructions of one
     /// canonical run on a fresh engine.
     tiers: Vec<(&'static str, u64, u64, u64)>,
@@ -133,6 +136,7 @@ fn measure_level(level: OptLevel) -> LevelRow {
     let mut uop_nanos = 0u64;
     let mut shortcut_nanos = 0u64;
     let mut stages = CompileStages::default();
+    let mut instantiate_nanos = 0u64;
     let mut tiers = Vec::new();
     for net in rnnasip_rrm::suite() {
         let compiled = (0..SAMPLES)
@@ -144,6 +148,16 @@ fn measure_level(level: OptLevel) -> LevelRow {
             .min_by_key(|c| c.compile_nanos())
             .expect("SAMPLES is nonzero");
         stages += compiled.stage_nanos();
+        instantiate_nanos += (0..SAMPLES)
+            .map(|_| {
+                let t = Instant::now();
+                let engine = black_box(compiled.engine());
+                let nanos = t.elapsed().as_nanos() as u64;
+                drop(engine);
+                nanos
+            })
+            .min()
+            .expect("SAMPLES is nonzero");
         let mut fresh = compiled.engine();
         let run = fresh.run(&net.input()).unwrap();
         let (bulk, shortcut) = (
@@ -187,6 +201,7 @@ fn measure_level(level: OptLevel) -> LevelRow {
         wall_ms,
         compile_ms,
         stages,
+        instantiate_nanos,
         tiers,
     }
 }
@@ -306,24 +321,35 @@ fn main() {
         })
         .collect();
 
-    println!("\ncompile stages, ms (serial; each network's fastest of {SAMPLES} compiles, summed)");
     println!(
-        "{:<10} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
-        "level", "codegen", "assemble", "snapshot", "guards", "lower", "verify", "total"
+        "\ncompile stages and instantiation, ms (serial; each network's fastest of {SAMPLES}, summed)"
+    );
+    println!(
+        "{:<10} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>12}",
+        "level",
+        "staging",
+        "codegen",
+        "assemble",
+        "guards",
+        "lower",
+        "verify",
+        "total",
+        "instantiate"
     );
     for row in &rows {
         let s = row.stages;
         let ms = |n: u64| n as f64 / 1e6;
         println!(
-            "{:<10} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>9.2}",
+            "{:<10} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>12.2}",
             row.tag,
+            ms(s.staging),
             ms(s.codegen),
             ms(s.assemble),
-            ms(s.snapshot),
             ms(s.guard_fold),
             ms(s.lower),
             ms(s.verify),
-            ms(s.total())
+            ms(s.total()),
+            ms(row.instantiate_nanos)
         );
     }
 

@@ -76,3 +76,46 @@ fn engine_reuse_is_bit_identical_to_fresh_runs() {
 
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
+
+/// An engine's TCDM is backed up to its image's footprint, a fraction of
+/// the TCDM, and a clean run of any suite artifact, on one core or four,
+/// stays inside it: nothing a kernel touches lies past the layout's
+/// high-water mark.
+#[test]
+fn clean_runs_stay_inside_the_image_footprint() {
+    let suite = rnnasip_rrm::suite();
+    let cases: Vec<(usize, OptLevel, usize)> = (0..suite.len())
+        .flat_map(|i| {
+            OptLevel::ALL
+                .into_iter()
+                .flat_map(move |level| [1, 4].map(|cores| (i, level, cores)))
+        })
+        .collect();
+    let failures: Vec<String> = par::par_map(&cases, |&(i, level, cores)| {
+        let net = &suite[i];
+        let tag = format!("{} level {} on {cores} cores", net.id, level.tag());
+        let compiled = KernelBackend::new(level)
+            .with_cores(cores)
+            .compile_network(&net.network)
+            .unwrap_or_else(|e| panic!("{tag}: compile failed: {e}"));
+        let image = compiled.image();
+        let mut engine = compiled.engine();
+        for _ in 0..2 {
+            engine
+                .run(&net.input())
+                .unwrap_or_else(|e| panic!("{tag}: run failed: {e}"));
+        }
+        let backing = engine.machine().mem().backing();
+        (backing != image.footprint() || image.footprint() >= image.len()).then(|| {
+            format!(
+                "{tag}: backing {backing} B, footprint {} B, TCDM {} B",
+                image.footprint(),
+                image.len()
+            )
+        })
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}

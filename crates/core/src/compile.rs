@@ -36,8 +36,8 @@ use rnnasip_asm::Asm;
 use rnnasip_fixed::Q3p12;
 use rnnasip_nn::{Act, Conv2dLayer, FcLayer, LstmLayer, Matrix, Network, Stage};
 use rnnasip_sim::{
-    ClusterKernel, ClusterPhase, ClusterProgram, DmaXfer, GuardSpec, Machine, MemImage, Memory,
-    Program, UopProgram,
+    ClusterKernel, ClusterPhase, ClusterProgram, DmaXfer, GuardSpec, MemImage, Memory, Program,
+    UopProgram,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -106,12 +106,13 @@ impl OutputDesc {
 /// together make up [`CompiledNetwork::compile_nanos`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CompileStages {
-    /// Layout, staging of weights, biases and tables, kernel emission.
+    /// Layout and staging: writing weights, biases, tables and the input
+    /// window into the staging memory, and freezing it into the image.
+    pub staging: u64,
+    /// Kernel emission.
     pub codegen: u64,
     /// Assembling the emitted kernels.
     pub assemble: u64,
-    /// Snapshotting the staged TCDM image.
-    pub snapshot: u64,
     /// Folding the ABFT guard checksums from the clean image.
     pub guard_fold: u64,
     /// Lowering to micro-ops (loop bodies, straight runs).
@@ -122,9 +123,9 @@ pub struct CompileStages {
 
 impl std::ops::AddAssign for CompileStages {
     fn add_assign(&mut self, o: Self) {
+        self.staging += o.staging;
         self.codegen += o.codegen;
         self.assemble += o.assemble;
-        self.snapshot += o.snapshot;
         self.guard_fold += o.guard_fold;
         self.lower += o.lower;
         self.verify += o.verify;
@@ -134,7 +135,7 @@ impl std::ops::AddAssign for CompileStages {
 impl CompileStages {
     /// Sum over all stages.
     pub fn total(&self) -> u64 {
-        self.codegen + self.assemble + self.snapshot + self.guard_fold + self.lower + self.verify
+        self.staging + self.codegen + self.assemble + self.guard_fold + self.lower + self.verify
     }
 
     /// Adds the micro-op translation of one program: its verification
@@ -393,7 +394,8 @@ pub(crate) fn compile_stages(
         });
     }
 
-    let mut kernels = KernelBuilder::new(backend, s.luts, s.machine.mem());
+    let staging = lap(&mut mark);
+    let mut kernels = KernelBuilder::new(backend, s.luts, &s.mem);
     let (phases, dma, input_base) = if cores == 1 {
         let scratch = s.scratches[0];
         let whole = kernels.build(|ctx| {
@@ -426,21 +428,17 @@ pub(crate) fn compile_stages(
     };
 
     // Kernel assembly, guard folding and translation were timed
-    // separately from staging and code generation.
+    // separately from code generation.
     let mut timing = kernels.timing;
     timing.codegen = lap(&mut mark)
         .saturating_sub(timing.assemble + timing.guard_fold + timing.lower + timing.verify);
-    let image = s.machine.mem().image();
-    timing.snapshot = lap(&mut mark);
+    let image = s.freeze();
+    timing.staging = staging + lap(&mut mark);
     let cluster = ClusterProgram { cores, dma, phases };
     let guards = cluster
         .kernels()
         .flat_map(|k| k.guards.iter().cloned())
         .collect();
-    // The staging TCDM (`s`) must outlive the artifact's own
-    // allocations (it is freed on return): freed before them, whether
-    // they split its chunk would depend on the heap's history, and so
-    // would peak RSS.
     Ok(CompiledNetwork {
         image,
         cluster: Arc::new(cluster),
@@ -566,10 +564,15 @@ impl FcPlacement {
     }
 }
 
-/// A staging session: one bump layout over one machine whose memory is
-/// the staging area for a `cores`-core compile.
+/// A staging session for a `cores`-core compile: one bump layout over
+/// one sparse [`Memory`] of the backend's TCDM size. The memory's
+/// backing grows with what is written into it, so staging costs what
+/// the network's data occupies, not the TCDM size; [`freeze`] backs it
+/// up to the layout's high-water mark, the image's footprint.
+///
+/// [`freeze`]: Session::freeze
 pub(crate) struct Session {
-    pub(crate) machine: Machine,
+    pub(crate) mem: Memory,
     pub(crate) layout: DataLayout,
     pub(crate) luts: (u32, u32, u32, u32),
     /// Per-core baseline spill scratch: one shared cell would be a
@@ -580,24 +583,31 @@ pub(crate) struct Session {
 
 impl Session {
     pub(crate) fn new(backend: &KernelBackend, cores: usize) -> Result<Self, CoreError> {
-        let mut machine = Machine::new(backend.mem_bytes);
+        let mut mem = Memory::sparse(backend.mem_bytes);
         let mut layout = DataLayout::new(DATA_BASE, backend.mem_bytes);
-        let luts = layout.stage_pla_luts(machine.mem_mut())?;
+        let luts = layout.stage_pla_luts(&mut mem)?;
         let scratches = (0..cores)
             .map(|_| layout.alloc_words(1))
             .collect::<Result<_, _>>()?;
         Ok(Self {
-            machine,
+            mem,
             layout,
             luts,
             scratches,
         })
     }
 
+    /// The staged image, with every byte the layout allocated backed: an
+    /// engine built from it never grows its memory on a clean run.
+    pub(crate) fn freeze(mut self) -> MemImage {
+        self.mem.grow(self.layout.cursor() as usize);
+        self.mem.image()
+    }
+
     /// Stages a vector with one trailing zero halfword of padding slack.
     pub(crate) fn stage_vector(&mut self, values: &[Q3p12]) -> Result<u32, CoreError> {
         let addr = self.layout.alloc_halves(values.len() + 1)?;
-        self.layout.stage_q(self.machine.mem_mut(), addr, values)?;
+        self.layout.stage_q(&mut self.mem, addr, values)?;
         Ok(addr)
     }
 
@@ -630,11 +640,10 @@ impl Session {
     ) -> Result<FcPlacement, CoreError> {
         let weights = Self::pad_even(layer.weights());
         let w_base = self.layout.alloc_matrix(&weights)?;
-        self.layout
-            .stage_matrix(self.machine.mem_mut(), w_base, &weights)?;
+        self.layout.stage_matrix(&mut self.mem, w_base, &weights)?;
         let bias32 = self.layout.alloc_words(layer.n_out())?;
         self.layout
-            .stage_bias32(self.machine.mem_mut(), bias32, layer.bias())?;
+            .stage_bias32(&mut self.mem, bias32, layer.bias())?;
         let x_addr = match input {
             StageInput::Staged(values) => self.stage_vector(&values)?,
             StageInput::Buffer(addr) => addr,
@@ -686,12 +695,10 @@ impl Session {
             }
             let combined = Matrix::new(n, m + n, data);
             let w = self.layout.alloc_matrix(&combined)?;
-            self.layout
-                .stage_matrix(self.machine.mem_mut(), w, &combined)?;
+            self.layout.stage_matrix(&mut self.mem, w, &combined)?;
             gates_w[g] = w;
             let b = self.layout.alloc_words(n)?;
-            self.layout
-                .stage_bias32(self.machine.mem_mut(), b, layer.bias(g))?;
+            self.layout.stage_bias32(&mut self.mem, b, layer.bias(g))?;
             gates_b32[g] = b;
             gate_bufs[g] = self.alloc_buffer(n)?;
         }
@@ -701,7 +708,7 @@ impl Session {
         let x_seq = self.layout.alloc_halves(sequence.len() * m)?;
         for (t, x) in sequence.iter().enumerate() {
             self.layout
-                .stage_q(self.machine.mem_mut(), x_seq + (t * m * 2) as u32, x)?;
+                .stage_q(&mut self.mem, x_seq + (t * m * 2) as u32, x)?;
         }
         let g_xptr = self.layout.alloc_words(1)?;
         let g_steps = self.layout.alloc_words(1)?;
@@ -747,20 +754,16 @@ impl Session {
             ));
         }
         let w_base = self.layout.alloc_matrix(&weights)?;
-        self.layout
-            .stage_matrix(self.machine.mem_mut(), w_base, &weights)?;
+        self.layout.stage_matrix(&mut self.mem, w_base, &weights)?;
         let bias32 = self.layout.alloc_words(conv.out_ch())?;
         self.layout
-            .stage_bias32(self.machine.mem_mut(), bias32, conv.bias())?;
+            .stage_bias32(&mut self.mem, bias32, conv.bias())?;
 
         // Gather index table (+1 slack entry for the software pipeline).
         let offsets = conv_gather_offsets(conv, taps, src_len);
         let idx_base = self.layout.alloc_halves(offsets.len() + 1)?;
-        for (k, off) in offsets.iter().enumerate() {
-            self.machine
-                .mem_mut()
-                .write_u16(idx_base + 2 * k as u32, *off)?;
-        }
+        self.mem
+            .write_le(idx_base, offsets.iter().map(|off| off.to_le_bytes()))?;
         let cols_base = self.layout.alloc_halves(n_pix * taps)?;
         let out = self.alloc_buffer(conv.out_ch() * n_pix)?;
         let g_pix = self.layout.alloc_words(1)?;

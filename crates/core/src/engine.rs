@@ -58,8 +58,9 @@ pub struct Engine {
 
 impl Engine {
     /// Builds an engine around `compiled`: its cluster's shared memory
-    /// loaded from the staged image, the kernels shared with the
-    /// artifact — micro-op translations included — not re-translated.
+    /// loaded from the staged image and backed up to the image's
+    /// footprint, the kernels shared with the artifact — micro-op
+    /// translations included — not re-translated.
     pub fn new(compiled: CompiledNetwork) -> Self {
         let cluster = Self::build_cluster(&compiled);
         let patch_capacity = 2 * compiled.input().width() * compiled.input().steps();
@@ -247,13 +248,13 @@ impl Engine {
     /// evaded the dirty-block bitmap (a silent memory upset) or that
     /// corrupted a kernel a core keeps holding survives rewinds — only a
     /// full rebuild restores the engine's invariants. Cost is
-    /// proportional to the whole image rather than the last run's write
-    /// footprint.
+    /// proportional to the image's footprint rather than the last run's
+    /// write footprint.
     pub fn heal_rebuild(&mut self) {
         let guards = self.guards_enabled();
         self.cluster = Self::build_cluster(&self.compiled);
         self.set_guards(guards);
-        self.last_restored = self.compiled.image().len();
+        self.last_restored = self.compiled.image().footprint();
         self.last_guard_failed = false;
     }
 

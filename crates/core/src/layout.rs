@@ -14,7 +14,7 @@ pub const STREAM_SLACK: u32 = 8;
 
 /// A bump allocator planning where weights, biases, activations and
 /// look-up tables live in the TCDM, plus staging helpers that copy the
-/// values into a [`Memory`].
+/// values into a [`Memory`], one bulk write per call.
 ///
 /// All regions are word-aligned, so packed `lw`/`pl.sdotsp` streams stay
 /// aligned for any even element count.
@@ -135,9 +135,10 @@ impl DataLayout {
         addr: u32,
         bias: &[Q3p12],
     ) -> Result<(), CoreError> {
-        for (k, b) in bias.iter().enumerate() {
-            mem.write_u32(addr + 4 * k as u32, ((b.raw() as i32) << 12) as u32)?;
-        }
+        mem.write_le(
+            addr,
+            bias.iter().map(|b| ((b.raw() as i32) << 12).to_le_bytes()),
+        )?;
         Ok(())
     }
 
@@ -153,15 +154,17 @@ impl DataLayout {
     pub fn stage_pla_luts(&mut self, mem: &mut Memory) -> Result<(u32, u32, u32, u32), CoreError> {
         let mut stage = |func: PlaFunc| -> Result<(u32, u32), CoreError> {
             let table = hw_table(func);
-            let n = table.intervals() as usize;
-            let m_addr = self.alloc_halves(n)?;
-            let q_addr = self.alloc_halves(n)?;
-            for i in 0..n {
-                let m = table.slope(i as u32);
-                let q = table.intercept(i as u32);
-                mem.write_u16(m_addr + 2 * i as u32, m as i16 as u16)?;
-                mem.write_u16(q_addr + 2 * i as u32, q as i16 as u16)?;
-            }
+            let n = table.intervals();
+            let m_addr = self.alloc_halves(n as usize)?;
+            let q_addr = self.alloc_halves(n as usize)?;
+            mem.write_le(
+                m_addr,
+                (0..n).map(|i| (table.slope(i) as i16).to_le_bytes()),
+            )?;
+            mem.write_le(
+                q_addr,
+                (0..n).map(|i| (table.intercept(i) as i16).to_le_bytes()),
+            )?;
             Ok((m_addr, q_addr))
         };
         let (tm, tq) = stage(PlaFunc::Tanh)?;

@@ -24,6 +24,7 @@ use crate::report::RunReport;
 use rnnasip_asm::Asm;
 use rnnasip_fixed::{Q1p6, Q3p12};
 use rnnasip_nn::{Conv2dLayer, FcLayer, FcLayer8, LstmLayer, Network, Stage};
+use rnnasip_sim::Machine;
 
 /// One executed layer: outputs plus statistics — a one-stage
 /// [`NetworkRun`].
@@ -229,24 +230,22 @@ impl KernelBackend {
             .layout
             .alloc(((layer.n_out() * n_in) as u32) + crate::layout::STREAM_SLACK)?;
         for o in 0..layer.n_out() {
-            for (i, w) in layer.row(o).iter().enumerate() {
-                s.machine
-                    .mem_mut()
-                    .write_u8(w_base + (o * n_in + i) as u32, w.raw() as u8)?;
-            }
+            s.mem.write_le(
+                w_base + (o * n_in) as u32,
+                layer.row(o).iter().map(|w| w.raw().to_le_bytes()),
+            )?;
         }
         let bias32 = s.layout.alloc_words(layer.n_out())?;
-        for (k, b) in layer.bias().iter().enumerate() {
-            s.machine
-                .mem_mut()
-                .write_u32(bias32 + 4 * k as u32, ((b.raw() as i32) << 6) as u32)?;
-        }
+        s.mem.write_le(
+            bias32,
+            layer
+                .bias()
+                .iter()
+                .map(|b| ((b.raw() as i32) << 6).to_le_bytes()),
+        )?;
         let x_base = s.layout.alloc(n_in as u32 + 4)?;
-        for (i, x) in input.iter().enumerate() {
-            s.machine
-                .mem_mut()
-                .write_u8(x_base + i as u32, x.raw() as u8)?;
-        }
+        s.mem
+            .write_le(x_base, input.iter().map(|x| x.raw().to_le_bytes()))?;
         let out_base = s.layout.alloc(layer.n_out() as u32 + 4)?;
         let spec = Matvec8Spec {
             w_base,
@@ -270,7 +269,7 @@ impl KernelBackend {
             kernel,
         )?;
         asm.ecall();
-        let mut machine = s.machine;
+        let mut machine = Machine::with_memory(s.mem);
         machine.load_program(&asm.assemble()?);
         let started = std::time::Instant::now();
         machine.run(self.max_cycles)?;

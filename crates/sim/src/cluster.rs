@@ -392,7 +392,7 @@ impl Cluster {
                 self.cfg.dma_startup_cycles + u64::from(len).div_ceil(self.cfg.dma_bytes_per_cycle);
             self.dma_scratch.clear();
             self.dma_scratch
-                .extend_from_slice(mem.byte_slice(src, len as usize)?);
+                .extend_from_slice(&mem.read_bytes(src, len as usize)?);
             mem.write_bytes(dst, &self.dma_scratch)?;
             if let Some(g) = self.guards.as_deref_mut() {
                 g.note_range(mem, dst, len / 2);

@@ -91,7 +91,7 @@ impl GuardSpec {
                 .ok()?;
             bias_sum = bias_sum.wrapping_add(bias as i32);
             let row = mem
-                .byte_slice(
+                .read_bytes(
                     region.w_base.wrapping_add((j * row_bytes) as u32),
                     row_bytes,
                 )
@@ -373,7 +373,7 @@ impl GuardUnit {
 /// Wrapping sum of `halfwords` sign-extended halfwords at `base`; `None`
 /// out of bounds.
 fn halfword_sum(mem: &Memory, base: u32, halfwords: u32) -> Option<i32> {
-    let bytes = mem.byte_slice(base, halfwords as usize * 2).ok()?;
+    let bytes = mem.read_bytes(base, halfwords as usize * 2).ok()?;
     let mut sum = 0i32;
     for hp in bytes.chunks_exact(2) {
         sum = sum.wrapping_add(i16::from_le_bytes([hp[0], hp[1]]) as i32);
@@ -427,7 +427,7 @@ fn check_exit(
         }
     }
 
-    let Ok(x) = mem.byte_slice(x_base, row_bytes) else {
+    let Ok(x) = mem.read_bytes(x_base, row_bytes) else {
         return false;
     };
     let mut lhs = spec.bias_sum;
@@ -441,7 +441,7 @@ fn check_exit(
         let Ok(bias) = mem.read_u32(r.bias32.wrapping_add(4 * j as u32)) else {
             return false;
         };
-        let Ok(row) = mem.byte_slice(r.w_base.wrapping_add((j * row_bytes) as u32), row_bytes)
+        let Ok(row) = mem.read_bytes(r.w_base.wrapping_add((j * row_bytes) as u32), row_bytes)
         else {
             return false;
         };

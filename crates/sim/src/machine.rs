@@ -840,9 +840,13 @@ impl Machine {
         if sc.profile.cycles > max_cycles.saturating_sub(self.core.cycle) {
             return Ok(false);
         }
-        if !sc.check_entry(&self.mem, &self.core) {
+        let Some(end) = sc.check_entry(&self.mem, &self.core) else {
             return Ok(false);
-        }
+        };
+        // Operand spans past the backing read as zeros; backing them lets
+        // the handlers borrow every operand, so no span inside the memory
+        // declines a region.
+        self.mem.grow(end as usize);
         // Compute the stores and resolve every exit value before mutating
         // any state, so a failure here still declines cleanly to the
         // interpreted path. Both read entry-time memory: exit-value loads

@@ -2,6 +2,7 @@
 
 use crate::error::SimError;
 use rnnasip_fixed::Q3p12;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Granularity of dirty-region tracking, in bytes.
@@ -17,22 +18,33 @@ const BLOCK_SHIFT: u32 = 6;
 /// An immutable snapshot of a [`Memory`]'s contents.
 ///
 /// A snapshot stores only its *populated prefix* — the bytes up to the
-/// last nonzero one — plus the full length; every byte beyond the prefix
+/// last nonzero one — plus the full length and the *footprint*, the
+/// backing its memory had (see [`Memory`]); every byte beyond the prefix
 /// is zero. A 4 MiB TCDM holding a few KiB of staged network data
 /// therefore snapshots and loads in time proportional to those KiB.
-/// The prefix is always trimmed to its last nonzero byte, so
-/// two snapshots are equal (`==`) exactly when their contents are.
+/// The prefix is always trimmed to its last nonzero byte, and equality
+/// ignores the footprint, so two snapshots are equal (`==`) exactly when
+/// their contents are.
 ///
 /// The bytes are shared behind an [`Arc`], so cloning a snapshot (for
 /// example when a compiled-network artifact is cloned per worker) costs
 /// a reference count, not a copy. Produce one with [`Memory::image`];
 /// restore with [`Memory::restore_image`] (dirty blocks only) or
 /// [`Memory::from_image`] / [`Memory::load_image`] (everything).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub struct MemImage {
     bytes: Arc<[u8]>,
     len: usize,
+    footprint: usize,
 }
+
+impl PartialEq for MemImage {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.bytes == other.bytes
+    }
+}
+
+impl Eq for MemImage {}
 
 impl MemImage {
     /// Snapshot size in bytes (the size of the memory it was taken
@@ -51,6 +63,13 @@ impl MemImage {
     pub fn populated(&self) -> &[u8] {
         &self.bytes
     }
+
+    /// The backing a memory built from this snapshot starts with
+    /// ([`Memory::from_image`]): the backing of the memory it was taken
+    /// from, never shorter than the populated prefix.
+    pub fn footprint(&self) -> usize {
+        self.footprint
+    }
 }
 
 /// Byte-addressable, little-endian data memory with single-cycle access.
@@ -61,14 +80,24 @@ impl MemImage {
 /// accesses, so an unaligned address indicates a code-generation bug and
 /// is reported as an error rather than silently split into two accesses.
 ///
-/// Besides the bytes, the memory keeps a dirty-block bitmap (one bit per
-/// 64-byte block, set on every write since the last snapshot
-/// load/restore), so [`restore_image`](Self::restore_image) copies back
-/// only what a run wrote. It also tracks an *extent*: outside dirty
-/// blocks, every byte at or beyond it is zero. Snapshots and full loads
-/// use it (with the highest dirty block) to touch only the populated
-/// part of the memory. The cluster's banked TCDM is one `Memory` too, so
-/// the bulk-patch and incremental-restore logic exists exactly once.
+/// The architectural [`size`](Self::size) is fixed, but only a prefix of
+/// it, the *backing*, is stored: [`new`](Self::new) backs all of it,
+/// [`sparse`](Self::sparse) none, and [`from_image`](Self::from_image)
+/// exactly the image's footprint. Every access checks the backing once;
+/// a miss that still lies inside `size` takes the cold path, where a read
+/// returns zeros and a write (or a [`flip_bit`](Self::flip_bit)) grows
+/// the backing with zeros first. Every address therefore behaves the
+/// same whatever the backing.
+///
+/// Besides the bytes, the memory keeps a dirty-block bitmap over the
+/// backing (one bit per 64-byte block, set on every write since the last
+/// snapshot load/restore), so [`restore_image`](Self::restore_image)
+/// copies back only what a run wrote. It also tracks an *extent*:
+/// outside dirty blocks, every byte at or beyond it is zero. Snapshots
+/// and full loads use it (with the highest dirty block) to touch only
+/// the populated part of the memory. The cluster's banked TCDM is one
+/// `Memory` too, so the bulk-patch and incremental-restore logic exists
+/// exactly once.
 ///
 /// # Example
 ///
@@ -78,12 +107,22 @@ impl MemImage {
 /// let mut mem = Memory::new(1024);
 /// mem.write_u32(0x10, 0xDEAD_BEEF)?;
 /// assert_eq!(mem.read_u16(0x10)?, 0xBEEF);
+///
+/// // A sparse memory reads and writes the same; it only stores less.
+/// let mut sparse = Memory::sparse(1024);
+/// assert_eq!(sparse.read_u32(0x200)?, 0);
+/// sparse.write_u32(0x10, 0xDEAD_BEEF)?;
+/// assert_eq!(sparse.read_u16(0x10)?, 0xBEEF);
+/// assert_eq!(sparse.backing(), 64);
 /// # Ok::<(), rnnasip_sim::SimError>(())
 /// ```
 #[derive(Clone, Debug)]
 pub struct Memory {
+    /// The backing: bytes at or beyond its end read zero.
     bytes: Vec<u8>,
-    dirty: Box<[u64]>,
+    size: usize,
+    /// One bit per backing block.
+    dirty: Vec<u64>,
     extent: usize,
 }
 
@@ -92,31 +131,62 @@ fn dirty_words(size: usize) -> usize {
 }
 
 impl Memory {
-    /// Creates a zero-initialised memory of `size` bytes.
+    /// Creates a zero-initialised memory of `size` bytes, all of it
+    /// backed.
     pub fn new(size: usize) -> Self {
         Self {
             bytes: vec![0; size],
-            dirty: vec![0; dirty_words(size)].into(),
+            size,
+            dirty: vec![0; dirty_words(size)],
+            extent: 0,
+        }
+    }
+
+    /// Creates a zero-initialised memory of `size` bytes with no
+    /// backing: it grows as it is written.
+    pub fn sparse(size: usize) -> Self {
+        Self {
+            bytes: Vec::new(),
+            size,
+            dirty: Vec::new(),
             extent: 0,
         }
     }
 
     /// Creates a memory holding `image`'s contents, with no blocks
-    /// marked dirty. Only the image's populated prefix is copied; the
-    /// rest starts as fresh zeroed memory.
+    /// marked dirty, backed up to the image's
+    /// [`footprint`](MemImage::footprint). Only the image's populated
+    /// prefix is copied.
     pub fn from_image(image: &MemImage) -> Self {
-        let mut bytes = vec![0; image.len];
+        let mut bytes = vec![0; image.footprint];
         bytes[..image.bytes.len()].copy_from_slice(&image.bytes);
         Self {
             bytes,
-            dirty: vec![0; dirty_words(image.len)].into(),
+            size: image.len,
+            dirty: vec![0; dirty_words(image.footprint)],
             extent: image.bytes.len(),
         }
     }
 
-    /// Memory size in bytes.
+    /// Architectural memory size in bytes.
     pub fn size(&self) -> usize {
+        self.size
+    }
+
+    /// Bytes currently backed (at most [`size`](Self::size)).
+    pub fn backing(&self) -> usize {
         self.bytes.len()
+    }
+
+    /// Backs at least the first `end` bytes (rounded up to a whole
+    /// 64-byte block, capped at [`size`](Self::size)), growing the
+    /// backing with zeros. Contents do not change.
+    pub fn grow(&mut self, end: usize) {
+        let end = end.next_multiple_of(BLOCK_BYTES).min(self.size);
+        if end > self.bytes.len() {
+            self.bytes.resize(end, 0);
+            self.dirty.resize(dirty_words(end), 0);
+        }
     }
 
     /// End of the highest dirty block (0 when nothing is dirty).
@@ -133,7 +203,8 @@ impl Memory {
     }
 
     /// Takes an immutable snapshot of the current contents (only the
-    /// populated prefix is copied — see [`MemImage`]).
+    /// populated prefix is copied — see [`MemImage`]); its footprint is
+    /// this memory's backing.
     pub fn image(&self) -> MemImage {
         let end = self.populated_end();
         let used = self.bytes[..end]
@@ -142,7 +213,8 @@ impl Memory {
             .map_or(0, |p| p + 1);
         MemImage {
             bytes: Arc::from(&self.bytes[..used]),
-            len: self.bytes.len(),
+            len: self.size,
+            footprint: self.bytes.len(),
         }
     }
 
@@ -169,12 +241,14 @@ impl Memory {
     /// bits (a full load, touching the image's populated prefix and
     /// whatever this memory held beyond it — use
     /// [`restore_image`](Self::restore_image) for the incremental path).
+    /// The backing grows to the image's footprint if it is shorter.
     ///
     /// # Panics
     ///
     /// Panics if the image size differs from the memory size.
     pub fn load_image(&mut self, image: &MemImage) {
-        assert_eq!(image.len, self.bytes.len(), "image size mismatch");
+        assert_eq!(image.len, self.size, "image size mismatch");
+        self.grow(image.footprint);
         let src = &image.bytes;
         let end = self.populated_end();
         self.bytes[..src.len()].copy_from_slice(src);
@@ -198,7 +272,7 @@ impl Memory {
     ///
     /// Panics if the image size differs from the memory size.
     pub fn restore_image(&mut self, image: &MemImage) -> usize {
-        assert_eq!(image.len, self.bytes.len(), "image size mismatch");
+        assert_eq!(image.len, self.size, "image size mismatch");
         let src = &image.bytes;
         let mut restored = 0;
         for (w, word) in self.dirty.iter_mut().enumerate() {
@@ -207,9 +281,6 @@ impl Memory {
                 let bit = bits.trailing_zeros() as usize;
                 bits &= bits - 1;
                 let start = ((w << 6) + bit) << BLOCK_SHIFT;
-                if start >= self.bytes.len() {
-                    continue;
-                }
                 let end = (start + BLOCK_BYTES).min(self.bytes.len());
                 if end <= src.len() {
                     self.bytes[start..end].copy_from_slice(&src[start..end]);
@@ -236,6 +307,7 @@ impl Memory {
         (blocks * BLOCK_BYTES).min(self.bytes.len())
     }
 
+    /// Validates a naturally aligned access inside the backing.
     #[inline]
     fn check(&self, addr: u32, size: u32) -> Result<usize, SimError> {
         let a = addr as usize;
@@ -248,14 +320,74 @@ impl Memory {
         Ok(a)
     }
 
+    /// Range twin of [`check`](Self::check): the whole `[addr, addr+len)`
+    /// span must lie in the backing, and `addr` must be aligned to
+    /// `align`.
+    #[inline]
+    fn check_range(&self, addr: u32, align: u32, len: usize) -> Result<usize, SimError> {
+        let a = addr as usize;
+        if !a.is_multiple_of(align as usize) {
+            return Err(SimError::Misaligned { addr, size: align });
+        }
+        if a.checked_add(len).is_none_or(|end| end > self.bytes.len()) {
+            return Err(SimError::MemOutOfBounds {
+                addr,
+                size: len.min(u32::MAX as usize) as u32,
+            });
+        }
+        Ok(a)
+    }
+
+    /// The cold half of every access check: `miss` is what
+    /// [`check`](Self::check) or [`check_range`](Self::check_range)
+    /// reported for `[addr, addr + len)`. A span that only missed the
+    /// backing lies inside [`size`](Self::size) and reads as zeros
+    /// (`T::default()`); anything else is the miss itself. Kept out of
+    /// line, so the word accessors (`#[inline(always)]`: they sit in
+    /// every tier's load and store) stay one bounds check and one call on
+    /// their error arm.
+    #[cold]
+    #[inline(never)]
+    fn beyond_backing<T: Default>(
+        &self,
+        miss: SimError,
+        addr: u32,
+        len: usize,
+    ) -> Result<T, SimError> {
+        match miss {
+            SimError::MemOutOfBounds { .. }
+                if (addr as usize)
+                    .checked_add(len)
+                    .is_some_and(|end| end <= self.size) =>
+            {
+                Ok(T::default())
+            }
+            _ => Err(miss),
+        }
+    }
+
+    /// A write's cold path: grows the backing over `[addr, addr + len)`
+    /// if that span lies inside [`size`](Self::size), and returns its
+    /// offset.
+    #[cold]
+    #[inline(never)]
+    fn grow_for(&mut self, miss: SimError, addr: u32, len: usize) -> Result<usize, SimError> {
+        self.beyond_backing::<()>(miss, addr, len)?;
+        self.grow(addr as usize + len);
+        Ok(addr as usize)
+    }
+
     /// Reads a byte.
     ///
     /// # Errors
     ///
     /// [`SimError::MemOutOfBounds`] past the end of memory.
+    #[inline(always)]
     pub fn read_u8(&self, addr: u32) -> Result<u8, SimError> {
-        let a = self.check(addr, 1)?;
-        Ok(self.bytes[a])
+        match self.check(addr, 1) {
+            Ok(a) => Ok(self.bytes[a]),
+            Err(miss) => self.beyond_backing(miss, addr, 1),
+        }
     }
 
     /// Reads a little-endian halfword.
@@ -264,9 +396,12 @@ impl Memory {
     ///
     /// [`SimError::Misaligned`] for odd addresses,
     /// [`SimError::MemOutOfBounds`] past the end of memory.
+    #[inline(always)]
     pub fn read_u16(&self, addr: u32) -> Result<u16, SimError> {
-        let a = self.check(addr, 2)?;
-        Ok(u16::from_le_bytes([self.bytes[a], self.bytes[a + 1]]))
+        match self.check(addr, 2) {
+            Ok(a) => Ok(u16::from_le_bytes([self.bytes[a], self.bytes[a + 1]])),
+            Err(miss) => self.beyond_backing(miss, addr, 2),
+        }
     }
 
     /// Reads a little-endian word.
@@ -274,11 +409,40 @@ impl Memory {
     /// # Errors
     ///
     /// [`SimError::Misaligned`] / [`SimError::MemOutOfBounds`].
-    #[inline]
+    #[inline(always)]
     pub fn read_u32(&self, addr: u32) -> Result<u32, SimError> {
-        let a = self.check(addr, 4)?;
-        let word: [u8; 4] = self.bytes[a..a + 4].try_into().unwrap();
-        Ok(u32::from_le_bytes(word))
+        match self.check(addr, 4) {
+            Ok(a) => Ok(u32::from_le_bytes(self.bytes[a..a + 4].try_into().unwrap())),
+            Err(miss) => self.beyond_backing(miss, addr, 4),
+        }
+    }
+
+    /// Writes consecutive little-endian `N`-byte words from `addr`, which
+    /// must be `N`-aligned: one bounds check and one dirty-range mark for
+    /// the whole span, so staging a weight matrix or a table costs one
+    /// pass over its bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Misaligned`] / [`SimError::MemOutOfBounds`]; memory
+    /// is unchanged on error.
+    pub fn write_le<const N: usize>(
+        &mut self,
+        addr: u32,
+        words: impl ExactSizeIterator<Item = [u8; N]>,
+    ) -> Result<(), SimError> {
+        let len = N * words.len();
+        if len == 0 {
+            return Ok(());
+        }
+        let a = self
+            .check_range(addr, N as u32, len)
+            .or_else(|miss| self.grow_for(miss, addr, len))?;
+        for (dst, w) in self.bytes[a..a + len].chunks_exact_mut(N).zip(words) {
+            dst.copy_from_slice(&w);
+        }
+        self.mark_dirty_range(a, len);
+        Ok(())
     }
 
     /// Writes a byte.
@@ -286,8 +450,11 @@ impl Memory {
     /// # Errors
     ///
     /// [`SimError::MemOutOfBounds`] past the end of memory.
+    #[inline(always)]
     pub fn write_u8(&mut self, addr: u32, value: u8) -> Result<(), SimError> {
-        let a = self.check(addr, 1)?;
+        let a = self
+            .check(addr, 1)
+            .or_else(|miss| self.grow_for(miss, addr, 1))?;
         self.write_at(a, &[value]);
         Ok(())
     }
@@ -297,8 +464,11 @@ impl Memory {
     /// # Errors
     ///
     /// [`SimError::Misaligned`] / [`SimError::MemOutOfBounds`].
+    #[inline(always)]
     pub fn write_u16(&mut self, addr: u32, value: u16) -> Result<(), SimError> {
-        let a = self.check(addr, 2)?;
+        let a = self
+            .check(addr, 2)
+            .or_else(|miss| self.grow_for(miss, addr, 2))?;
         self.write_at(a, &value.to_le_bytes());
         Ok(())
     }
@@ -308,8 +478,11 @@ impl Memory {
     /// # Errors
     ///
     /// [`SimError::Misaligned`] / [`SimError::MemOutOfBounds`].
+    #[inline(always)]
     pub fn write_u32(&mut self, addr: u32, value: u32) -> Result<(), SimError> {
-        let a = self.check(addr, 4)?;
+        let a = self
+            .check(addr, 4)
+            .or_else(|miss| self.grow_for(miss, addr, 4))?;
         self.write_at(a, &value.to_le_bytes());
         Ok(())
     }
@@ -322,12 +495,10 @@ impl Memory {
     ///
     /// # Errors
     ///
-    /// [`SimError::Misaligned`] / [`SimError::MemOutOfBounds`].
+    /// [`SimError::Misaligned`] / [`SimError::MemOutOfBounds`]; memory
+    /// is unchanged on error.
     pub fn write_q3p12_slice(&mut self, addr: u32, values: &[Q3p12]) -> Result<(), SimError> {
-        for (k, v) in values.iter().enumerate() {
-            self.write_u16(addr + 2 * k as u32, v.raw() as u16)?;
-        }
-        Ok(())
+        self.write_le(addr, values.iter().map(|v| v.raw().to_le_bytes()))
     }
 
     /// Reads `len` consecutive Q3.12 halfwords.
@@ -361,9 +532,8 @@ impl Memory {
         if len == 0 {
             return Ok(());
         }
-        let a = self.check_range(addr, 2, 2 * len)?;
         out.extend(
-            self.bytes[a..a + 2 * len]
+            self.read_range(addr, 2, 2 * len)?
                 .chunks_exact(2)
                 .map(|h| Q3p12::from_raw(i16::from_le_bytes([h[0], h[1]]))),
         );
@@ -383,51 +553,73 @@ impl Memory {
         if bytes.is_empty() {
             return Ok(());
         }
-        let a = self.check_range(addr, 1, bytes.len())?;
+        let a = self
+            .check_range(addr, 1, bytes.len())
+            .or_else(|miss| self.grow_for(miss, addr, bytes.len()))?;
         self.write_at(a, bytes);
         Ok(())
     }
 
     /// Borrows `len` raw bytes starting at `addr` — the zero-copy
-    /// operand view used by the kernel-shortcut handlers.
+    /// operand view used by the kernel-shortcut handlers, which back
+    /// their operand spans on region entry.
     ///
     /// # Errors
     ///
-    /// [`SimError::MemOutOfBounds`] when the range runs past the end of
-    /// memory.
+    /// [`SimError::MemOutOfBounds`] when the range runs past the backing.
     pub(crate) fn byte_slice(&self, addr: u32, len: usize) -> Result<&[u8], SimError> {
         let a = self.check_range(addr, 1, len)?;
         Ok(&self.bytes[a..a + len])
     }
 
-    /// Range twin of [`check`](Self::check): the whole `[addr, addr+len)`
-    /// span must fit, and `addr` must be aligned to `align`.
-    #[inline]
-    fn check_range(&self, addr: u32, align: u32, len: usize) -> Result<usize, SimError> {
-        let a = addr as usize;
-        if !a.is_multiple_of(align as usize) {
-            return Err(SimError::Misaligned { addr, size: align });
-        }
-        if a.checked_add(len).is_none_or(|end| end > self.bytes.len()) {
-            return Err(SimError::MemOutOfBounds {
-                addr,
-                size: len.min(u32::MAX as usize) as u32,
-            });
-        }
-        Ok(a)
+    /// `len` raw bytes starting at `addr`, wherever they lie in memory:
+    /// borrowed from the backing, or padded with the zeros they read as
+    /// past it — the operand view of the ABFT guards and the DMA engine.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::MemOutOfBounds`] when the range runs past the end of
+    /// memory.
+    pub(crate) fn read_bytes(&self, addr: u32, len: usize) -> Result<Cow<'_, [u8]>, SimError> {
+        self.read_range(addr, 1, len)
     }
 
-    /// Fills the whole memory with zeros and marks everything dirty.
+    /// The `align`-aligned span `[addr, addr + len)`, borrowed from the
+    /// backing.
+    #[inline]
+    fn read_range(&self, addr: u32, align: u32, len: usize) -> Result<Cow<'_, [u8]>, SimError> {
+        match self.check_range(addr, align, len) {
+            Ok(a) => Ok(Cow::Borrowed(&self.bytes[a..a + len])),
+            Err(miss) => self.padded(miss, addr, len),
+        }
+    }
+
+    /// [`read_range`](Self::read_range)'s cold path: a span that runs
+    /// past the backing, copied and padded with the zeros it reads as.
+    #[cold]
+    #[inline(never)]
+    fn padded(&self, miss: SimError, addr: u32, len: usize) -> Result<Cow<'_, [u8]>, SimError> {
+        self.beyond_backing::<()>(miss, addr, len)?;
+        let mut padded = vec![0; len];
+        if let Some(backed) = self.bytes.get(addr as usize..) {
+            let n = backed.len().min(len);
+            padded[..n].copy_from_slice(&backed[..n]);
+        }
+        Ok(Cow::Owned(padded))
+    }
+
+    /// Fills the whole memory with zeros and marks the whole backing
+    /// dirty.
     pub fn clear(&mut self) {
         let end = self.populated_end();
         self.bytes[..end].fill(0);
-        self.dirty.fill(u64::MAX);
+        self.mark_dirty_range(0, self.bytes.len());
         self.extent = 0;
     }
 
     /// Flips one bit of the byte at `addr`, as a fault-injection
     /// primitive. Returns `false` (and changes nothing) when `addr` is
-    /// out of bounds.
+    /// out of bounds; a flip past the backing grows it first.
     ///
     /// A *tracked* flip (`silent == false`) marks the containing block
     /// dirty, so [`restore_image`](Self::restore_image) undoes it like
@@ -438,9 +630,10 @@ impl Memory {
     /// still widens the extent, so snapshots see it.
     pub fn flip_bit(&mut self, addr: u32, bit: u32, silent: bool) -> bool {
         let a = addr as usize;
-        if a >= self.bytes.len() {
+        if a >= self.size {
             return false;
         }
+        self.grow(a + 1);
         self.bytes[a] ^= 1 << (bit & 7);
         if silent {
             self.extent = self.extent.max(a + 1);
@@ -623,16 +816,22 @@ mod tests {
     /// both sides of the staged extent; after every `from_image`,
     /// `load_image` and `restore_image`, each byte must read as in a
     /// plain full-copy model, and snapshots must compare equal exactly
-    /// when their contents do.
+    /// when their contents do. Every other source memory is sparse, so
+    /// its image's footprint, and the copy's backing, stop short of the
+    /// size, and the scribbles past them grow the copy.
     #[test]
     fn sparse_images_match_a_full_copy_model() {
         use rnnasip_rng::StdRng;
         const SIZE: usize = 4096;
         let mut rng = StdRng::seed_from_u64(0x5A4E_1A6E);
-        for _ in 0..20 {
+        for iter in 0..20 {
             let staged = 1 + rng.gen::<u32>() as usize % 1500;
             let mut model = vec![0u8; SIZE];
-            let mut mem = Memory::new(SIZE);
+            let mut mem = if iter % 2 == 0 {
+                Memory::new(SIZE)
+            } else {
+                Memory::sparse(SIZE)
+            };
             for _ in 0..64 {
                 let a = rng.gen::<u32>() as usize % staged;
                 model[a] = rng.gen::<u32>() as u8;
@@ -647,6 +846,10 @@ mod tests {
             );
 
             let mut copy = Memory::from_image(&image);
+            assert_eq!(copy.backing(), image.footprint());
+            if iter % 2 == 1 {
+                assert!(image.footprint() < staged + BLOCK_BYTES, "sparse footprint");
+            }
             assert!(contents(&copy) == model, "from_image");
             assert_eq!(copy.dirty_bytes(), 0);
             for round in 0..12 {
@@ -720,6 +923,26 @@ mod tests {
         assert_eq!(a.dirty_bytes(), b.dirty_bytes());
         let image = Memory::new(512).image();
         assert_eq!(a.restore_image(&image), b.restore_image(&image));
+    }
+
+    /// A bulk slice write that runs past the end writes nothing, on a
+    /// full and on an empty backing; one that only runs past the backing
+    /// grows it.
+    #[test]
+    fn slice_write_out_of_bounds_writes_nothing() {
+        let vals: Vec<Q3p12> = (1..=8).map(Q3p12::from_raw).collect();
+        for mut mem in [Memory::new(128), Memory::sparse(128)] {
+            let backing = mem.backing();
+            assert!(mem.write_q3p12_slice(116, &vals).is_err());
+            assert!(mem.write_le(120, [[7u8; 4]; 3].into_iter()).is_err());
+            assert!(mem.write_le(u32::MAX - 3, [[7u8; 4]].into_iter()).is_err());
+            assert_eq!(mem.backing(), backing, "a failed write must not grow");
+            assert_eq!(mem.dirty_bytes(), 0, "a failed write must not dirty");
+            assert!(contents(&mem).iter().all(|&b| b == 0));
+            mem.write_q3p12_slice(112, &vals).unwrap(); // exactly to the end
+            assert_eq!(mem.read_q3p12_slice(112, 8).unwrap(), vals);
+            assert_eq!(mem.backing(), 128);
+        }
     }
 
     #[test]

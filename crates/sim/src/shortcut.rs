@@ -2220,28 +2220,30 @@ impl ShortcutRegion {
     /// store span (the handler batches its writes after its reads; a cell
     /// update's in-place reads of `c` and a dot product's spill reads are
     /// not load ranges), and that no offset a branch compared wraps its
-    /// cell. `false` declines.
-    pub(crate) fn check_entry(&self, mem: &Memory, core: &Core) -> bool {
+    /// cell. `None` declines; otherwise the highest end of any load range
+    /// or store span, which the caller backs before
+    /// [`compute`](Self::compute) borrows the operands (every region
+    /// stores, so every load range is resolved here).
+    pub(crate) fn check_entry(&self, mem: &Memory, core: &Core) -> Option<u64> {
         for &(cell, off) in &self.nowrap {
             match cell.resolve(mem, core) {
                 Some(base) if u64::from(base) + u64::from(off) <= u64::from(u32::MAX) => {}
-                _ => return false,
+                _ => return None,
             }
         }
+        let mut end = 0;
         for (n, w) in self.stores.iter().enumerate() {
-            let Some((s_lo, s_hi)) = w.resolve(mem, core) else {
-                return false;
-            };
+            let (s_lo, s_hi) = w.resolve(mem, core)?;
+            end = end.max(s_hi);
             for r in self.loads.iter().chain(&self.stores[..n]) {
-                let Some((l_lo, l_hi)) = r.resolve(mem, core) else {
-                    return false;
-                };
+                let (l_lo, l_hi) = r.resolve(mem, core)?;
+                end = end.max(l_hi);
                 if s_lo < l_hi && l_lo < s_hi {
-                    return false;
+                    return None;
                 }
             }
         }
-        true
+        Some(end)
     }
 
     /// Computes the region's stores, in store order, as `(address,
