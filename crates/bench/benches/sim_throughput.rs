@@ -11,7 +11,9 @@
 //! histograms) are identical by construction and pinned by the
 //! differential tests, so this bench tracks host speed only; the
 //! `bulk/step` column is the bulk runners' payoff over stepping and the
-//! `sc/uop` column is the shortcut tier's payoff on top of them.
+//! `sc/uop` column is the shortcut tier's payoff on top of them. Below
+//! the compile-stage table, the verify stage is split by region kind and
+//! verdict (regions, walked micro-ops, loop summaries applied, ms).
 //!
 //! Flags:
 //!
@@ -29,7 +31,7 @@ use rnnasip_bench::json::{array, Obj};
 use rnnasip_bench::run_suite_split;
 use rnnasip_core::{CompileStages, KernelBackend, OptLevel};
 use rnnasip_isa::MnemonicId;
-use rnnasip_sim::Stats;
+use rnnasip_sim::{RegionKind, Stats, VerifyBreakdown};
 use std::collections::{BTreeMap, HashMap};
 use std::hint::black_box;
 use std::time::Instant;
@@ -89,6 +91,9 @@ struct LevelRow {
     /// Serial per-stage compile time: each network's fastest of
     /// [`SAMPLES`] compiles, summed over the suite.
     stages: CompileStages,
+    /// The same compiles' shortcut verification by region kind and
+    /// verdict, summed over the suite.
+    verify: VerifyBreakdown,
     /// Serial `Engine::new` time: each network's fastest of [`SAMPLES`]
     /// instantiations, summed over the suite.
     instantiate_nanos: u64,
@@ -136,6 +141,7 @@ fn measure_level(level: OptLevel) -> LevelRow {
     let mut uop_nanos = 0u64;
     let mut shortcut_nanos = 0u64;
     let mut stages = CompileStages::default();
+    let mut verify = VerifyBreakdown::default();
     let mut instantiate_nanos = 0u64;
     let mut tiers = Vec::new();
     for net in rnnasip_rrm::suite() {
@@ -148,6 +154,7 @@ fn measure_level(level: OptLevel) -> LevelRow {
             .min_by_key(|c| c.compile_nanos())
             .expect("SAMPLES is nonzero");
         stages += compiled.stage_nanos();
+        verify += *compiled.uop_program().verify_breakdown();
         instantiate_nanos += (0..SAMPLES)
             .map(|_| {
                 let t = Instant::now();
@@ -201,6 +208,7 @@ fn measure_level(level: OptLevel) -> LevelRow {
         wall_ms,
         compile_ms,
         stages,
+        verify,
         instantiate_nanos,
         tiers,
     }
@@ -353,6 +361,26 @@ fn main() {
         );
     }
 
+    println!("\nverify by region kind and verdict (the compiles above, summed)");
+    println!(
+        "{:<10} {:<8} {:<10} {:>8} {:>10} {:>10} {:>9}",
+        "level", "kind", "verdict", "regions", "walked", "summaries", "ms"
+    );
+    for row in &rows {
+        for (kind, installed, c) in verify_rows(&row.verify) {
+            println!(
+                "{:<10} {:<8} {:<10} {:>8} {:>10} {:>10} {:>9.3}",
+                row.tag,
+                kind.name(),
+                verdict(installed),
+                c.regions,
+                c.walked,
+                c.summaries,
+                c.nanos as f64 / 1e6
+            );
+        }
+    }
+
     println!("\ntier split, instructions of one run (generic/bulk/shortcut)");
     print!("{:<14}", "net");
     for row in &rows {
@@ -425,6 +453,20 @@ fn main() {
                 .float("wall_mips", Some(r.wall_mips))
                 .float("wall_ms", Some(r.wall_ms))
                 .float("compile_ms", Some(r.compile_ms))
+                .float("verify_ms", Some(r.stages.verify as f64 / 1e6))
+                .raw(
+                    "verify",
+                    array(verify_rows(&r.verify).map(|(kind, installed, c)| {
+                        Obj::new()
+                            .str("kind", kind.name())
+                            .str("verdict", verdict(installed))
+                            .num("regions", c.regions)
+                            .num("walked", c.walked)
+                            .num("summaries", c.summaries)
+                            .float("ms", Some(c.nanos as f64 / 1e6))
+                            .build()
+                    })),
+                )
                 .build()
         });
         let policy_obj = Obj::new()
@@ -472,6 +514,24 @@ fn main() {
         }
     }
     assert!(failed.is_empty(), "sim-throughput gates failed: {failed:?}");
+}
+
+/// The kinds and verdicts `b` saw any region of.
+fn verify_rows(
+    b: &VerifyBreakdown,
+) -> impl Iterator<Item = (RegionKind, bool, rnnasip_sim::VerifyCost)> + '_ {
+    RegionKind::ALL
+        .into_iter()
+        .flat_map(|k| [true, false].map(|installed| (k, installed, b.get(k, installed))))
+        .filter(|(.., c)| c.regions > 0)
+}
+
+fn verdict(installed: bool) -> &'static str {
+    if installed {
+        "installed"
+    } else {
+        "rejected"
+    }
 }
 
 /// Best-of-SAMPLES wall time of `f` over `iters` iterations, in ns/iter.

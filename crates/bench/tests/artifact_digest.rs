@@ -205,8 +205,8 @@ const PINNED_CODE: &[(&str, &str, usize, u64)] = &[
 const PINNED_TIERS: &[(&str, &str, usize, usize, u64)] = &[
     ("challita2017", "a", 1, 6, 307),
     ("challita2017", "a", 4, 168, 8680),
-    ("challita2017", "b", 1, 1, 700),
-    ("challita2017", "b", 4, 4, 5452),
+    ("challita2017", "b", 1, 1, 207),
+    ("challita2017", "b", 4, 4, 5112),
     ("challita2017", "c", 1, 7, 3419),
     ("challita2017", "c", 4, 208, 32480),
     ("challita2017", "d", 1, 7, 2879),
@@ -225,8 +225,8 @@ const PINNED_TIERS: &[(&str, &str, usize, usize, u64)] = &[
     ("naparstek2019", "e", 4, 164, 14988),
     ("ahmed2019", "a", 1, 3, 144),
     ("ahmed2019", "a", 4, 12, 576),
-    ("ahmed2019", "b", 1, 3, 14181),
-    ("ahmed2019", "b", 4, 12, 14244),
+    ("ahmed2019", "b", 1, 3, 171),
+    ("ahmed2019", "b", 4, 12, 684),
     ("ahmed2019", "c", 1, 3, 8973),
     ("ahmed2019", "c", 4, 12, 9036),
     ("ahmed2019", "d", 1, 3, 7461),
@@ -235,8 +235,8 @@ const PINNED_TIERS: &[(&str, &str, usize, usize, u64)] = &[
     ("ahmed2019", "e", 4, 12, 9372),
     ("eisen2019", "a", 1, 3, 144),
     ("eisen2019", "a", 4, 12, 576),
-    ("eisen2019", "b", 1, 3, 861),
-    ("eisen2019", "b", 4, 12, 924),
+    ("eisen2019", "b", 1, 3, 171),
+    ("eisen2019", "b", 4, 12, 652),
     ("eisen2019", "c", 1, 3, 551),
     ("eisen2019", "c", 4, 12, 670),
     ("eisen2019", "d", 1, 3, 461),
@@ -245,8 +245,8 @@ const PINNED_TIERS: &[(&str, &str, usize, usize, u64)] = &[
     ("eisen2019", "e", 4, 12, 818),
     ("lee2018", "a", 1, 4, 202),
     ("lee2018", "a", 4, 16, 808),
-    ("lee2018", "b", 1, 3, 1381),
-    ("lee2018", "b", 4, 12, 3484),
+    ("lee2018", "b", 1, 3, 212),
+    ("lee2018", "b", 4, 12, 848),
     ("lee2018", "c", 1, 4, 975),
     ("lee2018", "c", 4, 16, 2304),
     ("lee2018", "d", 1, 4, 823),
@@ -255,8 +255,8 @@ const PINNED_TIERS: &[(&str, &str, usize, usize, u64)] = &[
     ("lee2018", "e", 4, 16, 2488),
     ("nasir2018", "a", 1, 3, 144),
     ("nasir2018", "a", 4, 12, 576),
-    ("nasir2018", "b", 1, 3, 10441),
-    ("nasir2018", "b", 4, 12, 10504),
+    ("nasir2018", "b", 1, 3, 171),
+    ("nasir2018", "b", 4, 12, 684),
     ("nasir2018", "c", 1, 3, 6597),
     ("nasir2018", "c", 4, 12, 6708),
     ("nasir2018", "d", 1, 3, 5481),
@@ -265,8 +265,8 @@ const PINNED_TIERS: &[(&str, &str, usize, usize, u64)] = &[
     ("nasir2018", "e", 4, 12, 7420),
     ("sun2017", "a", 1, 3, 144),
     ("sun2017", "a", 4, 12, 576),
-    ("sun2017", "b", 1, 3, 9801),
-    ("sun2017", "b", 4, 12, 9864),
+    ("sun2017", "b", 1, 3, 171),
+    ("sun2017", "b", 4, 12, 684),
     ("sun2017", "c", 1, 3, 6205),
     ("sun2017", "c", 4, 12, 6316),
     ("sun2017", "d", 1, 3, 5161),
@@ -275,8 +275,8 @@ const PINNED_TIERS: &[(&str, &str, usize, usize, u64)] = &[
     ("sun2017", "e", 4, 12, 6968),
     ("ye2018", "a", 1, 4, 192),
     ("ye2018", "a", 4, 16, 768),
-    ("ye2018", "b", 1, 4, 15778),
-    ("ye2018", "b", 4, 16, 15862),
+    ("ye2018", "b", 1, 4, 229),
+    ("ye2018", "b", 4, 16, 916),
     ("ye2018", "c", 1, 4, 10012),
     ("ye2018", "c", 4, 16, 10152),
     ("ye2018", "d", 1, 4, 8338),
@@ -285,8 +285,8 @@ const PINNED_TIERS: &[(&str, &str, usize, usize, u64)] = &[
     ("ye2018", "e", 4, 16, 11312),
     ("yu2017", "a", 1, 3, 144),
     ("yu2017", "a", 4, 12, 576),
-    ("yu2017", "b", 1, 3, 13221),
-    ("yu2017", "b", 4, 12, 13284),
+    ("yu2017", "b", 1, 3, 171),
+    ("yu2017", "b", 4, 12, 684),
     ("yu2017", "c", 1, 3, 8385),
     ("yu2017", "c", 4, 12, 8464),
     ("yu2017", "d", 1, 3, 6981),
@@ -295,8 +295,8 @@ const PINNED_TIERS: &[(&str, &str, usize, usize, u64)] = &[
     ("yu2017", "e", 4, 12, 8816),
     ("wang2018", "a", 1, 3, 144),
     ("wang2018", "a", 4, 12, 576),
-    ("wang2018", "b", 1, 3, 7077),
-    ("wang2018", "b", 4, 12, 7140),
+    ("wang2018", "b", 1, 3, 171),
+    ("wang2018", "b", 4, 12, 684),
     ("wang2018", "c", 1, 3, 4501),
     ("wang2018", "c", 4, 12, 4580),
     ("wang2018", "d", 1, 3, 3753),

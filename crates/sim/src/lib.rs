@@ -68,7 +68,10 @@ pub use guard::{GuardReport, GuardSpec, RegionGuard};
 pub use machine::{Machine, StepOutcome};
 pub use mem::{MemImage, Memory};
 pub use program::{ProgItem, Program};
-pub use shortcut::{CellUpdate, Dot, KernelRegion, Matvec, RegionMath, ShortcutAct, ShortcutPtr};
+pub use shortcut::{
+    CellUpdate, Dot, KernelRegion, Matvec, RegionKind, RegionMath, ShortcutAct, ShortcutPtr,
+    VerifyBreakdown, VerifyCost,
+};
 pub use stats::{Row, Stats};
 pub use trace::TraceEntry;
 pub use uop::UopProgram;

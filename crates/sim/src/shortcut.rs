@@ -35,7 +35,10 @@
 //! hardware loops and loops closed by a backward branch alike — are
 //! walked for two iterations and then applied in closed form (see
 //! `Candidate`, which the walk's own arms feed), so verification costs
-//! what the region's static code costs, not what it executes.
+//! what the region's static code costs, not what it executes. A
+//! hardware loop nested in a branch-closed one (a level-b matvec's
+//! inner loop in its output-row loop) summarizes inside the outer
+//! loop's watch, so the outer loop summarizes too.
 //!
 //! A region that passes is installed as a [`ShortcutRegion`]: the machine
 //! then executes one entry as a single native computation over TCDM
@@ -58,7 +61,6 @@ use crate::uop::{
     alu, alu_imm, branch_taken, clip, mul_div, unary, Profile, UnaryOp, Uop, UopKind, NO_IDX,
 };
 use rnnasip_isa::{AluImmOp, AluOp, BranchOp, LoadOp, MnemonicId, MulDivOp, Reg, StoreOp};
-use std::collections::HashMap;
 
 /// Upper bound on the dynamic micro-ops verifying one region accounts
 /// for — a guard against pathological descriptors, far above any real
@@ -195,6 +197,107 @@ pub struct Dot {
     pub n_in: u32,
 }
 
+/// The kind of math a [`KernelRegion`] declares.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RegionKind {
+    /// [`RegionMath::Matvec`].
+    Matvec,
+    /// [`RegionMath::Cell`].
+    Cell,
+    /// [`RegionMath::Dot`].
+    Dot,
+}
+
+impl RegionKind {
+    /// Every kind, in declaration order.
+    pub const ALL: [RegionKind; 3] = [RegionKind::Matvec, RegionKind::Cell, RegionKind::Dot];
+
+    /// The kind's lowercase name, for reports.
+    pub fn name(self) -> &'static str {
+        match self {
+            RegionKind::Matvec => "matvec",
+            RegionKind::Cell => "cell",
+            RegionKind::Dot => "dot",
+        }
+    }
+}
+
+impl RegionMath {
+    /// The kind of this math.
+    pub fn kind(&self) -> RegionKind {
+        match self {
+            RegionMath::Matvec(_) => RegionKind::Matvec,
+            RegionMath::Cell(_) => RegionKind::Cell,
+            RegionMath::Dot(_) => RegionKind::Dot,
+        }
+    }
+}
+
+/// Shortcut-verification work spent on a set of kernel regions.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct VerifyCost {
+    /// Regions verified.
+    pub regions: u64,
+    /// Micro-ops the walk interpreted one by one. Loop iterations applied
+    /// in closed form are not counted.
+    pub walked: u64,
+    /// Loop summaries applied.
+    pub summaries: u64,
+    /// Host nanoseconds spent walking.
+    pub nanos: u64,
+}
+
+impl std::ops::AddAssign for VerifyCost {
+    fn add_assign(&mut self, o: Self) {
+        self.regions += o.regions;
+        self.walked += o.walked;
+        self.summaries += o.summaries;
+        self.nanos += o.nanos;
+    }
+}
+
+/// Shortcut-verification work of one translation, by region kind and
+/// verdict ([`UopProgram::verify_breakdown`](crate::UopProgram::verify_breakdown)).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct VerifyBreakdown {
+    /// Per kind, in [`RegionKind::ALL`] order: rejected, then installed.
+    costs: [[VerifyCost; 2]; 3],
+}
+
+impl VerifyBreakdown {
+    /// The work on regions of `kind` whose verification installed them
+    /// (`installed`) or rejected them.
+    pub fn get(&self, kind: RegionKind, installed: bool) -> VerifyCost {
+        self.costs[kind as usize][usize::from(installed)]
+    }
+
+    /// The work on every region.
+    pub fn total(&self) -> VerifyCost {
+        let mut t = VerifyCost::default();
+        for c in self.costs.iter().flatten() {
+            t += *c;
+        }
+        t
+    }
+
+    pub(crate) fn add(&mut self, kind: RegionKind, installed: bool, cost: VerifyCost) {
+        self.costs[kind as usize][usize::from(installed)] += cost;
+    }
+}
+
+impl std::ops::AddAssign for VerifyBreakdown {
+    fn add_assign(&mut self, o: Self) {
+        for (a, b) in self
+            .costs
+            .iter_mut()
+            .flatten()
+            .zip(o.costs.iter().flatten())
+        {
+            *a += *b;
+        }
+    }
+}
+
 impl ShortcutAct {
     /// Applies the activation to a requantized, clipped value.
     pub(crate) fn apply(self, v: i32) -> i32 {
@@ -261,7 +364,7 @@ impl Cell {
 
 /// An abstract address: `cell` is `None` for a constant byte address
 /// `off`, or `Some(c)` for cell `c`'s entry value plus `off`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(crate) struct AAddr {
     pub cell: Option<Cell>,
     pub off: u32,
@@ -386,10 +489,11 @@ pub(crate) struct ShortcutRegion {
 }
 
 /// Abstract value of a register during the verification walk.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 enum Av {
     /// Unmodified region-entry value (reading one rejects the region —
     /// generated kernels initialize everything they read).
+    #[default]
     Entry,
     /// A known constant.
     Const(u32),
@@ -397,8 +501,8 @@ enum Av {
     CellVal { cell: Cell, off: u32 },
     /// A value loaded from a resolvable address during the walk.
     Load { op: LoadOp, addr: AAddr },
-    /// A dot-product chain (see [`DotVal`]).
-    Dot(DotVal),
+    /// A dot-product chain (see [`Chain`]).
+    Dot(Chain),
     /// Unknown data. `hw` marks a value proven to be a sign-extended
     /// 16-bit quantity (requantized/activated), eligible for output
     /// mapping.
@@ -413,6 +517,15 @@ struct DotVal {
     seed: AAddr,
     a: AAddr,
     b: AAddr,
+    n: u32,
+}
+
+/// A [`DotVal`] as a register holds it: its first `n` terms over the
+/// seed and streams interned as `id` in [`Values::chains`], which keeps
+/// abstract values small.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Chain {
+    id: u32,
     n: u32,
 }
 
@@ -431,32 +544,52 @@ fn load_size(op: LoadOp) -> u32 {
 /// Ranges of one cell never touch each other (every extension coalesces
 /// what it reaches), and they only move when `events` counts a new
 /// range or a merge — the two facts the loop summary relies on.
-#[derive(Clone, Default)]
+#[derive(Default)]
 struct RangeSet {
     ranges: Vec<AccessRange>,
+    /// Each range's cell as one number ([`cell_key`]), for cheap scans.
+    keys: Vec<u64>,
     /// Ranges created plus ranges merged away, so far.
     events: u64,
+}
+
+/// A cell (or `None` for absolute addresses) as one number: equal
+/// exactly for equal cells.
+fn cell_key(cell: Option<Cell>) -> u64 {
+    match cell {
+        None => 0,
+        Some(Cell::Mem(c)) => 1 << 32 | u64::from(c),
+        Some(Cell::Reg(r)) => 2 << 32 | u64::from(r),
+    }
 }
 
 impl RangeSet {
     /// Records one access; `false` rejects the region.
     fn add(&mut self, cell: Option<Cell>, off: u32, size: u32) -> bool {
-        // Constant addresses are checked statically: a misaligned one
-        // would fault on every entry, so the region is left interpreted.
-        if cell.is_none() && !off.is_multiple_of(size) {
+        // Sizes are powers of two. Constant addresses are checked
+        // statically: a misaligned one would fault on every entry, so the
+        // region is left interpreted.
+        let res = off & (size - 1);
+        if cell.is_none() && res != 0 {
             return false;
         }
         let Some(end) = off.checked_add(size) else {
             return false;
         };
         let k = size.trailing_zeros() as usize;
+        let key = cell_key(cell);
         for i in 0..self.ranges.len() {
             let r = &mut self.ranges[i];
-            if r.cell == cell && off <= r.hi && end >= r.lo {
+            if self.keys[i] == key && off <= r.hi && end >= r.lo {
                 if r.res[k] == u32::MAX {
-                    r.res[k] = off % size;
-                } else if r.res[k] != off % size {
+                    r.res[k] = res;
+                } else if r.res[k] != res {
                     return false;
+                }
+                // Inside the range: it moves nothing and, as ranges of
+                // one cell never touch, no other range touches it.
+                if r.lo <= off && end <= r.hi {
+                    return true;
                 }
                 r.lo = r.lo.min(off);
                 r.hi = r.hi.max(end);
@@ -466,14 +599,15 @@ impl RangeSet {
         if self.ranges.len() >= MAX_RANGES {
             return false;
         }
-        let mut res = [u32::MAX; 3];
-        res[k] = off % size;
+        let mut residues = [u32::MAX; 3];
+        residues[k] = res;
         self.events += 1;
+        self.keys.push(key);
         self.ranges.push(AccessRange {
             cell,
             lo: off,
             hi: end,
-            res,
+            res: residues,
         });
         true
     }
@@ -485,18 +619,14 @@ impl RangeSet {
     /// [`MAX_RANGES`] cap. `false` on an alignment-residue conflict.
     fn coalesce(&mut self, mut i: usize) -> bool {
         loop {
-            let (cell, lo, hi) = {
-                let r = &self.ranges[i];
-                (r.cell, r.lo, r.hi)
-            };
-            let Some(j) = self
-                .ranges
-                .iter()
-                .enumerate()
-                .position(|(j, r)| j != i && r.cell == cell && r.lo <= hi && r.hi >= lo)
-            else {
+            let (key, lo, hi) = (self.keys[i], self.ranges[i].lo, self.ranges[i].hi);
+            let Some(j) = (0..self.ranges.len()).position(|j| {
+                let r = &self.ranges[j];
+                j != i && self.keys[j] == key && r.lo <= hi && r.hi >= lo
+            }) else {
                 return true;
             };
+            self.keys.swap_remove(j);
             let other = self.ranges.swap_remove(j);
             self.events += 1;
             if j < i {
@@ -516,6 +646,7 @@ impl RangeSet {
     }
 }
 
+#[inline(always)]
 fn av(regs: &[Av; 32], r: Reg) -> Av {
     match r.num() {
         0 => Av::Const(0),
@@ -525,6 +656,7 @@ fn av(regs: &[Av; 32], r: Reg) -> Av {
 
 /// A register's abstract value; `None` (rejecting the region) for a
 /// region-entry value.
+#[inline(always)]
 fn get(regs: &[Av; 32], r: Reg) -> Option<Av> {
     match av(regs, r) {
         Av::Entry => None,
@@ -558,6 +690,7 @@ fn used(mask: u32) -> impl Iterator<Item = usize> {
     })
 }
 
+#[inline(always)]
 fn set(regs: &mut [Av; 32], r: Reg, v: Av) {
     let n = r.num() as usize;
     if n != 0 {
@@ -567,6 +700,7 @@ fn set(regs: &mut [Av; 32], r: Reg, v: Av) {
 
 /// Lowers an abstract base value plus constant displacement to an
 /// abstract address; non-pointer bases reject the region.
+#[inline(always)]
 fn aaddr(base: Av, disp: u32) -> Option<AAddr> {
     match base {
         Av::Const(c) => Some(AAddr {
@@ -582,6 +716,7 @@ fn aaddr(base: Av, disp: u32) -> Option<AAddr> {
 }
 
 /// Advances a pointer value by a constant (post-increment image).
+#[inline(always)]
 fn bump(base: Av, disp: u32) -> Option<Av> {
     match base {
         Av::Const(c) => Some(Av::Const(c.wrapping_add(disp))),
@@ -641,7 +776,7 @@ fn symbolic(kind: UopKind, regs: &[Av; 32], vals: &mut Values) -> Av {
         UopKind::MulDiv { op, rs1, rs2, .. } => {
             vals.fresh(false, Some(Node::MulDiv(op, a(rs1), a(rs2))))
         }
-        UopKind::Mac { rd, rs1, rs2 } => match dot_step(a(rd), a(rs1), a(rs2)) {
+        UopKind::Mac { rd, rs1, rs2 } => match dot_step(a(rd), a(rs1), a(rs2), vals) {
             Some(d) => Av::Dot(d),
             None => vals.fresh(false, None),
         },
@@ -661,7 +796,7 @@ fn symbolic(kind: UopKind, regs: &[Av; 32], vals: &mut Values) -> Av {
 /// The dot-product chain a `mac` of two loaded halfwords builds on `acc`:
 /// a loaded word seeds a chain, and a chain grows by one term when the
 /// halfwords are the next elements of both of its streams.
-fn dot_step(acc: Av, a: Av, b: Av) -> Option<DotVal> {
+fn dot_step(acc: Av, a: Av, b: Av, vals: &mut Values) -> Option<Chain> {
     let (
         Av::Load {
             op: LoadOp::Lh,
@@ -679,51 +814,83 @@ fn dot_step(acc: Av, a: Av, b: Av) -> Option<DotVal> {
         Av::Load {
             op: LoadOp::Lw,
             addr: seed,
-        } => Some(DotVal { seed, a, b, n: 1 }),
-        Av::Dot(d) if a == d.a.plus(d.n.wrapping_mul(2)) && b == d.b.plus(d.n.wrapping_mul(2)) => {
-            Some(DotVal {
-                n: d.n.wrapping_add(1),
-                ..d
+        } => Some(Chain {
+            id: vals.intern([seed, a, b]),
+            n: 1,
+        }),
+        Av::Dot(c) => {
+            let d = vals.dot(c);
+            let next = d.n.wrapping_mul(2);
+            (a == d.a.plus(next) && b == d.b.plus(next)).then_some(Chain {
+                n: c.n.wrapping_add(1),
+                ..c
             })
         }
         _ => None,
     }
 }
 
-/// How many micro-ops verification walked, and whether any hardware-loop
-/// iterations were applied in closed form instead.
-#[derive(Default)]
-struct WalkStats {
-    walked: u64,
-    summarized: bool,
-}
-
 /// Verifies a [`KernelRegion`] descriptor against the micro-op stream by
 /// abstract interpretation and, on success, returns its installed
 /// static profile. `None` means the region stays on the generic path —
 /// never an error: verification failure only costs performance.
-/// `walked` accumulates the micro-ops the walk interpreted one by one.
+/// `cost` accumulates the region, the micro-ops the walk interpreted one
+/// by one, the loop summaries it applied and the host time it took.
 pub(crate) fn install(
     uops: &[Uop],
     program: &Program,
     desc: &KernelRegion,
-    walked: &mut u64,
+    cost: &mut VerifyCost,
 ) -> Option<ShortcutRegion> {
-    let mut stats = WalkStats::default();
-    let region = walk(uops, program, desc, true, &mut stats);
-    *walked += stats.walked;
+    let started = std::time::Instant::now();
+    let mut spent = VerifyCost::default();
+    let region = walk(uops, program, desc, true, &mut spent);
+    spent.regions = 1;
+    spent.nanos = started.elapsed().as_nanos() as u64;
+    *cost += spent;
     // The loop summary must be invisible: re-derive the profile op by op
     // and demand a field-for-field identical result.
     #[cfg(debug_assertions)]
-    if stats.summarized {
-        let full = walk(uops, program, desc, false, &mut WalkStats::default());
+    if spent.summaries > 0 {
+        let full = walk(uops, program, desc, false, &mut VerifyCost::default());
         assert_eq!(region, full, "loop summary diverged from the full walk");
     }
     region
 }
 
+/// In-flight SPR writes, oldest first: `(issue instret, slot, weight
+/// address)`. A walk keeps at most two in flight; a third rejects the
+/// region.
+#[derive(Clone, Copy, Default)]
+struct Pend {
+    q: [(u64, usize, AAddr); 2],
+    len: usize,
+}
+
+impl Pend {
+    fn as_slice(&self) -> &[(u64, usize, AAddr)] {
+        &self.q[..self.len]
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [(u64, usize, AAddr)] {
+        &mut self.q[..self.len]
+    }
+
+    /// Queues one write; `None` when two are already in flight.
+    fn push(&mut self, p: (u64, usize, AAddr)) -> Option<()> {
+        *self.q.get_mut(self.len)? = p;
+        self.len += 1;
+        Some(())
+    }
+
+    /// Drops the oldest write.
+    fn pop_front(&mut self) {
+        self.q[0] = self.q[1];
+        self.len -= 1;
+    }
+}
+
 /// The mutable abstract machine state of one verification walk.
-#[derive(Clone)]
 struct WalkState {
     regs: [Av; 32],
     /// Per hardware-loop level: `(start, end, count)`.
@@ -731,10 +898,14 @@ struct WalkState {
     /// Per SPR slot: the address of the weight word it holds (`None` =
     /// region-entry contents, which only discarding reads may touch).
     spr: [Option<AAddr>; 2],
-    /// In-flight SPR writes: `(issue instret, slot, weight address)`.
-    pend: Vec<(u64, usize, AAddr)>,
+    pend: Pend,
     loads: RangeSet,
     profile: Profile,
+    /// Per mnemonic, one more than its row in `profile.retire_rows` (0
+    /// until it has one), so a retire finds its row without a scan.
+    retire_row: [u8; MnemonicId::COUNT],
+    /// The same for `profile.stall_rows`.
+    stall_row: [u8; MnemonicId::COUNT],
     prev_load: Option<(u8, MnemonicId)>,
     instret: u64,
     next_out: u32,
@@ -742,11 +913,100 @@ struct WalkState {
     spill: Option<Av>,
     /// See [`ShortcutRegion::nowrap`].
     nowrap: Vec<(Cell, u32)>,
+    /// How many times `nowrap` changed.
+    nowrap_changes: u64,
+}
+
+impl WalkState {
+    /// Retires one op of row `id` (as [`Profile::record`]).
+    fn retire(&mut self, id: MnemonicId, cycles: u64, macs: u64) {
+        let p = &mut self.profile;
+        p.cycles += cycles;
+        let row = &mut self.retire_row[id.index()];
+        match *row {
+            0 => {
+                p.retire_rows.push((id, 1, cycles, macs));
+                *row = p.retire_rows.len() as u8;
+            }
+            k => {
+                let r = &mut p.retire_rows[usize::from(k) - 1];
+                r.1 += 1;
+                r.2 += cycles;
+                r.3 += macs;
+            }
+        }
+    }
+
+    /// Charges one load-use stall to row `id` (as [`Profile::stall`]).
+    fn stall(&mut self, id: MnemonicId) {
+        let p = &mut self.profile;
+        p.cycles += 1;
+        let row = &mut self.stall_row[id.index()];
+        match *row {
+            0 => {
+                p.stall_rows.push((id, 1));
+                *row = p.stall_rows.len() as u8;
+            }
+            k => p.stall_rows[usize::from(k) - 1].1 += 1,
+        }
+    }
+
+    /// Raises the recorded no-wrap offset of `cell` to at least `off`.
+    fn note_nowrap(&mut self, cell: Cell, off: u32) {
+        match self.nowrap.iter_mut().find(|(c, _)| *c == cell) {
+            Some((_, o)) if *o >= off => return,
+            Some((_, o)) => *o = off,
+            None => self.nowrap.push((cell, off)),
+        }
+        self.nowrap_changes += 1;
+    }
+}
+
+/// What [`Candidate::summarize`] compares of the state at the start of a
+/// watched iteration. The load ranges and profile rows are copied into
+/// buffers the watch keeps, so a snapshot allocates nothing once they
+/// have grown.
+#[derive(Default)]
+struct Snapshot {
+    regs: [Av; 32],
+    hwl: [Option<(u32, u32, u32)>; 2],
+    spr: [Option<AAddr>; 2],
+    pend: Pend,
+    prev_load: Option<(u8, MnemonicId)>,
+    instret: u64,
+    next_out: u32,
+    spill: Option<Av>,
+    nowrap_changes: u64,
+    load_events: u64,
+    /// `(lo, hi)` of each load range.
+    ranges: Vec<(u32, u32)>,
+    profile: Profile,
+}
+
+impl Snapshot {
+    fn take(&mut self, st: &WalkState) {
+        self.regs = st.regs;
+        self.hwl = st.hwl;
+        self.spr = st.spr;
+        self.pend = st.pend;
+        self.prev_load = st.prev_load;
+        self.instret = st.instret;
+        self.next_out = st.next_out;
+        self.spill = st.spill;
+        self.nowrap_changes = st.nowrap_changes;
+        self.load_events = st.loads.events;
+        self.ranges.clear();
+        self.ranges
+            .extend(st.loads.ranges.iter().map(|r| (r.lo, r.hi)));
+        self.profile.cycles = st.profile.cycles;
+        self.profile.retire_rows.clone_from(&st.profile.retire_rows);
+        self.profile.stall_rows.clone_from(&st.profile.stall_rows);
+    }
 }
 
 /// How a value moves between two loop iterations, in terms of the
 /// iteration-start state (see [`Candidate`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 enum Form {
     /// Moves exactly as iteration-start source `s` moves: register `s`
     /// for `s < 32`, pending SPR write `s - 32` ([`SRC_PEND`]), SPR
@@ -756,6 +1016,7 @@ enum Form {
     /// source `s` moves (a word loaded through a moving pointer).
     Cell(u8),
     /// The same in every iteration.
+    #[default]
     Zero,
     /// Symbolic data created in this iteration.
     Fresh,
@@ -767,6 +1028,17 @@ const SRC_PEND: usize = 32;
 const SRC_SPR: usize = 34;
 /// The spill word's source index of a [`Form::Lin`].
 const SRC_SPILL: usize = 36;
+
+/// Every register moving as itself (`x0` never moves).
+const IDENTITY: [Form; 32] = {
+    let mut f = [Form::Zero; 32];
+    let mut r = 1;
+    while r < 32 {
+        f[r] = Form::Lin(r as u8);
+        r += 1;
+    }
+    f
+};
 
 /// The loop a [`Candidate`] watches.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -801,8 +1073,8 @@ enum Delta {
 }
 
 /// Shift of `a` into `b`, if both are the same kind of abstract value.
-fn delta(a: Av, b: Av) -> Option<Delta> {
-    Some(match (a, b) {
+fn delta(a: &Av, b: &Av) -> Option<Delta> {
+    Some(match (*a, *b) {
         (Av::Entry, Av::Entry) => Delta::Same,
         (Av::Const(x), Av::Const(y)) => Delta::Num(y.wrapping_sub(x)),
         (Av::CellVal { cell: c, off: x }, Av::CellVal { cell: d, off: y }) if c == d => {
@@ -823,12 +1095,18 @@ fn delta(a: Av, b: Av) -> Option<Delta> {
         {
             Delta::Num(y.off.wrapping_sub(x.off))
         }
-        (Av::Dot(x), Av::Dot(y)) if DotVal { n: y.n, ..x } == y => {
-            Delta::Num(y.n.wrapping_sub(x.n))
-        }
+        (Av::Dot(x), Av::Dot(y)) if x.id == y.id => Delta::Num(y.n.wrapping_sub(x.n)),
         (Av::Data { hw: g, .. }, Av::Data { hw: h, .. }) if g == h => Delta::Same,
         _ => return None,
     })
+}
+
+/// [`delta`] of `v` into itself.
+fn still(v: &Av) -> Delta {
+    match v {
+        Av::Entry | Av::Data { .. } => Delta::Same,
+        _ => Delta::Num(0),
+    }
 }
 
 /// `v` moved by `d` applied `m` times.
@@ -859,7 +1137,7 @@ fn shifted(v: Av, d: Delta, m: u32) -> Av {
             op,
             addr: addr.plus(by),
         },
-        Av::Dot(d) => Av::Dot(DotVal {
+        Av::Dot(d) => Av::Dot(Chain {
             n: d.n.wrapping_add(by),
             ..d
         }),
@@ -867,85 +1145,136 @@ fn shifted(v: Av, d: Delta, m: u32) -> Av {
     }
 }
 
+/// One load of a watched iteration, or, with `reps > 1`, a load of every
+/// iteration a nested loop's summary applied.
+#[derive(Clone, Copy)]
+struct Access {
+    addr: AAddr,
+    size: u32,
+    /// How the address moves with the watched loop.
+    form: Form,
+    /// How many times the load happens, `step` bytes apart.
+    reps: u32,
+    step: u32,
+    /// Nonzero for the loads of one nested summary, which take turns:
+    /// every load's repetition `j` comes before any load's `j + 1`.
+    group: u32,
+}
+
+/// A row watch's forms when the hardware-loop watch nested in it began.
+#[derive(Clone, Copy)]
+struct Mark {
+    regs: [Form; 32],
+    spr: [Form; 2],
+    spill: Form,
+    pend: [Form; 2],
+    npend: usize,
+    /// Loads recorded before it.
+    accesses: usize,
+}
+
 /// One loop iteration watched for a closed-form summary.
 ///
 /// The watcher decodes nothing itself: each arm of the walk reports its
 /// op through one hook (`load`, `store`, `sdot`, `branch`, `pure`), on
 /// the pre-op state and with the operands, address and value the arm
-/// has already formed; a hook that returns `false`, or a loop setup,
-/// ends the watch. From those reports every value written in the
-/// iteration gets a [`Form`] saying how it would move if the
-/// iteration-start state moved. At the next jump-back of the same loop,
-/// [`summarize`] compares the two iteration-start states. All remaining
-/// iterations can be applied at once when
+/// has already formed; a hook that returns `false` ends the watch. From
+/// those reports every value written in the iteration gets a [`Form`]
+/// saying how it would move if the iteration-start state moved. At the
+/// next jump-back of the same loop, [`summarize`] compares the two
+/// iteration-start states. All remaining iterations can be applied at
+/// once when
 ///
 /// * each source changed by a constant [`Delta`], or is opaque data of
 ///   the same kind;
 /// * the forms confirm that one more iteration would shift it by the
 ///   same constants — a source moves only into copies of itself
 ///   advanced by constants, and every value inspected beyond that
-///   (constant folds, loads from a constant address) did not move;
+///   (constant folds, loads from a constant address, the count of a
+///   nested hardware loop) did not move;
 /// * every load address moves by a constant, and every dot-product
 ///   step's halfword streams move two bytes per term it adds;
+/// * every store goes to the next rows of the region's output streams:
+///   whole rows of a cell update, a matvec's requantized outputs, or
+///   the spill-word partial sums of a dot product;
 /// * nothing else happened: no branch but a branch-closed loop's own
-///   closing branch, no loop setup, and no store but the whole rows of
-///   a cell update or the spill-word partial sums of a dot product.
+///   closing branch, and no setup of the watched hardware loop.
 ///
 /// Then iteration `k + 1` is iteration `k` shifted, by induction: rows,
 /// counters, pointers and SPR state advance linearly and the loads of
 /// every later iteration are known. The range set takes them in closed
 /// form while that is exact, and replays the rest. A hardware loop's
 /// count says how many iterations remain; a branch-closed loop's
-/// closing `bltu` gives its trip count from how far its moving operand
-/// still is from its fixed one.
+/// closing branch gives its trip count from how far its moving operand
+/// still is from its fixed one (see [`trip`]).
+///
+/// The walk keeps two watches ([`Watches`]): one of a branch-closed
+/// loop and one of a hardware loop, and every walked op reports to
+/// both. When the hardware loop is nested in the branch-closed one and
+/// its summary applies, the outer watch takes the applied iterations as
+/// one step ([`absorb`]), so a matvec's row loop around its inner
+/// hardware loop summarizes too.
 ///
 /// [`summarize`]: Candidate::summarize
+/// [`trip`]: Candidate::trip
+/// [`absorb`]: Candidate::absorb
+#[derive(Default)]
 struct Candidate {
-    lp: Loop,
+    /// The watched loop; `None` while not watching.
+    lp: Option<Loop>,
     /// The state at the watched iteration's first op.
-    start: WalkState,
+    start: Snapshot,
     regs: [Form; 32],
+    /// The registers the iteration wrote; every other one keeps its
+    /// value and moves as itself.
+    written: u32,
     spr: [Form; 2],
     /// Form of the spill word's content.
     spill: Form,
     /// Forms of `WalkState::pend`, in step with it.
-    pend: Vec<Form>,
+    pend: [Form; 2],
     /// Sources whose values were inspected and so must not move.
     fixed: u64,
-    /// Every load of the iteration: `(address, size, form of address)`.
-    accesses: Vec<(AAddr, u32, Form)>,
-    /// Every store of the iteration: `(form of address, form of value)`;
-    /// `None` when a store ends the watch.
-    stores: Option<Vec<(Form, Form)>>,
+    /// Every load of the iteration.
+    accesses: Vec<Access>,
+    /// Every store of the iteration: `(form of address, form of value)`.
+    stores: Vec<(Form, Form)>,
     /// Every dot-product step: the forms of its chain and of its two
     /// halfword operands.
     macs: Vec<[Form; 3]>,
     /// A branch-closed loop's closing branch: its op and the forms of
     /// its two operand registers.
     closing: Option<(BranchOp, Reg, Reg, Form, Form)>,
+    /// A row watch's forms when the nested hardware-loop watch began.
+    inner: Option<Mark>,
+    /// Nested summaries absorbed so far (the last group's id).
+    groups: u32,
+    /// Iterations the last applied summary applied.
+    applied: u64,
+    /// The last summary's loads, each with how far it moves per
+    /// iteration (scratch).
+    shifts: Vec<(Access, u32)>,
+    /// Per load range, its growth per iteration (scratch).
+    grow: Vec<u32>,
 }
 
 impl Candidate {
-    /// Watches one iteration of loop `lp`. Only a cell update's or a dot
-    /// product's walk may summarize iterations that store.
-    fn new(lp: Loop, st: &WalkState, plan: &Outputs) -> Self {
-        let mut regs: [Form; 32] = std::array::from_fn(|r| Form::Lin(r as u8));
-        regs[0] = Form::Zero;
-        Self {
-            lp,
-            start: st.clone(),
-            regs,
-            spr: [Form::Lin(SRC_SPR as u8), Form::Lin(SRC_SPR as u8 + 1)],
-            spill: Form::Lin(SRC_SPILL as u8),
-            pend: (0..st.pend.len())
-                .map(|j| Form::Lin((SRC_PEND + j) as u8))
-                .collect(),
-            fixed: 0,
-            accesses: Vec::new(),
-            stores: (plan.cell.is_some() || plan.dot.is_some()).then(Vec::new),
-            macs: Vec::new(),
-            closing: None,
-        }
+    /// Watches one iteration of loop `lp`, starting in `st`.
+    fn watch(&mut self, lp: Loop, st: &WalkState) {
+        self.lp = Some(lp);
+        self.start.take(st);
+        self.regs = IDENTITY;
+        self.written = 0;
+        self.spr = [Form::Lin(SRC_SPR as u8), Form::Lin(SRC_SPR as u8 + 1)];
+        self.spill = Form::Lin(SRC_SPILL as u8);
+        self.pend = [Form::Lin(SRC_PEND as u8), Form::Lin(SRC_PEND as u8 + 1)];
+        self.fixed = 0;
+        self.accesses.clear();
+        self.stores.clear();
+        self.macs.clear();
+        self.closing = None;
+        self.inner = None;
+        self.groups = 0;
     }
 
     fn form(&self, r: Reg) -> Form {
@@ -955,6 +1284,7 @@ impl Candidate {
     fn set(&mut self, r: Reg, f: Form) {
         if r.num() != 0 {
             self.regs[r.num() as usize] = f;
+            self.written |= 1 << r.num();
         }
     }
 
@@ -1007,7 +1337,14 @@ impl Candidate {
             self.set(rd, self.spill);
             return;
         }
-        self.accesses.push((addr, load_size(op), f));
+        self.accesses.push(Access {
+            addr,
+            size: load_size(op),
+            form: f,
+            reps: 1,
+            step: 0,
+            group: 0,
+        });
         // A word from a constant address becomes a cell pointer named
         // by that address.
         let v = match f {
@@ -1017,26 +1354,31 @@ impl Candidate {
         self.set(rd, v);
     }
 
-    /// A store of `rs2` to `addr` through base `rs1`; `false` ends the
-    /// watch of a loop that may not store.
-    fn store(&mut self, addr: AAddr, rs1: Reg, post: bool, rs2: Reg, plan: &Outputs) -> bool {
-        if self.stores.is_none() {
-            return false;
-        }
+    /// A store of `rs2` to `addr` through base `rs1`.
+    fn store(&mut self, addr: AAddr, rs1: Reg, post: bool, rs2: Reg, plan: &Outputs) {
         let f = self.base(rs1, post);
         let v = self.form(rs2);
         if plan.spill() == Some(addr) {
             self.spill = v;
         }
-        self.stores.as_mut().unwrap().push((f, v));
-        true
+        self.stores.push((f, v));
     }
 
-    /// A `pl.sdotsp` whose weight word at `addr` is read through `rs1`.
-    fn sdot(&mut self, rd: Reg, rs1: Reg, addr: AAddr) {
+    /// A `pl.sdotsp` whose weight word at `addr` is read through `rs1`,
+    /// queued as pending write `slot`.
+    fn sdot(&mut self, rd: Reg, rs1: Reg, addr: AAddr, slot: usize) {
         let f = self.ptr(self.form(rs1));
-        self.accesses.push((addr, 4, f));
-        self.pend.push(f);
+        self.accesses.push(Access {
+            addr,
+            size: 4,
+            form: f,
+            reps: 1,
+            step: 0,
+            group: 0,
+        });
+        if let Some(p) = self.pend.get_mut(slot) {
+            *p = f;
+        }
         self.set(rd, Form::Fresh);
         self.set(rs1, f);
     }
@@ -1045,7 +1387,7 @@ impl Candidate {
     /// watch, as its outcome in later iterations follows from how its
     /// operands move.
     fn branch(&mut self, at: u32, op: BranchOp, rs1: Reg, rs2: Reg) -> bool {
-        if self.lp != Loop::Branch(at) || self.closing.is_some() {
+        if self.lp != Some(Loop::Branch(at)) || self.closing.is_some() {
             return false;
         }
         self.closing = Some((op, rs1, rs2, self.form(rs1), self.form(rs2)));
@@ -1109,6 +1451,62 @@ impl Candidate {
         self.set(rd, f);
     }
 
+    /// Notes, in a row watch, that a hardware-loop watch nested in it
+    /// begins now, with `npend` SPR writes in flight.
+    fn mark(&mut self, npend: usize) {
+        self.inner = Some(Mark {
+            regs: self.regs,
+            spr: self.spr,
+            spill: self.spill,
+            pend: self.pend,
+            npend,
+            accesses: self.accesses.len(),
+        });
+    }
+
+    /// Takes the summary `inner` just applied to the hardware loop nested
+    /// in this row watch as the walk would have reported its iterations
+    /// op by op; `false` ends the watch. A matvec's inner loop qualifies
+    /// when its watched iteration stored nothing and left every form of
+    /// this watch as it found it: then each applied iteration does the
+    /// same, so the forms hold after all of them, and the iteration's
+    /// loads repeat as one group, `inner.applied` times, each load
+    /// stepping as the inner summary stepped it. The loop's count must
+    /// not move with the row loop either; [`Watches::setup`] pinned it.
+    fn absorb(&mut self, inner: &Candidate, plan: &Outputs, npend: usize) -> bool {
+        let Some(mark) = self.inner.take() else {
+            return false;
+        };
+        let new = mark.accesses..self.accesses.len();
+        let Ok(reps) = u32::try_from(inner.applied) else {
+            return false;
+        };
+        if plan.cell.is_some()
+            || plan.dot.is_some()
+            || !inner.stores.is_empty()
+            || mark.regs != self.regs
+            || mark.spr != self.spr
+            || mark.spill != self.spill
+            || mark.npend != npend
+            || mark.pend[..npend] != self.pend[..npend]
+            || new.len() != inner.shifts.len()
+        {
+            return false;
+        }
+        self.groups += 1;
+        for (k, &(_, step)) in new.zip(&inner.shifts) {
+            let a = self.accesses[k];
+            self.accesses.push(Access {
+                addr: a.addr.plus(step),
+                reps,
+                step,
+                group: self.groups,
+                ..a
+            });
+        }
+        true
+    }
+
     /// At the loop's next jump-back (`st` is the state at the start of
     /// the following iteration): if the watched iteration proves to be a
     /// constant shift, advances `st` past every remaining iteration but,
@@ -1116,30 +1514,35 @@ impl Candidate {
     /// back at 1 so the walk can take its exit. [`Summary::Skip`] leaves
     /// `st` untouched.
     ///
-    /// A cell update's iteration may store: it then writes whole rows,
-    /// and every store and load must advance by exactly those rows, so
+    /// An iteration that stores writes the next rows of the region's
+    /// output streams, and every store must advance by exactly the rows
+    /// it wrote. A cell update's loads advance with its rows too, so
     /// iteration `k + 1` checks the row formulas one row further on. A
-    /// dot product's iteration may store its partial sums: the spill
-    /// word stays put and each stored chain must grow by one term per
-    /// store, so iteration `k + 1` stores the next partial sums. The
-    /// stored values of applied iterations are never exit-live, so the
-    /// loop's last iteration is left to the walk (`walk_last`), which
-    /// records its stores and dataflow as usual.
-    fn summarize(&self, st: &mut WalkState, plan: &Outputs) -> Summary {
+    /// matvec's stored value must be data computed in the iteration,
+    /// which is a requantized halfword again in every later iteration.
+    /// A dot product's stores are its partial sums into the one spill
+    /// word, each chain one term longer per store. The stored values of
+    /// applied iterations are never exit-live, so the loop's last
+    /// iteration is left to the walk (`walk_last`), which records its
+    /// stores and dataflow as usual.
+    fn summarize(&mut self, st: &mut WalkState, plan: &Outputs) -> Summary {
+        let Some(lp) = self.lp else {
+            return Summary::Skip;
+        };
         let s0 = &self.start;
         let stored = st.next_out - s0.next_out;
-        if (stored > 0 && self.stores.is_none())
-            || (plan.cell.is_some() && !stored.is_multiple_of(2))
+        let streams = plan.streams.len() as u32;
+        if !stored.is_multiple_of(streams)
             || s0.prev_load != st.prev_load
-            || s0.nowrap != st.nowrap
+            || s0.nowrap_changes != st.nowrap_changes
             || s0.profile.retire_rows.len() != st.profile.retire_rows.len()
             || s0.profile.stall_rows.len() != st.profile.stall_rows.len()
-            || s0.pend.len() != st.pend.len()
+            || s0.pend.len != st.pend.len
         {
             return Summary::Skip;
         }
         // Iterations left after the watched one, for a hardware loop.
-        let hw_left = match self.lp {
+        let hw_left = match lp {
             Loop::Hw(lv) => {
                 let (Some((a0, e0, n0)), Some((a1, e1, n1))) = (s0.hwl[lv], st.hwl[lv]) else {
                     return Summary::Skip;
@@ -1154,15 +1557,26 @@ impl Candidate {
         };
         let iter = st.instret - s0.instret;
 
-        // Per-source deltas over the watched iteration.
+        // Per-source deltas over the watched iteration. A register the
+        // iteration did not write kept its value.
         let mut d = [Delta::Same; SRC_SPILL + 1];
-        for (dr, (&a, &b)) in d.iter_mut().zip(s0.regs.iter().zip(&st.regs)).skip(1) {
-            let Some(v) = delta(a, b) else {
-                return Summary::Skip;
+        for (r, dr) in d.iter_mut().enumerate().take(32).skip(1) {
+            *dr = if self.written & (1 << r) == 0 {
+                still(&st.regs[r])
+            } else {
+                match delta(&s0.regs[r], &st.regs[r]) {
+                    Some(v) => v,
+                    None => return Summary::Skip,
+                }
             };
-            *dr = v;
         }
-        for (j, (p, q)) in s0.pend.iter().zip(&st.pend).enumerate() {
+        for (j, (p, q)) in s0
+            .pend
+            .as_slice()
+            .iter()
+            .zip(st.pend.as_slice())
+            .enumerate()
+        {
             if s0.instret - p.0 != st.instret - q.0 || p.1 != q.1 || p.2.cell != q.2.cell {
                 return Summary::Skip;
             }
@@ -1175,7 +1589,7 @@ impl Candidate {
                 _ => return Summary::Skip,
             };
         }
-        d[SRC_SPILL] = match (s0.spill, st.spill) {
+        d[SRC_SPILL] = match (&s0.spill, &st.spill) {
             (None, None) => Delta::Same,
             (Some(a), Some(b)) => match delta(a, b) {
                 Some(v) => v,
@@ -1184,11 +1598,25 @@ impl Candidate {
             _ => return Summary::Skip,
         };
 
-        // The forms must predict the same deltas for the next iteration.
-        let ends = (1..32)
+        // The forms must predict the same deltas for the next iteration
+        // (an unwritten register moves as itself).
+        let predicts = |x: usize, f: Form| match f {
+            Form::Lin(s) => {
+                let s = usize::from(s);
+                d[x] == d[s] && (x == s || d[s] != Delta::Same)
+            }
+            Form::Cell(s) => match d[usize::from(s)] {
+                Delta::Num(0) => d[x] == Delta::Num(0),
+                Delta::Num(v) => d[x] == Delta::Cell(v),
+                _ => false,
+            },
+            Form::Zero => d[x] == Delta::Num(0),
+            Form::Fresh => d[x] == Delta::Same,
+        };
+        let ends = used(self.written)
             .map(|r| (r, self.regs[r]))
             .chain(
-                self.pend
+                self.pend[..st.pend.len]
                     .iter()
                     .enumerate()
                     .map(|(j, &f)| (SRC_PEND + j, f)),
@@ -1196,25 +1624,16 @@ impl Candidate {
             .chain(self.spr.iter().enumerate().map(|(k, &f)| (SRC_SPR + k, f)))
             .chain([(SRC_SPILL, self.spill)]);
         for (x, f) in ends {
-            let ok = match f {
-                Form::Lin(s) => {
-                    let s = usize::from(s);
-                    d[x] == d[s] && (x == s || d[s] != Delta::Same)
-                }
-                Form::Cell(s) => match d[usize::from(s)] {
-                    Delta::Num(0) => d[x] == Delta::Num(0),
-                    Delta::Num(v) => d[x] == Delta::Cell(v),
-                    _ => false,
-                },
-                Form::Zero => d[x] == Delta::Num(0),
-                Form::Fresh => d[x] == Delta::Same,
-            };
-            if !ok {
+            if !predicts(x, f) {
                 return Summary::Skip;
             }
         }
-        if (0..d.len()).any(|s| self.fixed & (1 << s) != 0 && d[s] != Delta::Num(0)) {
-            return Summary::Skip;
+        let mut fixed = self.fixed;
+        while fixed != 0 {
+            if d[fixed.trailing_zeros() as usize] != Delta::Num(0) {
+                return Summary::Skip;
+            }
+            fixed &= fixed - 1;
         }
 
         // Where each value of the watched iteration moves per iteration.
@@ -1237,25 +1656,29 @@ impl Candidate {
                 return Summary::Skip;
             }
         }
-        let mut shifts = Vec::with_capacity(self.accesses.len());
-        for &(addr, size, f) in &self.accesses {
-            let Some(shift) = shift_of(f) else {
+        let shifts = &mut self.shifts;
+        shifts.clear();
+        for a in &self.accesses {
+            let Some(shift) = shift_of(a.form) else {
                 return Summary::Skip;
             };
             if plan.cell.is_some() && stored > 0 && shift != stored {
                 return Summary::Skip;
             }
             // In-place reads of `c` are covered by its store span.
-            if !plan.in_place(addr, size) {
-                shifts.push((addr, size, shift));
+            if !plan.in_place(a.addr, a.size) {
+                shifts.push((*a, shift));
             }
         }
-        for &(at, value) in self.stores.iter().flatten() {
-            let ok = if plan.dot.is_some() {
-                shift_of(at) == Some(0) && shift_of(value) == Some(stored)
-            } else {
-                shift_of(at) == Some(stored)
-            };
+        // The rows stored per iteration, in bytes of each stream.
+        let rows = (stored / streams).wrapping_mul(plan.streams[0].1);
+        for &(at, value) in &self.stores {
+            let ok = shift_of(at) == Some(rows)
+                && if plan.dot.is_some() {
+                    shift_of(value) == Some(stored)
+                } else {
+                    plan.cell.is_some() || value == Form::Fresh
+                };
             if !ok {
                 return Summary::Skip;
             }
@@ -1284,18 +1707,15 @@ impl Candidate {
         else {
             return Summary::Reject;
         };
-        let (safe, grow) = closed_form(&s0.loads, &st.loads, &shifts, m).unwrap_or((0, Vec::new()));
+        let safe = closed_form(s0, &st.loads, &self.shifts, m, &mut self.grow).unwrap_or(0);
         if safe > 0 {
-            for (r, &g) in st.loads.ranges.iter_mut().zip(&grow) {
+            for (r, &g) in st.loads.ranges.iter_mut().zip(&self.grow) {
                 r.hi = r.hi.wrapping_add((safe as u32).wrapping_mul(g));
             }
         }
         for q in safe + 1..=m {
-            for &(addr, size, shift) in &shifts {
-                let off = addr.off.wrapping_add((q as u32).wrapping_mul(shift));
-                if !st.loads.add(addr.cell, off, size) {
-                    return Summary::Reject;
-                }
+            if !replay(&mut st.loads, &self.shifts, q as u32) {
+                return Summary::Reject;
             }
         }
 
@@ -1306,10 +1726,10 @@ impl Candidate {
             Delta::Num(v) => m32.wrapping_mul(v),
             _ => 0,
         };
-        for (v, &dr) in st.regs.iter_mut().zip(&d) {
-            *v = shifted(*v, dr, m32);
+        for r in used(self.written) {
+            st.regs[r] = shifted(st.regs[r], d[r], m32);
         }
-        for (j, p) in st.pend.iter_mut().enumerate() {
+        for (j, p) in st.pend.as_mut_slice().iter_mut().enumerate() {
             p.0 += m * iter;
             p.2.off = p.2.off.wrapping_add(by(SRC_PEND + j));
         }
@@ -1322,11 +1742,12 @@ impl Candidate {
         st.profile.repeat_since(&s0.profile, m);
         st.instret += m * iter;
         st.next_out = next_out;
-        if let Loop::Hw(lv) = self.lp {
+        if let Loop::Hw(lv) = lp {
             if let Some(h) = &mut st.hwl[lv] {
                 h.2 = 1;
             }
         }
+        self.applied = m;
         Summary::Applied {
             ops: m * iter,
             walk_last,
@@ -1335,9 +1756,11 @@ impl Candidate {
 
     /// How many iterations a branch-closed loop has left, the last one
     /// included, when its closing branch was just taken with the operands
-    /// now in `st`: a `bltu` whose first operand climbs by a constant
-    /// towards a fixed second one, both constants or offsets from one
-    /// cell, with no wrap on the way.
+    /// now in `st`; both constants or offsets from one cell, the second
+    /// fixed, the first moving by a constant step. Either a `bltu` whose
+    /// first operand climbs towards the second with no wrap on the way,
+    /// or a `bne` countdown (`bnez r` over a counter decremented by `-d`)
+    /// whose first operand falls onto the second exactly.
     fn trip(&self, st: &WalkState, shift_of: impl Fn(Form) -> Option<u32>) -> Option<u64> {
         let (op, r1, r2, f1, f2) = self.closing?;
         let (a, b) = match (av(&st.regs, r1), av(&st.regs, r2)) {
@@ -1345,56 +1768,146 @@ impl Candidate {
             (Av::CellVal { cell: c, off: a }, Av::CellVal { cell: e, off: b }) if c == e => (a, b),
             _ => return None,
         };
-        let step = u64::from(shift_of(f1)?);
-        if op != BranchOp::Bltu || shift_of(f2)? != 0 || step == 0 || step >= 1 << 31 || a >= b {
+        let step = shift_of(f1)?;
+        if shift_of(f2)? != 0 {
             return None;
         }
-        let left = (u64::from(b - a)).div_ceil(step);
-        (u64::from(a) + left * step <= u64::from(u32::MAX)).then_some(left)
+        match op {
+            BranchOp::Bltu => {
+                let step = u64::from(step);
+                if step == 0 || step >= 1 << 31 || a >= b {
+                    return None;
+                }
+                let left = (u64::from(b - a)).div_ceil(step);
+                (u64::from(a) + left * step <= u64::from(u32::MAX)).then_some(left)
+            }
+            BranchOp::Bne => {
+                let down = step.wrapping_neg();
+                let dist = a.wrapping_sub(b);
+                if down == 0 || down >= 1 << 31 || !dist.is_multiple_of(down) {
+                    return None;
+                }
+                Some(u64::from(dist / down))
+            }
+            _ => None,
+        }
+    }
+
+    /// At a jump-back of loop `lp` (`st` is the state at the start of its
+    /// next iteration): if this watch watched the iteration just closed,
+    /// tries its summary and counts the iterations it applied into `ops`.
+    /// The watch ends either way. `None` rejects the region.
+    fn jump_back(
+        &mut self,
+        lp: Loop,
+        st: &mut WalkState,
+        plan: &Outputs,
+        ops: &mut u64,
+        cost: &mut VerifyCost,
+    ) -> Option<Summary> {
+        if self.lp != Some(lp) {
+            self.lp = None;
+            return Some(Summary::Skip);
+        }
+        let summary = self.summarize(st, plan);
+        self.lp = None;
+        match summary {
+            Summary::Reject => return None,
+            Summary::Applied { ops: n, .. } => {
+                *ops += n;
+                cost.summaries += 1;
+            }
+            Summary::Skip => {}
+        }
+        (*ops <= WALK_OP_CAP).then_some(summary)
+    }
+}
+
+/// The walk's two loop watches: `row` watches a branch-closed loop and
+/// `hw` a hardware loop, possibly nested in it. Every walked op reports
+/// to both. Each keeps its buffers from watch to watch, so watching
+/// allocates nothing once they have grown.
+#[derive(Default)]
+struct Watches {
+    row: Candidate,
+    hw: Candidate,
+}
+
+impl Watches {
+    /// Reports an op to each live watch; one whose hook returns `false`
+    /// ends.
+    fn each(&mut self, mut hook: impl FnMut(&mut Candidate) -> bool) {
+        for c in [&mut self.row, &mut self.hw] {
+            if c.lp.is_some() && !hook(c) {
+                c.lp = None;
+            }
+        }
+    }
+
+    /// A hardware-loop setup, its count in register `count` (`None` for
+    /// an immediate). It ends the hardware-loop watch. A row watch goes
+    /// on, but the nested loop's count must not move with the rows, so
+    /// the register is pinned.
+    fn setup(&mut self, count: Option<Reg>) {
+        self.hw.lp = None;
+        if let (Some(_), Some(r)) = (self.row.lp, count) {
+            match self.row.form(r) {
+                Form::Fresh => self.row.lp = None,
+                f => self.row.fix(f),
+            }
+        }
     }
 }
 
 /// How many of `m` further iterations the range set can take in closed
-/// form, and each range's growth per iteration. `before` and `after`
-/// bracket the watched iteration; `shifts` are its loads as
-/// `(address, size, advance per iteration)`.
+/// form, with each range's growth per iteration left in `grow`. `s0`
+/// and `after` bracket the watched iteration; `shifts` are its loads.
 ///
 /// Exact while every range grows at its top by a constant, every load
 /// into a growing range advances by exactly that growth, every load into
 /// a still range stays inside it, every load keeps its alignment residue,
-/// and no two ranges meet. `None` when the watched iteration created or
-/// merged a range, or a load breaks the pattern.
+/// and no two ranges meet. A nested summary's repeated load counts as
+/// the stretch its repetitions cover. `None` when the watched iteration
+/// created or merged a range, or a load breaks the pattern.
 fn closed_form(
-    before: &RangeSet,
+    s0: &Snapshot,
     after: &RangeSet,
-    shifts: &[(AAddr, u32, u32)],
+    shifts: &[(Access, u32)],
     m: u64,
-) -> Option<(u64, Vec<u32>)> {
-    if before.events != after.events {
+    grow: &mut Vec<u32>,
+) -> Option<u64> {
+    // With no range created or merged, each range kept its place.
+    if s0.load_events != after.events {
         return None;
     }
     let ranges = &after.ranges;
-    let mut grow = Vec::with_capacity(ranges.len());
-    for (r0, r1) in before.ranges.iter().zip(ranges) {
-        if r0.cell != r1.cell || r0.lo != r1.lo || r1.hi < r0.hi {
+    grow.clear();
+    for (&(lo, hi), r) in s0.ranges.iter().zip(ranges) {
+        if lo != r.lo || r.hi < hi {
             return None;
         }
-        grow.push(r1.hi - r0.hi);
+        grow.push(r.hi - hi);
     }
     let mut safe = m;
-    for &(addr, size, shift) in shifts {
-        let end = u64::from(addr.off) + u64::from(size);
-        let k = ranges
-            .iter()
-            .position(|r| r.cell == addr.cell && r.lo <= addr.off && end <= u64::from(r.hi))?;
-        if shift % size != 0 || (grow[k] > 0 && shift != grow[k]) {
+    for &(a, shift) in shifts {
+        if a.step >= 1 << 31 || a.step % a.size != 0 {
+            return None;
+        }
+        let end =
+            u64::from(a.addr.off) + u64::from(a.reps - 1) * u64::from(a.step) + u64::from(a.size);
+        let key = cell_key(a.addr.cell);
+        let k = (0..ranges.len()).position(|k| {
+            let r = &ranges[k];
+            after.keys[k] == key && r.lo <= a.addr.off && end <= u64::from(r.hi)
+        })?;
+        if shift % a.size != 0 || (grow[k] > 0 && shift != grow[k]) {
             return None;
         }
         if grow[k] == 0 && shift > 0 {
             safe = safe.min((u64::from(ranges[k].hi) - end) / u64::from(shift));
         }
     }
-    for (a, &g) in ranges.iter().zip(&grow).filter(|(_, &g)| g > 0) {
+    for (a, &g) in ranges.iter().zip(grow.iter()).filter(|(_, &g)| g > 0) {
         // Ranges of one cell never touch, so `b` above `a` means
         // `a.hi < b.lo`; `a` may grow until one byte short of `b` (or of
         // the address space).
@@ -1405,34 +1918,37 @@ fn closed_form(
             .fold(u32::MAX - a.hi, u32::min);
         safe = safe.min(u64::from(room / g));
     }
-    Some((safe, grow))
+    Some(safe)
 }
 
-/// At a jump-back of loop `lp` (`st` is the state at the start of its
-/// next iteration): if `cand` watched the iteration just closed, tries
-/// its summary and counts the iterations it applied into `ops`. Any
-/// watch of another loop ends. `None` rejects the region.
-fn jump_back_summary(
-    cand: &mut Option<Candidate>,
-    lp: Loop,
-    st: &mut WalkState,
-    plan: &Outputs,
-    ops: &mut u64,
-    stats: &mut WalkStats,
-) -> Option<Summary> {
-    let Some(c) = cand.take().filter(|c| c.lp == lp) else {
-        return Some(Summary::Skip);
-    };
-    let summary = c.summarize(st, plan);
-    match summary {
-        Summary::Reject => return None,
-        Summary::Applied { ops: n, .. } => {
-            *ops += n;
-            stats.summarized = true;
+/// Adds the loads of the `q`-th iteration after the watched one to
+/// `loads`, in the order the walk would make them; `false` rejects the
+/// region.
+fn replay(loads: &mut RangeSet, shifts: &[(Access, u32)], q: u32) -> bool {
+    let mut k = 0;
+    while k < shifts.len() {
+        let g = shifts[k].0.group;
+        let n = if g == 0 {
+            1
+        } else {
+            shifts[k..].iter().take_while(|(a, _)| a.group == g).count()
+        };
+        let turn = &shifts[k..k + n];
+        for j in 0..turn[0].0.reps {
+            for &(a, shift) in turn {
+                let off = a
+                    .addr
+                    .off
+                    .wrapping_add(q.wrapping_mul(shift))
+                    .wrapping_add(j.wrapping_mul(a.step));
+                if !loads.add(a.addr.cell, off, a.size) {
+                    return false;
+                }
+            }
         }
-        Summary::Skip => {}
+        k += n;
     }
-    (*ops <= WALK_OP_CAP).then_some(summary)
+    true
 }
 
 /// The walk proper. With `summarize`, loop iterations whose effect is a
@@ -1443,7 +1959,7 @@ fn walk(
     program: &Program,
     desc: &KernelRegion,
     summarize: bool,
-    stats: &mut WalkStats,
+    cost: &mut VerifyCost,
 ) -> Option<ShortcutRegion> {
     let plan = Outputs::new(desc)?;
     let start_idx = program.index_of(desc.start_addr)?;
@@ -1457,48 +1973,53 @@ fn walk(
         regs: entry_regs(&desc.math)?,
         hwl: [None, None],
         spr: [None, None],
-        pend: Vec::new(),
+        pend: Pend::default(),
         loads: RangeSet::default(),
         profile: Profile::default(),
+        retire_row: [0; MnemonicId::COUNT],
+        stall_row: [0; MnemonicId::COUNT],
         prev_load: None,
         instret: 0,
         next_out: 0,
         spill: None,
         nowrap: Vec::new(),
+        nowrap_changes: 0,
     };
-    let mut out_map: HashMap<u32, u32> = HashMap::new();
+    let mut out_map = Stored::default();
     let mut vals = Values {
         count: 0,
         nodes: plan.cell.map(|_| Vec::new()),
+        chains: Vec::new(),
     };
-    let mut cand: Option<Candidate> = None;
+    let mut watches = Watches::default();
 
     let mut i = start_idx;
     let mut ops = 0u64;
     while i != end_idx {
         let u = &uops[i];
         ops += 1;
-        stats.walked += 1;
+        cost.walked += 1;
         if ops > WALK_OP_CAP {
             return None;
         }
         // SPR writes issued two or more retirements ago land now — the
         // same drain point as the per-op path.
-        while let Some(&(iss, slot, addr)) = st.pend.first() {
-            if iss + 2 <= st.instret {
-                st.spr[slot] = Some(addr);
-                st.pend.remove(0);
-                if let Some(c) = &mut cand {
-                    c.spr[slot] = c.pend.remove(0);
-                }
-            } else {
+        while let Some(&(iss, slot, addr)) = st.pend.as_slice().first() {
+            if iss + 2 > st.instret {
                 break;
             }
+            st.spr[slot] = Some(addr);
+            st.pend.pop_front();
+            watches.each(|c| {
+                c.spr[slot] = c.pend[0];
+                c.pend[0] = c.pend[1];
+                true
+            });
         }
         // Load-use stall, charged to the producing load.
         if let Some((r, id)) = st.prev_load.take() {
             if u.uses_mask & (1u32 << r) != 0 {
-                st.profile.stall(id);
+                st.stall(id);
             }
         }
 
@@ -1511,12 +2032,7 @@ fn walk(
                 rs2,
                 target,
             } => {
-                if cand
-                    .as_mut()
-                    .is_some_and(|c| !c.branch(u.addr, op, rs1, rs2))
-                {
-                    cand = None;
-                }
+                watches.each(|c| c.branch(u.addr, op, rs1, rs2));
                 let (a, b) = match (get(&st.regs, rs1)?, get(&st.regs, rs2)?) {
                     (Av::Const(a), Av::Const(b)) => (a, b),
                     // Two offsets from one cell compare as the offsets:
@@ -1527,9 +2043,7 @@ fn walk(
                     {
                         match op {
                             BranchOp::Beq | BranchOp::Bne => {}
-                            BranchOp::Bltu | BranchOp::Bgeu => {
-                                note_nowrap(&mut st.nowrap, c, a.max(b))
-                            }
+                            BranchOp::Bltu | BranchOp::Bgeu => st.note_nowrap(c, a.max(b)),
                             _ => return None,
                         }
                         (a, b)
@@ -1559,10 +2073,11 @@ fn walk(
                 let post = matches!(u.kind, UopKind::LoadPostInc { .. });
                 let base = get(&st.regs, rs1)?;
                 let addr = aaddr(base, if post { 0 } else { offset })?;
-                if let Some(c) = &mut cand {
+                watches.each(|c| {
                     let f = c.base(rs1, post);
                     c.load(op, rd, addr, f, &plan);
-                }
+                    true
+                });
                 let v = plan.load(&mut st, op, addr)?;
                 if post {
                     set(&mut st.regs, rs1, bump(base, offset)?);
@@ -1574,10 +2089,11 @@ fn walk(
                     (base, Av::Const(c)) | (Av::Const(c), base) => aaddr(base, c)?,
                     _ => return None,
                 };
-                if let Some(c) = &mut cand {
+                watches.each(|c| {
                     let f = c.add(c.form(rs1), c.form(rs2));
                     c.load(op, rd, addr, f, &plan);
-                }
+                    true
+                });
                 let v = plan.load(&mut st, op, addr)?;
                 set(&mut st.regs, rd, v);
             }
@@ -1596,12 +2112,10 @@ fn walk(
                 let post = matches!(u.kind, UopKind::StorePostInc { .. });
                 let base = get(&st.regs, rs1)?;
                 let addr = aaddr(base, if post { 0 } else { offset })?;
-                if cand
-                    .as_mut()
-                    .is_some_and(|c| !c.store(addr, rs1, post, rs2, &plan))
-                {
-                    cand = None;
-                }
+                watches.each(|c| {
+                    c.store(addr, rs1, post, rs2, &plan);
+                    true
+                });
                 plan.store(op, addr, get(&st.regs, rs2)?, &vals, &mut st, &mut out_map)?;
                 if post {
                     set(&mut st.regs, rs1, bump(base, offset)?);
@@ -1627,23 +2141,21 @@ fn walk(
                 }
                 let base = get(&st.regs, rs1)?;
                 let addr = aaddr(base, 0)?;
-                if let Some(c) = &mut cand {
-                    c.sdot(rd, rs1, addr);
-                }
+                let slot = st.pend.len;
+                watches.each(|c| {
+                    c.sdot(rd, rs1, addr, slot);
+                    true
+                });
                 plan.load(&mut st, LoadOp::Lw, addr)?;
-                st.pend.push((st.instret, sl, addr));
-                if st.pend.len() > 2 {
-                    return None;
-                }
+                st.pend.push((st.instret, sl, addr))?;
                 if rd != Reg::ZERO {
                     let v = vals.fresh(false, None);
                     set(&mut st.regs, rd, v);
                 }
                 set(&mut st.regs, rs1, bump(base, 4)?);
             }
-            // Loop setup ends a watch.
             UopKind::LpSetup { l, rs1, start, end } => {
-                cand = None;
+                watches.setup(Some(rs1));
                 let Av::Const(count) = get(&st.regs, rs1)? else {
                     return None;
                 };
@@ -1658,7 +2170,7 @@ fn walk(
                 start,
                 end,
             } => {
-                cand = None;
+                watches.setup(None);
                 if count > 0 && start >= end {
                     return None;
                 }
@@ -1689,15 +2201,15 @@ fn walk(
                 } else {
                     symbolic(kind, &st.regs, &mut vals)
                 };
-                if let Some(c) = &mut cand {
+                watches.each(|c| {
                     c.pure(u, rd, v, &st.regs);
-                }
+                    true
+                });
                 set(&mut st.regs, rd, v);
             }
         }
 
-        st.profile
-            .record(u.id, u64::from(u.base_cycles) + extra, u64::from(u.mac_ops));
+        st.retire(u.id, u64::from(u.base_cycles) + extra, u64::from(u.mac_ops));
         st.instret += 1;
         st.prev_load = (u.load_rd != 0).then_some((u.load_rd, u.id));
 
@@ -1712,10 +2224,9 @@ fn walk(
                     // the walk takes, so its branch falls through);
                     // otherwise watch the next one.
                     let lp = Loop::Branch(u.addr);
-                    let summary =
-                        jump_back_summary(&mut cand, lp, &mut st, &plan, &mut ops, stats)?;
+                    let summary = watches.row.jump_back(lp, &mut st, &plan, &mut ops, cost)?;
                     if !matches!(summary, Summary::Applied { .. }) {
-                        cand = Some(Candidate::new(lp, &st, &plan));
+                        watches.row.watch(lp, &st);
                     }
                 }
                 i = t;
@@ -1745,21 +2256,30 @@ fn walk(
                 if summarize {
                     // One iteration of `level` has been watched from its
                     // start: if it shifted the state by constants, apply
-                    // the rest of the loop and take its exit instead.
+                    // the rest of the loop and take its exit instead. A
+                    // row watch around the loop takes the applied
+                    // iterations as one step, or ends.
                     let lp = Loop::Hw(level);
-                    if let Summary::Applied {
-                        walk_last: false, ..
-                    } = jump_back_summary(&mut cand, lp, &mut st, &plan, &mut ops, stats)?
-                    {
-                        let Some(next) = jump_back(&mut st.hwl) else {
-                            i += 1;
-                            continue;
-                        };
-                        (level, na) = next;
+                    let summary = watches.hw.jump_back(lp, &mut st, &plan, &mut ops, cost)?;
+                    if let Summary::Applied { walk_last, .. } = summary {
+                        let w = &mut watches;
+                        if w.row.lp.is_some() && !w.row.absorb(&w.hw, &plan, st.pend.len) {
+                            w.row.lp = None;
+                        }
+                        if !walk_last {
+                            let Some(next) = jump_back(&mut st.hwl) else {
+                                i += 1;
+                                continue;
+                            };
+                            (level, na) = next;
+                        }
                     }
                     // Watch the next iteration if enough remain to pay off.
                     if st.hwl[level].is_some_and(|h| h.2 >= 3) {
-                        cand = Some(Candidate::new(Loop::Hw(level), &st, &plan));
+                        watches.hw.watch(Loop::Hw(level), &st);
+                        if watches.row.lp.is_some() {
+                            watches.row.mark(st.pend.len);
+                        }
                     }
                 }
                 let t = program.index_of(na)?;
@@ -1793,7 +2313,7 @@ fn walk(
         profile: st.profile,
         exit_regs,
         exit_spr: st.spr,
-        exit_pending: st.pend,
+        exit_pending: st.pend.as_slice().to_vec(),
         exit_hwloop,
         exit_pending_load: st.prev_load,
         exit_nodes,
@@ -1827,14 +2347,6 @@ fn entry_regs(math: &RegionMath) -> Option<[Av; 32]> {
     Some(regs)
 }
 
-/// Raises the recorded no-wrap offset of `cell` to at least `off`.
-fn note_nowrap(nowrap: &mut Vec<(Cell, u32)>, cell: Cell, off: u32) {
-    match nowrap.iter_mut().find(|(c, _)| *c == cell) {
-        Some((_, o)) => *o = (*o).max(off),
-        None => nowrap.push((cell, off)),
-    }
-}
-
 /// How an exit-live abstract value is rebuilt at commit: a stored value
 /// by its store index, computed data through its dataflow tree (only a
 /// cell update's walk records one), a dot product's complete sum (`dot`)
@@ -1842,7 +2354,7 @@ fn note_nowrap(nowrap: &mut Vec<(Cell, u32)>, cell: Cell, off: u32) {
 fn exit_val(
     v: Av,
     dot: Option<DotVal>,
-    out_map: &HashMap<u32, u32>,
+    out_map: &Stored,
     vals: &Values,
     exit_nodes: &mut Vec<Node<ExitVal>>,
 ) -> Option<ExitVal> {
@@ -1855,11 +2367,11 @@ fn exit_val(
         }),
         Av::Load { op, addr } => ExitVal::Load { op, addr },
         Av::Dot(d) => {
-            dot.filter(|f| d.sums(f))?;
+            dot.filter(|f| vals.dot(d).sums(f))?;
             ExitVal::Out(0)
         }
-        Av::Data { id, .. } => match out_map.get(&id) {
-            Some(&k) => ExitVal::Out(k),
+        Av::Data { id, .. } => match out_map.get(id) {
+            Some(k) => ExitVal::Out(k),
             None => {
                 let node = vals
                     .node(v)?
@@ -1871,6 +2383,27 @@ fn exit_val(
     })
 }
 
+/// Which store wrote each symbolic value: per value id, one more than
+/// its store index (0: not stored).
+#[derive(Default)]
+struct Stored(Vec<u32>);
+
+impl Stored {
+    fn get(&self, id: u32) -> Option<u32> {
+        self.0.get(id as usize)?.checked_sub(1)
+    }
+
+    /// Records that store `k` wrote value `id`; `false` if a store
+    /// already had.
+    fn insert(&mut self, id: u32, k: u32) -> bool {
+        let i = id as usize;
+        if self.0.len() <= i {
+            self.0.resize(i + 1, 0);
+        }
+        std::mem::replace(&mut self.0[i], k + 1) == 0
+    }
+}
+
 /// The symbolic data values of one walk. A cell update's walk records the
 /// micro-op behind each value, so its stores' dataflow can be proven and
 /// its exit intermediates rebuilt; a matvec walk keeps every value opaque.
@@ -1879,9 +2412,29 @@ struct Values {
     /// Per value id, the producing op (`None` = not modelled); `None`
     /// altogether when not recording.
     nodes: Option<Vec<Option<Node<Av>>>>,
+    /// The seed and streams of each dot-product [`Chain`], once each.
+    chains: Vec<[AAddr; 3]>,
 }
 
 impl Values {
+    /// The id of the chain over `seed`, `a` and `b`.
+    fn intern(&mut self, streams: [AAddr; 3]) -> u32 {
+        let id = match self.chains.iter().position(|&c| c == streams) {
+            Some(id) => id,
+            None => {
+                self.chains.push(streams);
+                self.chains.len() - 1
+            }
+        };
+        id as u32
+    }
+
+    /// The dot product a chain value stands for.
+    fn dot(&self, c: Chain) -> DotVal {
+        let [seed, a, b] = self.chains[c.id as usize];
+        DotVal { seed, a, b, n: c.n }
+    }
+
     fn fresh(&mut self, hw: bool, node: Option<Node<Av>>) -> Av {
         let id = self.count;
         self.count += 1;
@@ -2090,7 +2643,7 @@ impl Outputs {
         value: Av,
         vals: &Values,
         st: &mut WalkState,
-        out_map: &mut HashMap<u32, u32>,
+        out_map: &mut Stored,
     ) -> Option<()> {
         let k = st.next_out;
         if k >= self.count || addr != self.addr(k) {
@@ -2103,7 +2656,7 @@ impl Outputs {
                         op: LoadOp::Lw,
                         addr,
                     } => k == 0 && addr == fin.seed,
-                    Av::Dot(d) => d.sums(&DotVal { n: k, ..fin }),
+                    Av::Dot(d) => vals.dot(d).sums(&DotVal { n: k, ..fin }),
                     _ => false,
                 };
             if !ok {
@@ -2135,14 +2688,14 @@ impl Outputs {
                     // tanh of exactly the value stored as this row's c.
                     let tanh_c = |t| {
                         matches!(vals.node(t), Some(Node::Unary(UnaryOp::Tanh, Av::Data { id, .. }))
-                            if out_map.get(&id) == Some(&(k - 1)))
+                            if out_map.get(id) == Some(k - 1))
                     };
                     vals.clip16(value)
                         .is_some_and(|s| vals.is_q12(s, row_load(o, row), tanh_c))
                 }
             }
         };
-        if !ok || out_map.insert(id, k).is_some() {
+        if !ok || !out_map.insert(id, k) {
             return None;
         }
         st.next_out += 1;

@@ -464,7 +464,7 @@ pub struct UopProgram {
     pub(crate) uops: Vec<Uop>,
     pub(crate) blocks: Vec<Block>,
     pub(crate) shortcuts: Vec<crate::shortcut::ShortcutRegion>,
-    verify_ops: u64,
+    verify: crate::shortcut::VerifyBreakdown,
     verify_nanos: u64,
 }
 
@@ -526,10 +526,13 @@ impl UopProgram {
         // marked on its first op — before run recognition, so region
         // starts can act as run barriers below.
         let mut shortcuts: Vec<crate::shortcut::ShortcutRegion> = Vec::new();
-        let mut verify_ops = 0u64;
+        let mut verify = crate::shortcut::VerifyBreakdown::default();
         let verify_started = std::time::Instant::now();
         for r in regions {
-            if let Some(sc) = crate::shortcut::install(&uops, program, r, &mut verify_ops) {
+            let mut cost = crate::shortcut::VerifyCost::default();
+            let installed = crate::shortcut::install(&uops, program, r, &mut cost);
+            verify.add(r.math.kind(), installed.is_some(), cost);
+            if let Some(sc) = installed {
                 // install() proved start_addr maps to an op.
                 let start = program.index_of(r.start_addr).unwrap();
                 if uops[start].shortcut == NO_SC {
@@ -602,7 +605,7 @@ impl UopProgram {
             uops,
             blocks,
             shortcuts,
-            verify_ops,
+            verify,
             verify_nanos,
         }
     }
@@ -648,7 +651,13 @@ impl UopProgram {
     /// applied in closed form are not counted, so this is the
     /// deterministic measure of verification work.
     pub fn verify_ops(&self) -> u64 {
-        self.verify_ops
+        self.verify.total().walked
+    }
+
+    /// The verification work of [`verify_ops`](Self::verify_ops) and
+    /// [`verify_nanos`](Self::verify_nanos) by region kind and verdict.
+    pub fn verify_breakdown(&self) -> &crate::shortcut::VerifyBreakdown {
+        &self.verify
     }
 
     /// Host nanoseconds spent verifying kernel regions (part of

@@ -308,24 +308,25 @@ fn machine(prog: &Program, uops: UopProgram) -> Machine {
     m
 }
 
-/// Asserts that two finished machines agree in every observable.
-fn assert_same(a: &Machine, b: &Machine) {
+/// Asserts that two finished machines agree in every observable; `ctx`
+/// leads every failure message.
+fn assert_same(ctx: &str, a: &Machine, b: &Machine) {
     let (x, y) = (a.core(), b.core());
-    assert_eq!(x.pc, y.pc);
-    assert_eq!(x.cycle, y.cycle);
-    assert_eq!(x.instret, y.instret);
+    assert_eq!(x.pc, y.pc, "{ctx}pc");
+    assert_eq!(x.cycle, y.cycle, "{ctx}cycle");
+    assert_eq!(x.instret, y.instret, "{ctx}instret");
     for r in Reg::all() {
-        assert_eq!(x.reg(r), y.reg(r), "register {r}");
+        assert_eq!(x.reg(r), y.reg(r), "{ctx}register {r}");
     }
-    assert_eq!(x.spr, y.spr);
+    assert_eq!(x.spr, y.spr, "{ctx}spr");
     for l in 0..2 {
-        assert_eq!(x.hwloop[l].count, y.hwloop[l].count);
-        assert_eq!(x.hwloop[l].start, y.hwloop[l].start);
-        assert_eq!(x.hwloop[l].end, y.hwloop[l].end);
+        assert_eq!(x.hwloop[l].count, y.hwloop[l].count, "{ctx}hwloop count");
+        assert_eq!(x.hwloop[l].start, y.hwloop[l].start, "{ctx}hwloop start");
+        assert_eq!(x.hwloop[l].end, y.hwloop[l].end, "{ctx}hwloop end");
     }
-    assert_eq!(a.stats().to_csv(), b.stats().to_csv());
-    assert!(a.stats().iter().eq(b.stats().iter()), "stats rows");
-    assert!(a.mem().image() == b.mem().image(), "memory");
+    assert_eq!(a.stats().to_csv(), b.stats().to_csv(), "{ctx}stats");
+    assert!(a.stats().iter().eq(b.stats().iter()), "{ctx}stats rows");
+    assert!(a.mem().image() == b.mem().image(), "{ctx}memory");
 }
 
 /// Runs the kernel with and without its shortcut region, and stepping,
@@ -346,8 +347,8 @@ fn assert_identical(k: &Kernel, expect_installed: bool) -> u64 {
         assert!(sc.shortcut_instrs() > 0, "the shortcut must engage");
     }
     assert_eq!(plain.shortcut_instrs(), 0);
-    assert_same(&sc, &plain);
-    assert_same(&sc, &step);
+    assert_same("", &sc, &plain);
+    assert_same("", &sc, &step);
     walked
 }
 
@@ -899,4 +900,312 @@ fn a_min_pins_its_constant_operand() {
         },
         li(TMP, 0),
     ]);
+}
+
+// Output-row loops: the level-(b) kernel's software loop over outputs
+// around its summarized hardware loop, at sizes up to 200 rows.
+
+const R_BIAS: u32 = 0x2000;
+const R_XCELL: u32 = 0x23F0;
+const R_X: u32 = 0x2400;
+const R_W: u32 = 0x2800;
+const R_OUT: u32 = 0x6000;
+const R_G: u32 = 0x7000;
+
+/// A register that moves from row to row in the mutations.
+const MV: Reg = Reg::S3;
+/// A second hardware loop's count.
+const CNT2: Reg = Reg::S4;
+
+/// How [`row_kernel`] departs from the generated level-(b) shape.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Row {
+    /// As generated.
+    Plain,
+    /// Each row also runs a second hardware loop whose count is the
+    /// remaining-row counter plus two.
+    MovingCount,
+    /// The inner loop also reads a dead word stream whose pointer
+    /// advances by a register that grows by 4 per row.
+    MovingStride,
+    /// The row counter starts odd and steps by -2, so `bnez` never
+    /// reaches 0.
+    OddCountdown,
+    /// The row stores its raw accumulator, not requantized.
+    RawStore,
+    /// The output pointer advances 2 bytes more than the descriptor's
+    /// stride.
+    WrongStride,
+}
+
+/// A level-(b) matvec with room for 200 rows: bias `lw!`, `li CNT`,
+/// `lp.setup` over `lw!; lw!; pv.sdotsp.h`, requantize, `sh!`, `bnez`.
+struct RowKernel {
+    body: Vec<Instr>,
+    row: Row,
+    count: u32,
+    n_out: u32,
+    stride: u32,
+    x_cell: bool,
+    /// The bias words' address.
+    bias: u32,
+}
+
+/// Where [`row_kernel`]'s bias words go: apart from the weights, or
+/// (`tail`) over the weights' last two rows, so that the weight range
+/// runs into the bias range before the last rows and the row summary
+/// replays what its closed form cannot take.
+fn row_bias(count: u32, n_out: u32, tail: bool) -> u32 {
+    if tail && n_out >= 3 {
+        R_W + (n_out - 2) * 4 * count.max(1)
+    } else {
+        R_BIAS
+    }
+}
+
+fn row_kernel(count: u32, n_out: u32, stride: u32, x_cell: bool, row: Row) -> RowKernel {
+    row_kernel_at(count, n_out, stride, x_cell, row, R_BIAS)
+}
+
+fn row_kernel_at(
+    count: u32,
+    n_out: u32,
+    stride: u32,
+    x_cell: bool,
+    row: Row,
+    bias: u32,
+) -> RowKernel {
+    let rows = if row == Row::OddCountdown {
+        2 * n_out - 1
+    } else {
+        n_out
+    };
+    let mut body = vec![li(BP, bias), li(WP, R_W), li(OCNT, rows), li(OP, R_OUT)];
+    if row == Row::MovingStride {
+        // Read the stream's whole window once, so the strided reads all
+        // fall inside one load range.
+        body.extend([
+            li(GP, R_G),
+            Instr::LpSetupi {
+                l: LoopIdx::L1,
+                count: 512,
+                uimm: 2 + 2,
+            },
+            lw_post(TMP, GP),
+            li(GP, R_G),
+            li(MV, 0),
+        ]);
+    }
+    let out_loop = body.len();
+    if x_cell {
+        body.extend([
+            li(XP, R_XCELL),
+            Instr::Load {
+                op: LoadOp::Lw,
+                rd: XP,
+                rs1: XP,
+                offset: 0,
+            },
+        ]);
+    } else {
+        body.push(li(XP, R_X));
+    }
+    body.extend([lw_post(ACC, BP), li(CNT, count)]);
+    let mut inner = vec![lw_post(WV, WP), lw_post(XV, XP)];
+    if row == Row::MovingStride {
+        inner.extend([
+            Instr::Load {
+                op: LoadOp::Lw,
+                rd: TMP,
+                rs1: GP,
+                offset: 0,
+            },
+            Instr::Op {
+                op: AluOp::Add,
+                rd: GP,
+                rs1: GP,
+                rs2: MV,
+            },
+        ]);
+    }
+    inner.push(sdot(ACC, WV, XV));
+    body.push(Instr::LpSetup {
+        l: LoopIdx::L0,
+        rs1: CNT,
+        uimm: 2 + 2 * inner.len() as u32,
+    });
+    body.extend(inner);
+    if row == Row::MovingCount {
+        body.extend([
+            addi(CNT2, OCNT, 2),
+            Instr::LpSetup {
+                l: LoopIdx::L1,
+                rs1: CNT2,
+                uimm: 2 + 2,
+            },
+            li(TMP, 7),
+        ]);
+    }
+    let mut store = requant_store(ACC);
+    store[2] = Instr::StorePostInc {
+        op: StoreOp::Sh,
+        rs2: ACC,
+        rs1: OP,
+        offset: stride as i32 + if row == Row::WrongStride { 2 } else { 0 },
+    };
+    if row == Row::RawStore {
+        body.push(store[2]);
+    } else {
+        body.extend(store);
+    }
+    if row == Row::MovingStride {
+        body.push(addi(MV, MV, 4));
+    }
+    let step = if row == Row::OddCountdown { -2 } else { -1 };
+    body.push(addi(OCNT, OCNT, step));
+    let back = -4 * (body.len() - out_loop) as i32;
+    body.push(Instr::Branch {
+        op: BranchOp::Bne,
+        rs1: OCNT,
+        rs2: Reg::ZERO,
+        offset: back,
+    });
+    RowKernel {
+        body,
+        row,
+        count,
+        n_out,
+        stride,
+        x_cell,
+        bias,
+    }
+}
+
+impl RowKernel {
+    fn program(&self) -> Program {
+        let mut instrs = self.body.clone();
+        instrs.push(Instr::Ecall);
+        Program::from_instrs(CODE, instrs)
+    }
+
+    fn region(&self) -> KernelRegion {
+        KernelRegion {
+            start_addr: CODE,
+            end_addr: CODE + 4 * self.body.len() as u32,
+            math: RegionMath::Matvec(Matvec {
+                w_base: R_W,
+                bias32: self.bias,
+                x: if self.x_cell {
+                    ShortcutPtr::Cell(R_XCELL)
+                } else {
+                    ShortcutPtr::Const(R_X)
+                },
+                out: ShortcutPtr::Const(R_OUT),
+                out_stride: self.stride,
+                n_in: 2 * self.count.max(1),
+                n_out: self.n_out,
+                act: ShortcutAct::None,
+            }),
+        }
+    }
+
+    /// A machine over weights, biases and inputs drawn from `seed`.
+    fn machine(&self, seed: u64, uops: UopProgram) -> Machine {
+        let mut mem = Memory::new(64 * 1024);
+        let mut rng = StdRng::seed_from_u64(seed);
+        for a in (R_BIAS..R_OUT).step_by(2) {
+            let v = (rng.gen::<u32>() % 8192) as u16 as i16 - 4096;
+            mem.write_u16(a, v as u16).unwrap();
+        }
+        mem.write_u32(R_XCELL, R_X).unwrap();
+        let image = mem.image();
+        mem.load_image(&image);
+        let mut m = Machine::with_memory(mem);
+        m.load_program_shared(&self.program(), Arc::new(uops));
+        m
+    }
+}
+
+/// Runs `k` with and without its shortcut region, and stepping, within
+/// a cycle budget, and asserts that all three end alike in every
+/// observable. Returns the shortcut translation's verification walk.
+fn assert_rows(seed: u64, k: &RowKernel, expect_installed: bool) -> u64 {
+    let ctx = format!(
+        "seed {seed}: {:?}, count {}, {} rows, stride {}, x cell {}, bias {:#x}: ",
+        k.row, k.count, k.n_out, k.stride, k.x_cell, k.bias
+    );
+    let prog = k.program();
+    let with = UopProgram::translate_with_shortcuts(&prog, &[k.region()]);
+    let walked = with.verify_ops();
+    assert_eq!(
+        with.shortcut_regions(),
+        usize::from(expect_installed),
+        "{ctx}installed regions"
+    );
+    let mut sc = k.machine(seed, with);
+    let mut plain = k.machine(seed, UopProgram::translate(&prog));
+    let mut step = k.machine(seed, UopProgram::translate(&prog));
+    let budget = 200_000;
+    let exit = sc.run(budget);
+    assert_eq!(exit, plain.run(budget), "{ctx}exit");
+    assert_eq!(exit, step.run_stepping(budget), "{ctx}exit");
+    if expect_installed {
+        assert_eq!(exit, Ok(ExitReason::Ecall), "{ctx}exit");
+        assert!(sc.shortcut_instrs() > 0, "{ctx}the shortcut must engage");
+    }
+    assert_same(&ctx, &sc, &plain);
+    assert_same(&ctx, &sc, &step);
+    walked
+}
+
+#[test]
+fn output_row_loop_walks_like_three_rows() {
+    for seed in 0..8u64 {
+        let mut rng = StdRng::seed_from_u64(0xB0_0000 + seed);
+        // Odd and even pair counts alternate; 1 and 2 leave the inner
+        // loop unsummarized.
+        let count = 1 + 2 * (rng.gen::<u32>() % 4) + (seed as u32 % 2);
+        let stride = 2 * (1 + rng.gen::<u32>() % 3);
+        let x_cell = rng.gen::<u32>() % 2 == 1;
+        let tail = rng.gen::<u32>() % 2 == 1;
+        let walk = |n_out| {
+            let bias = row_bias(count, n_out, tail);
+            let k = row_kernel_at(count, n_out, stride, x_cell, Row::Plain, bias);
+            assert_rows(seed, &k, true)
+        };
+        for n_out in [1, 2] {
+            walk(n_out);
+        }
+        let walks = [3, 17, 200].map(walk);
+        assert!(
+            walks.iter().all(|&w| w == walks[0]),
+            "seed {seed}: count {count}: walks {walks:?} grow with the row count"
+        );
+    }
+}
+
+#[test]
+fn output_row_loop_mutations_install_nothing_or_walk_every_row() {
+    for seed in 0..4u64 {
+        let count = 4 + seed as u32 % 3;
+        let stride = 2 + 2 * (seed as u32 % 2);
+        let x_cell = seed % 2 == 1;
+        for row in [Row::MovingCount, Row::MovingStride] {
+            let walk = |n_out| {
+                let k = row_kernel(count, n_out, stride, x_cell, row);
+                assert_rows(seed, &k, true)
+            };
+            let (five, six, nine) = (walk(5), walk(6), walk(9));
+            assert!(
+                six > five && nine - five == 4 * (six - five),
+                "seed {seed}: {row:?}: every row must be walked, got walks {five}, {six}, {nine}"
+            );
+        }
+        for row in [Row::OddCountdown, Row::RawStore, Row::WrongStride] {
+            for n_out in [3, 9] {
+                let k = row_kernel(count, n_out, stride, x_cell, row);
+                assert_rows(seed, &k, false);
+            }
+        }
+    }
 }
