@@ -9,7 +9,10 @@ use rnnasip_sim::Memory;
 /// Bytes of slack after each weight region: the `pl.sdotsp` schedule
 /// prefetches one packed pair past the end of the first two rows of the
 /// final output tile (the fetched values are never consumed), so regions
-/// streamed by it need read-valid padding.
+/// streamed by it need read-valid padding. The simulator's shortcut tier
+/// counts that prefetch word into a matvec's weight span (see
+/// [`rnnasip_sim::Matvec`]): each entry bounds it and keeps it clear of
+/// the region's stores.
 pub const STREAM_SLACK: u32 = 8;
 
 /// A bump allocator planning where weights, biases, activations and

@@ -21,6 +21,9 @@
 //!   region is a compile-time constant given the values of the region's
 //!   pointer cells (global words or live-in registers), or compares two
 //!   offsets from one cell,
+//! * every load lies in a span the descriptor names (an operand stream
+//!   or a pointer cell's word), and the loads cover each span from end
+//!   to end, a matvec's unread prefetch word excepted,
 //! * the region makes exactly the descriptor's stores, in order, and
 //!   nothing else: `n_out` requantized halfwords for a matvec; for a cell
 //!   update, each row's `c` then `h`, whose dataflow trees of loads,
@@ -33,7 +36,7 @@
 //!
 //! Loops whose iterations only shift the walk's state by constants —
 //! hardware loops and loops closed by a backward branch alike — are
-//! walked for two iterations and then applied in closed form (see
+//! walked for two iterations and then applied at once (see
 //! `Candidate`, which the walk's own arms feed), so verification costs
 //! what the region's static code costs, not what it executes. A
 //! hardware loop nested in a branch-closed one (a level-b matvec's
@@ -65,13 +68,9 @@ use rnnasip_isa::{AluImmOp, AluOp, BranchOp, LoadOp, MnemonicId, MulDivOp, Reg, 
 /// Upper bound on the dynamic micro-ops verifying one region accounts
 /// for — a guard against pathological descriptors, far above any real
 /// kernel (the largest suite kernel executes ~200k micro-ops per entry).
-/// Loop iterations the walk applies in closed form count as if
-/// walked, so the cap rejects exactly the regions it rejected when every
-/// op was walked.
+/// Loop iterations a summary applies count as if walked, so the cap
+/// rejects exactly the regions it rejected when every op was walked.
 const WALK_OP_CAP: u64 = 8_000_000;
-
-/// Upper bound on distinct contiguous load ranges tracked per region.
-const MAX_RANGES: usize = 32;
 
 /// Where a kernel pointer comes from at run time — the shortcut-layer
 /// image of the compiler's pointer sources.
@@ -106,7 +105,11 @@ pub enum ShortcutAct {
 ///
 /// Descriptors are *claims*, not trusted input: translation verifies
 /// each one against the micro-op stream (the `shortcut` module's rules)
-/// and silently discards any that cannot be proven safe.
+/// and silently discards any that cannot be proven safe. The operand
+/// spans are checked from both sides — the code reads inside them and
+/// from each one's first byte to its last — and so are the stores. Two
+/// parts of a matvec stay claims: its activation `act`, and which
+/// weight row and bias word pair with which output.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct KernelRegion {
     /// Address of the region's first instruction.
@@ -132,7 +135,8 @@ pub enum RegionMath {
 /// `out[j] = act((bias32[j] + W[j]·x) >> 12)` for `j < n_out`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Matvec {
-    /// Row-major Q3.12 weight base (`n_out × n_in` halfwords).
+    /// Row-major Q3.12 weight base (`n_out × n_in` halfwords, and one
+    /// word after them that a `pl.sdotsp` schedule prefetches unread).
     pub w_base: u32,
     /// Pre-shifted 32-bit bias seeds (`n_out` words).
     pub bias32: u32,
@@ -229,6 +233,15 @@ impl RegionMath {
             RegionMath::Matvec(_) => RegionKind::Matvec,
             RegionMath::Cell(_) => RegionKind::Cell,
             RegionMath::Dot(_) => RegionKind::Dot,
+        }
+    }
+
+    /// Every pointer the math names.
+    fn ptrs(&self) -> Vec<ShortcutPtr> {
+        match *self {
+            RegionMath::Matvec(m) => vec![m.x, m.out],
+            RegionMath::Cell(u) => vec![u.gates[0], u.gates[1], u.gates[2], u.gates[3], u.c, u.h],
+            RegionMath::Dot(d) => vec![d.w, d.x, d.bias32, d.spill],
         }
     }
 }
@@ -381,7 +394,7 @@ pub(crate) enum ExitVal {
     Addr(AAddr),
     /// Re-load from memory (the last value a register loaded). Resolved
     /// before the region's stores are written, so the read returns the
-    /// load-time value: every load range is store-disjoint, and a cell
+    /// load-time value: every load span is store-disjoint, and a cell
     /// update's in-place `c` read precedes its row's store.
     Load { op: LoadOp, addr: AAddr },
     /// The `k`-th stored value, sign-extended.
@@ -429,9 +442,9 @@ impl Node<u32> {
     }
 }
 
-/// One contiguous abstract byte range accessed by the region, with the
-/// per-size alignment residues needed to prove every access in it is
-/// aligned once the cell base is known.
+/// One contiguous abstract byte range the region loads from or stores
+/// to, with the per-size alignment residues needed to prove every access
+/// in it is aligned once the cell base is known.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct AccessRange {
     pub cell: Option<Cell>,
@@ -477,8 +490,9 @@ pub(crate) struct ShortcutRegion {
     pub exit_pending_load: Option<(u8, MnemonicId)>,
     /// Dataflow trees of [`ExitVal::Node`] exit values.
     pub exit_nodes: Vec<Node<ExitVal>>,
-    /// Every byte range the region reads, except a cell update's
-    /// in-place reads of `c` (covered by its store span).
+    /// The load spans the descriptor declares (see [`Outputs::new`]);
+    /// a cell update's in-place reads of `c` are covered by its store
+    /// span instead.
     pub loads: Vec<AccessRange>,
     /// The spans of the region's store streams (one per output stream).
     pub stores: Vec<AccessRange>,
@@ -537,112 +551,64 @@ fn load_size(op: LoadOp) -> u32 {
     }
 }
 
-/// Tracks the contiguous byte ranges a region accesses. Streamed
-/// accesses extend an existing range; a range count explosion or an
-/// inconsistent alignment residue rejects the region.
-///
-/// Ranges of one cell never touch each other (every extension coalesces
-/// what it reaches), and they only move when `events` counts a new
-/// range or a merge — the two facts the loop summary relies on.
-#[derive(Default)]
-struct RangeSet {
-    ranges: Vec<AccessRange>,
-    /// Each range's cell as one number ([`cell_key`]), for cheap scans.
-    keys: Vec<u64>,
-    /// Ranges created plus ranges merged away, so far.
-    events: u64,
+/// One load span a region declares, as the walk reads it.
+#[derive(Clone, Copy)]
+struct Span {
+    range: AccessRange,
+    /// Bytes at the span's end the region may leave unread: the word a
+    /// matvec's last `pl.sdotsp` would prefetch past its weights.
+    slack: u32,
+    /// The lowest offset read so far and the end of the highest
+    /// (`lo > hi` while nothing was read).
+    read: (u32, u32),
 }
 
-/// A cell (or `None` for absolute addresses) as one number: equal
-/// exactly for equal cells.
-fn cell_key(cell: Option<Cell>) -> u64 {
-    match cell {
-        None => 0,
-        Some(Cell::Mem(c)) => 1 << 32 | u64::from(c),
-        Some(Cell::Reg(r)) => 2 << 32 | u64::from(r),
+impl Span {
+    fn new(at: AAddr, len: u32, slack: u32) -> Option<Self> {
+        Some(Span {
+            range: AccessRange {
+                cell: at.cell,
+                lo: at.off,
+                hi: at.off.checked_add(len)?,
+                res: [u32::MAX; 3],
+            },
+            slack,
+            read: (u32::MAX, 0),
+        })
     }
-}
 
-impl RangeSet {
-    /// Records one access; `false` rejects the region.
-    fn add(&mut self, cell: Option<Cell>, off: u32, size: u32) -> bool {
-        // Sizes are powers of two. Constant addresses are checked
-        // statically: a misaligned one would fault on every entry, so the
-        // region is left interpreted.
+    /// Whether the span holds `size` bytes at offset `off` from `cell`.
+    fn holds(&self, cell: Option<Cell>, off: i128, size: u32) -> bool {
+        self.range.cell == cell
+            && i128::from(self.range.lo) <= off
+            && off + i128::from(size) <= i128::from(self.range.hi)
+    }
+
+    /// Records a read of `size` bytes at `off`, which the span holds;
+    /// `false` rejects the region. Sizes are powers of two, and every
+    /// access of one size must keep one alignment residue. A constant
+    /// address is checked statically: a misaligned one would fault on
+    /// every entry, so the region is left interpreted.
+    fn read(&mut self, off: u32, size: u32) -> bool {
         let res = off & (size - 1);
-        if cell.is_none() && res != 0 {
+        let r = &mut self.range.res[size.trailing_zeros() as usize];
+        if (self.range.cell.is_none() && res != 0) || (*r != u32::MAX && *r != res) {
             return false;
         }
-        let Some(end) = off.checked_add(size) else {
-            return false;
-        };
-        let k = size.trailing_zeros() as usize;
-        let key = cell_key(cell);
-        for i in 0..self.ranges.len() {
-            let r = &mut self.ranges[i];
-            if self.keys[i] == key && off <= r.hi && end >= r.lo {
-                if r.res[k] == u32::MAX {
-                    r.res[k] = res;
-                } else if r.res[k] != res {
-                    return false;
-                }
-                // Inside the range: it moves nothing and, as ranges of
-                // one cell never touch, no other range touches it.
-                if r.lo <= off && end <= r.hi {
-                    return true;
-                }
-                r.lo = r.lo.min(off);
-                r.hi = r.hi.max(end);
-                return self.coalesce(i);
-            }
-        }
-        if self.ranges.len() >= MAX_RANGES {
-            return false;
-        }
-        let mut residues = [u32::MAX; 3];
-        residues[k] = res;
-        self.events += 1;
-        self.keys.push(key);
-        self.ranges.push(AccessRange {
-            cell,
-            lo: off,
-            hi: end,
-            res: residues,
-        });
+        *r = res;
+        self.cover(off, off + size);
         true
     }
 
-    /// Merges every range that touches range `i` into it (an extension
-    /// can bridge the gap between two previously disjoint streams, e.g.
-    /// when interleaved weight-row streams complete a tile). Without
-    /// this, tiled kernels leak one dead range per row and trip the
-    /// [`MAX_RANGES`] cap. `false` on an alignment-residue conflict.
-    fn coalesce(&mut self, mut i: usize) -> bool {
-        loop {
-            let (key, lo, hi) = (self.keys[i], self.ranges[i].lo, self.ranges[i].hi);
-            let Some(j) = (0..self.ranges.len()).position(|j| {
-                let r = &self.ranges[j];
-                j != i && self.keys[j] == key && r.lo <= hi && r.hi >= lo
-            }) else {
-                return true;
-            };
-            self.keys.swap_remove(j);
-            let other = self.ranges.swap_remove(j);
-            self.events += 1;
-            if j < i {
-                i = if i == self.ranges.len() { j } else { i };
-            }
-            let r = &mut self.ranges[i];
-            for k in 0..3 {
-                if r.res[k] == u32::MAX {
-                    r.res[k] = other.res[k];
-                } else if other.res[k] != u32::MAX && r.res[k] != other.res[k] {
-                    return false;
-                }
-            }
-            r.lo = r.lo.min(other.lo);
-            r.hi = r.hi.max(other.hi);
-        }
+    fn cover(&mut self, lo: u32, hi: u32) {
+        self.read = (self.read.0.min(lo), self.read.1.max(hi));
+    }
+
+    /// Whether the reads reached from the span's first byte to its last
+    /// (or to its slack).
+    fn covered(&self) -> bool {
+        let (lo, hi) = self.read;
+        lo == self.range.lo && [0, self.slack].contains(&(self.range.hi - hi))
     }
 }
 
@@ -899,7 +865,8 @@ struct WalkState {
     /// region-entry contents, which only discarding reads may touch).
     spr: [Option<AAddr>; 2],
     pend: Pend,
-    loads: RangeSet,
+    /// The declared load spans, with what the walk read of them.
+    loads: Vec<Span>,
     profile: Profile,
     /// Per mnemonic, one more than its row in `profile.retire_rows` (0
     /// until it has one), so a retire finds its row without a scan.
@@ -963,9 +930,8 @@ impl WalkState {
 }
 
 /// What [`Candidate::summarize`] compares of the state at the start of a
-/// watched iteration. The load ranges and profile rows are copied into
-/// buffers the watch keeps, so a snapshot allocates nothing once they
-/// have grown.
+/// watched iteration. The profile rows are copied into buffers the watch
+/// keeps, so a snapshot allocates nothing once they have grown.
 #[derive(Default)]
 struct Snapshot {
     regs: [Av; 32],
@@ -977,9 +943,6 @@ struct Snapshot {
     next_out: u32,
     spill: Option<Av>,
     nowrap_changes: u64,
-    load_events: u64,
-    /// `(lo, hi)` of each load range.
-    ranges: Vec<(u32, u32)>,
     profile: Profile,
 }
 
@@ -994,10 +957,6 @@ impl Snapshot {
         self.next_out = st.next_out;
         self.spill = st.spill;
         self.nowrap_changes = st.nowrap_changes;
-        self.load_events = st.loads.events;
-        self.ranges.clear();
-        self.ranges
-            .extend(st.loads.ranges.iter().map(|r| (r.lo, r.hi)));
         self.profile.cycles = st.profile.cycles;
         self.profile.retire_rows.clone_from(&st.profile.retire_rows);
         self.profile.stall_rows.clone_from(&st.profile.stall_rows);
@@ -1012,9 +971,6 @@ enum Form {
     /// for `s < 32`, pending SPR write `s - 32` ([`SRC_PEND`]), SPR
     /// slot `s - 34` ([`SRC_SPR`]) or the spill word ([`SRC_SPILL`]).
     Lin(u8),
-    /// A cell pointer `mem_u32[c]` whose cell address `c` moves as
-    /// source `s` moves (a word loaded through a moving pointer).
-    Cell(u8),
     /// The same in every iteration.
     #[default]
     Zero,
@@ -1057,7 +1013,8 @@ enum Summary {
     /// the loop's last iteration is still to be walked (always so for a
     /// branch-closed loop, whose last branch falls through).
     Applied { ops: u64, walk_last: bool },
-    /// A replayed load failed — so would the full walk.
+    /// A load of a later iteration leaves its span — so would the full
+    /// walk.
     Reject,
 }
 
@@ -1066,8 +1023,6 @@ enum Summary {
 enum Delta {
     /// A pointer-like value advanced by this constant.
     Num(u32),
-    /// A cell pointer whose cell address advanced by this constant.
-    Cell(u32),
     /// Opaque (entry contents or symbolic data of the same kind).
     Same,
 }
@@ -1080,16 +1035,6 @@ fn delta(a: &Av, b: &Av) -> Option<Delta> {
         (Av::CellVal { cell: c, off: x }, Av::CellVal { cell: d, off: y }) if c == d => {
             Delta::Num(y.wrapping_sub(x))
         }
-        (
-            Av::CellVal {
-                cell: Cell::Mem(c),
-                off: x,
-            },
-            Av::CellVal {
-                cell: Cell::Mem(d),
-                off: y,
-            },
-        ) if x == y => Delta::Cell(d.wrapping_sub(c)),
         (Av::Load { op: o, addr: x }, Av::Load { op: p, addr: y })
             if o == p && x.cell == y.cell =>
         {
@@ -1113,18 +1058,6 @@ fn still(v: &Av) -> Delta {
 fn shifted(v: Av, d: Delta, m: u32) -> Av {
     let by = match d {
         Delta::Num(x) => m.wrapping_mul(x),
-        Delta::Cell(x) => {
-            return match v {
-                Av::CellVal {
-                    cell: Cell::Mem(c),
-                    off,
-                } => Av::CellVal {
-                    cell: Cell::Mem(c.wrapping_add(m.wrapping_mul(x))),
-                    off,
-                },
-                v => v,
-            };
-        }
         Delta::Same => return v,
     };
     match v {
@@ -1156,9 +1089,9 @@ struct Access {
     /// How many times the load happens, `step` bytes apart.
     reps: u32,
     step: u32,
-    /// Nonzero for the loads of one nested summary, which take turns:
-    /// every load's repetition `j` comes before any load's `j + 1`.
-    group: u32,
+    /// The index of the load span it reads (`None` for a cell update's
+    /// in-place read of `c`).
+    span: Option<usize>,
 }
 
 /// A row watch's forms when the hardware-loop watch nested in it began.
@@ -1173,7 +1106,7 @@ struct Mark {
     accesses: usize,
 }
 
-/// One loop iteration watched for a closed-form summary.
+/// One loop iteration watched for a summary.
 ///
 /// The watcher decodes nothing itself: each arm of the walk reports its
 /// op through one hook (`load`, `store`, `sdot`, `branch`, `pure`), on
@@ -1190,10 +1123,11 @@ struct Mark {
 /// * the forms confirm that one more iteration would shift it by the
 ///   same constants — a source moves only into copies of itself
 ///   advanced by constants, and every value inspected beyond that
-///   (constant folds, loads from a constant address, the count of a
-///   nested hardware loop) did not move;
-/// * every load address moves by a constant, and every dot-product
-///   step's halfword streams move two bytes per term it adds;
+///   (constant folds, the address of a pointer cell's load, the count
+///   of a nested hardware loop) did not move;
+/// * every load address moves by a multiple of its size, and every
+///   dot-product step's halfword streams move two bytes per term it
+///   adds;
 /// * every store goes to the next rows of the region's output streams:
 ///   whole rows of a cell update, a matvec's requantized outputs, or
 ///   the spill-word partial sums of a dot product;
@@ -1202,8 +1136,9 @@ struct Mark {
 ///
 /// Then iteration `k + 1` is iteration `k` shifted, by induction: rows,
 /// counters, pointers and SPR state advance linearly and the loads of
-/// every later iteration are known. The range set takes them in closed
-/// form while that is exact, and replays the rest. A hardware loop's
+/// every later iteration are known. Each load's addresses form a line,
+/// so its span holds them all when it holds the first and the last
+/// (and the walk would reject the first that left it). A hardware loop's
 /// count says how many iterations remain; a branch-closed loop's
 /// closing branch gives its trip count from how far its moving operand
 /// still is from its fixed one (see [`trip`]).
@@ -1247,15 +1182,11 @@ struct Candidate {
     closing: Option<(BranchOp, Reg, Reg, Form, Form)>,
     /// A row watch's forms when the nested hardware-loop watch began.
     inner: Option<Mark>,
-    /// Nested summaries absorbed so far (the last group's id).
-    groups: u32,
     /// Iterations the last applied summary applied.
     applied: u64,
-    /// The last summary's loads, each with how far it moves per
-    /// iteration (scratch).
-    shifts: Vec<(Access, u32)>,
-    /// Per load range, its growth per iteration (scratch).
-    grow: Vec<u32>,
+    /// How far each load of the last summary moves per iteration
+    /// (scratch).
+    shifts: Vec<u32>,
 }
 
 impl Candidate {
@@ -1274,7 +1205,6 @@ impl Candidate {
         self.macs.clear();
         self.closing = None;
         self.inner = None;
-        self.groups = 0;
     }
 
     fn form(&self, r: Reg) -> Form {
@@ -1291,25 +1221,14 @@ impl Candidate {
     /// Records that a value of form `f` was inspected beyond a constant
     /// shift, so its source must not move.
     fn fix(&mut self, f: Form) {
-        if let Form::Lin(s) | Form::Cell(s) = f {
+        if let Form::Lin(s) = f {
             self.fixed |= 1 << s;
         }
-    }
-
-    /// Form of a value used as a pointer or offset: a cell pointer is
-    /// only affine in its offset, so its cell must not move.
-    fn ptr(&mut self, f: Form) -> Form {
-        if let Form::Cell(_) = f {
-            self.fix(f);
-            return Form::Zero;
-        }
-        f
     }
 
     /// Form of a sum of two pointer-like values (if both move, the second
     /// is pinned).
     fn add(&mut self, a: Form, b: Form) -> Form {
-        let (a, b) = (self.ptr(a), self.ptr(b));
         match (a, b) {
             (Form::Fresh, _) | (_, Form::Fresh) => Form::Fresh,
             (f, Form::Zero) | (Form::Zero, f) => f,
@@ -1323,15 +1242,16 @@ impl Candidate {
     /// Form of a load or store base `rs1`, advanced in place by a
     /// post-increment (`post`).
     fn base(&mut self, rs1: Reg, post: bool) -> Form {
-        let f = self.ptr(self.form(rs1));
+        let f = self.form(rs1);
         if post {
             self.set(rs1, f);
         }
         f
     }
 
-    /// A load of `rd` from `addr`, whose form is `f`.
-    fn load(&mut self, op: LoadOp, rd: Reg, addr: AAddr, f: Form, plan: &Outputs) {
+    /// A load of `rd` from `addr`, whose form is `f`; `(v, k)` is what
+    /// [`Outputs::load`] made of it.
+    fn load(&mut self, op: LoadOp, rd: Reg, addr: AAddr, f: Form, (v, k): Loaded, plan: &Outputs) {
         // A spill-word read forwards the word's content.
         if plan.spill() == Some(addr) {
             self.set(rd, self.spill);
@@ -1343,13 +1263,16 @@ impl Candidate {
             form: f,
             reps: 1,
             step: 0,
-            group: 0,
+            span: k,
         });
-        // A word from a constant address becomes a cell pointer named
-        // by that address.
-        let v = match f {
-            Form::Lin(s) if op == LoadOp::Lw && addr.cell.is_none() => Form::Cell(s),
-            f => f,
+        // A pointer cell's word is the same pointer in every iteration
+        // that loads it from the same address.
+        let v = match v {
+            Av::CellVal { .. } => {
+                self.fix(f);
+                Form::Zero
+            }
+            _ => f,
         };
         self.set(rd, v);
     }
@@ -1366,15 +1289,15 @@ impl Candidate {
 
     /// A `pl.sdotsp` whose weight word at `addr` is read through `rs1`,
     /// queued as pending write `slot`.
-    fn sdot(&mut self, rd: Reg, rs1: Reg, addr: AAddr, slot: usize) {
-        let f = self.ptr(self.form(rs1));
+    fn sdot(&mut self, rd: Reg, rs1: Reg, addr: AAddr, slot: usize, span: Option<usize>) {
+        let f = self.form(rs1);
         self.accesses.push(Access {
             addr,
             size: 4,
             form: f,
             reps: 1,
             step: 0,
-            group: 0,
+            span,
         });
         if let Some(p) = self.pend.get_mut(slot) {
             *p = f;
@@ -1408,7 +1331,7 @@ impl Candidate {
                 op: AluImmOp::Addi,
                 rs1,
                 ..
-            } if pointer => self.ptr(self.form(rs1)),
+            } if pointer => self.form(rs1),
             UopKind::Op {
                 op: AluOp::Add,
                 rs1,
@@ -1422,7 +1345,7 @@ impl Candidate {
                 ..
             } if pointer => {
                 self.fix(self.form(rs2));
-                self.ptr(self.form(rs1))
+                self.form(rs1)
             }
             UopKind::Mac { rs1, rs2, .. } if matches!(v, Av::Dot(_)) => {
                 let f = self.form(rd);
@@ -1469,10 +1392,10 @@ impl Candidate {
     /// op by op; `false` ends the watch. A matvec's inner loop qualifies
     /// when its watched iteration stored nothing and left every form of
     /// this watch as it found it: then each applied iteration does the
-    /// same, so the forms hold after all of them, and the iteration's
-    /// loads repeat as one group, `inner.applied` times, each load
-    /// stepping as the inner summary stepped it. The loop's count must
-    /// not move with the row loop either; [`Watches::setup`] pinned it.
+    /// same, so the forms hold after all of them, and each load of the
+    /// iteration repeats `inner.applied` times, stepping as the inner
+    /// summary stepped it. The loop's count must not move with the row
+    /// loop either; [`Watches::setup`] pinned it.
     fn absorb(&mut self, inner: &Candidate, plan: &Outputs, npend: usize) -> bool {
         let Some(mark) = self.inner.take() else {
             return false;
@@ -1493,14 +1416,12 @@ impl Candidate {
         {
             return false;
         }
-        self.groups += 1;
-        for (k, &(_, step)) in new.zip(&inner.shifts) {
+        for (k, &step) in new.zip(&inner.shifts) {
             let a = self.accesses[k];
             self.accesses.push(Access {
                 addr: a.addr.plus(step),
                 reps,
                 step,
-                group: self.groups,
                 ..a
             });
         }
@@ -1605,11 +1526,6 @@ impl Candidate {
                 let s = usize::from(s);
                 d[x] == d[s] && (x == s || d[s] != Delta::Same)
             }
-            Form::Cell(s) => match d[usize::from(s)] {
-                Delta::Num(0) => d[x] == Delta::Num(0),
-                Delta::Num(v) => d[x] == Delta::Cell(v),
-                _ => false,
-            },
             Form::Zero => d[x] == Delta::Num(0),
             Form::Fresh => d[x] == Delta::Same,
         };
@@ -1643,7 +1559,7 @@ impl Candidate {
                 _ => None,
             },
             Form::Zero => Some(0),
-            Form::Cell(_) | Form::Fresh => None,
+            Form::Fresh => None,
         };
         // A dot-product step stays a step when both halfword operands
         // move two bytes per term its chain moves.
@@ -1656,19 +1572,19 @@ impl Candidate {
                 return Summary::Skip;
             }
         }
-        let shifts = &mut self.shifts;
-        shifts.clear();
+        // Every load must keep its alignment residue: its shift, and its
+        // repetitions' step, are multiples of its size.
+        self.shifts.clear();
         for a in &self.accesses {
             let Some(shift) = shift_of(a.form) else {
                 return Summary::Skip;
             };
-            if plan.cell.is_some() && stored > 0 && shift != stored {
+            if (plan.cell.is_some() && stored > 0 && shift != stored)
+                || !(shift | a.step).is_multiple_of(a.size)
+            {
                 return Summary::Skip;
             }
-            // In-place reads of `c` are covered by its store span.
-            if !plan.in_place(a.addr, a.size) {
-                shifts.push((*a, shift));
-            }
+            self.shifts.push(shift);
         }
         // The rows stored per iteration, in bytes of each stream.
         let rows = (stored / streams).wrapping_mul(plan.streams[0].1);
@@ -1696,10 +1612,9 @@ impl Candidate {
             return Summary::Skip;
         }
 
-        // All remaining iterations are applied: load ranges in closed
-        // form for the first `safe` of them (see [`closed_form`]), the
-        // loads of the rest replayed into the range set one by one, which
-        // reproduces its merges exactly.
+        // All remaining iterations are applied. Each load's first and
+        // last address over them must lie in the span the watched load
+        // read (addresses as signed steps from it, without wrapping).
         let Some(next_out) = (m as u32)
             .checked_mul(stored)
             .and_then(|n| n.checked_add(st.next_out))
@@ -1707,16 +1622,23 @@ impl Candidate {
         else {
             return Summary::Reject;
         };
-        let safe = closed_form(s0, &st.loads, &self.shifts, m, &mut self.grow).unwrap_or(0);
-        if safe > 0 {
-            for (r, &g) in st.loads.ranges.iter_mut().zip(&self.grow) {
-                r.hi = r.hi.wrapping_add((safe as u32).wrapping_mul(g));
-            }
-        }
-        for q in safe + 1..=m {
-            if !replay(&mut st.loads, &self.shifts, q as u32) {
+        for (a, &shift) in self.accesses.iter().zip(&self.shifts) {
+            let Some(span) = a.span.map(|k| &mut st.loads[k]) else {
+                continue;
+            };
+            // From the next iteration's first address, the spread over
+            // the later iterations and over the repetitions.
+            let next = i128::from(a.addr.off) + i128::from(shift as i32);
+            let rows = i128::from(m - 1) * i128::from(shift as i32);
+            let reps = i128::from(a.reps - 1) * i128::from(a.step as i32);
+            let (lo, hi) = (
+                next + rows.min(0) + reps.min(0),
+                next + rows.max(0) + reps.max(0),
+            );
+            if !span.holds(a.addr.cell, lo, a.size) || !span.holds(a.addr.cell, hi, a.size) {
                 return Summary::Reject;
             }
+            span.cover(lo as u32, hi as u32 + a.size);
         }
 
         // Apply `m` more iterations (pending writes and SPR contents
@@ -1859,100 +1781,8 @@ impl Watches {
     }
 }
 
-/// How many of `m` further iterations the range set can take in closed
-/// form, with each range's growth per iteration left in `grow`. `s0`
-/// and `after` bracket the watched iteration; `shifts` are its loads.
-///
-/// Exact while every range grows at its top by a constant, every load
-/// into a growing range advances by exactly that growth, every load into
-/// a still range stays inside it, every load keeps its alignment residue,
-/// and no two ranges meet. A nested summary's repeated load counts as
-/// the stretch its repetitions cover. `None` when the watched iteration
-/// created or merged a range, or a load breaks the pattern.
-fn closed_form(
-    s0: &Snapshot,
-    after: &RangeSet,
-    shifts: &[(Access, u32)],
-    m: u64,
-    grow: &mut Vec<u32>,
-) -> Option<u64> {
-    // With no range created or merged, each range kept its place.
-    if s0.load_events != after.events {
-        return None;
-    }
-    let ranges = &after.ranges;
-    grow.clear();
-    for (&(lo, hi), r) in s0.ranges.iter().zip(ranges) {
-        if lo != r.lo || r.hi < hi {
-            return None;
-        }
-        grow.push(r.hi - hi);
-    }
-    let mut safe = m;
-    for &(a, shift) in shifts {
-        if a.step >= 1 << 31 || a.step % a.size != 0 {
-            return None;
-        }
-        let end =
-            u64::from(a.addr.off) + u64::from(a.reps - 1) * u64::from(a.step) + u64::from(a.size);
-        let key = cell_key(a.addr.cell);
-        let k = (0..ranges.len()).position(|k| {
-            let r = &ranges[k];
-            after.keys[k] == key && r.lo <= a.addr.off && end <= u64::from(r.hi)
-        })?;
-        if shift % a.size != 0 || (grow[k] > 0 && shift != grow[k]) {
-            return None;
-        }
-        if grow[k] == 0 && shift > 0 {
-            safe = safe.min((u64::from(ranges[k].hi) - end) / u64::from(shift));
-        }
-    }
-    for (a, &g) in ranges.iter().zip(grow.iter()).filter(|(_, &g)| g > 0) {
-        // Ranges of one cell never touch, so `b` above `a` means
-        // `a.hi < b.lo`; `a` may grow until one byte short of `b` (or of
-        // the address space).
-        let room = ranges
-            .iter()
-            .filter(|b| b.cell == a.cell && b.lo > a.hi)
-            .map(|b| b.lo - a.hi - 1)
-            .fold(u32::MAX - a.hi, u32::min);
-        safe = safe.min(u64::from(room / g));
-    }
-    Some(safe)
-}
-
-/// Adds the loads of the `q`-th iteration after the watched one to
-/// `loads`, in the order the walk would make them; `false` rejects the
-/// region.
-fn replay(loads: &mut RangeSet, shifts: &[(Access, u32)], q: u32) -> bool {
-    let mut k = 0;
-    while k < shifts.len() {
-        let g = shifts[k].0.group;
-        let n = if g == 0 {
-            1
-        } else {
-            shifts[k..].iter().take_while(|(a, _)| a.group == g).count()
-        };
-        let turn = &shifts[k..k + n];
-        for j in 0..turn[0].0.reps {
-            for &(a, shift) in turn {
-                let off = a
-                    .addr
-                    .off
-                    .wrapping_add(q.wrapping_mul(shift))
-                    .wrapping_add(j.wrapping_mul(a.step));
-                if !loads.add(a.addr.cell, off, a.size) {
-                    return false;
-                }
-            }
-        }
-        k += n;
-    }
-    true
-}
-
 /// The walk proper. With `summarize`, loop iterations whose effect is a
-/// constant shift of the abstract state are applied in closed form (see
+/// constant shift of the abstract state are applied at once (see
 /// [`Candidate`]); the result is identical either way.
 fn walk(
     uops: &[Uop],
@@ -1974,7 +1804,7 @@ fn walk(
         hwl: [None, None],
         spr: [None, None],
         pend: Pend::default(),
-        loads: RangeSet::default(),
+        loads: plan.loads.clone(),
         profile: Profile::default(),
         retire_row: [0; MnemonicId::COUNT],
         stall_row: [0; MnemonicId::COUNT],
@@ -2073,29 +1903,29 @@ fn walk(
                 let post = matches!(u.kind, UopKind::LoadPostInc { .. });
                 let base = get(&st.regs, rs1)?;
                 let addr = aaddr(base, if post { 0 } else { offset })?;
+                let loaded = plan.load(&mut st, op, addr)?;
                 watches.each(|c| {
                     let f = c.base(rs1, post);
-                    c.load(op, rd, addr, f, &plan);
+                    c.load(op, rd, addr, f, loaded, &plan);
                     true
                 });
-                let v = plan.load(&mut st, op, addr)?;
                 if post {
                     set(&mut st.regs, rs1, bump(base, offset)?);
                 }
-                set(&mut st.regs, rd, v);
+                set(&mut st.regs, rd, loaded.0);
             }
             UopKind::LoadReg { op, rd, rs1, rs2 } => {
                 let addr = match (get(&st.regs, rs1)?, get(&st.regs, rs2)?) {
                     (base, Av::Const(c)) | (Av::Const(c), base) => aaddr(base, c)?,
                     _ => return None,
                 };
+                let loaded = plan.load(&mut st, op, addr)?;
                 watches.each(|c| {
                     let f = c.add(c.form(rs1), c.form(rs2));
-                    c.load(op, rd, addr, f, &plan);
+                    c.load(op, rd, addr, f, loaded, &plan);
                     true
                 });
-                let v = plan.load(&mut st, op, addr)?;
-                set(&mut st.regs, rd, v);
+                set(&mut st.regs, rd, loaded.0);
             }
             UopKind::Store {
                 op,
@@ -2142,11 +1972,11 @@ fn walk(
                 let base = get(&st.regs, rs1)?;
                 let addr = aaddr(base, 0)?;
                 let slot = st.pend.len;
+                let (_, span) = plan.load(&mut st, LoadOp::Lw, addr)?;
                 watches.each(|c| {
-                    c.sdot(rd, rs1, addr, slot);
+                    c.sdot(rd, rs1, addr, slot, span);
                     true
                 });
-                plan.load(&mut st, LoadOp::Lw, addr)?;
                 st.pend.push((st.instret, sl, addr))?;
                 if rd != Reg::ZERO {
                     let v = vals.fresh(false, None);
@@ -2291,7 +2121,7 @@ fn walk(
         }
     }
 
-    if st.next_out != plan.count {
+    if st.next_out != plan.count || !st.loads.iter().all(Span::covered) {
         return None;
     }
     let mut exit_regs = Vec::new();
@@ -2317,7 +2147,7 @@ fn walk(
         exit_hwloop,
         exit_pending_load: st.prev_load,
         exit_nodes,
-        loads: st.loads.ranges,
+        loads: st.loads.into_iter().map(|s| s.range).collect(),
         stores,
         nowrap: st.nowrap,
     })
@@ -2328,12 +2158,7 @@ fn walk(
 /// rejects the region.
 fn entry_regs(math: &RegionMath) -> Option<[Av; 32]> {
     let mut regs = [Av::Entry; 32];
-    let ptrs = match *math {
-        RegionMath::Matvec(m) => vec![m.x, m.out],
-        RegionMath::Cell(u) => vec![u.gates[0], u.gates[1], u.gates[2], u.gates[3], u.c, u.h],
-        RegionMath::Dot(d) => vec![d.w, d.x, d.bias32, d.spill],
-    };
-    for p in ptrs {
+    for p in math.ptrs() {
         if let ShortcutPtr::Reg(r) = p {
             if r == Reg::ZERO {
                 return None;
@@ -2482,10 +2307,11 @@ fn row_load(base: AAddr, k: u32) -> impl Fn(Av) -> bool {
     move |v| matches!(v, Av::Load { op: LoadOp::Lh, addr } if addr == want)
 }
 
-/// The stores a region must make, in order: store `k` goes to stream
-/// `k % n` at element `k / n` of `n` streams. A matvec has one output
-/// stream; a cell update alternates its `c` and `h` rows; a dot product
-/// stores every partial sum to its one spill word (stride 0).
+/// The stores a region must make, in order, and the spans it may load
+/// from. Store `k` goes to stream `k % n` at element `k / n` of `n`
+/// streams. A matvec has one output stream; a cell update alternates its
+/// `c` and `h` rows; a dot product stores every partial sum to its one
+/// spill word (stride 0).
 struct Outputs {
     /// `(base, stride)` per stream.
     streams: Vec<(AAddr, u32)>,
@@ -2495,11 +2321,19 @@ struct Outputs {
     cell: Option<[AAddr; 4]>,
     /// A dot product's complete sum.
     dot: Option<DotVal>,
+    /// The load spans, spans of one cell that touch merged.
+    loads: Vec<Span>,
+    /// The addresses of the descriptor's pointer cells.
+    cells: Vec<u32>,
 }
 
 impl Outputs {
+    /// The plan of `desc`. Its load spans are the operand streams the
+    /// math reads (a matvec's weights with the word its last `pl.sdotsp`
+    /// prefetches, unread, past them) and each pointer cell's word.
     fn new(desc: &KernelRegion) -> Option<Self> {
-        match desc.math {
+        let at = |off| AAddr { cell: None, off };
+        let (streams, count, cell, dot, mut spans) = match desc.math {
             RegionMath::Matvec(m) => {
                 if m.n_in == 0
                     || !m.n_in.is_multiple_of(2)
@@ -2509,41 +2343,84 @@ impl Outputs {
                 {
                     return None;
                 }
-                Some(Self {
-                    streams: vec![(m.out.aaddr(), m.out_stride)],
-                    count: m.n_out,
-                    cell: None,
-                    dot: None,
-                })
+                let row = m.n_in.checked_mul(2)?;
+                let weights = row.checked_mul(m.n_out)?.checked_add(4)?;
+                let spans = vec![
+                    Span::new(at(m.w_base), weights, 4)?,
+                    Span::new(at(m.bias32), m.n_out.checked_mul(4)?, 0)?,
+                    Span::new(m.x.aaddr(), row, 0)?,
+                ];
+                let out = vec![(m.out.aaddr(), m.out_stride)];
+                (out, m.n_out, None, None, spans)
             }
             RegionMath::Cell(u) => {
                 if u.rows == 0 {
                     return None;
                 }
-                Some(Self {
-                    streams: vec![(u.c.aaddr(), 2), (u.h.aaddr(), 2)],
-                    count: u.rows.checked_mul(2)?,
-                    cell: Some(u.gates.map(ShortcutPtr::aaddr)),
-                    dot: None,
-                })
+                let row = u.rows.checked_mul(2)?;
+                let spans = u
+                    .gates
+                    .iter()
+                    .map(|g| Span::new(g.aaddr(), row, 0))
+                    .collect::<Option<_>>()?;
+                let gates = Some(u.gates.map(ShortcutPtr::aaddr));
+                let out = vec![(u.c.aaddr(), 2), (u.h.aaddr(), 2)];
+                (out, row, gates, None, spans)
             }
             RegionMath::Dot(d) => {
                 if d.n_in == 0 {
                     return None;
                 }
-                Some(Self {
-                    streams: vec![(d.spill.aaddr(), 0)],
-                    count: d.n_in.checked_add(1)?,
-                    cell: None,
-                    dot: Some(DotVal {
-                        seed: d.bias32.aaddr(),
-                        a: d.w.aaddr(),
-                        b: d.x.aaddr(),
-                        n: d.n_in,
-                    }),
-                })
+                let row = d.n_in.checked_mul(2)?;
+                let spans = vec![
+                    Span::new(d.w.aaddr(), row, 0)?,
+                    Span::new(d.x.aaddr(), row, 0)?,
+                    Span::new(d.bias32.aaddr(), 4, 0)?,
+                ];
+                let sum = DotVal {
+                    seed: d.bias32.aaddr(),
+                    a: d.w.aaddr(),
+                    b: d.x.aaddr(),
+                    n: d.n_in,
+                };
+                let count = d.n_in.checked_add(1)?;
+                (vec![(d.spill.aaddr(), 0)], count, None, Some(sum), spans)
+            }
+        };
+        let mut cells = Vec::new();
+        for p in desc.math.ptrs() {
+            if let ShortcutPtr::Cell(c) = p {
+                cells.push(c);
+                spans.push(Span::new(at(c), 4, 0)?);
             }
         }
+        // Merge spans of one cell that overlap or abut, until none do. A
+        // merged span keeps the slack of the part that reaches further
+        // (the smaller one on a tie).
+        let mut loads: Vec<Span> = Vec::new();
+        while let Some(mut a) = spans.pop() {
+            let x = a.range;
+            let touches =
+                |b: &Span| b.range.cell == x.cell && b.range.lo <= x.hi && x.lo <= b.range.hi;
+            let Some(b) = loads.iter().position(touches).map(|k| loads.swap_remove(k)) else {
+                loads.push(a);
+                continue;
+            };
+            if (b.range.hi, a.slack) > (x.hi, b.slack) {
+                a.slack = b.slack;
+            }
+            a.range.lo = x.lo.min(b.range.lo);
+            a.range.hi = x.hi.max(b.range.hi);
+            spans.push(a);
+        }
+        Some(Self {
+            streams,
+            count,
+            cell,
+            dot,
+            loads,
+            cells,
+        })
     }
 
     /// Bytes per store: a dot product spills words, the others store
@@ -2576,59 +2453,55 @@ impl Outputs {
         self.streams
             .iter()
             .map(|&(base, stride)| {
-                let span = stride.checked_mul(per - 1)?.checked_add(width)?;
-                let mut res = [u32::MAX; 3];
-                res[width.trailing_zeros() as usize] = base.off % width;
-                Some(AccessRange {
-                    cell: base.cell,
-                    lo: base.off,
-                    hi: base.off.checked_add(span)?,
-                    res,
-                })
+                let len = stride.checked_mul(per - 1)?.checked_add(width)?;
+                let mut span = Span::new(base, len, 0)?;
+                span.read(base.off, width).then_some(span.range)
             })
             .collect()
     }
 
-    /// Records one load and returns the value it leaves in its
-    /// destination. A cell update may read its `c` stream only in place:
-    /// the current row's own `c`, once, before that row's store. Such
-    /// reads stay out of the load ranges — the `c` span is the region's
-    /// one allowed load/store overlap. A dot product's `lw` of its spill
-    /// word reads back the region's own last store, and any other load
-    /// that touches the spill word rejects the region. A word from a
-    /// constant address is a cell pointer.
-    fn load(&self, st: &mut WalkState, op: LoadOp, addr: AAddr) -> Option<Av> {
+    /// Records one load: the value it leaves in its destination and the
+    /// index of the load span it lies in. A cell update may read its `c`
+    /// stream only in place: the current row's own `c`, once, before
+    /// that row's store. Such reads lie in no load span — the `c` span is
+    /// the region's one allowed load/store overlap. A dot product's `lw`
+    /// of its spill word reads back the region's own last store, and any
+    /// other load that touches the spill word rejects the region. Every
+    /// other load must lie inside one span; a word loaded from a pointer
+    /// cell is that cell's pointer, and anything else loaded is data.
+    fn load(&self, st: &mut WalkState, op: LoadOp, addr: AAddr) -> Option<Loaded> {
         let size = load_size(op);
         if let Some(spill) = self.spill() {
             if overlaps(spill, 4, addr, size) {
                 return if op == LoadOp::Lw && addr == spill {
-                    st.spill
+                    Some((st.spill?, None))
                 } else {
                     None
                 };
             }
         }
-        if self.in_place(addr, size) {
+        // A cell update's `c` span: `rows` halfwords, so `count` bytes.
+        if self.cell.is_some() && overlaps(self.addr(0), self.count, addr, size) {
             let k = st.next_out;
             return (op == LoadOp::Lh && k.is_multiple_of(2) && addr == self.addr(k))
-                .then_some(Av::Load { op, addr });
+                .then_some((Av::Load { op, addr }, None));
         }
-        if !st.loads.add(addr.cell, addr.off, size) {
+        let k = st
+            .loads
+            .iter()
+            .position(|s| s.holds(addr.cell, i128::from(addr.off), size))?;
+        if !st.loads[k].read(addr.off, size) {
             return None;
         }
-        Some(match addr.cell {
-            None if op == LoadOp::Lw => Av::CellVal {
+        let v = if op == LoadOp::Lw && addr.cell.is_none() && self.cells.contains(&addr.off) {
+            Av::CellVal {
                 cell: Cell::Mem(addr.off),
                 off: 0,
-            },
-            _ => Av::Load { op, addr },
-        })
-    }
-
-    /// Whether an access lies statically in a cell update's `c` span
-    /// (`rows` halfwords, so `count` bytes).
-    fn in_place(&self, addr: AAddr, size: u32) -> bool {
-        self.cell.is_some() && overlaps(self.addr(0), self.count, addr, size)
+            }
+        } else {
+            Av::Load { op, addr }
+        };
+        Some((v, Some(k)))
     }
 
     /// Verifies one store against the next expected store: at exactly
@@ -2703,6 +2576,9 @@ impl Outputs {
     }
 }
 
+/// A loaded value and the index of the load span it came from.
+type Loaded = (Av, Option<usize>);
+
 /// Whether `a_len` bytes at `a` and `b_len` bytes at `b` statically
 /// share a byte (same cell, overlapping offsets).
 fn overlaps(a: AAddr, a_len: u32, b: AAddr, b_len: u32) -> bool {
@@ -2749,9 +2625,6 @@ impl AccessRange {
             None => 0u64,
             Some(c) => u64::from(c.resolve(mem, core)?),
         };
-        if self.lo > self.hi {
-            return None;
-        }
         let start = base + u64::from(self.lo);
         let end = base + u64::from(self.hi);
         if end > mem.size() as u64 {
@@ -2768,15 +2641,15 @@ impl AccessRange {
 
 impl ShortcutRegion {
     /// Per-entry admission check: resolves every pointer cell and
-    /// verifies that all load ranges and store spans are in bounds and
-    /// aligned, that no store span overlaps a load range or another
-    /// store span (the handler batches its writes after its reads; a cell
-    /// update's in-place reads of `c` and a dot product's spill reads are
-    /// not load ranges), and that no offset a branch compared wraps its
-    /// cell. `None` declines; otherwise the highest end of any load range
-    /// or store span, which the caller backs before
-    /// [`compute`](Self::compute) borrows the operands (every region
-    /// stores, so every load range is resolved here).
+    /// verifies that all load and store spans are in bounds and aligned,
+    /// that no store span overlaps a load span or another store span (the
+    /// handler batches its writes after its reads; a cell update's
+    /// in-place reads of `c` and a dot product's spill reads lie in no
+    /// load span), and that no offset a branch compared wraps its cell.
+    /// `None` declines; otherwise the highest end of any span, which the
+    /// caller backs before [`compute`](Self::compute) borrows the
+    /// operands (every region stores, so every load span is resolved
+    /// here).
     pub(crate) fn check_entry(&self, mem: &Memory, core: &Core) -> Option<u64> {
         for &(cell, off) in &self.nowrap {
             match cell.resolve(mem, core) {

@@ -3,8 +3,8 @@
 //! Each body is the level c–e update loop (`lp.setup` over 17 ops per
 //! row: four gate loads, the in-place `c` read, three Q3.12 products,
 //! `clip 16` twice, `pl.tanh`, and the `c` and `h` stores) followed by a
-//! trailing load whose consumer sits just past the region, so the exit
-//! state includes a pending load. A body with its shortcut installed must
+//! trailing load of the first `o` row whose consumer sits just past the
+//! region, so the exit state includes a pending load. A body with its shortcut installed must
 //! leave exactly the state a translate-only machine leaves: registers
 //! (the last row's intermediates too), memory, cycles, instret,
 //! per-mnemonic rows and the load-use stall of that pending load.
@@ -31,8 +31,6 @@ const C: u32 = 0x500;
 const H: u32 = 0x600;
 /// Pointer cell for bodies that load their `h` base.
 const HCELL: u32 = 0x7F0;
-/// Halfword read by the trailing load.
-const TRAIL: u32 = 0x7E0;
 /// Target of the extra store of [`Mutation::ExtraStore`].
 const SCRATCH: u32 = 0x7C0;
 
@@ -240,7 +238,7 @@ impl Body {
             uimm: 2 * (row.len() as u32 + 1),
         });
         v.extend(row);
-        v.push(lh(Reg::S2, Reg::ZERO, TRAIL as i32));
+        v.push(lh(Reg::S2, Reg::ZERO, at(O) as i32));
         v
     }
 
@@ -298,8 +296,8 @@ impl Body {
     }
 }
 
-/// A machine over seeded gate, cell and trailing data, with the `h`
-/// cell pointing at `h_base`.
+/// A machine over seeded gate and cell data, with the `h` cell pointing
+/// at `h_base`.
 fn machine(prog: &Program, uops: UopProgram, h_base: u32) -> Machine {
     let mut mem = Memory::new(64 * 1024);
     let mut rng = StdRng::seed_from_u64(0xCE11_0B0D);
@@ -316,7 +314,6 @@ fn machine(prog: &Program, uops: UopProgram, h_base: u32) -> Machine {
         // Cell state over the whole Q3.12 range, so the clip engages.
         mem.write_u16(a, rng.gen::<u32>() as u16).unwrap();
     }
-    mem.write_u16(TRAIL, 0x1234).unwrap();
     mem.write_u32(HCELL, h_base).unwrap();
     let image = mem.image();
     mem.load_image(&image);
@@ -447,8 +444,8 @@ fn declines_when_h_overlaps_a_gate_at_run_time() {
 
 #[test]
 fn verification_walk_does_not_grow_with_the_row_count() {
-    // One row is walked, one watched, the rest applied in closed form
-    // and the last walked again, so 64 rows walk no more than 5.
+    // One row is walked, one watched, the rest applied at once and the
+    // last walked again, so 64 rows walk no more than 5.
     let walked = |rows| Body::new(rows, 1).translations().1.verify_ops();
     assert_eq!(walked(5), walked(64));
     assert!(walked(64) < 4 * 17 + 10);

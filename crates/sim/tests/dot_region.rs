@@ -4,8 +4,8 @@
 //! (`x` a constant or loaded from a pointer cell) and its end bound,
 //! seed the spill word with the bias word, then the branch-closed MAC
 //! loop `lh; lh; lw spill; addi; mac; sw spill; addi; bltu` — followed by
-//! a trailing load whose consumer sits just past the region, so the exit
-//! state includes a pending load. An outer software loop enters the
+//! a trailing load of the last input whose consumer sits just past the
+//! region, so the exit state includes a pending load. An outer software loop enters the
 //! region once per output, with the weight, bias and spill cursors live
 //! in registers. A body with its region installed must leave exactly the
 //! state of a translate-only machine and of the stepping loop:
@@ -38,8 +38,6 @@ const SPILL: u32 = 0x700;
 const XCELL: u32 = 0x7F0;
 /// Word read as the loop bound of [`Mutation::LoadedBound`].
 const BOUND: u32 = 0x7F8;
-/// Halfword read by the trailing load.
-const TRAIL: u32 = 0x7E0;
 /// Outputs per run: region entries.
 const OUTPUTS: u32 = 3;
 
@@ -193,7 +191,7 @@ impl Body {
             offset: back,
         });
         v.extend(inner);
-        v.push(load(LoadOp::Lh, Reg::S2, Reg::ZERO, TRAIL as i32));
+        v.push(load(LoadOp::Lh, Reg::S2, XEND, -2));
         v
     }
 
@@ -263,7 +261,6 @@ fn machine(prog: &Program, uops: UopProgram, n_in: u32) -> Machine {
     for j in 0..OUTPUTS {
         mem.write_u32(BIAS + 4 * j, rng.gen::<u32>()).unwrap();
     }
-    mem.write_u16(TRAIL, 0x1234).unwrap();
     mem.write_u32(XCELL, X).unwrap();
     mem.write_u32(BOUND, X + 2 * n_in).unwrap();
     let image = mem.image();

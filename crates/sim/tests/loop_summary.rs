@@ -129,19 +129,26 @@ impl Kernel {
     }
 
     fn region(&self) -> KernelRegion {
+        self.region_with(|_| {})
+    }
+
+    /// The region with its descriptor changed by `edit`.
+    fn region_with(&self, edit: impl FnOnce(&mut Matvec)) -> KernelRegion {
+        let mut m = Matvec {
+            w_base: W,
+            bias32: BIAS,
+            x: ShortcutPtr::Const(X),
+            out: ShortcutPtr::Const(OUT),
+            out_stride: 2,
+            n_in: self.n_in,
+            n_out: self.n_out,
+            act: ShortcutAct::None,
+        };
+        edit(&mut m);
         KernelRegion {
             start_addr: CODE,
             end_addr: CODE + 4 * self.body.len() as u32,
-            math: RegionMath::Matvec(Matvec {
-                w_base: W,
-                bias32: BIAS,
-                x: ShortcutPtr::Const(X),
-                out: ShortcutPtr::Const(OUT),
-                out_stride: 2,
-                n_in: self.n_in,
-                n_out: self.n_out,
-                act: ShortcutAct::None,
-            }),
+            math: RegionMath::Matvec(m),
         }
     }
 }
@@ -257,8 +264,8 @@ fn sdotsp_kernel(count: u32) -> Kernel {
 
 /// One output whose input pairs are fetched through a gather table: the
 /// input pointer of each iteration is a word loaded through a moving
-/// pointer, which is not a constant shift, so verification must walk
-/// every iteration.
+/// pointer from a table the descriptor does not name, so verification
+/// must reject the region.
 fn gather_kernel(count: u32) -> Kernel {
     let mut body = vec![
         li(BP, BIAS),
@@ -333,8 +340,13 @@ fn assert_same(ctx: &str, a: &Machine, b: &Machine) {
 /// and asserts bit-identity. Returns the shortcut translation's
 /// verification walk.
 fn assert_identical(k: &Kernel, expect_installed: bool) -> u64 {
+    assert_region(k, k.region(), expect_installed)
+}
+
+/// [`assert_identical`] with the kernel declared as `region`.
+fn assert_region(k: &Kernel, region: KernelRegion, expect_installed: bool) -> u64 {
     let prog = k.program();
-    let with = UopProgram::translate_with_shortcuts(&prog, &[k.region()]);
+    let with = UopProgram::translate_with_shortcuts(&prog, &[region]);
     let walked = with.verify_ops();
     assert_eq!(with.shortcut_regions(), usize::from(expect_installed));
     let mut sc = machine(&prog, with);
@@ -388,63 +400,59 @@ fn sdotsp_writes_pending_across_iterations() {
 
 #[test]
 fn pointer_loaded_through_a_moving_pointer_falls_back() {
-    let walk = |count| assert_identical(&gather_kernel(count), true);
-    let (eight, sixteen) = (walk(8), walk(16));
-    // No summary: eight more iterations of the four-op body are walked.
-    assert_eq!(sixteen - eight, 8 * 4);
+    for count in [8, 16] {
+        assert_identical(&gather_kernel(count), false);
+    }
 }
 
-/// A region whose loop streams words through a cell pointer by
-/// `stride` bytes, into a range an earlier loop read as halfwords. A
-/// stride that is not a multiple of 4 keeps every address aligned in the
-/// first two iterations but breaks the word residue in the third, so
-/// the region must be rejected — with or without the loop summary.
+/// The pointer cell of [`residue_kernel`]'s input.
+const X_CELL: u32 = 0x7F0;
+
+/// One output over an input loaded from the pointer cell [`X_CELL`],
+/// after a loop that streams four words through that pointer `stride`
+/// bytes apart, inside the input span. A stride that is not a multiple
+/// of 4 breaks the word residue the first read set, so the region must
+/// be rejected — with or without the loop summary.
 fn residue_kernel(stride: i32) -> Kernel {
-    const CELL: u32 = 0x7F0;
+    // Input pairs enough for the input span to hold the strided words.
+    const PAIRS: u32 = 0xC4;
     let mut body = vec![
         li(BP, BIAS),
         li(WP, W),
-        li(XP, X),
         li(OP, OUT),
         Instr::Load {
             op: LoadOp::Lw,
-            rd: GP,
+            rd: XP,
             rs1: Reg::ZERO,
-            offset: CELL as i32,
+            offset: X_CELL as i32,
         },
-        addi(WP1, GP, 0x100),
-        li(CNT, 256),
+        addi(GP, XP, 0),
+        li(CNT, 4),
         Instr::LpSetup {
             l: LoopIdx::L1,
             rs1: CNT,
             uimm: 2 + 2,
         },
         Instr::LoadPostInc {
-            op: LoadOp::Lh,
-            rd: TMP,
-            rs1: WP1,
-            offset: 2,
-        },
-        lw_post(ACC, BP),
-        Instr::LpSetupi {
-            l: LoopIdx::L0,
-            count: 4,
-            uimm: 2 + 2 * 4,
-        },
-        lw_post(WV, WP),
-        lw_post(XV, XP),
-        Instr::LoadPostInc {
             op: LoadOp::Lw,
             rd: TMP,
             rs1: GP,
             offset: stride,
         },
+        lw_post(ACC, BP),
+        Instr::LpSetupi {
+            l: LoopIdx::L0,
+            count: PAIRS,
+            uimm: 2 + 2 * 3,
+        },
+        lw_post(WV, WP),
+        lw_post(XV, XP),
         sdot(ACC, WV, XV),
     ];
     body.extend(requant_store(ACC));
     Kernel {
         body,
-        n_in: 8,
+        n_in: 2 * PAIRS,
         n_out: 1,
     }
 }
@@ -453,10 +461,33 @@ fn residue_kernel(stride: i32) -> Kernel {
 fn a_stride_breaking_alignment_rejects_like_the_full_walk() {
     let installed = |stride| {
         let k = residue_kernel(stride);
-        UopProgram::translate_with_shortcuts(&k.program(), &[k.region()]).shortcut_regions()
+        let region = k.region_with(|m| m.x = ShortcutPtr::Cell(X_CELL));
+        UopProgram::translate_with_shortcuts(&k.program(), &[region]).shortcut_regions()
     };
     assert_eq!(installed(0x104), 1);
     assert_eq!(installed(0x102), 0);
+}
+
+/// [`xpulp_kernel`]'s 3 outputs over 4 input pairs, declared with other
+/// operands: fewer or more inputs, the weights a row off, the bias words
+/// a word off. Each declared span then either misses a load or is not
+/// read from end to end, so nothing installs, and the kernel runs as
+/// interpreted.
+#[test]
+fn a_matvec_declaring_other_operands_installs_nothing() {
+    let k = xpulp_kernel(4, 3);
+    let row = 2 * k.n_in;
+    for (n_in, w_base, bias32) in [
+        (6, W, BIAS),
+        (10, W, BIAS),
+        (k.n_in, W + row, BIAS),
+        (k.n_in, W - row, BIAS),
+        (k.n_in, W, BIAS + 4),
+        (k.n_in, W, BIAS - 4),
+    ] {
+        let region = k.region_with(|m| (m.n_in, m.w_base, m.bias32) = (n_in, w_base, bias32));
+        assert_region(&k, region, false);
+    }
 }
 
 /// One output over a hardware loop whose count, weight-pointer
@@ -847,7 +878,8 @@ fn assert_pinned(probe: &[Instr]) {
 
 #[test]
 fn a_constant_fold_pins_the_registers_it_reads() {
-    // A dead word load at a constant address that moves with `K`.
+    // A dead word load of the weights at a constant address that moves
+    // with `K`.
     assert_pinned(&[
         Instr::OpImm {
             op: AluImmOp::Slli,
@@ -859,7 +891,7 @@ fn a_constant_fold_pins_the_registers_it_reads() {
             op: LoadOp::Lw,
             rd: GP,
             rs1: TMP,
-            offset: 0x780,
+            offset: W as i32,
         },
         li(TMP, 0),
         li(GP, 0),
@@ -868,13 +900,14 @@ fn a_constant_fold_pins_the_registers_it_reads() {
 
 #[test]
 fn a_pointer_sub_pins_its_subtrahend() {
-    // A dead word load through a pointer that falls as `K` climbs.
+    // A dead word load through `WP - K`, which stays on the second
+    // weight word as both climb: unpinned, `K` would be taken as still
+    // and the load as moving with `WP`.
     assert_pinned(&[
-        li(TMP, 0x7C0),
         Instr::Op {
             op: AluOp::Sub,
             rd: TMP,
-            rs1: TMP,
+            rs1: WP,
             rs2: K,
         },
         Instr::Load {
@@ -910,12 +943,13 @@ const R_XCELL: u32 = 0x23F0;
 const R_X: u32 = 0x2400;
 const R_W: u32 = 0x2800;
 const R_OUT: u32 = 0x6000;
-const R_G: u32 = 0x7000;
 
 /// A register that moves from row to row in the mutations.
 const MV: Reg = Reg::S3;
 /// A second hardware loop's count.
 const CNT2: Reg = Reg::S4;
+/// Where each row's dead word stream starts.
+const GB: Reg = Reg::S5;
 
 /// How [`row_kernel`] departs from the generated level-(b) shape.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -925,9 +959,13 @@ enum Row {
     /// Each row also runs a second hardware loop whose count is the
     /// remaining-row counter plus two.
     MovingCount,
-    /// The inner loop also reads a dead word stream whose pointer
-    /// advances by a register that grows by 4 per row.
+    /// The inner loop also reads a dead word stream of the weights whose
+    /// pointer restarts each row and advances by a register that grows
+    /// by 4 per row.
     MovingStride,
+    /// The bias pointer advances two words per row, so the rows past
+    /// the middle read beyond the bias span.
+    WideBias,
     /// The row counter starts odd and steps by -2, so `bnez` never
     /// reaches 0.
     OddCountdown,
@@ -952,9 +990,8 @@ struct RowKernel {
 }
 
 /// Where [`row_kernel`]'s bias words go: apart from the weights, or
-/// (`tail`) over the weights' last two rows, so that the weight range
-/// runs into the bias range before the last rows and the row summary
-/// replays what its closed form cannot take.
+/// (`tail`) over the weights' last two rows, so that the weight and bias
+/// spans merge into one.
 fn row_bias(count: u32, n_out: u32, tail: bool) -> u32 {
     if tail && n_out >= 3 {
         R_W + (n_out - 2) * 4 * count.max(1)
@@ -982,21 +1019,12 @@ fn row_kernel_at(
     };
     let mut body = vec![li(BP, bias), li(WP, R_W), li(OCNT, rows), li(OP, R_OUT)];
     if row == Row::MovingStride {
-        // Read the stream's whole window once, so the strided reads all
-        // fall inside one load range.
-        body.extend([
-            li(GP, R_G),
-            Instr::LpSetupi {
-                l: LoopIdx::L1,
-                count: 512,
-                uimm: 2 + 2,
-            },
-            lw_post(TMP, GP),
-            li(GP, R_G),
-            li(MV, 0),
-        ]);
+        body.extend([li(GB, R_W), li(MV, 0)]);
     }
     let out_loop = body.len();
+    if row == Row::MovingStride {
+        body.push(addi(GP, GB, 0));
+    }
     if x_cell {
         body.extend([
             li(XP, R_XCELL),
@@ -1010,7 +1038,13 @@ fn row_kernel_at(
     } else {
         body.push(li(XP, R_X));
     }
-    body.extend([lw_post(ACC, BP), li(CNT, count)]);
+    body.push(Instr::LoadPostInc {
+        op: LoadOp::Lw,
+        rd: ACC,
+        rs1: BP,
+        offset: if row == Row::WideBias { 8 } else { 4 },
+    });
+    body.push(li(CNT, count));
     let mut inner = vec![lw_post(WV, WP), lw_post(XV, XP)];
     if row == Row::MovingStride {
         inner.extend([
@@ -1208,4 +1242,21 @@ fn output_row_loop_mutations_install_nothing_or_walk_every_row() {
             }
         }
     }
+}
+
+#[test]
+fn a_row_loop_leaving_a_span_rejects_with_or_without_its_summary() {
+    let count = 4;
+    let plain = assert_rows(0, &row_kernel(count, 200, 2, false, Row::Plain), true);
+    // With 3 rows no summary applies, and the walk meets the third row's
+    // read beyond the bias span itself. With 200 rows the row loop's
+    // summary meets it first, from the address of its last applied row,
+    // so no more rows are walked than for a plain kernel; debug builds
+    // then also walk every row and demand the same verdict.
+    assert_rows(0, &row_kernel(count, 3, 2, false, Row::WideBias), false);
+    let wide = assert_rows(0, &row_kernel(count, 200, 2, false, Row::WideBias), false);
+    assert!(
+        wide <= plain,
+        "{wide} micro-ops walked, a plain kernel walks {plain}"
+    );
 }
