@@ -67,12 +67,6 @@ impl Core {
             self.regs[r.num() as usize] = value;
         }
     }
-
-    /// Reads a register as a signed value.
-    #[inline]
-    pub fn reg_i32(&self, r: Reg) -> i32 {
-        self.reg(r) as i32
-    }
 }
 
 #[cfg(test)]

@@ -880,12 +880,8 @@ impl Machine {
         }
         self.spr_pending.extend(scratch.pend.iter().copied());
         for (l, h) in sc.exit_hwloop.iter().enumerate() {
-            if let Some(h) = h {
-                self.core.hwloop[l] = HwLoop {
-                    start: h.start,
-                    end: h.end,
-                    count: h.count,
-                };
+            if let Some((start, end, count)) = *h {
+                self.core.hwloop[l] = HwLoop { start, end, count };
             }
         }
         self.pending_load = sc
@@ -927,7 +923,6 @@ impl Machine {
     /// One exit value of a shortcut region (`outs`: its computed stores).
     fn exit_value(&self, sc: &ShortcutRegion, outs: &[(u32, i32)], ev: ExitVal) -> Option<u32> {
         Some(match ev {
-            ExitVal::Const(v) => v,
             ExitVal::Addr(a) => a.resolve(&self.mem, &self.core)?,
             ExitVal::Load { op, addr } => {
                 load_value(&self.mem, op, addr.resolve(&self.mem, &self.core)?).ok()?

@@ -1,75 +1,58 @@
 //! Kernel-shortcut execution tier: native fast paths for compiled
 //! kernel regions.
 //!
-//! The code generator in `rnnasip-core` knows exactly which pc ranges it
-//! emitted as kernels, and publishes them as [`KernelRegion`] descriptors
-//! (pc range plus the region's math and address layout). There are three
-//! kinds of math ([`RegionMath`]): the requantized matrix-vector product
-//! of FC stages, LSTM gates and CNN pixels; from level c on, the LSTM
-//! cell update; and at level a, one output's spilled dot product. At
-//! translation time
+//! The code generator in `rnnasip-core` publishes each kernel it emits as
+//! a [`KernelRegion`]: a pc range, its math ([`RegionMath`]: a requantized
+//! matrix-vector product, from level c on the LSTM cell update, at level
+//! a one output's spilled dot product) and its operand layout. The math
+//! fixes a [`Formula`] for each store: its address, and the tree of
+//! micro-op [`Node`]s over operand loads and dot-product chains that
+//! computes its value.
+//!
+//! At translation time
 //! ([`UopProgram::translate_with_shortcuts`](crate::UopProgram::translate_with_shortcuts))
-//! each descriptor is *verified* against the micro-op stream by an
-//! abstract interpretation ([`install`]): the region is walked with
-//! constant-folded control flow and symbolic data. Constants fold
-//! through the interpreter's own micro-op semantics (`UopKind::value`,
-//! `branch_taken`, `load_value` in the `uop` module); the walk adds only
-//! the symbolic cases (pointer arithmetic on entry cells, dataflow nodes,
-//! dot-product chains and halfword inference). It proves that
+//! [`install`] verifies each descriptor by walking its micro-ops with
+//! constant-folded control flow (through the interpreter's own semantics,
+//! `UopKind::value` and `branch_taken`) and symbolic data, each value
+//! recorded as the node of the op that computed it. It proves that
 //!
-//! * every branch, hardware-loop count and memory address inside the
-//!   region is a compile-time constant given the values of the region's
-//!   pointer cells (global words or live-in registers), or compares two
-//!   offsets from one cell,
-//! * every load lies in a span the descriptor names (an operand stream
-//!   or a pointer cell's word), and the loads cover each span from end
-//!   to end, a matvec's unread prefetch word excepted,
-//! * the region makes exactly the descriptor's stores, in order, and
-//!   nothing else: `n_out` requantized halfwords for a matvec; for a cell
-//!   update, each row's `c` then `h`, whose dataflow trees of loads,
-//!   `mul`, `srai`, `add`, `clip` and `pl.tanh` must be the row's formula
-//!   (see [`CellUpdate`]); for a dot product, the bias seed and then
-//!   each partial sum into the spill word, which every `lw` of it reads
-//!   back (see [`Dot`]),
-//! * the complete timing profile — base cycles, taken branches,
-//!   load-use stalls, per-mnemonic retire rows — is static.
+//! * every branch, hardware-loop count and memory address is a constant
+//!   given the region's pointer cells (global words or live-in
+//!   registers), or compares two offsets from one cell,
+//! * every load lies in a span the descriptor names, and the loads cover
+//!   each span from end to end, a matvec's unread prefetch word excepted,
+//! * the region makes exactly the formula's stores, in order, and each
+//!   stored value's tree is its formula, commuted operands allowed
+//!   ([`Formula::is`]),
+//! * the timing profile — cycles, stalls, per-mnemonic rows — is static.
 //!
-//! Loops whose iterations only shift the walk's state by constants —
-//! hardware loops and loops closed by a backward branch alike — are
-//! walked for two iterations and then applied at once (see
-//! `Candidate`, which the walk's own arms feed), so verification costs
-//! what the region's static code costs, not what it executes. A
-//! hardware loop nested in a branch-closed one (a level-b matvec's
-//! inner loop in its output-row loop) summarizes inside the outer
-//! loop's watch, so the outer loop summarizes too.
+//! Loops whose iterations only shift the walk's state by constants are
+//! walked twice and then applied at once (see `Candidate`), so
+//! verification costs what the static code costs, not what it executes.
 //!
-//! A region that passes is installed as a [`ShortcutRegion`]: the machine
-//! then executes one entry as a single native computation over TCDM
-//! (`Memory`) plus one bulk state/statistics commit, retiring thousands
-//! of micro-ops per entry. Regions that fail verification are simply not
-//! installed — execution falls back to the micro-op path, which is
-//! bit-identical by construction. The same holds per entry at run time:
-//! armed faults, in-flight SPR writes, live hardware loops, a short
-//! watchdog budget or unresolvable/overlapping pointer ranges all make
-//! the machine decline the shortcut and interpret the region instead.
-//!
-//! The bit-identity contract (outputs, cycle counts, per-mnemonic rows)
-//! is enforced by the three-way shortcut / bulk / stepping differential
-//! tests in the bench crate.
+//! An installed [`ShortcutRegion`] runs each entry as one native
+//! computation of its stores over TCDM plus one bulk state/statistics
+//! commit. A region
+//! that fails verification is not installed, and the micro-op path runs
+//! it bit-identically; so does the machine decline an entry under armed
+//! faults, in-flight SPR writes, live hardware loops, a short watchdog
+//! budget or unresolvable or overlapping operand spans. The three-way
+//! shortcut / bulk / stepping differentials in the bench crate enforce
+//! the bit-identity.
 
 use crate::core_state::Core;
 use crate::mem::Memory;
 use crate::program::Program;
 use crate::uop::{
-    alu, alu_imm, branch_taken, clip, mul_div, unary, Profile, UnaryOp, Uop, UopKind, NO_IDX,
+    alu, alu_imm, branch_taken, clip, max, mul_div, unary, Profile, UnaryOp, Uop, UopKind, NO_IDX,
 };
-use rnnasip_isa::{AluImmOp, AluOp, BranchOp, LoadOp, MnemonicId, MulDivOp, Reg, StoreOp};
+use rnnasip_isa::{
+    AluImmOp, AluOp, BranchOp, DotOp, LoadOp, MnemonicId, MulDivOp, Reg, SimdSize, StoreOp,
+};
 
 /// Upper bound on the dynamic micro-ops verifying one region accounts
-/// for — a guard against pathological descriptors, far above any real
-/// kernel (the largest suite kernel executes ~200k micro-ops per entry).
-/// Loop iterations a summary applies count as if walked, so the cap
-/// rejects exactly the regions it rejected when every op was walked.
+/// for (applied loop iterations count as walked): a guard against
+/// pathological descriptors, far above any real kernel (~200k).
 const WALK_OP_CAP: u64 = 8_000_000;
 
 /// Where a kernel pointer comes from at run time — the shortcut-layer
@@ -104,12 +87,11 @@ pub enum ShortcutAct {
 /// together with the math it computes and its operand layout.
 ///
 /// Descriptors are *claims*, not trusted input: translation verifies
-/// each one against the micro-op stream (the `shortcut` module's rules)
-/// and silently discards any that cannot be proven safe. The operand
-/// spans are checked from both sides — the code reads inside them and
-/// from each one's first byte to its last — and so are the stores. Two
-/// parts of a matvec stay claims: its activation `act`, and which
-/// weight row and bias word pair with which output.
+/// each one against the micro-op stream and discards any it cannot
+/// prove. The code must read inside the operand spans and each from end
+/// to end, make exactly the stores, and compute each stored value as the
+/// math says: for a matvec, output `j` from bias word `j` and weight row
+/// `j`, requantized and activated by `act`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct KernelRegion {
     /// Address of the region's first instruction.
@@ -235,15 +217,6 @@ impl RegionMath {
             RegionMath::Dot(_) => RegionKind::Dot,
         }
     }
-
-    /// Every pointer the math names.
-    fn ptrs(&self) -> Vec<ShortcutPtr> {
-        match *self {
-            RegionMath::Matvec(m) => vec![m.x, m.out],
-            RegionMath::Cell(u) => vec![u.gates[0], u.gates[1], u.gates[2], u.gates[3], u.c, u.h],
-            RegionMath::Dot(d) => vec![d.w, d.x, d.bias32, d.spill],
-        }
-    }
 }
 
 /// Shortcut-verification work spent on a set of kernel regions.
@@ -287,9 +260,7 @@ impl VerifyBreakdown {
     /// The work on every region.
     pub fn total(&self) -> VerifyCost {
         let mut t = VerifyCost::default();
-        for c in self.costs.iter().flatten() {
-            t += *c;
-        }
+        self.costs.iter().flatten().for_each(|c| t += *c);
         t
     }
 
@@ -312,22 +283,17 @@ impl std::ops::AddAssign for VerifyBreakdown {
 }
 
 impl ShortcutAct {
-    /// Applies the activation to a requantized, clipped value.
+    /// Applies the activation to a requantized, clipped value, as the
+    /// micro-ops compute it.
     pub(crate) fn apply(self, v: i32) -> i32 {
-        match self {
+        let v = v as u32;
+        (match self {
             ShortcutAct::None => v,
-            ShortcutAct::Relu => v.max(0),
-            ShortcutAct::Tanh => hw_tanh(v),
-            ShortcutAct::Sigmoid => {
-                rnnasip_fixed::hw_sig(rnnasip_fixed::Q3p12::from_raw(v as i16)).raw() as i32
-            }
-        }
+            ShortcutAct::Relu => max(v, 0),
+            ShortcutAct::Tanh => unary(UnaryOp::Tanh, v),
+            ShortcutAct::Sigmoid => unary(UnaryOp::Sig, v),
+        }) as i32
     }
-}
-
-/// The hardware `pl.tanh` of a Q3.12 halfword, sign-extended.
-fn hw_tanh(v: i32) -> i32 {
-    rnnasip_fixed::hw_tanh(rnnasip_fixed::Q3p12::from_raw(v as i16)).raw() as i32
 }
 
 impl ShortcutPtr {
@@ -343,16 +309,14 @@ impl ShortcutPtr {
 
     /// The pointer as an abstract address.
     fn aaddr(self) -> AAddr {
-        match self {
-            ShortcutPtr::Const(a) => AAddr { cell: None, off: a },
-            ShortcutPtr::Cell(c) => AAddr {
-                cell: Some(Cell::Mem(c)),
-                off: 0,
-            },
-            ShortcutPtr::Reg(r) => AAddr {
-                cell: Some(Cell::Reg(r.num())),
-                off: 0,
-            },
+        let cell = match self {
+            ShortcutPtr::Const(off) => return AAddr { cell: None, off },
+            ShortcutPtr::Cell(c) => Cell::Mem(c),
+            ShortcutPtr::Reg(r) => Cell::Reg(r.num()),
+        };
+        AAddr {
+            cell: Some(cell),
+            off: 0,
         }
     }
 }
@@ -386,18 +350,17 @@ pub(crate) struct AAddr {
 /// How one exit-live register's final value is reconstructed at commit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum ExitVal {
-    /// A constant.
-    Const(u32),
-    /// The address itself: a pointer cell's entry value plus a constant
-    /// (a pointer loaded from a global cell or held in a register, then
-    /// advanced).
+    /// The address itself: a constant, or a pointer cell's entry value
+    /// plus a constant (a pointer loaded from a global cell or held in a
+    /// register, then advanced).
     Addr(AAddr),
     /// Re-load from memory (the last value a register loaded). Resolved
     /// before the region's stores are written, so the read returns the
     /// load-time value: every load span is store-disjoint, and a cell
     /// update's in-place `c` read precedes its row's store.
     Load { op: LoadOp, addr: AAddr },
-    /// The `k`-th stored value, sign-extended.
+    /// Slot `k` of [`ShortcutRegion::compute`]'s stores: a value the
+    /// region stored.
     Out(u32),
     /// A value the region computed but did not store (a cell update's
     /// last-row intermediate): re-evaluated from
@@ -406,7 +369,9 @@ pub(crate) enum ExitVal {
 }
 
 /// One step of a dataflow tree over operands `V`: the data semantics of
-/// the micro-op that produced a value.
+/// the micro-op that produced a value. The walk records one per value it
+/// computes, over abstract values; a region's [`Formula`] is built of the
+/// same nodes over its terms.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Node<V> {
     Imm(AluImmOp, V, i32),
@@ -414,6 +379,8 @@ pub(crate) enum Node<V> {
     MulDiv(MulDivOp, V, V),
     Clip(V, i32, i32),
     Unary(UnaryOp, V),
+    /// `p.max`.
+    Max(V, V),
 }
 
 impl<V: Copy> Node<V> {
@@ -425,7 +392,30 @@ impl<V: Copy> Node<V> {
             Node::MulDiv(op, a, b) => Node::MulDiv(op, f(a)?, f(b)?),
             Node::Clip(a, lo, hi) => Node::Clip(f(a)?, lo, hi),
             Node::Unary(op, a) => Node::Unary(op, f(a)?),
+            Node::Max(a, b) => Node::Max(f(a)?, f(b)?),
         })
+    }
+
+    /// The operation without its operands, and its one or two operands.
+    fn split(self) -> (Node<()>, V, Option<V>) {
+        match self {
+            Node::Imm(op, a, imm) => (Node::Imm(op, (), imm), a, None),
+            Node::Alu(op, a, b) => (Node::Alu(op, (), ()), a, Some(b)),
+            Node::MulDiv(op, a, b) => (Node::MulDiv(op, (), ()), a, Some(b)),
+            Node::Clip(a, lo, hi) => (Node::Clip((), lo, hi), a, None),
+            Node::Unary(op, a) => (Node::Unary(op, ()), a, None),
+            Node::Max(a, b) => (Node::Max((), ()), a, Some(b)),
+        }
+    }
+}
+
+impl Node<()> {
+    /// Whether the operation's two operands commute.
+    fn commutes(self) -> bool {
+        matches!(
+            self,
+            Node::Alu(AluOp::Add, ..) | Node::MulDiv(MulDivOp::Mul, ..) | Node::Max(..)
+        )
     }
 }
 
@@ -438,8 +428,25 @@ impl Node<u32> {
             Node::MulDiv(op, a, b) => mul_div(op, a, b),
             Node::Clip(a, lo, hi) => clip(a, lo, hi),
             Node::Unary(op, a) => unary(op, a),
+            Node::Max(a, b) => max(a, b),
         }
     }
+}
+
+/// The dataflow node of a pure op over what `r` makes of its source
+/// registers (`None` for ops no formula is built of).
+#[inline(always)]
+fn node_of<V>(kind: UopKind, r: impl Fn(Reg) -> V) -> Option<Node<V>> {
+    Some(match kind {
+        UopKind::OpImm { op, rs1, imm, .. } => Node::Imm(op, r(rs1), imm),
+        UopKind::Op { op, rs1, rs2, .. } => Node::Alu(op, r(rs1), r(rs2)),
+        UopKind::MulDiv { op, rs1, rs2, .. } => Node::MulDiv(op, r(rs1), r(rs2)),
+        UopKind::Clip { rs1, lo, hi, .. } => Node::Clip(r(rs1), lo, hi),
+        UopKind::ClipU { rs1, hi, .. } => Node::Clip(r(rs1), 0, hi),
+        UopKind::Unary { op, rs1, .. } => Node::Unary(op, r(rs1)),
+        UopKind::PMax { rs1, rs2, .. } => Node::Max(r(rs1), r(rs2)),
+        _ => return None,
+    })
 }
 
 /// One contiguous abstract byte range the region loads from or stores
@@ -455,14 +462,6 @@ pub(crate) struct AccessRange {
     /// Residue `off % size` for size classes 1/2/4 (`u32::MAX` = size
     /// unused in this range).
     pub res: [u32; 3],
-}
-
-/// Exit state of one hardware-loop level touched by the region.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct HwLoopExit {
-    pub start: u32,
-    pub end: u32,
-    pub count: u32,
 }
 
 /// A verified, installed kernel region: the static execution profile of
@@ -485,7 +484,7 @@ pub(crate) struct ShortcutRegion {
     /// `(instret offset from entry, slot, weight word address)`.
     pub exit_pending: Vec<(u64, usize, AAddr)>,
     /// Hardware-loop levels reconfigured by the region.
-    pub exit_hwloop: [Option<HwLoopExit>; 2],
+    pub exit_hwloop: [Option<(u32, u32, u32)>; 2],
     /// The last op's load, pending into the op after the region.
     pub exit_pending_load: Option<(u8, MnemonicId)>,
     /// Dataflow trees of [`ExitVal::Node`] exit values.
@@ -517,26 +516,15 @@ enum Av {
     Load { op: LoadOp, addr: AAddr },
     /// A dot-product chain (see [`Chain`]).
     Dot(Chain),
-    /// Unknown data. `hw` marks a value proven to be a sign-extended
-    /// 16-bit quantity (requantized/activated), eligible for output
-    /// mapping.
-    Data { id: u32, hw: bool },
+    /// Data the walk computed: value `id` of [`Values`], which holds the
+    /// op that produced it where a formula can be built of that op.
+    Data(u32),
 }
 
 /// `mem_u32[seed] + Σ_{k < n} a[k]·b[k]` (wrapping) over the halfword
-/// streams at `a` and `b`: the value a `mac` chain over successive `lh`
-/// pairs builds on a loaded seed word.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct DotVal {
-    seed: AAddr,
-    a: AAddr,
-    b: AAddr,
-    n: u32,
-}
-
-/// A [`DotVal`] as a register holds it: its first `n` terms over the
-/// seed and streams interned as `id` in [`Values::chains`], which keeps
-/// abstract values small.
+/// streams at `a` and `b`: the value a dot-product chain over successive
+/// loads builds on a loaded seed word. Its `[seed, a, b]` are entry `id`
+/// of [`Values::chains`], which keeps abstract values small.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Chain {
     id: u32,
@@ -630,20 +618,6 @@ fn get(regs: &[Av; 32], r: Reg) -> Option<Av> {
     }
 }
 
-/// Whether every register in `mask` holds a constant (`x0` does);
-/// `None` if one holds its region-entry value.
-fn all_const(regs: &[Av; 32], mask: u32) -> Option<bool> {
-    let mut all = true;
-    for n in used(mask) {
-        match regs[n] {
-            Av::Entry => return None,
-            Av::Const(_) => {}
-            _ => all = false,
-        }
-    }
-    Some(all)
-}
-
 /// The register numbers in `mask`, `x0` excepted.
 fn used(mask: u32) -> impl Iterator<Item = usize> {
     let mut m = mask & !1;
@@ -668,127 +642,93 @@ fn set(regs: &mut [Av; 32], r: Reg, v: Av) {
 /// abstract address; non-pointer bases reject the region.
 #[inline(always)]
 fn aaddr(base: Av, disp: u32) -> Option<AAddr> {
-    match base {
-        Av::Const(c) => Some(AAddr {
-            cell: None,
-            off: c.wrapping_add(disp),
-        }),
-        Av::CellVal { cell, off } => Some(AAddr {
-            cell: Some(cell),
-            off: off.wrapping_add(disp),
-        }),
-        _ => None,
-    }
+    let (cell, off) = match base {
+        Av::Const(c) => (None, c),
+        Av::CellVal { cell, off } => (Some(cell), off),
+        _ => return None,
+    };
+    Some(AAddr { cell, off }.plus(disp))
 }
 
 /// Advances a pointer value by a constant (post-increment image).
 #[inline(always)]
 fn bump(base: Av, disp: u32) -> Option<Av> {
-    match base {
-        Av::Const(c) => Some(Av::Const(c.wrapping_add(disp))),
-        Av::CellVal { cell, off } => Some(Av::CellVal {
-            cell,
-            off: off.wrapping_add(disp),
-        }),
-        _ => None,
-    }
-}
-
-/// Whether an abstract value is provably a sign-extended 16-bit
-/// quantity (for `hw` propagation through min/max).
-fn in_i16(v: Av) -> bool {
-    match v {
-        Av::Data { hw, .. } => hw,
-        Av::Const(c) => (-32768..=32767).contains(&(c as i32)),
-        _ => false,
-    }
-}
-
-/// Whether a unary op's result is always a sign-extended 16-bit value.
-fn unary_hw(op: UnaryOp) -> bool {
-    matches!(
-        op,
-        UnaryOp::Tanh | UnaryOp::Sig | UnaryOp::ExtHs | UnaryOp::ExtBs | UnaryOp::ExtBz
-    )
+    Some(match aaddr(base, disp)? {
+        AAddr { cell: None, off } => Av::Const(off),
+        AAddr {
+            cell: Some(cell),
+            off,
+        } => Av::CellVal { cell, off },
+    })
 }
 
 /// The abstract result of a pure op that reads a non-constant register:
-/// a moved cell pointer for `addi`/`add`/`sub` on one, otherwise fresh
-/// data — recorded as a dataflow [`Node`] where the cell-update matchers
-/// need one, and marked `hw` where the op provably yields a
-/// sign-extended halfword.
+/// a moved cell pointer for `addi`/`add`/`sub` on one, a dot-product
+/// chain for a step that extends one (see [`dot_step`]), otherwise data
+/// recorded with the op's dataflow [`Node`].
 fn symbolic(kind: UopKind, regs: &[Av; 32], vals: &mut Values) -> Av {
     let a = |r| av(regs, r);
-    match kind {
-        UopKind::OpImm { op, rs1, imm, .. } => match (op, a(rs1)) {
-            (AluImmOp::Addi, Av::CellVal { cell, off }) => Av::CellVal {
-                cell,
-                off: off.wrapping_add(imm as u32),
-            },
-            (_, x) => vals.fresh(false, Some(Node::Imm(op, x, imm))),
-        },
+    let moved = match kind {
+        UopKind::OpImm {
+            op: AluImmOp::Addi,
+            rs1,
+            imm,
+            ..
+        } => (a(rs1), imm as u32),
         UopKind::Op { op, rs1, rs2, .. } => match (op, a(rs1), a(rs2)) {
-            (AluOp::Add, Av::CellVal { cell, off }, Av::Const(c))
-            | (AluOp::Add, Av::Const(c), Av::CellVal { cell, off }) => Av::CellVal {
-                cell,
-                off: off.wrapping_add(c),
-            },
-            (AluOp::Sub, Av::CellVal { cell, off }, Av::Const(c)) => Av::CellVal {
-                cell,
-                off: off.wrapping_sub(c),
-            },
-            (_, x, y) => vals.fresh(false, Some(Node::Alu(op, x, y))),
+            (AluOp::Add, p, Av::Const(c)) | (AluOp::Add, Av::Const(c), p) => (p, c),
+            (AluOp::Sub, p, Av::Const(c)) => (p, c.wrapping_neg()),
+            _ => (Av::Entry, 0),
         },
-        UopKind::MulDiv { op, rs1, rs2, .. } => {
-            vals.fresh(false, Some(Node::MulDiv(op, a(rs1), a(rs2))))
-        }
-        UopKind::Mac { rd, rs1, rs2 } => match dot_step(a(rd), a(rs1), a(rs2), vals) {
-            Some(d) => Av::Dot(d),
-            None => vals.fresh(false, None),
-        },
-        UopKind::Clip { rs1, lo, hi, .. } => vals.fresh(
-            lo >= -32768 && hi <= 32767,
-            Some(Node::Clip(a(rs1), lo, hi)),
-        ),
-        UopKind::ClipU { rs1, hi, .. } => vals.fresh(hi <= 32767, Some(Node::Clip(a(rs1), 0, hi))),
-        UopKind::Unary { op, rs1, .. } => vals.fresh(unary_hw(op), Some(Node::Unary(op, a(rs1)))),
-        UopKind::PMin { rs1, rs2, .. } | UopKind::PMax { rs1, rs2, .. } => {
-            vals.fresh(in_i16(a(rs1)) && in_i16(a(rs2)), None)
-        }
-        _ => vals.fresh(false, None),
+        _ => (Av::Entry, 0),
+    };
+    if let (Av::CellVal { .. }, by) = moved {
+        return bump(moved.0, by).expect("a cell pointer moves");
+    }
+    let chain = match kind {
+        UopKind::Mac { rd, rs1, rs2 } => dot_step(a(rd), a(rs1), a(rs2), LoadOp::Lh, vals),
+        UopKind::PvDot {
+            op: DotOp::SdotSp,
+            size: SimdSize::Half,
+            rd,
+            rs1,
+            rs2,
+        } => dot_step(a(rd), a(rs1), a(rs2), LoadOp::Lw, vals),
+        _ => None,
+    };
+    match chain {
+        Some(c) => Av::Dot(c),
+        None => vals.fresh(node_of(kind, a)),
     }
 }
 
-/// The dot-product chain a `mac` of two loaded halfwords builds on `acc`:
-/// a loaded word seeds a chain, and a chain grows by one term when the
-/// halfwords are the next elements of both of its streams.
-fn dot_step(acc: Av, a: Av, b: Av, vals: &mut Values) -> Option<Chain> {
-    let (
-        Av::Load {
-            op: LoadOp::Lh,
-            addr: a,
-        },
-        Av::Load {
-            op: LoadOp::Lh,
-            addr: b,
-        },
-    ) = (a, b)
-    else {
+/// The chain a dot-product step builds on `acc` from two operands loaded
+/// by `op`: a `mac` of two `lh` halfwords adds one term, a signed
+/// halfword `sdotsp` of two `lw` words two. A loaded word seeds a chain,
+/// and a chain grows when the operands are the next elements of both of
+/// its streams.
+fn dot_step(acc: Av, a: Av, b: Av, op: LoadOp, vals: &mut Values) -> Option<Chain> {
+    let (Av::Load { op: p, addr: a }, Av::Load { op: q, addr: b }) = (a, b) else {
         return None;
     };
+    if (p, q) != (op, op) {
+        return None;
+    }
+    let terms = load_size(op) / 2;
     match acc {
         Av::Load {
             op: LoadOp::Lw,
             addr: seed,
-        } => Some(Chain {
-            id: vals.intern([seed, a, b]),
-            n: 1,
-        }),
+        } => {
+            vals.chains.push([seed, a, b]);
+            let id = vals.chains.len() as u32 - 1;
+            Some(Chain { id, n: terms })
+        }
         Av::Dot(c) => {
-            let d = vals.dot(c);
-            let next = d.n.wrapping_mul(2);
-            (a == d.a.plus(next) && b == d.b.plus(next)).then_some(Chain {
-                n: c.n.wrapping_add(1),
+            let [_, p, q] = vals.chains[c.id as usize];
+            let next = c.n.wrapping_mul(2);
+            (a == p.plus(next) && b == q.plus(next)).then_some(Chain {
+                n: c.n.wrapping_add(terms),
                 ..c
             })
         }
@@ -796,12 +736,10 @@ fn dot_step(acc: Av, a: Av, b: Av, vals: &mut Values) -> Option<Chain> {
     }
 }
 
-/// Verifies a [`KernelRegion`] descriptor against the micro-op stream by
-/// abstract interpretation and, on success, returns its installed
-/// static profile. `None` means the region stays on the generic path —
-/// never an error: verification failure only costs performance.
-/// `cost` accumulates the region, the micro-ops the walk interpreted one
-/// by one, the loop summaries it applied and the host time it took.
+/// Verifies a [`KernelRegion`] descriptor against the micro-op stream and
+/// returns its installed region; `None` leaves it on the generic path.
+/// `cost` accumulates the region, the micro-ops walked one by one, the
+/// loop summaries applied and the host time taken.
 pub(crate) fn install(
     uops: &[Uop],
     program: &Program,
@@ -856,8 +794,10 @@ impl Pend {
     }
 }
 
-/// The mutable abstract machine state of one verification walk.
-struct WalkState {
+/// The part of a walk's state a loop summary compares between the
+/// starts of two iterations ([`Candidate::summarize`]).
+#[derive(Clone, Copy, Default)]
+struct Arch {
     regs: [Av; 32],
     /// Per hardware-loop level: `(start, end, count)`.
     hwl: [Option<(u32, u32, u32)>; 2],
@@ -865,6 +805,18 @@ struct WalkState {
     /// region-entry contents, which only discarding reads may touch).
     spr: [Option<AAddr>; 2],
     pend: Pend,
+    prev_load: Option<(u8, MnemonicId)>,
+    instret: u64,
+    next_out: u32,
+    /// The spill word's content: the region's last store to it.
+    spill: Option<Av>,
+    /// How many times `WalkState::nowrap` changed.
+    nowrap_changes: u64,
+}
+
+/// The mutable abstract machine state of one verification walk.
+struct WalkState {
+    a: Arch,
     /// The declared load spans, with what the walk read of them.
     loads: Vec<Span>,
     profile: Profile,
@@ -873,15 +825,10 @@ struct WalkState {
     retire_row: [u8; MnemonicId::COUNT],
     /// The same for `profile.stall_rows`.
     stall_row: [u8; MnemonicId::COUNT],
-    prev_load: Option<(u8, MnemonicId)>,
-    instret: u64,
-    next_out: u32,
-    /// The spill word's content: the region's last store to it.
-    spill: Option<Av>,
     /// See [`ShortcutRegion::nowrap`].
     nowrap: Vec<(Cell, u32)>,
-    /// How many times `nowrap` changed.
-    nowrap_changes: u64,
+    /// Micro-ops accounted for, applied loop iterations included.
+    ops: u64,
 }
 
 impl WalkState {
@@ -925,41 +872,7 @@ impl WalkState {
             Some((_, o)) => *o = off,
             None => self.nowrap.push((cell, off)),
         }
-        self.nowrap_changes += 1;
-    }
-}
-
-/// What [`Candidate::summarize`] compares of the state at the start of a
-/// watched iteration. The profile rows are copied into buffers the watch
-/// keeps, so a snapshot allocates nothing once they have grown.
-#[derive(Default)]
-struct Snapshot {
-    regs: [Av; 32],
-    hwl: [Option<(u32, u32, u32)>; 2],
-    spr: [Option<AAddr>; 2],
-    pend: Pend,
-    prev_load: Option<(u8, MnemonicId)>,
-    instret: u64,
-    next_out: u32,
-    spill: Option<Av>,
-    nowrap_changes: u64,
-    profile: Profile,
-}
-
-impl Snapshot {
-    fn take(&mut self, st: &WalkState) {
-        self.regs = st.regs;
-        self.hwl = st.hwl;
-        self.spr = st.spr;
-        self.pend = st.pend;
-        self.prev_load = st.prev_load;
-        self.instret = st.instret;
-        self.next_out = st.next_out;
-        self.spill = st.spill;
-        self.nowrap_changes = st.nowrap_changes;
-        self.profile.cycles = st.profile.cycles;
-        self.profile.retire_rows.clone_from(&st.profile.retire_rows);
-        self.profile.stall_rows.clone_from(&st.profile.stall_rows);
+        self.a.nowrap_changes += 1;
     }
 }
 
@@ -976,6 +889,9 @@ enum Form {
     Zero,
     /// Symbolic data created in this iteration.
     Fresh,
+    /// A dot-product chain seeded in this iteration: entry `c` of
+    /// [`Candidate::chains`].
+    Chain(u8),
 }
 
 /// First pending-SPR-write source index of a [`Form::Lin`].
@@ -984,17 +900,21 @@ const SRC_PEND: usize = 32;
 const SRC_SPR: usize = 34;
 /// The spill word's source index of a [`Form::Lin`].
 const SRC_SPILL: usize = 36;
+/// The number of [`Form::Lin`] sources.
+const SOURCES: usize = SRC_SPILL + 1;
 
-/// Every register moving as itself (`x0` never moves).
-const IDENTITY: [Form; 32] = {
-    let mut f = [Form::Zero; 32];
-    let mut r = 1;
-    while r < 32 {
-        f[r] = Form::Lin(r as u8);
-        r += 1;
+/// Per [`Form::Lin`] source, a form.
+#[derive(Clone, Copy, PartialEq)]
+struct Forms([Form; SOURCES]);
+
+impl Default for Forms {
+    /// Every source moving as itself (`x0` never moves).
+    fn default() -> Self {
+        Forms(std::array::from_fn(|x| {
+            [Form::Lin(x as u8), Form::Zero][usize::from(x == 0)]
+        }))
     }
-    f
-};
+}
 
 /// The loop a [`Candidate`] watches.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -1041,7 +961,7 @@ fn delta(a: &Av, b: &Av) -> Option<Delta> {
             Delta::Num(y.off.wrapping_sub(x.off))
         }
         (Av::Dot(x), Av::Dot(y)) if x.id == y.id => Delta::Num(y.n.wrapping_sub(x.n)),
-        (Av::Data { hw: g, .. }, Av::Data { hw: h, .. }) if g == h => Delta::Same,
+        (Av::Data(_), Av::Data(_)) => Delta::Same,
         _ => return None,
     })
 }
@@ -1049,32 +969,27 @@ fn delta(a: &Av, b: &Av) -> Option<Delta> {
 /// [`delta`] of `v` into itself.
 fn still(v: &Av) -> Delta {
     match v {
-        Av::Entry | Av::Data { .. } => Delta::Same,
+        Av::Entry | Av::Data(_) => Delta::Same,
         _ => Delta::Num(0),
     }
 }
 
 /// `v` moved by `d` applied `m` times.
 fn shifted(v: Av, d: Delta, m: u32) -> Av {
-    let by = match d {
-        Delta::Num(x) => m.wrapping_mul(x),
-        Delta::Same => return v,
+    let Delta::Num(x) = d else {
+        return v;
     };
+    let by = m.wrapping_mul(x);
     match v {
-        Av::Const(c) => Av::Const(c.wrapping_add(by)),
-        Av::CellVal { cell, off } => Av::CellVal {
-            cell,
-            off: off.wrapping_add(by),
-        },
         Av::Load { op, addr } => Av::Load {
             op,
             addr: addr.plus(by),
         },
-        Av::Dot(d) => Av::Dot(Chain {
-            n: d.n.wrapping_add(by),
-            ..d
+        Av::Dot(c) => Av::Dot(Chain {
+            n: c.n.wrapping_add(by),
+            ..c
         }),
-        v => v,
+        v => bump(v, by).unwrap_or(v),
     }
 }
 
@@ -1097,10 +1012,7 @@ struct Access {
 /// A row watch's forms when the hardware-loop watch nested in it began.
 #[derive(Clone, Copy)]
 struct Mark {
-    regs: [Form; 32],
-    spr: [Form; 2],
-    spill: Form,
-    pend: [Form; 2],
+    forms: Forms,
     npend: usize,
     /// Loads recorded before it.
     accesses: usize,
@@ -1108,47 +1020,26 @@ struct Mark {
 
 /// One loop iteration watched for a summary.
 ///
-/// The watcher decodes nothing itself: each arm of the walk reports its
-/// op through one hook (`load`, `store`, `sdot`, `branch`, `pure`), on
-/// the pre-op state and with the operands, address and value the arm
-/// has already formed; a hook that returns `false` ends the watch. From
-/// those reports every value written in the iteration gets a [`Form`]
-/// saying how it would move if the iteration-start state moved. At the
-/// next jump-back of the same loop, [`summarize`] compares the two
-/// iteration-start states. All remaining iterations can be applied at
-/// once when
+/// Each arm of the walk reports its op through one hook (`load`,
+/// `store`, `sdot`, `branch`, `pure`) on the pre-op state; a hook that
+/// returns `false` ends the watch. Every value written gets a [`Form`]:
+/// how it would move if the iteration-start state moved. At the loop's
+/// next jump-back, [`summarize`] compares the two iteration-start states
+/// and applies all remaining iterations at once when each source changed
+/// by a constant [`Delta`] (or is opaque data) that the forms predict for
+/// one more iteration, every value inspected beyond that did not move,
+/// every load and dot-product step keeps pace, every store goes to the
+/// next rows and computes its formula there too, and nothing else
+/// happened (no other branch, no setup of the watched loop). Then
+/// iteration `k + 1` is iteration `k` shifted, by induction, and each
+/// load's span holds all its addresses when it holds the first and the
+/// last. A hardware loop's count says how many iterations remain; a
+/// branch-closed loop's closing branch gives its trip count ([`trip`]).
 ///
-/// * each source changed by a constant [`Delta`], or is opaque data of
-///   the same kind;
-/// * the forms confirm that one more iteration would shift it by the
-///   same constants — a source moves only into copies of itself
-///   advanced by constants, and every value inspected beyond that
-///   (constant folds, the address of a pointer cell's load, the count
-///   of a nested hardware loop) did not move;
-/// * every load address moves by a multiple of its size, and every
-///   dot-product step's halfword streams move two bytes per term it
-///   adds;
-/// * every store goes to the next rows of the region's output streams:
-///   whole rows of a cell update, a matvec's requantized outputs, or
-///   the spill-word partial sums of a dot product;
-/// * nothing else happened: no branch but a branch-closed loop's own
-///   closing branch, and no setup of the watched hardware loop.
-///
-/// Then iteration `k + 1` is iteration `k` shifted, by induction: rows,
-/// counters, pointers and SPR state advance linearly and the loads of
-/// every later iteration are known. Each load's addresses form a line,
-/// so its span holds them all when it holds the first and the last
-/// (and the walk would reject the first that left it). A hardware loop's
-/// count says how many iterations remain; a branch-closed loop's
-/// closing branch gives its trip count from how far its moving operand
-/// still is from its fixed one (see [`trip`]).
-///
-/// The walk keeps two watches ([`Watches`]): one of a branch-closed
-/// loop and one of a hardware loop, and every walked op reports to
-/// both. When the hardware loop is nested in the branch-closed one and
+/// The walk keeps two watches ([`Watches`]), of a branch-closed loop and
+/// of a hardware loop. When the hardware loop is nested in the other and
 /// its summary applies, the outer watch takes the applied iterations as
-/// one step ([`absorb`]), so a matvec's row loop around its inner
-/// hardware loop summarizes too.
+/// one step ([`absorb`]), so a level-b matvec's row loop summarizes too.
 ///
 /// [`summarize`]: Candidate::summarize
 /// [`trip`]: Candidate::trip
@@ -1157,26 +1048,34 @@ struct Mark {
 struct Candidate {
     /// The watched loop; `None` while not watching.
     lp: Option<Loop>,
-    /// The state at the watched iteration's first op.
-    start: Snapshot,
-    regs: [Form; 32],
+    /// The state at the watched iteration's first op, and its profile,
+    /// copied into buffers the watch keeps, so a watch allocates nothing
+    /// once they have grown.
+    start: Arch,
+    profile: Profile,
+    /// Per source (registers, then as [`Form::Lin`] numbers the others),
+    /// its current form; the pending writes' in step with
+    /// `WalkState::pend`.
+    forms: Forms,
     /// The registers the iteration wrote; every other one keeps its
     /// value and moves as itself.
     written: u32,
-    spr: [Form; 2],
-    /// Form of the spill word's content.
-    spill: Form,
-    /// Forms of `WalkState::pend`, in step with it.
-    pend: [Form; 2],
     /// Sources whose values were inspected and so must not move.
     fixed: u64,
     /// Every load of the iteration.
     accesses: Vec<Access>,
-    /// Every store of the iteration: `(form of address, form of value)`.
-    stores: Vec<(Form, Form)>,
-    /// Every dot-product step: the forms of its chain and of its two
-    /// halfword operands.
+    /// Every store of the iteration, in order: the forms of its address
+    /// and value, and the value.
+    stores: Vec<(Form, Form, Av)>,
+    /// Every dot-product step on a chain the iteration did not seed: the
+    /// forms of its chain and of its two operands.
     macs: Vec<[Form; 3]>,
+    /// Every chain the iteration seeded: the forms of its seed word and
+    /// of its two streams' first operands ([`Form::Chain`]).
+    chains: Vec<[Form; 3]>,
+    /// Every data value the iteration computed with a dataflow node, by
+    /// id: the node over its operands' forms.
+    made: Vec<(u32, Node<Form>)>,
     /// A branch-closed loop's closing branch: its op and the forms of
     /// its two operand registers.
     closing: Option<(BranchOp, Reg, Reg, Form, Form)>,
@@ -1193,27 +1092,29 @@ impl Candidate {
     /// Watches one iteration of loop `lp`, starting in `st`.
     fn watch(&mut self, lp: Loop, st: &WalkState) {
         self.lp = Some(lp);
-        self.start.take(st);
-        self.regs = IDENTITY;
+        self.start = st.a;
+        self.profile.cycles = st.profile.cycles;
+        self.profile.retire_rows.clone_from(&st.profile.retire_rows);
+        self.profile.stall_rows.clone_from(&st.profile.stall_rows);
+        self.forms = Forms::default();
         self.written = 0;
-        self.spr = [Form::Lin(SRC_SPR as u8), Form::Lin(SRC_SPR as u8 + 1)];
-        self.spill = Form::Lin(SRC_SPILL as u8);
-        self.pend = [Form::Lin(SRC_PEND as u8), Form::Lin(SRC_PEND as u8 + 1)];
         self.fixed = 0;
         self.accesses.clear();
         self.stores.clear();
         self.macs.clear();
+        self.chains.clear();
+        self.made.clear();
         self.closing = None;
         self.inner = None;
     }
 
     fn form(&self, r: Reg) -> Form {
-        self.regs[r.num() as usize]
+        self.forms.0[r.num() as usize]
     }
 
     fn set(&mut self, r: Reg, f: Form) {
         if r.num() != 0 {
-            self.regs[r.num() as usize] = f;
+            self.forms.0[r.num() as usize] = f;
             self.written |= 1 << r.num();
         }
     }
@@ -1230,7 +1131,7 @@ impl Candidate {
     /// is pinned).
     fn add(&mut self, a: Form, b: Form) -> Form {
         match (a, b) {
-            (Form::Fresh, _) | (_, Form::Fresh) => Form::Fresh,
+            (Form::Fresh | Form::Chain(_), _) | (_, Form::Fresh | Form::Chain(_)) => Form::Fresh,
             (f, Form::Zero) | (Form::Zero, f) => f,
             (f, g) => {
                 self.fix(g);
@@ -1251,11 +1152,19 @@ impl Candidate {
 
     /// A load of `rd` from `addr`, whose form is `f`; `(v, k)` is what
     /// [`Outputs::load`] made of it.
-    fn load(&mut self, op: LoadOp, rd: Reg, addr: AAddr, f: Form, (v, k): Loaded, plan: &Outputs) {
+    fn load(
+        &mut self,
+        op: LoadOp,
+        rd: Reg,
+        addr: AAddr,
+        f: Form,
+        (v, k): (Av, Option<usize>),
+        plan: &Outputs,
+    ) -> bool {
         // A spill-word read forwards the word's content.
         if plan.spill() == Some(addr) {
-            self.set(rd, self.spill);
-            return;
+            self.set(rd, self.forms.0[SRC_SPILL]);
+            return true;
         }
         self.accesses.push(Access {
             addr,
@@ -1275,21 +1184,38 @@ impl Candidate {
             _ => f,
         };
         self.set(rd, v);
+        true
     }
 
-    /// A store of `rs2` to `addr` through base `rs1`.
-    fn store(&mut self, addr: AAddr, rs1: Reg, post: bool, rs2: Reg, plan: &Outputs) {
-        let f = self.base(rs1, post);
-        let v = self.form(rs2);
-        if plan.spill() == Some(addr) {
-            self.spill = v;
+    /// A store of `value` from `rs2` through base `rs1`, to the spill
+    /// word with `spill`.
+    fn store(&mut self, rs1: Reg, post: bool, rs2: Reg, value: Av, spill: bool) -> bool {
+        let at = self.base(rs1, post);
+        let form = self.form(rs2);
+        if spill {
+            self.forms.0[SRC_SPILL] = form;
         }
-        self.stores.push((f, v));
+        self.stores.push((at, form, value));
+        true
     }
 
-    /// A `pl.sdotsp` whose weight word at `addr` is read through `rs1`,
-    /// queued as pending write `slot`.
-    fn sdot(&mut self, rd: Reg, rs1: Reg, addr: AAddr, slot: usize, span: Option<usize>) {
+    /// The `pl.sdotsp` `kind`, whose weight word at `addr` is read
+    /// through `rs1` and queued as pending write `slot`, and which gave
+    /// its accumulator `v` (`acc` before).
+    fn sdot(
+        &mut self,
+        kind: UopKind,
+        addr: AAddr,
+        slot: usize,
+        span: Option<usize>,
+        (acc, v): (Av, Av),
+    ) -> bool {
+        let UopKind::PlSdotsp {
+            spr, rd, rs1, rs2, ..
+        } = kind
+        else {
+            return false;
+        };
         let f = self.form(rs1);
         self.accesses.push(Access {
             addr,
@@ -1299,11 +1225,42 @@ impl Candidate {
             step: 0,
             span,
         });
-        if let Some(p) = self.pend.get_mut(slot) {
-            *p = f;
+        if rd != Reg::ZERO {
+            let w = self.forms.0[SRC_SPR + usize::from(spr & 1)];
+            self.result(rd, acc, v, [w, self.form(rs2)], None);
         }
-        self.set(rd, Form::Fresh);
+        if slot < 2 {
+            self.forms.0[SRC_PEND + slot] = f;
+        }
         self.set(rs1, f);
+        true
+    }
+
+    /// Gives `rd` the form of the symbolic value `v` an op computed from
+    /// `acc`, the accumulator's value before it, and from operands of
+    /// forms `ops` (with its dataflow `node` over them): a chain step
+    /// extends its chain's form and is recorded for the summary, a seed
+    /// starts a chain of this iteration, and data is fresh.
+    fn result(&mut self, rd: Reg, acc: Av, v: Av, ops: [Form; 2], node: Option<Node<Form>>) {
+        let f = match v {
+            Av::Dot(_) if matches!(acc, Av::Load { .. }) => {
+                self.chains.push([self.form(rd), ops[0], ops[1]]);
+                u8::try_from(self.chains.len() - 1).map_or(Form::Fresh, Form::Chain)
+            }
+            Av::Dot(_) => {
+                let f = self.form(rd);
+                self.macs.push([f, ops[0], ops[1]]);
+                f
+            }
+            Av::Data(id) => {
+                if let Some(n) = node {
+                    self.made.push((id, n));
+                }
+                Form::Fresh
+            }
+            _ => Form::Fresh,
+        };
+        self.set(rd, f);
     }
 
     /// A branch at `at`: only the watched loop's closing branch keeps the
@@ -1319,12 +1276,11 @@ impl Candidate {
 
     /// A pure op giving `rd` the value `v`, on the pre-op registers:
     /// pointer arithmetic (an `addi`, `add` or `sub` whose value is a
-    /// constant or a cell pointer) moves with its pointer, a dot-product
-    /// step with its chain (the summary checks that its operands keep
-    /// pace), any other constant is a fold that is the same every
-    /// iteration and pins every register it reads, and anything else is
-    /// fresh data.
-    fn pure(&mut self, u: &Uop, rd: Reg, v: Av, regs: &[Av; 32]) {
+    /// constant or a cell pointer) moves with its pointer, any other
+    /// constant is a fold that is the same every iteration and pins every
+    /// register it reads, and a symbolic value takes its form from
+    /// [`result`](Self::result).
+    fn pure(&mut self, u: &Uop, rd: Reg, v: Av, regs: &[Av; 32]) -> bool {
         let pointer = matches!(v, Av::Const(_) | Av::CellVal { .. });
         let f = match u.kind {
             UopKind::OpImm {
@@ -1347,41 +1303,32 @@ impl Candidate {
                 self.fix(self.form(rs2));
                 self.form(rs1)
             }
-            UopKind::Mac { rs1, rs2, .. } if matches!(v, Av::Dot(_)) => {
-                let f = self.form(rd);
-                self.macs.push([f, self.form(rs1), self.form(rs2)]);
-                f
+            _ if pointer => {
+                for n in used(u.uses_mask) {
+                    self.fix(self.forms.0[n]);
+                }
+                Form::Zero
             }
             kind => {
-                if let UopKind::PMin { .. } | UopKind::PMax { .. } = kind {
-                    // The 16-bit range test reads constant operands too.
-                    for n in used(u.uses_mask) {
-                        if let Av::Const(_) = regs[n] {
-                            self.fix(self.regs[n]);
-                        }
+                let (ops, node) = match kind {
+                    UopKind::Mac { rs1, rs2, .. } | UopKind::PvDot { rs1, rs2, .. } => {
+                        ([self.form(rs1), self.form(rs2)], None)
                     }
-                }
-                if let Av::Const(_) = v {
-                    for n in used(u.uses_mask) {
-                        self.fix(self.regs[n]);
-                    }
-                    Form::Zero
-                } else {
-                    Form::Fresh
-                }
+                    _ => ([Form::Fresh; 2], node_of(kind, |r| self.form(r))),
+                };
+                self.result(rd, av(regs, rd), v, ops, node);
+                return true;
             }
         };
         self.set(rd, f);
+        true
     }
 
     /// Notes, in a row watch, that a hardware-loop watch nested in it
     /// begins now, with `npend` SPR writes in flight.
     fn mark(&mut self, npend: usize) {
         self.inner = Some(Mark {
-            regs: self.regs,
-            spr: self.spr,
-            spill: self.spill,
-            pend: self.pend,
+            forms: self.forms,
             npend,
             accesses: self.accesses.len(),
         });
@@ -1404,14 +1351,11 @@ impl Candidate {
         let Ok(reps) = u32::try_from(inner.applied) else {
             return false;
         };
-        if plan.cell.is_some()
-            || plan.dot.is_some()
+        if plan.kind != RegionKind::Matvec
             || !inner.stores.is_empty()
-            || mark.regs != self.regs
-            || mark.spr != self.spr
-            || mark.spill != self.spill
             || mark.npend != npend
-            || mark.pend[..npend] != self.pend[..npend]
+            || mark.forms.0[..SRC_PEND + npend] != self.forms.0[..SRC_PEND + npend]
+            || mark.forms.0[SRC_SPR..] != self.forms.0[SRC_SPR..]
             || new.len() != inner.shifts.len()
         {
             return false;
@@ -1435,57 +1379,54 @@ impl Candidate {
     /// back at 1 so the walk can take its exit. [`Summary::Skip`] leaves
     /// `st` untouched.
     ///
-    /// An iteration that stores writes the next rows of the region's
-    /// output streams, and every store must advance by exactly the rows
-    /// it wrote. A cell update's loads advance with its rows too, so
-    /// iteration `k + 1` checks the row formulas one row further on. A
-    /// matvec's stored value must be data computed in the iteration,
-    /// which is a requantized halfword again in every later iteration.
-    /// A dot product's stores are its partial sums into the one spill
-    /// word, each chain one term longer per store. The stored values of
-    /// applied iterations are never exit-live, so the loop's last
+    /// An iteration's stores must go to the next rows of the output
+    /// streams, and each value must compute its formula there too: the
+    /// match is repeated with every leaf moving by its lanes' steps per
+    /// row ([`Formula::is`]). A cell update's in-place reads of `c` must
+    /// move with the rows, inside its store span. The loop's last
     /// iteration is left to the walk (`walk_last`), which records its
-    /// stores and dataflow as usual.
-    fn summarize(&mut self, st: &mut WalkState, plan: &Outputs) -> Summary {
+    /// stores and dataflow as usual; a loop without stores may leave no
+    /// data computed in its applied iterations in a register, whose node
+    /// would name the watched iteration's operands.
+    fn summarize(&mut self, st: &mut WalkState, plan: &Outputs, vals: &Values) -> Summary {
         let Some(lp) = self.lp else {
             return Summary::Skip;
         };
-        let s0 = &self.start;
-        let stored = st.next_out - s0.next_out;
-        let streams = plan.streams.len() as u32;
+        let (s0, p0) = (&self.start, &self.profile);
+        let stored = st.a.next_out - s0.next_out;
+        let streams = plan.f.outs.len() as u32;
         if !stored.is_multiple_of(streams)
-            || s0.prev_load != st.prev_load
-            || s0.nowrap_changes != st.nowrap_changes
-            || s0.profile.retire_rows.len() != st.profile.retire_rows.len()
-            || s0.profile.stall_rows.len() != st.profile.stall_rows.len()
-            || s0.pend.len != st.pend.len
+            || s0.prev_load != st.a.prev_load
+            || s0.nowrap_changes != st.a.nowrap_changes
+            || p0.retire_rows.len() != st.profile.retire_rows.len()
+            || p0.stall_rows.len() != st.profile.stall_rows.len()
+            || s0.pend.len != st.a.pend.len
         {
             return Summary::Skip;
         }
         // Iterations left after the watched one, for a hardware loop.
         let hw_left = match lp {
             Loop::Hw(lv) => {
-                let (Some((a0, e0, n0)), Some((a1, e1, n1))) = (s0.hwl[lv], st.hwl[lv]) else {
+                let (Some((a0, e0, n0)), Some((a1, e1, n1))) = (s0.hwl[lv], st.a.hwl[lv]) else {
                     return Summary::Skip;
                 };
-                if (a0, e0) != (a1, e1) || n1 + 1 != n0 || s0.hwl[1 - lv] != st.hwl[1 - lv] {
+                if (a0, e0) != (a1, e1) || n1 + 1 != n0 || s0.hwl[1 - lv] != st.a.hwl[1 - lv] {
                     return Summary::Skip;
                 }
                 Some(n1)
             }
-            Loop::Branch(_) if s0.hwl == st.hwl => None,
+            Loop::Branch(_) if s0.hwl == st.a.hwl => None,
             Loop::Branch(_) => return Summary::Skip,
         };
-        let iter = st.instret - s0.instret;
-
+        let iter = st.a.instret - s0.instret;
         // Per-source deltas over the watched iteration. A register the
         // iteration did not write kept its value.
-        let mut d = [Delta::Same; SRC_SPILL + 1];
+        let mut d = [Delta::Same; SOURCES];
         for (r, dr) in d.iter_mut().enumerate().take(32).skip(1) {
             *dr = if self.written & (1 << r) == 0 {
-                still(&st.regs[r])
+                still(&st.a.regs[r])
             } else {
-                match delta(&s0.regs[r], &st.regs[r]) {
+                match delta(&s0.regs[r], &st.a.regs[r]) {
                     Some(v) => v,
                     None => return Summary::Skip,
                 }
@@ -1495,22 +1436,22 @@ impl Candidate {
             .pend
             .as_slice()
             .iter()
-            .zip(st.pend.as_slice())
+            .zip(st.a.pend.as_slice())
             .enumerate()
         {
-            if s0.instret - p.0 != st.instret - q.0 || p.1 != q.1 || p.2.cell != q.2.cell {
+            if s0.instret - p.0 != st.a.instret - q.0 || p.1 != q.1 || p.2.cell != q.2.cell {
                 return Summary::Skip;
             }
             d[SRC_PEND + j] = Delta::Num(q.2.off.wrapping_sub(p.2.off));
         }
         for k in 0..2 {
-            d[SRC_SPR + k] = match (s0.spr[k], st.spr[k]) {
+            d[SRC_SPR + k] = match (s0.spr[k], st.a.spr[k]) {
                 (None, None) => Delta::Same,
                 (Some(a), Some(b)) if a.cell == b.cell => Delta::Num(b.off.wrapping_sub(a.off)),
                 _ => return Summary::Skip,
             };
         }
-        d[SRC_SPILL] = match (&s0.spill, &st.spill) {
+        d[SRC_SPILL] = match (&s0.spill, &st.a.spill) {
             (None, None) => Delta::Same,
             (Some(a), Some(b)) => match delta(a, b) {
                 Some(v) => v,
@@ -1518,7 +1459,6 @@ impl Candidate {
             },
             _ => return Summary::Skip,
         };
-
         // The forms must predict the same deltas for the next iteration
         // (an unwritten register moves as itself).
         let predicts = |x: usize, f: Form| match f {
@@ -1527,20 +1467,13 @@ impl Candidate {
                 d[x] == d[s] && (x == s || d[s] != Delta::Same)
             }
             Form::Zero => d[x] == Delta::Num(0),
-            Form::Fresh => d[x] == Delta::Same,
+            Form::Fresh | Form::Chain(_) => d[x] == Delta::Same,
         };
         let ends = used(self.written)
-            .map(|r| (r, self.regs[r]))
-            .chain(
-                self.pend[..st.pend.len]
-                    .iter()
-                    .enumerate()
-                    .map(|(j, &f)| (SRC_PEND + j, f)),
-            )
-            .chain(self.spr.iter().enumerate().map(|(k, &f)| (SRC_SPR + k, f)))
-            .chain([(SRC_SPILL, self.spill)]);
-        for (x, f) in ends {
-            if !predicts(x, f) {
+            .chain(SRC_PEND..SRC_PEND + st.a.pend.len)
+            .chain(SRC_SPR..SOURCES);
+        for x in ends {
+            if !predicts(x, self.forms.0[x]) {
                 return Summary::Skip;
             }
         }
@@ -1551,7 +1484,6 @@ impl Candidate {
             }
             fixed &= fixed - 1;
         }
-
         // Where each value of the watched iteration moves per iteration.
         let shift_of = |f: Form| match f {
             Form::Lin(s) => match d[usize::from(s)] {
@@ -1559,19 +1491,26 @@ impl Candidate {
                 _ => None,
             },
             Form::Zero => Some(0),
-            Form::Fresh => None,
+            Form::Fresh | Form::Chain(_) => None,
         };
-        // A dot-product step stays a step when both halfword operands
-        // move two bytes per term its chain moves.
+        // A dot-product step stays a step when both operands move as the
+        // next elements of its chain's streams: with the chain's seeding
+        // operands for a chain of this iteration, else two bytes per term
+        // the chain moves.
         for &[chain, a, b] in &self.macs {
-            let (Some(n), Some(a), Some(b)) = (shift_of(chain), shift_of(a), shift_of(b)) else {
-                return Summary::Skip;
+            let want = match chain {
+                Form::Chain(c) => {
+                    let [_, fa, fb] = self.chains[usize::from(c)];
+                    [shift_of(fa), shift_of(fb)]
+                }
+                f => [shift_of(f).map(|n| n.wrapping_mul(2)); 2],
             };
-            let step = n.wrapping_mul(2);
-            if a != step || b != step {
+            if want.contains(&None) || [shift_of(a), shift_of(b)] != want {
                 return Summary::Skip;
             }
         }
+        // The rows stored per iteration.
+        let rows = stored / streams;
         // Every load must keep its alignment residue: its shift, and its
         // repetitions' step, are multiples of its size.
         self.shifts.clear();
@@ -1579,27 +1518,21 @@ impl Candidate {
             let Some(shift) = shift_of(a.form) else {
                 return Summary::Skip;
             };
-            if (plan.cell.is_some() && stored > 0 && shift != stored)
-                || !(shift | a.step).is_multiple_of(a.size)
-            {
+            let in_place = a.span.is_none() && shift != rows.wrapping_mul(plan.f.outs[0].0.step);
+            if in_place || !(shift | a.step).is_multiple_of(a.size) {
                 return Summary::Skip;
             }
             self.shifts.push(shift);
         }
-        // The rows stored per iteration, in bytes of each stream.
-        let rows = (stored / streams).wrapping_mul(plan.streams[0].1);
-        for &(at, value) in &self.stores {
-            let ok = shift_of(at) == Some(rows)
-                && if plan.dot.is_some() {
-                    shift_of(value) == Some(stored)
-                } else {
-                    plan.cell.is_some() || value == Form::Fresh
-                };
-            if !ok {
+        let moves = |f, step: u32| shift_of(f) == Some(step.wrapping_mul(rows));
+        for (&(at, form, value), k) in self.stores.iter().zip(s0.next_out..) {
+            let (lane, t) = plan.f.store(k);
+            let row = plan.f.row(k);
+            if !moves(at, lane.step) || !plan.f.is(value, form, t, row, vals, Some((self, &moves)))
+            {
                 return Summary::Skip;
             }
         }
-
         let (left, walk_last) = match hw_left {
             Some(n1) => (u64::from(n1), stored > 0),
             None => match self.trip(st, shift_of) {
@@ -1608,17 +1541,21 @@ impl Candidate {
             },
         };
         let m = left - u64::from(walk_last);
-        if m == 0 {
+        let computed = |v: &Av| matches!(v, Av::Data(_));
+        if m == 0
+            || !walk_last
+                && (used(self.written).any(|r| computed(&st.a.regs[r]))
+                    || st.a.spill.as_ref().is_some_and(computed))
+        {
             return Summary::Skip;
         }
-
         // All remaining iterations are applied. Each load's first and
         // last address over them must lie in the span the watched load
         // read (addresses as signed steps from it, without wrapping).
         let Some(next_out) = (m as u32)
             .checked_mul(stored)
-            .and_then(|n| n.checked_add(st.next_out))
-            .filter(|&n| n <= plan.count)
+            .and_then(|n| n.checked_add(st.a.next_out))
+            .filter(|&n| n <= plan.f.count)
         else {
             return Summary::Reject;
         };
@@ -1640,7 +1577,6 @@ impl Candidate {
             }
             span.cover(lo as u32, hi as u32 + a.size);
         }
-
         // Apply `m` more iterations (pending writes and SPR contents
         // only ever have offset deltas).
         let m32 = m as u32;
@@ -1649,23 +1585,23 @@ impl Candidate {
             _ => 0,
         };
         for r in used(self.written) {
-            st.regs[r] = shifted(st.regs[r], d[r], m32);
+            st.a.regs[r] = shifted(st.a.regs[r], d[r], m32);
         }
-        for (j, p) in st.pend.as_mut_slice().iter_mut().enumerate() {
+        for (j, p) in st.a.pend.as_mut_slice().iter_mut().enumerate() {
             p.0 += m * iter;
             p.2.off = p.2.off.wrapping_add(by(SRC_PEND + j));
         }
         for k in 0..2 {
-            if let Some(a) = &mut st.spr[k] {
+            if let Some(a) = &mut st.a.spr[k] {
                 a.off = a.off.wrapping_add(by(SRC_SPR + k));
             }
         }
-        st.spill = st.spill.map(|v| shifted(v, d[SRC_SPILL], m32));
-        st.profile.repeat_since(&s0.profile, m);
-        st.instret += m * iter;
-        st.next_out = next_out;
+        st.a.spill = st.a.spill.map(|v| shifted(v, d[SRC_SPILL], m32));
+        st.profile.repeat_since(p0, m);
+        st.a.instret += m * iter;
+        st.a.next_out = next_out;
         if let Loop::Hw(lv) = lp {
-            if let Some(h) = &mut st.hwl[lv] {
+            if let Some(h) = &mut st.a.hwl[lv] {
                 h.2 = 1;
             }
         }
@@ -1685,7 +1621,7 @@ impl Candidate {
     /// whose first operand falls onto the second exactly.
     fn trip(&self, st: &WalkState, shift_of: impl Fn(Form) -> Option<u32>) -> Option<u64> {
         let (op, r1, r2, f1, f2) = self.closing?;
-        let (a, b) = match (av(&st.regs, r1), av(&st.regs, r2)) {
+        let (a, b) = match (av(&st.a.regs, r1), av(&st.a.regs, r2)) {
             (Av::Const(a), Av::Const(b)) => (a, b),
             (Av::CellVal { cell: c, off: a }, Av::CellVal { cell: e, off: b }) if c == e => (a, b),
             _ => return None,
@@ -1724,31 +1660,29 @@ impl Candidate {
         lp: Loop,
         st: &mut WalkState,
         plan: &Outputs,
-        ops: &mut u64,
+        vals: &Values,
         cost: &mut VerifyCost,
     ) -> Option<Summary> {
         if self.lp != Some(lp) {
             self.lp = None;
             return Some(Summary::Skip);
         }
-        let summary = self.summarize(st, plan);
+        let summary = self.summarize(st, plan, vals);
         self.lp = None;
         match summary {
             Summary::Reject => return None,
             Summary::Applied { ops: n, .. } => {
-                *ops += n;
+                st.ops += n;
                 cost.summaries += 1;
             }
             Summary::Skip => {}
         }
-        (*ops <= WALK_OP_CAP).then_some(summary)
+        (st.ops <= WALK_OP_CAP).then_some(summary)
     }
 }
 
-/// The walk's two loop watches: `row` watches a branch-closed loop and
-/// `hw` a hardware loop, possibly nested in it. Every walked op reports
-/// to both. Each keeps its buffers from watch to watch, so watching
-/// allocates nothing once they have grown.
+/// The walk's two loop watches: `row` of a branch-closed loop, `hw` of a
+/// hardware loop. Each keeps its buffers from watch to watch.
 #[derive(Default)]
 struct Watches {
     row: Candidate,
@@ -1799,60 +1733,57 @@ fn walk(
     }
     let stores = plan.spans()?;
 
+    // Every register a pointer the formula's operands name holds that
+    // cell's entry value; reading any other rejects the region.
+    let mut regs = [Av::Entry; 32];
+    for b in &plan.f.bases {
+        if let Some(cell @ Cell::Reg(r)) = b.cell {
+            *regs.get_mut(usize::from(r)).filter(|_| r != 0)? = Av::CellVal { cell, off: 0 };
+        }
+    }
     let mut st = WalkState {
-        regs: entry_regs(&desc.math)?,
-        hwl: [None, None],
-        spr: [None, None],
-        pend: Pend::default(),
+        a: Arch {
+            regs,
+            ..Arch::default()
+        },
         loads: plan.loads.clone(),
         profile: Profile::default(),
         retire_row: [0; MnemonicId::COUNT],
         stall_row: [0; MnemonicId::COUNT],
-        prev_load: None,
-        instret: 0,
-        next_out: 0,
-        spill: None,
         nowrap: Vec::new(),
-        nowrap_changes: 0,
+        ops: 0,
     };
-    let mut out_map = Stored::default();
-    let mut vals = Values {
-        count: 0,
-        nodes: plan.cell.map(|_| Vec::new()),
-        chains: Vec::new(),
-    };
+    let mut vals = Values::default();
     let mut watches = Watches::default();
 
     let mut i = start_idx;
-    let mut ops = 0u64;
     while i != end_idx {
         let u = &uops[i];
-        ops += 1;
+        st.ops += 1;
         cost.walked += 1;
-        if ops > WALK_OP_CAP {
+        if st.ops > WALK_OP_CAP {
             return None;
         }
         // SPR writes issued two or more retirements ago land now — the
         // same drain point as the per-op path.
-        while let Some(&(iss, slot, addr)) = st.pend.as_slice().first() {
-            if iss + 2 > st.instret {
+        while let Some(&(iss, slot, addr)) = st.a.pend.as_slice().first() {
+            if iss + 2 > st.a.instret {
                 break;
             }
-            st.spr[slot] = Some(addr);
-            st.pend.pop_front();
+            st.a.spr[slot] = Some(addr);
+            st.a.pend.pop_front();
             watches.each(|c| {
-                c.spr[slot] = c.pend[0];
-                c.pend[0] = c.pend[1];
+                c.forms.0[SRC_SPR + slot] = c.forms.0[SRC_PEND];
+                c.forms.0[SRC_PEND] = c.forms.0[SRC_PEND + 1];
                 true
             });
         }
         // Load-use stall, charged to the producing load.
-        if let Some((r, id)) = st.prev_load.take() {
+        if let Some((r, id)) = st.a.prev_load.take() {
             if u.uses_mask & (1u32 << r) != 0 {
                 st.stall(id);
             }
         }
-
         let mut extra = 0u64;
         let mut jump: Option<(u32, usize)> = None;
         match u.kind {
@@ -1863,7 +1794,7 @@ fn walk(
                 target,
             } => {
                 watches.each(|c| c.branch(u.addr, op, rs1, rs2));
-                let (a, b) = match (get(&st.regs, rs1)?, get(&st.regs, rs2)?) {
+                let (a, b) = match (get(&st.a.regs, rs1)?, get(&st.a.regs, rs2)?) {
                     (Av::Const(a), Av::Const(b)) => (a, b),
                     // Two offsets from one cell compare as the offsets:
                     // always for equality, and for an unsigned order while
@@ -1901,31 +1832,29 @@ fn walk(
                 offset,
             } => {
                 let post = matches!(u.kind, UopKind::LoadPostInc { .. });
-                let base = get(&st.regs, rs1)?;
+                let base = get(&st.a.regs, rs1)?;
                 let addr = aaddr(base, if post { 0 } else { offset })?;
                 let loaded = plan.load(&mut st, op, addr)?;
                 watches.each(|c| {
                     let f = c.base(rs1, post);
-                    c.load(op, rd, addr, f, loaded, &plan);
-                    true
+                    c.load(op, rd, addr, f, loaded, &plan)
                 });
                 if post {
-                    set(&mut st.regs, rs1, bump(base, offset)?);
+                    set(&mut st.a.regs, rs1, bump(base, offset)?);
                 }
-                set(&mut st.regs, rd, loaded.0);
+                set(&mut st.a.regs, rd, loaded.0);
             }
             UopKind::LoadReg { op, rd, rs1, rs2 } => {
-                let addr = match (get(&st.regs, rs1)?, get(&st.regs, rs2)?) {
+                let addr = match (get(&st.a.regs, rs1)?, get(&st.a.regs, rs2)?) {
                     (base, Av::Const(c)) | (Av::Const(c), base) => aaddr(base, c)?,
                     _ => return None,
                 };
                 let loaded = plan.load(&mut st, op, addr)?;
                 watches.each(|c| {
                     let f = c.add(c.form(rs1), c.form(rs2));
-                    c.load(op, rd, addr, f, loaded, &plan);
-                    true
+                    c.load(op, rd, addr, f, loaded, &plan)
                 });
-                set(&mut st.regs, rd, loaded.0);
+                set(&mut st.a.regs, rd, loaded.0);
             }
             UopKind::Store {
                 op,
@@ -1940,59 +1869,62 @@ fn walk(
                 offset,
             } => {
                 let post = matches!(u.kind, UopKind::StorePostInc { .. });
-                let base = get(&st.regs, rs1)?;
+                let base = get(&st.a.regs, rs1)?;
                 let addr = aaddr(base, if post { 0 } else { offset })?;
-                watches.each(|c| {
-                    c.store(addr, rs1, post, rs2, &plan);
-                    true
-                });
-                plan.store(op, addr, get(&st.regs, rs2)?, &vals, &mut st, &mut out_map)?;
+                let value = get(&st.a.regs, rs2)?;
+                let spill = plan.spill() == Some(addr);
+                watches.each(|c| c.store(rs1, post, rs2, value, spill));
+                plan.store(op, addr, value, &mut vals, &mut st)?;
                 if post {
-                    set(&mut st.regs, rs1, bump(base, offset)?);
+                    set(&mut st.a.regs, rs1, bump(base, offset)?);
                 }
             }
             UopKind::Nop => {}
             UopKind::PlSdotsp {
                 spr: s,
+                size,
                 rd,
                 rs1,
                 rs2,
-                ..
             } => {
                 let sl = usize::from(s & 1);
                 // The x operand's value is symbolic but must exist.
-                let _ = get(&st.regs, rs2)?;
+                let x = get(&st.a.regs, rs2)?;
+                let (mut acc, mut v) = (Av::Entry, Av::Entry);
                 if rd != Reg::ZERO {
                     // A live accumulation must read a weight whose
                     // provenance is known (drained from a walked issue),
-                    // never the slot's unknown entry contents.
-                    st.spr[sl]?;
-                    let _ = get(&st.regs, rd)?;
+                    // never the slot's unknown entry contents: the word
+                    // it was loaded from.
+                    let w = Av::Load {
+                        op: LoadOp::Lw,
+                        addr: st.a.spr[sl]?,
+                    };
+                    acc = get(&st.a.regs, rd)?;
+                    let half = size == SimdSize::Half;
+                    v = match dot_step(acc, w, x, LoadOp::Lw, &mut vals).filter(|_| half) {
+                        Some(c) => Av::Dot(c),
+                        None => vals.fresh(None),
+                    };
                 }
-                let base = get(&st.regs, rs1)?;
+                let base = get(&st.a.regs, rs1)?;
                 let addr = aaddr(base, 0)?;
-                let slot = st.pend.len;
+                let slot = st.a.pend.len;
                 let (_, span) = plan.load(&mut st, LoadOp::Lw, addr)?;
-                watches.each(|c| {
-                    c.sdot(rd, rs1, addr, slot, span);
-                    true
-                });
-                st.pend.push((st.instret, sl, addr))?;
-                if rd != Reg::ZERO {
-                    let v = vals.fresh(false, None);
-                    set(&mut st.regs, rd, v);
-                }
-                set(&mut st.regs, rs1, bump(base, 4)?);
+                watches.each(|c| c.sdot(u.kind, addr, slot, span, (acc, v)));
+                st.a.pend.push((st.a.instret, sl, addr))?;
+                set(&mut st.a.regs, rd, v);
+                set(&mut st.a.regs, rs1, bump(base, 4)?);
             }
             UopKind::LpSetup { l, rs1, start, end } => {
                 watches.setup(Some(rs1));
-                let Av::Const(count) = get(&st.regs, rs1)? else {
+                let Av::Const(count) = get(&st.a.regs, rs1)? else {
                     return None;
                 };
                 if count > 0 && start >= end {
                     return None;
                 }
-                st.hwl[usize::from(l)] = Some((start, end, count));
+                st.a.hwl[usize::from(l)] = Some((start, end, count));
             }
             UopKind::LpSetupi {
                 l,
@@ -2004,7 +1936,7 @@ fn walk(
                 if count > 0 && start >= end {
                     return None;
                 }
-                st.hwl[usize::from(l)] = Some((start, end, count));
+                st.a.hwl[usize::from(l)] = Some((start, end, count));
             }
             // Jumps, halts, CSR access and split hardware-loop setup
             // never appear in generated kernel regions; reject rather
@@ -2020,8 +1952,13 @@ fn walk(
             // interpreter's own semantics when every register it reads is
             // constant, symbolic otherwise.
             kind => {
-                let folds = all_const(&st.regs, u.uses_mask)?;
-                let konst = |r: Reg| match av(&st.regs, r) {
+                // Whether every register read holds a constant (`x0`
+                // does); a region-entry value rejects.
+                let folds = used(u.uses_mask).try_fold(true, |all, n| match st.a.regs[n] {
+                    Av::Entry => None,
+                    v => Some(all && matches!(v, Av::Const(_))),
+                })?;
+                let konst = |r: Reg| match av(&st.a.regs, r) {
                     Av::Const(c) => c,
                     _ => 0,
                 };
@@ -2029,20 +1966,15 @@ fn walk(
                 let v = if folds {
                     Av::Const(kind.value(konst)?)
                 } else {
-                    symbolic(kind, &st.regs, &mut vals)
+                    symbolic(kind, &st.a.regs, &mut vals)
                 };
-                watches.each(|c| {
-                    c.pure(u, rd, v, &st.regs);
-                    true
-                });
-                set(&mut st.regs, rd, v);
+                watches.each(|c| c.pure(u, rd, v, &st.a.regs));
+                set(&mut st.a.regs, rd, v);
             }
         }
-
         st.retire(u.id, u64::from(u.base_cycles) + extra, u64::from(u.mac_ops));
-        st.instret += 1;
-        st.prev_load = (u.load_rd != 0).then_some((u.load_rd, u.id));
-
+        st.a.instret += 1;
+        st.a.prev_load = (u.load_rd != 0).then_some((u.load_rd, u.id));
         match jump {
             Some((_, t)) => {
                 if t < start_idx || t >= end_idx {
@@ -2054,7 +1986,7 @@ fn walk(
                     // the walk takes, so its branch falls through);
                     // otherwise watch the next one.
                     let lp = Loop::Branch(u.addr);
-                    let summary = watches.row.jump_back(lp, &mut st, &plan, &mut ops, cost)?;
+                    let summary = watches.row.jump_back(lp, &mut st, &plan, &vals, cost)?;
                     if !matches!(summary, Summary::Applied { .. }) {
                         watches.row.watch(lp, &st);
                     }
@@ -2079,7 +2011,7 @@ fn walk(
                     }
                     None
                 };
-                let Some((mut level, mut na)) = jump_back(&mut st.hwl) else {
+                let Some((mut level, mut na)) = jump_back(&mut st.a.hwl) else {
                     i += 1;
                     continue;
                 };
@@ -2090,14 +2022,14 @@ fn walk(
                     // row watch around the loop takes the applied
                     // iterations as one step, or ends.
                     let lp = Loop::Hw(level);
-                    let summary = watches.hw.jump_back(lp, &mut st, &plan, &mut ops, cost)?;
+                    let summary = watches.hw.jump_back(lp, &mut st, &plan, &vals, cost)?;
                     if let Summary::Applied { walk_last, .. } = summary {
                         let w = &mut watches;
-                        if w.row.lp.is_some() && !w.row.absorb(&w.hw, &plan, st.pend.len) {
+                        if w.row.lp.is_some() && !w.row.absorb(&w.hw, &plan, st.a.pend.len) {
                             w.row.lp = None;
                         }
                         if !walk_last {
-                            let Some(next) = jump_back(&mut st.hwl) else {
+                            let Some(next) = jump_back(&mut st.a.hwl) else {
                                 i += 1;
                                 continue;
                             };
@@ -2105,10 +2037,10 @@ fn walk(
                         }
                     }
                     // Watch the next iteration if enough remain to pay off.
-                    if st.hwl[level].is_some_and(|h| h.2 >= 3) {
+                    if st.a.hwl[level].is_some_and(|h| h.2 >= 3) {
                         watches.hw.watch(Loop::Hw(level), &st);
                         if watches.row.lp.is_some() {
-                            watches.row.mark(st.pend.len);
+                            watches.row.mark(st.a.pend.len);
                         }
                     }
                 }
@@ -2121,31 +2053,28 @@ fn walk(
         }
     }
 
-    if st.next_out != plan.count || !st.loads.iter().all(Span::covered) {
+    if st.a.next_out != plan.f.count || !st.loads.iter().all(Span::covered) {
         return None;
     }
     let mut exit_regs = Vec::new();
     let mut exit_nodes = Vec::new();
-    for (r, &av) in st.regs.iter().enumerate().skip(1) {
+    for (r, &av) in st.a.regs.iter().enumerate().skip(1) {
         if let Av::Entry = av {
             continue;
         }
-        let ev = exit_val(av, plan.dot, &out_map, &vals, &mut exit_nodes)?;
+        let ev = exit_val(av, &plan.f, &vals, &mut exit_nodes)?;
         exit_regs.push((r as u8, ev));
     }
-    let exit_hwloop = st
-        .hwl
-        .map(|h| h.map(|(start, end, count)| HwLoopExit { start, end, count }));
     Some(ShortcutRegion {
         desc: *desc,
         end_idx: end_idx as u32,
-        total_instrs: st.instret,
+        total_instrs: st.a.instret,
         profile: st.profile,
         exit_regs,
-        exit_spr: st.spr,
-        exit_pending: st.pend.as_slice().to_vec(),
-        exit_hwloop,
-        exit_pending_load: st.prev_load,
+        exit_spr: st.a.spr,
+        exit_pending: st.a.pend.as_slice().to_vec(),
+        exit_hwloop: st.a.hwl,
+        exit_pending_load: st.a.prev_load,
         exit_nodes,
         loads: st.loads.into_iter().map(|s| s.range).collect(),
         stores,
@@ -2153,174 +2082,231 @@ fn walk(
     })
 }
 
-/// The walk's initial registers: every register a pointer of `math`
-/// names holds that pointer cell's entry value; reading any other
-/// rejects the region.
-fn entry_regs(math: &RegionMath) -> Option<[Av; 32]> {
-    let mut regs = [Av::Entry; 32];
-    for p in math.ptrs() {
-        if let ShortcutPtr::Reg(r) = p {
-            if r == Reg::ZERO {
-                return None;
-            }
-            regs[usize::from(r.num())] = Av::CellVal {
-                cell: Cell::Reg(r.num()),
-                off: 0,
-            };
-        }
+/// How an exit-live abstract value is rebuilt at commit: stored data by
+/// its store's slot, a chain as the last store if it computes it, other
+/// computed data through its dataflow tree, anything else directly.
+fn exit_val(v: Av, f: &Formula, vals: &Values, nodes: &mut Vec<Node<ExitVal>>) -> Option<ExitVal> {
+    if let Some(slot) = vals.store_of(v).and_then(|k| f.slot(k)) {
+        return Some(ExitVal::Out(slot));
     }
-    Some(regs)
-}
-
-/// How an exit-live abstract value is rebuilt at commit: a stored value
-/// by its store index, computed data through its dataflow tree (only a
-/// cell update's walk records one), a dot product's complete sum (`dot`)
-/// as its one store, anything else directly.
-fn exit_val(
-    v: Av,
-    dot: Option<DotVal>,
-    out_map: &Stored,
-    vals: &Values,
-    exit_nodes: &mut Vec<Node<ExitVal>>,
-) -> Option<ExitVal> {
+    let last = f.count - 1;
     Some(match v {
-        Av::Entry => return None,
-        Av::Const(c) => ExitVal::Const(c),
-        Av::CellVal { cell, off } => ExitVal::Addr(AAddr {
-            cell: Some(cell),
-            off,
-        }),
-        Av::Load { op, addr } => ExitVal::Load { op, addr },
-        Av::Dot(d) => {
-            dot.filter(|f| vals.dot(d).sums(f))?;
-            ExitVal::Out(0)
+        Av::Dot(_) if f.is(v, Form::Zero, f.store(last).1, f.row(last), vals, None) => {
+            ExitVal::Out(f.slot(last)?)
         }
-        Av::Data { id, .. } => match out_map.get(id) {
-            Some(k) => ExitVal::Out(k),
-            None => {
-                let node = vals
-                    .node(v)?
-                    .try_map(|a| exit_val(a, dot, out_map, vals, exit_nodes))?;
-                exit_nodes.push(node);
-                ExitVal::Node(exit_nodes.len() as u32 - 1)
-            }
-        },
+        Av::Entry | Av::Dot(_) => return None,
+        Av::Const(_) | Av::CellVal { .. } => ExitVal::Addr(aaddr(v, 0)?),
+        Av::Load { op, addr } => ExitVal::Load { op, addr },
+        Av::Data(id) => {
+            let node = vals.node(id)?.try_map(|a| exit_val(a, f, vals, nodes))?;
+            nodes.push(node);
+            ExitVal::Node(nodes.len() as u32 - 1)
+        }
     })
 }
 
-/// Which store wrote each symbolic value: per value id, one more than
-/// its store index (0: not stored).
+/// The symbolic values of one walk: the op behind each data value, the
+/// streams of each dot-product chain, and which store wrote which value.
 #[derive(Default)]
-struct Stored(Vec<u32>);
-
-impl Stored {
-    fn get(&self, id: u32) -> Option<u32> {
-        self.0.get(id as usize)?.checked_sub(1)
-    }
-
-    /// Records that store `k` wrote value `id`; `false` if a store
-    /// already had.
-    fn insert(&mut self, id: u32, k: u32) -> bool {
-        let i = id as usize;
-        if self.0.len() <= i {
-            self.0.resize(i + 1, 0);
-        }
-        std::mem::replace(&mut self.0[i], k + 1) == 0
-    }
-}
-
-/// The symbolic data values of one walk. A cell update's walk records the
-/// micro-op behind each value, so its stores' dataflow can be proven and
-/// its exit intermediates rebuilt; a matvec walk keeps every value opaque.
 struct Values {
-    count: u32,
-    /// Per value id, the producing op (`None` = not modelled); `None`
-    /// altogether when not recording.
-    nodes: Option<Vec<Option<Node<Av>>>>,
-    /// The seed and streams of each dot-product [`Chain`], once each.
+    /// Per value id, the producing op (`None` = not modelled).
+    nodes: Vec<Option<Node<Av>>>,
+    /// The seed and streams of each dot-product [`Chain`].
     chains: Vec<[AAddr; 3]>,
+    /// Per value id, one more than the index of the store that wrote it
+    /// (0: none).
+    stored: Vec<u32>,
 }
 
 impl Values {
-    /// The id of the chain over `seed`, `a` and `b`.
-    fn intern(&mut self, streams: [AAddr; 3]) -> u32 {
-        let id = match self.chains.iter().position(|&c| c == streams) {
-            Some(id) => id,
-            None => {
-                self.chains.push(streams);
-                self.chains.len() - 1
-            }
-        };
-        id as u32
+    /// New data computed by `node`.
+    fn fresh(&mut self, node: Option<Node<Av>>) -> Av {
+        self.nodes.push(node);
+        Av::Data(self.nodes.len() as u32 - 1)
     }
 
-    /// The dot product a chain value stands for.
-    fn dot(&self, c: Chain) -> DotVal {
-        let [seed, a, b] = self.chains[c.id as usize];
-        DotVal { seed, a, b, n: c.n }
+    /// The op that produced data value `id`, if modelled.
+    fn node(&self, id: u32) -> Option<Node<Av>> {
+        *self.nodes.get(id as usize)?
     }
 
-    fn fresh(&mut self, hw: bool, node: Option<Node<Av>>) -> Av {
-        let id = self.count;
-        self.count += 1;
-        if let Some(nodes) = &mut self.nodes {
-            nodes.push(node);
-        }
-        Av::Data { id, hw }
-    }
-
-    /// The op that produced `v`, if recorded.
-    fn node(&self, v: Av) -> Option<Node<Av>> {
-        let Av::Data { id, .. } = v else {
+    /// The index of the store that wrote data `v`.
+    fn store_of(&self, v: Av) -> Option<u32> {
+        let Av::Data(id) = v else {
             return None;
         };
-        *self.nodes.as_ref()?.get(id as usize)?
+        self.stored.get(id as usize)?.checked_sub(1)
     }
 
-    /// Whether `v` is `(a·b) >> 12` with operands matching `pa` and `pb`
-    /// in either order.
-    fn is_q12(&self, v: Av, pa: impl Fn(Av) -> bool, pb: impl Fn(Av) -> bool) -> bool {
-        let Some(Node::Imm(AluImmOp::Srai, p, 12)) = self.node(v) else {
-            return false;
-        };
-        let Some(Node::MulDiv(MulDivOp::Mul, a, b)) = self.node(p) else {
-            return false;
-        };
-        (pa(a) && pb(b)) || (pa(b) && pb(a))
-    }
-
-    /// The operand of a `clip 16`, if `v` is one.
-    fn clip16(&self, v: Av) -> Option<Av> {
-        match self.node(v)? {
-            Node::Clip(a, -32768, 32767) => Some(a),
-            _ => None,
+    /// Records that store `k` wrote `v`.
+    fn note_store(&mut self, v: Av, k: u32) {
+        if let Av::Data(id) = v {
+            let i = id as usize;
+            self.stored.resize(self.stored.len().max(i + 1), 0);
+            self.stored[i] = k + 1;
         }
     }
 }
 
-/// `lh` of row `k` of a dense halfword stream at `base`, as a predicate.
-fn row_load(base: AAddr, k: u32) -> impl Fn(Av) -> bool {
-    let want = AAddr {
-        cell: base.cell,
-        off: base.off.wrapping_add(2 * k),
-    };
-    move |v| matches!(v, Av::Load { op: LoadOp::Lh, addr } if addr == want)
+/// Where a formula leaf reads for a store in row `row`: `step · row`
+/// bytes past operand base `s`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Lane {
+    s: u8,
+    step: u32,
 }
 
-/// The stores a region must make, in order, and the spans it may load
-/// from. Store `k` goes to stream `k % n` at element `k / n` of `n`
-/// streams. A matvec has one output stream; a cell update alternates its
-/// `c` and `h` rows; a dot product stores every partial sum to its one
-/// spill word (stride 0).
-struct Outputs {
-    /// `(base, stride)` per stream.
-    streams: Vec<(AAddr, u32)>,
+/// An operand in a region's [`Formula`], for a store in row `row`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Term {
+    /// Node `i` of the formula.
+    Node(u8),
+    /// The sign-extended halfword at a lane.
+    Load(Lane),
+    /// Chain `x` of [`Formula::chains`], `([seed, a, b], (n0, n1))`: the
+    /// word at lane `seed` plus `Σ_{t < n} a[t]·b[t]` (wrapping) over the
+    /// halfword streams at lanes `a` and `b`, with `n = n0 + n1 · row`.
+    Chain(u8),
+    /// A constant.
+    Const(u32),
+}
+
+/// What a region's stores hold. Of `n` store streams, store `k` goes to
+/// row `k / n` of stream `k % n` and holds that stream's term in that
+/// row. The descriptor's math fixes it ([`Outputs::new`]):
+///
+/// ```text
+/// matvec  out[j] = act(clip16(srai(Chain(bias32 + 4j, w_base + 2·n_in·j, x; n_in), 12)))
+/// cell    c[k]   = clip16(srai(f[k]·c[k], 12) + srai(i[k]·g[k], 12))
+///         h[k]   = clip16(srai(o[k]·pl.tanh(c[k] as stored), 12))
+/// dot     spill  = Chain(bias32, w, x; k)       for store k ≤ n_in
+/// ```
+///
+/// with `act` one of none, `p.max(·, 0)`, `pl.tanh` and `pl.sig`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct Formula {
+    /// The operand bases lanes count from.
+    bases: Vec<AAddr>,
+    nodes: Vec<Node<Term>>,
+    /// The `[seed, a, b]` lanes and `(n0, n1)` of each [`Term::Chain`].
+    chains: Vec<([Lane; 3], (u32, u32))>,
+    /// Per store stream: where its rows go (its stride as the lane's
+    /// step) and what they hold.
+    outs: Vec<(Lane, Term)>,
     /// Total stores.
     count: u32,
-    /// A cell update's `o, f, i, g` sources.
-    cell: Option<[AAddr; 4]>,
-    /// A dot product's complete sum.
-    dot: Option<DotVal>,
+}
+
+/// A watched iteration, for matching its stores in every later one
+/// ([`Formula::is`]), and whether a value of a form moves by a step per
+/// row stored.
+type Advance<'a> = (&'a Candidate, &'a dyn Fn(Form, u32) -> bool);
+
+impl Formula {
+    fn row(&self, k: u32) -> u32 {
+        k / self.outs.len() as u32
+    }
+
+    /// The address a lane reads in row `row`.
+    fn addr(&self, l: Lane, row: u32) -> AAddr {
+        self.bases[usize::from(l.s)].plus(l.step.wrapping_mul(row))
+    }
+
+    /// Store `k`'s address lane and term.
+    fn store(&self, k: u32) -> (Lane, Term) {
+        self.outs[k as usize % self.outs.len()]
+    }
+
+    /// Store `k`'s slot in [`ShortcutRegion::compute`]'s output: every
+    /// store has its own, except that the stores of a formula with one
+    /// stride-0 stream (a spill word) collapse to the last.
+    fn slot(&self, k: u32) -> Option<u32> {
+        match self.outs[..] {
+            [(Lane { step: 0, .. }, _)] => (k + 1 == self.count).then_some(0),
+            _ => Some(k),
+        }
+    }
+
+    /// Whether `v` computes term `t` in row `row`: the same nodes down to
+    /// the same leaves, either operand order of a commuting node. With
+    /// `adv`, `v` is a value of a watched iteration with form `f` there,
+    /// and must compute the term of the same store in every later
+    /// iteration too: its nodes were computed in the iteration, and each
+    /// leaf moves by its lanes' steps per row.
+    fn is(&self, v: Av, f: Form, t: Term, row: u32, vals: &Values, adv: Option<Advance>) -> bool {
+        let moves = |f, step| adv.is_none_or(|(_, m)| m(f, step));
+        match (t, v) {
+            (Term::Node(i), Av::Data(id)) => {
+                let Some(Some(node)) = vals.nodes.get(id as usize) else {
+                    return false;
+                };
+                let ((op, a, b), (want, s, u)) = (node.split(), self.nodes[usize::from(i)].split());
+                let forms = match adv {
+                    _ if op != want => return false,
+                    None => (Form::Zero, Some(Form::Zero)),
+                    Some((w, _)) => match w.made.binary_search_by_key(&id, |m| m.0) {
+                        Ok(k) => (w.made[k].1.split().1, w.made[k].1.split().2),
+                        Err(_) => return false,
+                    },
+                };
+                match (b, forms, u) {
+                    (None, (fa, _), None) => self.is(a, fa, s, row, vals, adv),
+                    (Some(b), (fa, Some(fb)), Some(u)) => {
+                        let is = |v, f, t| self.is(v, f, t, row, vals, adv);
+                        is(a, fa, s) && is(b, fb, u)
+                            || op.commutes() && is(a, fa, u) && is(b, fb, s)
+                    }
+                    _ => false,
+                }
+            }
+            (Term::Load(l), Av::Load { op, addr }) => {
+                op == LoadOp::Lh && addr == self.addr(l, row) && moves(f, l.step)
+            }
+            (Term::Chain(x), v) => {
+                let ([seed, a, b], (n0, n1)) = self.chains[usize::from(x)];
+                // The chain's seed, streams and length; a loaded seed word
+                // is the chain of no terms.
+                let ([d_seed, d_a, d_b], n) = match v {
+                    Av::Dot(c) => (vals.chains[c.id as usize], c.n),
+                    Av::Load {
+                        op: LoadOp::Lw,
+                        addr,
+                    } => ([addr, self.addr(a, row), self.addr(b, row)], 0),
+                    _ => return false,
+                };
+                // How they move: a chain seeded in the iteration by its
+                // seeding operands, a loaded seed word by its address, a
+                // chain carried into the iteration only in length.
+                let [fs, fa, fb, fl] = match (adv, v, f) {
+                    (Some((w, _)), _, Form::Chain(x)) => {
+                        let [s, p, q] = w.chains[usize::from(x)];
+                        [s, p, q, Form::Zero]
+                    }
+                    (_, Av::Load { .. }, _) => [f, Form::Zero, Form::Zero, Form::Zero],
+                    _ => [Form::Zero, Form::Zero, Form::Zero, f],
+                };
+                let streams = |p: Lane, q: Lane| {
+                    (d_a, d_b) == (self.addr(p, row), self.addr(q, row))
+                        && moves(fa, p.step)
+                        && moves(fb, q.step)
+                };
+                n == n0.wrapping_add(n1.wrapping_mul(row))
+                    && d_seed == self.addr(seed, row)
+                    && moves(fs, seed.step)
+                    && moves(fl, n1)
+                    && (streams(a, b) || streams(b, a))
+            }
+            (Term::Const(c), Av::Const(x)) => x == c && moves(f, 0),
+            _ => false,
+        }
+    }
+}
+
+/// The stores a region must make, with what each must hold (its
+/// [`Formula`]), and the spans it may load from.
+struct Outputs {
+    kind: RegionKind,
+    f: Formula,
     /// The load spans, spans of one cell that touch merged.
     loads: Vec<Span>,
     /// The addresses of the descriptor's pointer cells.
@@ -2333,14 +2319,15 @@ impl Outputs {
     /// prefetches, unread, past them) and each pointer cell's word.
     fn new(desc: &KernelRegion) -> Option<Self> {
         let at = |off| AAddr { cell: None, off };
-        let (streams, count, cell, dot, mut spans) = match desc.math {
+        let lane = |s, step| Lane { s, step };
+        let n = Term::Node;
+        let q12 = |t| Node::Imm(AluImmOp::Srai, t, 12);
+        let clip16 = |t| Node::Clip(t, -32768, 32767);
+        let mut chains = Vec::new();
+        let (bases, nodes, outs, count, mut spans) = match desc.math {
             RegionMath::Matvec(m) => {
-                if m.n_in == 0
-                    || !m.n_in.is_multiple_of(2)
-                    || m.n_out == 0
-                    || m.out_stride == 0
-                    || !m.out_stride.is_multiple_of(2)
-                {
+                let even = |v: u32| v != 0 && v.is_multiple_of(2);
+                if m.n_out == 0 || !even(m.n_in) || !even(m.out_stride) {
                     return None;
                 }
                 let row = m.n_in.checked_mul(2)?;
@@ -2350,8 +2337,21 @@ impl Outputs {
                     Span::new(at(m.bias32), m.n_out.checked_mul(4)?, 0)?,
                     Span::new(m.x.aaddr(), row, 0)?,
                 ];
-                let out = vec![(m.out.aaddr(), m.out_stride)];
-                (out, m.n_out, None, None, spans)
+                chains.push(([lane(1, 4), lane(0, row), lane(2, 0)], (m.n_in, 0)));
+                let chain = Term::Chain(0);
+                let act = match m.act {
+                    ShortcutAct::None => None,
+                    ShortcutAct::Relu => Some(Node::Max(n(1), Term::Const(0))),
+                    ShortcutAct::Tanh => Some(Node::Unary(UnaryOp::Tanh, n(1))),
+                    ShortcutAct::Sigmoid => Some(Node::Unary(UnaryOp::Sig, n(1))),
+                };
+                let nodes: Vec<_> = [Some(q12(chain)), Some(clip16(n(0))), act]
+                    .into_iter()
+                    .flatten()
+                    .collect();
+                let out = (lane(3, m.out_stride), n(nodes.len() as u8 - 1));
+                let bases = vec![at(m.w_base), at(m.bias32), m.x.aaddr(), m.out.aaddr()];
+                (bases, nodes, vec![out], m.n_out, spans)
             }
             RegionMath::Cell(u) => {
                 if u.rows == 0 {
@@ -2363,9 +2363,30 @@ impl Outputs {
                     .iter()
                     .map(|g| Span::new(g.aaddr(), row, 0))
                     .collect::<Option<_>>()?;
-                let gates = Some(u.gates.map(ShortcutPtr::aaddr));
-                let out = vec![(u.c.aaddr(), 2), (u.h.aaddr(), 2)];
-                (out, row, gates, None, spans)
+                // Row `k` of the `o, f, i, g` and `c` streams; `h` tanh's
+                // the new `c` (node 5) as it was stored.
+                let [o, f, i, g, c] = [0, 1, 2, 3, 4].map(|s| Term::Load(lane(s, 2)));
+                let mul = |a, b| Node::MulDiv(MulDivOp::Mul, a, b);
+                let nodes = vec![
+                    mul(f, c),
+                    q12(n(0)),
+                    mul(i, g),
+                    q12(n(2)),
+                    Node::Alu(AluOp::Add, n(1), n(3)),
+                    clip16(n(4)),
+                    Node::Unary(UnaryOp::Tanh, n(5)),
+                    mul(o, n(6)),
+                    q12(n(7)),
+                    clip16(n(8)),
+                ];
+                let bases = u
+                    .gates
+                    .iter()
+                    .chain([&u.c, &u.h])
+                    .map(|p| p.aaddr())
+                    .collect();
+                let outs = vec![(lane(4, 2), n(5)), (lane(5, 2), n(9))];
+                (bases, nodes, outs, row, spans)
             }
             RegionMath::Dot(d) => {
                 if d.n_in == 0 {
@@ -2377,22 +2398,35 @@ impl Outputs {
                     Span::new(d.x.aaddr(), row, 0)?,
                     Span::new(d.bias32.aaddr(), 4, 0)?,
                 ];
-                let sum = DotVal {
-                    seed: d.bias32.aaddr(),
-                    a: d.w.aaddr(),
-                    b: d.x.aaddr(),
-                    n: d.n_in,
-                };
-                let count = d.n_in.checked_add(1)?;
-                (vec![(d.spill.aaddr(), 0)], count, None, Some(sum), spans)
+                let bases = [d.w, d.x, d.bias32, d.spill].map(|p| p.aaddr()).to_vec();
+                chains.push(([lane(2, 0), lane(0, 0), lane(1, 0)], (0, 1)));
+                let sum = Term::Chain(0);
+                (
+                    bases,
+                    Vec::new(),
+                    vec![(lane(3, 0), sum)],
+                    d.n_in.checked_add(1)?,
+                    spans,
+                )
             }
         };
-        let mut cells = Vec::new();
-        for p in desc.math.ptrs() {
-            if let ShortcutPtr::Cell(c) = p {
-                cells.push(c);
-                spans.push(Span::new(at(c), 4, 0)?);
-            }
+        let f = Formula {
+            bases,
+            nodes,
+            chains,
+            outs,
+            count,
+        };
+        let cells: Vec<u32> = f
+            .bases
+            .iter()
+            .filter_map(|b| match b.cell {
+                Some(Cell::Mem(c)) => Some(c),
+                _ => None,
+            })
+            .collect();
+        for &c in &cells {
+            spans.push(Span::new(at(c), 4, 0)?);
         }
         // Merge spans of one cell that overlap or abut, until none do. A
         // merged span keeps the slack of the part that reaches further
@@ -2414,46 +2448,38 @@ impl Outputs {
             spans.push(a);
         }
         Some(Self {
-            streams,
-            count,
-            cell,
-            dot,
+            kind: desc.math.kind(),
+            f,
             loads,
             cells,
         })
     }
 
-    /// Bytes per store: a dot product spills words, the others store
-    /// halfwords.
+    /// Bytes per store: a dot product spills words.
     fn width(&self) -> u32 {
-        if self.dot.is_some() {
-            4
-        } else {
-            2
-        }
+        2 << u32::from(self.kind == RegionKind::Dot)
     }
 
     /// A dot product's spill word.
     fn spill(&self) -> Option<AAddr> {
-        self.dot.map(|_| self.addr(0))
+        (self.kind == RegionKind::Dot).then(|| self.addr(0))
     }
 
     /// Address of store `k`.
     fn addr(&self, k: u32) -> AAddr {
-        let n = self.streams.len() as u32;
-        let (base, stride) = self.streams[(k % n) as usize];
-        base.plus(k / n * stride)
+        self.f.addr(self.f.store(k).0, self.f.row(k))
     }
 
-    /// Each stream's byte span, checked for bounds and load-disjointness
-    /// at every entry.
+    /// Each store stream's byte span, checked at every entry.
     fn spans(&self) -> Option<Vec<AccessRange>> {
-        let per = self.count / self.streams.len() as u32;
+        let per = self.f.count / self.f.outs.len() as u32;
         let width = self.width();
-        self.streams
+        self.f
+            .outs
             .iter()
-            .map(|&(base, stride)| {
-                let len = stride.checked_mul(per - 1)?.checked_add(width)?;
+            .map(|&(at, _)| {
+                let base = self.f.addr(at, 0);
+                let len = at.step.checked_mul(per - 1)?.checked_add(width)?;
                 let mut span = Span::new(base, len, 0)?;
                 span.read(base.off, width).then_some(span.range)
             })
@@ -2462,27 +2488,25 @@ impl Outputs {
 
     /// Records one load: the value it leaves in its destination and the
     /// index of the load span it lies in. A cell update may read its `c`
-    /// stream only in place: the current row's own `c`, once, before
-    /// that row's store. Such reads lie in no load span — the `c` span is
-    /// the region's one allowed load/store overlap. A dot product's `lw`
-    /// of its spill word reads back the region's own last store, and any
-    /// other load that touches the spill word rejects the region. Every
-    /// other load must lie inside one span; a word loaded from a pointer
-    /// cell is that cell's pointer, and anything else loaded is data.
-    fn load(&self, st: &mut WalkState, op: LoadOp, addr: AAddr) -> Option<Loaded> {
+    /// stream only in place, the current row's `c` before that row's
+    /// store, in no load span. A dot product's `lw` of its spill word
+    /// reads back its own last store; any other load that touches the
+    /// spill word rejects. Every other load must lie inside one span; a
+    /// word loaded from a pointer cell is that cell's pointer.
+    fn load(&self, st: &mut WalkState, op: LoadOp, addr: AAddr) -> Option<(Av, Option<usize>)> {
         let size = load_size(op);
         if let Some(spill) = self.spill() {
             if overlaps(spill, 4, addr, size) {
                 return if op == LoadOp::Lw && addr == spill {
-                    Some((st.spill?, None))
+                    Some((st.a.spill?, None))
                 } else {
                     None
                 };
             }
         }
         // A cell update's `c` span: `rows` halfwords, so `count` bytes.
-        if self.cell.is_some() && overlaps(self.addr(0), self.count, addr, size) {
-            let k = st.next_out;
+        if self.kind == RegionKind::Cell && overlaps(self.addr(0), self.f.count, addr, size) {
+            let k = st.a.next_out;
             return (op == LoadOp::Lh && k.is_multiple_of(2) && addr == self.addr(k))
                 .then_some((Av::Load { op, addr }, None));
         }
@@ -2504,80 +2528,34 @@ impl Outputs {
         Some((v, Some(k)))
     }
 
-    /// Verifies one store against the next expected store: at exactly
-    /// its address, an `sh` of a value that is a requantized halfword
-    /// (matvec) or the row's `c` / `h` formula over this row's operands
-    /// (cell update), or an `sw` of the bias seed and then of each
-    /// partial sum one term longer (dot product).
+    /// Verifies one store against the next the plan expects: at exactly
+    /// its address, of the plan's width, and of a value that computes
+    /// its formula ([`Formula::is`]).
     fn store(
         &self,
         op: StoreOp,
         addr: AAddr,
         value: Av,
-        vals: &Values,
+        vals: &mut Values,
         st: &mut WalkState,
-        out_map: &mut Stored,
     ) -> Option<()> {
-        let k = st.next_out;
-        if k >= self.count || addr != self.addr(k) {
+        let k = st.a.next_out;
+        let ((lane, t), row) = (self.f.store(k), self.f.row(k));
+        if k >= self.f.count
+            || op != [StoreOp::Sh, StoreOp::Sw][usize::from(self.kind == RegionKind::Dot)]
+            || addr != self.f.addr(lane, row)
+            || !self.f.is(value, Form::Zero, t, row, vals, None)
+        {
             return None;
         }
-        if let Some(fin) = self.dot {
-            let ok = op == StoreOp::Sw
-                && match value {
-                    Av::Load {
-                        op: LoadOp::Lw,
-                        addr,
-                    } => k == 0 && addr == fin.seed,
-                    Av::Dot(d) => vals.dot(d).sums(&DotVal { n: k, ..fin }),
-                    _ => false,
-                };
-            if !ok {
-                return None;
-            }
-            st.spill = Some(value);
-            st.next_out += 1;
-            return Some(());
+        vals.note_store(value, k);
+        if self.spill() == Some(addr) {
+            st.a.spill = Some(value);
         }
-        if op != StoreOp::Sh {
-            return None;
-        }
-        let Av::Data { id, hw } = value else {
-            return None;
-        };
-        let ok = match self.cell {
-            None => hw,
-            Some([o, f, i, g]) => {
-                let row = k / 2;
-                if k.is_multiple_of(2) {
-                    let c = self.addr(0);
-                    let fc = |t| vals.is_q12(t, row_load(f, row), row_load(c, row));
-                    let ig = |t| vals.is_q12(t, row_load(i, row), row_load(g, row));
-                    matches!(
-                        vals.clip16(value).and_then(|s| vals.node(s)),
-                        Some(Node::Alu(AluOp::Add, a, b)) if (fc(a) && ig(b)) || (fc(b) && ig(a))
-                    )
-                } else {
-                    // tanh of exactly the value stored as this row's c.
-                    let tanh_c = |t| {
-                        matches!(vals.node(t), Some(Node::Unary(UnaryOp::Tanh, Av::Data { id, .. }))
-                            if out_map.get(id) == Some(k - 1))
-                    };
-                    vals.clip16(value)
-                        .is_some_and(|s| vals.is_q12(s, row_load(o, row), tanh_c))
-                }
-            }
-        };
-        if !ok || !out_map.insert(id, k) {
-            return None;
-        }
-        st.next_out += 1;
+        st.a.next_out += 1;
         Some(())
     }
 }
-
-/// A loaded value and the index of the load span it came from.
-type Loaded = (Av, Option<usize>);
 
 /// Whether `a_len` bytes at `a` and `b_len` bytes at `b` statically
 /// share a byte (same cell, overlapping offsets).
@@ -2587,25 +2565,12 @@ fn overlaps(a: AAddr, a_len: u32, b: AAddr, b_len: u32) -> bool {
         && u64::from(a.off) < u64::from(b.off) + u64::from(b_len)
 }
 
-impl DotVal {
-    /// Whether this chain is the sum `want` — the same seed and length,
-    /// over the same two streams in either order (`i16` products
-    /// commute).
-    fn sums(&self, want: &DotVal) -> bool {
-        self.seed == want.seed
-            && self.n == want.n
-            && ((self.a, self.b) == (want.a, want.b) || (self.a, self.b) == (want.b, want.a))
-    }
-}
-
 impl AAddr {
     /// Resolves to a concrete byte address (`None` if the cell read
     /// faults — the caller then declines the shortcut).
     pub(crate) fn resolve(&self, mem: &Memory, core: &Core) -> Option<u32> {
-        match self.cell {
-            None => Some(self.off),
-            Some(c) => Some(c.resolve(mem, core)?.wrapping_add(self.off)),
-        }
+        let base = self.cell.map_or(Some(0), |c| c.resolve(mem, core))?;
+        Some(base.wrapping_add(self.off))
     }
 
     /// The address `d` bytes on.
@@ -2621,10 +2586,7 @@ impl AccessRange {
     /// Resolves to a concrete `[start, end)` interval, checking bounds
     /// and the recorded alignment residues.
     fn resolve(&self, mem: &Memory, core: &Core) -> Option<(u64, u64)> {
-        let base = match self.cell {
-            None => 0u64,
-            Some(c) => u64::from(c.resolve(mem, core)?),
-        };
+        let base = u64::from(self.cell.map_or(Some(0), |c| c.resolve(mem, core))?);
         let start = base + u64::from(self.lo);
         let end = base + u64::from(self.hi);
         if end > mem.size() as u64 {
@@ -2673,16 +2635,14 @@ impl ShortcutRegion {
     }
 
     /// Computes the region's stores, in store order, as `(address,
-    /// value)` pairs with host arithmetic bit-identical to the emitted
-    /// kernel. A matvec accumulates `i16×i16` products with wrapping
-    /// 32-bit adds (order-independent), then applies `>> 12`, a 16-bit
-    /// clip and the shared fixed-point activation. A cell update
-    /// evaluates each row's formula (see [`CellUpdate`]). A dot product
-    /// yields its spill word's final value, the complete sum (its
-    /// partial sums are overwritten). Every read sees entry-time memory,
-    /// which [`check_entry`](Self::check_entry) makes exactly what the
-    /// kernel reads. Returns `false` (with no state mutated anywhere) if
-    /// any pointer or read falls outside memory.
+    /// value)` pairs: its formula's, with one native loop per kind (a
+    /// formula evaluator, the loops' reference in the unit tests, costs
+    /// several times their rows). A dot product yields its spill word's
+    /// final value.
+    /// Every read sees entry-time memory, which
+    /// [`check_entry`](Self::check_entry) makes exactly what the kernel
+    /// reads. Returns `false` (with no state mutated anywhere) if any
+    /// pointer or read falls outside memory.
     pub(crate) fn compute(&self, mem: &Memory, core: &Core, outs: &mut Vec<(u32, i32)>) -> bool {
         let at = |p: ShortcutPtr| p.aaddr().resolve(mem, core);
         match self.desc.math {
@@ -2693,8 +2653,7 @@ impl ShortcutRegion {
         .is_some()
     }
 
-    /// Whether the region's stores are words (a dot product's spill)
-    /// rather than halfwords.
+    /// Whether the region stores words (a dot product's spill).
     pub(crate) fn stores_words(&self) -> bool {
         matches!(self.desc.math, RegionMath::Dot(_))
     }
@@ -2706,57 +2665,53 @@ fn matvec(
     at: impl Fn(ShortcutPtr) -> Option<u32>,
     outs: &mut Vec<(u32, i32)>,
 ) -> Option<()> {
-    let n_in = m.n_in as usize;
-    let n_out = m.n_out as usize;
-    let row_bytes = n_in * 2;
-    let x = mem.byte_slice(at(m.x)?, row_bytes).ok()?;
+    let row = 2 * m.n_in;
+    let x = mem.byte_slice(at(m.x)?, row as usize).ok()?;
     let out = at(m.out)?;
-    outs.reserve(n_out);
-    for j in 0..n_out {
-        let bias = mem.read_u32(m.bias32.wrapping_add(4 * j as u32)).ok()?;
-        let row = mem
-            .byte_slice(m.w_base.wrapping_add((j * row_bytes) as u32), row_bytes)
+    for j in 0..m.n_out {
+        let w = mem
+            .byte_slice(m.w_base.wrapping_add(j * row), row as usize)
             .ok()?;
-        let mut acc = bias as i32;
-        for (wp, xp) in row.chunks_exact(2).zip(x.chunks_exact(2)) {
-            let w = i16::from_le_bytes([wp[0], wp[1]]) as i32;
-            let xv = i16::from_le_bytes([xp[0], xp[1]]) as i32;
-            acc = acc.wrapping_add(w.wrapping_mul(xv));
-        }
+        let acc = dot16(mem.read_u32(m.bias32.wrapping_add(4 * j)).ok()?, w, x) as i32;
         let v = m.act.apply((acc >> 12).clamp(-32768, 32767));
-        outs.push((out.wrapping_add(j as u32 * m.out_stride), v));
+        outs.push((out.wrapping_add(j * m.out_stride), v));
     }
     Some(())
+}
+
+/// `seed + Σ_t a[t]·b[t]` (wrapping) over two little-endian halfword
+/// streams.
+#[inline(always)]
+fn dot16(seed: u32, a: &[u8], b: &[u8]) -> u32 {
+    let half = |p: &[u8]| i16::from_le_bytes([p[0], p[1]]) as i32;
+    let mut acc = seed as i32;
+    for (p, q) in a.chunks_exact(2).zip(b.chunks_exact(2)) {
+        acc = acc.wrapping_add(half(p).wrapping_mul(half(q)));
+    }
+    acc as u32
 }
 
 fn cell_update(
     u: &CellUpdate,
     mem: &Memory,
-    at_ptr: impl Fn(ShortcutPtr) -> Option<u32>,
+    at: impl Fn(ShortcutPtr) -> Option<u32>,
     outs: &mut Vec<(u32, i32)>,
 ) -> Option<()> {
     let rows = u.rows as usize;
-    let stream = |p: ShortcutPtr| -> Option<(u32, &[u8])> {
-        let base = at_ptr(p)?;
-        Some((base, mem.byte_slice(base, 2 * rows).ok()?))
-    };
-    let [(_, o), (_, f), (_, i), (_, g)] = [
-        stream(u.gates[0])?,
-        stream(u.gates[1])?,
-        stream(u.gates[2])?,
-        stream(u.gates[3])?,
-    ];
-    let (c_base, c) = stream(u.c)?;
-    let (h_base, _) = stream(u.h)?;
+    let stream = |p| mem.byte_slice(at(p)?, 2 * rows).ok();
+    let [o, f, i, g] = u.gates.map(stream);
+    let (o, f, i, g, c) = (o?, f?, i?, g?, stream(u.c)?);
+    let (c_base, h_base) = (at(u.c)?, at(u.h)?);
     let at = |s: &[u8], k: usize| i16::from_le_bytes([s[2 * k], s[2 * k + 1]]) as i32;
-    outs.reserve(2 * rows);
     for k in 0..rows {
         let c_new =
             (((at(f, k) * at(c, k)) >> 12) + ((at(i, k) * at(g, k)) >> 12)).clamp(-32768, 32767);
-        let h = ((at(o, k) * hw_tanh(c_new)) >> 12).clamp(-32768, 32767);
+        let h = ((at(o, k) * ShortcutAct::Tanh.apply(c_new)) >> 12).clamp(-32768, 32767);
         let off = 2 * k as u32;
-        outs.push((c_base.wrapping_add(off), c_new));
-        outs.push((h_base.wrapping_add(off), h));
+        outs.extend([
+            (c_base.wrapping_add(off), c_new),
+            (h_base.wrapping_add(off), h),
+        ]);
     }
     Some(())
 }
@@ -2770,12 +2725,10 @@ fn dot(
     let bytes = 2 * d.n_in as usize;
     let w = mem.byte_slice(at(d.w)?, bytes).ok()?;
     let x = mem.byte_slice(at(d.x)?, bytes).ok()?;
-    let mut acc = mem.read_u32(at(d.bias32)?).ok()? as i32;
-    for (wp, xp) in w.chunks_exact(2).zip(x.chunks_exact(2)) {
-        let w = i16::from_le_bytes([wp[0], wp[1]]) as i32;
-        let xv = i16::from_le_bytes([xp[0], xp[1]]) as i32;
-        acc = acc.wrapping_add(w.wrapping_mul(xv));
-    }
-    outs.push((at(d.spill)?, acc));
+    let acc = dot16(mem.read_u32(at(d.bias32)?).ok()?, w, x);
+    outs.push((at(d.spill)?, acc as i32));
     Some(())
 }
+
+#[cfg(test)]
+mod tests;

@@ -855,7 +855,7 @@ impl UopKind {
             UopKind::ClipU { rs1, hi, .. } => clip(reg(rs1), 0, hi),
             UopKind::Unary { op, rs1, .. } => unary(op, reg(rs1)),
             UopKind::PMin { rs1, rs2, .. } => (reg(rs1) as i32).min(reg(rs2) as i32) as u32,
-            UopKind::PMax { rs1, rs2, .. } => (reg(rs1) as i32).max(reg(rs2) as i32) as u32,
+            UopKind::PMax { rs1, rs2, .. } => max(reg(rs1), reg(rs2)),
             UopKind::Ror { rs1, rs2, .. } => reg(rs1).rotate_right(reg(rs2) & 31),
             UopKind::PvAluVv {
                 op, size, rs1, rs2, ..
@@ -947,6 +947,12 @@ pub(crate) fn mul_div(op: MulDivOp, a: u32, b: u32) -> u32 {
             }
         }
     }
+}
+
+/// `p.max` semantics.
+#[inline(always)]
+pub(crate) fn max(a: u32, b: u32) -> u32 {
+    (a as i32).max(b as i32) as u32
 }
 
 /// `p.clip` / `p.clipu` semantics over materialized bounds.
