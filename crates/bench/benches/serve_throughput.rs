@@ -1,5 +1,6 @@
 //! Serving-layer throughput bench: requests per second through the
-//! sharded [`EnginePool`] versus the serial warm-engine path.
+//! [`EnginePool`] (worker threads over one FIFO, engines lent by its
+//! cache) versus the serial warm-engine path.
 //!
 //! Two workloads, both at level e (the paper's fully-optimized kernels):
 //!
@@ -12,8 +13,11 @@
 //!   serial by [`MIN_POOL_SPEEDUP`]x at the widest configuration
 //!   (asserted).
 //! - **policy** — [`POLICY_REQS`] back-to-back requests against the
-//!   small `eisen2019` policy net, the single-hot-shard worst case the
-//!   regression gate is keyed on.
+//!   small `eisen2019` policy net, the single-hot-key worst case the
+//!   regression gate is keyed on. Its serial and pooled samples are
+//!   interleaved, alternating which arm runs first, and each arm keeps
+//!   its best sample, so a drift in host speed cannot land on one arm
+//!   only.
 //!
 //! Every pooled run is verified bit-identical to the serial golden
 //! before its timing is accepted — the throughput numbers are only
@@ -121,54 +125,92 @@ fn verify(response: &BatchResponse, reqs: &[Req], label: &str) {
     }
 }
 
-/// Best-of-[`SAMPLES`] serial req/s: every request of the batch run
-/// back-to-back on warm per-network engines (the `EngineCache` shape —
-/// compile paid once, rewind amortized, but one request at a time).
-fn serial_rps(reqs: &[Req], reps: usize, level: OptLevel) -> f64 {
-    let mut engines: Vec<Engine> = reqs
-        .iter()
+/// Warm per-network engines for the serial arm (the `EngineCache`
+/// shape — compile paid once, rewind amortized, but one request at a
+/// time).
+fn serial_engines(reqs: &[Req], level: OptLevel) -> Vec<Engine> {
+    reqs.iter()
         .map(|req| {
             KernelBackend::new(level)
                 .compile_network(&req.net)
                 .unwrap()
                 .engine()
         })
-        .collect();
-    let total = (reqs.len() * reps) as f64;
-    let mut best = f64::MAX;
-    for _ in 0..SAMPLES {
-        let t = Instant::now();
-        for _ in 0..reps {
-            for (req, engine) in reqs.iter().zip(&mut engines) {
-                let run = engine.run(&req.input).unwrap();
-                assert_eq!(run.outputs, req.golden.outputs);
-            }
-        }
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    total / best
+        .collect()
 }
 
-/// Best-of-[`SAMPLES`] pooled req/s at `workers`, verifying bit-identity
-/// on every sample. The pool is warmed (compile + first-touch engines)
-/// by an untimed verification batch first, so the timing measures the
-/// steady serving state, matching the serial side's warm engines.
-fn pooled_rps(reqs: &[Req], reps: usize, level: OptLevel, workers: usize) -> f64 {
+/// Seconds for one serial sample: every request of the batch run
+/// back-to-back on `engines`.
+fn serial_secs(engines: &mut [Engine], reqs: &[Req], reps: usize) -> f64 {
+    let t = Instant::now();
+    for _ in 0..reps {
+        for (req, engine) in reqs.iter().zip(&mut *engines) {
+            let run = engine.run(&req.input).unwrap();
+            assert_eq!(run.outputs, req.golden.outputs);
+        }
+    }
+    t.elapsed().as_secs_f64()
+}
+
+/// A `workers`-wide pool, warmed (compile + first-touch engines) by an
+/// untimed verification batch, so its timing measures the steady
+/// serving state, matching the serial arm's warm engines.
+fn warm_pool(reqs: &[Req], level: OptLevel, workers: usize) -> EnginePool {
     let pool = EnginePool::with_workers(workers);
     let warm = pool.run_batch(build_batch(reqs, 1, level));
     verify(&warm, reqs, &format!("{workers}-worker warmup"));
+    pool
+}
 
+/// Seconds for one pooled sample of `batch`, verifying bit-identity
+/// before the timing is accepted.
+fn pooled_secs(pool: &EnginePool, batch: &BatchRequest, reqs: &[Req]) -> f64 {
+    let sample = batch.clone();
+    let t = Instant::now();
+    let response = pool.run_batch(sample);
+    let secs = t.elapsed().as_secs_f64();
+    verify(&response, reqs, &format!("{} workers", pool.workers()));
+    secs
+}
+
+/// Best-of-[`SAMPLES`] serial req/s.
+fn serial_rps(reqs: &[Req], reps: usize, level: OptLevel) -> f64 {
+    let mut engines = serial_engines(reqs, level);
+    let best = (0..SAMPLES)
+        .map(|_| serial_secs(&mut engines, reqs, reps))
+        .fold(f64::MAX, f64::min);
+    (reqs.len() * reps) as f64 / best
+}
+
+/// Best-of-[`SAMPLES`] pooled req/s at `workers`.
+fn pooled_rps(reqs: &[Req], reps: usize, level: OptLevel, workers: usize) -> f64 {
+    let pool = warm_pool(reqs, level, workers);
     let batch = build_batch(reqs, reps, level);
-    let total = batch.len() as f64;
-    let mut best = f64::MAX;
-    for _ in 0..SAMPLES {
-        let sample = batch.clone();
-        let t = Instant::now();
-        let response = pool.run_batch(sample);
-        best = best.min(t.elapsed().as_secs_f64());
-        verify(&response, reqs, &format!("{workers} workers"));
+    let best = (0..SAMPLES)
+        .map(|_| pooled_secs(&pool, &batch, reqs))
+        .fold(f64::MAX, f64::min);
+    batch.len() as f64 / best
+}
+
+/// Serial and pooled req/s for the gated policy workload, their samples
+/// interleaved (alternating which arm runs first) so host-speed drift
+/// hits both arms alike; each arm reports its best sample.
+fn interleaved_rps(reqs: &[Req], reps: usize, level: OptLevel, workers: usize) -> (f64, f64) {
+    let mut engines = serial_engines(reqs, level);
+    let pool = warm_pool(reqs, level, workers);
+    let batch = build_batch(reqs, reps, level);
+    let (mut serial, mut pooled) = (f64::MAX, f64::MAX);
+    for sample in 0..SAMPLES {
+        for pooled_turn in [sample % 2 == 1, sample % 2 == 0] {
+            if pooled_turn {
+                pooled = pooled.min(pooled_secs(&pool, &batch, reqs));
+            } else {
+                serial = serial.min(serial_secs(&mut engines, reqs, reps));
+            }
+        }
     }
-    total / best
+    let total = batch.len() as f64;
+    (total / serial, total / pooled)
 }
 
 /// Pulls the policy speedup out of a baseline document — minimal field
@@ -246,11 +288,10 @@ fn main() {
         );
     }
 
-    // Policy workload: one hot shard.
+    // Policy workload: one hot key.
     let policy_reqs: Vec<Req> = reqs.into_iter().filter(|r| r.id == POLICY_NET).collect();
     assert_eq!(policy_reqs.len(), 1, "{POLICY_NET} in suite");
-    let policy_serial = serial_rps(&policy_reqs, POLICY_REQS, level);
-    let policy_pooled = pooled_rps(&policy_reqs, POLICY_REQS, level, hw);
+    let (policy_serial, policy_pooled) = interleaved_rps(&policy_reqs, POLICY_REQS, level, hw);
     let policy_speedup = policy_pooled / policy_serial;
     println!(
         "\npolicy net ({POLICY_NET}, {POLICY_REQS} requests): serial {policy_serial:.0} req/s, \

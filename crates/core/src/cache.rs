@@ -18,10 +18,10 @@
 //! back in the idle pool for later reuse.
 //!
 //! The serving pool ([`EnginePool`](crate::serve::EnginePool)) holds one
-//! cache too: its workers keep worker-local engines (no lock on the hot
-//! path) but create them from the cache's artifacts and drop them under
-//! the cache's one quarantine rule — an engine whose last run tripped an
-//! ABFT guard, or that a panic interrupted, never serves again.
+//! cache too, and its workers borrow every engine through
+//! [`checkout`](EngineCache::checkout). Check-in applies the one
+//! quarantine rule — an engine whose last run tripped an ABFT guard, or
+//! that a panic interrupted, never serves again.
 
 use crate::compile::CompiledNetwork;
 use crate::engine::Engine;
@@ -38,7 +38,7 @@ use std::sync::Mutex;
 
 /// One cache key: a `(network name, OptLevel)` pair. The name stands in
 /// for the weights — one name, one fixed set of weights.
-pub(crate) type Key = (String, OptLevel);
+type Key = (String, OptLevel);
 
 /// A thread-safe pool of warm [`Engine`]s keyed by
 /// `(network name, OptLevel)`.
@@ -213,41 +213,6 @@ impl EngineCache {
         Ok((compiled, true))
     }
 
-    /// A fresh engine for `key` (`net` at `key.1`) from the cached
-    /// artifact, compiling on first use — how pool workers seed their
-    /// worker-local engines.
-    ///
-    /// # Errors
-    ///
-    /// Compilation errors ([`CoreError`]) on a cache miss.
-    pub(crate) fn engine(&self, net: &Network, key: &Key) -> Result<Engine, CoreError> {
-        Ok(self.instantiate(self.artifact(net, key)?.0))
-    }
-
-    /// The one quarantine rule: an engine whose last run tripped an ABFT
-    /// guard may hold silent corruption a rewind cannot clear, and one a
-    /// panic interrupted may be mid-run — neither serves again. Returns
-    /// whether `engine` must be dropped (and counts it if so).
-    fn quarantines(&self, engine: &Engine, panicked: bool) -> bool {
-        let suspect = panicked || engine.last_guard_failed();
-        if suspect {
-            self.quarantined.fetch_add(1, Ordering::Relaxed);
-        }
-        suspect
-    }
-
-    /// Applies the quarantine rule to a worker-local engine after a
-    /// request: a suspect engine leaves `engines`, and the shard's next
-    /// request instantiates a fresh one from the clean artifact.
-    pub(crate) fn screen(&self, engines: &mut HashMap<Key, Engine>, key: &Key, panicked: bool) {
-        if engines
-            .get(key)
-            .is_some_and(|engine| self.quarantines(engine, panicked))
-        {
-            engines.remove(key);
-        }
-    }
-
     /// Checks out a warm engine for `(net, level)`, compiling on first
     /// use and instantiating a fresh engine when every cached one is
     /// already lent out. The guard checks the engine back in on drop.
@@ -260,7 +225,7 @@ impl EngineCache {
         let idle = lock(&self.idle).get_mut(&key).and_then(Vec::pop);
         let engine = match idle {
             Some(engine) => engine,
-            None => self.engine(net, &key)?,
+            None => self.instantiate(self.artifact(net, &key)?.0),
         };
         Ok(CacheEngine {
             cache: self,
@@ -328,19 +293,22 @@ impl DerefMut for CacheEngine<'_> {
 }
 
 impl Drop for CacheEngine<'_> {
-    /// Checks the engine back into the idle pool — unless the quarantine
-    /// rule drops it (a guard trip on its last run, or a panic unwinding
-    /// through the borrower); the next checkout then instantiates a
-    /// fresh one from the clean cached artifact, so the damage is
-    /// contained to the borrower that observed it.
+    /// Checks the engine back into the idle pool — unless the one
+    /// quarantine rule drops it. An engine whose last run tripped an ABFT
+    /// guard may hold silent corruption a rewind cannot clear, and one a
+    /// panic unwinding through the borrower may be mid-run; neither
+    /// serves again. The next checkout then instantiates a fresh one
+    /// from the clean cached artifact, so the damage is contained to the
+    /// borrower that observed it.
     fn drop(&mut self) {
-        if let Some(engine) = self.engine.take() {
-            if !self.cache.quarantines(&engine, std::thread::panicking()) {
-                lock(&self.cache.idle)
-                    .entry(self.key.clone())
-                    .or_default()
-                    .push(engine);
-            }
+        let Some(engine) = self.engine.take() else {
+            return;
+        };
+        if std::thread::panicking() || engine.last_guard_failed() {
+            self.cache.quarantined.fetch_add(1, Ordering::Relaxed);
+        } else {
+            let key = (std::mem::take(&mut self.key.0), self.key.1);
+            lock(&self.cache.idle).entry(key).or_default().push(engine);
         }
     }
 }
@@ -426,7 +394,7 @@ mod tests {
         }
         assert_eq!(cache.compiles(), 10);
         assert_eq!(cache.len(), 10);
-        // A different level is a different shard: compiling it is new.
+        // A different level is a different key: compiling it is new.
         cache
             .run(&suite[3].network, OptLevel::Xpulp, &suite[3].input())
             .unwrap();

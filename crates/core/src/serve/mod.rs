@@ -1,5 +1,5 @@
-//! Concurrent batch serving: a sharded pool of warm engines behind a
-//! work-stealing scheduler.
+//! Concurrent batch serving: a pool of worker threads over one FIFO,
+//! each request served on a warm engine lent by one cache.
 //!
 //! The paper's deployment story is a base-station controller scoring
 //! many users per scheduling tick; PRs 2–4 built the single-request
@@ -8,24 +8,22 @@
 //! throughput:
 //!
 //! - [`EnginePool`] owns N `std::thread` workers and one
-//!   [`EngineCache`](crate::EngineCache). Each worker keeps its own warm
-//!   [`Engine`] per **shard** — a `(network name, OptLevel)` pair —
-//!   created from the cache's compile-once
-//!   [`CompiledNetwork`](crate::CompiledNetwork) artifacts, so a network
-//!   is compiled exactly once per level no matter how many workers serve
-//!   it, and dropped under the cache's quarantine rule (a guard trip on
-//!   its last run, or a panic mid-request).
+//!   [`EngineCache`](crate::EngineCache). A worker serves each request
+//!   on an engine it checks out of the cache for the request's
+//!   `(network name, OptLevel)` key and checks back in afterwards. A
+//!   network is compiled exactly once per level no matter how many
+//!   workers serve it, consecutive requests reuse idle warm engines —
+//!   paying only the amortized dirty-block rewind and a bulk input
+//!   patch, no re-compile, no image clone — and the check-in applies the
+//!   cache's quarantine rule (a guard trip on the last run, or a panic
+//!   mid-request).
 //! - [`BatchRequest`] carries a slab of input windows (each against any
 //!   network/level); [`BatchResponse`] returns per-request results in
 //!   **submission order** plus an order-independent aggregate
 //!   ([`BatchResponse::merged_report`]).
-//! - The scheduler routes each request to the worker owning its shard
-//!   (deterministic FNV hash) and lets idle workers **steal** from busy
-//!   ones, so consecutive requests against one compiled program mostly
-//!   stay on one worker — paying only the amortized dirty-block rewind
-//!   and a bulk input patch per request, no re-compile, no image clone,
-//!   no per-request buffer churn — without a hot shard ever serializing
-//!   the pool.
+//! - Submitted requests join one FIFO, and the next free worker takes
+//!   the oldest, so a hot key never serializes the pool: overlapping
+//!   requests on one key each borrow their own engine.
 //! - A worker whose run fails heals **in place** and keeps serving: it
 //!   climbs the same verify → rewind → rebuild ladder as
 //!   [`ResilientEngine`](crate::ResilientEngine) (one implementation,
@@ -43,10 +41,10 @@
 //! Pooled results are bit-identical to serial execution at every worker
 //! count and submission order, because every ingredient is:
 //! every run starts from a full rewind of the same staged image
-//! (engine runs are bit-exact regardless of history — the PR 2
-//! differential property), workers never share mutable state, responses
-//! are indexed by submission slot rather than completion order, and the
-//! aggregate merges `u64` counters, which commute. The
+//! (engine runs are bit-exact regardless of history), an engine is lent
+//! to one worker at a time, responses are indexed by submission slot
+//! rather than completion order, and the aggregate merges `u64`
+//! counters, which commute. The
 //! `serve_pool_determinism` test pins all of this against the serial
 //! suite golden from PR 1 at 1, 2, and 8 workers with shuffled
 //! submission.
@@ -57,7 +55,6 @@ mod batch;
 mod front;
 mod latency;
 mod pool;
-mod scheduler;
 
 pub use batch::{BatchItem, BatchRequest, BatchResponse, ItemOutcome};
 pub use front::{

@@ -1,17 +1,15 @@
-//! The sharded engine pool: worker threads with warm per-shard engines.
+//! The engine pool: worker threads over one FIFO, serving each request
+//! on an engine borrowed from the pool's [`EngineCache`].
 
-use crate::cache::{EngineCache, Key};
-use crate::engine::Engine;
+use crate::cache::EngineCache;
 use crate::error::CoreError;
 use crate::lock;
-use crate::optlevel::OptLevel;
 use crate::resilience::{climb, RecoveryAction, RetryPolicy};
 use crate::serve::batch::{BatchItem, BatchRequest, BatchResponse, ItemOutcome};
-use crate::serve::scheduler::Scheduler;
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 /// The workers' recovery ladder: [`ResilientEngine`](crate::ResilientEngine)'s
@@ -24,18 +22,6 @@ const SERVE_POLICY: RetryPolicy = RetryPolicy {
     degrade: false,
 };
 
-/// FNV-1a over the shard key — a *deterministic* router (the std
-/// `HashMap` hasher is seeded per process, which would make placement,
-/// and therefore warm-engine behaviour, vary run to run).
-fn route(key_name: &str, level: OptLevel) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key_name.bytes().chain([level as u8]) {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h as usize
-}
-
 /// One queued unit of work: which batch slot to fill, with what request.
 struct Task {
     state: Arc<BatchState>,
@@ -43,53 +29,102 @@ struct Task {
     item: BatchItem,
 }
 
-/// Shared completion state of one in-flight batch.
+/// The pool's one FIFO. The tasks and the shutdown latch share a lock,
+/// so a worker decides "nothing queued *and* not closing" atomically
+/// before it parks.
+struct Queue<T> {
+    inner: Mutex<Pending<T>>,
+    ready: Condvar,
+}
+
+struct Pending<T> {
+    tasks: VecDeque<T>,
+    closed: bool,
+}
+
+impl<T> Queue<T> {
+    fn new() -> Self {
+        Self {
+            inner: Mutex::new(Pending {
+                tasks: VecDeque::new(),
+                closed: false,
+            }),
+            ready: Condvar::new(),
+        }
+    }
+
+    /// Appends `tasks` in order and wakes the parked workers.
+    fn push(&self, tasks: impl IntoIterator<Item = T>) {
+        lock(&self.inner).tasks.extend(tasks);
+        self.ready.notify_all();
+    }
+
+    /// Blocking dequeue, oldest first. Returns `None` once the queue is
+    /// [`close`](Self::close)d and drained.
+    fn next(&self) -> Option<T> {
+        let mut inner = lock(&self.inner);
+        loop {
+            if let Some(task) = inner.tasks.pop_front() {
+                return Some(task);
+            }
+            if inner.closed {
+                return None;
+            }
+            inner = self
+                .ready
+                .wait(inner)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Latches shutdown and wakes every parked worker; tasks already
+    /// queued still drain before the workers see `None`.
+    fn close(&self) {
+        lock(&self.inner).closed = true;
+        self.ready.notify_all();
+    }
+}
+
+/// Shared completion state of one in-flight batch: the submission-order
+/// slots and how many of them are filled, under one lock.
 struct BatchState {
-    slots: Mutex<Vec<Option<ItemOutcome>>>,
-    progress: Mutex<usize>,
-    cv: Condvar,
-    total: usize,
+    progress: Mutex<Progress>,
+    done: Condvar,
+}
+
+struct Progress {
+    slots: Vec<Option<ItemOutcome>>,
+    filled: usize,
 }
 
 impl BatchState {
     fn new(total: usize) -> Self {
-        let mut slots = Vec::with_capacity(total);
-        slots.resize_with(total, || None);
+        let slots = (0..total).map(|_| None).collect();
         Self {
-            slots: Mutex::new(slots),
-            progress: Mutex::new(0),
-            cv: Condvar::new(),
-            total,
+            progress: Mutex::new(Progress { slots, filled: 0 }),
+            done: Condvar::new(),
         }
     }
 
     fn complete(&self, index: usize, outcome: ItemOutcome) {
-        lock(&self.slots)[index] = Some(outcome);
-        let mut done = lock(&self.progress);
-        *done += 1;
-        if *done == self.total {
-            self.cv.notify_all();
+        let mut progress = lock(&self.progress);
+        progress.slots[index] = Some(outcome);
+        progress.filled += 1;
+        if progress.filled == progress.slots.len() {
+            self.done.notify_all();
         }
     }
 
     fn wait(&self) -> Vec<ItemOutcome> {
-        let mut done = lock(&self.progress);
-        while *done < self.total {
-            done = self
-                .cv
-                .wait(done)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut progress = lock(&self.progress);
+        while progress.filled < progress.slots.len() {
+            progress = self
+                .done
+                .wait(progress)
+                .unwrap_or_else(PoisonError::into_inner);
         }
-        drop(done);
-        self.collect()
-    }
-
-    fn is_complete(&self) -> bool {
-        *lock(&self.progress) >= self.total
-    }
-
-    fn collect(&self) -> Vec<ItemOutcome> {
-        lock(&self.slots)
+        progress
+            .slots
             .drain(..)
             .map(|slot| slot.expect("completed batch has every slot filled"))
             .collect()
@@ -98,16 +133,16 @@ impl BatchState {
 
 /// State shared between the pool handle and its workers.
 struct PoolShared {
-    sched: Scheduler<Task>,
-    /// Compile-once artifacts per shard (a `(network name, OptLevel)`
-    /// pair), the guard and cluster-core configuration, and the
-    /// quarantine rule workers apply to their engines.
+    queue: Queue<Task>,
+    /// Compile-once artifacts and idle engines per `(network name,
+    /// OptLevel)` key, the guard and cluster-core configuration, and the
+    /// quarantine rule every check-in applies.
     cache: EngineCache,
     /// Test hook: pending worker panics to inject. Each claim panics one
     /// `serve_item` call mid-request, exercising the quarantine path.
     inject_panics: AtomicUsize,
-    /// Worker panics caught and contained (engine quarantined +
-    /// respawned; the worker thread survived).
+    /// Worker panics caught and contained (engine quarantined, request
+    /// retried; the worker thread survived).
     panics_caught: AtomicUsize,
 }
 
@@ -126,32 +161,13 @@ impl BatchTicket {
             outcomes: self.state.wait(),
         }
     }
-
-    /// Whether every item of the batch has been answered (a completed
-    /// ticket's [`wait`](Self::wait) returns without blocking).
-    pub fn is_complete(&self) -> bool {
-        self.state.is_complete()
-    }
-
-    /// Non-blocking drain: the response if the batch has completed,
-    /// otherwise the ticket back — the poll hook a front-end uses to
-    /// overlap useful work with an in-flight batch.
-    pub fn try_wait(self) -> Result<BatchResponse, BatchTicket> {
-        if self.state.is_complete() {
-            Ok(BatchResponse {
-                outcomes: self.state.collect(),
-            })
-        } else {
-            Err(self)
-        }
-    }
 }
 
-/// A pool of worker threads serving batched RNN inference from warm,
-/// sharded [`Engine`]s.
+/// A pool of worker threads serving batched RNN inference from warm
+/// [`Engine`](crate::Engine)s lent by one [`EngineCache`].
 ///
-/// See the [module docs](crate::serve) for topology and the determinism
-/// argument.
+/// See the [module docs](crate::serve) for the design and the
+/// determinism argument.
 ///
 /// # Example
 ///
@@ -201,7 +217,7 @@ impl EnginePool {
     }
 
     /// A pool whose engines execute on simulated `cores`-core clusters:
-    /// every shard is compiled with
+    /// every network is compiled with
     /// [`KernelBackend::with_cores`](crate::KernelBackend::with_cores), so
     /// each request's report carries per-core rows and a cluster
     /// latency. [`with_workers`](Self::with_workers) uses one core; `0`
@@ -220,19 +236,18 @@ impl EnginePool {
     }
 
     fn build(workers: usize, cache: EngineCache) -> Self {
-        let workers = workers.max(1);
         let shared = Arc::new(PoolShared {
-            sched: Scheduler::new(workers),
+            queue: Queue::new(),
             cache,
             inject_panics: AtomicUsize::new(0),
             panics_caught: AtomicUsize::new(0),
         });
-        let handles = (0..workers)
+        let handles = (0..workers.max(1))
             .map(|id| {
                 let shared = shared.clone();
                 std::thread::Builder::new()
                     .name(format!("rnnasip-serve-{id}"))
-                    .spawn(move || worker_loop(&shared, id))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawn pool worker")
             })
             .collect();
@@ -244,13 +259,13 @@ impl EnginePool {
 
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
-        self.shared.sched.workers()
+        self.workers.len()
     }
 
     /// Test hook: arms `n` one-shot worker panics. Each of the next `n`
     /// `serve` calls across the pool panics mid-request, exercising the
-    /// containment path (engine quarantined + respawned, request
-    /// retried, worker thread survives).
+    /// containment path (engine quarantined, request retried on a clean
+    /// engine, worker thread survives).
     pub fn inject_worker_panics(&self, n: usize) {
         self.shared.inject_panics.fetch_add(n, Ordering::Relaxed);
     }
@@ -260,22 +275,17 @@ impl EnginePool {
         self.shared.panics_caught.load(Ordering::Relaxed)
     }
 
-    /// Enqueues a batch and returns immediately; each item is routed to
-    /// the worker owning its engine shard (idle workers steal, so a hot
-    /// shard never serializes the whole pool).
+    /// Enqueues a batch and returns immediately. Its items join the
+    /// pool's one FIFO in submission order, and the next free worker
+    /// takes the oldest.
     pub fn submit(&self, batch: BatchRequest) -> BatchTicket {
         let state = Arc::new(BatchState::new(batch.items.len()));
-        for (index, item) in batch.items.into_iter().enumerate() {
-            let hint = route(item.net.name(), item.level);
-            self.shared.sched.push(
-                hint,
-                Task {
-                    state: state.clone(),
-                    index,
-                    item,
-                },
-            );
-        }
+        let tasks = batch.items.into_iter().enumerate();
+        self.shared.queue.push(tasks.map(|(index, item)| Task {
+            state: state.clone(),
+            index,
+            item,
+        }));
         BatchTicket { state }
     }
 
@@ -296,19 +306,17 @@ impl Default for EnginePool {
 impl Drop for EnginePool {
     /// Drains queued work, then stops and joins every worker.
     fn drop(&mut self) {
-        self.shared.sched.close();
+        self.shared.queue.close();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
     }
 }
 
-/// The worker body: pull tasks, serve them from this worker's warm
-/// engines, fill the batch slots.
-fn worker_loop(shared: &PoolShared, id: usize) {
-    let mut engines: HashMap<Key, Engine> = HashMap::new();
-    while let Some(task) = shared.sched.next(id) {
-        let outcome = serve_item(shared, &mut engines, &task.item);
+/// The worker body: pull tasks, serve them, fill the batch slots.
+fn worker_loop(shared: &PoolShared) {
+    while let Some(task) = shared.queue.next() {
+        let outcome = serve_item(shared, &task.item);
         task.state.complete(task.index, outcome);
     }
 }
@@ -323,38 +331,27 @@ fn claim_injected_panic(shared: &PoolShared) -> bool {
         .is_ok()
 }
 
-/// Panic-containment wrapper around [`serve_item_inner`]: a panicked
-/// serve call must not poison the pool. The worker thread survives
-/// (`catch_unwind`), the cache's quarantine rule drops the shard's
-/// engine — whose state the panic may have left mid-run — and the
-/// request retries once on a fresh engine from the compiled artifact. A
-/// second panic fails the single request with
-/// [`CoreError::WorkerPanic`]; the batch and the other workers keep
-/// flowing either way. After every request the same rule drops an
-/// engine whose last run still tripped a guard.
-fn serve_item(
-    shared: &PoolShared,
-    engines: &mut HashMap<Key, Engine>,
-    item: &BatchItem,
-) -> ItemOutcome {
-    let key = (item.net.name().to_string(), item.level);
-    let serve = |engines: &mut HashMap<Key, Engine>| {
-        let served = catch_unwind(AssertUnwindSafe(|| {
-            serve_item_inner(shared, engines, &key, item)
-        }));
-        let panicked = served.is_err();
-        if panicked {
+/// Panic-containment wrapper around [`serve_once`]: a panicked serve
+/// call must not poison the pool. The worker thread survives
+/// (`catch_unwind`), the unwinding check-in quarantines the engine —
+/// whose state the panic may have left mid-run — and the request retries
+/// once on another engine checked out of the cache. A second panic
+/// fails the single request with [`CoreError::WorkerPanic`]; the batch
+/// and the other workers keep flowing either way.
+fn serve_item(shared: &PoolShared, item: &BatchItem) -> ItemOutcome {
+    let serve = || {
+        let served = catch_unwind(AssertUnwindSafe(|| serve_once(shared, item)));
+        if served.is_err() {
             shared.panics_caught.fetch_add(1, Ordering::Relaxed);
         }
-        shared.cache.screen(engines, &key, panicked);
         served
     };
-    match serve(engines) {
+    match serve() {
         Ok(outcome) => outcome,
-        Err(_) => match serve(engines) {
+        Err(_) => match serve() {
             Ok(mut outcome) => {
-                // The retry ran on a respawned engine: surface the
-                // heaviest rung so `recovered()` reports it.
+                // The retry ran on another engine: surface the heaviest
+                // rung so `recovered()` reports it.
                 outcome.recovery = RecoveryAction::Rebuild;
                 outcome
             }
@@ -368,29 +365,22 @@ fn serve_item(
     }
 }
 
-/// Runs one request on this worker's engine for `key` (instantiated
-/// from the cache on first use), through the shared recovery ladder
-/// under [`SERVE_POLICY`]. Recovery never touches the queue — other
-/// requests keep flowing on the remaining workers while this one heals.
-fn serve_item_inner(
-    shared: &PoolShared,
-    engines: &mut HashMap<Key, Engine>,
-    key: &Key,
-    item: &BatchItem,
-) -> ItemOutcome {
-    let engine = match engines.get_mut(key) {
-        Some(engine) => engine,
-        None => match shared.cache.engine(&item.net, key) {
-            Ok(engine) => engines.entry(key.clone()).or_insert(engine),
-            Err(e) => {
-                return ItemOutcome {
-                    result: Err(e),
-                    recovery: RecoveryAction::FirstTry,
-                    sdc_detected: false,
-                    sdc_healed: false,
-                }
+/// Runs one request on an engine checked out of the pool's cache,
+/// through the shared recovery ladder under [`SERVE_POLICY`]. The engine
+/// is checked back in (or quarantined) when this returns or unwinds.
+/// Recovery never touches the queue — other requests keep flowing on
+/// the remaining workers while this one heals.
+fn serve_once(shared: &PoolShared, item: &BatchItem) -> ItemOutcome {
+    let mut engine = match shared.cache.checkout(&item.net, item.level) {
+        Ok(engine) => engine,
+        Err(e) => {
+            return ItemOutcome {
+                result: Err(e),
+                recovery: RecoveryAction::FirstTry,
+                sdc_detected: false,
+                sdc_healed: false,
             }
-        },
+        }
     };
     if claim_injected_panic(shared) {
         panic!("injected worker panic (serve-pool test hook)");
@@ -399,7 +389,7 @@ fn serve_item_inner(
         engine.inject_faults(plan);
     }
     // SERVE_POLICY has no degrade rung, so the callback never runs.
-    let outcome = climb(engine, SERVE_POLICY, &item.sequence, |_, _| Ok(()));
+    let outcome = climb(&mut engine, SERVE_POLICY, &item.sequence, |_, _| Ok(()));
     ItemOutcome {
         recovery: outcome
             .attempts
@@ -415,69 +405,94 @@ fn serve_item_inner(
 mod tests {
     use super::*;
 
-    #[test]
-    fn routing_is_deterministic_and_level_sensitive() {
-        assert_eq!(
-            route("eisen2019", OptLevel::IfmTile),
-            route("eisen2019", OptLevel::IfmTile)
-        );
-        assert_ne!(
-            route("eisen2019", OptLevel::IfmTile),
-            route("eisen2019", OptLevel::Baseline),
-            "levels are separate shards"
-        );
-    }
+    use crate::OptLevel;
+    use std::thread;
 
     #[test]
-    fn fnv_routing_balances_across_worker_counts() {
-        // 10k distinct shard keys must spread near-uniformly over every
-        // pool width the repo tests at: the max/min per-worker load
-        // ratio stays under 1.5 (a skewed router would starve warm
-        // engines on some workers and hot-spot others).
-        for &workers in &[1usize, 2, 8] {
-            let mut loads = vec![0u64; workers];
-            for i in 0..10_000 {
-                let key = format!("ue-net-{i}");
-                loads[route(&key, OptLevel::IfmTile) % workers] += 1;
+    fn queue_drains_everything_across_workers_exactly_once() {
+        let queue = Queue::new();
+        let total = 200usize;
+        queue.push(0..total);
+        queue.close();
+        let seen = AtomicUsize::new(0);
+        let sum = AtomicUsize::new(0);
+        thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    while let Some(task) = queue.next() {
+                        seen.fetch_add(1, Ordering::Relaxed);
+                        sum.fetch_add(task, Ordering::Relaxed);
+                    }
+                });
             }
-            let max = *loads.iter().max().unwrap();
-            let min = *loads.iter().min().unwrap();
-            assert!(min > 0, "{workers} workers: a shard got no load");
-            assert!(
-                max as f64 / min as f64 <= 1.5,
-                "{workers} workers: shard skew {max}/{min} exceeds 1.5"
-            );
-        }
+        });
+        assert_eq!(seen.into_inner(), total);
+        assert_eq!(sum.into_inner(), total * (total - 1) / 2);
     }
 
     #[test]
-    fn ticket_try_wait_drains_without_blocking() {
+    fn queue_close_wakes_a_parked_worker() {
+        let queue = Arc::new(Queue::<usize>::new());
+        let handle = {
+            let queue = queue.clone();
+            thread::spawn(move || queue.next())
+        };
+        // Give the worker a moment to park, then close with nothing
+        // queued: it must return None rather than sleep forever.
+        thread::sleep(std::time::Duration::from_millis(20));
+        queue.close();
+        assert_eq!(handle.join().unwrap(), None);
+    }
+
+    #[test]
+    fn queue_push_after_close_still_drains() {
+        let queue = Queue::new();
+        queue.close();
+        queue.push([7u32, 8]);
+        assert_eq!(queue.next(), Some(7));
+        assert_eq!(queue.next(), Some(8));
+        assert_eq!(queue.next(), None);
+    }
+
+    /// Engines live in the pool's cache: a hot key compiles once, and
+    /// every engine the workers used is checked back in — at most one
+    /// per worker, since a worker holds one engine at a time.
+    #[test]
+    fn hot_key_engines_are_lent_by_the_pool_cache() {
         let suite = rnnasip_rrm::suite();
         let net = Arc::new(suite[3].network.clone());
         let mut batch = BatchRequest::new();
-        for _ in 0..4 {
+        for _ in 0..64 {
+            batch.push(net.clone(), OptLevel::IfmTile, suite[3].input());
+        }
+        let pool = EnginePool::with_workers(4);
+        assert!(pool.run_batch(batch).all_ok());
+        let cache = &pool.shared.cache;
+        assert_eq!(cache.compiles(), 1);
+        assert!(
+            (1..=4).contains(&cache.warm_engines()),
+            "{} idle engines",
+            cache.warm_engines()
+        );
+    }
+
+    /// Each caught panic quarantines the engine it interrupted, through
+    /// the cache's check-in.
+    #[test]
+    fn each_caught_worker_panic_quarantines_one_engine() {
+        let suite = rnnasip_rrm::suite();
+        let net = Arc::new(suite[3].network.clone());
+        let mut batch = BatchRequest::new();
+        for _ in 0..8 {
             batch.push(net.clone(), OptLevel::IfmTile, suite[3].input());
         }
         let pool = EnginePool::with_workers(2);
-        let mut ticket = pool.submit(batch);
-        // Poll until the workers finish; each failed poll returns the
-        // ticket intact.
-        let response = loop {
-            match ticket.try_wait() {
-                Ok(response) => break response,
-                Err(t) => {
-                    ticket = t;
-                    std::thread::yield_now();
-                }
-            }
-        };
-        assert_eq!(response.len(), 4);
-        assert!(response.all_ok());
-
-        // A completed ticket reports completion before the drain.
-        let ticket = pool.submit(BatchRequest::new());
-        assert!(ticket.is_complete());
-        assert!(ticket.try_wait().is_ok());
+        assert!(pool.run_batch(batch.clone()).all_ok());
+        assert_eq!(pool.shared.cache.quarantined(), 0);
+        pool.inject_worker_panics(3);
+        let _ = pool.run_batch(batch);
+        assert_eq!(pool.worker_panics_caught(), 3);
+        assert_eq!(pool.shared.cache.quarantined(), 3);
     }
 
     #[test]
