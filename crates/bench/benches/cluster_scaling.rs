@@ -10,12 +10,10 @@
 //! verified bit-identical to the single-core outputs before its latency
 //! is accepted.
 //!
-//! The floor assert (≥ [`MIN_SPEEDUP`]x at [`ASSERT_CORES`] cores on
-//! FC/LSTM nets large enough to tile) is gated on
-//! `available_parallelism()` the same way `serve_throughput` gates its
-//! pool-speedup floor — the simulated numbers themselves are
-//! host-independent, but the gate keeps the two benches' assert
-//! conventions aligned on constrained CI runners.
+//! The floor (≥ [`MIN_SPEEDUP`]x at [`ASSERT_CORES`] cores on FC/LSTM
+//! nets large enough to tile) is asserted on every host: the latencies
+//! are simulated cycles, as deterministic as the document `--check`
+//! pins.
 //!
 //! Flags:
 //!
@@ -29,10 +27,7 @@
 use rnnasip_bench::cluster::{
     measure, to_json, NetCurve, ASSERT_CORES, CORE_COUNTS, LEVELS, MIN_SPEEDUP,
 };
-
-/// Floor assert is skipped below this many hardware threads (the
-/// `serve_throughput` convention).
-const MIN_PARALLELISM_FOR_ASSERT: usize = 4;
+use rnnasip_bench::harness::{assert_gates, pinned_report, Args};
 
 fn print_curve(nc: &NetCurve) {
     let mut line = format!("{:<14}", nc.id);
@@ -56,12 +51,7 @@ fn print_curve(nc: &NetCurve) {
 }
 
 fn main() {
-    let json = std::env::args().any(|a| a == "--json");
-    let check = std::env::args().any(|a| a == "--check");
-    let hw = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-
+    let args = Args::parse();
     let curves = measure(&CORE_COUNTS);
 
     for level in LEVELS {
@@ -75,39 +65,18 @@ fn main() {
         println!();
     }
 
-    if hw >= MIN_PARALLELISM_FOR_ASSERT {
-        for nc in curves.iter().filter(|nc| nc.assertable()) {
-            let speedup = nc.speedup(ASSERT_CORES).expect("4-core point measured");
-            assert!(
-                speedup >= MIN_SPEEDUP,
-                "{} at level {}: {ASSERT_CORES}-core latency speedup {speedup:.2}x \
-                 < {MIN_SPEEDUP}x floor",
+    let doc = to_json(&curves, &CORE_COUNTS);
+    pinned_report(&args, "cluster", &doc, None);
+
+    assert_gates(curves.iter().filter(|nc| nc.assertable()).map(|nc| {
+        (
+            format!(
+                "{} at level {}, {ASSERT_CORES} cores",
                 nc.id,
                 nc.level.tag()
-            );
-        }
-        println!("floor: every assertable FC/LSTM net ≥ {MIN_SPEEDUP}x at {ASSERT_CORES} cores");
-    } else {
-        println!(
-            "(< {MIN_PARALLELISM_FOR_ASSERT} hardware threads: cluster speedup floor not asserted)"
-        );
-    }
-
-    if json || check {
-        let doc = to_json(&curves, &CORE_COUNTS) + "\n";
-        if json {
-            std::fs::write("BENCH_cluster.json", &doc).expect("write BENCH_cluster.json");
-            println!("wrote BENCH_cluster.json");
-        }
-        if check {
-            let baseline = std::fs::read_to_string("BENCH_cluster_baseline.json")
-                .expect("read BENCH_cluster_baseline.json");
-            assert_eq!(
-                doc, baseline,
-                "BENCH_cluster.json diverges from the committed baseline; \
-                 regenerate BENCH_cluster_baseline.json if the cycle model changed"
-            );
-            println!("check: byte-identical to committed baseline — ok");
-        }
-    }
+            ),
+            nc.speedup(ASSERT_CORES).expect("4-core point measured"),
+            MIN_SPEEDUP,
+        )
+    }));
 }

@@ -7,18 +7,18 @@
 //! itself. This bench measures the per-inference host latency of both
 //! paths on a representative subset of the suite at level e and asserts
 //! the headline claim: on a small policy network (eisen2019) the reused
-//! engine is at least 5x faster per inference.
+//! engine is at least 5x faster per inference. The two paths' samples
+//! are interleaved and each reports its fastest.
 //!
 //! Pass `--json` to also write `BENCH_engine.json` (hand-rolled JSON,
 //! [`rnnasip_bench::json`]) with the raw numbers for CI artifacts.
 
+use rnnasip_bench::harness::{assert_gates, interleaved_best, time, write_report, Args};
 use rnnasip_bench::json::{array, Obj};
 use rnnasip_core::{Engine, KernelBackend, OptLevel};
 use rnnasip_rrm::BenchmarkNet;
-use std::hint::black_box;
-use std::time::Instant;
 
-/// Timed samples per measurement; the fastest is reported.
+/// Timed samples per path; the fastest is reported.
 const SAMPLES: usize = 3;
 
 /// Inference iterations per timed sample.
@@ -31,19 +31,6 @@ const NETS: [&str; 4] = ["eisen2019", "ahmed2019", "wang2018", "challita2017"];
 /// The reused path must beat recompile-per-call by at least this factor
 /// on the small policy network, where compile cost dominates.
 const MIN_SPEEDUP: f64 = 5.0;
-
-/// Best-of-[`SAMPLES`] wall time of `f`, in ns per call.
-fn time_ns<R>(mut f: impl FnMut() -> R) -> f64 {
-    let mut best = f64::MAX;
-    for _ in 0..SAMPLES {
-        let t = Instant::now();
-        for _ in 0..ITERS {
-            black_box(f());
-        }
-        best = best.min(t.elapsed().as_nanos() as f64 / f64::from(ITERS));
-    }
-    best
-}
 
 struct Row {
     id: &'static str,
@@ -69,23 +56,22 @@ fn measure(net: &BenchmarkNet, level: OptLevel) -> Row {
     let compile_ns = compiled.compile_nanos();
     let image_bytes = compiled.image().len() as u64;
 
-    // Recompile-per-call: the legacy one-shot path, program assembly and
-    // weight staging paid on every inference.
-    let fresh_ns = time_ns(|| {
-        KernelBackend::new(level)
-            .run_network(&net.network, &input)
-            .unwrap_or_else(|e| panic!("{}: {e}", net.id))
-            .outputs
-    });
-
-    // Compile-once: one warm engine, dirty-restore + patch + run per call.
+    // Recompile-per-call (arm 0) is the legacy one-shot path, program
+    // assembly and weight staging paid on every inference. Compile-once
+    // (arm 1) is one warm engine: dirty-restore + patch + run per call.
     let mut engine = Engine::new(compiled);
-    let reused_ns = time_ns(|| {
-        engine
-            .run(&input)
-            .unwrap_or_else(|e| panic!("{}: {e}", net.id))
-            .outputs
+    let best = interleaved_best(SAMPLES, 1, 2, |arm| {
+        time(|| {
+            for _ in 0..ITERS {
+                let run = match arm {
+                    0 => KernelBackend::new(level).run_network(&net.network, &input),
+                    _ => engine.run(&input),
+                };
+                run.unwrap_or_else(|e| panic!("{}: {e}", net.id));
+            }
+        })
     });
+    let [fresh_ns, reused_ns] = [best[0], best[1]].map(|d| d.as_nanos() as f64 / f64::from(ITERS));
     let restored_bytes = engine.last_restored_bytes() as u64;
 
     Row {
@@ -99,7 +85,7 @@ fn measure(net: &BenchmarkNet, level: OptLevel) -> Row {
 }
 
 fn main() {
-    let json = std::env::args().any(|a| a == "--json");
+    let args = Args::parse();
     let level = OptLevel::IfmTile;
     let suite = rnnasip_rrm::suite();
 
@@ -135,17 +121,14 @@ fn main() {
         .iter()
         .find(|r| r.id == "eisen2019")
         .expect("eisen2019 measured");
-    assert!(
-        eisen.speedup() >= MIN_SPEEDUP,
-        "engine reuse speedup regressed: {:.1}x < {MIN_SPEEDUP}x on eisen2019",
-        eisen.speedup()
-    );
-    println!(
-        "\nheadline: eisen2019 reuse is {:.1}x faster than recompile-per-call (floor {MIN_SPEEDUP}x)",
-        eisen.speedup()
-    );
+    println!();
+    assert_gates([(
+        "eisen2019 reused engine over recompile-per-call".into(),
+        eisen.speedup(),
+        MIN_SPEEDUP,
+    )]);
 
-    if json {
+    if args.json {
         let items = rows.iter().map(|r| {
             Obj::new()
                 .str("network", r.id)
@@ -164,7 +147,6 @@ fn main() {
             .num("iters", u64::from(ITERS))
             .raw("rows", array(items))
             .build();
-        std::fs::write("BENCH_engine.json", doc + "\n").expect("write BENCH_engine.json");
-        println!("wrote BENCH_engine.json");
+        write_report("engine", &doc);
     }
 }

@@ -19,22 +19,20 @@
 //!
 //! - `--json` — also write `BENCH_sim.json` (hand-rolled JSON,
 //!   [`rnnasip_bench::json`]) with the raw numbers for CI artifacts.
-//! - `--check` — compare against the committed
-//!   `BENCH_sim_baseline.json` and fail on a >10% regression of the
-//!   bulk-over-stepping speedup on the small policy network. Raw MIPS
-//!   are machine-dependent, so the regression gate is a *ratio measured
-//!   on the same host*, which is portable across CI runners.
+//! - `--check` — also gate the bulk-over-stepping speedup on the small
+//!   policy network at [`MIN_POLICY_BULK_SPEEDUP`]. Raw MIPS are
+//!   machine-dependent, so every gate is a *ratio measured in the same
+//!   run*, its arms' runs interleaved.
 //!
 //! Every gate is evaluated and printed before the bench fails on any.
 
+use rnnasip_bench::harness::{assert_gates, interleaved_best, time, write_report, Args, Gate};
 use rnnasip_bench::json::{array, Obj};
 use rnnasip_bench::run_suite_split;
-use rnnasip_core::{CompileStages, KernelBackend, OptLevel};
-use rnnasip_isa::MnemonicId;
-use rnnasip_sim::{RegionKind, Stats, VerifyBreakdown};
-use std::collections::{BTreeMap, HashMap};
-use std::hint::black_box;
-use std::time::Instant;
+use rnnasip_core::{CompileStages, CompiledNetwork, KernelBackend, OptLevel};
+use rnnasip_fixed::Q3p12;
+use rnnasip_sim::{RegionKind, VerifyBreakdown};
+use std::time::{Duration, Instant};
 
 /// Timed samples per level; the best (highest-MIPS) sample is reported,
 /// minimizing scheduler noise as in any min-of-N timing harness.
@@ -66,9 +64,10 @@ const MIN_SHORTCUT_SPEEDUP: f64 = 10.0;
 /// regions not declared it reads ~1.0×.
 const MIN_BASELINE_SHORTCUT_SPEEDUP: f64 = 5.0;
 
-/// `--check` fails when the policy-network speedup falls below this
-/// fraction of the committed baseline's (>10% regression).
-const MAX_REGRESSION: f64 = 0.9;
+/// `--check` floor of the policy network's bulk-over-stepping speedup:
+/// 10% under the 1.280x measured on a 1-thread host when the gate was
+/// set.
+const MIN_POLICY_BULK_SPEEDUP: f64 = 1.152;
 
 /// The small policy network the regression gate is keyed on.
 const POLICY_NET: &str = "eisen2019";
@@ -79,12 +78,46 @@ const POLICY_NET: &str = "eisen2019";
 /// many back-to-back runs.
 const POLICY_REPS: usize = 32;
 
+/// Simulated MIPS on the three tiers.
+struct TierMips {
+    stepping: f64,
+    uop: f64,
+    shortcut: f64,
+}
+
+impl TierMips {
+    /// `instrs` over the tiers' times, in [`tier_times`] order.
+    fn new(instrs: u64, time: &[Duration]) -> Self {
+        let mips = |d: &Duration| instrs as f64 * 1e3 / d.as_nanos() as f64;
+        Self {
+            stepping: mips(&time[0]),
+            uop: mips(&time[1]),
+            shortcut: mips(&time[2]),
+        }
+    }
+
+    fn bulk_speedup(&self) -> f64 {
+        self.uop / self.stepping
+    }
+
+    fn shortcut_speedup(&self) -> f64 {
+        self.shortcut / self.uop
+    }
+
+    /// Appends the tier columns to a JSON row.
+    fn json(&self, row: Obj) -> Obj {
+        row.float("stepping_mips", Some(self.stepping))
+            .float("uop_mips", Some(self.uop))
+            .float("bulk_speedup", Some(self.bulk_speedup()))
+            .float("shortcut_mips", Some(self.shortcut))
+            .float("shortcut_speedup", Some(self.shortcut_speedup()))
+    }
+}
+
 struct LevelRow {
     tag: &'static str,
     instrs: u64,
-    stepping_mips: f64,
-    uop_mips: f64,
-    shortcut_mips: f64,
+    mips: TierMips,
     wall_mips: f64,
     wall_ms: f64,
     compile_ms: f64,
@@ -101,16 +134,6 @@ struct LevelRow {
     /// Per network: `(id, generic, bulk, shortcut)` instructions of one
     /// canonical run on a fresh engine.
     tiers: Vec<(&'static str, u64, u64, u64)>,
-}
-
-impl LevelRow {
-    fn bulk_speedup(&self) -> f64 {
-        self.uop_mips / self.stepping_mips
-    }
-
-    fn shortcut_speedup(&self) -> f64 {
-        self.shortcut_mips / self.uop_mips
-    }
 }
 
 fn measure_level(level: OptLevel) -> LevelRow {
@@ -138,9 +161,7 @@ fn measure_level(level: OptLevel) -> LevelRow {
     // default engine executes recognized kernel regions natively, so it
     // measures the shortcut tier.
     let mut instrs = 0u64;
-    let mut stepping_nanos = 0u64;
-    let mut uop_nanos = 0u64;
-    let mut shortcut_nanos = 0u64;
+    let mut tier_time = [Duration::ZERO; 3];
     let mut stages = CompileStages::default();
     let mut verify = VerifyBreakdown::default();
     let mut instantiate_nanos = 0u64;
@@ -173,13 +194,7 @@ fn measure_level(level: OptLevel) -> LevelRow {
             .expect("SAMPLES is nonzero");
         verify += *compiled.uop_program().verify_breakdown();
         instantiate_nanos += (0..SAMPLES)
-            .map(|_| {
-                let t = Instant::now();
-                let engine = black_box(compiled.engine());
-                let nanos = t.elapsed().as_nanos() as u64;
-                drop(engine);
-                nanos
-            })
+            .map(|_| time(|| compiled.engine()).as_nanos() as u64)
             .min()
             .expect("SAMPLES is nonzero");
         let mut fresh = compiled.engine();
@@ -194,33 +209,16 @@ fn measure_level(level: OptLevel) -> LevelRow {
             bulk,
             shortcut,
         ));
-        let mut sc_engine = compiled.engine();
-        let mut uop_engine = compiled.without_shortcuts().engine();
-        let input = net.input();
-        let mut best_stepping = u64::MAX;
-        let mut best_uop = u64::MAX;
-        let mut best_shortcut = u64::MAX;
-        let mut net_instrs = 0u64;
-        for _ in 0..SAMPLES {
-            let run = sc_engine.run_reference(&input).unwrap();
-            best_stepping = best_stepping.min(run.report.host_nanos());
-            let run = uop_engine.run(&input).unwrap();
-            best_uop = best_uop.min(run.report.host_nanos());
-            let run = sc_engine.run(&input).unwrap();
-            best_shortcut = best_shortcut.min(run.report.host_nanos());
-            net_instrs = run.report.instrs();
-        }
+        let (best, net_instrs) = tier_times(&compiled, &net.input(), 1);
         instrs += net_instrs;
-        stepping_nanos += best_stepping;
-        uop_nanos += best_uop;
-        shortcut_nanos += best_shortcut;
+        for (sum, best) in tier_time.iter_mut().zip(best) {
+            *sum += best;
+        }
     }
     LevelRow {
         tag: level.tag(),
         instrs,
-        stepping_mips: instrs as f64 * 1e3 / stepping_nanos as f64,
-        uop_mips: instrs as f64 * 1e3 / uop_nanos as f64,
-        shortcut_mips: instrs as f64 * 1e3 / shortcut_nanos as f64,
+        mips: TierMips::new(instrs, &tier_time),
         wall_mips,
         wall_ms,
         compile_ms,
@@ -231,27 +229,36 @@ fn measure_level(level: OptLevel) -> LevelRow {
     }
 }
 
-struct PolicyRow {
-    instrs: u64,
-    stepping_mips: f64,
-    uop_mips: f64,
-    shortcut_mips: f64,
+/// Best-of-[`SAMPLES`] host time of `reps` back-to-back runs on each
+/// tier, in the order stepping (the reference, on the default engine),
+/// micro-op (a `without_shortcuts` engine) and shortcut (the default
+/// engine); and the instructions of one run. Serial, one reused engine
+/// per tier, the tiers' runs interleaved one by one.
+fn tier_times(
+    compiled: &CompiledNetwork,
+    input: &[Vec<Q3p12>],
+    reps: usize,
+) -> (Vec<Duration>, u64) {
+    let mut sc_engine = compiled.engine();
+    let mut uop_engine = compiled.without_shortcuts().engine();
+    let mut instrs = 0u64;
+    let best = interleaved_best(SAMPLES, reps, 3, |arm| {
+        let run = match arm {
+            0 => sc_engine.run_reference(input),
+            1 => uop_engine.run(input),
+            _ => sc_engine.run(input),
+        }
+        .unwrap();
+        instrs = run.report.instrs();
+        Duration::from_nanos(run.report.host_nanos())
+    });
+    (best, instrs)
 }
 
-impl PolicyRow {
-    fn bulk_speedup(&self) -> f64 {
-        self.uop_mips / self.stepping_mips
-    }
-
-    fn shortcut_speedup(&self) -> f64 {
-        self.shortcut_mips / self.uop_mips
-    }
-}
-
-/// Per-core MIPS of one network on both paths — serial, one reused
-/// engine, interleaved samples, best of [`SAMPLES`] per path (same
-/// protocol as [`measure_level`]'s ratio columns).
-fn measure_policy(level: OptLevel) -> PolicyRow {
+/// The instructions of one run of [`POLICY_NET`], and its per-core MIPS
+/// on the three tiers, each sample [`POLICY_REPS`] runs (the protocol
+/// of [`measure_level`]'s ratio columns).
+fn measure_policy(level: OptLevel) -> (u64, TierMips) {
     let suite = rnnasip_rrm::suite();
     let net = suite
         .iter()
@@ -260,56 +267,12 @@ fn measure_policy(level: OptLevel) -> PolicyRow {
     let compiled = KernelBackend::new(level)
         .compile_network(&net.network)
         .unwrap_or_else(|e| panic!("{} at {level:?}: {e}", net.id));
-    let mut sc_engine = compiled.engine();
-    let mut uop_engine = compiled.without_shortcuts().engine();
-    let input = net.input();
-    let mut stepping_mips = 0.0f64;
-    let mut uop_mips = 0.0f64;
-    let mut shortcut_mips = 0.0f64;
-    let mut instrs = 0u64;
-    for _ in 0..SAMPLES {
-        let mut stepping_nanos = 0u64;
-        let mut uop_nanos = 0u64;
-        let mut shortcut_nanos = 0u64;
-        for _ in 0..POLICY_REPS {
-            let r = sc_engine.run_reference(&input).unwrap();
-            stepping_nanos += r.report.host_nanos();
-            let r = uop_engine.run(&input).unwrap();
-            uop_nanos += r.report.host_nanos();
-            let r = sc_engine.run(&input).unwrap();
-            shortcut_nanos += r.report.host_nanos();
-            instrs = r.report.instrs();
-        }
-        let total = (instrs * POLICY_REPS as u64) as f64;
-        stepping_mips = stepping_mips.max(total * 1e3 / stepping_nanos as f64);
-        uop_mips = uop_mips.max(total * 1e3 / uop_nanos as f64);
-        shortcut_mips = shortcut_mips.max(total * 1e3 / shortcut_nanos as f64);
-    }
-    PolicyRow {
-        instrs,
-        stepping_mips,
-        uop_mips,
-        shortcut_mips,
-    }
-}
-
-/// Pulls the policy bulk speedup out of a baseline document. This is a
-/// minimal field extraction for our own flat emitter's output, not a
-/// JSON parser: it finds the `"policy"` object and the first
-/// `"bulk_speedup":` after it.
-fn extract_policy_speedup(text: &str) -> Option<f64> {
-    const KEY: &str = "\"bulk_speedup\":";
-    let rest = &text[text.find("\"policy\"")?..];
-    let num = &rest[rest.find(KEY)? + KEY.len()..];
-    let end = num
-        .find(|c: char| !(c.is_ascii_digit() || ".-+e".contains(c)))
-        .unwrap_or(num.len());
-    num[..end].parse().ok()
+    let (best, instrs) = tier_times(&compiled, &net.input(), POLICY_REPS);
+    (instrs, TierMips::new(instrs * POLICY_REPS as u64, &best))
 }
 
 fn main() {
-    let json = std::env::args().any(|a| a == "--json");
-    let check = std::env::args().any(|a| a == "--check");
+    let args = Args::parse();
 
     println!("sim-throughput: full RRM suite per optimization level, stepping vs bulk vs shortcut");
     println!(
@@ -333,11 +296,11 @@ fn main() {
                 "{:<10} {:>12} {:>13.1} {:>13.1} {:>8.1}x {:>13.1} {:>7.1}x {:>12.1} {:>10.2} {:>11.2}",
                 row.tag,
                 row.instrs,
-                row.stepping_mips,
-                row.uop_mips,
-                row.bulk_speedup(),
-                row.shortcut_mips,
-                row.shortcut_speedup(),
+                row.mips.stepping,
+                row.mips.uop,
+                row.mips.bulk_speedup(),
+                row.mips.shortcut,
+                row.mips.shortcut_speedup(),
                 row.wall_mips,
                 row.wall_ms,
                 row.compile_ms
@@ -414,59 +377,51 @@ fn main() {
     }
 
     // Gates: (what, measured, floor), all evaluated before failing.
-    let mut gates: Vec<(String, f64, f64)> = Vec::new();
+    let mut gates: Vec<Gate> = Vec::new();
     for row in &rows {
         if row.tag == "a" {
             gates.push((
                 "bulk/step on level a".into(),
-                row.bulk_speedup(),
+                row.mips.bulk_speedup(),
                 MIN_BASELINE_BULK_SPEEDUP,
             ));
             gates.push((
                 "sc/uop on level a".into(),
-                row.shortcut_speedup(),
+                row.mips.shortcut_speedup(),
                 MIN_BASELINE_SHORTCUT_SPEEDUP,
             ));
         }
         if row.tag == "d" || row.tag == "e" {
             gates.push((
                 format!("bulk/step on level {}", row.tag),
-                row.bulk_speedup(),
+                row.mips.bulk_speedup(),
                 MIN_O3_BULK_SPEEDUP,
             ));
             gates.push((
                 format!("sc/uop on level {}", row.tag),
-                row.shortcut_speedup(),
+                row.mips.shortcut_speedup(),
                 MIN_SHORTCUT_SPEEDUP,
             ));
         }
     }
 
     let policy_level = OptLevel::IfmTile;
-    let policy = measure_policy(policy_level);
+    let (policy_instrs, policy) = measure_policy(policy_level);
     println!(
         "\npolicy net ({POLICY_NET}, level {}): stepping {:.1} MIPS, uop {:.1} MIPS ({:.1}x), \
          shortcut {:.1} MIPS ({:.1}x over uop)",
         policy_level.tag(),
-        policy.stepping_mips,
-        policy.uop_mips,
+        policy.stepping,
+        policy.uop,
         policy.bulk_speedup(),
-        policy.shortcut_mips,
+        policy.shortcut,
         policy.shortcut_speedup()
     );
 
-    hot_path_comparison();
-
-    if json {
+    if args.json {
         let items = rows.iter().map(|r| {
-            Obj::new()
-                .str("level", r.tag)
-                .num("instrs", r.instrs)
-                .float("stepping_mips", Some(r.stepping_mips))
-                .float("uop_mips", Some(r.uop_mips))
-                .float("bulk_speedup", Some(r.bulk_speedup()))
-                .float("shortcut_mips", Some(r.shortcut_mips))
-                .float("shortcut_speedup", Some(r.shortcut_speedup()))
+            r.mips
+                .json(Obj::new().str("level", r.tag).num("instrs", r.instrs))
                 .float("wall_mips", Some(r.wall_mips))
                 .float("wall_ms", Some(r.wall_ms))
                 .float("compile_ms", Some(r.compile_ms))
@@ -486,15 +441,13 @@ fn main() {
                 )
                 .build()
         });
-        let policy_obj = Obj::new()
-            .str("network", POLICY_NET)
-            .str("level", policy_level.tag())
-            .num("instrs", policy.instrs)
-            .float("stepping_mips", Some(policy.stepping_mips))
-            .float("uop_mips", Some(policy.uop_mips))
-            .float("bulk_speedup", Some(policy.bulk_speedup()))
-            .float("shortcut_mips", Some(policy.shortcut_mips))
-            .float("shortcut_speedup", Some(policy.shortcut_speedup()))
+        let policy_obj = policy
+            .json(
+                Obj::new()
+                    .str("network", POLICY_NET)
+                    .str("level", policy_level.tag())
+                    .num("instrs", policy_instrs),
+            )
             .build();
         let doc = Obj::new()
             .str("bench", "sim_throughput")
@@ -502,35 +455,19 @@ fn main() {
             .raw("levels", array(items))
             .raw("policy", policy_obj)
             .build();
-        std::fs::write("BENCH_sim.json", doc + "\n").expect("write BENCH_sim.json");
-        println!("wrote BENCH_sim.json");
+        write_report("sim", &doc);
     }
 
-    if check {
-        let baseline = std::fs::read_to_string("BENCH_sim_baseline.json")
-            .expect("read BENCH_sim_baseline.json");
-        let baseline_speedup =
-            extract_policy_speedup(&baseline).expect("policy bulk speedup in baseline");
+    if args.check {
         gates.push((
-            format!("{POLICY_NET} bulk/step vs 90% of baseline {baseline_speedup:.2}x"),
+            format!("{POLICY_NET} bulk/step"),
             policy.bulk_speedup(),
-            MAX_REGRESSION * baseline_speedup,
+            MIN_POLICY_BULK_SPEEDUP,
         ));
     }
 
     println!();
-    let mut failed = Vec::new();
-    for (what, value, floor) in &gates {
-        let ok = value >= floor;
-        println!(
-            "gate: {what}: {value:.2}x >= {floor:.2}x — {}",
-            if ok { "ok" } else { "FAIL" }
-        );
-        if !ok {
-            failed.push(what.as_str());
-        }
-    }
-    assert!(failed.is_empty(), "sim-throughput gates failed: {failed:?}");
+    assert_gates(gates);
 }
 
 /// The kinds and verdicts `b` saw any region of.
@@ -549,100 +486,4 @@ fn verdict(installed: bool) -> &'static str {
     } else {
         "rejected"
     }
-}
-
-/// Best-of-SAMPLES wall time of `f` over `iters` iterations, in ns/iter.
-fn time_ns_per_iter<R>(iters: u64, mut f: impl FnMut() -> R) -> f64 {
-    let mut best = f64::MAX;
-    for _ in 0..SAMPLES {
-        let t = Instant::now();
-        for _ in 0..iters {
-            black_box(f());
-        }
-        best = best.min(t.elapsed().as_nanos() as f64 / iters as f64);
-    }
-    best
-}
-
-/// Micro-comparison of the two retire-path data structures against the
-/// map-based versions they replaced, reproduced locally: fetch through
-/// the dense slot table vs a `HashMap<u32, u32>` address index, and
-/// statistics recording into the `MnemonicId`-indexed array vs a
-/// name-keyed `BTreeMap` upsert. This is the apples-to-apples evidence
-/// for the fast path, independent of kernel staging overheads.
-fn hot_path_comparison() {
-    use rnnasip_isa::{AluImmOp, Instr, Reg};
-    use rnnasip_sim::Program;
-
-    println!("\nhot-path comparison (per-event cost, best of {SAMPLES})");
-
-    // A program the size of a realistic kernel (4-byte instructions).
-    let n = 4096u32;
-    let prog = Program::from_instrs(
-        0x100,
-        (0..n).map(|i| Instr::OpImm {
-            op: AluImmOp::Addi,
-            rd: Reg::A0,
-            rs1: Reg::A0,
-            imm: (i & 0x7FF) as i32,
-        }),
-    );
-    let by_addr: HashMap<u32, u32> = (0..n).map(|i| (0x100 + 4 * i, i)).collect();
-    let addrs: Vec<u32> = (0..n).map(|i| 0x100 + 4 * ((i * 7) % n)).collect();
-
-    let dense = time_ns_per_iter(64, || {
-        let mut acc = 0u32;
-        for &a in &addrs {
-            acc = acc.wrapping_add(prog.fetch(a).map(|it| it.size as u32).unwrap_or(0));
-        }
-        acc
-    }) / addrs.len() as f64;
-    let hashed = time_ns_per_iter(64, || {
-        let mut acc = 0u32;
-        for &a in &addrs {
-            acc = acc.wrapping_add(by_addr.get(&a).copied().unwrap_or(0));
-        }
-        acc
-    }) / addrs.len() as f64;
-    println!(
-        "  fetch : dense table {dense:.2} ns vs HashMap {hashed:.2} ns  ({:.1}x)",
-        hashed / dense
-    );
-
-    // The retire-path event stream: a realistic mnemonic mix.
-    let mix: Vec<MnemonicId> = [
-        "pl.sdotsp",
-        "p.lw!",
-        "addi",
-        "pv.sdotsp",
-        "lp.setup",
-        "p.sh!",
-    ]
-    .iter()
-    .map(|name| MnemonicId::from_name(name).expect("stable mnemonic"))
-    .collect();
-    let events: Vec<MnemonicId> = (0..4096).map(|i| mix[i % mix.len()]).collect();
-
-    let indexed = time_ns_per_iter(64, || {
-        let mut s = Stats::new();
-        for &id in &events {
-            s.record(id, 1, 2);
-        }
-        s.cycles()
-    }) / events.len() as f64;
-    let mapped = time_ns_per_iter(64, || {
-        let mut rows: BTreeMap<&'static str, (u64, u64)> = BTreeMap::new();
-        let mut total = 0u64;
-        for &id in &events {
-            let row = rows.entry(id.name()).or_default();
-            row.0 += 1;
-            row.1 += 1;
-            total += 1;
-        }
-        total
-    }) / events.len() as f64;
-    println!(
-        "  record: indexed array {indexed:.2} ns vs BTreeMap {mapped:.2} ns  ({:.1}x)",
-        mapped / indexed
-    );
 }

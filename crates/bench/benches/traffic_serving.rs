@@ -33,55 +33,43 @@
 //! serial wall-clock rate (gated on the core count, like the other
 //! serving benches).
 //!
+//! The serial reference and each pool pass are timed once, in that
+//! order.
+//!
 //! Flags: `--json` writes `BENCH_traffic.json`; `--check` compares the
 //! virtual section against `BENCH_traffic_baseline.json`.
 //!
 //! [`Front`]: rnnasip_core::serve::Front
 //! [`EnginePool`]: rnnasip_core::serve::EnginePool
 
-use rnnasip_bench::json::{array, Obj};
+use rnnasip_bench::harness::{assert_gates, pinned_report, pool_widths, time, Args, Curve};
+use rnnasip_bench::json::Obj;
 use rnnasip_bench::traffic::{
-    bench_city, extract_virtual, overload_front, virtual_section, virtual_sweep, CITY_SEED,
+    bench_city, overload_front, virtual_section, virtual_sweep, CITY_SEED,
 };
-use rnnasip_core::serve::{output_fingerprint, EnginePool, Front, FrontConfig, TrafficReport};
+use rnnasip_core::serve::{output_fingerprint, EnginePool, Front, FrontConfig};
 use rnnasip_core::{Engine, KernelBackend};
 use rnnasip_rrm::traffic::{CityConfig, CityTraffic};
-use std::time::Instant;
-
-/// With at least this many hardware threads, the widest pool must beat
-/// the serial path by [`MIN_FRONT_SPEEDUP`]x on the wall-clock curve.
-const MIN_PARALLELISM_FOR_ASSERT: usize = 4;
 
 /// Required pooled-front-vs-serial wall-clock speedup at the widest
-/// configuration when the host has enough hardware threads.
+/// pool, on a host with at least 4 hardware threads.
 const MIN_FRONT_SPEEDUP: f64 = 3.0;
 
-/// The serial warm-engine reference over one city pass: every arrival
-/// run back-to-back on one warm engine per class (compile paid once).
-/// Returns `(requests, summed cycles, whole-run output checksum,
-/// elapsed seconds)`.
-fn serial_reference(city: &CityConfig) -> (u64, u64, u64, f64) {
-    let mut engines: Vec<Engine> = city
-        .classes
-        .iter()
-        .map(|class| {
-            KernelBackend::new(class.level)
-                .compile_network(&class.net)
-                .unwrap_or_else(|e| panic!("{} at {:?}: {e}", class.name, class.level))
-                .engine()
-        })
-        .collect();
-    let t = Instant::now();
-    let mut count = 0u64;
-    let mut cycles = 0u64;
-    let mut fnv = 0u64;
+/// What a city pass served: `(requests, summed cycles, whole-run
+/// output checksum)`. Every pool pass must equal the serial reference's.
+type Served = (u64, u64, u64);
+
+/// The serial reference over one city pass: every arrival run
+/// back-to-back on its class's warm engine (compiled before timing).
+fn serial_pass(city: &CityConfig, engines: &mut [Engine]) -> Served {
+    let (mut count, mut cycles, mut fnv) = (0u64, 0u64, 0u64);
     for arrival in CityTraffic::new(city) {
         let run = engines[arrival.class].run(&arrival.sequence).unwrap();
         count += 1;
         cycles += run.report.cycles();
         fnv = fnv.wrapping_add(output_fingerprint(&run.outputs));
     }
-    (count, cycles, fnv, t.elapsed().as_secs_f64())
+    (count, cycles, fnv)
 }
 
 /// The no-shed verification/timing configuration: enough virtual
@@ -94,40 +82,20 @@ fn no_shed_front() -> FrontConfig {
     }
 }
 
-/// One timed full-city pass through a `workers`-wide pool, verified
-/// against the serial reference before the timing is accepted.
-fn timed_city_pass(
-    city: &CityConfig,
-    workers: usize,
-    serial: (u64, u64, u64),
-) -> (TrafficReport, f64) {
-    let (count, cycles, fnv) = serial;
-    let pool = EnginePool::with_workers(workers);
-    let t = Instant::now();
-    let report = Front::new(&pool, no_shed_front()).serve(CityTraffic::new(city));
-    let elapsed = t.elapsed().as_secs_f64();
+/// One full-city pass through `pool` in the no-shed configuration.
+fn pool_pass(city: &CityConfig, pool: &EnginePool) -> Served {
+    let report = Front::new(pool, no_shed_front()).serve(CityTraffic::new(city));
     let total = report.aggregate();
+    let workers = pool.workers();
     assert_eq!(total.shed, 0, "{workers} workers: no-shed config shed");
     assert_eq!(total.failed, 0, "{workers} workers: failures");
-    assert_eq!(total.served, count, "{workers} workers: served count");
-    assert_eq!(
-        report.served_cycles, cycles,
-        "{workers} workers: served cycles"
-    );
-    assert_eq!(
-        report.outputs_fnv, fnv,
-        "{workers} workers: outputs diverged from the serial reference"
-    );
-    (report, elapsed)
+    (total.served, report.served_cycles, report.outputs_fnv)
 }
 
 fn main() {
-    let json = std::env::args().any(|a| a == "--json");
-    let check = std::env::args().any(|a| a == "--check");
+    let args = Args::parse();
 
-    let hw = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
+    let (hw, counts) = pool_widths();
     let city = bench_city();
     println!(
         "traffic-serving: seed {CITY_SEED:#x}, {:.1} virtual s at {} MHz, \
@@ -135,13 +103,6 @@ fn main() {
         city.horizon_s,
         city.clock_hz / 1_000_000,
         city.peak_rate()
-    );
-
-    // Serial warm-engine reference (also the bit-exactness witness).
-    let (count, cycles, fnv, serial_s) = serial_reference(&city);
-    let serial_rps = count as f64 / serial_s;
-    println!(
-        "serial: {count} requests, {cycles} simulated cycles, {serial_rps:.0} req/s wall-clock"
     );
 
     // Deterministic virtual-server sweep (overload config, sheds).
@@ -167,7 +128,6 @@ fn main() {
         );
     }
     let offered = rows[0].1.aggregate().offered;
-    assert_eq!(offered, count, "virtual sweep offered != generated");
     let goodput_1 = rows.first().unwrap().1.aggregate().goodput_ppm();
     let goodput_8 = rows.last().unwrap().1.aggregate().goodput_ppm();
     assert!(
@@ -175,89 +135,51 @@ fn main() {
         "virtual scaling is flat: {goodput_8} ppm at 8 servers vs {goodput_1} ppm at 1"
     );
 
-    // Wall-clock scaling curve (no-shed config, verified per pass).
-    let mut counts: Vec<usize> = std::iter::successors(Some(1usize), |w| w.checked_mul(2))
-        .take_while(|&w| w <= hw)
-        .collect();
-    counts.push(hw);
-    counts.sort_unstable();
-    counts.dedup();
-    println!(
-        "\n{:<10} {:>10} {:>12} {:>9}",
-        "wall", "requests", "req/s", "speedup"
-    );
-    println!(
-        "{:<10} {:>10} {:>12.0} {:>8.2}x",
-        "serial", count, serial_rps, 1.0
-    );
-    let wall_rows: Vec<(usize, f64)> = counts
+    // Wall-clock scaling curve (no-shed config): the serial warm-engine
+    // pass is the reference every pool pass must reproduce bit-exactly;
+    // each pool pass goes through a fresh pool of `workers` workers.
+    let mut engines: Vec<Engine> = city
+        .classes
         .iter()
-        .map(|&workers| {
-            let (_, elapsed) = timed_city_pass(&city, workers, (count, cycles, fnv));
-            let rps = count as f64 / elapsed;
-            println!(
-                "{:<10} {:>10} {:>12.0} {:>8.2}x",
-                format!("pool x{workers}"),
-                count,
-                rps,
-                rps / serial_rps
-            );
-            (workers, rps)
+        .map(|class| {
+            KernelBackend::new(class.level)
+                .compile_network(&class.net)
+                .unwrap_or_else(|e| panic!("{} at {:?}: {e}", class.name, class.level))
+                .engine()
         })
         .collect();
-
-    if hw >= MIN_PARALLELISM_FOR_ASSERT {
-        let (workers, rps) = *wall_rows.last().unwrap();
-        let speedup = rps / serial_rps;
-        assert!(
-            speedup >= MIN_FRONT_SPEEDUP,
-            "front throughput regressed: {speedup:.2}x at {workers} workers \
-             < {MIN_FRONT_SPEEDUP}x (hw threads: {hw})"
-        );
-    } else {
-        println!(
-            "(< {MIN_PARALLELISM_FOR_ASSERT} hardware threads: wall speedup floor not asserted)"
-        );
-    }
-
-    let virtual_json = virtual_section(&city, &rows);
-
-    if json {
-        let wall = array(wall_rows.iter().map(|&(workers, rps)| {
-            Obj::new()
-                .num("workers", workers as u64)
-                .num("requests", count)
-                .float("rps", Some(rps))
-                .float("speedup", Some(rps / serial_rps))
-                .build()
-        }));
-        let doc = Obj::new()
-            .str("bench", "traffic_serving")
-            .num("seed", CITY_SEED)
-            .num("clock_hz", city.clock_hz)
-            .float("horizon_s", Some(city.horizon_s))
-            .num("hw_threads", hw as u64)
-            .num("offered", offered)
-            .num("serial_cycles", cycles)
-            .str("serial_fnv", &format!("{fnv:016x}"))
-            .float("serial_rps", Some(serial_rps))
-            .raw("virtual", virtual_json.clone())
-            .raw("wall", wall)
-            .build();
-        std::fs::write("BENCH_traffic.json", doc + "\n").expect("write BENCH_traffic.json");
-        println!("wrote BENCH_traffic.json");
-    }
-
-    if check {
-        let baseline = std::fs::read_to_string("BENCH_traffic_baseline.json")
-            .expect("read BENCH_traffic_baseline.json");
-        let pinned = extract_virtual(&baseline).expect("virtual section in baseline");
-        let current = format!("\"virtual\":{virtual_json}");
+    let mut serial = (0, 0, 0);
+    let mut times = vec![time(|| serial = serial_pass(&city, &mut engines))];
+    for &workers in &counts {
+        let pool = EnginePool::with_workers(workers);
+        let mut pass = (0, 0, 0);
+        times.push(time(|| pass = pool_pass(&city, &pool)));
         assert_eq!(
-            current, pinned,
-            "virtual-time results diverged from the committed baseline \
-             (they are byte-deterministic: any difference is a real behavior change)"
+            pass, serial,
+            "{workers} workers: served (requests, cycles, outputs) diverged from the serial reference"
         );
-        println!("check: virtual section byte-identical to committed baseline — ok");
     }
+    let (count, cycles, fnv) = serial;
+    assert_eq!(offered, count, "virtual sweep offered != generated");
+    let wall = Curve::new(count, &counts, &times);
+    println!("\nwall-clock");
+    wall.print();
+
+    let doc = Obj::new()
+        .str("bench", "traffic_serving")
+        .num("seed", CITY_SEED)
+        .num("clock_hz", city.clock_hz)
+        .float("horizon_s", Some(city.horizon_s))
+        .num("hw_threads", hw as u64)
+        .num("offered", offered)
+        .num("serial_cycles", cycles)
+        .str("serial_fnv", &format!("{fnv:016x}"))
+        .float("serial_rps", Some(wall.serial_rps))
+        .raw("virtual", virtual_section(&city, &rows))
+        .raw("wall", wall.json())
+        .build();
+    pinned_report(&args, "traffic", &doc, Some("virtual"));
+
+    println!();
+    assert_gates(wall.widest_gate("front", MIN_FRONT_SPEEDUP));
 }

@@ -14,27 +14,11 @@
 //!   (classification counts, per-trial outcomes, recovery rungs).
 
 use rnnasip_bench::faults::{campaign, level_summary, to_json, CampaignConfig};
-
-fn arg_value(args: &[String], name: &str) -> Option<u64> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
+use rnnasip_bench::harness::{pinned_report, Args};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let seed = arg_value(&args, "--seed").unwrap_or(7);
-    let mut cfg = if smoke {
-        CampaignConfig::smoke(seed)
-    } else {
-        CampaignConfig::full(seed)
-    };
-    if let Some(trials) = arg_value(&args, "--trials") {
-        cfg.trials = trials as u32;
-    }
-    let mode = if smoke { "smoke" } else { "full" };
+    let args = Args::parse();
+    let (cfg, mode) = CampaignConfig::from_args(&args);
 
     let cells = campaign(&cfg);
     let doc = to_json(&cfg, mode, &cells);
@@ -64,25 +48,5 @@ fn main() {
     let detected = totals[2] + totals[3];
     println!("every detected failure recovered in-process: {detected}/{detected}");
 
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    if args.iter().any(|a| a == "--json") {
-        let path = dir.join("BENCH_faults.json");
-        std::fs::write(&path, doc.clone() + "\n").expect("write BENCH_faults.json");
-        println!("wrote {}", path.display());
-    }
-    if args.iter().any(|a| a == "--check") {
-        let path = dir.join("BENCH_faults_baseline.json");
-        let baseline = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
-        if baseline.trim_end() != doc {
-            eprintln!("baseline: {}", baseline.trim_end());
-            eprintln!("current:  {doc}");
-            eprintln!(
-                "fault campaign drifted from the committed baseline \
-                 (same seed must reproduce byte-identical results)"
-            );
-            std::process::exit(1);
-        }
-        println!("baseline check passed (byte-identical report)");
-    }
+    pinned_report(&args, "faults", &doc, None);
 }

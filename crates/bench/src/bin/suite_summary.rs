@@ -2,6 +2,7 @@
 //! documentation companion of `rnnasip-rrm::suite()`): citation, task,
 //! kernel family, topology, MACs and activation counts per inference.
 
+use rnnasip_bench::harness::Args;
 use rnnasip_bench::json::{array, Obj};
 use rnnasip_bench::run_suite_report;
 use rnnasip_core::OptLevel;
@@ -67,7 +68,7 @@ fn print_json() {
 }
 
 fn main() {
-    if std::env::args().any(|a| a == "--json") {
+    if Args::parse().json {
         print_json();
         return;
     }

@@ -2,6 +2,7 @@
 //! the entire RRM benchmark suite at every optimization level, plus the
 //! cumulative improvement row.
 
+use rnnasip_bench::harness::Args;
 use rnnasip_bench::json::{array, Obj};
 use rnnasip_bench::{format_column, paper, run_suite, run_suite_report, table_rows};
 use rnnasip_core::OptLevel;
@@ -52,7 +53,7 @@ fn print_json() {
 }
 
 fn main() {
-    if std::env::args().any(|a| a == "--json") {
+    if Args::parse().json {
         print_json();
         return;
     }

@@ -22,11 +22,12 @@
 //! `crates/bench/tests/fault_determinism.rs` and by the CI `--check`
 //! against the committed baseline.
 
+pub use crate::campaign::CampaignConfig;
+
+use crate::campaign::{sweep, trial_rng, uniform};
 use crate::json::{array, escape, Obj};
-use crate::par;
 use rnnasip_core::{CoreError, Fault, FaultPlan, FaultSite, KernelBackend, OptLevel, SimError};
 use rnnasip_isa::Reg;
-use rnnasip_rng::StdRng;
 use rnnasip_rrm::BenchmarkNet;
 
 /// First TCDM data address (mirrors the core crate's layout constant;
@@ -101,29 +102,6 @@ impl Cell {
     }
 }
 
-/// Campaign parameters. Every output byte is a pure function of this
-/// struct.
-#[derive(Clone, Copy, Debug)]
-pub struct CampaignConfig {
-    /// Master seed; trial plans derive from `(seed, net, level, trial)`.
-    pub seed: u64,
-    /// Trials per `(network, level)` cell.
-    pub trials: u32,
-}
-
-impl CampaignConfig {
-    /// The CI smoke configuration: few trials, same coverage (every
-    /// network × every level).
-    pub fn smoke(seed: u64) -> Self {
-        Self { seed, trials: 3 }
-    }
-
-    /// The full sweep.
-    pub fn full(seed: u64) -> Self {
-        Self { seed, trials: 12 }
-    }
-}
-
 /// Runs the whole campaign: every suite network × every [`OptLevel`],
 /// `cfg.trials` seeded fault trials each, cells simulated in parallel
 /// and merged in deterministic suite order.
@@ -134,32 +112,13 @@ impl CampaignConfig {
 /// failure cannot be recovered by the rewind → rebuild ladder — both
 /// are invariants of the fault model, not data-dependent outcomes.
 pub fn campaign(cfg: &CampaignConfig) -> Vec<Cell> {
-    let nets = rnnasip_rrm::suite();
-    let cells: Vec<(usize, OptLevel)> = (0..nets.len())
-        .flat_map(|n| OptLevel::ALL.into_iter().map(move |l| (n, l)))
-        .collect();
-    par::par_map(&cells, |&(net_idx, level)| {
-        run_cell(&nets[net_idx], net_idx, level, cfg)
-    })
+    sweep(|net, net_idx, level| run_cell(net, net_idx, level, cfg))
 }
 
 /// Runs a single `(network, level)` cell of the sweep — the unit the
 /// determinism tests exercise without paying for the full campaign.
 pub fn cell(cfg: &CampaignConfig, net_idx: usize, level: OptLevel) -> Cell {
     run_cell(&rnnasip_rrm::suite()[net_idx], net_idx, level, cfg)
-}
-
-/// Derives the per-trial generator. SplitMix64 decorrelates the packed
-/// indices, so neighbouring cells and trials share no structure.
-fn trial_rng(cfg: &CampaignConfig, net_idx: usize, level: OptLevel, trial: u32) -> StdRng {
-    let level_idx = OptLevel::ALL.iter().position(|&l| l == level).unwrap() as u64;
-    StdRng::seed_from_u64(
-        cfg.seed ^ ((net_idx as u64) << 32) ^ (level_idx << 40) ^ ((u64::from(trial) + 1) << 44),
-    )
-}
-
-fn uniform(rng: &mut StdRng, n: u64) -> u64 {
-    rng.next_u64() % n.max(1)
 }
 
 /// Span of staged data past `DATA_BASE` (the bump allocator packs from

@@ -1,21 +1,39 @@
 //! Shared harness code for the table/figure regeneration binaries and
-//! the `harness = false` benches.
+//! the `harness = false` benches, which share their flags, reports,
+//! baseline checks, gates and timing through [`harness`].
 //!
-//! Each paper artifact has a binary:
+//! Every target, run as `cargo run --release -p rnnasip-bench --bin
+//! <name>` or `cargo bench -p rnnasip-bench --bench <name> -- <flags>`.
+//! `--json` writes `BENCH_<name>.json` next to this crate's manifest
+//! (`table1` and `suite_summary` print it instead). A gate on a host-time
+//! ratio compares two arms timed in the same run.
 //!
-//! | Artifact | Binary |
-//! |---|---|
-//! | Table I (a–e cycle/instruction histograms) | `cargo run -p rnnasip-bench --bin table1` |
-//! | Table II (assembly comparison) | `cargo run -p rnnasip-bench --bin table2` |
-//! | Fig. 2 (tanh PLA error surface) | `cargo run -p rnnasip-bench --bin fig2` |
-//! | Fig. 3 (per-network speedups) | `cargo run -p rnnasip-bench --bin fig3` |
-//! | Section IV (throughput/power/area) | `cargo run -p rnnasip-bench --bin core_results` |
-//! | Resilience table (fault-injection campaign) | `cargo run -p rnnasip-bench --bin fault_campaign` |
-//! | SDC-detection table (ABFT guard campaign) | `cargo run -p rnnasip-bench --bin sdc_campaign` |
+//! | Target | Reproduces | Flags | Gate |
+//! |---|---|---|---|
+//! | bin `table1` | Table I (a–e cycle/instruction histograms) | `--json` | — |
+//! | bin `table2` | Table II (assembly comparison) | — | — |
+//! | bin `fig2` | Fig. 2 (tanh PLA error surface) | — | — |
+//! | bin `fig3` | Fig. 3 (per-network speedups) | — | — |
+//! | bin `core_results` | Section IV (throughput/power/area) | — | — |
+//! | bin `ablation` | tile-size sweep, INT8 path | — | — |
+//! | bin `profile` | per-stage cycle profile at level e | — | — |
+//! | bin `suite_summary` | suite inventory and totals | `--json` | — |
+//! | bin `fault_campaign` | resilience table (fault injection) | `--smoke`, `--seed N`, `--trials N`, `--json`, `--check` | `--check`: report byte-identical to `BENCH_faults_baseline.json` |
+//! | bin `sdc_campaign` | SDC-detection table (ABFT guards) | `--smoke`, `--seed N`, `--trials N`, `--json`, `--check` | `--check`: report byte-identical to `BENCH_sdc_baseline.json` |
+//! | bench `sim_throughput` | simulated MIPS per tier, compile stages | `--json`, `--check` | bulk/step ≥ 2.0× at level a, ≥ 1.5× at d/e; sc/uop ≥ 5.0× at a, ≥ 10.0× at d/e; `--check`: eisen2019 bulk/step ≥ 1.152× |
+//! | bench `serve_throughput` | pooled vs serial req/s | `--json`, `--check` | suite pool ≥ 3× with ≥ 4 hardware threads; `--check`: eisen2019 pooled/serial at `available_parallelism()` workers ≥ 0.75× |
+//! | bench `traffic_serving` | city traffic through the front | `--json`, `--check` | 8-server goodput above 1-server; front ≥ 3× with ≥ 4 hardware threads; `--check`: virtual section byte-identical to `BENCH_traffic_baseline.json` |
+//! | bench `cluster_scaling` | 1–8-core cluster latency | `--json`, `--check` | ≥ 2× 4-core latency speedup on FC/LSTM nets; `--check`: report byte-identical to `BENCH_cluster_baseline.json` |
+//! | bench `engine_reuse` | compile-once vs recompile-per-call | `--json` | eisen2019 ≥ 5× |
+//! | bench `table1_suite` | suite simulation time per level | — | — |
+//! | bench `fig2_pla` | PLA fit and evaluation time | — | — |
+//! | bench `fig3_networks` | per-network simulation time | — | — |
+//! | bench `kernel_ablation` | 100×100 FC time per level | — | — |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod campaign;
 pub mod cluster;
 pub mod faults;
 pub mod harness;

@@ -30,12 +30,13 @@
 //! (`crates/bench/tests/sdc_determinism.rs`, and CI's `--check` against
 //! the committed baseline).
 
+pub use crate::campaign::CampaignConfig;
+
+use crate::campaign::{sweep, trial_rng, uniform};
 use crate::json::{array, Obj};
-use crate::par;
 use rnnasip_core::{
     CompiledNetwork, Fault, FaultPlan, FaultSite, KernelBackend, NetworkRun, OptLevel,
 };
-use rnnasip_rng::StdRng;
 use rnnasip_rrm::BenchmarkNet;
 
 /// Outcome of one guarded fault trial.
@@ -116,28 +117,6 @@ impl Cell {
     }
 }
 
-/// Campaign parameters; every output byte is a pure function of this
-/// struct.
-#[derive(Clone, Copy, Debug)]
-pub struct CampaignConfig {
-    /// Master seed; trial flips derive from `(seed, net, level, trial)`.
-    pub seed: u64,
-    /// Trials per `(network, level)` cell.
-    pub trials: u32,
-}
-
-impl CampaignConfig {
-    /// The CI smoke configuration: few trials, full cell coverage.
-    pub fn smoke(seed: u64) -> Self {
-        Self { seed, trials: 3 }
-    }
-
-    /// The full sweep.
-    pub fn full(seed: u64) -> Self {
-        Self { seed, trials: 12 }
-    }
-}
-
 /// Runs the whole campaign: every suite network × every [`OptLevel`],
 /// cells simulated in parallel and merged in deterministic suite order.
 ///
@@ -148,31 +127,13 @@ impl CampaignConfig {
 /// errors outright — all invariants of the fault model (data-word flips
 /// cannot crash the core), not data-dependent outcomes.
 pub fn campaign(cfg: &CampaignConfig) -> Vec<Cell> {
-    let nets = rnnasip_rrm::suite();
-    let cells: Vec<(usize, OptLevel)> = (0..nets.len())
-        .flat_map(|n| OptLevel::ALL.into_iter().map(move |l| (n, l)))
-        .collect();
-    par::par_map(&cells, |&(net_idx, level)| {
-        run_cell(&nets[net_idx], net_idx, level, cfg)
-    })
+    sweep(|net, net_idx, level| run_cell(net, net_idx, level, cfg))
 }
 
 /// Runs a single `(network, level)` cell — the unit the determinism
 /// tests exercise without paying for the full campaign.
 pub fn cell(cfg: &CampaignConfig, net_idx: usize, level: OptLevel) -> Cell {
     run_cell(&rnnasip_rrm::suite()[net_idx], net_idx, level, cfg)
-}
-
-/// Derives the per-trial generator, decorrelated across cells/trials.
-fn trial_rng(cfg: &CampaignConfig, net_idx: usize, level: OptLevel, trial: u32) -> StdRng {
-    let level_idx = OptLevel::ALL.iter().position(|&l| l == level).unwrap() as u64;
-    StdRng::seed_from_u64(
-        cfg.seed ^ ((net_idx as u64) << 32) ^ (level_idx << 40) ^ ((u64::from(trial) + 1) << 44),
-    )
-}
-
-fn uniform(rng: &mut StdRng, n: u64) -> u64 {
-    rng.next_u64() % n.max(1)
 }
 
 /// The guarded word ranges of `compiled`: per region, the weight matrix

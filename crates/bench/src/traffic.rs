@@ -7,7 +7,8 @@
 //! integer fields derived from the virtual-time service model
 //! ([`rnnasip_core::serve::Front`]), so it is byte-identical across
 //! hosts, worker counts, and runs — the `--check` mode compares it as an
-//! exact string against the committed baseline. Keeping the row
+//! exact string against the committed baseline
+//! ([`pinned_report`](crate::harness::pinned_report)). Keeping the row
 //! serialization here, used by both the bench binary and the
 //! `traffic_determinism` test, is what makes that comparison meaningful.
 
@@ -101,42 +102,9 @@ pub fn virtual_section(city: &CityConfig, rows: &[(usize, TrafficReport)]) -> St
     array(rows.iter().map(|(v, r)| virtual_row(city, *v, r)))
 }
 
-/// Extracts the exact `"virtual":[...]` substring from a report
-/// document, brackets balanced (no string field in the section contains
-/// a bracket, so counting is safe).
-pub fn extract_virtual(text: &str) -> Option<&str> {
-    let start = text.find("\"virtual\":[")?;
-    let rest = &text[start..];
-    let mut depth = 0usize;
-    for (i, b) in rest.bytes().enumerate() {
-        match b {
-            b'[' => depth += 1,
-            b']' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(&rest[..=i]);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn extract_virtual_balances_nested_arrays() {
-        let doc =
-            "{\"bench\":\"t\",\"virtual\":[{\"servers\":1,\"classes\":[{\"p50\":3}]}],\"wall\":[]}";
-        assert_eq!(
-            extract_virtual(doc),
-            Some("\"virtual\":[{\"servers\":1,\"classes\":[{\"p50\":3}]}]")
-        );
-        assert_eq!(extract_virtual("{\"wall\":[]}"), None);
-    }
 
     #[test]
     fn overload_front_matches_the_documented_shape() {
