@@ -79,16 +79,6 @@ impl OptLevel {
         matches!(self, OptLevel::SdotSp | OptLevel::IfmTile)
     }
 
-    /// Whether the level tiles the output feature map (levels c–e).
-    pub const fn has_ofm_tiling(self) -> bool {
-        self.has_act_ext()
-    }
-
-    /// Whether the level tiles the input feature map (level e).
-    pub const fn has_ifm_tiling(self) -> bool {
-        matches!(self, OptLevel::IfmTile)
-    }
-
     /// The next level down the Table I ladder, or `None` at `Baseline`.
     ///
     /// This is the degradation path of the self-healing engine

@@ -79,13 +79,6 @@ impl Acc32 {
     pub fn requantize(self) -> Q3p12 {
         Q3p12::from_raw(saturate_i32(self.0 >> 12))
     }
-
-    /// Requantizes with an arbitrary shift, for layers whose inputs and
-    /// weights use different Q formats.
-    #[inline]
-    pub fn requantize_shift(self, shift: u32) -> Q3p12 {
-        Q3p12::from_raw(saturate_i32(self.0 >> shift))
-    }
 }
 
 impl fmt::Display for Acc32 {

@@ -1088,12 +1088,6 @@ impl Instr {
         self.uses().iter().fold(0, |m, r| m | (1u32 << r.num()))
     }
 
-    /// The registers this instruction writes, as a 32-bit mask indexed by
-    /// register number — the mask companion of [`defs`](Self::defs).
-    pub fn defs_mask(&self) -> u32 {
-        self.defs().iter().fold(0, |m, r| m | (1u32 << r.num()))
-    }
-
     /// The static timing class of this instruction — which functional-unit
     /// latency bucket it retires through on the modelled RI5CY pipeline.
     ///

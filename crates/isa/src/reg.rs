@@ -94,29 +94,6 @@ impl Reg {
     pub fn all() -> impl Iterator<Item = Reg> {
         (0u8..32).map(Reg)
     }
-
-    /// The caller-saved registers usable as MAC accumulator tiles by the
-    /// kernel generators, in allocation order: temporaries first, then
-    /// argument registers not holding pointers.
-    pub fn tile_pool() -> &'static [Reg] {
-        &[
-            Reg::T0,
-            Reg::T1,
-            Reg::T2,
-            Reg::T3,
-            Reg::T4,
-            Reg::T5,
-            Reg::T6,
-            Reg::A4,
-            Reg::A5,
-            Reg::A6,
-            Reg::A7,
-            Reg::S2,
-            Reg::S3,
-            Reg::S4,
-            Reg::S5,
-        ]
-    }
 }
 
 impl fmt::Display for Reg {

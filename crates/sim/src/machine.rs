@@ -1,6 +1,6 @@
 //! The simulation engine: fetch, execute, time, account.
 
-use crate::core_state::{Core, HwLoop};
+use crate::core_state::{Core, HwLoop, Pipe};
 use crate::error::{ExitReason, SimError};
 use crate::fault::{Fault, FaultEffect, FaultPlan, FaultRecord, FaultSite};
 use crate::guard::{GuardSpec, GuardUnit};
@@ -12,7 +12,7 @@ use crate::uop::{
     branch_taken, dot, load_value, BlockExit, Profile, Target, Uop, UopKind, UopProgram, NO_BLOCK,
     NO_IDX, NO_SC,
 };
-use rnnasip_isa::{BranchOp, Csr, DotOp, Instr, MnemonicId, Reg, SimdSize, StoreOp};
+use rnnasip_isa::{BranchOp, Csr, DotOp, Instr, MnemonicId, Reg, StoreOp};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -77,8 +77,6 @@ struct ShortcutScratch {
     regs: Vec<(Reg, u32)>,
     /// Exit SPR slot contents (`None` = untouched).
     spr: [Option<u32>; 2],
-    /// SPR writes still in flight at exit: `(issue instret, slot, data)`.
-    pend: Vec<(u64, usize, u32)>,
 }
 
 /// The simulated machine: core + memory + loaded program + statistics.
@@ -98,11 +96,8 @@ pub struct Machine {
     /// translation to any number of machines.
     uops: Arc<UopProgram>,
     stats: Stats,
-    /// Destination of the immediately preceding load, for the load-use
-    /// stall rule, with the mnemonic the stall is attributed to.
-    pending_load: Option<(Reg, MnemonicId)>,
-    /// SPR writes in flight: (instruction index at issue, SPR index, data).
-    spr_pending: VecDeque<(u64, usize, u32)>,
+    /// The SPR writes in flight and the pending load.
+    pipe: Pipe<u32>,
     halted: Option<ExitReason>,
     /// Instructions retired through the bulk block runner (loop bodies
     /// and straight-line runs), for coverage diagnostics. One addition
@@ -152,8 +147,7 @@ impl Machine {
             program: Arc::new(Program::default()),
             uops: Arc::new(UopProgram::default()),
             stats: Stats::new(),
-            pending_load: None,
-            spr_pending: VecDeque::new(),
+            pipe: Pipe::default(),
             halted: None,
             bulk_instrs: 0,
             shortcut_instrs: 0,
@@ -304,8 +298,7 @@ impl Machine {
     /// untouched.
     pub fn reset_core(&mut self) {
         self.core = Core::new(self.program.entry());
-        self.pending_load = None;
-        self.spr_pending.clear();
+        self.pipe = Pipe::default();
         self.halted = None;
     }
 
@@ -681,8 +674,8 @@ impl Machine {
         idx: &mut u32,
         max_cycles: u64,
     ) -> Result<UStep, SimError> {
-        if !self.spr_pending.is_empty() {
-            self.drain_spr();
+        while let Some((slot, v)) = self.pipe.drain(self.core.instret) {
+            self.core.spr[slot] = v;
         }
 
         // An instruction slot corrupted into an invalid encoding fetch-
@@ -706,11 +699,9 @@ impl Machine {
         }
 
         // Load-use stall: one bubble, charged to the producing load.
-        if let Some((reg, id)) = self.pending_load.take() {
-            if u.uses_mask & (1u32 << reg.num()) != 0 {
-                self.stats.attribute_stall(id);
-                self.core.cycle += 1;
-            }
+        if let Some(id) = self.pipe.stall(&u) {
+            self.stats.attribute_stall(id);
+            self.core.cycle += 1;
         }
 
         // An installed kernel-shortcut region starts here: execute the
@@ -729,49 +720,31 @@ impl Machine {
         }
 
         let flow = self.exec_uop(&u)?;
-        let (mut next_addr, mut next_idx, extra, halted) = match flow {
-            Flow::Fall => (u.next_addr, *idx + 1, 0, None),
-            Flow::Jump(t) => (t.addr, t.idx, 1, None),
-            Flow::Halt(reason) => (u.next_addr, *idx + 1, 0, Some(reason)),
+        let (mut next_addr, mut next_idx, taken, halted) = match flow {
+            Flow::Fall => (u.next_addr, *idx + 1, false, None),
+            Flow::Jump(t) => (t.addr, t.idx, true, None),
+            Flow::Halt(reason) => (u.next_addr, *idx + 1, false, Some(reason)),
         };
 
         // Hardware loops: zero-cycle jump-back when the fall-through PC
-        // reaches an armed loop's end. Inner loop (level 0) has priority.
-        let mut hw_jump = false;
-        let mut jump_level = 0usize;
-        if matches!(flow, Flow::Fall) {
-            for level in 0..2 {
-                let lp = &mut self.core.hwloop[level];
-                if lp.count > 0 && next_addr == lp.end {
-                    if lp.count > 1 {
-                        lp.count -= 1;
-                        next_addr = lp.start;
-                        hw_jump = true;
-                        jump_level = level;
-                        break;
-                    }
-                    // Inner loop expired: fall through so an outer loop
-                    // sharing the same end address gets its jump-back.
-                    lp.count = 0;
-                }
-            }
-        }
-        if hw_jump {
-            next_idx = self
-                .program
-                .index_of(next_addr)
-                .map_or(NO_IDX, |i| i as u32);
+        // reaches an armed loop's end.
+        let [l0, l1] = &mut self.core.hwloop;
+        let hw_jump = match flow {
+            Flow::Fall => HwLoop::jump_back([Some(l0), Some(l1)], next_addr),
+            _ => None,
+        };
+        if let Some((_, start)) = hw_jump {
+            next_addr = start;
+            next_idx = self.program.index_of(start).map_or(NO_IDX, |i| i as u32);
         }
 
-        let cycles = u64::from(u.base_cycles) + extra;
+        let cycles = u.cycles(taken);
         self.stats.record(u.id, cycles, u32::from(u.mac_ops));
         self.core.cycle += cycles;
         self.core.instret += 1;
         self.core.pc = next_addr;
         *idx = next_idx;
-        if u.load_rd != 0 {
-            self.pending_load = Some((Reg::from_bits(u32::from(u.load_rd)), u.id));
-        }
+        self.pipe.retire(&u);
 
         if let Some(reason) = halted {
             self.halted = Some(reason);
@@ -780,11 +753,8 @@ impl Machine {
         if u.body == NO_BLOCK {
             return Ok(UStep::Cont);
         }
-        let entry = if hw_jump {
-            BlockEntry::Hw {
-                level: jump_level,
-                top: false,
-            }
+        let entry = if let Some((level, _)) = hw_jump {
+            BlockEntry::Hw { level, top: false }
         } else {
             match u.kind {
                 // An lp.setup/lp.setupi that just armed a specializable
@@ -795,7 +765,7 @@ impl Machine {
                     top: true,
                 },
                 // A taken backward branch closing a specializable body.
-                UopKind::Branch { .. } if extra != 0 => BlockEntry::Direct,
+                UopKind::Branch { .. } if taken => BlockEntry::Direct,
                 _ => return Ok(UStep::Cont),
             }
         };
@@ -830,7 +800,7 @@ impl Machine {
         idx: &mut u32,
         max_cycles: u64,
     ) -> Result<bool, SimError> {
-        if !self.bulk_ok() || !self.spr_pending.is_empty() {
+        if !self.bulk_ok() || self.pipe.len() != 0 {
             return Ok(false);
         }
         if self.core.hwloop[0].count != 0 || self.core.hwloop[1].count != 0 {
@@ -854,12 +824,15 @@ impl Machine {
         // in-place `c` rows, which the writes below then overwrite.
         let mut scratch = std::mem::take(&mut self.shortcut_scratch);
         scratch.outs.clear();
-        let resolved = sc.compute(&self.mem, &self.core, &mut scratch.outs)
-            && self.resolve_exit(sc, &mut scratch).is_some();
-        if !resolved {
+        let exit_pipe = if sc.compute(&self.mem, &self.core, &mut scratch.outs) {
+            self.resolve_exit(sc, &mut scratch)
+        } else {
+            None
+        };
+        let Some(exit_pipe) = exit_pipe else {
             self.shortcut_scratch = scratch;
             return Ok(false);
-        }
+        };
 
         let words = sc.stores_words();
         for &(addr, v) in &scratch.outs {
@@ -878,15 +851,12 @@ impl Machine {
                 self.core.spr[s] = v;
             }
         }
-        self.spr_pending.extend(scratch.pend.iter().copied());
         for (l, h) in sc.exit_hwloop.iter().enumerate() {
-            if let Some((start, end, count)) = *h {
-                self.core.hwloop[l] = HwLoop { start, end, count };
+            if let Some(h) = *h {
+                self.core.hwloop[l] = h;
             }
         }
-        self.pending_load = sc
-            .exit_pending_load
-            .map(|(r, id)| (Reg::from_bits(u32::from(r)), id));
+        self.pipe = exit_pipe;
         self.retire(&sc.profile, 1, None);
         self.core.instret += sc.total_instrs;
         self.shortcut_instrs += sc.total_instrs;
@@ -897,10 +867,15 @@ impl Machine {
     }
 
     /// Resolves a shortcut region's exit-live values against current
-    /// memory into `scratch`: final register values, final SPR slot
-    /// contents, and the still-in-flight SPR writes (re-keyed to absolute
-    /// `instret`). Reads `scratch.outs`, the computed stores.
-    fn resolve_exit(&self, sc: &ShortcutRegion, scratch: &mut ShortcutScratch) -> Option<()> {
+    /// memory: final register values and SPR slot contents into
+    /// `scratch`, and the returned exit pipe, its in-flight SPR writes
+    /// loaded and rebased to the entry `instret`. Reads `scratch.outs`,
+    /// the computed stores.
+    fn resolve_exit(
+        &self,
+        sc: &ShortcutRegion,
+        scratch: &mut ShortcutScratch,
+    ) -> Option<Pipe<u32>> {
         scratch.regs.clear();
         for &(r, ev) in &sc.exit_regs {
             let v = self.exit_value(sc, &scratch.outs, ev)?;
@@ -912,12 +887,11 @@ impl Machine {
                 scratch.spr[s] = Some(self.mem.read_u32(a.resolve(&self.mem, &self.core)?).ok()?);
             }
         }
-        scratch.pend.clear();
-        for &(rel, slot, a) in &sc.exit_pending {
-            let v = self.mem.read_u32(a.resolve(&self.mem, &self.core)?).ok()?;
-            scratch.pend.push((self.core.instret + rel, slot, v));
-        }
-        Some(())
+        let mut pipe = sc
+            .exit_pipe
+            .try_map(|a| self.mem.read_u32(a.resolve(&self.mem, &self.core)?).ok())?;
+        pipe.rebase(self.core.instret);
+        Some(pipe)
     }
 
     /// One exit value of a shortcut region (`outs`: its computed stores).
@@ -1062,8 +1036,7 @@ impl Machine {
             None => {
                 // The generic path would have retired the block's last op
                 // just before returning here, leaving its load pending.
-                self.pending_load =
-                    (last.load_rd != 0).then(|| (Reg::from_bits(u32::from(last.load_rd)), last.id));
+                self.pipe.retire(&last);
                 if exited || matches!(block.exit, BlockExit::Straight) {
                     self.core.pc = block.end_addr;
                     *idx = block.start_idx + block.len;
@@ -1082,14 +1055,14 @@ impl Machine {
                         self.core.cycle += 1;
                     }
                     self.stats
-                        .record(u.id, u64::from(u.base_cycles), u32::from(u.mac_ops));
-                    self.core.cycle += u64::from(u.base_cycles);
+                        .record(u.id, u.cycles(false), u32::from(u.mac_ops));
+                    self.core.cycle += u.cycles(false);
                 }
                 if let Some(id) = block.stall_in[k] {
                     self.stats.attribute_stall(id);
                     self.core.cycle += 1;
                 }
-                self.pending_load = None;
+                self.pipe.load = None;
                 self.core.pc = slice[k].addr;
                 Err(e)
             }
@@ -1115,15 +1088,8 @@ impl Machine {
 
     /// Executes `iters` passes over `slice` — data semantics and
     /// `instret` retirement only, no cycle or statistics accounting.
-    ///
-    /// The SPR write pipeline lives in host locals for the whole pass:
-    /// the `issued + 2 <= instret` visibility rule bounds the in-flight
-    /// set to two writes, so a two-slot array replaces the shared
-    /// `spr_pending` deque and `pl.sdotsp` — the dominant op in the O3
-    /// kernels — executes without any deque traffic or `drain_spr`
-    /// calls. Writes land at exactly the same retirement points as on
-    /// the generic path, and the deque is reconstructed verbatim (same
-    /// `instret` keys) on exit, so machine state stays bit-identical.
+    /// SPR writes drain before each op, as on the generic path, so they
+    /// land at the same retirements.
     ///
     /// With `close`, the slice's last op is a conditional branch back to
     /// its first, evaluated from those operands after each pass: the
@@ -1144,91 +1110,19 @@ impl Machine {
         } else {
             slice
         };
-        let mut spr = self.core.spr;
+        // `instret` counts in a register and is stored for each op, so
+        // no op waits on the previous op's update of it.
         let mut instret = self.core.instret;
-        // In-flight SPR writes, oldest first. Every path drains before
-        // executing an op, so at most the two most recent retirements
-        // can still have a write pending.
-        assert!(self.spr_pending.len() <= 2);
-        let mut q = [(0u64, 0usize, 0u32); 2];
-        let mut qn = 0usize;
-        while let Some(e) = self.spr_pending.pop_front() {
-            q[qn] = e;
-            qn += 1;
-        }
-
         let mut done = 0u64;
-        let mut exited = false;
-        let mut fault: Option<(usize, SimError)> = None;
-        'passes: for _ in 0..iters {
+        for _ in 0..iters {
             for (k, u) in ops.iter().enumerate() {
-                // Writes issued two or more retirements ago land now —
-                // the same drain point as `uop_step` / `step`.
-                while qn > 0 && q[0].0 + 2 <= instret {
-                    spr[q[0].1] = q[0].2;
-                    q[0] = q[1];
-                    qn -= 1;
+                self.core.instret = instret;
+                while let Some((slot, v)) = self.pipe.drain(instret) {
+                    self.core.spr[slot] = v;
                 }
-                if let UopKind::PlSdotsp {
-                    spr: s,
-                    size,
-                    rd,
-                    rs1,
-                    rs2,
-                } = u.kind
-                {
-                    // `spr` was masked to 0/1 at translation; re-masking
-                    // here lets the compiler drop the bounds checks.
-                    let sl = usize::from(s & 1);
-                    let w = spr[sl];
-                    let x = self.core.reg(rs2);
-                    // Specialized signed×signed dot: lane products fit in
-                    // i32, and wrapping i32 sums equal the generic i64
-                    // accumulation truncated to 32 bits.
-                    let d = match size {
-                        SimdSize::Half => {
-                            let p0 = (w as i16 as i32) * (x as i16 as i32);
-                            let p1 = ((w >> 16) as i16 as i32) * ((x >> 16) as i16 as i32);
-                            p0.wrapping_add(p1) as u32
-                        }
-                        SimdSize::Byte => {
-                            let mut sum = 0i32;
-                            for sh in [0u32, 8, 16, 24] {
-                                sum += ((w >> sh) as i8 as i32) * ((x >> sh) as i8 as i32);
-                            }
-                            sum as u32
-                        }
-                    };
-                    debug_assert_eq!(d, dot(DotOp::SdotSp, size, w, x));
-                    let acc = self.core.reg(rd).wrapping_add(d);
-                    let addr = self.core.reg(rs1);
-                    match self.mem.read_u32(addr) {
-                        Ok(value) => {
-                            // After aging, at most the previous op's
-                            // write is still in flight, so qn <= 1.
-                            debug_assert!(qn < 2);
-                            q[qn & 1] = (instret, sl, value);
-                            qn += 1;
-                            self.core.set_reg(rd, acc);
-                            self.core.set_reg(rs1, addr.wrapping_add(4));
-                        }
-                        Err(e) => {
-                            fault = Some((k, e));
-                            break 'passes;
-                        }
-                    }
-                } else {
-                    // Only `pl.sdotsp` reads or writes the SPR state and
-                    // only the (body-ineligible) CSR reads observe
-                    // `instret`, so the locals can stay stale across
-                    // this call.
-                    match self.exec_uop(u) {
-                        Ok(flow) => debug_assert!(matches!(flow, Flow::Fall)),
-                        Err(e) => {
-                            fault = Some((k, e));
-                            break 'passes;
-                        }
-                    }
+                match self.exec_uop(u) {
+                    Ok(flow) => debug_assert!(matches!(flow, Flow::Fall)),
+                    Err(e) => return (done, false, Some((k, e))),
                 }
                 instret += 1;
             }
@@ -1238,34 +1132,13 @@ impl Machine {
                 // it lands the same writes at the next op's drain.
                 instret += 1;
                 if !branch_taken(op, self.core.reg(rs1), self.core.reg(rs2)) {
-                    exited = true;
-                    break;
+                    self.core.instret = instret;
+                    return (done, true, None);
                 }
             }
         }
-
-        self.core.spr = spr;
         self.core.instret = instret;
-        for &e in q.iter().take(qn) {
-            self.spr_pending.push_back(e);
-        }
-        (done, exited, fault)
-    }
-
-    /// Makes SPR writes issued two or more instructions ago visible.
-    /// Visibility is keyed on `instret`, so the micro-op bulk runner —
-    /// which defers *cycle* accounting but retires `instret` per op —
-    /// drains at exactly the same points as the per-step path.
-    #[inline]
-    fn drain_spr(&mut self) {
-        while let Some(&(issued, idx, value)) = self.spr_pending.front() {
-            if issued + 2 <= self.core.instret {
-                self.core.spr[idx] = value;
-                self.spr_pending.pop_front();
-            } else {
-                break;
-            }
-        }
+        (done, false, None)
     }
 
     /// Executes a micro-op's data semantics: register/memory/SPR effects
@@ -1273,6 +1146,11 @@ impl Machine {
     /// the pending-load hand-off are the caller's responsibility, which
     /// is what lets the block runner share this with `uop_step` while
     /// accounting time in bulk.
+    ///
+    /// Inlined into both callers: called out of line, the level-d bulk
+    /// tier, whose every `pl.sdotsp` now runs through here, was about a
+    /// tenth slower (2-thread x86-64 host).
+    #[inline(always)]
     fn exec_uop(&mut self, u: &Uop) -> Result<Flow, SimError> {
         match u.kind {
             UopKind::Jal { rd, target } => {
@@ -1364,28 +1242,14 @@ impl Machine {
             }
             UopKind::LpSetup { l, rs1, start, end } => {
                 let count = self.core.reg(rs1);
-                let lp = &mut self.core.hwloop[l as usize];
-                lp.start = start;
-                lp.end = end;
-                lp.count = count;
-                if lp.count > 0 && lp.start >= lp.end {
-                    return Err(SimError::BadHwLoop { level: l as usize });
-                }
+                self.setup_loop(l, HwLoop { start, end, count })?;
             }
             UopKind::LpSetupi {
                 l,
                 count,
                 start,
                 end,
-            } => {
-                let lp = &mut self.core.hwloop[l as usize];
-                lp.start = start;
-                lp.end = end;
-                lp.count = count;
-                if lp.count > 0 && lp.start >= lp.end {
-                    return Err(SimError::BadHwLoop { level: l as usize });
-                }
-            }
+            } => self.setup_loop(l, HwLoop { start, end, count })?,
             UopKind::PlSdotsp {
                 spr,
                 size,
@@ -1396,8 +1260,10 @@ impl Machine {
                 // MAC with the weight currently in SPR[spr], while the
                 // LSU fetches the next weight into the same SPR (visible
                 // two instructions later) and post-increments the stream
-                // pointer. `spr` was masked to 0/1 at translation.
-                let w = self.core.spr[spr as usize];
+                // pointer. `spr` was masked to 0/1 at translation;
+                // masking again drops the bounds checks.
+                let slot = usize::from(spr & 1);
+                let w = self.core.spr[slot];
                 let x = self.core.reg(rs2);
                 let acc = self
                     .core
@@ -1405,8 +1271,7 @@ impl Machine {
                     .wrapping_add(dot(DotOp::SdotSp, size, w, x));
                 let addr = self.core.reg(rs1);
                 let value = self.mem.read_u32(addr)?;
-                self.spr_pending
-                    .push_back((self.core.instret, spr as usize, value));
+                self.pipe.issue(self.core.instret, slot, value);
                 self.core.set_reg(rd, acc);
                 self.core.set_reg(rs1, addr.wrapping_add(4));
             }
@@ -1431,6 +1296,18 @@ impl Machine {
             UopKind::PvDot { .. } => self.write_value(u),
         }
         Ok(Flow::Fall)
+    }
+
+    /// `lp.setup`/`lp.setupi`: arms loop level `l`, faulting (with the
+    /// level written) on a configuration it cannot arm.
+    fn setup_loop(&mut self, l: u8, lp: HwLoop) -> Result<(), SimError> {
+        self.core.hwloop[usize::from(l)] = lp;
+        if !lp.valid() {
+            return Err(SimError::BadHwLoop {
+                level: usize::from(l),
+            });
+        }
+        Ok(())
     }
 
     /// Retires a pure op's register write.
@@ -1469,7 +1346,7 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rnnasip_isa::{AluImmOp, AluOp, CsrOp, LoadOp, LoopIdx};
+    use rnnasip_isa::{AluImmOp, AluOp, CsrOp, LoadOp, LoopIdx, SimdSize};
 
     fn addi(rd: Reg, rs1: Reg, imm: i32) -> Instr {
         Instr::OpImm {

@@ -40,15 +40,13 @@
 //! shortcut / bulk / stepping differentials in the bench crate enforce
 //! the bit-identity.
 
-use crate::core_state::Core;
+use crate::core_state::{Core, HwLoop, Pipe};
 use crate::mem::Memory;
 use crate::program::Program;
 use crate::uop::{
     alu, alu_imm, branch_taken, clip, max, mul_div, unary, Profile, UnaryOp, Uop, UopKind, NO_IDX,
 };
-use rnnasip_isa::{
-    AluImmOp, AluOp, BranchOp, DotOp, LoadOp, MnemonicId, MulDivOp, Reg, SimdSize, StoreOp,
-};
+use rnnasip_isa::{AluImmOp, AluOp, BranchOp, DotOp, LoadOp, MulDivOp, Reg, SimdSize, StoreOp};
 
 /// Upper bound on the dynamic micro-ops verifying one region accounts
 /// for (applied loop iterations count as walked): a guard against
@@ -480,13 +478,12 @@ pub(crate) struct ShortcutRegion {
     /// Per SPR slot: the address of the last weight word drained into it
     /// (`None` = slot untouched).
     pub exit_spr: [Option<AAddr>; 2],
-    /// SPR writes still in flight at region exit:
-    /// `(instret offset from entry, slot, weight word address)`.
-    pub exit_pending: Vec<(u64, usize, AAddr)>,
+    /// The pipe at region exit: the SPR writes still in flight, keyed
+    /// by `instret` from entry with their weight word's address, and the
+    /// last op's load, pending into the op after the region.
+    pub exit_pipe: Pipe<AAddr>,
     /// Hardware-loop levels reconfigured by the region.
-    pub exit_hwloop: [Option<(u32, u32, u32)>; 2],
-    /// The last op's load, pending into the op after the region.
-    pub exit_pending_load: Option<(u8, MnemonicId)>,
+    pub exit_hwloop: [Option<HwLoop>; 2],
     /// Dataflow trees of [`ExitVal::Node`] exit values.
     pub exit_nodes: Vec<Node<ExitVal>>,
     /// The load spans the descriptor declares (see [`Outputs::new`]);
@@ -762,50 +759,17 @@ pub(crate) fn install(
     region
 }
 
-/// In-flight SPR writes, oldest first: `(issue instret, slot, weight
-/// address)`. A walk keeps at most two in flight; a third rejects the
-/// region.
-#[derive(Clone, Copy, Default)]
-struct Pend {
-    q: [(u64, usize, AAddr); 2],
-    len: usize,
-}
-
-impl Pend {
-    fn as_slice(&self) -> &[(u64, usize, AAddr)] {
-        &self.q[..self.len]
-    }
-
-    fn as_mut_slice(&mut self) -> &mut [(u64, usize, AAddr)] {
-        &mut self.q[..self.len]
-    }
-
-    /// Queues one write; `None` when two are already in flight.
-    fn push(&mut self, p: (u64, usize, AAddr)) -> Option<()> {
-        *self.q.get_mut(self.len)? = p;
-        self.len += 1;
-        Some(())
-    }
-
-    /// Drops the oldest write.
-    fn pop_front(&mut self) {
-        self.q[0] = self.q[1];
-        self.len -= 1;
-    }
-}
-
 /// The part of a walk's state a loop summary compares between the
 /// starts of two iterations ([`Candidate::summarize`]).
 #[derive(Clone, Copy, Default)]
 struct Arch {
     regs: [Av; 32],
-    /// Per hardware-loop level: `(start, end, count)`.
-    hwl: [Option<(u32, u32, u32)>; 2],
+    /// Per hardware-loop level, its registers once the region set it up.
+    hwl: [Option<HwLoop>; 2],
     /// Per SPR slot: the address of the weight word it holds (`None` =
     /// region-entry contents, which only discarding reads may touch).
     spr: [Option<AAddr>; 2],
-    pend: Pend,
-    prev_load: Option<(u8, MnemonicId)>,
+    pipe: Pipe<AAddr>,
     instret: u64,
     next_out: u32,
     /// The spill word's content: the region's last store to it.
@@ -820,11 +784,6 @@ struct WalkState {
     /// The declared load spans, with what the walk read of them.
     loads: Vec<Span>,
     profile: Profile,
-    /// Per mnemonic, one more than its row in `profile.retire_rows` (0
-    /// until it has one), so a retire finds its row without a scan.
-    retire_row: [u8; MnemonicId::COUNT],
-    /// The same for `profile.stall_rows`.
-    stall_row: [u8; MnemonicId::COUNT],
     /// See [`ShortcutRegion::nowrap`].
     nowrap: Vec<(Cell, u32)>,
     /// Micro-ops accounted for, applied loop iterations included.
@@ -832,39 +791,6 @@ struct WalkState {
 }
 
 impl WalkState {
-    /// Retires one op of row `id` (as [`Profile::record`]).
-    fn retire(&mut self, id: MnemonicId, cycles: u64, macs: u64) {
-        let p = &mut self.profile;
-        p.cycles += cycles;
-        let row = &mut self.retire_row[id.index()];
-        match *row {
-            0 => {
-                p.retire_rows.push((id, 1, cycles, macs));
-                *row = p.retire_rows.len() as u8;
-            }
-            k => {
-                let r = &mut p.retire_rows[usize::from(k) - 1];
-                r.1 += 1;
-                r.2 += cycles;
-                r.3 += macs;
-            }
-        }
-    }
-
-    /// Charges one load-use stall to row `id` (as [`Profile::stall`]).
-    fn stall(&mut self, id: MnemonicId) {
-        let p = &mut self.profile;
-        p.cycles += 1;
-        let row = &mut self.stall_row[id.index()];
-        match *row {
-            0 => {
-                p.stall_rows.push((id, 1));
-                *row = p.stall_rows.len() as u8;
-            }
-            k => p.stall_rows[usize::from(k) - 1].1 += 1,
-        }
-    }
-
     /// Raises the recorded no-wrap offset of `cell` to at least `off`.
     fn note_nowrap(&mut self, cell: Cell, off: u32) {
         match self.nowrap.iter_mut().find(|(c, _)| *c == cell) {
@@ -1055,7 +981,7 @@ struct Candidate {
     profile: Profile,
     /// Per source (registers, then as [`Form::Lin`] numbers the others),
     /// its current form; the pending writes' in step with
-    /// `WalkState::pend`.
+    /// `Arch::pipe`.
     forms: Forms,
     /// The registers the iteration wrote; every other one keeps its
     /// value and moves as itself.
@@ -1093,9 +1019,7 @@ impl Candidate {
     fn watch(&mut self, lp: Loop, st: &WalkState) {
         self.lp = Some(lp);
         self.start = st.a;
-        self.profile.cycles = st.profile.cycles;
-        self.profile.retire_rows.clone_from(&st.profile.retire_rows);
-        self.profile.stall_rows.clone_from(&st.profile.stall_rows);
+        self.profile.clone_from(&st.profile);
         self.forms = Forms::default();
         self.written = 0;
         self.fixed = 0;
@@ -1396,24 +1320,27 @@ impl Candidate {
         let stored = st.a.next_out - s0.next_out;
         let streams = plan.f.outs.len() as u32;
         if !stored.is_multiple_of(streams)
-            || s0.prev_load != st.a.prev_load
+            || s0.pipe.load != st.a.pipe.load
             || s0.nowrap_changes != st.a.nowrap_changes
             || p0.retire_rows.len() != st.profile.retire_rows.len()
             || p0.stall_rows.len() != st.profile.stall_rows.len()
-            || s0.pend.len != st.a.pend.len
+            || s0.pipe.len() != st.a.pipe.len()
         {
             return Summary::Skip;
         }
         // Iterations left after the watched one, for a hardware loop.
         let hw_left = match lp {
             Loop::Hw(lv) => {
-                let (Some((a0, e0, n0)), Some((a1, e1, n1))) = (s0.hwl[lv], st.a.hwl[lv]) else {
+                let (Some(h0), Some(h1)) = (s0.hwl[lv], st.a.hwl[lv]) else {
                     return Summary::Skip;
                 };
-                if (a0, e0) != (a1, e1) || n1 + 1 != n0 || s0.hwl[1 - lv] != st.a.hwl[1 - lv] {
+                if (h0.start, h0.end) != (h1.start, h1.end)
+                    || h1.count + 1 != h0.count
+                    || s0.hwl[1 - lv] != st.a.hwl[1 - lv]
+                {
                     return Summary::Skip;
                 }
-                Some(n1)
+                Some(h1.count)
             }
             Loop::Branch(_) if s0.hwl == st.a.hwl => None,
             Loop::Branch(_) => return Summary::Skip,
@@ -1432,14 +1359,9 @@ impl Candidate {
                 }
             };
         }
-        for (j, (p, q)) in s0
-            .pend
-            .as_slice()
-            .iter()
-            .zip(st.a.pend.as_slice())
-            .enumerate()
-        {
-            if s0.instret - p.0 != st.a.instret - q.0 || p.1 != q.1 || p.2.cell != q.2.cell {
+        for (j, (p, q)) in s0.pipe.writes().zip(st.a.pipe.writes()).enumerate() {
+            let (p_in, q_in) = (p.0.wrapping_sub(s0.instret), q.0.wrapping_sub(st.a.instret));
+            if p_in != q_in || p.1 != q.1 || p.2.cell != q.2.cell {
                 return Summary::Skip;
             }
             d[SRC_PEND + j] = Delta::Num(q.2.off.wrapping_sub(p.2.off));
@@ -1470,7 +1392,7 @@ impl Candidate {
             Form::Fresh | Form::Chain(_) => d[x] == Delta::Same,
         };
         let ends = used(self.written)
-            .chain(SRC_PEND..SRC_PEND + st.a.pend.len)
+            .chain(SRC_PEND..SRC_PEND + st.a.pipe.len())
             .chain(SRC_SPR..SOURCES);
         for x in ends {
             if !predicts(x, self.forms.0[x]) {
@@ -1587,8 +1509,8 @@ impl Candidate {
         for r in used(self.written) {
             st.a.regs[r] = shifted(st.a.regs[r], d[r], m32);
         }
-        for (j, p) in st.a.pend.as_mut_slice().iter_mut().enumerate() {
-            p.0 += m * iter;
+        st.a.pipe.rebase(m * iter);
+        for (j, p) in st.a.pipe.writes_mut().enumerate() {
             p.2.off = p.2.off.wrapping_add(by(SRC_PEND + j));
         }
         for k in 0..2 {
@@ -1602,7 +1524,7 @@ impl Candidate {
         st.a.next_out = next_out;
         if let Loop::Hw(lv) = lp {
             if let Some(h) = &mut st.a.hwl[lv] {
-                h.2 = 1;
+                h.count = 1;
             }
         }
         self.applied = m;
@@ -1748,8 +1670,6 @@ fn walk(
         },
         loads: plan.loads.clone(),
         profile: Profile::default(),
-        retire_row: [0; MnemonicId::COUNT],
-        stall_row: [0; MnemonicId::COUNT],
         nowrap: Vec::new(),
         ops: 0,
     };
@@ -1766,12 +1686,8 @@ fn walk(
         }
         // SPR writes issued two or more retirements ago land now — the
         // same drain point as the per-op path.
-        while let Some(&(iss, slot, addr)) = st.a.pend.as_slice().first() {
-            if iss + 2 > st.a.instret {
-                break;
-            }
+        while let Some((slot, addr)) = st.a.pipe.drain(st.a.instret) {
             st.a.spr[slot] = Some(addr);
-            st.a.pend.pop_front();
             watches.each(|c| {
                 c.forms.0[SRC_SPR + slot] = c.forms.0[SRC_PEND];
                 c.forms.0[SRC_PEND] = c.forms.0[SRC_PEND + 1];
@@ -1779,12 +1695,9 @@ fn walk(
             });
         }
         // Load-use stall, charged to the producing load.
-        if let Some((r, id)) = st.a.prev_load.take() {
-            if u.uses_mask & (1u32 << r) != 0 {
-                st.stall(id);
-            }
+        if let Some(id) = st.a.pipe.stall(u) {
+            st.profile.stall(id);
         }
-        let mut extra = 0u64;
         let mut jump: Option<(u32, usize)> = None;
         match u.kind {
             UopKind::Branch {
@@ -1816,7 +1729,6 @@ fn walk(
                         return None;
                     }
                     jump = Some((target.addr, target.idx as usize));
-                    extra = 1;
                 }
             }
             UopKind::Load {
@@ -1909,10 +1821,10 @@ fn walk(
                 }
                 let base = get(&st.a.regs, rs1)?;
                 let addr = aaddr(base, 0)?;
-                let slot = st.a.pend.len;
+                let slot = st.a.pipe.len();
                 let (_, span) = plan.load(&mut st, LoadOp::Lw, addr)?;
                 watches.each(|c| c.sdot(u.kind, addr, slot, span, (acc, v)));
-                st.a.pend.push((st.a.instret, sl, addr))?;
+                st.a.pipe.issue(st.a.instret, sl, addr);
                 set(&mut st.a.regs, rd, v);
                 set(&mut st.a.regs, rs1, bump(base, 4)?);
             }
@@ -1921,10 +1833,11 @@ fn walk(
                 let Av::Const(count) = get(&st.a.regs, rs1)? else {
                     return None;
                 };
-                if count > 0 && start >= end {
+                let lp = HwLoop { start, end, count };
+                if !lp.valid() {
                     return None;
                 }
-                st.a.hwl[usize::from(l)] = Some((start, end, count));
+                st.a.hwl[usize::from(l)] = Some(lp);
             }
             UopKind::LpSetupi {
                 l,
@@ -1933,10 +1846,11 @@ fn walk(
                 end,
             } => {
                 watches.setup(None);
-                if count > 0 && start >= end {
+                let lp = HwLoop { start, end, count };
+                if !lp.valid() {
                     return None;
                 }
-                st.a.hwl[usize::from(l)] = Some((start, end, count));
+                st.a.hwl[usize::from(l)] = Some(lp);
             }
             // Jumps, halts, CSR access and split hardware-loop setup
             // never appear in generated kernel regions; reject rather
@@ -1972,9 +1886,10 @@ fn walk(
                 set(&mut st.a.regs, rd, v);
             }
         }
-        st.retire(u.id, u64::from(u.base_cycles) + extra, u64::from(u.mac_ops));
+        st.profile
+            .record(u.id, u.cycles(jump.is_some()), u64::from(u.mac_ops));
         st.a.instret += 1;
-        st.a.prev_load = (u.load_rd != 0).then_some((u.load_rd, u.id));
+        st.a.pipe.retire(u);
         match jump {
             Some((_, t)) => {
                 if t < start_idx || t >= end_idx {
@@ -1994,24 +1909,10 @@ fn walk(
                 i = t;
             }
             None => {
-                // Hardware-loop jump-back on fall-through, inner level
-                // first; an expired inner count falls through so an
-                // outer loop sharing the end address can fire.
-                let jump_back = |hwl: &mut [Option<(u32, u32, u32)>; 2]| {
-                    for (level, h) in hwl.iter_mut().enumerate() {
-                        if let Some((start, end, count)) = h {
-                            if *count > 0 && u.next_addr == *end {
-                                if *count > 1 {
-                                    *count -= 1;
-                                    return Some((level, *start));
-                                }
-                                *count = 0;
-                            }
-                        }
-                    }
-                    None
-                };
-                let Some((mut level, mut na)) = jump_back(&mut st.a.hwl) else {
+                // Hardware-loop jump-back on fall-through.
+                let [l0, l1] = &mut st.a.hwl;
+                let levels = [l0.as_mut(), l1.as_mut()];
+                let Some((mut level, mut na)) = HwLoop::jump_back(levels, u.next_addr) else {
                     i += 1;
                     continue;
                 };
@@ -2025,11 +1926,14 @@ fn walk(
                     let summary = watches.hw.jump_back(lp, &mut st, &plan, &vals, cost)?;
                     if let Summary::Applied { walk_last, .. } = summary {
                         let w = &mut watches;
-                        if w.row.lp.is_some() && !w.row.absorb(&w.hw, &plan, st.a.pend.len) {
+                        let npend = st.a.pipe.len();
+                        if w.row.lp.is_some() && !w.row.absorb(&w.hw, &plan, npend) {
                             w.row.lp = None;
                         }
                         if !walk_last {
-                            let Some(next) = jump_back(&mut st.a.hwl) else {
+                            let [l0, l1] = &mut st.a.hwl;
+                            let levels = [l0.as_mut(), l1.as_mut()];
+                            let Some(next) = HwLoop::jump_back(levels, u.next_addr) else {
                                 i += 1;
                                 continue;
                             };
@@ -2037,10 +1941,10 @@ fn walk(
                         }
                     }
                     // Watch the next iteration if enough remain to pay off.
-                    if st.a.hwl[level].is_some_and(|h| h.2 >= 3) {
+                    if st.a.hwl[level].is_some_and(|h| h.count >= 3) {
                         watches.hw.watch(Loop::Hw(level), &st);
                         if watches.row.lp.is_some() {
-                            watches.row.mark(st.a.pend.len);
+                            watches.row.mark(st.a.pipe.len());
                         }
                     }
                 }
@@ -2072,9 +1976,8 @@ fn walk(
         profile: st.profile,
         exit_regs,
         exit_spr: st.a.spr,
-        exit_pending: st.a.pend.as_slice().to_vec(),
+        exit_pipe: st.a.pipe,
         exit_hwloop: st.a.hwl,
-        exit_pending_load: st.a.prev_load,
         exit_nodes,
         loads: st.loads.into_iter().map(|s| s.range).collect(),
         stores,

@@ -337,6 +337,30 @@ pub(crate) struct Uop {
     pub shortcut: u32,
 }
 
+impl Uop {
+    /// The load-use hazard this op leaves for the next one: its load's
+    /// destination and row.
+    #[inline(always)]
+    pub(crate) fn pending_load(&self) -> Option<(u8, MnemonicId)> {
+        (self.load_rd != 0).then_some((self.load_rd, self.id))
+    }
+
+    /// The row a load-use stall on entering this op is charged to, when
+    /// `load` retired just before it and this op reads its destination.
+    #[inline(always)]
+    pub(crate) fn stall_after(&self, load: Option<(u8, MnemonicId)>) -> Option<MnemonicId> {
+        load.filter(|&(rd, _)| self.uses_mask & (1u32 << rd) != 0)
+            .map(|(_, id)| id)
+    }
+
+    /// The cycles this op retires with: its static cost, plus one if it
+    /// is a taken branch or a jump.
+    #[inline(always)]
+    pub(crate) fn cycles(&self, taken: bool) -> u64 {
+        u64::from(self.base_cycles) + u64::from(taken)
+    }
+}
+
 /// How a [`Block`] ends a pass.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum BlockExit {
@@ -359,7 +383,7 @@ pub(crate) enum BlockExit {
 /// one per region entry, op by op through [`record`](Self::record) and
 /// [`stall`](Self::stall); the machine retires either with one row
 /// update per mnemonic.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub(crate) struct Profile {
     /// Total cycles: retire cycles plus load-use stalls.
     pub cycles: u64,
@@ -367,30 +391,71 @@ pub(crate) struct Profile {
     pub retire_rows: Vec<(MnemonicId, u64, u64, u64)>,
     /// Per-mnemonic load-use stall totals.
     pub stall_rows: Vec<(MnemonicId, u64)>,
+    /// Per mnemonic, one more than its index in `retire_rows` and in
+    /// `stall_rows` (0 until it has a row), so an op finds its row
+    /// without a scan: the verifier walks tens of thousands of ops.
+    row_of: [[u8; 2]; MnemonicId::COUNT],
+}
+
+impl Default for Profile {
+    fn default() -> Self {
+        Self {
+            cycles: 0,
+            retire_rows: Vec::new(),
+            stall_rows: Vec::new(),
+            row_of: [[0; 2]; MnemonicId::COUNT],
+        }
+    }
+}
+
+impl Clone for Profile {
+    fn clone(&self) -> Self {
+        let mut p = Profile::default();
+        p.clone_from(self);
+        p
+    }
+
+    /// Copies into this profile's buffers, so a snapshot allocates
+    /// nothing once they have grown.
+    fn clone_from(&mut self, src: &Self) {
+        self.cycles = src.cycles;
+        self.retire_rows.clone_from(&src.retire_rows);
+        self.stall_rows.clone_from(&src.stall_rows);
+        self.row_of = src.row_of;
+    }
 }
 
 impl Profile {
     /// Adds one retired op of row `id` costing `cycles` cycles and
     /// performing `macs` MACs.
+    #[inline]
     pub(crate) fn record(&mut self, id: MnemonicId, cycles: u64, macs: u64) {
         self.cycles += cycles;
-        match self.retire_rows.iter_mut().find(|r| r.0 == id) {
-            Some(r) => {
+        match self.row_of[id.index()][0] {
+            0 => {
+                self.retire_rows.push((id, 1, cycles, macs));
+                self.row_of[id.index()][0] = self.retire_rows.len() as u8;
+            }
+            k => {
+                let r = &mut self.retire_rows[usize::from(k) - 1];
                 r.1 += 1;
                 r.2 += cycles;
                 r.3 += macs;
             }
-            None => self.retire_rows.push((id, 1, cycles, macs)),
         }
     }
 
     /// Adds one load-use stall cycle, charged to the producing load's
     /// row `id`.
+    #[inline]
     pub(crate) fn stall(&mut self, id: MnemonicId) {
         self.cycles += 1;
-        match self.stall_rows.iter_mut().find(|r| r.0 == id) {
-            Some(r) => r.1 += 1,
-            None => self.stall_rows.push((id, 1)),
+        match self.row_of[id.index()][1] {
+            0 => {
+                self.stall_rows.push((id, 1));
+                self.row_of[id.index()][1] = self.stall_rows.len() as u8;
+            }
+            k => self.stall_rows[usize::from(k) - 1].1 += 1,
         }
     }
 
@@ -743,19 +808,13 @@ fn block(uops: &[Uop], from: usize, to: usize, exit: BlockExit) -> Block {
             0 => slice.last(),
             _ => Some(&slice[j - 1]),
         };
-        let stall = prev
-            .filter(|p| p.load_rd != 0 && u.uses_mask & (1u32 << p.load_rd) != 0)
-            .map(|p| p.id);
+        let stall = u.stall_after(prev.and_then(Uop::pending_load));
         if let Some(id) = stall {
             profile.stall(id);
         }
         stall_in.push(stall);
         let taken = j + 1 == slice.len() && matches!(exit, BlockExit::Branch { .. });
-        profile.record(
-            u.id,
-            u64::from(u.base_cycles) + u64::from(taken),
-            u64::from(u.mac_ops),
-        );
+        profile.record(u.id, u.cycles(taken), u64::from(u.mac_ops));
     }
     Block {
         start_addr: slice[0].addr,
@@ -1093,40 +1152,36 @@ fn pv_lane_op_b(op: PvAluOp, a: i8, b: i8) -> i8 {
 }
 
 /// Dot-product semantics: the *fresh* dot value, before any accumulation.
-#[inline]
+///
+/// Only the low 32 bits of the lane sum are kept, so each lane product
+/// and the sum are taken modulo 2^32 on the sign- or zero-extended
+/// lanes: exact, and as cheap as the signed-halfword form `pl.sdotsp`
+/// and `pv.sdotsp.h` need. `#[inline(always)]` for the same reason as
+/// [`UopKind::value`].
+#[inline(always)]
 pub(crate) fn dot(op: DotOp, size: SimdSize, a: u32, b: u32) -> u32 {
     let (sign_a, sign_b) = match op {
         DotOp::DotUp | DotOp::SdotUp => (false, false),
         DotOp::DotUsp | DotOp::SdotUsp => (false, true),
         DotOp::DotSp | DotOp::SdotSp => (true, true),
     };
-    let lane = |word: u32, idx: u32, signed: bool, half: bool| -> i64 {
-        if half {
-            let raw = ((word >> (16 * idx)) & 0xFFFF) as u16;
-            if signed {
-                raw as i16 as i64
-            } else {
-                raw as i64
-            }
+    // Lane `i` of `bits`-bit lanes, extended to 32 bits.
+    let lane = |word: u32, bits: u32, i: u32, signed: bool| {
+        let up = word << (32 - bits * (i + 1));
+        if signed {
+            ((up as i32) >> (32 - bits)) as u32
         } else {
-            let raw = ((word >> (8 * idx)) & 0xFF) as u8;
-            if signed {
-                raw as i8 as i64
-            } else {
-                raw as i64
-            }
+            up >> (32 - bits)
         }
     };
-    let lanes = match size {
-        SimdSize::Half => 2,
-        SimdSize::Byte => 4,
-    };
-    let half = matches!(size, SimdSize::Half);
-    let mut sum: i64 = 0;
-    for i in 0..lanes {
-        sum += lane(a, i, sign_a, half) * lane(b, i, sign_b, half);
+    let mac = |bits, i| lane(a, bits, i, sign_a).wrapping_mul(lane(b, bits, i, sign_b));
+    match size {
+        SimdSize::Half => mac(16, 0).wrapping_add(mac(16, 1)),
+        SimdSize::Byte => mac(8, 0)
+            .wrapping_add(mac(8, 1))
+            .wrapping_add(mac(8, 2))
+            .wrapping_add(mac(8, 3)),
     }
-    sum as u32
 }
 
 /// Lowers one placed instruction to a micro-op.
@@ -1669,6 +1724,52 @@ mod tests {
                 assert_eq!((lo, hi), (-128, 127));
             }
             ref k => panic!("expected clip, got {k:?}"),
+        }
+    }
+
+    #[test]
+    fn dot_is_the_widened_lane_sum_truncated() {
+        let ops = [
+            DotOp::DotUp,
+            DotOp::DotUsp,
+            DotOp::DotSp,
+            DotOp::SdotUp,
+            DotOp::SdotUsp,
+            DotOp::SdotSp,
+        ];
+        let mut rng = rnnasip_rng::StdRng::seed_from_u64(29);
+        for n in 0..4_000 {
+            // Every fourth pair uses the lane extremes.
+            let (a, b): (u32, u32) = if n % 4 == 0 {
+                (0x8000_8000 | rng.gen::<u32>() & 0x7F7F, 0x8080_8080)
+            } else {
+                (rng.gen(), rng.gen())
+            };
+            for op in ops {
+                let (sa, sb) = match op {
+                    DotOp::DotUp | DotOp::SdotUp => (false, false),
+                    DotOp::DotUsp | DotOp::SdotUsp => (false, true),
+                    DotOp::DotSp | DotOp::SdotSp => (true, true),
+                };
+                for (size, bits) in [(SimdSize::Half, 16), (SimdSize::Byte, 8)] {
+                    let lane = |w: u32, i: u32, signed: bool| {
+                        let raw = i64::from((w >> (bits * i)) & ((1u32 << bits) - 1));
+                        if signed && raw >= 1 << (bits - 1) {
+                            raw - (1 << bits)
+                        } else {
+                            raw
+                        }
+                    };
+                    let want: i64 = (0..32 / bits)
+                        .map(|i| lane(a, i, sa) * lane(b, i, sb))
+                        .sum();
+                    assert_eq!(
+                        dot(op, size, a, b),
+                        want as u32,
+                        "{op:?} {size:?} {a:#x} {b:#x}"
+                    );
+                }
+            }
         }
     }
 

@@ -399,6 +399,50 @@ fn sdotsp_writes_pending_across_iterations() {
 }
 
 #[test]
+fn region_exit_with_two_spr_writes_in_flight() {
+    // The region ends in two discarding `pl.sdotsp` reads of the bias
+    // words, so its commit hands the machine both writes in flight. The
+    // op right after it drains the older one into SPR 0 and reads it,
+    // issuing a third; the next reads SPR 1 as its write lands. A
+    // prefix op enters the region at an odd `instret`.
+    for (count, prefix) in [(1, 0), (4, 0), (4, 1)] {
+        let mut k = sdotsp_kernel(count);
+        k.body.extend([
+            pl_sdotsp(0, Reg::ZERO, BP, Reg::ZERO),
+            pl_sdotsp(1, Reg::ZERO, BP, Reg::ZERO),
+        ]);
+        let mut instrs = vec![li(GP, 0); prefix];
+        instrs.extend(k.body.iter().copied());
+        instrs.extend([
+            pl_sdotsp(0, TMP, BP, XV),
+            pl_sdotsp(1, GP, BP, XV),
+            addi(TMP, TMP, 1),
+            Instr::Ecall,
+        ]);
+        let prog = Program::from_instrs(CODE, instrs);
+        let shift = 4 * prefix as u32;
+        let region = KernelRegion {
+            start_addr: CODE + shift,
+            end_addr: CODE + shift + 4 * k.body.len() as u32,
+            ..k.region()
+        };
+        let with = UopProgram::translate_with_shortcuts(&prog, &[region]);
+        assert_eq!(with.shortcut_regions(), 1);
+        let mut sc = machine(&prog, with);
+        let mut step = machine(&prog, UopProgram::translate(&prog));
+        assert_eq!(sc.run(1_000_000).unwrap(), ExitReason::Ecall);
+        assert_eq!(step.run_stepping(1_000_000).unwrap(), ExitReason::Ecall);
+        assert!(sc.shortcut_instrs() > 0, "the shortcut must engage");
+        assert_ne!(
+            sc.core().reg(TMP),
+            1,
+            "the tail must read the landed weight"
+        );
+        assert_same(&format!("count {count}, prefix {prefix}: "), &sc, &step);
+    }
+}
+
+#[test]
 fn pointer_loaded_through_a_moving_pointer_falls_back() {
     for count in [8, 16] {
         assert_identical(&gather_kernel(count), false);
